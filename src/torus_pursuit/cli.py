@@ -27,7 +27,12 @@ from .config import (
     with_overrides,
 )
 from .environment import observation_dim
-from .errors import ConfigError
+from .errors import (
+    CheckpointIntegrityError,
+    ConfigError,
+    DigestMismatchError,
+    SchemaVersionError,
+)
 from .evader import PolarContact, heading_from_contacts
 from .evaluation import run_eval
 from .selfcheck import angular_difference, run_selfcheck
@@ -174,7 +179,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (
+        ConfigError,
+        DigestMismatchError,
+        SchemaVersionError,
+        CheckpointIntegrityError,
+        FileNotFoundError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

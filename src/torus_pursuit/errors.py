@@ -27,3 +27,7 @@ class SchemaVersionError(ValueError):
 
 class TrajectoryParseError(ValueError):
     """A trajectory CSV row is malformed; the message carries the line number."""
+
+
+class CheckpointIntegrityError(ValueError):
+    """A checkpoint's array sidecar is missing or differs from what its manifest records."""

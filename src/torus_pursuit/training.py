@@ -12,6 +12,7 @@ byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -28,7 +29,7 @@ from .curriculum import (
 )
 from .ddpg import AgentLearner, Transition, heading_to_vector
 from .environment import observation_dim, observe_full, observe_partial, reset, step
-from .errors import ConfigError
+from .errors import ConfigError, SchemaVersionError
 
 CURVE_SCHEMA = "pursuit-training-curve-v1"
 CURVE_HEADER = "global_epoch,session,epoch,ratio,phase,return,captured,steps"
@@ -99,8 +100,13 @@ def run_episode(
     streams: TrainingStreams,
     ratio: float,
     phase: BehaviorPhase,
+    global_epoch: int,
 ) -> tuple[float, bool, int]:
-    """One training episode; returns (per-pursuer return, captured, steps)."""
+    """One training episode; returns (per-pursuer return, captured, steps).
+
+    Raises FloatingPointError, naming ``global_epoch``, the step and the
+    agent, as soon as an update reports a non-finite critic loss or mean Q.
+    """
     env_cfg = replace(config.env, velocity_ratio=ratio)
     partial = config.run.strategy == "cd_ddpg_partial"
     batch_size = config.ddpg.batch_size
@@ -134,8 +140,13 @@ def run_episode(
                 )
             )
             if len(learner.buffer) >= batch_size:
-                learner.critic_update(learner.buffer.sample(batch_size, streams.sample[i]))
-                learner.actor_update(learner.buffer.sample(batch_size, streams.sample[i]))
+                loss = learner.critic_update(learner.buffer.sample(batch_size, streams.sample[i]))
+                mean_q = learner.actor_update(learner.buffer.sample(batch_size, streams.sample[i]))
+                if not (math.isfinite(loss) and math.isfinite(mean_q)):
+                    raise FloatingPointError(
+                        f"non-finite update at global epoch {global_epoch}, step {steps + 1}, "
+                        f"agent {i}: critic loss {loss!r}, mean Q {mean_q!r}"
+                    )
                 learner.soft_update_targets()
         ep_return += outcome.rewards[0]
         steps += 1
@@ -149,6 +160,23 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
+def _curve_rows_before(path: Path, global_epoch: int) -> str:
+    """Complete rows of an existing curve whose global_epoch precedes a resume.
+
+    Later rows were written by a run that outlived the snapshot being resumed,
+    and the resumed run writes them again.
+    """
+    if not path.exists():
+        return ""
+    lines = path.read_text().splitlines(keepends=True)
+    if lines[:2] != [f"# schema={CURVE_SCHEMA}\n", CURVE_HEADER + "\n"]:
+        raise SchemaVersionError(f"{path}: not a {CURVE_SCHEMA} file; cannot resume into it")
+    return "".join(
+        row for row in lines[2:]
+        if row.endswith("\n") and int(row.split(",", 1)[0]) < global_epoch
+    )
+
+
 def run_training(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
@@ -157,7 +185,9 @@ def run_training(
     """Execute the session plan; returns the output directory.
 
     Writes training_curve.csv, periodic checkpoint_epoch{N}.json snapshots,
-    and a final checkpoint.json.
+    and a final checkpoint.json (each with its .npz sidecar). A resume into a
+    directory that already holds a curve keeps its rows before the
+    checkpoint's global epoch and continues after them.
     """
     if config.run.strategy not in ("cd_ddpg", "cd_ddpg_partial"):
         raise ConfigError(
@@ -178,16 +208,18 @@ def run_training(
         session_idx, epoch_idx, global_epoch = 0, 0, 0
 
     curve_path = out / "training_curve.csv"
+    earlier_rows = _curve_rows_before(curve_path, global_epoch) if resume is not None else ""
     with open(curve_path, "w", newline="") as curve:
         curve.write(f"# schema={CURVE_SCHEMA}\n")
         curve.write(CURVE_HEADER + "\n")
+        curve.write(earlier_rows)
         while session_idx < len(plan.sessions):
             session = plan.sessions[session_idx]
             while epoch_idx < session.epochs:
                 ratio = velocity_at_epoch(session.schedule, epoch_idx)
                 phase = behavior_for_epoch(plan, session_idx, epoch_idx)
                 ep_return, captured, steps = run_episode(
-                    config, learners, streams, ratio, phase
+                    config, learners, streams, ratio, phase, global_epoch
                 )
                 curve.write(
                     f"{global_epoch},{session_idx},{epoch_idx},{_fmt(ratio)},"
@@ -199,6 +231,8 @@ def run_training(
                     nxt_session, nxt_epoch = session_idx, epoch_idx
                     if nxt_epoch >= session.epochs:
                         nxt_session, nxt_epoch = session_idx + 1, 0
+                    # a resume from this snapshot keeps the rows before it
+                    curve.flush()
                     save_checkpoint(
                         out / f"checkpoint_epoch{global_epoch}.json",
                         config,

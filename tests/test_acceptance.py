@@ -104,15 +104,15 @@ def test_criterion_03_pincer_inner_minimum_identity():
     report(3, f"max |closed - grid| = {worst:.2e}; 729 joint selections ({elapsed:.1f}s)")
 
 
-def test_criterion_04_analytic_sweep_matches_reference_shape():
+def test_criterion_04_analytic_sweep_matches_reference_shape(tmp_path):
     start = time.time()
     cfg = config_from_dict({"run": {"seed": 2024, "strategy": "greedy"}})
     greedy = run_eval(
-        cfg, ratios=[1.1, 1.0, 0.9], episodes=100, out_dir="/tmp/acc4_greedy",
+        cfg, ratios=[1.1, 1.0, 0.9], episodes=100, out_dir=tmp_path / "acc4_greedy",
         strategy="greedy", write_logs=False,
     )
     pincer = run_eval(
-        cfg, ratios=[1.0, 0.7], episodes=100, out_dir="/tmp/acc4_pincer",
+        cfg, ratios=[1.0, 0.7], episodes=100, out_dir=tmp_path / "acc4_pincer",
         strategy="pincer", write_logs=False,
     )
     assert greedy[1.1] >= 0.9

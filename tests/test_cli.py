@@ -85,6 +85,27 @@ class TestTrainCommand:
         # rows from the resume point on are identical to the uninterrupted run
         assert resumed[2:] == full[2 + 5:]
 
+    def test_resume_into_same_out_keeps_curve(self, tmp_path):
+        cfg_path, _ = write_config(tmp_path)
+        full, part = tmp_path / "full", tmp_path / "part"
+        main(["train", "--config", str(cfg_path), "--out", str(full)])
+        main(["train", "--config", str(cfg_path), "--out", str(part)])
+        assert main(["train", "--config", str(cfg_path), "--out", str(part),
+                     "--resume", str(part / "checkpoint_epoch5.json")]) == 0
+        for name in ("training_curve.csv", "checkpoint.json", "checkpoint.npz"):
+            assert (part / name).read_bytes() == (full / name).read_bytes()
+
+    def test_resume_refuses_foreign_curve(self, tmp_path, capsys):
+        cfg_path, out_dir = write_config(tmp_path)
+        main(["train", "--config", str(cfg_path)])
+        foreign = tmp_path / "elsewhere"
+        foreign.mkdir()
+        (foreign / "training_curve.csv").write_text("a,b\n1,2\n")
+        assert main(["train", "--config", str(cfg_path), "--out", str(foreign),
+                     "--resume", str(out_dir / "checkpoint_epoch5.json")]) == 2
+        assert "cannot resume into it" in capsys.readouterr().err
+        assert (foreign / "training_curve.csv").read_text() == "a,b\n1,2\n"
+
     def test_cannot_train_analytic_strategy(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, strategy="greedy")
         assert main(["train", "--config", str(cfg_path)]) == 2
@@ -127,6 +148,42 @@ class TestTrainCommand:
         base = config_from_dict(tiny_config_dict(tmp_path / "a"))
         other = config_from_dict(tiny_config_dict(tmp_path / "b", seed=99))
         assert base.digest() == other.digest()
+
+
+class TestCheckpointErrors:
+    """A bad checkpoint ends the command with exit code 2 and an error line."""
+
+    @pytest.fixture
+    def trained(self, tmp_path):
+        cfg_path, out_dir = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        return cfg_path, out_dir / "checkpoint.json"
+
+    @staticmethod
+    def command(name, cfg_path, ckpt, tmp_path):
+        if name == "train":
+            return ["train", "--config", str(cfg_path), "--out", str(tmp_path / "again"),
+                    "--resume", str(ckpt)]
+        return ["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                "--ratios", "1.1", "--episodes", "2", "--out", str(tmp_path / "eval")]
+
+    @pytest.mark.parametrize("name", ["train", "eval"])
+    def test_missing_sidecar(self, name, trained, tmp_path, capsys):
+        cfg_path, ckpt = trained
+        ckpt.with_suffix(".npz").unlink()
+        assert main(self.command(name, cfg_path, ckpt, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "checkpoint.npz is missing" in err
+
+    @pytest.mark.parametrize("name", ["train", "eval"])
+    def test_digest_mismatch(self, name, trained, tmp_path, capsys):
+        cfg_path, ckpt = trained
+        other = json.loads(cfg_path.read_text())
+        other["ddpg"]["batch_size"] = 32  # digest-covered change
+        other_path = tmp_path / "other.json"
+        other_path.write_text(json.dumps(other))
+        assert main(self.command(name, other_path, ckpt, tmp_path)) == 2
+        assert "different config" in capsys.readouterr().err
 
 
 class TestEvalCommand:

@@ -1,0 +1,30 @@
+"""Training-loop guards."""
+
+import numpy as np
+import pytest
+
+from torus_pursuit.config import config_from_dict
+from torus_pursuit.curriculum import BehaviorPhase
+from torus_pursuit.ddpg import Transition, heading_to_vector
+from torus_pursuit.training import make_learners, make_streams, run_episode
+
+
+@pytest.mark.parametrize("net", ["critic", "critic_target"])
+def test_non_finite_critic_stops_training(net):
+    cfg = config_from_dict({
+        "env": {"n": 2, "episode_length": 40},
+        "ddpg": {"batch_size": 4, "buffer_capacity": 64,
+                 "actor_hidden": [8], "critic_hidden": [8]},
+    })
+    streams = make_streams(0, 2)
+    learners = make_learners(cfg, streams.init)
+    rng = np.random.default_rng(1)
+    for learner in learners:  # a full batch, so the first step updates
+        for _ in range(4):
+            learner.buffer.push(Transition(rng.standard_normal(learner.obs_dim),
+                                           heading_to_vector(0.5), -0.1,
+                                           rng.standard_normal(learner.obs_dim), False))
+    getattr(learners[1], net).weights[0][0, 0] = np.nan
+    want = r"global epoch 7, step 1, agent 1: critic loss nan, mean Q nan"
+    with pytest.raises(FloatingPointError, match=want):
+        run_episode(cfg, learners, streams, 1.2, BehaviorPhase.SCRIPTED, 7)

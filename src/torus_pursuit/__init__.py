@@ -37,7 +37,7 @@ from .metrics import (
     high_influence_fraction,
     instantaneous_coordination,
 )
-from .pursuit import GreedyParams, ReplicaSelection, greedy_heading, pincer_headings, pincer_objective
+from .pursuit import ReplicaSelection, greedy_heading, pincer_headings, pincer_objective
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "Displacement2",
     "EnvConfig",
     "ExperimentConfig",
-    "GreedyParams",
     "OuNoise",
     "PolarContact",
     "Point2",

@@ -23,6 +23,7 @@ from .metrics import (
     capture_success_rate,
     ic_report,
 )
+from .evaluation import write_success_table
 from .trajectory import EpisodeTrace, read_many
 
 IC_REPORT_SCHEMA_VERSION = 1
@@ -30,8 +31,6 @@ ANGLES_SCHEMA = "pursuit-capture-angles-v1"
 ANGLES_HEADER = "ratio,agent,bin,bin_start_rad,count"
 ANGLE_STATS_SCHEMA = "pursuit-capture-angle-stats-v1"
 ANGLE_STATS_HEADER = "ratio,agent,captures,circular_mean,circular_variance"
-SUCCESS_SCHEMA = "pursuit-success-v1"
-SUCCESS_HEADER = "ratio,episodes,captures,success_rate"
 
 POINTWISE_NOTE = (
     "high_influence_fraction uses pointwise mutual information per step pair; "
@@ -124,10 +123,7 @@ def analyze_logs(
     }
     (out / "ic_report.json").write_text(json.dumps(doc, indent=2) + "\n")
 
-    with open(out / "success.csv", "w", newline="") as fh:
-        fh.write(f"# schema={SUCCESS_SCHEMA}\n{SUCCESS_HEADER}\n")
-        for ratio, n, caps, rate in success_rows:
-            fh.write(f"{ratio:.9g},{n},{caps},{rate:.9g}\n")
+    write_success_table(out / "success.csv", success_rows)
 
     with open(out / "capture_angles.csv", "w", newline="") as fh:
         fh.write(f"# schema={ANGLES_SCHEMA}\n{ANGLES_HEADER}\n")

@@ -78,7 +78,7 @@ def _params_doc(p: MlpParams, arrays: dict, key: str) -> dict:
 
 
 def _params_load(doc: dict, arrays: Mapping[str, np.ndarray]) -> MlpParams:
-    return MlpParams(
+    return MlpParams.from_layers(
         _list_load(doc["weights"], arrays),
         _list_load(doc["biases"], arrays),
         doc["hidden_activation"],
@@ -86,20 +86,23 @@ def _params_load(doc: dict, arrays: Mapping[str, np.ndarray]) -> MlpParams:
     )
 
 
-_ADAM_MOMENTS = ("m_weights", "m_biases", "v_weights", "v_biases")
-
-
-def _adam_doc(s: AdamState, arrays: dict, key: str) -> dict:
-    doc: dict[str, Any] = {
-        name: _list_doc(arrays, key, getattr(s, name)) for name in _ADAM_MOMENTS
-    }
+def _adam_doc(s: AdamState, net: MlpParams, arrays: dict, key: str) -> dict:
+    """Each moment as per-layer views of ``net``'s layout, as schema 2 stores it."""
+    doc: dict[str, Any] = {}
+    for name, vec in (("m", s.m), ("v", s.v)):
+        weights, biases = net.layers(vec)
+        doc[f"{name}_weights"] = _list_doc(arrays, key, weights)
+        doc[f"{name}_biases"] = _list_doc(arrays, key, biases)
     doc["step"] = s.step
     return doc
 
 
 def _adam_load(doc: dict, arrays: Mapping[str, np.ndarray]) -> AdamState:
-    moments = {name: _list_load(doc[name], arrays) for name in _ADAM_MOMENTS}
-    return AdamState(**moments, step=doc["step"])
+    def moment(name: str) -> np.ndarray:
+        layers = _list_load(doc[f"{name}_weights"] + doc[f"{name}_biases"], arrays)
+        return np.concatenate([a.ravel() for a in layers])
+
+    return AdamState(moment("m"), moment("v"), step=doc["step"])
 
 
 _BUFFER_FIELDS = ("obs", "actions", "rewards", "next_obs", "terminals")
@@ -128,7 +131,7 @@ def _buffer_load(doc: dict, arrays: Mapping[str, np.ndarray]) -> ReplayBuffer:
 
 
 _NETWORKS = ("actor", "critic", "actor_target", "critic_target")
-_OPTIMIZERS = ("adam_actor", "adam_critic")
+_OPTIMIZERS = {"adam_actor": "actor", "adam_critic": "critic"}
 
 
 def _learner_doc(learner: AgentLearner, arrays: dict, key: str) -> dict:
@@ -144,8 +147,8 @@ def _learner_doc(learner: AgentLearner, arrays: dict, key: str) -> dict:
     }
     for name in _NETWORKS:
         doc[name] = _params_doc(getattr(learner, name), arrays, key)
-    for name in _OPTIMIZERS:
-        doc[name] = _adam_doc(getattr(learner, name), arrays, key)
+    for name, net in _OPTIMIZERS.items():
+        doc[name] = _adam_doc(getattr(learner, name), getattr(learner, net), arrays, key)
     doc["noise_state"] = learner.noise.state.tolist()
     doc["buffer"] = _buffer_doc(learner.buffer, arrays, f"{key}.buffer")
     return doc

@@ -2,9 +2,9 @@
 
 Defaults mirror the reference hyperparameters: actor/critic learning rates
 1e-4/1e-3, gradient clip 0.5, Polyak tau 0.001, buffer 500000, batch 512,
-discount 0.99, attraction coefficient 1.5, warm-up 1000 epochs, 500-step
-episodes. Unknown keys anywhere in the file are rejected, and every error
-message carries the offending field path.
+discount 0.99, warm-up 1000 epochs, 500-step episodes. Unknown keys
+anywhere in the file are rejected, and every error message carries the
+offending field path.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 from .curriculum import SessionPlan, SessionSpec, chained_plan
 from .environment import EnvConfig
 from .errors import ConfigError
+from .pursuit import check_pincer_grid
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -70,15 +71,12 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "runs/default"
     strategy: str = "cd_ddpg"
-    k_att: float = 1.5
     pincer_k: int = 1
     checkpoint_every: int = 100
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"run.strategy: unknown strategy {self.strategy!r}")
-        if not self.k_att > 0.0:
-            raise ConfigError("run.k_att: must be > 0")
         if self.pincer_k < 1:
             raise ConfigError("run.pincer_k: must be >= 1")
         if self.checkpoint_every < 1:
@@ -99,6 +97,11 @@ class ExperimentConfig:
         for idx, session in enumerate(self.curriculum.sessions):
             for key in ("v0", "v_target"):
                 check_ratio(self.env, getattr(session, key), f"curriculum.sessions[{idx}].{key}")
+        if self.run.strategy == "pincer":
+            try:
+                check_pincer_grid(self.env.n, self.run.pincer_k)
+            except ValueError as exc:
+                raise ConfigError(f"run.pincer_k: {exc}") from exc
 
     def to_dict(self) -> dict:
         doc = {
@@ -251,14 +254,13 @@ def _parse_metrics(section: dict) -> MetricsConfig:
 
 
 def _parse_run(section: dict) -> RunConfig:
-    _check_keys(section, {"seed", "out_dir", "strategy", "k_att", "pincer_k",
+    _check_keys(section, {"seed", "out_dir", "strategy", "pincer_k",
                           "checkpoint_every"}, "run")
     d = RunConfig()
     return RunConfig(
         seed=_typed(section, "seed", int, "run", d.seed),
         out_dir=_typed(section, "out_dir", str, "run", d.out_dir),
         strategy=_typed(section, "strategy", str, "run", d.strategy),
-        k_att=_typed(section, "k_att", float, "run", d.k_att),
         pincer_k=_typed(section, "pincer_k", int, "run", d.pincer_k),
         checkpoint_every=_typed(section, "checkpoint_every", int, "run", d.checkpoint_every),
     )

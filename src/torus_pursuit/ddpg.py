@@ -55,6 +55,18 @@ def normalize_action(u: np.ndarray) -> np.ndarray:
     return u / n
 
 
+def _unit_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise ``normalize_action``; returns (unit rows, norms, fallback mask).
+
+    Only a norm below RAW_NORM_FLOOR takes the east fallback, so a NaN row
+    stays NaN and surfaces in the value it feeds.
+    """
+    norms = np.linalg.norm(u, axis=1)
+    vanishing = norms < RAW_NORM_FLOOR
+    unit = u / np.where(vanishing, 1.0, norms)[:, None]
+    return np.where(vanishing[:, None], [1.0, 0.0], unit), norms, vanishing
+
+
 @dataclass(frozen=True)
 class Transition:
     """One (o, a, r, o', terminal) tuple; terminal means capture, not timeout."""
@@ -207,7 +219,7 @@ class AgentLearner:
         """One value-regression step; returns the pre-update loss."""
         b = len(batch)
         raw_next, _ = forward(self.actor_target, batch.next_obs)
-        a_next = _normalize_rows(raw_next)
+        a_next, _, _ = _unit_rows(raw_next)
         q_next, _ = forward(
             self.critic_target, np.hstack([batch.next_obs, a_next])
         )
@@ -217,7 +229,7 @@ class AgentLearner:
         loss = float(np.mean(diff**2))
         gy = (2.0 * diff / b).reshape(-1, 1)
         grads, _ = backward(self.critic, cache, gy)
-        grads = clip_global_norm(grads, self.clip_norm)
+        grads = clip_global_norm(self.critic, grads, self.clip_norm)
         self.critic, self.adam_critic = adam_step(
             self.critic, grads, self.adam_critic, self.lr_critic
         )
@@ -227,9 +239,7 @@ class AgentLearner:
         """One policy-ascent step; returns the pre-update mean value."""
         b = len(batch)
         raw, actor_cache = forward(self.actor, batch.obs)
-        norms = np.linalg.norm(raw, axis=1)
-        safe = norms >= RAW_NORM_FLOOR
-        a = np.where(safe[:, None], raw / np.where(safe, norms, 1.0)[:, None], [1.0, 0.0])
+        a, norms, vanishing = _unit_rows(raw)
         q, critic_cache = forward(self.critic, np.hstack([batch.obs, a]))
         mean_q = float(np.mean(q))
         _, g_in = backward(self.critic, critic_cache, np.full((b, 1), 1.0 / b))
@@ -237,13 +247,13 @@ class AgentLearner:
         # Jacobian of u -> u/||u|| is (I - a a^T)/||u||; rows with vanishing
         # norm used the constant fallback, so their gradient is zero.
         g_u = (g_a - np.sum(g_a * a, axis=1, keepdims=True) * a) / np.where(
-            safe, norms, 1.0
+            vanishing, 1.0, norms
         )[:, None]
-        g_u[~safe] = 0.0
+        g_u[vanishing] = 0.0
         grads, _ = backward(self.actor, actor_cache, g_u)
-        grads = clip_global_norm(grads, self.clip_norm)
+        grads = clip_global_norm(self.actor, grads, self.clip_norm)
         self.actor, self.adam_actor = adam_step(
-            self.actor, grads.scaled(-1.0), self.adam_actor, self.lr_actor
+            self.actor, -grads, self.adam_actor, self.lr_actor
         )
         return mean_q
 
@@ -251,8 +261,3 @@ class AgentLearner:
         self.actor_target = polyak_update(self.actor_target, self.actor, self.tau)
         self.critic_target = polyak_update(self.critic_target, self.critic, self.tau)
 
-
-def _normalize_rows(u: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(u, axis=1)
-    safe = norms >= RAW_NORM_FLOOR
-    return np.where(safe[:, None], u / np.where(safe, norms, 1.0)[:, None], [1.0, 0.0])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -127,9 +127,13 @@ def run_eval(
         results[ratio] = rate
         rows.append((ratio, episodes, captures, rate))
 
-    with open(out / "success.csv", "w", newline="") as fh:
-        fh.write(f"# schema={SUCCESS_SCHEMA}\n")
-        fh.write(SUCCESS_HEADER + "\n")
+    write_success_table(out / "success.csv", rows)
+    return results
+
+
+def write_success_table(path: Path, rows: Iterable[tuple[float, int, int, float]]) -> None:
+    """Writes (ratio, episodes, captures, success_rate) rows as a schema-headed CSV."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# schema={SUCCESS_SCHEMA}\n{SUCCESS_HEADER}\n")
         for ratio, eps, caps, rate in rows:
             fh.write(f"{ratio:.9g},{eps},{caps},{rate:.9g}\n")
-    return results

@@ -4,61 +4,76 @@ adaptive-moment updates, global-norm clipping, and Polyak target averaging.
 Everything is float64 numpy; forward/backward accept a single input vector or
 a batch of row vectors. Parameter gradients are summed over batch rows, so a
 mean objective is expressed by scaling the output gradient by 1/B.
+
+A network's parameters are one contiguous vector, ``MlpParams.flat``: every
+weight matrix [out, in] row-major in layer order, then every bias vector in
+layer order. ``weights`` and ``biases`` are views into it. A parameter
+gradient and both Adam moments are plain vectors with the same layout, so
+each optimizer update is a few whole-vector expressions;
+``MlpParams.layers`` gives the per-layer views of any such vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
 
 
-@dataclass
+@dataclass(eq=False)
 class MlpParams:
-    """Layer weights [out, in] and biases [out], plus activation tags."""
+    """One flat parameter vector plus its layer sizes and activation tags.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    ``weights[i]`` [out, in] and ``biases[i]`` [out] are views into ``flat``.
+    """
+
+    flat: np.ndarray
+    layer_sizes: tuple[int, ...]
     hidden_activation: str = "relu"
     output_activation: str = "identity"
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+    def __post_init__(self) -> None:
+        self.weights, self.biases = self.layers(self.flat)
+
+    @classmethod
+    def from_layers(
+        cls,
+        weights: list[np.ndarray],
+        biases: list[np.ndarray],
+        hidden_activation: str = "relu",
+        output_activation: str = "identity",
+    ) -> "MlpParams":
+        """Packs (copies) per-layer arrays into one flat vector."""
+        sizes = (weights[0].shape[1], *(w.shape[0] for w in weights))
+        flat = np.concatenate([np.ravel(a) for a in [*weights, *biases]], dtype=np.float64)
+        return cls(flat, sizes, hidden_activation, output_activation)
+
+    def layers(self, vec: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Weight and bias views of any vector laid out like ``flat``."""
+        sizes = self.layer_sizes
+        shapes = [(o, i) for i, o in zip(sizes, sizes[1:])] + [(o,) for o in sizes[1:]]
+        bounds = [0, *accumulate(math.prod(s) for s in shapes)]
+        if vec.shape != (bounds[-1],):
+            raise ValueError(f"vector shape {vec.shape} != parameter shape {(bounds[-1],)}")
+        views = [vec[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)]
+        return views[: len(sizes) - 1], views[len(sizes) - 1 :]
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.hidden_activation,
-            self.output_activation,
-        )
-
-
-@dataclass
-class GradientBundle:
-    """Partial derivatives, shape-congruent with an MlpParams."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def scaled(self, factor: float) -> "GradientBundle":
-        return GradientBundle(
-            [w * factor for w in self.weights], [b * factor for b in self.biases]
-        )
+        return replace(self, flat=self.flat.copy())
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the update counter."""
+    """First/second moment vectors, laid out like the parameters, and the step count."""
 
-    m_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
@@ -78,11 +93,11 @@ def mlp_init(
         bound = 1.0 / math.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases, hidden_activation, output_activation)
+    return MlpParams.from_layers(weights, biases, hidden_activation, output_activation)
 
 
 def parameter_count(params: MlpParams) -> int:
-    return sum(w.size for w in params.weights) + sum(b.size for b in params.biases)
+    return params.flat.size
 
 
 def _apply(tag: str, z: np.ndarray) -> np.ndarray:
@@ -121,11 +136,12 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
 
 def backward(
     params: MlpParams, cache: list, output_gradient: np.ndarray
-) -> tuple[GradientBundle, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact reverse-mode derivatives of output . output_gradient.
 
-    Returns parameter gradients (summed over batch rows when the forward ran
-    on a batch) and the gradient with respect to the input.
+    Returns the parameter gradient, laid out like ``params.flat`` (summed over
+    batch rows when the forward ran on a batch), and the gradient with
+    respect to the input.
     """
     gy = np.asarray(output_gradient, dtype=np.float64)
     last = len(params.weights) - 1
@@ -133,52 +149,52 @@ def backward(
         raise ValueError(
             f"output gradient width {gy.shape[-1]} != output size {params.weights[last].shape[0]}"
         )
-    g_weights: list[np.ndarray] = [None] * len(params.weights)  # type: ignore[list-item]
-    g_biases: list[np.ndarray] = [None] * len(params.biases)  # type: ignore[list-item]
+    grads = np.empty_like(params.flat)
+    g_weights, g_biases = params.layers(grads)
     grad = gy
     for i in range(last, -1, -1):
         h_in, z = cache[i]
         tag = params.output_activation if i == last else params.hidden_activation
         dz = grad * _derivative(tag, z)
         if dz.ndim == 1:
-            g_weights[i] = np.outer(dz, h_in)
-            g_biases[i] = dz.copy()
+            g_weights[i][...] = np.outer(dz, h_in)
+            g_biases[i][...] = dz
         else:
-            g_weights[i] = dz.T @ h_in
-            g_biases[i] = dz.sum(axis=0)
+            g_weights[i][...] = dz.T @ h_in
+            g_biases[i][...] = dz.sum(axis=0)
         grad = dz @ params.weights[i]
-    return GradientBundle(g_weights, g_biases), grad
+    return grads, grad
 
 
-def global_norm(grads: GradientBundle) -> float:
-    total = sum(float(np.sum(w**2)) for w in grads.weights)
-    total += sum(float(np.sum(b**2)) for b in grads.biases)
+def global_norm(params: MlpParams, grads: np.ndarray) -> float:
+    """L2 norm of a gradient laid out like ``params.flat``.
+
+    Summed per layer, weights then biases: one sum over the vector rounds
+    differently and would change every trained bit.
+    """
+    weights, biases = params.layers(grads)
+    total = sum(float(np.sum(w**2)) for w in weights)
+    total += sum(float(np.sum(b**2)) for b in biases)
     return math.sqrt(total)
 
 
-def clip_global_norm(grads: GradientBundle, max_norm: float) -> GradientBundle:
+def clip_global_norm(params: MlpParams, grads: np.ndarray, max_norm: float) -> np.ndarray:
     """Scale all entries so the global L2 norm is at most max_norm."""
     if not max_norm > 0.0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
-    norm = global_norm(grads)
+    norm = global_norm(params, grads)
     if norm <= max_norm:
-        return GradientBundle([w.copy() for w in grads.weights], [b.copy() for b in grads.biases])
-    return grads.scaled(max_norm / norm)
+        return grads.copy()
+    return grads * (max_norm / norm)
 
 
 def adam_init(params: MlpParams) -> AdamState:
-    return AdamState(
-        m_weights=[np.zeros_like(w) for w in params.weights],
-        m_biases=[np.zeros_like(b) for b in params.biases],
-        v_weights=[np.zeros_like(w) for w in params.weights],
-        v_biases=[np.zeros_like(b) for b in params.biases],
-        step=0,
-    )
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), step=0)
 
 
 def adam_step(
     params: MlpParams,
-    grads: GradientBundle,
+    grads: np.ndarray,
     state: AdamState,
     learning_rate: float,
     beta1: float = 0.9,
@@ -186,38 +202,21 @@ def adam_step(
     eps: float = 1e-8,
 ) -> tuple[MlpParams, AdamState]:
     """Bias-corrected adaptive-moment descent step (returns new values)."""
+    if grads.shape != params.flat.shape:
+        raise ValueError(f"gradient shape {grads.shape} != parameter shape {params.flat.shape}")
     t = state.step + 1
-    new_params = params.copy()
-    new_state = AdamState(
-        m_weights=[], m_biases=[], v_weights=[], v_biases=[], step=t
-    )
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    for kind in ("weights", "biases"):
-        ps = getattr(new_params, kind)
-        gs = getattr(grads, kind)
-        ms = getattr(state, f"m_{kind}")
-        vs = getattr(state, f"v_{kind}")
-        for i, g in enumerate(gs):
-            if g.shape != ps[i].shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter shape {ps[i].shape}")
-            m = beta1 * ms[i] + (1.0 - beta1) * g
-            v = beta2 * vs[i] + (1.0 - beta2) * g**2
-            ps[i] = ps[i] - learning_rate * (m / c1) / (np.sqrt(v / c2) + eps)
-            getattr(new_state, f"m_{kind}").append(m)
-            getattr(new_state, f"v_{kind}").append(v)
-    return new_params, new_state
+    m = beta1 * state.m + (1.0 - beta1) * grads
+    v = beta2 * state.v + (1.0 - beta2) * grads**2
+    flat = params.flat - learning_rate * (m / c1) / (np.sqrt(v / c2) + eps)
+    return replace(params, flat=flat), AdamState(m, v, t)
 
 
 def polyak_update(target: MlpParams, online: MlpParams, tau: float) -> MlpParams:
     """target' = (1 - tau) * target + tau * online, elementwise."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    if [w.shape for w in target.weights] != [w.shape for w in online.weights]:
+    if target.layer_sizes != online.layer_sizes:
         raise ValueError("target and online networks are not shape-congruent")
-    return MlpParams(
-        [(1.0 - tau) * tw + tau * ow for tw, ow in zip(target.weights, online.weights)],
-        [(1.0 - tau) * tb + tau * ob for tb, ob in zip(target.biases, online.biases)],
-        target.hidden_activation,
-        target.output_activation,
-    )
+    return replace(target, flat=(1.0 - tau) * target.flat + tau * online.flat)

@@ -3,7 +3,7 @@
 Greedy follows the attractive-potential force toward the evader; on the torus
 that is simply the bearing of the minimal wrapped displacement (the attraction
 coefficient scales the force magnitude, never its direction, and only the
-direction drives a heading-controlled agent).
+direction drives a heading-controlled agent, so it is not a parameter).
 
 The encirclement ("pincer") strategy unrolls the torus k periods in each
 direction and assigns each pursuer one of its (2k+1)^2 planar replicas; the
@@ -38,16 +38,10 @@ from .geometry import Point2, displacement, distance, normalize_angle, replicate
 # into a pure nearest-image chase.
 BALANCE_TIE_BAND = 0.5
 
-
-@dataclass(frozen=True)
-class GreedyParams:
-    """Attraction coefficient of the quadratic pull toward the evader."""
-
-    k_att: float = 1.5
-
-    def __post_init__(self) -> None:
-        if not self.k_att > 0.0:
-            raise ValueError(f"k_att must be > 0, got {self.k_att}")
+# Largest joint replica grid pincer_selection enumerates: (2k+1)^(2n) cells,
+# each held in several float64 full-grid temporaries. 9^7 (n=7, k=1) runs in
+# about half a second; n=8 would need more than 1 GB.
+MAX_PINCER_CELLS = 9**7
 
 
 @dataclass(frozen=True)
@@ -97,6 +91,18 @@ def pincer_objective(
     return -math.hypot(a, b)
 
 
+def check_pincer_grid(n: int, k: int) -> None:
+    """Raise ValueError unless the (2k+1)^(2n) joint grid fits MAX_PINCER_CELLS."""
+    if k < 1:
+        raise ValueError(f"replication radius must be >= 1, got {k}")
+    cells = (2 * k + 1) ** (2 * n)
+    if cells > MAX_PINCER_CELLS:
+        raise ValueError(
+            f"pincer grid for n={n} pursuers at k={k} has {cells} cells, "
+            f"more than the {MAX_PINCER_CELLS} (n=7, k=1) that can be enumerated"
+        )
+
+
 def pincer_selection(
     state: WorldState, k: int = 1, balance_tie_band: float = BALANCE_TIE_BAND
 ) -> ReplicaSelection:
@@ -104,11 +110,11 @@ def pincer_selection(
 
     Selections within balance_tie_band * (total threat weight) of the maximal
     objective tie; ties prefer the smallest total replica-evader distance and
-    then the lexicographically smallest replica index tuple.
+    then the lexicographically smallest replica index tuple. Grids larger
+    than MAX_PINCER_CELLS raise ValueError before anything is allocated.
     """
-    if k < 1:
-        raise ValueError(f"replication radius must be >= 1, got {k}")
     n = len(state.pursuers)
+    check_pincer_grid(n, k)
     m = (2 * k + 1) ** 2
     evader = state.evader.position
     ev = np.array([evader.x, evader.y])

@@ -103,20 +103,6 @@ def directional_gradient_check(
     return worst
 
 
-def _flatten_params(params) -> np.ndarray:
-    return np.concatenate([w.ravel() for w in params.weights] + [b.ravel() for b in params.biases])
-
-
-def _unflatten_into(params, flat: np.ndarray) -> None:
-    i = 0
-    for w in params.weights:
-        w[...] = flat[i : i + w.size].reshape(w.shape)
-        i += w.size
-    for b in params.biases:
-        b[...] = flat[i : i + b.size].reshape(b.shape)
-        i += b.size
-
-
 def check_network_gradients(perturb: bool = False) -> CheckResult:
     """Backward-vs-finite-difference agreement on a small representative net.
 
@@ -129,19 +115,17 @@ def check_network_gradients(perturb: bool = False) -> CheckResult:
     gy = rng.standard_normal(2)
     _, cache = forward(params, x)
     grads, _ = backward(params, cache, gy)
-    flat_grad = _flatten_params_like(grads)
     if perturb:
-        flat_grad = flat_grad + 0.05 * np.abs(flat_grad).max() + 0.01
+        grads = grads + 0.05 * np.abs(grads).max() + 0.01
 
-    point = _flatten_params(params)
+    point = params.flat.copy()
 
     def loss(flat: np.ndarray) -> float:
-        _unflatten_into(params, flat)
+        params.flat[...] = flat
         y, _ = forward(params, x)
         return float(np.dot(y, gy))
 
-    worst = directional_gradient_check(loss, flat_grad, point, rng)
-    _unflatten_into(params, point)
+    worst = directional_gradient_check(loss, grads, point, rng)
     if perturb:
         return CheckResult(
             "gradient-check-negative-control",
@@ -149,12 +133,6 @@ def check_network_gradients(perturb: bool = False) -> CheckResult:
             f"corrupted gradient error {worst:.2e} (must be detected)",
         )
     return CheckResult("network-gradients", worst < 1e-4, f"max relative error {worst:.2e}")
-
-
-def _flatten_params_like(bundle) -> np.ndarray:
-    return np.concatenate(
-        [w.ravel() for w in bundle.weights] + [b.ravel() for b in bundle.biases]
-    )
 
 
 def check_velocity_schedule() -> CheckResult:

@@ -105,7 +105,8 @@ def run_episode(
     """One training episode; returns (per-pursuer return, captured, steps).
 
     Raises FloatingPointError, naming ``global_epoch``, the step and the
-    agent, as soon as an update reports a non-finite critic loss or mean Q.
+    agent, as soon as an update reports a non-finite critic loss or mean Q,
+    or a learned policy returns a non-finite heading.
     """
     env_cfg = replace(config.env, velocity_ratio=ratio)
     partial = config.run.strategy == "cd_ddpg_partial"
@@ -128,6 +129,12 @@ def run_episode(
                 learners[i].act_explore(obs[i], streams.explore[i])
                 for i in range(env_cfg.n)
             ]
+            for i, heading in enumerate(headings):
+                if not math.isfinite(heading):
+                    raise FloatingPointError(
+                        f"non-finite heading at global epoch {global_epoch}, step {steps + 1}, "
+                        f"agent {i}: {heading!r}"
+                    )
         state, outcome = step(state, headings, env_cfg, streams.env)
         for i, learner in enumerate(learners):
             learner.buffer.push(

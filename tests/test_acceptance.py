@@ -168,7 +168,7 @@ def test_criterion_05_gradient_checks_at_project_shapes():
 
     _, cache = forward(learner.critic, x)
     grads, _ = backward(learner.critic, cache, np.full((4, 1), 0.25))
-    flat = np.concatenate([g.ravel() for g in grads.weights + grads.biases])
+    flat = grads
     arrays = learner.critic.weights + learner.critic.biases
     results["critic"] = _directional_probe(arrays, flat, critic_loss, rng)
 
@@ -188,7 +188,7 @@ def test_criterion_05_gradient_checks_at_project_shapes():
     g_a = g_in[:, obs_dim:]
     g_u = (g_a - np.sum(g_a * a, axis=1, keepdims=True) * a) / norms
     grads, _ = backward(learner.actor, actor_cache, g_u)
-    flat = np.concatenate([g.ravel() for g in grads.weights + grads.biases])
+    flat = grads
     arrays = learner.actor.weights + learner.actor.biases
     results["actor_chain"] = _directional_probe(arrays, flat, chain_objective, rng)
 

@@ -18,7 +18,7 @@ from torus_pursuit.training import run_training
 
 NETWORKS = ("actor", "critic", "actor_target", "critic_target")
 OPTIMIZERS = ("adam_actor", "adam_critic")
-MOMENTS = ("m_weights", "m_biases", "v_weights", "v_biases")
+MOMENTS = ("m", "v")
 BUFFER_FIELDS = ("_obs", "_actions", "_rewards", "_next_obs", "_terminals")
 SCALARS = ("obs_dim", "gamma", "tau", "lr_actor", "lr_critic", "clip_norm")
 
@@ -36,8 +36,8 @@ def make_learners(fills, obs_dim, actor_hidden, critic_hidden, capacity, seed):
         for opt in OPTIMIZERS:
             state = getattr(learner, opt)
             for name in MOMENTS:
-                for a in getattr(state, name):
-                    a[:] = rng.standard_normal(a.shape)
+                moment = getattr(state, name)
+                moment[:] = rng.standard_normal(moment.shape)
             state.step = int(rng.integers(0, 10_000))
         learner.noise.state = rng.standard_normal(2)
         for _ in range(fill):
@@ -61,8 +61,7 @@ def learner_arrays(learner):
             out[f"{net}.w{i}"], out[f"{net}.b{i}"] = w, b
     for opt in OPTIMIZERS:
         for name in MOMENTS:
-            for i, a in enumerate(getattr(getattr(learner, opt), name)):
-                out[f"{opt}.{name}{i}"] = a
+            out[f"{opt}.{name}"] = getattr(getattr(learner, opt), name)
     for name in BUFFER_FIELDS:
         out[name] = getattr(learner.buffer, name)
     return out

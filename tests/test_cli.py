@@ -214,6 +214,18 @@ class TestEvalCommand:
         assert "--ratios" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
 
+    def test_eval_pincer_grid_too_large_rejected(self, tmp_path, capsys):
+        doc = tiny_config_dict(tmp_path / "run", strategy="greedy")
+        doc["env"]["n"] = 8
+        cfg_path = tmp_path / "n8.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["eval", "--config", str(cfg_path), "--strategy", "pincer",
+                     "--ratios", "0.9", "--episodes", "1",
+                     "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert "run.pincer_k" in err and "n=8" in err
+        assert not (tmp_path / "eval").exists()
+
     def test_eval_checkpoint_round_trip(self, tmp_path):
         cfg_path, out_dir = write_config(tmp_path)
         main(["train", "--config", str(cfg_path)])

@@ -40,7 +40,6 @@ class TestConfigDefaults:
         assert cfg.ddpg.gamma == 0.99
         assert cfg.ddpg.actor_hidden == (128, 128)
         assert cfg.ddpg.critic_hidden == (128, 128, 128)
-        assert cfg.run.k_att == 1.5
         assert cfg.curriculum.warmup_epochs == 1000
         assert cfg.env.episode_length == 500
         assert cfg.env.n == 3
@@ -92,6 +91,19 @@ class TestConfigValidation:
                      {"v0": 5.1, "v_target": 1.0, "v_decay": 5, "epochs": 5},
                  ]}}
             )
+
+    def test_removed_k_att_is_unknown(self):
+        with pytest.raises(ConfigError, match=r"run\.k_att: unknown key"):
+            config_from_dict({"run": {"k_att": 1.5}})
+
+    def test_pincer_grid_bound(self):
+        # (2k+1)^(2n) cells: 9^7 at n=7, k=1 is the largest enumerable grid
+        config_from_dict({"env": {"n": 7}, "run": {"strategy": "pincer"}})
+        config_from_dict({"env": {"n": 8}, "run": {"strategy": "greedy"}})
+        with pytest.raises(ConfigError, match=r"run\.pincer_k: .*n=8 .*k=1 .*43046721 cells"):
+            config_from_dict({"env": {"n": 8}, "run": {"strategy": "pincer"}})
+        with pytest.raises(ConfigError, match=r"run\.pincer_k: .*n=4 .*k=3"):
+            config_from_dict({"env": {"n": 4}, "run": {"strategy": "pincer", "pincer_k": 3}})
 
     def test_round_trip_file(self, tmp_path):
         cfg = config_from_dict(

@@ -269,7 +269,7 @@ class TestActorUpdate:
         g_u = (g_a - np.sum(g_a * a, axis=1, keepdims=True) * a) / norms
         grads, _ = backward(learner.actor, actor_cache, g_u)
 
-        flat = np.concatenate([g.ravel() for g in grads.weights + grads.biases])
+        flat = grads
         arrays = learner.actor.weights + learner.actor.biases
         worst = 0.0
         h = 1e-6

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_pursuit.nn import (
-    GradientBundle,
     MlpParams,
     adam_init,
     adam_step,
@@ -20,30 +21,72 @@ from torus_pursuit.nn import (
 )
 
 
-def flatten(bundle):
-    return np.concatenate([a.ravel() for a in bundle.weights + bundle.biases])
-
-
 def numeric_param_gradient(params, x, gy, h=1e-6):
     """Central finite differences over every single parameter entry."""
-    grads_w, grads_b = [], []
-    for kind, grads in (("weights", grads_w), ("biases", grads_b)):
-        arrays = getattr(params, kind)
-        for a in arrays:
-            g = np.zeros_like(a)
-            it = np.nditer(a, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                old = a[idx]
-                a[idx] = old + h
-                up = float(np.dot(forward(params, x)[0], gy))
-                a[idx] = old - h
-                down = float(np.dot(forward(params, x)[0], gy))
-                a[idx] = old
-                g[idx] = (up - down) / (2 * h)
-                it.iternext()
-            grads.append(g)
-    return GradientBundle(grads_w, grads_b)
+    g = np.zeros_like(params.flat)
+    for i, old in enumerate(params.flat.copy()):
+        params.flat[i] = old + h
+        up = float(np.dot(forward(params, x)[0], gy))
+        params.flat[i] = old - h
+        down = float(np.dot(forward(params, x)[0], gy))
+        params.flat[i] = old
+        g[i] = (up - down) / (2 * h)
+    return g
+
+
+def scalar_net(w, b):
+    """A 1 -> 1 network with the given weight and bias."""
+    return MlpParams.from_layers([np.array([[w]])], [np.array([b])], "relu", "identity")
+
+
+# -- reference: the per-layer list optimizer the flat vectors replaced -------
+# A "bundle" is a (weights, biases) pair of per-layer lists. The flat updates
+# must reproduce these bit for bit.
+
+def ref_bundle(params, vec):
+    weights, biases = params.layers(vec)
+    return [w.copy() for w in weights], [b.copy() for b in biases]
+
+
+def ref_flat(bundle):
+    return np.concatenate([a.ravel() for a in bundle[0] + bundle[1]])
+
+
+def ref_global_norm(grads):
+    total = sum(float(np.sum(w**2)) for w in grads[0])
+    total += sum(float(np.sum(b**2)) for b in grads[1])
+    return math.sqrt(total)
+
+
+def ref_clip_global_norm(grads, max_norm):
+    norm = ref_global_norm(grads)
+    if norm <= max_norm:
+        return [w.copy() for w in grads[0]], [b.copy() for b in grads[1]]
+    factor = max_norm / norm
+    return [w * factor for w in grads[0]], [b * factor for b in grads[1]]
+
+
+def ref_adam_step(params, grads, m, v, step, learning_rate,
+                  beta1=0.9, beta2=0.999, eps=1e-8):
+    t = step + 1
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    new_p, new_m, new_v = ([], []), ([], []), ([], [])
+    for kind in range(2):
+        for p, g, mk, vk in zip(params[kind], grads[kind], m[kind], v[kind]):
+            mk = beta1 * mk + (1.0 - beta1) * g
+            vk = beta2 * vk + (1.0 - beta2) * g**2
+            new_p[kind].append(p - learning_rate * (mk / c1) / (np.sqrt(vk / c2) + eps))
+            new_m[kind].append(mk)
+            new_v[kind].append(vk)
+    return new_p, new_m, new_v, t
+
+
+def ref_polyak_update(target, online, tau):
+    return tuple(
+        [(1.0 - tau) * t + tau * o for t, o in zip(target[kind], online[kind])]
+        for kind in range(2)
+    )
 
 
 class TestInit:
@@ -81,7 +124,7 @@ class TestForward:
         assert np.array_equal(y, np.zeros(2))
 
     def test_identity_layer(self):
-        params = MlpParams([np.eye(3)], [np.zeros(3)], "relu", "identity")
+        params = MlpParams.from_layers([np.eye(3)], [np.zeros(3)], "relu", "identity")
         x = np.array([0.5, -1.5, 2.0])
         y, _ = forward(params, x)
         assert np.array_equal(y, x)
@@ -124,7 +167,7 @@ class TestBackward:
             _, cache = forward(params, x)
             analytic, _ = backward(params, cache, gy)
             numeric = numeric_param_gradient(params, x, gy)
-            fa, fn = flatten(analytic), flatten(numeric)
+            fa, fn = analytic, numeric
             scale = np.maximum(np.maximum(np.abs(fa), np.abs(fn)), 1e-4)
             worst = max(worst, float(np.max(np.abs(fa - fn) / scale)))
         assert worst < 1e-4
@@ -150,18 +193,19 @@ class TestBackward:
         x = rng.standard_normal(4)
         _, cache = forward(params, x)
         grads, gx = backward(params, cache, np.zeros(3))
-        assert all(np.all(w == 0.0) for w in grads.weights)
-        assert all(np.all(b == 0.0) for b in grads.biases)
+        assert grads.shape == params.flat.shape
+        assert np.all(grads == 0.0)
         assert np.all(gx == 0.0)
 
     def test_identity_layer_outer_product(self):
-        params = MlpParams([np.eye(3)], [np.zeros(3)], "relu", "identity")
+        params = MlpParams.from_layers([np.eye(3)], [np.zeros(3)], "relu", "identity")
         x = np.array([1.0, 2.0, 3.0])
         gy = np.array([0.5, -1.0, 2.0])
         _, cache = forward(params, x)
         grads, _ = backward(params, cache, gy)
-        assert np.allclose(grads.weights[0], np.outer(gy, x))
-        assert np.allclose(grads.biases[0], gy)
+        g_weights, g_biases = params.layers(grads)
+        assert np.allclose(g_weights[0], np.outer(gy, x))
+        assert np.allclose(g_biases[0], gy)
 
     def test_batch_gradients_sum_over_rows(self):
         rng = np.random.default_rng(19)
@@ -170,15 +214,12 @@ class TestBackward:
         gys = rng.standard_normal((4, 2))
         _, cache = forward(params, xs)
         batch_grads, _ = backward(params, cache, gys)
-        total = None
+        total = np.zeros_like(params.flat)
         for x, gy in zip(xs, gys):
             _, c = forward(params, x)
             g, _ = backward(params, c, gy)
-            total = g if total is None else GradientBundle(
-                [a + b for a, b in zip(total.weights, g.weights)],
-                [a + b for a, b in zip(total.biases, g.biases)],
-            )
-        assert np.allclose(flatten(batch_grads), flatten(total), atol=1e-12)
+            total += g
+        assert np.allclose(batch_grads, total, atol=1e-12)
 
     def test_tanh_output_head(self):
         rng = np.random.default_rng(23)
@@ -188,56 +229,54 @@ class TestBackward:
         _, cache = forward(params, x)
         analytic, _ = backward(params, cache, gy)
         numeric = numeric_param_gradient(params, x, gy)
-        assert np.allclose(flatten(analytic), flatten(numeric), rtol=1e-4, atol=1e-7)
+        assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
 
 class TestClipping:
     def test_halves_when_norm_double(self):
-        g = GradientBundle([np.array([[0.6]])], [np.array([0.8])])  # norm 1.0
-        clipped = clip_global_norm(g, 0.5)
-        assert clipped.weights[0][0, 0] == pytest.approx(0.3)
-        assert clipped.biases[0][0] == pytest.approx(0.4)
+        net = scalar_net(0.0, 0.0)
+        g = np.array([0.6, 0.8])  # weight, then bias: norm 1.0
+        clipped = clip_global_norm(net, g, 0.5)
+        assert clipped[0] == pytest.approx(0.3)
+        assert clipped[1] == pytest.approx(0.4)
 
     def test_unchanged_below_max(self):
-        g = GradientBundle([np.array([[0.3]])], [np.array([0.0])])
-        clipped = clip_global_norm(g, 0.5)
-        assert clipped.weights[0][0, 0] == 0.3
+        g = np.array([0.3, 0.0])
+        clipped = clip_global_norm(scalar_net(0.0, 0.0), g, 0.5)
+        assert clipped[0] == 0.3
+        assert not np.shares_memory(clipped, g)
 
     def test_resulting_norm(self):
         rng = np.random.default_rng(29)
+        net = mlp_init([4, 3], rng)
         for _ in range(100):
-            g = GradientBundle(
-                [rng.standard_normal((3, 4))], [rng.standard_normal(3)]
-            )
-            before = global_norm(g)
-            after = global_norm(clip_global_norm(g, 0.5))
+            g = rng.standard_normal(net.flat.size)
+            before = global_norm(net, g)
+            after = global_norm(net, clip_global_norm(net, g, 0.5))
             assert after == pytest.approx(min(before, 0.5), abs=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(31)
-        g = GradientBundle([rng.standard_normal((5, 5)) * 3], [rng.standard_normal(5)])
-        once = clip_global_norm(g, 0.5)
-        twice = clip_global_norm(once, 0.5)
-        assert np.allclose(flatten(once), flatten(twice), atol=1e-15)
+        net = mlp_init([5, 5], rng)
+        g = rng.standard_normal(net.flat.size) * 3
+        once = clip_global_norm(net, g, 0.5)
+        twice = clip_global_norm(net, once, 0.5)
+        assert np.allclose(once, twice, atol=1e-15)
 
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
         rng = np.random.default_rng(37)
         params = mlp_init([3, 4, 2], rng)
-        zero = GradientBundle(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-        )
         state = adam_init(params)
-        new_params, new_state = adam_step(params, zero, state, 1e-3)
-        assert np.allclose(flatten_params(params), flatten_params(new_params))
+        new_params, new_state = adam_step(params, np.zeros_like(params.flat), state, 1e-3)
+        assert np.allclose(params.flat, new_params.flat)
         assert new_state.step == 1
 
     def test_first_step_is_signed_learning_rate(self):
         # hand-computed single step: bias correction makes |update| ~ lr
-        params = MlpParams([np.array([[1.0]])], [np.array([0.0])], "relu", "identity")
-        g = GradientBundle([np.array([[0.25]])], [np.array([-3.0])])
+        params = scalar_net(1.0, 0.0)
+        g = np.array([0.25, -3.0])
         state = adam_init(params)
         lr = 1e-3
         new_params, _ = adam_step(params, g, state, lr)
@@ -247,18 +286,15 @@ class TestAdam:
     def test_deterministic(self):
         rng = np.random.default_rng(41)
         params = mlp_init([3, 4, 2], rng)
-        g = GradientBundle(
-            [rng.standard_normal(w.shape) for w in params.weights],
-            [rng.standard_normal(b.shape) for b in params.biases],
-        )
+        g = rng.standard_normal(params.flat.size)
         state = adam_init(params)
         out1 = adam_step(params, g, state, 1e-3)
         out2 = adam_step(params, g, state, 1e-3)
-        assert np.allclose(flatten_params(out1[0]), flatten_params(out2[0]))
+        assert np.array_equal(out1[0].flat, out2[0].flat)
 
     def test_shape_mismatch(self):
         params = mlp_init([3, 4, 2], np.random.default_rng(0))
-        bad = GradientBundle([np.zeros((2, 2)), np.zeros((2, 4))], [np.zeros(4), np.zeros(2)])
+        bad = np.zeros(params.flat.size + 1)
         with pytest.raises(ValueError):
             adam_step(params, bad, adam_init(params), 1e-3)
 
@@ -268,16 +304,12 @@ class TestPolyak:
         rng = np.random.default_rng(43)
         target = mlp_init([3, 4, 2], rng)
         online = mlp_init([3, 4, 2], rng)
-        assert np.allclose(
-            flatten_params(polyak_update(target, online, 1.0)), flatten_params(online)
-        )
-        assert np.allclose(
-            flatten_params(polyak_update(target, online, 0.0)), flatten_params(target)
-        )
+        assert np.allclose(polyak_update(target, online, 1.0).flat, online.flat)
+        assert np.allclose(polyak_update(target, online, 0.0).flat, target.flat)
 
     def test_scalar_probe(self):
-        target = MlpParams([np.array([[0.0]])], [np.array([0.0])], "relu", "identity")
-        online = MlpParams([np.array([[1.0]])], [np.array([1.0])], "relu", "identity")
+        target = scalar_net(0.0, 0.0)
+        online = scalar_net(1.0, 1.0)
         updated = polyak_update(target, online, 0.001)
         assert updated.weights[0][0, 0] == pytest.approx(0.001)
 
@@ -307,11 +339,92 @@ class TestFiniteness:
             y, cache = forward(params, x)
             assert np.all(np.isfinite(y))
             grads, _ = backward(params, cache, rng.standard_normal(2))
-            grads = clip_global_norm(grads, 0.5)
-            assert np.isfinite(global_norm(grads))
+            grads = clip_global_norm(params, grads, 0.5)
+            assert np.isfinite(global_norm(params, grads))
             params, state = adam_step(params, grads, state, 1e-3)
-            assert np.all(np.isfinite(flatten_params(params)))
+            assert np.all(np.isfinite(params.flat))
 
 
-def flatten_params(params):
-    return np.concatenate([a.ravel() for a in params.weights + params.biases])
+class TestFlatLayout:
+    def test_weights_then_biases_row_major(self):
+        params = mlp_init([3, 4, 2], np.random.default_rng(59))
+        layout = np.concatenate([a.ravel() for a in params.weights + params.biases])
+        assert np.array_equal(params.flat, layout)
+        assert params.layer_sizes == (3, 4, 2)
+
+    def test_views_write_through_and_copy_shares_nothing(self):
+        params = mlp_init([3, 4, 2], np.random.default_rng(61))
+        params.weights[1][0, 2] = 5.0  # after W0's 4x3 entries
+        params.biases[0][1] = -2.0  # after W0 and W1's 2x4 entries
+        assert params.flat[12 + 2] == 5.0
+        assert params.flat[12 + 8 + 1] == -2.0
+        twin = params.copy()
+        assert np.array_equal(twin.flat, params.flat)
+        for a in [twin.flat, *twin.weights, *twin.biases]:
+            assert not np.shares_memory(a, params.flat)
+        twin.weights[0][...] = 0.0
+        assert params.weights[0][0, 0] != 0.0
+
+    def test_updates_return_fresh_vectors(self):
+        rng = np.random.default_rng(67)
+        params = mlp_init([3, 4, 2], rng)
+        state = adam_init(params)
+        g = rng.standard_normal(params.flat.size)
+        stepped, new_state = adam_step(params, g, state, 1e-3)
+        averaged = polyak_update(params, stepped, 0.5)
+        for fresh in (stepped.flat, new_state.m, new_state.v, averaged.flat):
+            for old in (params.flat, state.m, state.v, g):
+                assert not np.shares_memory(fresh, old)
+
+    def test_layer_views_reject_other_layouts(self):
+        params = mlp_init([3, 4, 2], np.random.default_rng(71))
+        with pytest.raises(ValueError):
+            params.layers(np.zeros(params.flat.size - 1))
+        with pytest.raises(ValueError):
+            global_norm(params, np.zeros((2, params.flat.size)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+    steps=st.integers(1, 5),
+    learning_rate=st.floats(1e-6, 0.1),
+    tau=st.floats(0.0, 1.0),
+    max_norm=st.floats(1e-3, 10.0),
+    ascend=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_updates_equal_list_reference(sizes, steps, learning_rate, tau, max_norm,
+                                           ascend, seed):
+    rng = np.random.default_rng(seed)
+    params = mlp_init(sizes, rng)
+    target = mlp_init(sizes, rng)
+    state = adam_init(params)
+    ref_p, ref_t = ref_bundle(params, params.flat), ref_bundle(target, target.flat)
+    ref_m, ref_v = ref_bundle(params, state.m), ref_bundle(params, state.v)
+    ref_step = 0
+    for _ in range(steps):
+        _, cache = forward(params, rng.standard_normal((3, sizes[0])))
+        grads, _ = backward(params, cache, rng.standard_normal((3, sizes[-1])))
+        ref_g = ref_bundle(params, grads)
+        assert global_norm(params, grads) == ref_global_norm(ref_g)
+
+        clipped = clip_global_norm(params, grads, max_norm)
+        ref_clipped = ref_clip_global_norm(ref_g, max_norm)
+        assert np.array_equal(clipped, ref_flat(ref_clipped))
+        if ascend:  # the actor's sign flip
+            clipped = -clipped
+            ref_clipped = tuple([-a for a in layers] for layers in ref_clipped)
+
+        params, state = adam_step(params, clipped, state, learning_rate)
+        ref_p, ref_m, ref_v, ref_step = ref_adam_step(
+            ref_p, ref_clipped, ref_m, ref_v, ref_step, learning_rate
+        )
+        assert np.array_equal(params.flat, ref_flat(ref_p))
+        assert np.array_equal(state.m, ref_flat(ref_m))
+        assert np.array_equal(state.v, ref_flat(ref_v))
+        assert state.step == ref_step
+
+        target = polyak_update(target, params, tau)
+        ref_t = ref_polyak_update(ref_t, ref_p, tau)
+        assert np.array_equal(target.flat, ref_flat(ref_t))

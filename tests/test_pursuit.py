@@ -10,7 +10,7 @@ from torus_pursuit.environment import Pose, WorldState
 from torus_pursuit.errors import SingularityError
 from torus_pursuit.geometry import Point2, distance, normalize_angle, replicate
 from torus_pursuit.pursuit import (
-    GreedyParams,
+    MAX_PINCER_CELLS,
     greedy_heading,
     pincer_headings,
     pincer_objective,
@@ -41,12 +41,6 @@ class TestGreedy:
     def test_wraps_left(self):
         assert angular_close(greedy_heading(pose(0.05, 0.5), Point2(0.95, 0.5)), math.pi)
 
-    def test_independent_of_attraction_coefficient(self):
-        # the coefficient scales force magnitude; heading control only uses direction
-        assert GreedyParams(1.5).k_att != GreedyParams(3.0).k_att
-        h = greedy_heading(pose(0.1, 0.2), Point2(0.7, 0.9))
-        assert angular_close(h, h)  # direction is coefficient-free by construction
-
     def test_co_located_singular(self):
         with pytest.raises(SingularityError):
             greedy_heading(pose(0.3, 0.3), Point2(0.3, 0.3))
@@ -72,10 +66,6 @@ class TestGreedy:
                 continue
             h1 = greedy_heading(Pose(p2, 0.0), e2)
             assert angular_close(h1, h0, tol=1e-9)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            GreedyParams(0.0)
 
 
 class TestPincerObjective:
@@ -194,3 +184,11 @@ class TestPincerSelection:
         state = world([(0.1, 0.1)], (0.5, 0.5))
         with pytest.raises(ValueError):
             pincer_selection(state, k=0)
+
+    def test_grid_above_bound_rejected(self):
+        assert MAX_PINCER_CELLS == 9**7
+        xy = [(0.1 * i + 0.05, 0.2) for i in range(8)]
+        with pytest.raises(ValueError, match=r"n=8 pursuers at k=1 has 43046721 cells"):
+            pincer_selection(world(xy, (0.5, 0.7)), k=1)
+        with pytest.raises(ValueError, match=r"n=5 pursuers at k=2 has 9765625 cells"):
+            pincer_selection(world(xy[:5], (0.5, 0.7)), k=2)

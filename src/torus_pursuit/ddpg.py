@@ -11,11 +11,15 @@ Updates are standard off-policy actor-critic: the critic regresses the
 one-step bootstrapped target built from the target networks, and the actor
 ascends the critic's value of its own actions, chained through the
 unit-normalization head. Learners never see each other's parameters,
-gradients, or buffers.
+gradients, or buffers. Updates run one learner at a time, never from two
+threads at once, so all learners of one network shape share one set of
+scratch buffers per batch size (see ``nn.Workspace``); a scratch holds no
+value from one call to the next.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +29,7 @@ from .errors import BufferNotReadyError
 from .geometry import normalize_angle
 from .nn import (
     MlpParams,
+    Workspace,
     adam_init,
     adam_step,
     backward,
@@ -65,6 +70,34 @@ def _unit_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vanishing = norms < RAW_NORM_FLOOR
     unit = u / np.where(vanishing, 1.0, norms)[:, None]
     return np.where(vanishing[:, None], [1.0, 0.0], unit), norms, vanishing
+
+
+@dataclass(frozen=True)
+class _Scratch:
+    """Buffers one update borrows: actor and critic workspaces, critic input."""
+
+    actor: Workspace
+    critic: Workspace
+    critic_input: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_scratch(
+    actor_sizes: tuple[int, ...], critic_sizes: tuple[int, ...], rows: int | None
+) -> _Scratch:
+    """Scratch for one learner shape at one row count (None: one vector).
+
+    Every row count borrows the single-vector scratch's parameter-sized
+    vectors, so those exist once per network shape.
+    """
+    if rows is None:
+        return _Scratch(Workspace(actor_sizes), Workspace(critic_sizes), np.empty(critic_sizes[0]))
+    single = _shared_scratch(actor_sizes, critic_sizes, None)
+    return _Scratch(
+        Workspace(actor_sizes, rows, shared=single.actor),
+        Workspace(critic_sizes, rows, shared=single.critic),
+        np.empty((rows, critic_sizes[0])),
+    )
 
 
 @dataclass(frozen=True)
@@ -132,11 +165,11 @@ class ReplayBuffer:
             )
         idx = rng.integers(0, self._size, size=batch_size)
         return TransitionBatch(
-            obs=self._obs[idx].copy(),
-            actions=self._actions[idx].copy(),
-            rewards=self._rewards[idx].copy(),
-            next_obs=self._next_obs[idx].copy(),
-            terminals=self._terminals[idx].copy(),
+            obs=self._obs[idx],
+            actions=self._actions[idx],
+            rewards=self._rewards[idx],
+            next_obs=self._next_obs[idx],
+            terminals=self._terminals[idx],
         )
 
 
@@ -193,10 +226,13 @@ class AgentLearner:
         self.noise = OuNoise(theta_ou, sigma_ou)
         self.buffer = ReplayBuffer(buffer_capacity, obs_dim)
 
+    def _scratch(self, rows: int | None) -> _Scratch:
+        return _shared_scratch(self.actor.layer_sizes, self.critic.layer_sizes, rows)
+
     # -- acting ---------------------------------------------------------
 
     def action_vector(self, obs: np.ndarray) -> np.ndarray:
-        raw, _ = forward(self.actor, obs)
+        raw, _ = forward(self.actor, obs, self._scratch(None).actor)
         return normalize_action(raw)
 
     def act(self, obs: np.ndarray) -> float:
@@ -218,29 +254,35 @@ class AgentLearner:
     def critic_update(self, batch: TransitionBatch) -> float:
         """One value-regression step; returns the pre-update loss."""
         b = len(batch)
-        raw_next, _ = forward(self.actor_target, batch.next_obs)
+        scratch = self._scratch(b)
+        x = scratch.critic_input
+        raw_next, _ = forward(self.actor_target, batch.next_obs, scratch.actor)
         a_next, _, _ = _unit_rows(raw_next)
-        q_next, _ = forward(
-            self.critic_target, np.hstack([batch.next_obs, a_next])
-        )
+        x[:, : self.obs_dim] = batch.next_obs
+        x[:, self.obs_dim :] = a_next
+        q_next, _ = forward(self.critic_target, x, scratch.critic)
         y = batch.rewards + self.gamma * (1.0 - batch.terminals) * q_next.ravel()
-        q, cache = forward(self.critic, np.hstack([batch.obs, batch.actions]))
+        x[:, : self.obs_dim] = batch.obs
+        x[:, self.obs_dim :] = batch.actions
+        q, cache = forward(self.critic, x, scratch.critic)
         diff = q.ravel() - y
         loss = float(np.mean(diff**2))
         gy = (2.0 * diff / b).reshape(-1, 1)
         grads, _ = backward(self.critic, cache, gy)
-        grads = clip_global_norm(self.critic, grads, self.clip_norm)
-        self.critic, self.adam_critic = adam_step(
-            self.critic, grads, self.adam_critic, self.lr_critic
-        )
+        clip_global_norm(self.critic, grads, self.clip_norm, scratch.critic)
+        adam_step(self.critic, grads, self.adam_critic, self.lr_critic, ws=scratch.critic)
         return loss
 
     def actor_update(self, batch: TransitionBatch) -> float:
         """One policy-ascent step; returns the pre-update mean value."""
         b = len(batch)
-        raw, actor_cache = forward(self.actor, batch.obs)
+        scratch = self._scratch(b)
+        x = scratch.critic_input
+        raw, actor_cache = forward(self.actor, batch.obs, scratch.actor)
         a, norms, vanishing = _unit_rows(raw)
-        q, critic_cache = forward(self.critic, np.hstack([batch.obs, a]))
+        x[:, : self.obs_dim] = batch.obs
+        x[:, self.obs_dim :] = a
+        q, critic_cache = forward(self.critic, x, scratch.critic)
         mean_q = float(np.mean(q))
         _, g_in = backward(self.critic, critic_cache, np.full((b, 1), 1.0 / b))
         g_a = g_in[:, self.obs_dim :]
@@ -251,13 +293,12 @@ class AgentLearner:
         )[:, None]
         g_u[vanishing] = 0.0
         grads, _ = backward(self.actor, actor_cache, g_u)
-        grads = clip_global_norm(self.actor, grads, self.clip_norm)
-        self.actor, self.adam_actor = adam_step(
-            self.actor, -grads, self.adam_actor, self.lr_actor
-        )
+        clip_global_norm(self.actor, grads, self.clip_norm, scratch.actor)
+        np.negative(grads, out=grads)  # ascent
+        adam_step(self.actor, grads, self.adam_actor, self.lr_actor, ws=scratch.actor)
         return mean_q
 
     def soft_update_targets(self) -> None:
-        self.actor_target = polyak_update(self.actor_target, self.actor, self.tau)
-        self.critic_target = polyak_update(self.critic_target, self.critic, self.tau)
-
+        scratch = self._scratch(None)
+        polyak_update(self.actor_target, self.actor, self.tau, scratch.actor)
+        polyak_update(self.critic_target, self.critic, self.tau, scratch.critic)

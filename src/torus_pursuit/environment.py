@@ -29,6 +29,11 @@ from .geometry import Point2, displacement, distance, normalize_angle, wrap
 CAPTURE_REWARD = 50.0
 STEP_PENALTY = -0.1
 
+# Most expected spawn draws a configuration may need. `reset` accepts a draw
+# with probability (1 - pi s^2)^n for spawn separation s < 0.5, so it redraws
+# (1 - pi s^2)^-n times on average; n=8 at s=0.48 would need about 29k.
+MAX_EXPECTED_SPAWN_DRAWS = 1000.0
+
 
 @dataclass(frozen=True)
 class Pose:
@@ -86,6 +91,14 @@ class EnvConfig:
                 f"capture_radius {self.capture_radius}, evader_speed "
                 f"{self.evader_speed}, velocity_ratio {self.velocity_ratio}"
             )
+        draws = self.expected_spawn_draws
+        if draws > MAX_EXPECTED_SPAWN_DRAWS:
+            raise ValueError(
+                f"a spawn of n={self.n} pursuers at spawn separation "
+                f"{self.spawn_separation:.6g} needs {draws:.4g} expected draws, more than "
+                f"{MAX_EXPECTED_SPAWN_DRAWS:g}; lower n, capture_radius, evader_speed "
+                "or velocity_ratio"
+            )
 
     @property
     def pursuer_speed(self) -> float:
@@ -95,6 +108,11 @@ class EnvConfig:
     def spawn_separation(self) -> float:
         """Distance below which a pursuer can capture on the first step."""
         return self.capture_radius + self.pursuer_speed + self.evader_speed
+
+    @property
+    def expected_spawn_draws(self) -> float:
+        """Mean number of draws `reset` makes: (1 - pi s^2)^-n."""
+        return (1.0 - math.pi * self.spawn_separation**2) ** -self.n
 
 
 @dataclass(frozen=True)

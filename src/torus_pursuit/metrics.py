@@ -93,12 +93,16 @@ def pointwise_information_bits(hist: ActionHistogram) -> np.ndarray:
     n = hist.n_pairs
     p_joint = hist.joint_counts / n
     outer = np.outer(hist.row_marginal / n, hist.col_marginal / n)
-    values = []
     rows, cols = np.nonzero(hist.joint_counts)
-    for r, c in zip(rows, cols):
-        pmi = math.log2(p_joint[r, c] / outer[r, c])
-        values.extend([pmi] * int(hist.joint_counts[r, c]))
-    return np.asarray(values)
+    cells = np.array(
+        [math.log2(p_joint[r, c] / outer[r, c]) for r, c in zip(rows, cols)], dtype=np.float64
+    )
+    return np.repeat(cells, hist.joint_counts[rows, cols])
+
+
+def _high_influence_share(hist: ActionHistogram) -> float:
+    pmi = pointwise_information_bits(hist)
+    return float(np.mean(pmi > np.mean(pmi)))
 
 
 def instantaneous_coordination(
@@ -117,9 +121,7 @@ def high_influence_fraction(
     MI, so a degenerate table (every pair at the same pointwise value) gives
     exactly 0.
     """
-    hist = build_action_histogram(action_logs, i, j, bins)
-    pmi = pointwise_information_bits(hist)
-    return float(np.mean(pmi > np.mean(pmi)))
+    return _high_influence_share(build_action_histogram(action_logs, i, j, bins))
 
 
 @dataclass
@@ -146,10 +148,9 @@ def ic_report(
             if i == j:
                 continue
             hist = build_action_histogram(action_logs, i, j, bins)
-            pmi = pointwise_information_bits(hist)
             report.pairs[(i, j)] = {
                 "mi_bits": mutual_information_bits(hist),
-                "high_influence_fraction": float(np.mean(pmi > np.mean(pmi))),
+                "high_influence_fraction": _high_influence_share(hist),
                 "n_pairs": float(hist.n_pairs),
             }
     return report

@@ -22,6 +22,7 @@ that still cuts off the evader's bisector escapes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,8 +40,8 @@ from .geometry import Point2, displacement, distance, normalize_angle, replicate
 BALANCE_TIE_BAND = 0.5
 
 # Largest joint replica grid pincer_selection enumerates: (2k+1)^(2n) cells,
-# each held in several float64 full-grid temporaries. 9^7 (n=7, k=1) runs in
-# about half a second; n=8 would need more than 1 GB.
+# each held in three float64 grids that are kept for the next call. 9^7 (n=7,
+# k=1) takes about 0.25 s a call and keeps 115 MB; n=8 would need 1 GB.
 MAX_PINCER_CELLS = 9**7
 
 
@@ -137,19 +138,24 @@ def pincer_selection(
         rr.append(img_r)
 
     # Broadcast each pursuer's m-vector along its own axis of the joint grid.
-    a_tot = np.zeros((m,) * n)
-    b_tot = np.zeros((m,) * n)
-    d_tot = np.zeros((m,) * n)
-    for i in range(n):
-        shape = [1] * n
-        shape[i] = m
-        a_tot = a_tot + wa[i].reshape(shape)
-        b_tot = b_tot + wb[i].reshape(shape)
-        d_tot = d_tot + rr[i].reshape(shape)
+    a_tot, b_tot, d_tot, near = _pincer_grids((m,) * n)
+    for grid, parts in ((a_tot, wa), (b_tot, wb), (d_tot, rr)):
+        grid.fill(0.0)
+        for i, part in enumerate(parts):
+            shape = [1] * n
+            shape[i] = m
+            grid += part.reshape(shape)
 
-    objective = -np.sqrt(a_tot**2 + b_tot**2).ravel()
+    # objective = -sqrt(a_tot**2 + b_tot**2), computed in a_tot
+    np.multiply(a_tot, a_tot, out=a_tot)
+    np.multiply(b_tot, b_tot, out=b_tot)
+    a_tot += b_tot
+    np.sqrt(a_tot, out=a_tot)
+    np.negative(a_tot, out=a_tot)
+    objective = a_tot.ravel()
     band = balance_tie_band * total_weight
-    candidates = np.flatnonzero(objective >= objective.max() - band)
+    np.greater_equal(objective, objective.max() - band, out=near.ravel())
+    candidates = np.flatnonzero(near)
     dists = d_tot.ravel()[candidates]
     pick = candidates[int(np.argmin(dists))]  # argmin keeps the first (lexicographic) minimum
     indices = np.unravel_index(pick, (m,) * n)
@@ -158,6 +164,16 @@ def pincer_selection(
         objective_value=float(objective[pick]),
         total_distance=float(d_tot.ravel()[pick]),
     )
+
+
+@functools.lru_cache(maxsize=2)
+def _pincer_grids(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Three float grids and one mask, reused by every call at one grid shape.
+
+    Fresh full-grid temporaries on every call made glibc trim and refault
+    the heap; reusing the grids keeps each call's pages resident.
+    """
+    return np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
 
 def pincer_headings(

@@ -214,6 +214,17 @@ class TestEvalCommand:
         assert "--ratios" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
 
+    def test_eval_ratio_beyond_spawn_draw_bound_rejected(self, tmp_path, capsys):
+        doc = tiny_config_dict(tmp_path / "run", strategy="greedy")
+        doc["env"].update(n=8, capture_radius=0.3)
+        cfg_path = tmp_path / "n8.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["eval", "--config", str(cfg_path), "--ratios", "1.0,2.5",
+                     "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert "--ratios" in err and "expected draws" in err
+        assert not (tmp_path / "eval").exists()
+
     def test_eval_pincer_grid_too_large_rejected(self, tmp_path, capsys):
         doc = tiny_config_dict(tmp_path / "run", strategy="greedy")
         doc["env"]["n"] = 8

@@ -92,6 +92,17 @@ class TestConfigValidation:
                  ]}}
             )
 
+    def test_session_ratio_beyond_spawn_draw_bound_rejected(self):
+        # n=8 at capture_radius 0.3: ratio 1.0 needs about 266 expected spawn
+        # draws, ratio 2.5 (separation 0.475) about 19k
+        with pytest.raises(ConfigError, match=r"curriculum\.sessions\[0\]\.v0: .*n=8 .*expected draws"):
+            config_from_dict(
+                {"env": {"n": 8, "capture_radius": 0.3},
+                 "curriculum": {"sessions": [
+                     {"v0": 2.5, "v_target": 1.0, "v_decay": 5, "epochs": 5},
+                 ]}}
+            )
+
     def test_removed_k_att_is_unknown(self):
         with pytest.raises(ConfigError, match=r"run\.k_att: unknown key"):
             config_from_dict({"run": {"k_att": 1.5}})

@@ -1,6 +1,7 @@
 """Learner mechanics: acting, exploration noise, replay, update rules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,3 +403,58 @@ class TestBanditConvergence:
         after = reward(learner.act(obs))
         assert after > before
         assert after > 0.9  # ends close to the optimum
+
+
+def filled_learner(seed, obs_dim, hidden, critic_hidden, transitions, **kw):
+    learner = make_learner(obs_dim, hidden, critic_hidden, seed=seed,
+                           buffer_capacity=transitions, **kw)
+    rng = np.random.default_rng(seed + 100)
+    for k in range(transitions):
+        learner.buffer.push(random_transition(rng, obs_dim, terminal=k % 7 == 0))
+    return learner
+
+
+def update(learner, critic_batch, actor_batch):
+    learner.critic_update(critic_batch)
+    learner.actor_update(actor_batch)
+    learner.soft_update_targets()
+
+
+class TestScratch:
+    def test_update_allocates_nothing_large(self):
+        # paper shape: obs 8, actor 128^2, critic 128^3, batch 512
+        learner = filled_learner(0, 8, (128, 128), (128, 128, 128), 1024)
+        rng = np.random.default_rng(1)
+        batches = (learner.buffer.sample(512, rng), learner.buffer.sample(512, rng))
+        for _ in range(2):
+            update(learner, *batches)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            update(learner, *batches)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"transient peak {peak} bytes"
+
+    def test_shared_scratch_leaks_nothing_between_agents(self):
+        def pair():
+            return [filled_learner(seed, 5, (12, 12), (12, 12, 12), 64, tau=0.05)
+                    for seed in (0, 1)]
+
+        rng = np.random.default_rng(2)
+        batches = [[(a.buffer.sample(16, rng), a.buffer.sample(16, rng)) for a in pair()]
+                   for _ in range(4)]
+        team, lone = pair()[:2], pair()[0]
+        obs = np.linspace(-1.0, 1.0, 5)
+        for step in batches:
+            for agent, b in zip(team, step):
+                update(agent, *b)
+                agent.act(obs)
+            update(lone, *step[0])
+        for net in ("actor", "critic", "actor_target", "critic_target"):
+            assert np.array_equal(getattr(team[0], net).flat, getattr(lone, net).flat)
+        for opt in ("adam_actor", "adam_critic"):
+            assert np.array_equal(getattr(team[0], opt).m, getattr(lone, opt).m)
+            assert np.array_equal(getattr(team[0], opt).v, getattr(lone, opt).v)
+        assert not np.array_equal(team[0].actor.flat, team[1].actor.flat)

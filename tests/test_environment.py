@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from torus_pursuit.environment import (
+    MAX_EXPECTED_SPAWN_DRAWS,
     EnvConfig,
     Pose,
     StepOutcome,
@@ -102,6 +103,20 @@ class TestSpawnSeparation:
         for field in ("capture_radius", "evader_speed", "velocity_ratio"):
             assert field in str(err.value)
         EnvConfig(capture_radius=0.3, evader_speed=0.09, velocity_ratio=1.0)
+
+    def test_expected_spawn_draws_bounded(self):
+        # s = 0.38 + 0.05 + 0.05 = 0.48 passes the separation check, but a
+        # spawn is accepted with probability (1 - pi 0.48^2)^8, 1 in about 29k
+        with pytest.raises(ValueError) as err:
+            EnvConfig(n=8, capture_radius=0.38)
+        message = str(err.value)
+        assert "n=8" in message and "0.48" in message
+        assert f"{(1.0 - math.pi * 0.48**2) ** -8:.4g} expected draws" in message
+        assert MAX_EXPECTED_SPAWN_DRAWS < 29_000
+        # the tightest configuration in use, about 47 draws, stays valid
+        cfg = EnvConfig(capture_radius=0.3, evader_speed=0.09, velocity_ratio=1.0)
+        assert cfg.expected_spawn_draws == pytest.approx((1.0 - math.pi * 0.48**2) ** -3)
+        assert 40 < cfg.expected_spawn_draws < MAX_EXPECTED_SPAWN_DRAWS
 
 
 class TestStepKinematics:

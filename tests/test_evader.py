@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from torus_pursuit.errors import SingularityError
 from torus_pursuit.evader import (
@@ -153,3 +155,21 @@ class TestEvadeHeadingOnTorus:
         contacts = contacts_from_positions(Point2(0.5, 0.5), [Point2(0.7, 0.5)])
         assert contacts[0].r == pytest.approx(0.2)
         assert angular_close(contacts[0].theta_rel, 0.0)
+
+
+contacts = st.lists(
+    st.builds(PolarContact, st.floats(1e-3, 1.0), st.floats(-math.pi, math.pi)),
+    min_size=1, max_size=8,
+)
+
+
+@given(contacts, st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=32))
+def test_closed_form_heading_beats_every_sampled_heading(cs, headings):
+    a, b = field_coefficients(cs)
+    assume(math.hypot(a, b) > 1e-6)  # below the degeneracy threshold the pick is random
+    best = evade_cost(heading_from_contacts(cs, np.random.default_rng(0)), cs)
+    # the minimum is -hypot(A, B); the slack covers rounding in the sums
+    slack = 1e-12 * sum(1.0 / c.r for c in cs)
+    assert best == pytest.approx(-math.hypot(a, b), abs=slack)
+    for theta in headings:
+        assert best <= evade_cost(theta, cs) + slack

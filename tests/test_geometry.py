@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from torus_pursuit.geometry import (
     Displacement2,
@@ -147,3 +149,48 @@ class TestNormalizeAngle:
             assert -math.pi <= t < math.pi
             assert math.cos(t) == pytest.approx(math.cos(theta), abs=1e-9)
             assert math.sin(t) == pytest.approx(math.sin(theta), abs=1e-9)
+
+
+# -- properties ---------------------------------------------------------------
+
+unit = st.floats(0.0, 1.0, exclude_max=True)
+points = st.builds(Point2, unit, unit)
+offsets = st.floats(-0.49, 0.49)
+
+
+class TestTorusMetricProperties:
+    @given(points, points)
+    def test_symmetry(self, p, q):
+        assert distance(p, q) == pytest.approx(distance(q, p), abs=1e-15)
+
+    @given(points, points)
+    def test_identity(self, p, q):
+        assert distance(p, p) == 0.0
+        d = distance(p, q)
+        assert d >= 0.0
+        if d == 0.0:  # only points that agree to float resolution on the torus
+            assert min(abs(p.x - q.x), 1.0 - abs(p.x - q.x)) < 1e-15
+            assert min(abs(p.y - q.y), 1.0 - abs(p.y - q.y)) < 1e-15
+
+    @given(points, points, points)
+    def test_triangle_inequality(self, p, q, r):
+        assert distance(p, r) <= distance(p, q) + distance(q, r) + 1e-15
+
+    @given(points, points)
+    def test_bounded_by_half_diagonal(self, p, q):
+        assert distance(p, q) <= 1.0 / math.sqrt(2.0) + 1e-15
+
+    @given(points, points)
+    def test_wrap_of_displacement_returns_target(self, p, q):
+        d = displacement(p, q)
+        assert distance(wrap(p.x + d.dx, p.y + d.dy), q) < 1e-15
+
+    @given(points, offsets, offsets)
+    def test_displacement_of_wrap_returns_offset(self, p, dx, dy):
+        d = displacement(p, wrap(p.x + dx, p.y + dy))
+        assert d.dx == pytest.approx(dx, abs=1e-15)
+        assert d.dy == pytest.approx(dy, abs=1e-15)
+
+    @given(unit, unit, st.integers(-5, 5), st.integers(-5, 5))
+    def test_wrap_ignores_whole_periods(self, x, y, i, j):
+        assert distance(wrap(x + i, y + j), wrap(x, y)) < 1e-14

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from torus_pursuit.nn import (
     MlpParams,
+    Workspace,
     adam_init,
     adam_step,
     backward,
@@ -80,6 +81,36 @@ def ref_adam_step(params, grads, m, v, step, learning_rate,
             new_m[kind].append(mk)
             new_v[kind].append(vk)
     return new_p, new_m, new_v, t
+
+
+def ref_forward(params, x):
+    """The fresh-array forward: cache of (input, pre-activation) per layer."""
+    act = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh, "identity": lambda z: z}
+    cache, h, last = [], np.asarray(x, dtype=np.float64), len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w.T + b
+        cache.append((h, z))
+        h = act[params.output_activation if i == last else params.hidden_activation](z)
+    return h, cache
+
+
+def ref_backward(params, cache, gy):
+    """The fresh-array backward, derivatives taken from the pre-activations."""
+    deriv = {
+        "relu": lambda z: (z > 0.0).astype(np.float64),
+        "tanh": lambda z: 1.0 - np.tanh(z) ** 2,
+        "identity": np.ones_like,
+    }
+    grads = np.empty_like(params.flat)
+    g_weights, g_biases = params.layers(grads)
+    grad, last = np.asarray(gy, dtype=np.float64), len(params.weights) - 1
+    for i in range(last, -1, -1):
+        h_in, z = cache[i]
+        dz = grad * deriv[params.output_activation if i == last else params.hidden_activation](z)
+        g_weights[i][...] = np.outer(dz, h_in) if dz.ndim == 1 else dz.T @ h_in
+        g_biases[i][...] = dz if dz.ndim == 1 else dz.sum(axis=0)
+        grad = dz @ params.weights[i]
+    return grads, grad
 
 
 def ref_polyak_update(target, online, tau):
@@ -243,8 +274,8 @@ class TestClipping:
     def test_unchanged_below_max(self):
         g = np.array([0.3, 0.0])
         clipped = clip_global_norm(scalar_net(0.0, 0.0), g, 0.5)
+        assert clipped is g  # scaled in place, here by nothing
         assert clipped[0] == 0.3
-        assert not np.shares_memory(clipped, g)
 
     def test_resulting_norm(self):
         rng = np.random.default_rng(29)
@@ -259,8 +290,8 @@ class TestClipping:
         rng = np.random.default_rng(31)
         net = mlp_init([5, 5], rng)
         g = rng.standard_normal(net.flat.size) * 3
-        once = clip_global_norm(net, g, 0.5)
-        twice = clip_global_norm(net, once, 0.5)
+        once = clip_global_norm(net, g.copy(), 0.5)
+        twice = clip_global_norm(net, once.copy(), 0.5)
         assert np.allclose(once, twice, atol=1e-15)
 
 
@@ -268,9 +299,9 @@ class TestAdam:
     def test_zero_gradient_no_change(self):
         rng = np.random.default_rng(37)
         params = mlp_init([3, 4, 2], rng)
-        state = adam_init(params)
-        new_params, new_state = adam_step(params, np.zeros_like(params.flat), state, 1e-3)
-        assert np.allclose(params.flat, new_params.flat)
+        before = params.flat.copy()
+        new_params, new_state = adam_step(params, np.zeros_like(params.flat), adam_init(params), 1e-3)
+        assert np.allclose(before, new_params.flat)
         assert new_state.step == 1
 
     def test_first_step_is_signed_learning_rate(self):
@@ -287,10 +318,10 @@ class TestAdam:
         rng = np.random.default_rng(41)
         params = mlp_init([3, 4, 2], rng)
         g = rng.standard_normal(params.flat.size)
-        state = adam_init(params)
-        out1 = adam_step(params, g, state, 1e-3)
-        out2 = adam_step(params, g, state, 1e-3)
+        out1 = adam_step(params.copy(), g, adam_init(params), 1e-3)
+        out2 = adam_step(params.copy(), g, adam_init(params), 1e-3)
         assert np.array_equal(out1[0].flat, out2[0].flat)
+        assert np.array_equal(out1[1].m, out2[1].m) and np.array_equal(out1[1].v, out2[1].v)
 
     def test_shape_mismatch(self):
         params = mlp_init([3, 4, 2], np.random.default_rng(0))
@@ -304,8 +335,8 @@ class TestPolyak:
         rng = np.random.default_rng(43)
         target = mlp_init([3, 4, 2], rng)
         online = mlp_init([3, 4, 2], rng)
-        assert np.allclose(polyak_update(target, online, 1.0).flat, online.flat)
-        assert np.allclose(polyak_update(target, online, 0.0).flat, target.flat)
+        assert np.allclose(polyak_update(target.copy(), online, 1.0).flat, online.flat)
+        assert np.allclose(polyak_update(target.copy(), online, 0.0).flat, target.flat)
 
     def test_scalar_probe(self):
         target = scalar_net(0.0, 0.0)
@@ -317,7 +348,7 @@ class TestPolyak:
         rng = np.random.default_rng(47)
         target = mlp_init([4, 6, 2], rng)
         online = mlp_init([4, 6, 2], rng)
-        updated = polyak_update(target, online, 0.3)
+        updated = polyak_update(target.copy(), online, 0.3)
         for t, o, u in zip(target.weights, online.weights, updated.weights):
             lo = np.minimum(t, o)
             hi = np.maximum(t, o)
@@ -365,16 +396,28 @@ class TestFlatLayout:
         twin.weights[0][...] = 0.0
         assert params.weights[0][0, 0] != 0.0
 
-    def test_updates_return_fresh_vectors(self):
+    def test_updates_write_in_place(self):
         rng = np.random.default_rng(67)
         params = mlp_init([3, 4, 2], rng)
+        target = params.copy()
         state = adam_init(params)
+        flat, m, v = params.flat, state.m, state.v
         g = rng.standard_normal(params.flat.size)
+        g_before = g.copy()
         stepped, new_state = adam_step(params, g, state, 1e-3)
-        averaged = polyak_update(params, stepped, 0.5)
-        for fresh in (stepped.flat, new_state.m, new_state.v, averaged.flat):
-            for old in (params.flat, state.m, state.v, g):
-                assert not np.shares_memory(fresh, old)
+        assert stepped is params and new_state is state
+        assert stepped.flat is flat and new_state.m is m and new_state.v is v
+        assert np.shares_memory(stepped.weights[0], flat)  # views still see the update
+        assert np.array_equal(g, g_before)  # the gradient is only read
+        online_before = params.flat.copy()
+        averaged = polyak_update(target, params, 0.5)
+        assert averaged is target
+        assert np.array_equal(params.flat, online_before)
+        for vec in (g, params.flat):
+            assert not np.shares_memory(averaged.flat, vec)
+        # target aliasing online still reads online before scaling it
+        same = params.flat.copy()
+        assert np.array_equal(polyak_update(params, params, 0.3).flat, 0.7 * same + 0.3 * same)
 
     def test_layer_views_reject_other_layouts(self):
         params = mlp_init([3, 4, 2], np.random.default_rng(71))
@@ -428,3 +471,74 @@ def test_flat_updates_equal_list_reference(sizes, steps, learning_rate, tau, max
         target = polyak_update(target, params, tau)
         ref_t = ref_polyak_update(ref_t, ref_p, tau)
         assert np.array_equal(target.flat, ref_flat(ref_t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+    rows=st.sampled_from([None, 1, 5]),
+    hidden=st.sampled_from(["relu", "tanh"]),
+    output=st.sampled_from(["identity", "tanh", "relu"]),
+    specials=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_workspace_passes_equal_fresh_array_reference(sizes, rows, hidden, output, specials,
+                                                      seed):
+    rng = np.random.default_rng(seed)
+    params = mlp_init(sizes, rng, hidden, output)
+    if specials:  # pre-activations of exactly +-0.0, and NaN from a NaN weight
+        params.weights[0][0] = 0.0
+        params.biases[0][0] = -0.0 if rows is None else 0.0
+        if len(sizes) > 2:
+            params.weights[0][-1, 0] = np.nan
+    shape = (sizes[0],) if rows is None else (rows, sizes[0])
+    out_shape = (sizes[-1],) if rows is None else (rows, sizes[-1])
+    ws = Workspace(params.layer_sizes, rows)
+    for _ in range(2):  # the second pass reuses every buffer
+        x, gy = rng.standard_normal(shape), rng.standard_normal(out_shape)
+        ref_y, ref_cache = ref_forward(params, x)
+        y, cache = forward(params, x, ws)
+        assert cache is ws and np.shares_memory(y, ws.activations[-1])
+        assert np.array_equal(y, ref_y, equal_nan=True)
+        ref_g, ref_gx = ref_backward(params, ref_cache, gy)
+        g, gx = backward(params, cache, gy)
+        assert np.array_equal(g, ref_g, equal_nan=True)
+        assert np.array_equal(gx, ref_gx, equal_nan=True)
+
+
+class TestWorkspace:
+    def test_private_workspaces_share_nothing(self):
+        rng = np.random.default_rng(73)
+        params = mlp_init([3, 5, 2], rng)
+        x = rng.standard_normal((4, 3))
+        y1, c1 = forward(params, x)
+        y2, c2 = forward(params, x + 1.0)
+        g1, _ = backward(params, c1, np.ones((4, 2)))
+        g2, _ = backward(params, c2, np.ones((4, 2)))
+        assert c1 is not c2
+        assert not np.shares_memory(y1, y2) and not np.shares_memory(g1, g2)
+
+    def test_shared_vectors_and_forward_only(self):
+        params = mlp_init([3, 5, 2], np.random.default_rng(79))
+        single = Workspace(params.layer_sizes)
+        forward(params, np.ones(3), single)
+        assert single._vectors == []  # a forward never makes parameter-sized vectors
+        batch = Workspace(params.layer_sizes, 4, shared=single)
+        _, cache = forward(params, np.ones((4, 3)), batch)
+        grads, _ = backward(params, cache, np.ones((4, 2)))
+        assert grads is single._parameter_vectors()[0]
+        with pytest.raises(ValueError):
+            Workspace([3, 6, 2], 4, shared=single)
+
+    def test_layout_and_rows_must_match(self):
+        params = mlp_init([3, 5, 2], np.random.default_rng(83))
+        with pytest.raises(ValueError):
+            forward(params, np.ones((4, 3)), Workspace(params.layer_sizes, 5))
+        with pytest.raises(ValueError):
+            forward(params, np.ones(3), Workspace([3, 4, 2]))
+        with pytest.raises(ValueError):
+            adam_step(params, np.zeros(params.flat.size), adam_init(params), 1e-3,
+                      ws=Workspace([3, 4, 2]))
+        _, cache = forward(params, np.ones((4, 3)))
+        with pytest.raises(ValueError):
+            backward(params, cache, np.ones((5, 2)))

@@ -268,7 +268,7 @@ class AgentLearner:
         diff = q.ravel() - y
         loss = float(np.mean(diff**2))
         gy = (2.0 * diff / b).reshape(-1, 1)
-        grads, _ = backward(self.critic, cache, gy)
+        grads, _ = backward(self.critic, cache, gy, input_gradient=False)
         clip_global_norm(self.critic, grads, self.clip_norm, scratch.critic)
         adam_step(self.critic, grads, self.adam_critic, self.lr_critic, ws=scratch.critic)
         return loss
@@ -284,7 +284,9 @@ class AgentLearner:
         x[:, self.obs_dim :] = a
         q, critic_cache = forward(self.critic, x, scratch.critic)
         mean_q = float(np.mean(q))
-        _, g_in = backward(self.critic, critic_cache, np.full((b, 1), 1.0 / b))
+        _, g_in = backward(
+            self.critic, critic_cache, np.full((b, 1), 1.0 / b), parameter_gradient=False
+        )
         g_a = g_in[:, self.obs_dim :]
         # Jacobian of u -> u/||u|| is (I - a a^T)/||u||; rows with vanishing
         # norm used the constant fallback, so their gradient is zero.
@@ -292,7 +294,7 @@ class AgentLearner:
             vanishing, 1.0, norms
         )[:, None]
         g_u[vanishing] = 0.0
-        grads, _ = backward(self.actor, actor_cache, g_u)
+        grads, _ = backward(self.actor, actor_cache, g_u, input_gradient=False)
         clip_global_norm(self.actor, grads, self.clip_norm, scratch.actor)
         np.negative(grads, out=grads)  # ascent
         adam_step(self.actor, grads, self.adam_actor, self.lr_actor, ws=scratch.actor)

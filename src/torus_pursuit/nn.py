@@ -213,13 +213,21 @@ def forward(
 
 
 def backward(
-    params: MlpParams, cache: Workspace, output_gradient: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    params: MlpParams,
+    cache: Workspace,
+    output_gradient: np.ndarray,
+    *,
+    parameter_gradient: bool = True,
+    input_gradient: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Exact reverse-mode derivatives of output . output_gradient.
 
     Returns the parameter gradient, laid out like ``params.flat`` (summed over
     batch rows when the forward ran on a batch), and the gradient with
-    respect to the input; both are the cache workspace's buffers. The
+    respect to the input; both are the cache workspace's buffers. A caller
+    that reads only one of them turns the other off and gets None in its
+    place: without the parameter gradient no weight matmul or bias sum runs,
+    and without the input gradient layer 0's input matmul is skipped. The
     activations are overwritten, except an identity output's.
     """
     ws = cache
@@ -229,21 +237,24 @@ def backward(
         raise ValueError(
             f"output gradient shape {gy.shape} != output shape {ws.activations[last].shape}"
         )
-    grads = ws._parameter_vectors()[0]
-    g_weights, g_biases = params.layers(grads)
+    grads = ws._parameter_vectors()[0] if parameter_gradient else None
+    if grads is not None:
+        g_weights, g_biases = params.layers(grads)
     grad = gy
     for i in range(last, -1, -1):
         tag = params.output_activation if i == last else params.hidden_activation
         dz = _dz(tag, ws.activations[i], grad)
-        h_in = ws.inputs if i == 0 else ws.activations[i - 1]
-        if dz.ndim == 1:
-            np.multiply(dz[:, None], h_in[None, :], out=g_weights[i])
-            g_biases[i][...] = dz
-        else:
-            np.matmul(dz.T, h_in, out=g_weights[i])
-            np.sum(dz, axis=0, out=g_biases[i])
-        grad = np.matmul(dz, params.weights[i], out=ws.input_gradients[i])
-    return grads, grad
+        if grads is not None:
+            h_in = ws.inputs if i == 0 else ws.activations[i - 1]
+            if dz.ndim == 1:
+                np.multiply(dz[:, None], h_in[None, :], out=g_weights[i])
+                g_biases[i][...] = dz
+            else:
+                np.matmul(dz.T, h_in, out=g_weights[i])
+                np.sum(dz, axis=0, out=g_biases[i])
+        if i > 0 or input_gradient:
+            grad = np.matmul(dz, params.weights[i], out=ws.input_gradients[i])
+    return grads, grad if input_gradient else None
 
 
 def global_norm(params: MlpParams, grads: np.ndarray, ws: Workspace | None = None) -> float:

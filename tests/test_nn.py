@@ -252,6 +252,25 @@ class TestBackward:
             total += g
         assert np.allclose(batch_grads, total, atol=1e-12)
 
+    @pytest.mark.parametrize("rows", [None, 4])
+    def test_skipped_gradients_leave_the_other_bit_equal(self, rows):
+        rng = np.random.default_rng(21)
+        params = mlp_init([3, 5, 5, 2], rng)
+        x = rng.standard_normal((3,) if rows is None else (rows, 3))
+        gy = rng.standard_normal((2,) if rows is None else (rows, 2))
+
+        def run(**skip):
+            _, cache = forward(params, x)
+            grads, gx = backward(params, cache, gy, **skip)
+            return (None if grads is None else grads.copy()), (None if gx is None else gx.copy())
+
+        grads, gx = run()
+        only_grads, no_gx = run(input_gradient=False)
+        no_grads, only_gx = run(parameter_gradient=False)
+        assert no_gx is None and no_grads is None
+        assert np.array_equal(only_grads, grads)
+        assert np.array_equal(only_gx, gx)
+
     def test_tanh_output_head(self):
         rng = np.random.default_rng(23)
         params = mlp_init([3, 4, 2], rng, output_activation="tanh")

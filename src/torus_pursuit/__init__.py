@@ -16,7 +16,7 @@ from .curriculum import (
     behavior_for_epoch,
     velocity_at_epoch,
 )
-from .ddpg import AgentLearner, OuNoise, ReplayBuffer, Transition
+from .ddpg import OuNoise, ReplayBuffer, TeamLearner
 from .environment import (
     EnvConfig,
     Pose,
@@ -42,7 +42,6 @@ from .pursuit import ReplicaSelection, greedy_heading, pincer_headings, pincer_o
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentLearner",
     "BehaviorPhase",
     "Displacement2",
     "EnvConfig",
@@ -56,7 +55,7 @@ __all__ = [
     "SessionPlan",
     "SessionSpec",
     "StepOutcome",
-    "Transition",
+    "TeamLearner",
     "VelocitySchedule",
     "WorldState",
     "behavior_for_epoch",

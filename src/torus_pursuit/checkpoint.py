@@ -14,13 +14,18 @@ flat float64 entries, and the manifest refers to each array by
 ``{"key", "offset", "shape"}``: its row-major values start at ``offset`` in
 entry ``key``. All network and Adam arrays of agent i share entry
 ``agents.i``, since reading one zip member costs far more than its bytes;
-each replay-buffer field of the filled slice is its own entry
-(``agents.i.buffer.obs`` ...). The sidecar's bytes are a pure function of the
-state (zip entries carry a fixed timestamp), so equal states give equal files.
+that entry is row i of the team's (n, S) state array, written as it lies in
+memory, and each reference's offset is where its view starts in the row.
+Each replay-buffer field of agent i's filled ring slice is its own entry
+(``agents.i.buffer.obs`` is ``obs[i, :size]`` ...). The sidecar's bytes are
+a pure function of the state (zip entries carry a fixed timestamp), so equal
+states give equal files.
 
 The manifest records the sidecar's file name, byte size and SHA-256; loading
 refuses a sidecar that is missing, truncated or altered with
-``CheckpointIntegrityError``. Schema version 1 files, one JSON document whose
+``CheckpointIntegrityError``. A team updates in lockstep, so loading also
+requires every agent's hyperparameters, Adam step counts and ring
+bookkeeping to agree. Schema version 1 files, one JSON document whose
 arrays are inline ``{"shape", "data"}`` lists of decimal floats, still load.
 """
 
@@ -35,141 +40,162 @@ from typing import Any, Mapping
 import numpy as np
 
 from .config import ExperimentConfig
-from .ddpg import AgentLearner, OuNoise, ReplayBuffer
+from .ddpg import TeamLearner
 from .errors import CheckpointIntegrityError, DigestMismatchError, SchemaVersionError
-from .nn import AdamState, MlpParams
 
 CHECKPOINT_SCHEMA_VERSION = 2
 READABLE_SCHEMA_VERSIONS = (1, 2)
 _HASH_CHUNK = 1 << 20
 
 
-def _array_doc(arrays: dict[str, list[np.ndarray]], key: str, a: np.ndarray) -> dict:
-    """Appends ``a`` to sidecar entry ``key``; returns the manifest's reference."""
-    chunks = arrays.setdefault(key, [])
-    offset = sum(c.size for c in chunks)
-    chunks.append(a.ravel())
+def _array_ref(key: str, offset: int, a: np.ndarray) -> dict:
     return {"key": key, "offset": offset, "shape": list(a.shape)}
 
 
-def _array_load(doc: dict, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
+def _row_refs(key: str, row: np.ndarray, views: list[np.ndarray]) -> list[dict]:
+    """References to views of a state row, which is sidecar entry ``key``."""
+    return [_array_ref(key, (v.ctypes.data - row.ctypes.data) // row.itemsize, v) for v in views]
+
+
+def _array_load(doc: dict, arrays: Mapping[str, np.ndarray], where: str) -> np.ndarray:
     """Resolves one array doc: inline decimals (schema 1) or a sidecar slice."""
+    shape = doc["shape"]
     if "data" in doc:
-        return np.array(doc["data"], dtype=np.float64).reshape(doc["shape"])
-    start = doc["offset"]
-    return arrays[doc["key"]][start : start + math.prod(doc["shape"])].reshape(doc["shape"])
+        return np.array(doc["data"], dtype=np.float64).reshape(shape)
+    entry = arrays.get(doc["key"])
+    start, count = doc["offset"], math.prod(shape)
+    if entry is None or not 0 <= start <= entry.size - count:
+        raise CheckpointIntegrityError(
+            f"{where}: values {start}..{start + count} are not in sidecar entry {doc['key']!r}")
+    return entry[start : start + count].reshape(shape)
 
 
-def _list_doc(arrays: dict, key: str, items: list[np.ndarray]) -> list[dict]:
-    return [_array_doc(arrays, key, a) for a in items]
-
-
-def _list_load(docs: list[dict], arrays: Mapping[str, np.ndarray]) -> list[np.ndarray]:
-    return [_array_load(d, arrays) for d in docs]
-
-
-def _params_doc(p: MlpParams, arrays: dict, key: str) -> dict:
-    return {
-        "weights": _list_doc(arrays, key, p.weights),
-        "biases": _list_doc(arrays, key, p.biases),
-        "hidden_activation": p.hidden_activation,
-        "output_activation": p.output_activation,
-    }
-
-
-def _params_load(doc: dict, arrays: Mapping[str, np.ndarray]) -> MlpParams:
-    return MlpParams.from_layers(
-        _list_load(doc["weights"], arrays),
-        _list_load(doc["biases"], arrays),
-        doc["hidden_activation"],
-        doc["output_activation"],
-    )
-
-
-def _adam_doc(s: AdamState, net: MlpParams, arrays: dict, key: str) -> dict:
-    """Each moment as per-layer views of ``net``'s layout, as schema 2 stores it."""
-    doc: dict[str, Any] = {}
-    for name, vec in (("m", s.m), ("v", s.v)):
-        weights, biases = net.layers(vec)
-        doc[f"{name}_weights"] = _list_doc(arrays, key, weights)
-        doc[f"{name}_biases"] = _list_doc(arrays, key, biases)
-    doc["step"] = s.step
-    return doc
-
-
-def _adam_load(doc: dict, arrays: Mapping[str, np.ndarray]) -> AdamState:
-    def moment(name: str) -> np.ndarray:
-        layers = _list_load(doc[f"{name}_weights"] + doc[f"{name}_biases"], arrays)
-        return np.concatenate([a.ravel() for a in layers])
-
-    return AdamState(moment("m"), moment("v"), step=doc["step"])
-
-
-_BUFFER_FIELDS = ("obs", "actions", "rewards", "next_obs", "terminals")
-
-
-def _buffer_doc(b: ReplayBuffer, arrays: dict, key: str) -> dict:
-    doc: dict[str, Any] = {
-        "capacity": b.capacity,
-        "obs_dim": b.obs_dim,
-        "next": b._next,
-        "size": b._size,
-    }
-    for name in _BUFFER_FIELDS:
-        doc[name] = _array_doc(arrays, f"{key}.{name}", getattr(b, f"_{name}")[: b._size])
-    return doc
-
-
-def _buffer_load(doc: dict, arrays: Mapping[str, np.ndarray]) -> ReplayBuffer:
-    buf = ReplayBuffer(doc["capacity"], doc["obs_dim"])
-    size = doc["size"]
-    for name in _BUFFER_FIELDS:
-        getattr(buf, f"_{name}")[:size] = _array_load(doc[name], arrays)
-    buf._next = doc["next"]
-    buf._size = size
-    return buf
+def _fill(views: list[np.ndarray], docs: list[dict], arrays: Mapping[str, np.ndarray],
+          where: str) -> None:
+    """Copies each referenced array into the team's view of the same shape."""
+    if len(docs) != len(views):
+        raise CheckpointIntegrityError(f"{where}: {len(docs)} arrays, want {len(views)}")
+    for k, (view, doc) in enumerate(zip(views, docs)):
+        if list(doc["shape"]) != list(view.shape):
+            raise CheckpointIntegrityError(
+                f"{where}[{k}]: shape {doc['shape']}, want {list(view.shape)}")
+        view[...] = _array_load(doc, arrays, f"{where}[{k}]")
 
 
 _NETWORKS = ("actor", "critic", "actor_target", "critic_target")
 _OPTIMIZERS = {"adam_actor": "actor", "adam_critic": "critic"}
+_HYPERPARAMETERS = ("obs_dim", "gamma", "tau", "lr_actor", "lr_critic", "clip_norm",
+                    "theta_ou", "sigma_ou")
+_BUFFER_FIELDS = ("obs", "actions", "rewards", "next_obs", "terminals")
 
 
-def _learner_doc(learner: AgentLearner, arrays: dict, key: str) -> dict:
+def _agent_doc(team: TeamLearner, i: int, arrays: dict[str, np.ndarray]) -> dict:
+    """Agent i's manifest entry; its state row and filled ring slices go to ``arrays``."""
+    key, row, noise, buf = f"agents.{i}", team.state[i], team.noise[i], team.buffer
+    arrays[key] = row
     doc: dict[str, Any] = {
-        "obs_dim": learner.obs_dim,
-        "gamma": learner.gamma,
-        "tau": learner.tau,
-        "lr_actor": learner.lr_actor,
-        "lr_critic": learner.lr_critic,
-        "clip_norm": learner.clip_norm,
-        "theta_ou": learner.noise.theta,
-        "sigma_ou": learner.noise.sigma,
+        "obs_dim": team.obs_dim,
+        "gamma": team.gamma,
+        "tau": team.tau,
+        "lr_actor": team.lr_actor,
+        "lr_critic": team.lr_critic,
+        "clip_norm": team.clip_norm,
+        "theta_ou": noise.theta,
+        "sigma_ou": noise.sigma,
     }
     for name in _NETWORKS:
-        doc[name] = _params_doc(getattr(learner, name), arrays, key)
-    for name, net in _OPTIMIZERS.items():
-        doc[name] = _adam_doc(getattr(learner, name), getattr(learner, net), arrays, key)
-    doc["noise_state"] = learner.noise.state.tolist()
-    doc["buffer"] = _buffer_doc(learner.buffer, arrays, f"{key}.buffer")
+        net = getattr(team, name).row(i)
+        doc[name] = {
+            "weights": _row_refs(key, row, net.weights),
+            "biases": _row_refs(key, row, net.biases),
+            "hidden_activation": net.hidden_activation,
+            "output_activation": net.output_activation,
+        }
+    for name, net_name in _OPTIMIZERS.items():
+        state, net = getattr(team, name), getattr(team, net_name)
+        doc[name] = {}
+        for moment in ("m", "v"):
+            weights, biases = net.layers(getattr(state, moment)[i])
+            doc[name][f"{moment}_weights"] = _row_refs(key, row, weights)
+            doc[name][f"{moment}_biases"] = _row_refs(key, row, biases)
+        doc[name]["step"] = state.step
+    doc["noise_state"] = noise.state.tolist()
+    doc["buffer"] = {"capacity": buf.capacity, "obs_dim": buf.obs_dim,
+                     "next": buf._next, "size": buf._size}
+    for name in _BUFFER_FIELDS:
+        entry, filled = f"{key}.buffer.{name}", getattr(buf, f"_{name}")[i, : buf._size]
+        arrays[entry] = filled.ravel()  # a view: the slice is contiguous
+        doc["buffer"][name] = _array_ref(entry, 0, filled)
     return doc
 
 
-def _learner_load(doc: dict, arrays: Mapping[str, np.ndarray]) -> AgentLearner:
-    learner = AgentLearner.__new__(AgentLearner)
-    learner.obs_dim = doc["obs_dim"]
-    learner.gamma = doc["gamma"]
-    learner.tau = doc["tau"]
-    learner.lr_actor = doc["lr_actor"]
-    learner.lr_critic = doc["lr_critic"]
-    learner.clip_norm = doc["clip_norm"]
+def _field(doc: dict, i: int, path: str) -> Any:
+    node: Any = doc
+    for part in path.split("."):
+        if not isinstance(node, dict) or part not in node:
+            raise CheckpointIntegrityError(f"agent {i} has no {path!r}")
+        node = node[part]
+    return node
+
+
+def _agreed(docs: list[dict], path: str) -> Any:
+    """The value at ``path``, which every agent of a team must hold alike."""
+    first = _field(docs[0], 0, path)
+    for i, doc in enumerate(docs[1:], start=1):
+        value = _field(doc, i, path)
+        if value != first:
+            raise CheckpointIntegrityError(
+                f"agent {i} has {path} {value!r} but agent 0 has {first!r}; "
+                "a team's agents update in lockstep")
+    return first
+
+
+def _team_load(docs: list[dict], arrays: Mapping[str, np.ndarray]) -> TeamLearner:
+    """Builds the team from the per-agent entries, which must agree on every scalar."""
+    if not docs:
+        raise CheckpointIntegrityError("checkpoint holds no agents")
+    hyper = {name: _agreed(docs, name) for name in _HYPERPARAMETERS}
+    ring = {name: _agreed(docs, f"buffer.{name}")
+            for name in ("capacity", "obs_dim", "next", "size")}
+    if not (ring["obs_dim"] == hyper["obs_dim"] and 0 <= ring["next"] < ring["capacity"]
+            and 0 <= ring["size"] <= ring["capacity"]):
+        raise CheckpointIntegrityError(
+            f"replay bookkeeping {ring} does not fit observations of {hyper['obs_dim']} inputs")
+    hidden = {  # agent 0's layer sizes; every agent's arrays are checked against them
+        net: tuple(_field(ref, 0, "shape")[0] for ref in _field(docs[0], 0, f"{net}.weights")[:-1])
+        for net in _OPTIMIZERS.values()
+    }
+    team = TeamLearner(
+        len(docs), hyper["obs_dim"], actor_hidden=hidden["actor"], critic_hidden=hidden["critic"],
+        gamma=hyper["gamma"], tau=hyper["tau"], lr_actor=hyper["lr_actor"],
+        lr_critic=hyper["lr_critic"], clip_norm=hyper["clip_norm"],
+        buffer_capacity=ring["capacity"], theta_ou=hyper["theta_ou"], sigma_ou=hyper["sigma_ou"],
+    )
     for name in _NETWORKS:
-        setattr(learner, name, _params_load(doc[name], arrays))
+        net = getattr(team, name)
+        net.hidden_activation = _agreed(docs, f"{name}.hidden_activation")
+        net.output_activation = _agreed(docs, f"{name}.output_activation")
     for name in _OPTIMIZERS:
-        setattr(learner, name, _adam_load(doc[name], arrays))
-    learner.noise = OuNoise(doc["theta_ou"], doc["sigma_ou"])
-    learner.noise.state = np.array(doc["noise_state"], dtype=np.float64)
-    learner.buffer = _buffer_load(doc["buffer"], arrays)
-    return learner
+        getattr(team, name).step = _agreed(docs, f"{name}.step")
+    team.buffer._next, team.buffer._size = ring["next"], ring["size"]
+    for i, doc in enumerate(docs):
+        for name in _NETWORKS:
+            net = getattr(team, name).row(i)
+            refs = _field(doc, i, f"{name}.weights") + _field(doc, i, f"{name}.biases")
+            _fill(net.weights + net.biases, refs, arrays, f"agent {i} {name}")
+        for name, net_name in _OPTIMIZERS.items():
+            net, state = getattr(team, net_name), getattr(team, name)
+            for moment in ("m", "v"):
+                weights, biases = net.layers(getattr(state, moment)[i])
+                refs = (_field(doc, i, f"{name}.{moment}_weights")
+                        + _field(doc, i, f"{name}.{moment}_biases"))
+                _fill(weights + biases, refs, arrays, f"agent {i} {name}.{moment}")
+        team.noise[i].state[...] = _field(doc, i, "noise_state")
+        for name in _BUFFER_FIELDS:
+            filled = getattr(team.buffer, f"_{name}")[i, : ring["size"]]
+            refs = [_field(doc, i, f"buffer.{name}")]
+            _fill([filled], refs, arrays, f"agent {i} buffer.{name}")
+    return team
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -188,7 +214,7 @@ def _sha256(path: Path) -> str:
 def save_checkpoint(
     path: str | Path,
     config: ExperimentConfig,
-    learners: list[AgentLearner],
+    team: TeamLearner,
     session: int,
     epoch: int,
     global_epoch: int,
@@ -197,15 +223,14 @@ def save_checkpoint(
     """Writes the sidecar, then the manifest, each via a temp file and replace."""
     target = Path(path)
     sidecar = sidecar_path(target)
-    arrays: dict[str, list[np.ndarray]] = {}
-    agents = [_learner_doc(lr, arrays, f"agents.{i}") for i, lr in enumerate(learners)]
-    entries = {k: c[0] if len(c) == 1 else np.concatenate(c) for k, c in arrays.items()}
+    arrays: dict[str, np.ndarray] = {}
+    agents = [_agent_doc(team, i, arrays) for i in range(team.n)]
     target.parent.mkdir(parents=True, exist_ok=True)
 
     # np.savez appends ".npz" to a str path that lacks it, so hand it a file.
     sidecar_tmp = sidecar.with_suffix(sidecar.suffix + ".tmp")
     with open(sidecar_tmp, "wb") as fh:
-        np.savez(fh, **entries)
+        np.savez(fh, **arrays)
     sidecar_doc = {
         "file": sidecar.name,
         "bytes": sidecar_tmp.stat().st_size,
@@ -244,8 +269,14 @@ def _verified_sidecar(manifest: Path, doc: dict) -> Path:
 
 def load_checkpoint(
     path: str | Path, config: ExperimentConfig
-) -> tuple[list[AgentLearner], int, int, int, dict[str, Any]]:
-    """Returns (learners, session, epoch, global_epoch, rng_states)."""
+) -> tuple[TeamLearner, int, int, int, dict[str, Any]]:
+    """Returns (team, session, epoch, global_epoch, rng_states).
+
+    Raises CheckpointIntegrityError, naming the field and the agent, when an
+    agent's entry lacks a field, disagrees with agent 0 on a hyperparameter,
+    an Adam step count or the ring bookkeeping, or holds an array of the
+    wrong shape.
+    """
     manifest = Path(path)
     doc = json.loads(manifest.read_text())
     version = doc.get("schema_version")
@@ -260,5 +291,5 @@ def load_checkpoint(
     if version > 1:
         with np.load(_verified_sidecar(manifest, doc["sidecar"]), allow_pickle=False) as z:
             arrays = {key: z[key] for key in z.files}  # each lookup rereads the member
-    learners = [_learner_load(d, arrays) for d in doc["agents"]]
-    return learners, doc["session"], doc["epoch"], doc["global_epoch"], doc["rng_states"]
+    team = _team_load(doc["agents"], arrays)
+    return team, doc["session"], doc["epoch"], doc["global_epoch"], doc["rng_states"]

@@ -70,15 +70,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for ratio in ratios:
         check_ratio(config.env, ratio, "--ratios")
     episodes = args.episodes if args.episodes else config.metrics.eval_episodes
-    learners = None
+    team = None
     if config.run.strategy in ("cd_ddpg", "cd_ddpg_partial"):
         if not args.checkpoint:
             raise ConfigError("run.strategy: learned strategies need --checkpoint")
-        learners, *_ = load_checkpoint(args.checkpoint, config)
+        team, *_ = load_checkpoint(args.checkpoint, config)
         expected = observation_dim(config.env.n, config.run.strategy == "cd_ddpg_partial")
-        if learners[0].obs_dim != expected:
+        if team.obs_dim != expected:
             raise ConfigError(
-                f"run.strategy: checkpoint observes {learners[0].obs_dim} inputs "
+                f"run.strategy: checkpoint observes {team.obs_dim} inputs "
                 f"but {config.run.strategy!r} needs {expected}"
             )
     results = run_eval(
@@ -86,7 +86,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ratios=ratios,
         episodes=episodes,
         out_dir=config.run.out_dir,
-        learners=learners,
+        team=team,
     )
     for ratio in ratios:
         print(f"ratio {ratio:g}: success_rate {results[ratio]:.3f}")

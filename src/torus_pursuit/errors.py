@@ -30,4 +30,5 @@ class TrajectoryParseError(ValueError):
 
 
 class CheckpointIntegrityError(ValueError):
-    """A checkpoint's array sidecar is missing or differs from what its manifest records."""
+    """A checkpoint's sidecar is missing or differs from what its manifest records,
+    or its manifest does not describe one team (a field missing, agents disagreeing)."""

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .ddpg import AgentLearner
+from .ddpg import TeamLearner
 from .environment import EnvConfig, WorldState, observe_full, observe_partial, reset, step
 from .pursuit import greedy_heading, pincer_headings
 from .trajectory import TrajectoryWriter
@@ -27,11 +27,14 @@ HeadingPolicy = Callable[[WorldState], list[float]]
 
 def make_policy(
     strategy: str,
-    learners: list[AgentLearner] | None,
+    team: TeamLearner | None,
     policy_rng: np.random.Generator,
     pincer_k: int = 1,
 ) -> HeadingPolicy:
-    """Joint heading policy for one team strategy."""
+    """Joint heading policy for one team strategy.
+
+    A learned team acts with one stacked forward pass per step.
+    """
     if strategy == "greedy":
         return lambda s: [greedy_heading(p, s.evader.position) for p in s.pursuers]
     if strategy == "pincer":
@@ -39,12 +42,10 @@ def make_policy(
     if strategy == "random":
         return lambda s: list(policy_rng.uniform(-np.pi, np.pi, size=len(s.pursuers)))
     if strategy in ("cd_ddpg", "cd_ddpg_partial"):
-        if learners is None:
-            raise ValueError(f"strategy {strategy!r} requires trained learners")
+        if team is None:
+            raise ValueError(f"strategy {strategy!r} requires a trained team")
         observe = observe_partial if strategy == "cd_ddpg_partial" else observe_full
-        return lambda s: [
-            learners[i].act(observe(s, i)) for i in range(len(s.pursuers))
-        ]
+        return lambda s: team.act(np.array([observe(s, i) for i in range(len(s.pursuers))]))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -89,7 +90,7 @@ def run_eval(
     ratios: Sequence[float],
     episodes: int,
     out_dir: str | Path,
-    learners: list[AgentLearner] | None = None,
+    team: TeamLearner | None = None,
     strategy: str | None = None,
     write_logs: bool = True,
 ) -> dict[float, float]:
@@ -108,7 +109,7 @@ def run_eval(
         env_cfg = replace(config.env, velocity_ratio=ratio)
         children = np.random.SeedSequence((config.run.seed, ridx)).spawn(2)
         env_rng = np.random.default_rng(children[0])
-        policy = make_policy(strategy, learners, np.random.default_rng(children[1]),
+        policy = make_policy(strategy, team, np.random.default_rng(children[1]),
                              config.run.pincer_k)
         writer = (
             TrajectoryWriter(out / f"trajectories_ratio_{ratio_label(ratio)}.csv")

@@ -5,7 +5,9 @@ session's schedule and the behavior phase decides whether actions come from
 the scripted chase (warm-up) or each agent's own noisy policy. Transitions
 always land in the per-agent replay buffers, and every agent performs one
 critic update, one actor update, and one target soft-update per environment
-step once its buffer holds a full batch. Everything is driven by streams
+step once its buffer holds a full batch. One ``TeamLearner`` runs all
+agents' updates as stacked arrays; each agent samples its own ring with its
+own stream and explores with its own. Everything is driven by streams
 derived from the master seed, so a (config, seed) pair fixes every output
 byte.
 """
@@ -27,7 +29,7 @@ from .curriculum import (
     scripted_action,
     velocity_at_epoch,
 )
-from .ddpg import AgentLearner, Transition, heading_to_vector
+from .ddpg import TeamLearner, heading_to_vector
 from .environment import observation_dim, observe_full, observe_partial, reset, step
 from .errors import ConfigError, SchemaVersionError
 
@@ -67,36 +69,35 @@ def make_streams(master_seed: int, n: int) -> TrainingStreams:
     )
 
 
-def make_learners(config: ExperimentConfig, init_rng: np.random.Generator) -> list[AgentLearner]:
+def make_team(config: ExperimentConfig, init_rng: np.random.Generator) -> TeamLearner:
     partial = config.run.strategy == "cd_ddpg_partial"
-    obs_dim = observation_dim(config.env.n, partial)
     d = config.ddpg
-    return [
-        AgentLearner(
-            obs_dim=obs_dim,
-            rng=init_rng,
-            actor_hidden=d.actor_hidden,
-            critic_hidden=d.critic_hidden,
-            gamma=d.gamma,
-            tau=d.tau,
-            lr_actor=d.lr_actor,
-            lr_critic=d.lr_critic,
-            clip_norm=d.clip_norm,
-            buffer_capacity=d.buffer_capacity,
-            theta_ou=d.theta_ou,
-            sigma_ou=d.sigma_ou,
-        )
-        for _ in range(config.env.n)
-    ]
+    return TeamLearner(
+        n=config.env.n,
+        obs_dim=observation_dim(config.env.n, partial),
+        rng=init_rng,
+        actor_hidden=d.actor_hidden,
+        critic_hidden=d.critic_hidden,
+        gamma=d.gamma,
+        tau=d.tau,
+        lr_actor=d.lr_actor,
+        lr_critic=d.lr_critic,
+        clip_norm=d.clip_norm,
+        buffer_capacity=d.buffer_capacity,
+        theta_ou=d.theta_ou,
+        sigma_ou=d.sigma_ou,
+    )
 
 
-def _observe(state, i: int, partial: bool) -> np.ndarray:
-    return observe_partial(state, i) if partial else observe_full(state, i)
+def _observe_all(state, n: int, partial: bool) -> np.ndarray:
+    """Every agent's observation, one row per agent."""
+    observe = observe_partial if partial else observe_full
+    return np.array([observe(state, i) for i in range(n)])
 
 
 def run_episode(
     config: ExperimentConfig,
-    learners: list[AgentLearner],
+    team: TeamLearner,
     streams: TrainingStreams,
     ratio: float,
     phase: BehaviorPhase,
@@ -112,23 +113,19 @@ def run_episode(
     partial = config.run.strategy == "cd_ddpg_partial"
     batch_size = config.ddpg.batch_size
     state = reset(env_cfg, streams.env)
-    for learner in learners:
-        learner.noise.reset()
+    team.reset_noise()
     ep_return = 0.0
     captured = False
     steps = 0
+    obs = _observe_all(state, env_cfg.n, partial)
     while True:
-        obs = [_observe(state, i, partial) for i in range(env_cfg.n)]
         if phase is BehaviorPhase.SCRIPTED:
             headings = [
                 scripted_action(state.pursuers[i], state.evader.position)
                 for i in range(env_cfg.n)
             ]
         else:
-            headings = [
-                learners[i].act_explore(obs[i], streams.explore[i])
-                for i in range(env_cfg.n)
-            ]
+            headings = team.act_explore(obs, streams.explore)
             for i, heading in enumerate(headings):
                 if not math.isfinite(heading):
                     raise FloatingPointError(
@@ -136,25 +133,26 @@ def run_episode(
                         f"agent {i}: {heading!r}"
                     )
         state, outcome = step(state, headings, env_cfg, streams.env)
-        for i, learner in enumerate(learners):
-            learner.buffer.push(
-                Transition(
-                    obs=obs[i],
-                    action_vector=heading_to_vector(headings[i]),
-                    reward=outcome.rewards[i],
-                    next_obs=_observe(state, i, partial),
-                    terminal=outcome.captured,
+        next_obs = _observe_all(state, env_cfg.n, partial)
+        team.buffer.push(
+            obs,
+            np.array([heading_to_vector(h) for h in headings]),
+            outcome.rewards,
+            next_obs,
+            outcome.captured,
+        )
+        obs = next_obs
+        if len(team.buffer) >= batch_size:
+            loss = team.critic_update(team.buffer.sample(batch_size, streams.sample))
+            mean_q = team.actor_update(team.buffer.sample(batch_size, streams.sample))
+            bad = np.flatnonzero(~(np.isfinite(loss) & np.isfinite(mean_q)))
+            if bad.size:
+                i = bad[0]
+                raise FloatingPointError(
+                    f"non-finite update at global epoch {global_epoch}, step {steps + 1}, "
+                    f"agent {i}: critic loss {float(loss[i])!r}, mean Q {float(mean_q[i])!r}"
                 )
-            )
-            if len(learner.buffer) >= batch_size:
-                loss = learner.critic_update(learner.buffer.sample(batch_size, streams.sample[i]))
-                mean_q = learner.actor_update(learner.buffer.sample(batch_size, streams.sample[i]))
-                if not (math.isfinite(loss) and math.isfinite(mean_q)):
-                    raise FloatingPointError(
-                        f"non-finite update at global epoch {global_epoch}, step {steps + 1}, "
-                        f"agent {i}: critic loss {loss!r}, mean Q {mean_q!r}"
-                    )
-                learner.soft_update_targets()
+            team.soft_update_targets()
         ep_return += outcome.rewards[0]
         steps += 1
         if outcome.done:
@@ -206,12 +204,10 @@ def run_training(
     streams = make_streams(config.run.seed, config.env.n)
 
     if resume is not None:
-        learners, session_idx, epoch_idx, global_epoch, rng_states = load_checkpoint(
-            resume, config
-        )
+        team, session_idx, epoch_idx, global_epoch, rng_states = load_checkpoint(resume, config)
         streams.restore(rng_states)
     else:
-        learners = make_learners(config, streams.init)
+        team = make_team(config, streams.init)
         session_idx, epoch_idx, global_epoch = 0, 0, 0
 
     curve_path = out / "training_curve.csv"
@@ -226,7 +222,7 @@ def run_training(
                 ratio = velocity_at_epoch(session.schedule, epoch_idx)
                 phase = behavior_for_epoch(plan, session_idx, epoch_idx)
                 ep_return, captured, steps = run_episode(
-                    config, learners, streams, ratio, phase, global_epoch
+                    config, team, streams, ratio, phase, global_epoch
                 )
                 curve.write(
                     f"{global_epoch},{session_idx},{epoch_idx},{_fmt(ratio)},"
@@ -243,7 +239,7 @@ def run_training(
                     save_checkpoint(
                         out / f"checkpoint_epoch{global_epoch}.json",
                         config,
-                        learners,
+                        team,
                         nxt_session,
                         nxt_epoch,
                         global_epoch,
@@ -254,7 +250,7 @@ def run_training(
     save_checkpoint(
         out / "checkpoint.json",
         config,
-        learners,
+        team,
         session_idx,
         0,
         global_epoch,

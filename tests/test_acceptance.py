@@ -16,7 +16,7 @@ import pytest
 
 from torus_pursuit.config import config_from_dict
 from torus_pursuit.curriculum import VelocitySchedule, velocity_at_epoch
-from torus_pursuit.ddpg import AgentLearner
+from torus_pursuit.ddpg import TeamLearner
 from torus_pursuit.environment import observation_dim
 from torus_pursuit.evader import PolarContact, evade_cost, heading_from_contacts
 from torus_pursuit.evaluation import run_eval
@@ -153,7 +153,8 @@ def test_criterion_05_gradient_checks_at_project_shapes():
     rng = np.random.default_rng(17)
     n = 3
     obs_dim = observation_dim(n, partial=False)
-    learner = AgentLearner(obs_dim=obs_dim, rng=rng, buffer_capacity=1)
+    team = TeamLearner(1, obs_dim, rng, buffer_capacity=1)
+    actor, critic = team.actor.row(0), team.critic.row(0)
     batch = rng.standard_normal((4, obs_dim))
     results = {}
 
@@ -163,33 +164,33 @@ def test_criterion_05_gradient_checks_at_project_shapes():
     x = np.hstack([batch, actions])
 
     def critic_loss():
-        y, _ = forward(learner.critic, x)
+        y, _ = forward(critic, x)
         return float(np.mean(y))
 
-    _, cache = forward(learner.critic, x)
-    grads, _ = backward(learner.critic, cache, np.full((4, 1), 0.25))
+    _, cache = forward(critic, x)
+    grads, _ = backward(critic, cache, np.full((4, 1), 0.25))
     flat = grads
-    arrays = learner.critic.weights + learner.critic.biases
+    arrays = critic.weights + critic.biases
     results["critic"] = _directional_probe(arrays, flat, critic_loss, rng)
 
     # actor backward through the unit-normalization head and the full chain
     def chain_objective():
-        raw, _ = forward(learner.actor, batch)
+        raw, _ = forward(actor, batch)
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         a = raw / norms
-        q, _ = forward(learner.critic, np.hstack([batch, a]))
+        q, _ = forward(critic, np.hstack([batch, a]))
         return float(np.mean(q))
 
-    raw, actor_cache = forward(learner.actor, batch)
+    raw, actor_cache = forward(actor, batch)
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     a = raw / norms
-    _, critic_cache = forward(learner.critic, np.hstack([batch, a]))
-    _, g_in = backward(learner.critic, critic_cache, np.full((4, 1), 0.25))
+    _, critic_cache = forward(critic, np.hstack([batch, a]))
+    _, g_in = backward(critic, critic_cache, np.full((4, 1), 0.25))
     g_a = g_in[:, obs_dim:]
     g_u = (g_a - np.sum(g_a * a, axis=1, keepdims=True) * a) / norms
-    grads, _ = backward(learner.actor, actor_cache, g_u)
+    grads, _ = backward(actor, actor_cache, g_u)
     flat = grads
-    arrays = learner.actor.weights + learner.actor.biases
+    arrays = actor.weights + actor.biases
     results["actor_chain"] = _directional_probe(arrays, flat, chain_objective, rng)
 
     for name, worst in results.items():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from torus_pursuit.checkpoint import load_checkpoint, save_checkpoint, sidecar_path
 from torus_pursuit.config import ExperimentConfig, config_from_dict
-from torus_pursuit.ddpg import AgentLearner, Transition, heading_to_vector
+from torus_pursuit.ddpg import TeamLearner, heading_to_vector
 from torus_pursuit.errors import CheckpointIntegrityError
 from torus_pursuit.training import run_training
 
@@ -20,54 +20,52 @@ NETWORKS = ("actor", "critic", "actor_target", "critic_target")
 OPTIMIZERS = ("adam_actor", "adam_critic")
 MOMENTS = ("m", "v")
 BUFFER_FIELDS = ("_obs", "_actions", "_rewards", "_next_obs", "_terminals")
-SCALARS = ("obs_dim", "gamma", "tau", "lr_actor", "lr_critic", "clip_norm")
+SCALARS = ("n", "obs_dim", "gamma", "tau", "lr_actor", "lr_critic", "clip_norm")
 
 
-def make_learners(fills, obs_dim, actor_hidden, critic_hidden, capacity, seed):
-    """Learners whose every array holds distinct values, buffers pushed `fills` times."""
+def make_team(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed):
+    """A team whose every array holds distinct values, its rings pushed `fill` times."""
     rng = np.random.default_rng(seed)
-    learners = []
-    for fill in fills:
-        learner = AgentLearner(obs_dim, rng, actor_hidden=actor_hidden,
-                               critic_hidden=critic_hidden, buffer_capacity=capacity)
-        for net in NETWORKS:
-            for b in getattr(learner, net).biases:
-                b[:] = rng.standard_normal(b.shape)
-        for opt in OPTIMIZERS:
-            state = getattr(learner, opt)
-            for name in MOMENTS:
-                moment = getattr(state, name)
-                moment[:] = rng.standard_normal(moment.shape)
-            state.step = int(rng.integers(0, 10_000))
-        learner.noise.state = rng.standard_normal(2)
-        for _ in range(fill):
-            learner.buffer.push(Transition(
-                rng.standard_normal(obs_dim),
-                heading_to_vector(float(rng.uniform(-math.pi, math.pi))),
-                float(rng.normal()),
-                rng.standard_normal(obs_dim),
-                bool(rng.integers(0, 2)),
-            ))
-        learners.append(learner)
-    return learners
-
-
-def learner_arrays(learner):
-    """Every array of a learner's state, by name."""
-    out = {"noise": learner.noise.state}
+    team = TeamLearner(agents, obs_dim, rng, actor_hidden=actor_hidden,
+                       critic_hidden=critic_hidden, buffer_capacity=capacity)
     for net in NETWORKS:
-        params = getattr(learner, net)
+        for b in getattr(team, net).biases:
+            b[:] = rng.standard_normal(b.shape)
+    for opt in OPTIMIZERS:
+        state = getattr(team, opt)
+        for name in MOMENTS:
+            moment = getattr(state, name)
+            moment[:] = rng.standard_normal(moment.shape)
+        state.step = int(rng.integers(0, 10_000))
+    for noise in team.noise:
+        noise.state = rng.standard_normal(2)
+    for _ in range(fill):
+        team.buffer.push(
+            rng.standard_normal((agents, obs_dim)),
+            np.array([heading_to_vector(t) for t in rng.uniform(-math.pi, math.pi, agents)]),
+            rng.normal(size=agents),
+            rng.standard_normal((agents, obs_dim)),
+            bool(rng.integers(0, 2)),
+        )
+    return team
+
+
+def team_arrays(team):
+    """Every array of a team's state, by name."""
+    out = {f"noise{i}": noise.state for i, noise in enumerate(team.noise)}
+    for net in NETWORKS:
+        params = getattr(team, net)
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
             out[f"{net}.w{i}"], out[f"{net}.b{i}"] = w, b
     for opt in OPTIMIZERS:
         for name in MOMENTS:
-            out[f"{opt}.{name}"] = getattr(getattr(learner, opt), name)
+            out[f"{opt}.{name}"] = getattr(getattr(team, opt), name)
     for name in BUFFER_FIELDS:
-        out[name] = getattr(learner.buffer, name)
+        out[name] = getattr(team.buffer, name)
     return out
 
 
-def assert_same_learner(want, got):
+def assert_same_team(want, got):
     for name in SCALARS:
         assert getattr(got, name) == getattr(want, name), name
     for opt in OPTIMIZERS:
@@ -75,10 +73,11 @@ def assert_same_learner(want, got):
     for net in NETWORKS:
         assert getattr(got, net).hidden_activation == getattr(want, net).hidden_activation
         assert getattr(got, net).output_activation == getattr(want, net).output_activation
-    assert (got.noise.theta, got.noise.sigma) == (want.noise.theta, want.noise.sigma)
+    for noise, want_noise in zip(got.noise, want.noise, strict=True):
+        assert (noise.theta, noise.sigma) == (want_noise.theta, want_noise.sigma)
     b, gb = want.buffer, got.buffer
     assert (gb.capacity, gb.obs_dim, gb._next, gb._size) == (b.capacity, b.obs_dim, b._next, b._size)
-    want_arrays, got_arrays = learner_arrays(want), learner_arrays(got)
+    want_arrays, got_arrays = team_arrays(want), team_arrays(got)
     assert want_arrays.keys() == got_arrays.keys()
     for name, a in want_arrays.items():
         assert got_arrays[name].dtype == np.float64, name
@@ -113,7 +112,8 @@ layer_sizes = st.lists(st.integers(1, 6), max_size=2).map(tuple)
 
 @settings(max_examples=25, deadline=None)
 @given(
-    fills=st.lists(st.integers(0, 40), min_size=1, max_size=3),
+    agents=st.integers(1, 3),
+    fill=st.integers(0, 40),
     obs_dim=st.integers(1, 5),
     actor_hidden=layer_sizes,
     critic_hidden=layer_sizes,
@@ -121,15 +121,19 @@ layer_sizes = st.lists(st.integers(1, 6), max_size=2).map(tuple)
     seed=st.integers(0, 2**32 - 1),
 )
 # a wrapped ring (size == capacity, next == 2), an exactly full one, an empty one
-@example(fills=[12, 5, 0], obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
+@example(agents=3, fill=12, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
          capacity=5, seed=0)
-def test_save_load_identity(fills, obs_dim, actor_hidden, critic_hidden, capacity, seed):
+@example(agents=2, fill=5, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
+         capacity=5, seed=0)
+@example(agents=1, fill=0, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
+         capacity=5, seed=0)
+def test_save_load_identity(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed):
     cfg = ExperimentConfig()
-    learners = make_learners(fills, obs_dim, actor_hidden, critic_hidden, capacity, seed)
+    team = make_team(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed)
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp, "a", "ckpt.json"), Path(tmp, "b", "ckpt.json")
-        save_checkpoint(a, cfg, learners, 1, 2, 3, RNG_STATES)
-        save_checkpoint(b, cfg, learners, 1, 2, 3, RNG_STATES)
+        save_checkpoint(a, cfg, team, 1, 2, 3, RNG_STATES)
+        save_checkpoint(b, cfg, team, 1, 2, 3, RNG_STATES)
         assert sorted(p.name for p in a.parent.iterdir()) == ["ckpt.json", "ckpt.npz"]
         assert a.read_bytes() == b.read_bytes()
         assert sidecar_path(a).read_bytes() == sidecar_path(b).read_bytes()
@@ -139,16 +143,15 @@ def test_save_load_identity(fills, obs_dim, actor_hidden, critic_hidden, capacit
         from_v1, *_ = load_checkpoint(Path(tmp, "v1.json"), cfg)
 
     assert (session, epoch, global_epoch, states) == (1, 2, 3, RNG_STATES)
-    obs = np.random.default_rng(seed).standard_normal(obs_dim)
-    for want, got, got_v1 in zip(learners, loaded, from_v1, strict=True):
-        assert_same_learner(want, got)
-        assert_same_learner(want, got_v1)
-        assert got.act(obs) == want.act(obs) == got_v1.act(obs)
+    assert_same_team(team, loaded)
+    assert_same_team(team, from_v1)
+    obs = np.random.default_rng(seed).standard_normal((agents, obs_dim))
+    assert loaded.act(obs) == team.act(obs) == from_v1.act(obs)
 
 
 def test_wrapped_example_is_a_full_ring():
-    learner, = make_learners([12], 3, (4,), (4, 3), 5, 0)
-    assert (len(learner.buffer), learner.buffer._next) == (5, 2)
+    team = make_team(3, 12, 3, (4,), (4, 3), 5, 0)
+    assert (len(team.buffer), team.buffer._next) == (5, 2)
 
 
 class TestSidecarIntegrity:
@@ -156,7 +159,7 @@ class TestSidecarIntegrity:
     def saved(self, tmp_path):
         cfg = ExperimentConfig()
         path = tmp_path / "checkpoint_epoch5.json"
-        save_checkpoint(path, cfg, make_learners([7], 4, (8,), (8,), 16, 1), 0, 5, 5, RNG_STATES)
+        save_checkpoint(path, cfg, make_team(1, 7, 4, (8,), (8,), 16, 1), 0, 5, 5, RNG_STATES)
         assert sidecar_path(path) == tmp_path / "checkpoint_epoch5.npz"
         return cfg, path, sidecar_path(path)
 
@@ -195,6 +198,46 @@ class TestSidecarIntegrity:
         with pytest.raises(CheckpointIntegrityError, match="SHA-256") as err:
             load_checkpoint(path, cfg)
         assert path.name in str(err.value) and sidecar.name in str(err.value)
+
+
+class TestTeamAgreement:
+    """A team updates in lockstep, so a manifest whose agents disagree is refused."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        cfg = ExperimentConfig()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, cfg, make_team(2, 7, 4, (8,), (8,), 16, 1), 0, 5, 5, RNG_STATES)
+        return cfg, path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("field, value", [
+        ("buffer.size", 6), ("buffer.next", 3), ("buffer.capacity", 17),
+        ("adam_critic.step", 0), ("lr_actor", 0.5),
+    ])
+    def test_one_agent_edited(self, saved, field, value):
+        cfg, path, doc = saved
+        *parents, name = field.split(".")
+        node = doc["agents"][1]
+        for key in parents:
+            node = node[key]
+        node[name] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match=rf"agent 1 has {field} {value}"):
+            load_checkpoint(path, cfg)
+
+    def test_missing_field_named(self, saved):
+        cfg, path, doc = saved
+        del doc["agents"][1]["adam_actor"]["step"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match="agent 1 has no 'adam_actor.step'"):
+            load_checkpoint(path, cfg)
+
+    def test_wrong_array_shape_named(self, saved):
+        cfg, path, doc = saved
+        doc["agents"][1]["critic"]["weights"][0]["shape"] = [8, 5]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match=r"agent 1 critic\[0\]: shape"):
+            load_checkpoint(path, cfg)
 
 
 def tiny_training_config(out_dir):

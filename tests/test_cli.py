@@ -7,8 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from torus_pursuit.checkpoint import load_checkpoint
 from torus_pursuit.cli import main
-from torus_pursuit.config import config_from_dict, save_config
+from torus_pursuit.config import config_from_dict, load_config, save_config
+from torus_pursuit.ddpg import TeamLearner
+from torus_pursuit.evaluation import run_eval
 from torus_pursuit.trajectory import read_trajectories
 from torus_pursuit.training import run_training
 
@@ -247,6 +250,37 @@ class TestEvalCommand:
                      "--out", str(eval_out)])
         assert code == 0
         assert (eval_out / "success.csv").exists()
+
+    def test_eval_stacked_team_writes_what_lone_agents_write(self, tmp_path):
+        # one stacked act per step gives the files n separate agents would
+        cfg_path, out_dir = write_config(tmp_path)
+        main(["train", "--config", str(cfg_path)])
+        stacked = tmp_path / "stacked"
+        assert main(["eval", "--config", str(cfg_path),
+                     "--checkpoint", str(out_dir / "checkpoint.json"),
+                     "--ratios", "1.1,0.9", "--episodes", "4", "--out", str(stacked)]) == 0
+        config = load_config(cfg_path)
+        team, *_ = load_checkpoint(out_dir / "checkpoint.json", config)
+
+        class LoneAgents:
+            def __init__(self):
+                self.agents = []
+                for i in range(team.n):
+                    agent = TeamLearner(1, team.obs_dim,
+                                        actor_hidden=team.actor.layer_sizes[1:-1],
+                                        critic_hidden=team.critic.layer_sizes[1:-1])
+                    agent.state[0] = team.state[i]
+                    self.agents.append(agent)
+
+            def act(self, obs):
+                return [agent.act(obs[i : i + 1])[0] for i, agent in enumerate(self.agents)]
+
+        lone = tmp_path / "lone"
+        run_eval(config, [1.1, 0.9], 4, lone, team=LoneAgents())
+        names = sorted(p.name for p in stacked.iterdir())
+        assert names == sorted(p.name for p in lone.iterdir())
+        for name in names:
+            assert (stacked / name).read_bytes() == (lone / name).read_bytes(), name
 
     def test_eval_random_team(self, tmp_path):
         cfg_path, out_dir = write_config(tmp_path, strategy="random")

@@ -14,7 +14,7 @@ from torus_pursuit.config import (
     load_config,
     save_config,
 )
-from torus_pursuit.ddpg import AgentLearner, Transition, heading_to_vector
+from torus_pursuit.ddpg import TeamLearner, heading_to_vector
 from torus_pursuit.errors import (
     ConfigError,
     DigestMismatchError,
@@ -142,7 +142,8 @@ class TestConfigValidation:
 
 class TestCheckpointRoundTrip:
     def make_learner(self, seed=0):
-        learner = AgentLearner(
+        learner = TeamLearner(
+            1,
             obs_dim=4,
             rng=np.random.default_rng(seed),
             actor_hidden=(8,),
@@ -152,10 +153,8 @@ class TestCheckpointRoundTrip:
         rng = np.random.default_rng(seed + 1)
         for _ in range(10):
             theta = float(rng.uniform(-math.pi, math.pi))
-            learner.buffer.push(
-                Transition(rng.standard_normal(4), heading_to_vector(theta),
-                           float(rng.normal()), rng.standard_normal(4), False)
-            )
+            learner.buffer.push(rng.standard_normal((1, 4)), heading_to_vector(theta)[None],
+                                [float(rng.normal())], rng.standard_normal((1, 4)), False)
         return learner
 
     def test_bit_exact_round_trip(self, tmp_path):
@@ -164,34 +163,33 @@ class TestCheckpointRoundTrip:
         rng_states = {"env": np.random.default_rng(3).bit_generator.state,
                       "explore": [], "sample": []}
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, [learner], 2, 5, 105, rng_states)
-        loaded, session, epoch, global_epoch, states = load_checkpoint(path, cfg)
+        save_checkpoint(path, cfg, learner, 2, 5, 105, rng_states)
+        got, session, epoch, global_epoch, states = load_checkpoint(path, cfg)
         assert (session, epoch, global_epoch) == (2, 5, 105)
         assert states == rng_states
-        got = loaded[0]
         for a, b in zip(learner.actor.weights, got.actor.weights):
             assert np.array_equal(a, b)
         for a, b in zip(learner.critic_target.biases, got.critic_target.biases):
             assert np.array_equal(a, b)
-        assert np.array_equal(learner.buffer._obs[:10], got.buffer._obs[:10])
+        assert np.array_equal(learner.buffer._obs[0, :10], got.buffer._obs[0, :10])
         assert len(got.buffer) == len(learner.buffer)
         assert got.adam_critic.step == learner.adam_critic.step
         # identical behavior after reload
-        obs = np.random.default_rng(7).standard_normal(4)
+        obs = np.random.default_rng(7).standard_normal((1, 4))
         assert learner.act(obs) == got.act(obs)
 
     def test_digest_mismatch_rejected(self, tmp_path):
         cfg = ExperimentConfig()
         other = config_from_dict({"env": {"n": 2}})
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, [self.make_learner()], 0, 0, 0, {"env": None})
+        save_checkpoint(path, cfg, self.make_learner(), 0, 0, 0, {"env": None})
         with pytest.raises(DigestMismatchError):
             load_checkpoint(path, other)
 
     def test_unknown_schema_rejected(self, tmp_path):
         cfg = ExperimentConfig()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, [self.make_learner()], 0, 0, 0, {"env": None})
+        save_checkpoint(path, cfg, self.make_learner(), 0, 0, 0, {"env": None})
         doc = json.loads(path.read_text())
         doc["schema_version"] = 999
         path.write_text(json.dumps(doc))
@@ -201,11 +199,11 @@ class TestCheckpointRoundTrip:
     def test_floats_survive_decimal_round_trip(self, tmp_path):
         cfg = ExperimentConfig()
         learner = self.make_learner()
-        learner.actor.weights[0][0, 0] = 0.1 + 0.2  # not exactly representable as text
+        learner.actor.weights[0][0, 0, 0] = 0.1 + 0.2  # not exactly representable as text
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, [learner], 0, 0, 0, {"env": None})
+        save_checkpoint(path, cfg, learner, 0, 0, 0, {"env": None})
         loaded, *_ = load_checkpoint(path, cfg)
-        assert loaded[0].actor.weights[0][0, 0] == learner.actor.weights[0][0, 0]
+        assert loaded.actor.weights[0][0, 0, 0] == learner.actor.weights[0][0, 0, 0]
 
 
 class TestTrajectoryCsv:

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from torus_pursuit.ddpg import (
-    AgentLearner,
     OuNoise,
     ReplayBuffer,
-    Transition,
+    TeamLearner,
     TransitionBatch,
     heading_to_vector,
     normalize_action,
@@ -20,10 +19,11 @@ from torus_pursuit.errors import BufferNotReadyError
 from torus_pursuit.nn import forward
 
 
-def make_learner(obs_dim=4, hidden=(8, 8), critic_hidden=(8, 8), seed=0, **kw):
-    return AgentLearner(
-        obs_dim=obs_dim,
-        rng=np.random.default_rng(seed),
+def make_learner(obs_dim=4, hidden=(8, 8), critic_hidden=(8, 8), seed=0, n=1, **kw):
+    return TeamLearner(
+        n,
+        obs_dim,
+        np.random.default_rng(seed),
         actor_hidden=hidden,
         critic_hidden=critic_hidden,
         buffer_capacity=kw.pop("buffer_capacity", 1000),
@@ -31,15 +31,22 @@ def make_learner(obs_dim=4, hidden=(8, 8), critic_hidden=(8, 8), seed=0, **kw):
     )
 
 
-def random_transition(rng, obs_dim=4, terminal=False, reward=None):
-    theta = float(rng.uniform(-math.pi, math.pi))
-    return Transition(
-        obs=rng.standard_normal(obs_dim),
-        action_vector=heading_to_vector(theta),
-        reward=float(rng.normal()) if reward is None else reward,
-        next_obs=rng.standard_normal(obs_dim),
-        terminal=terminal,
+def push_random(buf, rng, terminal=False, reward=None):
+    """One step of random unit actions, observations and rewards for every agent."""
+    thetas = rng.uniform(-math.pi, math.pi, size=buf.agents)
+    buf.push(
+        rng.standard_normal((buf.agents, buf.obs_dim)),
+        np.array([heading_to_vector(t) for t in thetas]),
+        rng.normal(size=buf.agents) if reward is None else np.full(buf.agents, reward),
+        rng.standard_normal((buf.agents, buf.obs_dim)),
+        terminal,
     )
+
+
+def lone_batch(obs, actions, rewards, next_obs, terminals):
+    """A batch for the n=1 team: each array gains the agent axis."""
+    return TransitionBatch(*(np.asarray(a, dtype=np.float64)[None]
+                             for a in (obs, actions, rewards, next_obs, terminals)))
 
 
 class TestActionHead:
@@ -57,12 +64,19 @@ class TestActionHead:
 
     def test_act_deterministic(self):
         learner = make_learner()
-        obs = np.array([0.1, -0.2, 0.3, 0.4])
+        obs = np.array([[0.1, -0.2, 0.3, 0.4]])
         assert learner.act(obs) == learner.act(obs)
 
     def test_transition_rejects_non_unit_action(self):
-        with pytest.raises(ValueError):
-            Transition(np.zeros(4), np.array([0.5, 0.0]), 0.0, np.zeros(4), False)
+        buf = ReplayBuffer(capacity=4, obs_dim=4, agents=2)
+        actions = np.array([[1.0, 0.0], [0.5, 0.0]])
+        with pytest.raises(ValueError, match="agent 1: action vector norm 0.5"):
+            buf.push(np.zeros((2, 4)), actions, [0.0, 0.0], np.zeros((2, 4)), False)
+        with pytest.raises(ValueError, match="agent 0"):
+            buf.push(np.zeros((2, 4)), actions * np.nan, [0.0, 0.0], np.zeros((2, 4)), False)
+        with pytest.raises(ValueError, match="do not fit"):
+            buf.push(np.zeros(4), actions[:1], [0.0], np.zeros(4), False)
+        assert len(buf) == 0
 
     def test_normalization_jacobian_matches_finite_differences(self):
         # derivative of u -> u/||u|| away from vanishing norms
@@ -87,9 +101,9 @@ class TestActionHead:
 class TestExploration:
     def test_zero_sigma_matches_act(self):
         learner = make_learner(sigma_ou=0.0)
-        obs = np.array([0.5, 0.5, -0.5, 0.2])
+        obs = np.array([[0.5, 0.5, -0.5, 0.2]])
         rng = np.random.default_rng(3)
-        assert learner.act_explore(obs, rng) == learner.act(obs)
+        assert learner.act_explore(obs, [rng]) == learner.act(obs)
 
     def test_noise_long_run_mean_near_zero(self):
         noise = OuNoise(theta=0.15, sigma=0.2)
@@ -109,64 +123,80 @@ class TestExploration:
 
     def test_same_seed_same_action_sequence(self):
         learner = make_learner()
-        obs = np.array([0.1, 0.2, 0.3, 0.4])
+        obs = np.array([[0.1, 0.2, 0.3, 0.4]])
 
         def sequence(seed):
-            learner.noise.reset()
+            learner.reset_noise()
             rng = np.random.default_rng(seed)
-            return [learner.act_explore(obs, rng) for _ in range(20)]
+            return [learner.act_explore(obs, [rng]) for _ in range(20)]
 
         assert sequence(5) == sequence(5)
         assert sequence(5) != sequence(6)
+
+
+def push_reward(buf, r):
+    buf.push(np.array([[float(r)]]), np.array([[1.0, 0.0]]), [float(r)], np.array([[0.0]]), False)
 
 
 class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(capacity=3, obs_dim=1)
         for r in range(4):
-            buf.push(Transition(np.array([float(r)]), np.array([1.0, 0.0]),
-                                float(r), np.array([0.0]), False))
+            push_reward(buf, r)
         assert len(buf) == 3
-        stored = sorted(buf._rewards[:3].tolist())
+        stored = sorted(buf._rewards[0, :3].tolist())
         assert stored == [1.0, 2.0, 3.0]  # reward 0 (oldest) evicted
 
     def test_sample_deterministic_per_seed(self):
         rng = np.random.default_rng(13)
         buf = ReplayBuffer(capacity=50, obs_dim=2)
         for _ in range(50):
-            buf.push(random_transition(rng, obs_dim=2))
-        b1 = buf.sample(8, np.random.default_rng(9))
-        b2 = buf.sample(8, np.random.default_rng(9))
+            push_random(buf, rng)
+        b1 = buf.sample(8, [np.random.default_rng(9)])
+        b2 = buf.sample(8, [np.random.default_rng(9)])
         assert np.array_equal(b1.obs, b2.obs)
         assert np.array_equal(b1.rewards, b2.rewards)
 
     def test_underfilled_not_ready(self):
         buf = ReplayBuffer(capacity=10, obs_dim=2)
-        buf.push(random_transition(np.random.default_rng(0), obs_dim=2))
+        push_random(buf, np.random.default_rng(0))
         with pytest.raises(BufferNotReadyError):
-            buf.sample(2, np.random.default_rng(0))
+            buf.sample(2, [np.random.default_rng(0)])
 
     def test_sampling_uniformity(self):
-        rng = np.random.default_rng(17)
         buf = ReplayBuffer(capacity=10, obs_dim=1)
         for r in range(10):
-            buf.push(Transition(np.array([0.0]), np.array([1.0, 0.0]),
-                                float(r), np.array([0.0]), False))
+            push_reward(buf, r)
         sample_rng = np.random.default_rng(19)
         draws = np.concatenate(
-            [buf.sample(10, sample_rng).rewards for _ in range(10_000)]
+            [buf.sample(10, [sample_rng]).rewards[0] for _ in range(10_000)]
         )
         counts = np.bincount(draws.astype(int), minlength=10)
         expected = 10_000
         se = math.sqrt(100_000 * 0.1 * 0.9)
         assert np.all(np.abs(counts - expected) < 3 * se)
 
+    def test_each_agent_samples_its_own_ring_with_its_own_stream(self):
+        rng = np.random.default_rng(21)
+        team = ReplayBuffer(capacity=8, obs_dim=3, agents=3)
+        for _ in range(12):
+            push_random(team, rng)
+        lone = ReplayBuffer(capacity=8, obs_dim=3)
+        batch = team.sample(5, [np.random.default_rng(s) for s in (1, 2, 3)])
+        for i, seed in enumerate((1, 2, 3)):
+            for name in ("obs", "actions", "rewards", "next_obs", "terminals"):
+                getattr(lone, f"_{name}")[0] = getattr(team, f"_{name}")[i]
+            lone._next, lone._size = team._next, team._size
+            alone = lone.sample(5, [np.random.default_rng(seed)])
+            for name in ("obs", "actions", "rewards", "next_obs", "terminals"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)[0]), name
+
 
 class TestCriticUpdate:
     def test_terminal_masks_bootstrap(self):
         learner = make_learner(gamma=0.99)
         rng = np.random.default_rng(23)
-        batch = TransitionBatch(
+        batch = lone_batch(
             obs=rng.standard_normal((4, 4)),
             actions=np.tile([1.0, 0.0], (4, 1)),
             rewards=np.array([1.0, -1.0, 0.5, 2.0]),
@@ -175,9 +205,9 @@ class TestCriticUpdate:
         )
         # with all-terminal transitions the target is exactly r; loss should be
         # mean (Q - r)^2 computed before any update
-        q, _ = forward(learner.critic, np.hstack([batch.obs, batch.actions]))
-        expected = float(np.mean((q.ravel() - batch.rewards) ** 2))
-        assert learner.critic_update(batch) == pytest.approx(expected, abs=1e-12)
+        q, _ = forward(learner.critic.row(0), np.hstack([batch.obs[0], batch.actions[0]]))
+        expected = float(np.mean((q.ravel() - batch.rewards[0]) ** 2))
+        assert learner.critic_update(batch)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_gamma_zero_fixed_point(self):
         learner = make_learner(gamma=0.0)
@@ -185,47 +215,49 @@ class TestCriticUpdate:
         obs = rng.standard_normal((8, 4))
         actions = np.tile([0.0, 1.0], (8, 1))
         # train the critic to predict r exactly, then the loss must be ~0
-        batch = TransitionBatch(obs, actions, np.zeros(8), obs.copy(), np.zeros(8))
+        batch = lone_batch(obs, actions, np.zeros(8), obs.copy(), np.zeros(8))
         for w in learner.critic.weights:
             w[...] = 0.0
         for b in learner.critic.biases:
             b[...] = 0.0
-        assert learner.critic_update(batch) == pytest.approx(0.0, abs=1e-15)
+        assert learner.critic_update(batch)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_built_single_transition_loss(self):
         # tiny fixed nets: loss = (Q(s,a) - (r + gamma * Qt(s', mu_t(s'))))^2
         learner = make_learner(obs_dim=2, hidden=(3,), critic_hidden=(3,), gamma=0.9)
-        batch = TransitionBatch(
+        batch = lone_batch(
             obs=np.array([[0.2, -0.1]]),
             actions=np.array([[1.0, 0.0]]),
             rewards=np.array([0.7]),
             next_obs=np.array([[0.05, 0.3]]),
             terminals=np.zeros(1),
         )
-        raw_next, _ = forward(learner.actor_target, batch.next_obs[0])
+        raw_next, _ = forward(learner.actor_target.row(0), batch.next_obs[0, 0])
         a_next = raw_next / np.linalg.norm(raw_next)
-        q_next, _ = forward(learner.critic_target, np.concatenate([batch.next_obs[0], a_next]))
+        q_next, _ = forward(learner.critic_target.row(0),
+                            np.concatenate([batch.next_obs[0, 0], a_next]))
         y = 0.7 + 0.9 * float(q_next[0])
-        q, _ = forward(learner.critic, np.concatenate([batch.obs[0], batch.actions[0]]))
+        x = np.concatenate([batch.obs[0, 0], batch.actions[0, 0]])
+        q, _ = forward(learner.critic.row(0), x)
         expected = (float(q[0]) - y) ** 2
-        assert learner.critic_update(batch) == pytest.approx(expected, abs=1e-10)
+        assert learner.critic_update(batch)[0] == pytest.approx(expected, abs=1e-10)
 
 
 class TestActorUpdate:
     def test_returns_pre_update_mean_q(self):
         learner = make_learner()
         rng = np.random.default_rng(31)
-        batch = TransitionBatch(
+        batch = lone_batch(
             obs=rng.standard_normal((6, 4)),
             actions=np.tile([1.0, 0.0], (6, 1)),
             rewards=np.zeros(6),
             next_obs=rng.standard_normal((6, 4)),
             terminals=np.zeros(6),
         )
-        raw, _ = forward(learner.actor, batch.obs)
+        raw, _ = forward(learner.actor.row(0), batch.obs[0])
         a = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        q, _ = forward(learner.critic, np.hstack([batch.obs, a]))
-        assert learner.actor_update(batch) == pytest.approx(float(np.mean(q)), abs=1e-12)
+        q, _ = forward(learner.critic.row(0), np.hstack([batch.obs[0], a]))
+        assert learner.actor_update(batch)[0] == pytest.approx(float(np.mean(q)), abs=1e-12)
 
     def test_constant_critic_gives_zero_gradient(self):
         learner = make_learner()
@@ -236,7 +268,7 @@ class TestActorUpdate:
         learner.critic.biases[-1][...] = 3.0  # Q == 3 everywhere
         before = [w.copy() for w in learner.actor.weights]
         rng = np.random.default_rng(37)
-        batch = TransitionBatch(
+        batch = lone_batch(
             obs=rng.standard_normal((4, 4)),
             actions=np.tile([1.0, 0.0], (4, 1)),
             rewards=np.zeros(4),
@@ -250,28 +282,29 @@ class TestActorUpdate:
     def test_full_chain_matches_finite_differences(self):
         # directional probes of mean_b Q(s, normalize(actor(s))) wrt actor params
         learner = make_learner(obs_dim=3, hidden=(5,), critic_hidden=(6,))
+        actor, critic = learner.actor.row(0), learner.critic.row(0)
         rng = np.random.default_rng(41)
         obs = rng.standard_normal((5, 3))
 
         def objective():
-            raw, _ = forward(learner.actor, obs)
+            raw, _ = forward(actor, obs)
             a = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-            q, _ = forward(learner.critic, np.hstack([obs, a]))
+            q, _ = forward(critic, np.hstack([obs, a]))
             return float(np.mean(q))
 
         from torus_pursuit.nn import backward
 
-        raw, actor_cache = forward(learner.actor, obs)
+        raw, actor_cache = forward(actor, obs)
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         a = raw / norms
-        q, critic_cache = forward(learner.critic, np.hstack([obs, a]))
-        _, g_in = backward(learner.critic, critic_cache, np.full((5, 1), 1.0 / 5))
+        q, critic_cache = forward(critic, np.hstack([obs, a]))
+        _, g_in = backward(critic, critic_cache, np.full((5, 1), 1.0 / 5))
         g_a = g_in[:, 3:]
         g_u = (g_a - np.sum(g_a * a, axis=1, keepdims=True) * a) / norms
-        grads, _ = backward(learner.actor, actor_cache, g_u)
+        grads, _ = backward(actor, actor_cache, g_u)
 
         flat = grads
-        arrays = learner.actor.weights + learner.actor.biases
+        arrays = actor.weights + actor.biases
         worst = 0.0
         h = 1e-6
         for _ in range(40):
@@ -298,22 +331,22 @@ class TestActorUpdate:
         learner = make_learner(obs_dim=3, hidden=(6,), critic_hidden=(6,), lr_actor=1e-3)
         rng = np.random.default_rng(43)
         obs = rng.standard_normal((8, 3))
-        batch = TransitionBatch(
+        batch = lone_batch(
             obs=obs,
             actions=np.tile([1.0, 0.0], (8, 1)),
             rewards=np.zeros(8),
             next_obs=obs.copy(),
             terminals=np.zeros(8),
         )
-        before = learner.actor_update(batch)
-        after = learner.actor_update(batch)
+        before = learner.actor_update(batch)[0]
+        after = learner.actor_update(batch)[0]
         assert after >= before - 1e-12
 
 
 class TestTargets:
     def test_tau_one_copies_online(self):
         learner = make_learner(tau=1.0)
-        learner.critic.weights[0][0, 0] += 1.0
+        learner.critic.weights[0][0, 0, 0] += 1.0
         learner.soft_update_targets()
         assert np.allclose(learner.critic_target.weights[0], learner.critic.weights[0])
 
@@ -342,45 +375,69 @@ class TestTargets:
                 assert np.all(t >= lo) and np.all(t <= hi)
 
 
+NETWORKS = ("actor", "critic", "actor_target", "critic_target")
+RINGS = ("_obs", "_actions", "_rewards", "_next_obs", "_terminals")
+
+
 class TestDecentralization:
     def test_learners_share_no_arrays(self):
         rng = np.random.default_rng(53)
-        learners = [make_learner(seed=i) for i in range(3)]
-        seen: set[int] = set()
-        for learner in learners:
-            for net in (learner.actor, learner.critic, learner.actor_target,
-                        learner.critic_target):
-                for arr in net.weights + net.biases:
-                    assert id(arr) not in seen
-                    seen.add(id(arr))
-            for arr in (learner.buffer._obs, learner.buffer._actions,
-                        learner.buffer._rewards, learner.buffer._next_obs,
-                        learner.buffer._terminals, learner.noise.state):
-                assert id(arr) not in seen
-                seen.add(id(arr))
-        # mutating one learner leaves the others' outputs unchanged
-        obs = rng.standard_normal(4)
-        before = [lr.act(obs) for lr in learners]
-        learners[0].actor.weights[0][...] = 7.0
-        assert [lr.act(obs) for lr in learners[1:]] == before[1:]
+        team = make_learner(n=3)
+        per_agent = []
+        for i in range(3):
+            arrays = [a for net in NETWORKS for a in (getattr(team, net).row(i).weights
+                                                       + getattr(team, net).row(i).biases)]
+            arrays += [state.m[i] for state in (team.adam_actor, team.adam_critic)]
+            arrays += [state.v[i] for state in (team.adam_actor, team.adam_critic)]
+            arrays += [getattr(team.buffer, name)[i] for name in RINGS]
+            per_agent.append(arrays + [team.noise[i].state])
+        for i in range(3):
+            for j in range(i + 1, 3):
+                for a in per_agent[i]:
+                    assert not any(np.shares_memory(a, b) for b in per_agent[j])
+        # mutating one agent leaves the others' outputs unchanged
+        obs = rng.standard_normal((3, 4))
+        before = team.act(obs)
+        team.actor.weights[0][0][...] = 7.0
+        assert team.act(obs)[1:] == before[1:]
 
     def test_off_policy_batches_train_without_error(self):
         # transitions generated by an arbitrary scripted behavior policy
         learner = make_learner(obs_dim=4, buffer_capacity=256)
         rng = np.random.default_rng(59)
         for _ in range(64):
-            learner.buffer.push(random_transition(rng))
-        batch = learner.buffer.sample(32, rng)
+            push_random(learner.buffer, rng)
+        batch = learner.buffer.sample(32, [rng])
         loss = learner.critic_update(batch)
         q = learner.actor_update(batch)
-        assert math.isfinite(loss) and math.isfinite(q)
+        assert np.isfinite(loss).all() and np.isfinite(q).all()
+
+    def test_other_agents_parameters_never_reach_an_agent(self):
+        rng = np.random.default_rng(61)
+        team = filled_learner(0, 5, (12, 12), (12, 12, 12), 64, n=3)
+        batches = (team.buffer.sample(16, [rng] * 3), team.buffer.sample(16, [rng] * 3))
+        other = make_learner(5, (12, 12), (12, 12, 12), n=3)
+        other.state[...] = team.state
+        for net in NETWORKS:  # agent 1's networks only
+            getattr(other, net).flat[1] += rng.standard_normal(getattr(other, net).flat.shape[1])
+        results = []
+        for learner in (team, other):
+            loss = learner.critic_update(batches[0])
+            critic_grad = learner._update.critic.gradient()[0].copy()
+            mean_q = learner.actor_update(batches[1])
+            actor_grad = learner._update.actor.gradient()[0].copy()
+            results.append((loss, mean_q, critic_grad, actor_grad, learner.state.copy()))
+        for kept in (0, 2):
+            for got, want in zip(results[1], results[0]):
+                assert np.array_equal(got[kept], want[kept])
+        assert not np.array_equal(results[1][0][1], results[0][0][1])
 
 
 class TestBanditConvergence:
     def test_mean_reward_improves_on_smooth_bandit(self):
         # one-step bandit: fixed observation, reward = cos(heading - target)
         target = 2.0
-        obs = np.array([0.3, -0.7, 0.4, 0.1])
+        obs = np.array([[0.3, -0.7, 0.4, 0.1]])
         learner = make_learner(hidden=(32, 32), critic_hidden=(32, 32), seed=3,
                                gamma=0.5, lr_actor=1e-3, lr_critic=1e-3,
                                buffer_capacity=4096, tau=0.01)
@@ -391,70 +448,103 @@ class TestBanditConvergence:
 
         for _ in range(1024):
             theta = float(rng.uniform(-math.pi, math.pi))
-            learner.buffer.push(
-                Transition(obs, heading_to_vector(theta), reward(theta), obs, True)
-            )
-        before = reward(learner.act(obs))
+            learner.buffer.push(obs, heading_to_vector(theta)[None], [reward(theta)], obs, True)
+        before = reward(learner.act(obs)[0])
         for _ in range(2000):
-            batch = learner.buffer.sample(64, rng)
+            batch = learner.buffer.sample(64, [rng])
             learner.critic_update(batch)
             learner.actor_update(batch)
             learner.soft_update_targets()
-        after = reward(learner.act(obs))
+        after = reward(learner.act(obs)[0])
         assert after > before
         assert after > 0.9  # ends close to the optimum
 
 
-def filled_learner(seed, obs_dim, hidden, critic_hidden, transitions, **kw):
-    learner = make_learner(obs_dim, hidden, critic_hidden, seed=seed,
+def filled_learner(seed, obs_dim, hidden, critic_hidden, transitions, n=1, **kw):
+    learner = make_learner(obs_dim, hidden, critic_hidden, seed=seed, n=n,
                            buffer_capacity=transitions, **kw)
     rng = np.random.default_rng(seed + 100)
     for k in range(transitions):
-        learner.buffer.push(random_transition(rng, obs_dim, terminal=k % 7 == 0))
+        push_random(learner.buffer, rng, terminal=k % 7 == 0)
     return learner
 
 
 def update(learner, critic_batch, actor_batch):
-    learner.critic_update(critic_batch)
-    learner.actor_update(actor_batch)
+    losses = learner.critic_update(critic_batch)
+    mean_qs = learner.actor_update(actor_batch)
     learner.soft_update_targets()
+    return losses, mean_qs
+
+
+def agent_slice(batch, i):
+    return TransitionBatch(*(getattr(batch, f)[i : i + 1] for f in
+                             ("obs", "actions", "rewards", "next_obs", "terminals")))
+
+
+PAPER_SHAPE = dict(obs_dim=8, hidden=(128, 128), critic_hidden=(128, 128, 128))
 
 
 class TestScratch:
     def test_update_allocates_nothing_large(self):
-        # paper shape: obs 8, actor 128^2, critic 128^3, batch 512
-        learner = filled_learner(0, 8, (128, 128), (128, 128, 128), 1024)
-        rng = np.random.default_rng(1)
-        batches = (learner.buffer.sample(512, rng), learner.buffer.sample(512, rng))
+        # paper shape: n 3, obs 8, actor 128^2, critic 128^3, batch 512
+        team = filled_learner(0, 8, (128, 128), (128, 128, 128), 1024, n=3)
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        batches = (team.buffer.sample(512, rngs), team.buffer.sample(512, rngs))
         for _ in range(2):
-            update(learner, *batches)
+            update(team, *batches)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            update(learner, *batches)
+            update(team, *batches)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, f"transient peak {peak} bytes"
 
-    def test_shared_scratch_leaks_nothing_between_agents(self):
-        def pair():
-            return [filled_learner(seed, 5, (12, 12), (12, 12, 12), 64, tau=0.05)
-                    for seed in (0, 1)]
+    def test_team_scratch_stays_lean_at_paper_shape(self):
+        # every buffer the first update makes and keeps: activations, one
+        # input-gradient buffer, the gradient, the critic input
+        team = filled_learner(0, 8, (128, 128), (128, 128, 128), 1024, n=3)
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        batches = (team.buffer.sample(512, rngs), team.buffer.sample(512, rngs))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            update(team, *batches)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < 11_000_000, f"team scratch holds {held} bytes"
 
-        rng = np.random.default_rng(2)
-        batches = [[(a.buffer.sample(16, rng), a.buffer.sample(16, rng)) for a in pair()]
-                   for _ in range(4)]
-        team, lone = pair()[:2], pair()[0]
-        obs = np.linspace(-1.0, 1.0, 5)
-        for step in batches:
-            for agent, b in zip(team, step):
-                update(agent, *b)
-                agent.act(obs)
-            update(lone, *step[0])
-        for net in ("actor", "critic", "actor_target", "critic_target"):
-            assert np.array_equal(getattr(team[0], net).flat, getattr(lone, net).flat)
-        for opt in ("adam_actor", "adam_critic"):
-            assert np.array_equal(getattr(team[0], opt).m, getattr(lone, opt).m)
-            assert np.array_equal(getattr(team[0], opt).v, getattr(lone, opt).v)
-        assert not np.array_equal(team[0].actor.flat, team[1].actor.flat)
+    def test_shared_scratch_leaks_nothing_between_agents(self):
+        # a team of n equals n lone agents (n=1 teams) bit for bit
+        for n, (hidden, critic_hidden, rows) in [(2, ((12, 12), (12, 12, 12), 16)),
+                                                 (3, ((48, 48), (48, 48, 48), 96)),
+                                                 (5, ((12, 12), (12, 12, 12), 16))]:
+            team = filled_learner(n, 5, hidden, critic_hidden, 128, n=n, tau=0.05)
+            lone = []
+            for i in range(n):
+                agent = make_learner(5, hidden, critic_hidden, n=1, tau=0.05, buffer_capacity=128)
+                agent.state[0] = team.state[i]
+                for name in RINGS:
+                    getattr(agent.buffer, name)[0] = getattr(team.buffer, name)[i]
+                agent.buffer._next, agent.buffer._size = team.buffer._next, team.buffer._size
+                lone.append(agent)
+            obs = np.linspace(-1.0, 1.0, 5 * n).reshape(n, 5)
+            for step in range(4):
+                seeds = [10 * step + i for i in range(n)]
+                batches = [team.buffer.sample(rows, [np.random.default_rng(s) for s in seeds])
+                           for _ in range(2)]
+                losses, mean_qs = update(team, *batches)
+                headings = team.act(obs)
+                for i, agent in enumerate(lone):
+                    alone = agent.buffer.sample(rows, [np.random.default_rng(seeds[i])])
+                    assert np.array_equal(alone.obs, batches[0].obs[i : i + 1])
+                    loss, mean_q = update(agent, *(agent_slice(b, i) for b in batches))
+                    assert (loss[0], mean_q[0]) == (losses[i], mean_qs[i])
+                    assert agent.act(obs[i : i + 1]) == headings[i : i + 1]
+            for i, agent in enumerate(lone):
+                # networks, targets and Adam moments
+                assert np.array_equal(team.state[i], agent.state[0])
+                assert (agent.adam_actor.step, agent.adam_critic.step) == (4, 4)
+            assert not np.array_equal(team.state[0], team.state[1])

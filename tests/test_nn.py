@@ -541,13 +541,17 @@ class TestWorkspace:
         params = mlp_init([3, 5, 2], np.random.default_rng(79))
         single = Workspace(params.layer_sizes)
         forward(params, np.ones(3), single)
-        assert single._vectors == []  # a forward never makes parameter-sized vectors
+        assert single._pool.buffers == {}  # a forward never makes the gradient buffers
+        # sharing lends the gradient and input-gradient buffers to any layout
+        other = mlp_init([6, 4, 1], np.random.default_rng(80))
         batch = Workspace(params.layer_sizes, 4, shared=single)
+        wide = Workspace(other.layer_sizes, 4, shared=single)
         _, cache = forward(params, np.ones((4, 3)), batch)
-        grads, _ = backward(params, cache, np.ones((4, 2)))
-        assert grads is single._parameter_vectors()[0]
-        with pytest.raises(ValueError):
-            Workspace([3, 6, 2], 4, shared=single)
+        grads, gx = backward(params, cache, np.ones((4, 2)))
+        _, cache = forward(other, np.ones((4, 6)), wide)
+        other_grads, other_gx = backward(other, cache, np.ones((4, 1)))
+        assert np.shares_memory(grads, other_grads) and np.shares_memory(gx, other_gx)
+        assert not np.shares_memory(batch.activations[0], wide.activations[0])
 
     def test_layout_and_rows_must_match(self):
         params = mlp_init([3, 5, 2], np.random.default_rng(83))

@@ -19,10 +19,10 @@ from .curriculum import (
 from .ddpg import OuNoise, ReplayBuffer, TeamLearner
 from .environment import (
     EnvConfig,
-    Pose,
     StepOutcome,
     WorldState,
     is_captured,
+    make_state,
     observe_full,
     observe_partial,
     reset,
@@ -49,7 +49,6 @@ __all__ = [
     "OuNoise",
     "PolarContact",
     "Point2",
-    "Pose",
     "ReplayBuffer",
     "ReplicaSelection",
     "SessionPlan",
@@ -71,6 +70,7 @@ __all__ = [
     "instantaneous_coordination",
     "is_captured",
     "load_config",
+    "make_state",
     "observe_full",
     "observe_partial",
     "pincer_headings",

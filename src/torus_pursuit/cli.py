@@ -34,7 +34,7 @@ from .errors import (
     SchemaVersionError,
 )
 from .evader import PolarContact, heading_from_contacts
-from .evaluation import run_eval
+from .evaluation import check_ratio_labels, run_eval
 from .selfcheck import angular_difference, run_selfcheck
 from .training import run_training
 
@@ -69,7 +69,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ratios = _parse_ratios(args.ratios) if args.ratios else [config.env.velocity_ratio]
     for ratio in ratios:
         check_ratio(config.env, ratio, "--ratios")
-    episodes = args.episodes if args.episodes else config.metrics.eval_episodes
+    try:
+        check_ratio_labels(ratios)
+    except ValueError as exc:
+        raise ConfigError(f"--ratios: {exc}") from exc
+    if args.episodes is not None and args.episodes < 1:
+        raise ConfigError(f"--episodes: must be >= 1, got {args.episodes}")
+    episodes = args.episodes if args.episodes is not None else config.metrics.eval_episodes
     team = None
     if config.run.strategy in ("cd_ddpg", "cd_ddpg_partial"):
         if not args.checkpoint:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .geometry import Point2
+import numpy as np
+
+from .environment import WorldState
 from .pursuit import greedy_heading
 
 
@@ -87,9 +89,10 @@ class SessionPlan:
         return sum(s.epochs for s in self.sessions)
 
 
-def scripted_action(pursuer_pose, evader_position: Point2) -> float:
-    """Supervisory warm-up policy: run straight at the evader (greedy chase)."""
-    return greedy_heading(pursuer_pose, evader_position)
+def scripted_action(state: WorldState) -> np.ndarray:
+    """Supervisory warm-up policy: every pursuer runs straight at the evader
+    (greedy chase); headings (E, n)."""
+    return greedy_heading(state)
 
 
 def behavior_for_epoch(plan: SessionPlan, session: int, epoch: int) -> BehaviorPhase:

@@ -12,19 +12,30 @@ the spawn separation `capture_radius + pursuer_speed + evader_speed` from
 the evader, the farthest distance from which the first step can capture
 whatever the headings. `step` refuses any captured state, so a spawn can
 neither start captured nor be played on.
+
+Every function works on E episodes at once. A `WorldState` holds positions
+(E, n+1, 2) and headings (E, n+1), pursuers first and the evader last, and
+one step counter the episodes share; `reset` draws E spawns and `step`
+advances all of them, returning per-episode rewards and flags of shape (E,).
+Training runs one episode (E = 1) through the same functions that
+evaluation uses for lockstep batches. Results equal those of stepping each
+episode on its own bit for bit: per-element `math.hypot`/`math.atan2`
+where numpy's own versions round differently, sums over pursuers taken left
+to right, and degenerate-surround draws made in episode order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EpisodeDoneError
 from .evader import evade_heading
-from .geometry import Point2, displacement, distance, normalize_angle, wrap
+from .geometry import normalize_angles, offsets, polar, wrap_coords
 
 CAPTURE_REWARD = 50.0
 STEP_PENALTY = -0.1
@@ -35,33 +46,177 @@ STEP_PENALTY = -0.1
 MAX_EXPECTED_SPAWN_DRAWS = 1000.0
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Position and heading of one agent; heading normalized to [-pi, pi)."""
-
-    position: Point2
-    heading: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.heading):
-            raise ValueError(f"non-finite heading {self.heading!r}")
-        if not (-math.pi <= self.heading < math.pi):
-            raise ValueError(f"heading {self.heading!r} not normalized to [-pi, pi)")
-
-
-@dataclass(frozen=True)
 class WorldState:
-    """Poses of all pursuers and the evader, plus the step counter."""
+    """Poses of E episodes that share one step counter.
 
-    pursuers: tuple[Pose, ...]
-    evader: Pose
-    step: int
+    ``positions`` (E, n+1, 2) holds the pursuers in index order and then the
+    evader, all in [0, 1)^2; ``headings`` (E, n+1) holds their headings in
+    [-pi, pi). The pose properties are views into these two arrays. The
+    offsets, distances and bearings between agents are computed once per
+    state, when first asked for, and shared by the capture test, the evader,
+    greedy, pincer and the observations, so a state must not be changed
+    once built. Nothing is checked here, since every state comes from
+    `reset`, `step` or `make_state`.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.pursuers) < 1:
-            raise ValueError("at least one pursuer is required")
-        if self.step < 0:
-            raise ValueError(f"negative step counter {self.step}")
+    __slots__ = ("positions", "headings", "step", "_units", "_pair_offsets", "_contacts")
+
+    def __init__(
+        self,
+        positions: np.ndarray,
+        headings: np.ndarray,
+        step: int = 0,
+        units: np.ndarray | None = None,
+    ):
+        self.positions = positions
+        self.headings = headings
+        self.step = step
+        self._units = units
+        self._pair_offsets: np.ndarray | None = None
+        self._contacts: Contacts | None = None
+
+    @property
+    def episodes(self) -> int:
+        return self.positions.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.positions.shape[1] - 1
+
+    @property
+    def pursuers(self) -> np.ndarray:
+        """(E, n, 2) pursuer positions."""
+        return self.positions[:, :-1]
+
+    @property
+    def evader(self) -> np.ndarray:
+        """(E, 2) evader positions."""
+        return self.positions[:, -1]
+
+    @property
+    def pursuer_headings(self) -> np.ndarray:
+        return self.headings[:, :-1]
+
+    @property
+    def evader_heading(self) -> np.ndarray:
+        return self.headings[:, -1]
+
+    @property
+    def units(self) -> np.ndarray:
+        """(E, n+1, 2) cos and sin of every heading: the unit vector each
+        agent moved along to reach this state."""
+        if self._units is None:
+            self._units = np.stack((np.cos(self.headings), np.sin(self.headings)), axis=-1)
+        return self._units
+
+    @property
+    def pair_offsets(self) -> np.ndarray:
+        """(E, n+1, n+1, 2): [:, i, j] is the minimal wrapped offset from
+        agent i to agent j; agent n is the evader."""
+        if self._pair_offsets is None:
+            self._pair_offsets = offsets(self.positions[:, :, None], self.positions[:, None])
+        return self._pair_offsets
+
+    @property
+    def chase_offsets(self) -> np.ndarray:
+        """(E, n, 2) offsets from each pursuer to its evader."""
+        return self.pair_offsets[:, :-1, -1]
+
+    @property
+    def contacts(self) -> Contacts:
+        """Distances and bearings between each pursuer and its evader."""
+        if self._contacts is None:
+            e, n = self.episodes, self.n
+            r, theta = polar(self.pair_offsets[_contact_index(e, n)])
+            polar_arrays = np.array((r, theta)).reshape(2, 2, e, n)
+            polar_arrays.flags.writeable = False
+            chase = r[: e * n]
+            self._contacts = Contacts(polar_arrays[0], polar_arrays[1], min(chase),
+                                       0.0 in chase, 0.0 in r[e * n :])
+        return self._contacts
+
+    @property
+    def chase_distances(self) -> np.ndarray:
+        """(E, n) torus distances from each pursuer to its evader."""
+        return self.contacts.distances[0]
+
+    @property
+    def chase_bearings(self) -> np.ndarray:
+        """(E, n) bearings from each pursuer to its evader, in [-pi, pi)."""
+        return self.contacts.bearings[0]
+
+    @property
+    def contact_distances(self) -> np.ndarray:
+        """(E, n) distances from each evader to its pursuers."""
+        return self.contacts.distances[1]
+
+    @property
+    def contact_bearings(self) -> np.ndarray:
+        """(E, n) bearings from each evader to its pursuers, in [-pi, pi)."""
+        return self.contacts.bearings[1]
+
+    def select(self, keep: np.ndarray) -> "WorldState":
+        """The episodes picked by a boolean mask or index array, same step."""
+        units = None if self._units is None else self._units[keep]
+        return WorldState(self.positions[keep], self.headings[keep], self.step, units)
+
+
+class Contacts(NamedTuple):
+    """Pursuer-evader geometry of a state: distances and bearings (2, E, n),
+    [0] from each pursuer to its evader and [1] the other way round; the
+    smallest pursuer-to-evader distance; and whether some offset in either
+    direction is exactly zero."""
+
+    distances: np.ndarray
+    bearings: np.ndarray
+    nearest: float
+    chase_singular: bool
+    contact_singular: bool
+
+
+@functools.lru_cache(maxsize=16)
+def _contact_index(e: int, n: int) -> tuple[np.ndarray, ...]:
+    """Indices into pair_offsets giving (2, E, n, 2): [0] pursuer -> evader,
+    [1] evader -> pursuer."""
+    pursuers = np.arange(n)
+    evader = np.full(n, n)
+    episodes = np.arange(e)[None, :, None]
+    return episodes, np.stack((pursuers, evader))[:, None], np.stack((evader, pursuers))[:, None]
+
+
+def make_state(
+    pursuer_xy,
+    evader_xy,
+    pursuer_headings=None,
+    evader_heading=None,
+    step: int = 0,
+) -> WorldState:
+    """A checked state from positions (E, n, 2) and (E, 2), or (n, 2) and (2,)
+    for one episode; headings default to 0."""
+    pursuers = np.array(pursuer_xy, dtype=np.float64)
+    evader = np.array(evader_xy, dtype=np.float64)
+    if pursuers.ndim == 2:
+        pursuers, evader = pursuers[None], evader[None]
+    if pursuers.ndim != 3 or pursuers.shape[1] == 0 or pursuers.shape[2] != 2:
+        raise ValueError(f"pursuer positions must be (E, n>=1, 2), got {pursuers.shape}")
+    e, n = pursuers.shape[:2]
+    if evader.shape != (e, 2):
+        raise ValueError(f"evader positions must be ({e}, 2), got {evader.shape}")
+    positions = np.concatenate((pursuers, evader[:, None, :]), axis=1)
+    headings = np.zeros((e, n + 1))
+    if pursuer_headings is not None:
+        headings[:, :n] = np.reshape(pursuer_headings, (e, n))
+    if evader_heading is not None:
+        headings[:, n] = np.reshape(evader_heading, e)
+    if not (np.isfinite(positions).all() and (positions >= 0.0).all()
+            and (positions < 1.0).all()):
+        raise ValueError("positions must be finite and in [0, 1)^2; use wrap_coords")
+    if not (np.isfinite(headings).all() and (headings >= -math.pi).all()
+            and (headings < math.pi).all()):
+        raise ValueError("headings must be finite and normalized to [-pi, pi)")
+    if step < 0:
+        raise ValueError(f"negative step counter {step}")
+    return WorldState(positions, headings, step)
 
 
 @dataclass(frozen=True)
@@ -115,137 +270,129 @@ class EnvConfig:
         return (1.0 - math.pi * self.spawn_separation**2) ** -self.n
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    """Per-step result; the reward tuple holds one (shared) value per pursuer."""
+class StepOutcome(NamedTuple):
+    """Per-episode step result: the reward every pursuer of an episode shares,
+    and whether the step captured or truncated it. All arrays are (E,)."""
 
-    rewards: tuple[float, ...]
-    captured: bool
-    done: bool
-    truncated: bool
+    rewards: np.ndarray
+    captured: np.ndarray
+    truncated: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.captured and not self.done:
-            raise ValueError("captured implies done")
-        if self.truncated and (not self.done or self.captured):
-            raise ValueError("truncated implies done and not captured")
+    @property
+    def done(self) -> np.ndarray:
+        return self.captured | self.truncated
 
 
-def _random_pose(rng: np.random.Generator) -> Pose:
-    x = rng.uniform(0.0, 1.0)
-    y = rng.uniform(0.0, 1.0)
-    heading = rng.uniform(-math.pi, math.pi)
-    return Pose(Point2(x, y), heading)
-
-
-def reset(config: EnvConfig, rng: np.random.Generator) -> WorldState:
-    """Fresh episode: poses uniform on the torus, headings uniform, no pursuer
+def reset(config: EnvConfig, rng: np.random.Generator, episodes: int = 1) -> WorldState:
+    """Fresh episodes: poses uniform on the torus, headings uniform, no pursuer
     within `config.spawn_separation` of the evader.
 
-    The whole spawn (pursuers in index order, then the evader) is redrawn
-    from `rng` until every pursuer is farther than the separation, so no
+    Episodes are drawn one after another from `rng`. Each spawn draws x, y
+    and heading per pose, pursuers in index order and then the evader, and is
+    redrawn whole until every pursuer is farther than the separation, so no
     episode starts captured or one step from capture. The rule compares
     relative positions only, so by the torus's translation symmetry each
     pose's marginal stays uniform.
     """
-    separation = config.spawn_separation
-    while True:
-        pursuers = tuple(_random_pose(rng) for _ in range(config.n))
-        evader = _random_pose(rng)
-        if all(distance(p.position, evader.position) > separation for p in pursuers):
-            return WorldState(pursuers=pursuers, evader=evader, step=0)
+    n = config.n
+    low = np.tile((0.0, 0.0, -math.pi), n + 1)
+    high = np.tile((1.0, 1.0, math.pi), n + 1)
+    poses = np.empty((episodes, n + 1, 3))
+    for e in range(episodes):
+        while True:
+            draw = rng.uniform(low, high).reshape(1, n + 1, 3)
+            spawn = WorldState(draw[..., :2], draw[..., 2])
+            if (spawn.chase_distances > config.spawn_separation).all():
+                break
+        poses[e] = draw[0]
+    return WorldState(poses[..., :2].copy(), poses[..., 2].copy())
 
 
-def is_captured(state: WorldState, config: EnvConfig) -> bool:
-    """True iff some pursuer is within capture_radius of the evader (closed)."""
-    e = state.evader.position
-    return any(distance(p.position, e) <= config.capture_radius for p in state.pursuers)
+def is_captured(state: WorldState, config: EnvConfig) -> np.ndarray:
+    """(E,) mask: some pursuer within capture_radius of the evader (closed)."""
+    return (state.chase_distances <= config.capture_radius).any(axis=1)
 
 
-def _advance(pose_position: Point2, heading: float, speed: float) -> Point2:
-    return wrap(
-        pose_position.x + speed * math.cos(heading),
-        pose_position.y + speed * math.sin(heading),
-    )
+@functools.lru_cache(maxsize=8)
+def _speeds(n: int, pursuer_speed: float, evader_speed: float) -> np.ndarray:
+    """(n+1, 1) speed of every agent, pursuers first."""
+    return np.array([pursuer_speed] * n + [evader_speed])[:, None]
 
 
 def step(
     state: WorldState,
-    pursuer_headings: Sequence[float],
+    pursuer_headings: np.ndarray,
     config: EnvConfig,
     rng: np.random.Generator,
 ) -> tuple[WorldState, StepOutcome]:
-    """Advance one time-step with the given pursuer headings.
+    """Advance every episode of `state` one time-step; headings are (E, n).
 
-    The evader's heading is computed from `state` before anyone moves, so the
-    transition is simultaneous. The rng is consumed only when the evader's
-    escape field is degenerate (perfectly symmetric surround).
+    Each evader's heading is computed from `state` before anyone moves, so
+    the transition is simultaneous. The rng is consumed only when an
+    evader's escape field is degenerate (perfectly symmetric surround), once
+    per such episode in episode order.
     """
     if state.step >= config.episode_length:
         raise EpisodeDoneError(f"episode already truncated at step {state.step}")
-    if is_captured(state, config):
+    if state.contacts.nearest <= config.capture_radius:
         raise EpisodeDoneError("episode already ended by capture")
-    if len(pursuer_headings) != len(state.pursuers):
+    e, n = state.episodes, state.n
+    if np.shape(pursuer_headings) != (e, n):
         raise ValueError(
-            f"expected {len(state.pursuers)} headings, got {len(pursuer_headings)}"
+            f"expected headings of shape {(e, n)}, got {np.shape(pursuer_headings)}"
         )
-    for h in pursuer_headings:
-        if not math.isfinite(h):
-            raise ValueError(f"non-finite pursuer heading {h!r}")
+    chosen = np.array(pursuer_headings, dtype=np.float64)
+    if not max(map(abs, chosen.ravel().tolist()), default=0.0) < math.pi:
+        finite = np.isfinite(chosen)
+        if not finite.all():
+            raise ValueError(f"non-finite pursuer heading {float(chosen[~finite][0])!r}")
+        normalize_angles(chosen)
+    headings = np.concatenate((chosen, evade_heading(state, rng)[:, None]), axis=1)
 
-    evader_theta = evade_heading(
-        state.evader.position, [p.position for p in state.pursuers], rng
-    )
+    units = np.empty(state.positions.shape)
+    np.cos(headings, out=units[..., 0])
+    np.sin(headings, out=units[..., 1])
+    moved = units * _speeds(n, config.pursuer_speed, config.evader_speed)
+    moved += state.positions
+    new_state = WorldState(wrap_coords(moved), headings, state.step + 1, units)
 
-    new_pursuers = tuple(
-        Pose(
-            _advance(p.position, normalize_angle(h), config.pursuer_speed),
-            normalize_angle(h),
-        )
-        for p, h in zip(state.pursuers, pursuer_headings)
-    )
-    new_evader = Pose(
-        _advance(state.evader.position, evader_theta, config.evader_speed), evader_theta
-    )
-    new_state = WorldState(pursuers=new_pursuers, evader=new_evader, step=state.step + 1)
-
-    captured = is_captured(new_state, config)
-    truncated = not captured and new_state.step >= config.episode_length
-    reward = CAPTURE_REWARD if captured else STEP_PENALTY
-    outcome = StepOutcome(
-        rewards=tuple(reward for _ in new_pursuers),
-        captured=captured,
-        done=captured or truncated,
-        truncated=truncated,
-    )
-    return new_state, outcome
+    if new_state.contacts.nearest > config.capture_radius:
+        captured = np.zeros(e, dtype=bool)
+        rewards = np.full(e, STEP_PENALTY)
+    else:
+        captured = is_captured(new_state, config)
+        rewards = np.where(captured, CAPTURE_REWARD, STEP_PENALTY)
+    if new_state.step >= config.episode_length:
+        truncated = ~captured
+    else:
+        truncated = np.zeros(e, dtype=bool)
+    return new_state, StepOutcome(rewards, captured, truncated)
 
 
-def observe_full(state: WorldState, i: int) -> np.ndarray:
-    """Observation with teammate information.
+@functools.lru_cache(maxsize=8)
+def _observed(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (n, n): row i picks agent i's offsets to the evader and
+    then to every teammate j != i in ascending order."""
+    cols = [[n] + [j for j in range(n) if j != i] for i in range(n)]
+    return np.arange(n)[:, None], np.array(cols, dtype=np.intp)
 
-    Layout: [cos h_i, sin h_i, disp(p_i -> evader), disp(p_i -> p_j) for all
-    j != i in ascending index order]; length 2 + 2 + 2*(n-1).
+
+def observe_partial(state: WorldState) -> np.ndarray:
+    """Private observations (E, n, 4): cos and sin of the pursuer's own
+    heading, then its offset to the evader."""
+    return np.concatenate((state.units[:, :-1], state.chase_offsets), axis=-1)
+
+
+def observe_full(state: WorldState) -> np.ndarray:
+    """Observations with teammate information, (E, n, 4 + 2(n-1)).
+
+    Row i: [cos h_i, sin h_i, disp(p_i -> evader), disp(p_i -> p_j) for all
+    j != i in ascending index order].
     """
-    me = state.pursuers[i]  # raises IndexError for bad i
-    parts = [math.cos(me.heading), math.sin(me.heading)]
-    de = displacement(me.position, state.evader.position)
-    parts.extend((de.dx, de.dy))
-    for j, other in enumerate(state.pursuers):
-        if j == i:
-            continue
-        dt = displacement(me.position, other.position)
-        parts.extend((dt.dx, dt.dy))
-    return np.array(parts, dtype=np.float64)
-
-
-def observe_partial(state: WorldState, i: int) -> np.ndarray:
-    """Private observation: own heading and the evader offset only; length 4."""
-    me = state.pursuers[i]
-    de = displacement(me.position, state.evader.position)
-    return np.array(
-        [math.cos(me.heading), math.sin(me.heading), de.dx, de.dy], dtype=np.float64
-    )
+    e, n = state.episodes, state.n
+    rows, cols = _observed(n)
+    offsets_seen = state.pair_offsets[:, rows, cols].reshape(e, n, 2 * n)
+    return np.concatenate((state.units[:, :-1], offsets_seen), axis=-1)
 
 
 def observation_dim(n: int, partial: bool) -> int:

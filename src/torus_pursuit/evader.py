@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import SingularityError
-from .geometry import Point2, displacement, normalize_angle
+from .geometry import atan2_bearings, normalize_angle
+
+if TYPE_CHECKING:
+    from .environment import WorldState
 
 # Below this resultant magnitude the surround is treated as perfectly
 # symmetric and the escape heading is drawn uniformly at random.
@@ -55,36 +58,41 @@ def field_coefficients(contacts: Sequence[PolarContact]) -> tuple[float, float]:
     return a, b
 
 
-def contacts_from_positions(
-    evader_position: Point2, pursuer_positions: Sequence[Point2]
-) -> list[PolarContact]:
-    """Build polar contacts from minimal wrapped displacements."""
-    contacts = []
-    for q in pursuer_positions:
-        d = displacement(evader_position, q)
-        r = d.norm()
-        if r == 0.0:
-            raise SingularityError("pursuer co-located with evader")
-        contacts.append(PolarContact(r, d.bearing()))
-    return contacts
+def field_heading(field: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Global minimizer atan2(-B, -A) for rows A and B of `field` (2, E).
+
+    Episodes whose resultant is below DEGENERACY_THRESHOLD draw a uniform
+    heading from `rng`, one draw per such episode in episode order.
+    """
+    a, b = field.tolist()
+    theta = np.array(atan2_bearings([-v for v in b], [-v for v in a]))
+    for e, magnitude in enumerate(map(math.hypot, a, b)):
+        if magnitude < DEGENERACY_THRESHOLD:
+            # Perfectly balanced surround: any deterministic pick would be
+            # exploitable, so break the symmetry randomly.
+            theta[e] = normalize_angle(rng.uniform(-math.pi, math.pi))
+    return theta
 
 
 def heading_from_contacts(contacts: Sequence[PolarContact], rng: np.random.Generator) -> float:
     """Global minimizer of the escape potential for the given contacts."""
-    a, b = field_coefficients(contacts)
-    if math.hypot(a, b) < DEGENERACY_THRESHOLD:
-        # Perfectly balanced surround: any deterministic pick would be
-        # exploitable, so break the symmetry randomly.
-        return normalize_angle(rng.uniform(-math.pi, math.pi))
-    return normalize_angle(math.atan2(-b, -a))
+    return float(field_heading(np.array(field_coefficients(contacts))[:, None], rng)[0])
 
 
-def evade_heading(
-    evader_position: Point2,
-    pursuer_positions: Sequence[Point2],
-    rng: np.random.Generator,
-) -> float:
-    """Escape heading for an evader at evader_position, in [-pi, pi)."""
-    if not pursuer_positions:
-        raise ValueError("at least one pursuer is required")
-    return heading_from_contacts(contacts_from_positions(evader_position, pursuer_positions), rng)
+def evade_heading(state: WorldState, rng: np.random.Generator) -> np.ndarray:
+    """Escape headings (E,) in [-pi, pi), one per episode of `state`.
+
+    Contacts use the minimal wrapped offsets from the evader to its
+    pursuers; A and B sum them in pursuer order, as `field_coefficients` does.
+    """
+    if state.contacts.contact_singular:
+        raise SingularityError("pursuer co-located with evader")
+    r = state.contact_distances
+    theta = state.contact_bearings
+    # cos and sin of each bearing over its distance, (2, E, n)
+    w = np.empty((2,) + theta.shape)
+    np.cos(theta, out=w[0])
+    np.sin(theta, out=w[1])
+    w /= r
+    # A and B are running sums over the pursuers, taken left to right
+    return field_heading(np.add.accumulate(w, axis=-1)[..., -1], rng)

@@ -3,11 +3,23 @@
 Each sweep point runs a fixed number of episodes with exploration disabled
 (learned policies act deterministically; analytic strategies are pure) and
 logs full trajectories plus the capture-success rate per ratio.
+
+The greedy and pincer strategies roll a ratio's episodes in lockstep
+batches on one array state: every batch draws its spawns first, in episode
+order, then steps all its unfinished episodes at once, dropping each as it
+ends. A batch buffers at most LOCKSTEP_AGENT_STEPS agent rows and writes
+each episode's rows in one piece once it is done, in (episode, step, agent)
+order. The files equal those of rolling the episodes one after another: if
+an evader draws from the environment stream during a batch (a degenerate
+surround), the stream is rewound to before the batch and the batch replayed
+one episode at a time. The random and learned strategies roll batches of
+one episode, since per-step draws from one shared stream and stacked
+forward passes would not reproduce the one-at-a-time results.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -22,7 +34,12 @@ from .trajectory import TrajectoryWriter
 SUCCESS_SCHEMA = "pursuit-success-v1"
 SUCCESS_HEADER = "ratio,episodes,captures,success_rate"
 
-HeadingPolicy = Callable[[WorldState], list[float]]
+# Strategies whose episodes may share a lockstep batch.
+LOCKSTEP_STRATEGIES = ("greedy", "pincer")
+# Most agent rows (episodes x episode_length x (n + 1)) one batch buffers.
+LOCKSTEP_AGENT_STEPS = 1 << 18
+
+HeadingPolicy = Callable[[WorldState], np.ndarray]
 
 
 def make_policy(
@@ -31,58 +48,106 @@ def make_policy(
     policy_rng: np.random.Generator,
     pincer_k: int = 1,
 ) -> HeadingPolicy:
-    """Joint heading policy for one team strategy.
+    """Joint heading policy for one team strategy: headings (E, n) per state.
 
     A learned team acts with one stacked forward pass per step.
     """
     if strategy == "greedy":
-        return lambda s: [greedy_heading(p, s.evader.position) for p in s.pursuers]
+        return greedy_heading
     if strategy == "pincer":
         return lambda s: pincer_headings(s, pincer_k)
     if strategy == "random":
-        return lambda s: list(policy_rng.uniform(-np.pi, np.pi, size=len(s.pursuers)))
+        return lambda s: policy_rng.uniform(-np.pi, np.pi, size=s.pursuer_headings.shape)
     if strategy in ("cd_ddpg", "cd_ddpg_partial"):
         if team is None:
             raise ValueError(f"strategy {strategy!r} requires a trained team")
         observe = observe_partial if strategy == "cd_ddpg_partial" else observe_full
-        return lambda s: team.act(np.array([observe(s, i) for i in range(len(s.pursuers))]))
+        return lambda s: np.array([team.act(obs) for obs in observe(s)])
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+@dataclass
+class Rollout:
+    """A batch of frozen episodes; row j holds the batch's j-th episode.
+
+    poses (E, L, n+1, 3) holds x, y and heading of the pursuers and then the
+    evader after each step, and rewards (E, L) the shared pursuer reward;
+    only the first steps[j] entries of row j are set.
+    """
+
+    captured: np.ndarray
+    steps: np.ndarray
+    poses: np.ndarray
+    rewards: np.ndarray
 
 
 def rollout(
     env_cfg: EnvConfig,
     policy: HeadingPolicy,
     env_rng: np.random.Generator,
-    writer: TrajectoryWriter | None = None,
-    episode_index: int = 0,
-) -> tuple[bool, int, float]:
-    """One frozen episode; returns (captured, steps, per-pursuer return)."""
-    state = reset(env_cfg, env_rng)
-    ep_return = 0.0
-    steps = 0
-    while True:
-        headings = policy(state)
-        state, outcome = step(state, headings, env_cfg, env_rng)
-        steps += 1
-        ep_return += outcome.rewards[0]
-        if writer is not None:
-            writer.write_step(
-                episode=episode_index,
-                step=state.step,
-                ratio=env_cfg.velocity_ratio,
-                evader_xy=(state.evader.position.x, state.evader.position.y),
-                evader_action=state.evader.heading,
-                pursuer_xy=[(p.position.x, p.position.y) for p in state.pursuers],
-                pursuer_actions=[p.heading for p in state.pursuers],
-                reward=outcome.rewards[0],
-                captured=outcome.captured,
-            )
-        if outcome.done:
-            return outcome.captured, steps, ep_return
+    episodes: int = 1,
+) -> Rollout:
+    """Roll `episodes` frozen episodes in lockstep from fresh spawns.
+
+    The results equal rolling the episodes one after another: a batch whose
+    evaders drew from `env_rng` is replayed one episode at a time.
+    """
+    saved = env_rng.bit_generator.state
+    state = reset(env_cfg, env_rng, episodes)
+    spawned = env_rng.bit_generator.state if episodes > 1 else None
+    length, n = env_cfg.episode_length, env_cfg.n
+    out = Rollout(
+        captured=np.zeros(episodes, dtype=bool),
+        steps=np.zeros(episodes, dtype=int),
+        poses=np.empty((episodes, length, n + 1, 3)),
+        rewards=np.empty((episodes, length)),
+    )
+    active = np.arange(episodes)
+    while active.size:
+        state, outcome = step(state, policy(state), env_cfg, env_rng)
+        t = state.step - 1
+        out.poses[active, t, :, :2] = state.positions
+        out.poses[active, t, :, 2] = state.headings
+        out.rewards[active, t] = outcome.rewards
+        done = outcome.done
+        if done.any():
+            out.captured[active[done]] = outcome.captured[done]
+            out.steps[active[done]] = state.step
+            active = active[~done]
+            state = state.select(~done)
+    if spawned is not None and env_rng.bit_generator.state != spawned:
+        # An evader drew from the stream mid-batch; one-at-a-time rollouts
+        # would have drawn it before the next episode's spawn.
+        env_rng.bit_generator.state = saved
+        parts = [rollout(env_cfg, policy, env_rng) for _ in range(episodes)]
+        return Rollout(*(np.concatenate(field) for field in zip(
+            *((p.captured, p.steps, p.poses, p.rewards) for p in parts))))
+    return out
 
 
 def ratio_label(ratio: float) -> str:
     return f"{ratio:g}".replace(".", "_")
+
+
+def check_ratio_labels(ratios: Sequence[float]) -> None:
+    """Raise ValueError, naming both, if two ratios share a log name."""
+    seen: dict[str, float] = {}
+    for ratio in ratios:
+        label = ratio_label(ratio)
+        if label in seen:
+            raise ValueError(
+                f"ratios {seen[label]!r} and {ratio!r} would both log to "
+                f"trajectories_ratio_{label}.csv"
+            )
+        seen[label] = ratio
+
+
+def lockstep_batch(env_cfg: EnvConfig, strategy: str, episodes: int) -> int:
+    """Episodes per lockstep batch for one ratio's sweep."""
+    if strategy not in LOCKSTEP_STRATEGIES:
+        return 1
+    rows = env_cfg.episode_length * (env_cfg.n + 1)
+    return max(1, min(episodes, LOCKSTEP_AGENT_STEPS // rows))
 
 
 def run_eval(
@@ -99,7 +164,12 @@ def run_eval(
     Writes success.csv plus one trajectory log per ratio into out_dir. The
     run seed drives both episode initialization and any policy randomness;
     each ratio gets its own derived stream so points are independent.
+    Raises ValueError for fewer than one episode and for two ratios that
+    share a log name.
     """
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
+    check_ratio_labels(ratios)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     strategy = strategy if strategy is not None else config.run.strategy
@@ -111,6 +181,7 @@ def run_eval(
         env_rng = np.random.default_rng(children[0])
         policy = make_policy(strategy, team, np.random.default_rng(children[1]),
                              config.run.pincer_k)
+        batch = lockstep_batch(env_cfg, strategy, episodes)
         writer = (
             TrajectoryWriter(out / f"trajectories_ratio_{ratio_label(ratio)}.csv")
             if write_logs
@@ -118,9 +189,13 @@ def run_eval(
         )
         captures = 0
         try:
-            for ep in range(episodes):
-                captured, _, _ = rollout(env_cfg, policy, env_rng, writer, ep)
-                captures += int(captured)
+            for start in range(0, episodes, batch):
+                rolled = rollout(env_cfg, policy, env_rng, min(batch, episodes - start))
+                captures += int(rolled.captured.sum())
+                if writer is not None:
+                    for j, t in enumerate(rolled.steps.tolist()):
+                        writer.write_episode(start + j, ratio, rolled.poses[j, :t],
+                                             rolled.rewards[j, :t], bool(rolled.captured[j]))
         finally:
             if writer is not None:
                 writer.close()

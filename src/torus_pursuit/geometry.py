@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Point2:
@@ -90,3 +92,55 @@ def replicate(p: Point2, k: int) -> list[tuple[float, float]]:
     if k < 0:
         raise ValueError(f"replication radius must be >= 0, got {k}")
     return [(p.x + di, p.y + dj) for di in range(-k, k + 1) for dj in range(-k, k + 1)]
+
+
+# -- arrays ----------------------------------------------------------------
+# The environment and the scripted strategies work on coordinate arrays whose
+# last axis is (x, y). These helpers are the elementwise counterparts of the
+# scalar functions above and round exactly like them: numpy's own arctan2 and
+# hypot differ from libm in the last bit for a few percent of inputs, so
+# `polar` calls math.hypot and math.atan2 per element.
+
+
+def offsets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`displacement(a, b)` elementwise: minimal wrapped offsets from a to b."""
+    d = b - a
+    d %= 1.0
+    np.subtract(d, 1.0, out=d, where=d >= 0.5)
+    return d
+
+
+def polar(d: np.ndarray) -> tuple[list[float], list[float]]:
+    """`Displacement2.norm` and `.bearing` of offsets d[..., (dx, dy)], as
+    flat lists in C order."""
+    xs, ys = d.reshape(-1, 2).T.tolist()
+    return list(map(math.hypot, xs, ys)), atan2_bearings(ys, xs)
+
+
+def bearings(d: np.ndarray) -> np.ndarray:
+    """`Displacement2.bearing` of offsets d[..., (dx, dy)], in [-pi, pi)."""
+    xs, ys = d.reshape(-1, 2).T.tolist()
+    return np.array(atan2_bearings(ys, xs)).reshape(d.shape[:-1])
+
+
+def atan2_bearings(ys: list[float], xs: list[float]) -> list[float]:
+    """normalize_angle(math.atan2(y, x)) over paired lists."""
+    t = list(map(math.atan2, ys, xs))
+    if math.pi in t:  # atan2 lies in [-pi, pi]; only +pi moves
+        t = [-math.pi if v == math.pi else v for v in t]
+    return t
+
+
+def normalize_angles(theta: np.ndarray) -> np.ndarray:
+    """`normalize_angle` elementwise, in place; returns theta."""
+    outside = ~(np.abs(theta) < math.pi)  # the identity holds inside
+    theta[outside] = [normalize_angle(v) for v in theta[outside].tolist()]
+    return theta
+
+
+def wrap_coords(v: np.ndarray) -> np.ndarray:
+    """`wrap` elementwise on raw planar coordinates, in place; returns v."""
+    v %= 1.0
+    if v.max(initial=0.0) >= 1.0:  # tiny negative v rounds up to exactly 1.0
+        v[v >= 1.0] = 0.0
+    return v

@@ -18,6 +18,12 @@ objective is within BALANCE_TIE_BAND of the best achievable, measured in
 units of the total threat weight, count as equally balanced; among them the
 smallest total replica distance wins, so the team closes the tightest ring
 that still cuts off the evader's bisector escapes.
+
+Both strategies act on a `WorldState` of E episodes and return headings
+(E, n). Pincer enumerates its joint grids in blocks of episodes holding at
+most PINCER_BLOCK_CELLS cells (one n=5 grid, or 81 episodes at n=3), so its
+memory never grows with E; the grids of a block are allocated once and
+reused, and a block with fewer episodes uses their leading rows.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 
 from .environment import WorldState
 from .errors import SingularityError
-from .geometry import Point2, displacement, distance, normalize_angle, replicate
+from .geometry import bearings
 
 # Fraction of the total threat weight within which assignments count as ties;
 # the distance tie-break then prefers tight encirclement. 0 would make the
@@ -44,27 +50,32 @@ BALANCE_TIE_BAND = 0.5
 # k=1) takes about 0.25 s a call and keeps 115 MB; n=8 would need 1 GB.
 MAX_PINCER_CELLS = 9**7
 
+# Most joint-grid cells one block of episodes enumerates at once: one n=5,
+# k=1 grid, or 81 episodes of n=3.
+PINCER_BLOCK_CELLS = 9**5
+
 
 @dataclass(frozen=True)
 class ReplicaSelection:
-    """One replica index per pursuer plus the balance objective it attains.
+    """One replica index per pursuer plus the balance objective it attains,
+    for each of E episodes.
 
-    objective_value is the maximized inner minimum (threat weights at true
-    wrapped distances, bearings of the selected replicas); total_distance sums
-    the planar replica-to-evader distances of the selection.
+    replica_index_per_pursuer is (E, n); objective_value (E,) is the
+    maximized inner minimum (threat weights at true wrapped distances,
+    bearings of the selected replicas); total_distance (E,) sums the planar
+    replica-to-evader distances of the selection.
     """
 
-    replica_index_per_pursuer: tuple[int, ...]
-    objective_value: float
-    total_distance: float
+    replica_index_per_pursuer: np.ndarray
+    objective_value: np.ndarray
+    total_distance: np.ndarray
 
 
-def greedy_heading(pursuer_pose, evader_position: Point2) -> float:
-    """Bearing of the minimal wrapped offset from the pursuer to the evader."""
-    d = displacement(pursuer_pose.position, evader_position)
-    if d.dx == 0.0 and d.dy == 0.0:
+def greedy_heading(state: WorldState) -> np.ndarray:
+    """Bearings (E, n) of the minimal wrapped offsets from each pursuer to its evader."""
+    if state.contacts.chase_singular:
         raise SingularityError("pursuer co-located with evader")
-    return d.bearing()
+    return state.chase_bearings
 
 
 def pincer_objective(
@@ -104,66 +115,87 @@ def check_pincer_grid(n: int, k: int) -> None:
         )
 
 
+@functools.lru_cache(maxsize=4)
+def _replica_offsets(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer offsets in `replicate` order, as float x and y columns."""
+    grid = np.array([(di, dj) for di in range(-k, k + 1) for dj in range(-k, k + 1)], float)
+    return grid[:, 0].copy(), grid[:, 1].copy()
+
+
 def pincer_selection(
     state: WorldState, k: int = 1, balance_tie_band: float = BALANCE_TIE_BAND
 ) -> ReplicaSelection:
-    """Exhaustive max-min over all (2k+1)^(2n) joint replica selections.
+    """Exhaustive max-min over all (2k+1)^(2n) joint replica selections, per
+    episode of `state`.
 
     Selections within balance_tie_band * (total threat weight) of the maximal
     objective tie; ties prefer the smallest total replica-evader distance and
     then the lexicographically smallest replica index tuple. Grids larger
     than MAX_PINCER_CELLS raise ValueError before anything is allocated.
+
+    Episodes are enumerated in blocks whose joint grids hold at most
+    PINCER_BLOCK_CELLS cells (one episode per block when a single grid is
+    larger), so memory does not grow with E.
     """
-    n = len(state.pursuers)
+    e_count, n = state.episodes, state.n
     check_pincer_grid(n, k)
     m = (2 * k + 1) ** 2
-    evader = state.evader.position
-    ev = np.array([evader.x, evader.y])
+    block = max(1, PINCER_BLOCK_CELLS // m**n)
 
-    wa, wb, rr = [], [], []
-    total_weight = 0.0
-    for p in state.pursuers:
-        true_r = distance(p.position, evader)
-        if true_r == 0.0:
-            raise SingularityError("pursuer co-located with evader")
-        weight = 1.0 / true_r
-        total_weight += weight
-        rel = np.asarray(replicate(p.position, k)) - ev
-        img_r = np.hypot(rel[:, 0], rel[:, 1])
-        if np.any(img_r == 0.0):
-            raise SingularityError("replica co-located with evader")
-        # weight * (cos, sin) of the evader-to-replica bearing
-        wa.append(weight * rel[:, 0] / img_r)
-        wb.append(weight * rel[:, 1] / img_r)
-        rr.append(img_r)
+    # threat weights at the true wrapped pursuer-to-evader distances
+    if state.contacts.chase_singular:
+        raise SingularityError("pursuer co-located with evader")
+    weight = 1.0 / state.chase_distances
+    total_weight = np.zeros(e_count)
+    for i in range(n):
+        total_weight += weight[:, i]
 
-    # Broadcast each pursuer's m-vector along its own axis of the joint grid.
-    a_tot, b_tot, d_tot, near = _pincer_grids((m,) * n)
-    for grid, parts in ((a_tot, wa), (b_tot, wb), (d_tot, rr)):
-        grid.fill(0.0)
-        for i, part in enumerate(parts):
-            shape = [1] * n
-            shape[i] = m
-            grid += part.reshape(shape)
+    pursuers, evader = state.pursuers, state.evader
+    ox, oy = _replica_offsets(k)
+    rel_x = (pursuers[..., 0, None] + ox) - evader[:, None, 0, None]
+    rel_y = (pursuers[..., 1, None] + oy) - evader[:, None, 1, None]
+    img_r = np.hypot(rel_x, rel_y)
+    if not img_r.all():
+        raise SingularityError("replica co-located with evader")
+    # weight * (cos, sin) of the evader-to-replica bearing, (E, n, m)
+    wa = weight[..., None] * rel_x / img_r
+    wb = weight[..., None] * rel_y / img_r
 
-    # objective = -sqrt(a_tot**2 + b_tot**2), computed in a_tot
-    np.multiply(a_tot, a_tot, out=a_tot)
-    np.multiply(b_tot, b_tot, out=b_tot)
-    a_tot += b_tot
-    np.sqrt(a_tot, out=a_tot)
-    np.negative(a_tot, out=a_tot)
-    objective = a_tot.ravel()
-    band = balance_tie_band * total_weight
-    np.greater_equal(objective, objective.max() - band, out=near.ravel())
-    candidates = np.flatnonzero(near)
-    dists = d_tot.ravel()[candidates]
-    pick = candidates[int(np.argmin(dists))]  # argmin keeps the first (lexicographic) minimum
-    indices = np.unravel_index(pick, (m,) * n)
-    return ReplicaSelection(
-        replica_index_per_pursuer=tuple(int(ix) for ix in indices),
-        objective_value=float(objective[pick]),
-        total_distance=float(d_tot.ravel()[pick]),
-    )
+    picks = np.empty(e_count, dtype=np.intp)
+    objective_value = np.empty(e_count)
+    total_distance = np.empty(e_count)
+    full = _pincer_grids((block,) + (m,) * n)
+    for start in range(0, e_count, block):
+        rows = slice(start, min(start + block, e_count))
+        size = rows.stop - rows.start
+        a_tot, b_tot, d_tot, far = (g[:size] for g in full)
+        # Broadcast each pursuer's m-vector along its own axis of the joint grid.
+        for grid, parts in ((a_tot, wa), (b_tot, wb), (d_tot, img_r)):
+            grid.fill(0.0)
+            for i in range(n):
+                shape = [size] + [1] * n
+                shape[1 + i] = m
+                grid += parts[rows, i].reshape(shape)
+
+        # objective = -sqrt(a_tot**2 + b_tot**2), computed in a_tot
+        np.multiply(a_tot, a_tot, out=a_tot)
+        np.multiply(b_tot, b_tot, out=b_tot)
+        a_tot += b_tot
+        np.sqrt(a_tot, out=a_tot)
+        np.negative(a_tot, out=a_tot)
+        objective = a_tot.reshape(size, -1)
+        dists = d_tot.reshape(size, -1)
+        floor = objective.max(axis=1) - balance_tie_band * total_weight[rows]
+        # outside the band the distance tie-break never looks
+        np.less(objective, floor[:, None], out=far.reshape(size, -1))
+        np.copyto(dists, np.inf, where=far.reshape(size, -1))
+        pick = np.argmin(dists, axis=1)  # argmin keeps the first (lexicographic) minimum
+        cells = np.arange(size)
+        picks[rows] = pick
+        objective_value[rows] = objective[cells, pick]
+        total_distance[rows] = dists[cells, pick]
+    indices = np.stack(np.unravel_index(picks, (m,) * n), axis=-1)
+    return ReplicaSelection(indices, objective_value, total_distance)
 
 
 @functools.lru_cache(maxsize=2)
@@ -171,19 +203,19 @@ def _pincer_grids(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Three float grids and one mask, reused by every call at one grid shape.
 
     Fresh full-grid temporaries on every call made glibc trim and refault
-    the heap; reusing the grids keeps each call's pages resident.
+    the heap; reusing the grids keeps each call's pages resident. Calls on
+    fewer episodes than a block use the leading rows of the grids.
     """
     return np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
 
 def pincer_headings(
     state: WorldState, k: int = 1, balance_tie_band: float = BALANCE_TIE_BAND
-) -> list[float]:
-    """One heading per pursuer: from its selected replica toward the evader."""
-    selection = pincer_selection(state, k, balance_tie_band)
-    evader = state.evader.position
-    headings = []
-    for pose, idx in zip(state.pursuers, selection.replica_index_per_pursuer):
-        rx, ry = replicate(pose.position, k)[idx]
-        headings.append(normalize_angle(math.atan2(evader.y - ry, evader.x - rx)))
-    return headings
+) -> np.ndarray:
+    """Headings (E, n): each pursuer runs from its selected replica toward the evader."""
+    idx = pincer_selection(state, k, balance_tie_band).replica_index_per_pursuer
+    ox, oy = _replica_offsets(k)
+    d = np.empty(idx.shape + (2,))
+    d[..., 0] = state.evader[:, None, 0] - (state.pursuers[..., 0] + ox[idx])
+    d[..., 1] = state.evader[:, None, 1] - (state.pursuers[..., 1] + oy[idx])
+    return bearings(d)

@@ -59,7 +59,9 @@ def check_evader_optimality(n_sets: int = 200, grid: int = 10_000) -> CheckResul
         ]
         h = heading_from_contacts(contacts, rng)
         got = evade_cost(h, contacts)
-        grid_min = min(evade_cost(t, contacts) for t in thetas)
+        rs = np.array([c.r for c in contacts])
+        bs = np.array([c.theta_rel for c in contacts])
+        grid_min = float(((1.0 / rs)[:, None] * np.cos(thetas - bs[:, None])).sum(axis=0).min())
         worst = max(worst, got - grid_min)
     return CheckResult(
         "evader-closed-form-optimality", worst <= 1e-9, f"max excess over grid min {worst:.2e}"

@@ -29,7 +29,7 @@ from .curriculum import (
     scripted_action,
     velocity_at_epoch,
 )
-from .ddpg import TeamLearner, heading_to_vector
+from .ddpg import TeamLearner
 from .environment import observation_dim, observe_full, observe_partial, reset, step
 from .errors import ConfigError, SchemaVersionError
 
@@ -89,12 +89,6 @@ def make_team(config: ExperimentConfig, init_rng: np.random.Generator) -> TeamLe
     )
 
 
-def _observe_all(state, n: int, partial: bool) -> np.ndarray:
-    """Every agent's observation, one row per agent."""
-    observe = observe_partial if partial else observe_full
-    return np.array([observe(state, i) for i in range(n)])
-
-
 def run_episode(
     config: ExperimentConfig,
     team: TeamLearner,
@@ -110,37 +104,33 @@ def run_episode(
     or a learned policy returns a non-finite heading.
     """
     env_cfg = replace(config.env, velocity_ratio=ratio)
-    partial = config.run.strategy == "cd_ddpg_partial"
+    observe = observe_partial if config.run.strategy == "cd_ddpg_partial" else observe_full
+    n = env_cfg.n
     batch_size = config.ddpg.batch_size
     state = reset(env_cfg, streams.env)
     team.reset_noise()
     ep_return = 0.0
-    captured = False
     steps = 0
-    obs = _observe_all(state, env_cfg.n, partial)
+    obs = observe(state)[0]
     while True:
         if phase is BehaviorPhase.SCRIPTED:
-            headings = [
-                scripted_action(state.pursuers[i], state.evader.position)
-                for i in range(env_cfg.n)
-            ]
+            headings = scripted_action(state)[0]
         else:
-            headings = team.act_explore(obs, streams.explore)
-            for i, heading in enumerate(headings):
+            chosen = team.act_explore(obs, streams.explore)
+            for i, heading in enumerate(chosen):
                 if not math.isfinite(heading):
                     raise FloatingPointError(
                         f"non-finite heading at global epoch {global_epoch}, step {steps + 1}, "
                         f"agent {i}: {heading!r}"
                     )
-        state, outcome = step(state, headings, env_cfg, streams.env)
-        next_obs = _observe_all(state, env_cfg.n, partial)
-        team.buffer.push(
-            obs,
-            np.array([heading_to_vector(h) for h in headings]),
-            outcome.rewards,
-            next_obs,
-            outcome.captured,
-        )
+            headings = np.array(chosen)
+        state, outcome = step(state, headings[None], env_cfg, streams.env)
+        next_obs = observe(state)[0]
+        reward = float(outcome.rewards[0])
+        captured = bool(outcome.captured[0])
+        # the unit vectors of the headings just taken, as heading_to_vector gives them
+        actions = state.units[0, :-1]
+        team.buffer.push(obs, actions, np.full(n, reward), next_obs, captured)
         obs = next_obs
         if len(team.buffer) >= batch_size:
             loss = team.critic_update(team.buffer.sample(batch_size, streams.sample))
@@ -153,10 +143,9 @@ def run_episode(
                     f"agent {i}: critic loss {float(loss[i])!r}, mean Q {float(mean_q[i])!r}"
                 )
             team.soft_update_targets()
-        ep_return += outcome.rewards[0]
+        ep_return += reward
         steps += 1
-        if outcome.done:
-            captured = outcome.captured
+        if captured or outcome.truncated[0]:
             break
     return ep_return, captured, steps
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class EpisodeTrace:
 
 
 class TrajectoryWriter:
-    """Streams per-step records for one or more episodes into a CSV file."""
+    """Streams the records of one or more episodes into a CSV file."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -59,29 +59,35 @@ class TrajectoryWriter:
         self._fh.write(f"# schema={TRAJECTORY_SCHEMA}\n")
         self._fh.write(TRAJECTORY_HEADER + "\n")
 
-    def write_step(
+    def write_episode(
         self,
         episode: int,
-        step: int,
         ratio: float,
-        evader_xy: tuple[float, float],
-        evader_action: float,
-        pursuer_xy: Sequence[tuple[float, float]],
-        pursuer_actions: Sequence[float],
-        reward: float,
+        poses: np.ndarray,
+        rewards: np.ndarray,
         captured: bool,
     ) -> None:
-        cap = "1" if captured else "0"
-        x, y = evader_xy
-        self._fh.write(
-            f"{episode},{step},e,{_fmt(x)},{_fmt(y)},{_fmt(evader_action)},"
-            f"{_fmt(evader_action)},0,{cap},{_fmt(ratio)}\n"
-        )
-        for i, ((px, py), a) in enumerate(zip(pursuer_xy, pursuer_actions)):
-            self._fh.write(
-                f"{episode},{step},p{i},{_fmt(px)},{_fmt(py)},{_fmt(a)},"
-                f"{_fmt(a)},{_fmt(reward)},{cap},{_fmt(ratio)}\n"
-            )
+        """All rows of one T-step episode, steps 1..T, in one write.
+
+        poses (T, n+1, 3) holds x, y and heading of the pursuers and then the
+        evader after each step, rewards (T,) the shared pursuer reward;
+        `captured` marks the last step as the capturing one.
+        """
+        r = _fmt(ratio)
+        names = [f"p{i}" for i in range(poses.shape[1] - 1)]
+        last = len(rewards) - 1
+        lines = []
+        for t, (agents, reward) in enumerate(zip(poses.tolist(), rewards.tolist())):
+            head = f"{episode},{t + 1},"
+            tail = f",{'1' if captured and t == last else '0'},{r}\n"
+            x, y, h = agents.pop()
+            h = f"{h:.9g}"
+            lines.append(f"{head}e,{x:.9g},{y:.9g},{h},{h},0{tail}")
+            reward = f"{reward:.9g}"
+            for name, (px, py, a) in zip(names, agents):
+                a = f"{a:.9g}"
+                lines.append(f"{head}{name},{px:.9g},{py:.9g},{a},{a},{reward}{tail}")
+        self._fh.write("".join(lines))
 
     def close(self) -> None:
         self._fh.close()

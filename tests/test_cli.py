@@ -240,6 +240,40 @@ class TestEvalCommand:
         assert "run.pincer_k" in err and "n=8" in err
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_eval_episode_count_below_one_rejected(self, tmp_path, capsys, episodes):
+        cfg_path, _ = write_config(tmp_path, strategy="greedy")
+        assert main(["eval", "--config", str(cfg_path), "--ratios", "1.0",
+                     "--episodes", episodes, "--out", str(tmp_path / "eval")]) == 2
+        assert f"--episodes: must be >= 1, got {episodes}" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    def test_run_eval_episode_count_below_one_rejected(self, tmp_path):
+        config = config_from_dict({"run": {"strategy": "greedy"}})
+        for episodes in (0, -1):
+            with pytest.raises(ValueError, match="episodes must be >= 1"):
+                run_eval(config, [1.0], episodes, tmp_path / "eval")
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("ratios, named", [
+        ("1,1.0", "ratios 1.0 and 1.0"),
+        ("1.0000001,1.0000002", "ratios 1.0000001 and 1.0000002"),
+        ("0.9,1.1,0.9", "ratios 0.9 and 0.9"),
+    ])
+    def test_eval_ratios_sharing_a_log_rejected(self, tmp_path, capsys, ratios, named):
+        cfg_path, _ = write_config(tmp_path, strategy="greedy")
+        assert main(["eval", "--config", str(cfg_path), "--ratios", ratios,
+                     "--episodes", "1", "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert "--ratios" in err and named in err
+        assert not (tmp_path / "eval").exists()
+
+    def test_run_eval_ratios_sharing_a_log_rejected(self, tmp_path):
+        config = config_from_dict({"run": {"strategy": "greedy"}})
+        with pytest.raises(ValueError, match=r"1\.0000001 and 1\.0000002 .*ratio_1\.csv"):
+            run_eval(config, [1.0000001, 1.0000002], 1, tmp_path / "eval")
+        assert not (tmp_path / "eval").exists()
+
     def test_eval_checkpoint_round_trip(self, tmp_path):
         cfg_path, out_dir = write_config(tmp_path)
         main(["train", "--config", str(cfg_path)])

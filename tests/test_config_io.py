@@ -208,21 +208,15 @@ class TestCheckpointRoundTrip:
 
 class TestTrajectoryCsv:
     def write_episode(self, path, episodes=2, steps=3, n=2, captured_last=True):
+        # evader at (0.5, 0.5) heading 0.25; pursuer i at (0.1 (i+1), 0.2) heading 0.5 (i+1)
+        agents = [(0.1 * (i + 1), 0.2, 0.5 * (i + 1)) for i in range(n)] + [(0.5, 0.5, 0.25)]
+        poses = np.tile(np.array(agents), (steps, 1, 1))
+        rewards = np.full(steps, -0.1)
+        if captured_last:
+            rewards[-1] = 50.0
         with TrajectoryWriter(path) as w:
             for ep in range(episodes):
-                for t in range(1, steps + 1):
-                    caught = captured_last and t == steps
-                    w.write_step(
-                        episode=ep,
-                        step=t,
-                        ratio=0.9,
-                        evader_xy=(0.5, 0.5),
-                        evader_action=0.25,
-                        pursuer_xy=[(0.1 * (i + 1), 0.2) for i in range(n)],
-                        pursuer_actions=[0.5 * (i + 1) for i in range(n)],
-                        reward=50.0 if caught else -0.1,
-                        captured=caught,
-                    )
+                w.write_episode(ep, 0.9, poses, rewards, captured_last)
 
     def test_header_and_schema_line(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -248,8 +242,8 @@ class TestTrajectoryCsv:
     def test_nine_significant_digits(self, tmp_path):
         path = tmp_path / "log.csv"
         with TrajectoryWriter(path) as w:
-            w.write_step(0, 1, 1.0 / 3.0, (1.0 / 7.0, 0.5), 0.1,
-                         [(0.25, 0.5)], [math.pi], -0.1, False)
+            w.write_episode(0, 1.0 / 3.0, np.array([[(0.25, 0.5, math.pi), (1.0 / 7.0, 0.5, 0.1)]]),
+                            np.array([-0.1]), False)
         row = path.read_text().splitlines()[2].split(",")
         assert row[3] == f"{1.0 / 7.0:.9g}"
         assert row[9] == f"{1.0 / 3.0:.9g}"

@@ -16,8 +16,7 @@ from torus_pursuit.curriculum import (
     scripted_action,
     velocity_at_epoch,
 )
-from torus_pursuit.environment import Pose
-from torus_pursuit.geometry import Point2
+from torus_pursuit.environment import make_state
 from torus_pursuit.pursuit import greedy_heading
 
 
@@ -54,17 +53,14 @@ class TestVelocitySchedule:
 
 class TestScriptedAction:
     def test_due_north(self):
-        pose = Pose(Point2(0.5, 0.2), 0.0)
-        assert scripted_action(pose, Point2(0.5, 0.5)) == pytest.approx(math.pi / 2)
+        state = make_state([(0.5, 0.2)], (0.5, 0.5))
+        assert scripted_action(state)[0, 0] == pytest.approx(math.pi / 2)
 
     def test_equals_greedy_on_random_states(self):
         rng = np.random.default_rng(3)
-        for _ in range(1000):
-            pose = Pose(Point2(*rng.uniform(0, 1, 2)), 0.0)
-            evader = Point2(*rng.uniform(0, 1, 2))
-            if pose.position == evader:
-                continue
-            assert scripted_action(pose, evader) == greedy_heading(pose, evader)
+        xy = rng.uniform(0, 1, (1000, 4))
+        state = make_state(xy[:, None, :2], xy[:, 2:])
+        assert np.array_equal(scripted_action(state), greedy_heading(state))
 
 
 class TestBehaviorPhase:

@@ -8,30 +8,26 @@ import pytest
 from torus_pursuit.environment import (
     MAX_EXPECTED_SPAWN_DRAWS,
     EnvConfig,
-    Pose,
-    StepOutcome,
-    WorldState,
     is_captured,
+    make_state,
     observe_full,
     observe_partial,
     reset,
     step,
 )
 from torus_pursuit.errors import EpisodeDoneError
-from torus_pursuit.geometry import Point2, distance
+from torus_pursuit.geometry import offsets
+from torus_pursuit.pursuit import greedy_heading
 from torus_pursuit.training import make_streams
 
 
-def pose(x, y, heading=0.0):
-    return Pose(Point2(x, y), heading)
-
-
 def world(pursuer_xy, evader_xy, step_count=0):
-    return WorldState(
-        pursuers=tuple(pose(x, y) for x, y in pursuer_xy),
-        evader=pose(*evader_xy),
-        step=step_count,
-    )
+    return make_state(pursuer_xy, evader_xy, step=step_count)
+
+
+def torus_distance(a, b):
+    d = offsets(a, b)
+    return np.hypot(d[..., 0], d[..., 1])
 
 
 CFG = EnvConfig(n=3, evader_speed=0.05, velocity_ratio=1.0, capture_radius=0.05,
@@ -40,35 +36,30 @@ CFG = EnvConfig(n=3, evader_speed=0.05, velocity_ratio=1.0, capture_radius=0.05,
 
 class TestReset:
     def test_deterministic_per_seed(self):
-        a = reset(CFG, np.random.default_rng(42))
-        b = reset(CFG, np.random.default_rng(42))
-        assert a == b
+        a = reset(CFG, np.random.default_rng(42), 5)
+        b = reset(CFG, np.random.default_rng(42), 5)
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.headings, b.headings)
 
     def test_pursuer_count(self):
         state = reset(CFG, np.random.default_rng(0))
-        assert len(state.pursuers) == 3
+        assert state.pursuers.shape == (1, 3, 2) and state.evader.shape == (1, 2)
+        assert state.n == 3 and state.episodes == 1
         assert state.step == 0
 
     def test_uniform_position_distribution(self):
-        rng = np.random.default_rng(7)
-        xs, ys = [], []
-        for _ in range(10_000):
-            s = reset(EnvConfig(n=1), rng)
-            xs.append(s.pursuers[0].position.x)
-            ys.append(s.evader.position.y)
-        assert abs(np.mean(xs) - 0.5) < 0.02
-        assert abs(np.mean(ys) - 0.5) < 0.02
+        s = reset(EnvConfig(n=1), np.random.default_rng(7), 10_000)
+        assert abs(np.mean(s.pursuers[:, 0, 0]) - 0.5) < 0.02
+        assert abs(np.mean(s.evader[:, 1]) - 0.5) < 0.02
 
     def test_headings_in_range(self):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            s = reset(CFG, rng)
-            for p in (*s.pursuers, s.evader):
-                assert -math.pi <= p.heading < math.pi
+        s = reset(CFG, np.random.default_rng(9), 200)
+        assert s.headings.shape == (200, 4)
+        assert np.all(s.headings >= -math.pi) and np.all(s.headings < math.pi)
 
 
 def nearest_pursuer(state):
-    return min(distance(p.position, state.evader.position) for p in state.pursuers)
+    return torus_distance(state.pursuers, state.evader[:, None]).min()
 
 
 class TestSpawnSeparation:
@@ -86,7 +77,7 @@ class TestSpawnSeparation:
         for _ in range(80):
             state = reset(cfg, rng)
             assert nearest_pursuer(state) > cfg.spawn_separation
-            assert not is_captured(state, cfg)
+            assert not is_captured(state, cfg).any()
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     @pytest.mark.parametrize("ratio", [0.4, 1.0, 2.0])
@@ -94,8 +85,7 @@ class TestSpawnSeparation:
     def test_sweep_never_spawns_within_separation(self, n, ratio, radius):
         cfg = EnvConfig(n=n, velocity_ratio=ratio, capture_radius=radius)
         rng = np.random.default_rng((n, round(100 * ratio), round(100 * radius)))
-        for _ in range(50):
-            assert nearest_pursuer(reset(cfg, rng)) > cfg.spawn_separation
+        assert nearest_pursuer(reset(cfg, rng, 50)) > cfg.spawn_separation
 
     def test_unsatisfiable_separation_rejected(self):
         with pytest.raises(ValueError) as err:
@@ -123,45 +113,46 @@ class TestStepKinematics:
     def test_straight_line_motion(self):
         cfg = EnvConfig(n=1, evader_speed=0.05, velocity_ratio=1.0)
         state = world([(0.5, 0.5)], (0.9, 0.9))
-        new_state, _ = step(state, [0.0], cfg, np.random.default_rng(0))
-        p = new_state.pursuers[0].position
-        assert p.x == pytest.approx(0.55, abs=1e-12)
-        assert p.y == pytest.approx(0.5, abs=1e-12)
+        new_state, _ = step(state, [[0.0]], cfg, np.random.default_rng(0))
+        x, y = new_state.pursuers[0, 0]
+        assert x == pytest.approx(0.55, abs=1e-12)
+        assert y == pytest.approx(0.5, abs=1e-12)
 
     def test_speed_conservation(self):
         rng = np.random.default_rng(11)
         cfg = EnvConfig(n=3, evader_speed=0.05, velocity_ratio=0.8)
-        for _ in range(200):
-            state = reset(cfg, rng)
-            headings = rng.uniform(-math.pi, math.pi, 3)
-            new_state, _ = step(state, list(headings), cfg, rng)
-            for old, new in zip(state.pursuers, new_state.pursuers):
-                moved = distance(old.position, new.position)
-                assert moved == pytest.approx(cfg.pursuer_speed, abs=1e-12)
-            evader_moved = distance(state.evader.position, new_state.evader.position)
-            assert evader_moved == pytest.approx(cfg.evader_speed, abs=1e-12)
+        state = reset(cfg, rng, 200)
+        headings = rng.uniform(-math.pi, math.pi, (200, 3))
+        new_state, _ = step(state, headings, cfg, rng)
+        moved = torus_distance(state.pursuers, new_state.pursuers)
+        assert moved == pytest.approx(np.full((200, 3), cfg.pursuer_speed), abs=1e-12)
+        evader_moved = torus_distance(state.evader, new_state.evader)
+        assert evader_moved == pytest.approx(np.full(200, cfg.evader_speed), abs=1e-12)
 
     def test_simultaneity_evader_ignores_current_actions(self):
         # evader's move must depend on the pre-step state only
         cfg = EnvConfig(n=2, evader_speed=0.05, velocity_ratio=1.0)
         state = world([(0.2, 0.5), (0.8, 0.4)], (0.5, 0.7))
-        a, _ = step(state, [0.0, 0.0], cfg, np.random.default_rng(0))
-        b, _ = step(state, [math.pi / 2, -math.pi / 2], cfg, np.random.default_rng(0))
-        assert a.evader == b.evader
+        a, _ = step(state, [[0.0, 0.0]], cfg, np.random.default_rng(0))
+        b, _ = step(state, [[math.pi / 2, -math.pi / 2]], cfg, np.random.default_rng(0))
+        assert np.array_equal(a.evader, b.evader)
+        assert np.array_equal(a.evader_heading, b.evader_heading)
 
     def test_step_counter_increments(self):
         cfg = EnvConfig(n=1)
         state = world([(0.1, 0.1)], (0.6, 0.6))
-        new_state, _ = step(state, [0.0], cfg, np.random.default_rng(0))
+        new_state, _ = step(state, [[0.0]], cfg, np.random.default_rng(0))
         assert new_state.step == 1
 
     def test_heading_validation(self):
         cfg = EnvConfig(n=1)
         state = world([(0.1, 0.1)], (0.6, 0.6))
+        with pytest.raises(ValueError, match="non-finite pursuer heading nan"):
+            step(state, [[float("nan")]], cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            step(state, [float("nan")], cfg, np.random.default_rng(0))
+            step(state, [[0.0, 0.0]], cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            step(state, [0.0, 0.0], cfg, np.random.default_rng(0))
+            step(state, [0.0], cfg, np.random.default_rng(0))
 
 
 class TestRewardsAndTermination:
@@ -169,43 +160,43 @@ class TestRewardsAndTermination:
         cfg = EnvConfig(n=2, evader_speed=0.05, velocity_ratio=2.0, capture_radius=0.05)
         # pursuer right behind the evader with a 2x speed advantage
         state = world([(0.42, 0.5), (0.9, 0.9)], (0.5, 0.5))
-        new_state, outcome = step(state, [0.0, 0.0], cfg, np.random.default_rng(0))
-        assert is_captured(new_state, cfg)
-        assert outcome.captured and outcome.done and not outcome.truncated
-        assert outcome.rewards == (50.0, 50.0)
+        new_state, outcome = step(state, [[0.0, 0.0]], cfg, np.random.default_rng(0))
+        assert is_captured(new_state, cfg).tolist() == [True]
+        assert outcome.captured[0] and outcome.done[0] and not outcome.truncated[0]
+        assert outcome.rewards.tolist() == [50.0]
 
     def test_non_capture_reward(self):
         cfg = EnvConfig(n=2)
         state = world([(0.1, 0.1), (0.9, 0.9)], (0.5, 0.5))
-        _, outcome = step(state, [0.0, 0.0], cfg, np.random.default_rng(0))
-        assert not outcome.captured
-        assert outcome.rewards == (-0.1, -0.1)
+        _, outcome = step(state, [[0.0, 0.0]], cfg, np.random.default_rng(0))
+        assert not outcome.captured[0]
+        assert outcome.rewards.tolist() == [-0.1]
 
     def test_truncation_at_episode_length(self):
         cfg = EnvConfig(n=1, episode_length=3)
         state = world([(0.1, 0.1)], (0.6, 0.6))
         rng = np.random.default_rng(0)
         for expected_done in (False, False, True):
-            state, outcome = step(state, [math.pi / 2], cfg, rng)
-            assert outcome.done is expected_done
-        assert outcome.truncated and not outcome.captured
+            state, outcome = step(state, [[math.pi / 2]], cfg, rng)
+            assert outcome.done.tolist() == [expected_done]
+        assert outcome.truncated[0] and not outcome.captured[0]
         with pytest.raises(EpisodeDoneError):
-            step(state, [0.0], cfg, rng)
+            step(state, [[0.0]], cfg, rng)
 
     def test_stepping_captured_state_rejected(self):
         cfg = EnvConfig(n=1, velocity_ratio=2.0)
         state = world([(0.42, 0.5)], (0.5, 0.5))
-        new_state, outcome = step(state, [0.0], cfg, np.random.default_rng(0))
-        assert outcome.captured
+        new_state, outcome = step(state, [[0.0]], cfg, np.random.default_rng(0))
+        assert outcome.captured[0]
         with pytest.raises(EpisodeDoneError):
-            step(new_state, [0.0], cfg, np.random.default_rng(0))
+            step(new_state, [[0.0]], cfg, np.random.default_rng(0))
 
     def test_stepping_captured_spawn_rejected(self):
         cfg = EnvConfig(n=2)
         state = world([(0.48, 0.5), (0.9, 0.9)], (0.5, 0.5))
-        assert state.step == 0 and is_captured(state, cfg)
+        assert state.step == 0 and is_captured(state, cfg)[0]
         with pytest.raises(EpisodeDoneError):
-            step(state, [0.0, 0.0], cfg, np.random.default_rng(0))
+            step(state, [[0.0, 0.0]], cfg, np.random.default_rng(0))
 
     def test_reward_accounting_full_episode(self):
         cfg = EnvConfig(n=2, evader_speed=0.05, velocity_ratio=1.3, episode_length=200)
@@ -215,14 +206,14 @@ class TestRewardsAndTermination:
         non_capture_steps = 0
         captured = False
         while True:
-            headings = [0.0, math.pi / 2]
+            headings = [[0.0, math.pi / 2]]
             state, outcome = step(state, headings, cfg, rng)
             total += outcome.rewards[0]
-            if outcome.captured:
+            if outcome.captured[0]:
                 captured = True
             else:
                 non_capture_steps += 1
-            if outcome.done:
+            if outcome.done[0]:
                 break
         expected = -0.1 * non_capture_steps + (50.0 if captured else 0.0)
         assert total == pytest.approx(expected, abs=1e-9)
@@ -234,43 +225,47 @@ class TestRewardsAndTermination:
             state = reset(cfg, rng)
             hist = []
             for t in range(50):
-                headings = [0.1 * t, -0.2, 1.0]
+                headings = [[0.1 * t, -0.2, 1.0]]
                 state, outcome = step(state, headings, cfg, rng)
-                hist.append((state, outcome))
-                if outcome.done:
+                hist.append(np.concatenate((state.positions.ravel(), state.headings.ravel(),
+                                            outcome.rewards, outcome.done)))
+                if outcome.done[0]:
                     break
-            return hist
-        assert run() == run()
+            return np.array(hist)
+        assert np.array_equal(run(), run())
 
 
 class TestCapture:
     def test_exactly_on_evader(self):
         cfg = EnvConfig(n=1)
-        assert is_captured(world([(0.5, 0.5)], (0.5, 0.5)), cfg)
+        assert is_captured(world([(0.5, 0.5)], (0.5, 0.5)), cfg)[0]
 
     def test_threshold_is_closed(self):
         cfg = EnvConfig(n=1, capture_radius=0.05)
-        assert is_captured(world([(0.45, 0.5)], (0.5, 0.5)), cfg)
-        assert not is_captured(world([(0.44, 0.5)], (0.5, 0.5)), cfg)
+        assert is_captured(world([(0.45, 0.5)], (0.5, 0.5)), cfg)[0]
+        assert not is_captured(world([(0.44, 0.5)], (0.5, 0.5)), cfg)[0]
+        # one array call tests every episode
+        both = world([[(0.45, 0.5)], [(0.44, 0.5)]], [(0.5, 0.5), (0.5, 0.5)])
+        assert is_captured(both, cfg).tolist() == [True, False]
 
     def test_wrapped_capture(self):
         cfg = EnvConfig(n=1, capture_radius=0.05)
-        assert is_captured(world([(0.99, 0.5)], (0.02, 0.5)), cfg)
+        assert is_captured(world([(0.99, 0.5)], (0.02, 0.5)), cfg)[0]
 
 
 class TestObservations:
     STATE = world([(0.9, 0.5), (0.3, 0.3), (0.5, 0.1)], (0.1, 0.5))
 
     def test_full_layout(self):
-        obs = observe_full(self.STATE, 0)
-        assert obs.shape == (8,)
+        obs = observe_full(self.STATE)[0, 0]
+        assert observe_full(self.STATE).shape == (1, 3, 8)
         assert obs[0] == pytest.approx(1.0)  # cos 0
         assert obs[1] == pytest.approx(0.0)  # sin 0
         assert obs[2] == pytest.approx(0.2)  # wrapped toward the evader
         assert obs[3] == pytest.approx(0.0)
 
     def test_full_includes_teammates_in_order(self):
-        obs = observe_full(self.STATE, 1)
+        obs = observe_full(self.STATE)[0, 1]
         # teammates of pursuer 1 are pursuers 0 then 2
         assert obs[4] == pytest.approx(-0.4)  # toward pursuer 0
         assert obs[5] == pytest.approx(0.2)
@@ -278,29 +273,28 @@ class TestObservations:
         assert obs[7] == pytest.approx(-0.2)
 
     def test_partial_layout_and_teammate_independence(self):
-        obs = observe_partial(self.STATE, 0)
-        assert obs.shape == (4,)
+        obs = observe_partial(self.STATE)[0, 0]
+        assert observe_partial(self.STATE).shape == (1, 3, 4)
         moved_teammates = world([(0.9, 0.5), (0.7, 0.7), (0.2, 0.8)], (0.1, 0.5))
-        assert np.array_equal(obs, observe_partial(moved_teammates, 0))
+        assert np.array_equal(obs, observe_partial(moved_teammates)[0, 0])
+        assert np.array_equal(observe_full(self.STATE)[..., :4], observe_partial(self.STATE))
 
     def test_partial_co_located_with_evader(self):
         state = world([(0.1, 0.5)], (0.1, 0.5))
-        obs = observe_partial(state, 0)
+        obs = observe_partial(state)[0, 0]
         assert obs[2] == 0.0 and obs[3] == 0.0
 
     def test_index_out_of_range(self):
+        # one row per pursuer: there is no agent 3 of 3
         with pytest.raises(IndexError):
-            observe_full(self.STATE, 3)
+            observe_full(self.STATE)[0, 3]
         with pytest.raises(IndexError):
-            observe_partial(self.STATE, 5)
+            observe_partial(self.STATE)[0, 5]
 
     def test_displacement_entries_in_range(self):
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            s = reset(CFG, rng)
-            for i in range(3):
-                obs = observe_full(s, i)
-                assert np.all(obs[2:] >= -0.5) and np.all(obs[2:] < 0.5)
+        obs = observe_full(reset(CFG, np.random.default_rng(23), 100))
+        assert obs.shape == (100, 3, 8)
+        assert np.all(obs[..., 2:] >= -0.5) and np.all(obs[..., 2:] < 0.5)
 
 
 class TestConfigValidation:
@@ -317,7 +311,17 @@ class TestConfigValidation:
             EnvConfig(episode_length=0)
 
     def test_outcome_invariants(self):
-        with pytest.raises(ValueError):
-            StepOutcome(rewards=(1.0,), captured=True, done=False, truncated=False)
-        with pytest.raises(ValueError):
-            StepOutcome(rewards=(1.0,), captured=True, done=True, truncated=True)
+        # captured implies done; truncated implies done and not captured
+        cfg = EnvConfig(n=3, velocity_ratio=1.2, episode_length=40)
+        rng = np.random.default_rng(19)
+        state = reset(cfg, rng, 64)
+        seen_capture = seen_truncation = False
+        while state.episodes:
+            state, outcome = step(state, greedy_heading(state), cfg, rng)
+            assert np.all(outcome.done == (outcome.captured | outcome.truncated))
+            assert not np.any(outcome.captured & outcome.truncated)
+            assert np.array_equal(outcome.rewards, np.where(outcome.captured, 50.0, -0.1))
+            seen_capture |= bool(outcome.captured.any())
+            seen_truncation |= bool(outcome.truncated.any())
+            state = state.select(~outcome.done)
+        assert seen_capture and seen_truncation

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from torus_pursuit.environment import make_state
 from torus_pursuit.errors import SingularityError
 from torus_pursuit.evader import (
     PolarContact,
-    contacts_from_positions,
     evade_cost,
     evade_heading,
     field_coefficients,
     heading_from_contacts,
 )
-from torus_pursuit.geometry import Point2, normalize_angle
+from torus_pursuit.geometry import normalize_angle
 
 
 def angular_close(a, b, tol=1e-9):
@@ -98,7 +98,9 @@ class TestHeading:
             ]
             h = heading_from_contacts(contacts, rng)
             got = evade_cost(h, contacts)
-            grid_min = min(evade_cost(t, contacts) for t in grid)
+            rs = np.array([c.r for c in contacts])
+            bs = np.array([c.theta_rel for c in contacts])
+            grid_min = ((1.0 / rs)[:, None] * np.cos(grid[None, :] - bs[:, None])).sum(axis=0).min()
             assert got <= grid_min + 1e-9
 
     def test_radius_modulation_scales_contribution(self):
@@ -140,21 +142,25 @@ class TestEvadeHeadingOnTorus:
     def test_wrapped_bearings_used(self):
         # pursuer across the boundary is effectively to the west
         rng = np.random.default_rng(0)
-        h = evade_heading(Point2(0.05, 0.5), [Point2(0.95, 0.5)], rng)
-        assert angular_close(h, 0.0)  # run east, away from the wrapped contact
+        h = evade_heading(make_state([(0.95, 0.5)], (0.05, 0.5)), rng)
+        assert h.shape == (1,)
+        assert angular_close(h[0], 0.0)  # run east, away from the wrapped contact
 
     def test_co_located_pursuer_is_singular(self):
         with pytest.raises(SingularityError):
-            evade_heading(Point2(0.2, 0.2), [Point2(0.2, 0.2)], np.random.default_rng(0))
+            evade_heading(make_state([(0.2, 0.2)], (0.2, 0.2)), np.random.default_rng(0))
 
     def test_requires_pursuers(self):
+        # a state without pursuers is refused where it is built
         with pytest.raises(ValueError):
-            evade_heading(Point2(0.2, 0.2), [], np.random.default_rng(0))
+            make_state(np.empty((0, 2)), (0.2, 0.2))
 
     def test_contacts_from_positions(self):
-        contacts = contacts_from_positions(Point2(0.5, 0.5), [Point2(0.7, 0.5)])
-        assert contacts[0].r == pytest.approx(0.2)
-        assert angular_close(contacts[0].theta_rel, 0.0)
+        state = make_state([(0.7, 0.5)], (0.5, 0.5))
+        assert state.contact_distances[0, 0] == pytest.approx(0.2)
+        assert angular_close(state.contact_bearings[0, 0], 0.0)
+        # the chase runs the other way round
+        assert angular_close(state.chase_bearings[0, 0], math.pi)
 
 
 contacts = st.lists(

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from torus_pursuit.environment import Pose, WorldState
+from torus_pursuit.environment import make_state
 from torus_pursuit.errors import SingularityError
-from torus_pursuit.geometry import Point2, distance, normalize_angle, replicate
+from torus_pursuit.geometry import Point2, distance, normalize_angle, replicate, wrap
 from torus_pursuit.pursuit import (
     MAX_PINCER_CELLS,
     greedy_heading,
@@ -18,16 +18,12 @@ from torus_pursuit.pursuit import (
 )
 
 
-def pose(x, y, heading=0.0):
-    return Pose(Point2(x, y), heading)
-
-
 def world(pursuer_xy, evader_xy):
-    return WorldState(
-        pursuers=tuple(pose(x, y) for x, y in pursuer_xy),
-        evader=pose(*evader_xy),
-        step=0,
-    )
+    return make_state(pursuer_xy, evader_xy)
+
+
+def greedy_one(pursuer_xy, evader_xy):
+    return float(greedy_heading(world([pursuer_xy], evader_xy))[0, 0])
 
 
 def angular_close(a, b, tol=1e-9):
@@ -36,23 +32,21 @@ def angular_close(a, b, tol=1e-9):
 
 class TestGreedy:
     def test_due_east(self):
-        assert angular_close(greedy_heading(pose(0.0, 0.0), Point2(0.2, 0.0)), 0.0)
+        assert angular_close(greedy_one((0.0, 0.0), (0.2, 0.0)), 0.0)
 
     def test_wraps_left(self):
-        assert angular_close(greedy_heading(pose(0.05, 0.5), Point2(0.95, 0.5)), math.pi)
+        assert angular_close(greedy_one((0.05, 0.5), (0.95, 0.5)), math.pi)
 
     def test_co_located_singular(self):
         with pytest.raises(SingularityError):
-            greedy_heading(pose(0.3, 0.3), Point2(0.3, 0.3))
+            greedy_one((0.3, 0.3), (0.3, 0.3))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
             px, py, ex, ey = rng.uniform(0, 1, 4)
             tx, ty = rng.uniform(0, 1, 2)
-            h0 = greedy_heading(pose(px, py), Point2(ex, ey))
-            from torus_pursuit.geometry import wrap
-
+            h0 = greedy_one((px, py), (ex, ey))
             p2 = wrap(px + tx, py + ty)
             e2 = wrap(ex + tx, ey + ty)
             # skip displacement-boundary ties where the wrapped offset flips
@@ -64,7 +58,7 @@ class TestGreedy:
             d1y = (e2.y - p2.y) % 1.0
             if min(abs(d1x - 0.5), abs(d1y - 0.5)) < 1e-6:
                 continue
-            h1 = greedy_heading(Pose(p2, 0.0), e2)
+            h1 = greedy_one((p2.x, p2.y), (e2.x, e2.y))
             assert angular_close(h1, h0, tol=1e-9)
 
 
@@ -99,9 +93,10 @@ class TestPincerObjective:
 
 def naive_selection(state, k, band=0.5):
     """Independent re-implementation: itertools over all joint selections."""
-    evader = state.evader.position
-    replica_sets = [replicate(p.position, k) for p in state.pursuers]
-    weights = [1.0 / distance(p.position, evader) for p in state.pursuers]
+    evader = Point2(*state.evader[0])
+    positions = [Point2(*p) for p in state.pursuers[0]]
+    replica_sets = [replicate(p, k) for p in positions]
+    weights = [1.0 / distance(p, evader) for p in positions]
     m = len(replica_sets[0])
     entries = []
     for combo in itertools.product(range(m), repeat=len(replica_sets)):
@@ -125,9 +120,10 @@ class TestPincerSelection:
     def test_enumeration_size_three_pursuers(self):
         state = world([(0.1, 0.1), (0.5, 0.9), (0.9, 0.3)], (0.45, 0.45))
         sel = pincer_selection(state, k=1)
-        assert all(0 <= i < 9 for i in sel.replica_index_per_pursuer)
+        assert sel.replica_index_per_pursuer.shape == (1, 3)
+        assert all(0 <= i < 9 for i in sel.replica_index_per_pursuer[0])
         # (2k+1)^2 per pursuer -> 9^3 = 729 joint selections
-        assert 9 ** len(state.pursuers) == 729
+        assert 9 ** state.n == 729
 
     def test_matches_naive_enumeration(self):
         rng = np.random.default_rng(41)
@@ -139,9 +135,9 @@ class TestPincerSelection:
             )
             sel = pincer_selection(state, k=1)
             combo, obj, dist = naive_selection(state, 1)
-            assert sel.replica_index_per_pursuer == combo
-            assert sel.objective_value == pytest.approx(obj, abs=1e-12)
-            assert sel.total_distance == pytest.approx(dist, abs=1e-12)
+            assert tuple(sel.replica_index_per_pursuer[0]) == combo
+            assert sel.objective_value[0] == pytest.approx(obj, abs=1e-12)
+            assert sel.total_distance[0] == pytest.approx(dist, abs=1e-12)
 
     def test_single_pursuer_reduces_to_greedy(self):
         # one pursuer: every assignment scores -1/r_true, so all selections
@@ -150,15 +146,14 @@ class TestPincerSelection:
         for _ in range(50):
             px, py, ex, ey = rng.uniform(0.02, 0.98, 4)
             state = world([(px, py)], (ex, ey))
-            if distance(state.pursuers[0].position, state.evader.position) < 1e-3:
+            if distance(Point2(px, py), Point2(ex, ey)) < 1e-3:
                 continue
             sel = pincer_selection(state, k=1)
-            reps = replicate(state.pursuers[0].position, 1)
+            reps = replicate(Point2(px, py), 1)
             dists = [math.hypot(x - ex, y - ey) for x, y in reps]
-            assert sel.replica_index_per_pursuer[0] == int(np.argmin(dists))
-            heading = pincer_headings(state, k=1)[0]
-            assert angular_close(heading, greedy_heading(state.pursuers[0],
-                                                         state.evader.position))
+            assert sel.replica_index_per_pursuer[0, 0] == int(np.argmin(dists))
+            heading = pincer_headings(state, k=1)[0, 0]
+            assert angular_close(heading, greedy_heading(state)[0, 0])
 
     def test_symmetric_triangle_keeps_center_replicas(self):
         r = 0.2
@@ -168,8 +163,8 @@ class TestPincerSelection:
         ]
         state = world(pursuer_xy, (0.5, 0.5))
         sel = pincer_selection(state, k=1)
-        assert sel.replica_index_per_pursuer == (4, 4, 4)  # center replica index
-        headings = pincer_headings(state, k=1)
+        assert sel.replica_index_per_pursuer.tolist() == [[4, 4, 4]]  # center replica index
+        headings = pincer_headings(state, k=1)[0]
         for (px, py), h in zip(pursuer_xy, headings):
             inward = math.atan2(0.5 - py, 0.5 - px)
             assert angular_close(h, inward)
@@ -178,7 +173,7 @@ class TestPincerSelection:
         state = world([(0.15, 0.35), (0.8, 0.25), (0.55, 0.95)], (0.4, 0.6))
         h1 = pincer_headings(state, k=1)
         h2 = pincer_headings(state, k=1)
-        assert h1 == h2
+        assert np.array_equal(h1, h2)
 
     def test_invalid_k(self):
         state = world([(0.1, 0.1)], (0.5, 0.5))

@@ -135,11 +135,12 @@ class ReplayBuffer:
         if shapes != ((n, d), (n, ACTION_DIM), (n,), (n, d)):
             raise ValueError(f"step rows of shapes {shapes} do not fit {n} rings of "
                              f"{d} observations")
-        norms = np.linalg.norm(action_vectors, axis=1)
-        off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOLERANCE))
-        if off.size:
-            raise ValueError(f"agent {off[0]}: action vector norm {float(norms[off[0]])!r} "
-                             f"is not 1 within {UNIT_NORM_TOLERANCE}")
+        # n vectors of two: Python floats cost less than numpy calls here
+        for agent, (x, y) in enumerate(np.asarray(action_vectors).tolist()):
+            norm = math.hypot(x, y)
+            if not abs(norm - 1.0) <= UNIT_NORM_TOLERANCE:
+                raise ValueError(f"agent {agent}: action vector norm {norm!r} "
+                                 f"is not 1 within {UNIT_NORM_TOLERANCE}")
         i = self._next
         self._obs[:, i] = obs
         self._actions[:, i] = action_vectors

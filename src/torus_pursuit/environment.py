@@ -21,7 +21,10 @@ Training runs one episode (E = 1) through the same functions that
 evaluation uses for lockstep batches. Results equal those of stepping each
 episode on its own bit for bit: per-element `math.hypot`/`math.atan2`
 where numpy's own versions round differently, sums over pursuers taken left
-to right, and degenerate-surround draws made in episode order.
+to right, and degenerate-surround draws made in episode order. Work whose
+size is a few values per episode (the polar form of the pursuer-evader
+offsets, the evader's escape field) runs on Python floats, since a numpy
+call costs more than that work on one episode.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ class WorldState:
     `reset`, `step` or `make_state`.
     """
 
-    __slots__ = ("positions", "headings", "step", "_units", "_pair_offsets", "_contacts")
+    __slots__ = ("positions", "headings", "step", "_units", "_pair_offsets", "_contacts",
+                 "_contact_arrays")
 
     def __init__(
         self,
@@ -74,6 +78,7 @@ class WorldState:
         self._units = units
         self._pair_offsets: np.ndarray | None = None
         self._contacts: Contacts | None = None
+        self._contact_arrays: np.ndarray | None = None
 
     @property
     def episodes(self) -> int:
@@ -126,34 +131,43 @@ class WorldState:
     def contacts(self) -> Contacts:
         """Distances and bearings between each pursuer and its evader."""
         if self._contacts is None:
-            e, n = self.episodes, self.n
-            r, theta = polar(self.pair_offsets[_contact_index(e, n)])
-            polar_arrays = np.array((r, theta)).reshape(2, 2, e, n)
-            polar_arrays.flags.writeable = False
-            chase = r[: e * n]
-            self._contacts = Contacts(polar_arrays[0], polar_arrays[1], min(chase),
-                                       0.0 in chase, 0.0 in r[e * n :])
+            pairs = self.pair_offsets
+            d = np.concatenate((pairs[:, :-1, -1], pairs[:, -1, :-1]))
+            r, theta = polar(d)
+            half = len(r) // 2
+            chase = r[:half]
+            self._contacts = Contacts(r, theta, min(chase), 0.0 in chase, 0.0 in r[half:])
         return self._contacts
+
+    def _contact_array(self, quantity: int, direction: int) -> np.ndarray:
+        """(E, n) view of the contacts: quantity 0 distances, 1 bearings;
+        direction 0 pursuer to evader, 1 evader to pursuer."""
+        if self._contact_arrays is None:
+            c = self.contacts
+            arrays = np.array(c.distances + c.bearings).reshape(2, 2, self.episodes, self.n)
+            arrays.flags.writeable = False
+            self._contact_arrays = arrays
+        return self._contact_arrays[quantity, direction]
 
     @property
     def chase_distances(self) -> np.ndarray:
         """(E, n) torus distances from each pursuer to its evader."""
-        return self.contacts.distances[0]
+        return self._contact_array(0, 0)
 
     @property
     def chase_bearings(self) -> np.ndarray:
         """(E, n) bearings from each pursuer to its evader, in [-pi, pi)."""
-        return self.contacts.bearings[0]
+        return self._contact_array(1, 0)
 
     @property
     def contact_distances(self) -> np.ndarray:
         """(E, n) distances from each evader to its pursuers."""
-        return self.contacts.distances[1]
+        return self._contact_array(0, 1)
 
     @property
     def contact_bearings(self) -> np.ndarray:
         """(E, n) bearings from each evader to its pursuers, in [-pi, pi)."""
-        return self.contacts.bearings[1]
+        return self._contact_array(1, 1)
 
     def select(self, keep: np.ndarray) -> "WorldState":
         """The episodes picked by a boolean mask or index array, same step."""
@@ -162,26 +176,17 @@ class WorldState:
 
 
 class Contacts(NamedTuple):
-    """Pursuer-evader geometry of a state: distances and bearings (2, E, n),
-    [0] from each pursuer to its evader and [1] the other way round; the
-    smallest pursuer-to-evader distance; and whether some offset in either
-    direction is exactly zero."""
+    """Pursuer-evader geometry of a state. `distances` and `bearings` are flat
+    lists of 2En values: first from each pursuer to its evader, then from
+    each evader to its pursuers, each half in (episode, pursuer) order. Also
+    the smallest pursuer-to-evader distance, and whether some offset in
+    either direction is exactly zero."""
 
-    distances: np.ndarray
-    bearings: np.ndarray
+    distances: list[float]
+    bearings: list[float]
     nearest: float
     chase_singular: bool
     contact_singular: bool
-
-
-@functools.lru_cache(maxsize=16)
-def _contact_index(e: int, n: int) -> tuple[np.ndarray, ...]:
-    """Indices into pair_offsets giving (2, E, n, 2): [0] pursuer -> evader,
-    [1] evader -> pursuer."""
-    pursuers = np.arange(n)
-    evader = np.full(n, n)
-    episodes = np.arange(e)[None, :, None]
-    return episodes, np.stack((pursuers, evader))[:, None], np.stack((evader, pursuers))[:, None]
 
 
 def make_state(
@@ -302,7 +307,7 @@ def reset(config: EnvConfig, rng: np.random.Generator, episodes: int = 1) -> Wor
         while True:
             draw = rng.uniform(low, high).reshape(1, n + 1, 3)
             spawn = WorldState(draw[..., :2], draw[..., 2])
-            if (spawn.chase_distances > config.spawn_separation).all():
+            if spawn.contacts.nearest > config.spawn_separation:
                 break
         poses[e] = draw[0]
     return WorldState(poses[..., :2].copy(), poses[..., 2].copy())
@@ -319,6 +324,15 @@ def _speeds(n: int, pursuer_speed: float, evader_speed: float) -> np.ndarray:
     return np.array([pursuer_speed] * n + [evader_speed])[:, None]
 
 
+@functools.lru_cache(maxsize=8)
+def _outcome(e: int, truncated: bool) -> StepOutcome:
+    """The read-only outcome of a step that captured none of E episodes."""
+    arrays = np.full(e, STEP_PENALTY), np.zeros(e, dtype=bool), np.full(e, truncated)
+    for a in arrays:
+        a.flags.writeable = False
+    return StepOutcome(*arrays)
+
+
 def step(
     state: WorldState,
     pursuer_headings: np.ndarray,
@@ -330,7 +344,7 @@ def step(
     Each evader's heading is computed from `state` before anyone moves, so
     the transition is simultaneous. The rng is consumed only when an
     evader's escape field is degenerate (perfectly symmetric surround), once
-    per such episode in episode order.
+    per such episode in episode order. The outcome's arrays are read-only.
     """
     if state.step >= config.episode_length:
         raise EpisodeDoneError(f"episode already truncated at step {state.step}")
@@ -341,13 +355,16 @@ def step(
         raise ValueError(
             f"expected headings of shape {(e, n)}, got {np.shape(pursuer_headings)}"
         )
-    chosen = np.array(pursuer_headings, dtype=np.float64)
-    if not max(map(abs, chosen.ravel().tolist()), default=0.0) < math.pi:
+    headings = np.empty((e, n + 1))
+    chosen = headings[:, :n]
+    chosen[...] = pursuer_headings
+    # abs(nan) < pi is False, so a NaN anywhere takes the checked path
+    if not all(abs(h) < math.pi for h in chosen.ravel().tolist()):
         finite = np.isfinite(chosen)
         if not finite.all():
             raise ValueError(f"non-finite pursuer heading {float(chosen[~finite][0])!r}")
         normalize_angles(chosen)
-    headings = np.concatenate((chosen, evade_heading(state, rng)[:, None]), axis=1)
+    headings[:, n] = evade_heading(state, rng)
 
     units = np.empty(state.positions.shape)
     np.cos(headings, out=units[..., 0])
@@ -356,16 +373,12 @@ def step(
     moved += state.positions
     new_state = WorldState(wrap_coords(moved), headings, state.step + 1, units)
 
+    truncating = new_state.step >= config.episode_length
     if new_state.contacts.nearest > config.capture_radius:
-        captured = np.zeros(e, dtype=bool)
-        rewards = np.full(e, STEP_PENALTY)
-    else:
-        captured = is_captured(new_state, config)
-        rewards = np.where(captured, CAPTURE_REWARD, STEP_PENALTY)
-    if new_state.step >= config.episode_length:
-        truncated = ~captured
-    else:
-        truncated = np.zeros(e, dtype=bool)
+        return new_state, _outcome(e, truncating)
+    captured = is_captured(new_state, config)
+    rewards = np.where(captured, CAPTURE_REWARD, STEP_PENALTY)
+    truncated = ~captured if truncating else np.zeros(e, dtype=bool)
     return new_state, StepOutcome(rewards, captured, truncated)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, truediv
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -58,14 +59,13 @@ def field_coefficients(contacts: Sequence[PolarContact]) -> tuple[float, float]:
     return a, b
 
 
-def field_heading(field: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Global minimizer atan2(-B, -A) for rows A and B of `field` (2, E).
+def field_heading(a: list[float], b: list[float], rng: np.random.Generator) -> list[float]:
+    """Global minimizers atan2(-B, -A) for paired lists of A and B.
 
-    Episodes whose resultant is below DEGENERACY_THRESHOLD draw a uniform
-    heading from `rng`, one draw per such episode in episode order.
+    Fields whose resultant is below DEGENERACY_THRESHOLD draw a uniform
+    heading from `rng`, one draw per such field in list order.
     """
-    a, b = field.tolist()
-    theta = np.array(atan2_bearings([-v for v in b], [-v for v in a]))
+    theta = atan2_bearings([-v for v in b], [-v for v in a])
     for e, magnitude in enumerate(map(math.hypot, a, b)):
         if magnitude < DEGENERACY_THRESHOLD:
             # Perfectly balanced surround: any deterministic pick would be
@@ -76,7 +76,8 @@ def field_heading(field: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def heading_from_contacts(contacts: Sequence[PolarContact], rng: np.random.Generator) -> float:
     """Global minimizer of the escape potential for the given contacts."""
-    return float(field_heading(np.array(field_coefficients(contacts))[:, None], rng)[0])
+    a, b = field_coefficients(contacts)
+    return field_heading([a], [b], rng)[0]
 
 
 def evade_heading(state: WorldState, rng: np.random.Generator) -> np.ndarray:
@@ -84,15 +85,21 @@ def evade_heading(state: WorldState, rng: np.random.Generator) -> np.ndarray:
 
     Contacts use the minimal wrapped offsets from the evader to its
     pursuers; A and B sum them in pursuer order, as `field_coefficients` does.
+    The few values per episode are worked on as Python floats.
     """
-    if state.contacts.contact_singular:
+    contacts = state.contacts
+    if contacts.contact_singular:
         raise SingularityError("pursuer co-located with evader")
-    r = state.contact_distances
-    theta = state.contact_bearings
-    # cos and sin of each bearing over its distance, (2, E, n)
-    w = np.empty((2,) + theta.shape)
-    np.cos(theta, out=w[0])
-    np.sin(theta, out=w[1])
-    w /= r
-    # A and B are running sums over the pursuers, taken left to right
-    return field_heading(np.add.accumulate(w, axis=-1)[..., -1], rng)
+    half = len(contacts.distances) // 2
+    r = contacts.distances[half:]
+    theta = contacts.bearings[half:]
+    # cos of each bearing over its distance, then sin, in (episode, pursuer) order
+    w = list(map(truediv, [*map(math.cos, theta), *map(math.sin, theta)], r * 2))
+    # running sums over each episode's pursuers, taken left to right: A of
+    # every episode, then B
+    n = state.n
+    sums = w[::n]
+    for i in range(1, n):
+        sums = list(map(add, sums, w[i::n]))
+    episodes = len(sums) // 2
+    return np.array(field_heading(sums[:episodes], sums[episodes:], rng))

@@ -14,12 +14,16 @@ an evader draws from the environment stream during a batch (a degenerate
 surround), the stream is rewound to before the batch and the batch replayed
 one episode at a time. The random and learned strategies roll batches of
 one episode, since per-step draws from one shared stream and stacked
-forward passes would not reproduce the one-at-a-time results.
+forward passes would not reproduce the one-at-a-time results. A batch of
+one is never replayed, so an episode longer than the buffer is written in
+runs of steps as it goes, and memory stays bounded whatever the episode
+length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -36,7 +40,7 @@ SUCCESS_HEADER = "ratio,episodes,captures,success_rate"
 
 # Strategies whose episodes may share a lockstep batch.
 LOCKSTEP_STRATEGIES = ("greedy", "pincer")
-# Most agent rows (episodes x episode_length x (n + 1)) one batch buffers.
+# Most agent rows (episodes x steps x (n + 1)) one rollout buffers.
 LOCKSTEP_AGENT_STEPS = 1 << 18
 
 HeadingPolicy = Callable[[WorldState], np.ndarray]
@@ -66,19 +70,11 @@ def make_policy(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-@dataclass
-class Rollout:
-    """A batch of frozen episodes; row j holds the batch's j-th episode.
-
-    poses (E, L, n+1, 3) holds x, y and heading of the pursuers and then the
-    evader after each step, and rewards (E, L) the shared pursuer reward;
-    only the first steps[j] entries of row j are set.
-    """
-
-    captured: np.ndarray
-    steps: np.ndarray
-    poses: np.ndarray
-    rewards: np.ndarray
+# Takes T post-move records of one episode, from step `first_step` on:
+# write(episode, poses=..., rewards=..., captured=..., first_step=...) with
+# poses (T, n+1, 3) and rewards (T,) as `TrajectoryWriter.write_episode`
+# takes them; `captured` marks the last of the T steps as the capturing one.
+EpisodeWriter = Callable[..., None]
 
 
 def rollout(
@@ -86,43 +82,58 @@ def rollout(
     policy: HeadingPolicy,
     env_rng: np.random.Generator,
     episodes: int = 1,
-) -> Rollout:
-    """Roll `episodes` frozen episodes in lockstep from fresh spawns.
+    first: int = 0,
+    write: EpisodeWriter | None = None,
+) -> np.ndarray:
+    """Roll `episodes` frozen episodes, numbered from `first`, in lockstep
+    from fresh spawns; returns whether each was captured, (E,).
 
-    The results equal rolling the episodes one after another: a batch whose
-    evaders drew from `env_rng` is replayed one episode at a time.
+    `write` receives each episode's post-move records in step order, episode
+    after episode. The results equal rolling the episodes one after another:
+    a batch whose evaders drew from `env_rng` is replayed one episode at a
+    time, so a batch writes nothing until it is done. A batch of one is
+    never replayed; it writes an episode longer than LOCKSTEP_AGENT_STEPS
+    agent rows in runs of steps, so no rollout buffers more rows than that.
     """
     saved = env_rng.bit_generator.state
     state = reset(env_cfg, env_rng, episodes)
     spawned = env_rng.bit_generator.state if episodes > 1 else None
     length, n = env_cfg.episode_length, env_cfg.n
-    out = Rollout(
-        captured=np.zeros(episodes, dtype=bool),
-        steps=np.zeros(episodes, dtype=int),
-        poses=np.empty((episodes, length, n + 1, 3)),
-        rewards=np.empty((episodes, length)),
-    )
+    span = length if episodes > 1 else min(length, max(1, LOCKSTEP_AGENT_STEPS // (n + 1)))
+    captured = np.zeros(episodes, dtype=bool)
+    steps = np.zeros(episodes, dtype=int)
+    poses = np.empty((episodes, span, n + 1, 3))
+    rewards = np.empty((episodes, span))
     active = np.arange(episodes)
+    written = 0  # steps a batch of one has already written
     while active.size:
         state, outcome = step(state, policy(state), env_cfg, env_rng)
-        t = state.step - 1
-        out.poses[active, t, :, :2] = state.positions
-        out.poses[active, t, :, 2] = state.headings
-        out.rewards[active, t] = outcome.rewards
+        t = state.step - 1 - written
+        poses[active, t, :, :2] = state.positions
+        poses[active, t, :, 2] = state.headings
+        rewards[active, t] = outcome.rewards
         done = outcome.done
         if done.any():
-            out.captured[active[done]] = outcome.captured[done]
-            out.steps[active[done]] = state.step
+            captured[active[done]] = outcome.captured[done]
+            steps[active[done]] = state.step
             active = active[~done]
             state = state.select(~done)
+        elif t + 1 == span:  # a batch of one whose episode outlasts its buffer
+            if write is not None:
+                write(first, poses=poses[0], rewards=rewards[0], captured=False,
+                      first_step=written + 1)
+            written += span
     if spawned is not None and env_rng.bit_generator.state != spawned:
         # An evader drew from the stream mid-batch; one-at-a-time rollouts
         # would have drawn it before the next episode's spawn.
         env_rng.bit_generator.state = saved
-        parts = [rollout(env_cfg, policy, env_rng) for _ in range(episodes)]
-        return Rollout(*(np.concatenate(field) for field in zip(
-            *((p.captured, p.steps, p.poses, p.rewards) for p in parts))))
-    return out
+        return np.concatenate([rollout(env_cfg, policy, env_rng, 1, first + j, write)
+                               for j in range(episodes)])
+    if write is not None:
+        for j, t in enumerate((steps - written).tolist()):
+            write(first + j, poses=poses[j, :t], rewards=rewards[j, :t],
+                  captured=bool(captured[j]), first_step=written + 1)
+    return captured
 
 
 def ratio_label(ratio: float) -> str:
@@ -187,15 +198,13 @@ def run_eval(
             if write_logs
             else None
         )
+        write = None if writer is None else functools.partial(writer.write_episode, ratio=ratio)
         captures = 0
         try:
             for start in range(0, episodes, batch):
-                rolled = rollout(env_cfg, policy, env_rng, min(batch, episodes - start))
-                captures += int(rolled.captured.sum())
-                if writer is not None:
-                    for j, t in enumerate(rolled.steps.tolist()):
-                        writer.write_episode(start + j, ratio, rolled.poses[j, :t],
-                                             rolled.rewards[j, :t], bool(rolled.captured[j]))
+                rolled = rollout(env_cfg, policy, env_rng, min(batch, episodes - start), start,
+                                 write)
+                captures += int(rolled.sum())
         finally:
             if writer is not None:
                 writer.close()

@@ -106,7 +106,7 @@ def offsets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`displacement(a, b)` elementwise: minimal wrapped offsets from a to b."""
     d = b - a
     d %= 1.0
-    np.subtract(d, 1.0, out=d, where=d >= 0.5)
+    d -= d >= 0.5  # 1.0 where the offset is 0.5 or more
     return d
 
 

@@ -23,8 +23,8 @@ TRAJECTORY_SCHEMA = "pursuit-trajectory-v1"
 TRAJECTORY_HEADER = "episode,step,agent,x,y,heading,action,reward,captured,ratio"
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
+# Format of every float field (x, y, heading, action, reward, ratio).
+_FLOAT_FORMAT = ".9g"
 
 
 @dataclass
@@ -66,27 +66,30 @@ class TrajectoryWriter:
         poses: np.ndarray,
         rewards: np.ndarray,
         captured: bool,
+        first_step: int = 1,
     ) -> None:
-        """All rows of one T-step episode, steps 1..T, in one write.
+        """The rows of T steps of one episode, numbered from `first_step`, in
+        one write.
 
         poses (T, n+1, 3) holds x, y and heading of the pursuers and then the
         evader after each step, rewards (T,) the shared pursuer reward;
-        `captured` marks the last step as the capturing one.
+        `captured` marks the last of these steps as the capturing one.
         """
-        r = _fmt(ratio)
+        f = _FLOAT_FORMAT
+        r = f"{ratio:{f}}"
         names = [f"p{i}" for i in range(poses.shape[1] - 1)]
         last = len(rewards) - 1
         lines = []
         for t, (agents, reward) in enumerate(zip(poses.tolist(), rewards.tolist())):
-            head = f"{episode},{t + 1},"
+            head = f"{episode},{first_step + t},"
             tail = f",{'1' if captured and t == last else '0'},{r}\n"
             x, y, h = agents.pop()
-            h = f"{h:.9g}"
-            lines.append(f"{head}e,{x:.9g},{y:.9g},{h},{h},0{tail}")
-            reward = f"{reward:.9g}"
+            h = f"{h:{f}}"
+            lines.append(f"{head}e,{x:{f}},{y:{f}},{h},{h},0{tail}")
+            reward = f"{reward:{f}}"
             for name, (px, py, a) in zip(names, agents):
-                a = f"{a:.9g}"
-                lines.append(f"{head}{name},{px:.9g},{py:.9g},{a},{a},{reward}{tail}")
+                a = f"{a:{f}}"
+                lines.append(f"{head}{name},{px:{f}},{py:{f}},{a},{a},{reward}{tail}")
         self._fh.write("".join(lines))
 
     def close(self) -> None:

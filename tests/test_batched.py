@@ -251,6 +251,19 @@ def test_run_eval_learned_team_matches_sequential_sweep(tmp_path, strategy):
     assert_same_files(tmp_path / "batched", tmp_path / "sequential")
 
 
+@pytest.mark.parametrize("strategy, length", [("greedy", 30), ("random", 28)])
+def test_run_eval_writes_long_episodes_in_runs(tmp_path, monkeypatch, strategy, length):
+    # A buffer of 7 steps at n=3: every episode rolls alone and is written in
+    # runs of 7 steps; a truncated episode of 28 steps ends on a run's end.
+    monkeypatch.setattr(evaluation, "LOCKSTEP_AGENT_STEPS", 7 * 4)
+    config = eval_config(3, strategy, length)
+    assert lockstep_batch(config.env, strategy, 5) == 1
+    got = run_eval(config, [1.1, 0.8], 5, tmp_path / "batched")
+    want = ref.run_eval(config, [1.1, 0.8], 5, tmp_path / "sequential")
+    assert got == want
+    assert_same_files(tmp_path / "batched", tmp_path / "sequential")
+
+
 def test_run_eval_replays_a_batch_whose_evader_drew(tmp_path, monkeypatch):
     # Every surround counts as degenerate, so every evader step draws from
     # the environment stream; lockstep batches must be replayed one by one.

@@ -244,9 +244,24 @@ class TestTrajectoryCsv:
         with TrajectoryWriter(path) as w:
             w.write_episode(0, 1.0 / 3.0, np.array([[(0.25, 0.5, math.pi), (1.0 / 7.0, 0.5, 0.1)]]),
                             np.array([-0.1]), False)
-        row = path.read_text().splitlines()[2].split(",")
-        assert row[3] == f"{1.0 / 7.0:.9g}"
-        assert row[9] == f"{1.0 / 3.0:.9g}"
+        rows = path.read_text().splitlines()[2:]
+        assert rows == [
+            "0,1,e,0.142857143,0.5,0.1,0.1,0,0,0.333333333",
+            "0,1,p0,0.25,0.5,3.14159265,3.14159265,-0.1,0,0.333333333",
+        ]
+
+    def test_run_of_steps(self, tmp_path):
+        # the last steps of an episode, written on their own
+        path = tmp_path / "log.csv"
+        poses = np.array([[(0.25, 0.5, 0.5), (0.75, 0.5, -0.5)]] * 2)
+        with TrajectoryWriter(path) as w:
+            w.write_episode(4, 0.9, poses, np.array([-0.1, 50.0]), True, first_step=7)
+        assert path.read_text().splitlines()[2:] == [
+            "4,7,e,0.75,0.5,-0.5,-0.5,0,0,0.9",
+            "4,7,p0,0.25,0.5,0.5,0.5,-0.1,0,0.9",
+            "4,8,e,0.75,0.5,-0.5,-0.5,0,1,0.9",
+            "4,8,p0,0.25,0.5,0.5,0.5,50,1,0.9",
+        ]
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "log.csv"

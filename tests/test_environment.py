@@ -149,6 +149,11 @@ class TestStepKinematics:
         state = world([(0.1, 0.1)], (0.6, 0.6))
         with pytest.raises(ValueError, match="non-finite pursuer heading nan"):
             step(state, [[float("nan")]], cfg, np.random.default_rng(0))
+        # a bad heading of a later agent in a later episode is caught as well
+        two = world([[(0.1, 0.1), (0.3, 0.8)]] * 2, [(0.6, 0.6)] * 2)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"non-finite pursuer heading {bad!r}"):
+                step(two, [[0.5, 0.5], [0.5, bad]], EnvConfig(n=2), np.random.default_rng(0))
         with pytest.raises(ValueError):
             step(state, [[0.0, 0.0]], cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):

@@ -135,12 +135,13 @@ class ReplayBuffer:
         if shapes != ((n, d), (n, ACTION_DIM), (n,), (n, d)):
             raise ValueError(f"step rows of shapes {shapes} do not fit {n} rings of "
                              f"{d} observations")
-        # n vectors of two: Python floats cost less than numpy calls here
-        for agent, (x, y) in enumerate(np.asarray(action_vectors).tolist()):
-            norm = math.hypot(x, y)
-            if not abs(norm - 1.0) <= UNIT_NORM_TOLERANCE:
-                raise ValueError(f"agent {agent}: action vector norm {norm!r} "
-                                 f"is not 1 within {UNIT_NORM_TOLERANCE}")
+        x, y = np.asarray(action_vectors).T
+        norms = np.hypot(x, y)
+        err = np.abs(norms - 1.0)
+        if not err.max() <= UNIT_NORM_TOLERANCE:  # a NaN norm fails too
+            agent = int(np.flatnonzero(~(err <= UNIT_NORM_TOLERANCE))[0])
+            raise ValueError(f"agent {agent}: action vector norm {float(norms[agent])!r} "
+                             f"is not 1 within {UNIT_NORM_TOLERANCE}")
         i = self._next
         self._obs[:, i] = obs
         self._actions[:, i] = action_vectors

@@ -36,6 +36,7 @@ from torus_pursuit.evader import evade_heading
 from torus_pursuit.evaluation import LOCKSTEP_AGENT_STEPS, lockstep_batch, run_eval
 from torus_pursuit.geometry import displacement
 from torus_pursuit.pursuit import greedy_heading, pincer_headings, pincer_selection
+from torus_pursuit.trajectory import TrajectoryWriter
 
 
 def bits(values) -> list[int]:
@@ -258,7 +259,16 @@ def test_run_eval_writes_long_episodes_in_runs(tmp_path, monkeypatch, strategy, 
     monkeypatch.setattr(evaluation, "LOCKSTEP_AGENT_STEPS", 7 * 4)
     config = eval_config(3, strategy, length)
     assert lockstep_batch(config.env, strategy, 5) == 1
+    runs = []
+    write_episode = TrajectoryWriter.write_episode
+
+    def recording_write(self, episode, ratio, poses, rewards, captured, first_step=1):
+        runs.append(len(rewards))
+        write_episode(self, episode, ratio, poses, rewards, captured, first_step)
+
+    monkeypatch.setattr(TrajectoryWriter, "write_episode", recording_write)
     got = run_eval(config, [1.1, 0.8], 5, tmp_path / "batched")
+    assert max(runs) == 7 and len(runs) > 10
     want = ref.run_eval(config, [1.1, 0.8], 5, tmp_path / "sequential")
     assert got == want
     assert_same_files(tmp_path / "batched", tmp_path / "sequential")

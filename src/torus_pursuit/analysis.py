@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import AnalysisInputError
+from .evaluation import write_success_table
 from .geometry import displacement, wrap
 from .metrics import (
     CaptureAngleHistogram,
@@ -23,7 +25,6 @@ from .metrics import (
     capture_success_rate,
     ic_report,
 )
-from .evaluation import write_success_table
 from .trajectory import EpisodeTrace, read_many
 
 IC_REPORT_SCHEMA_VERSION = 1
@@ -65,10 +66,17 @@ def analyze_logs(
     """Run the full metrics suite; writes the reports and returns the IC doc."""
     traces = read_many(log_paths)
     if not traces:
-        raise ValueError("no episodes found in the supplied logs")
+        raise AnalysisInputError("no episodes found in the supplied logs")
+    groups = group_by_ratio(traces)
+    for ratio, eps in groups.items():
+        counts = sorted({e.n_pursuers for e in eps})
+        if len(counts) > 1:
+            raise AnalysisInputError(
+                f"ratio {ratio:g}: episodes have different pursuer counts {counts}; "
+                "analyze pools a ratio's episodes, so give each pursuer count its own ratio"
+            )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    groups = group_by_ratio(traces)
 
     per_ratio = []
     success_rows = []

@@ -28,10 +28,12 @@ from .config import (
 )
 from .environment import observation_dim
 from .errors import (
+    AnalysisInputError,
     CheckpointIntegrityError,
     ConfigError,
     DigestMismatchError,
     SchemaVersionError,
+    TrajectoryParseError,
 )
 from .evader import PolarContact, heading_from_contacts
 from .evaluation import check_ratio_labels, run_eval
@@ -190,6 +192,8 @@ def main(argv: list[str] | None = None) -> int:
         DigestMismatchError,
         SchemaVersionError,
         CheckpointIntegrityError,
+        TrajectoryParseError,
+        AnalysisInputError,
         FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,13 @@ class SchemaVersionError(ValueError):
 
 
 class TrajectoryParseError(ValueError):
-    """A trajectory CSV row is malformed; the message carries the line number."""
+    """A trajectory CSV is malformed; the message names the file and, where one
+    line is at fault, its line number."""
+
+
+class AnalysisInputError(ValueError):
+    """Trajectory logs parse but cannot be analyzed together: they hold no
+    episodes, or one ratio's episodes have different pursuer counts."""
 
 
 class CheckpointIntegrityError(ValueError):

@@ -48,6 +48,39 @@ class ActionHistogram:
         return self.joint_counts.sum(axis=0)
 
 
+def _step_pair_bins(
+    action_logs: Sequence[np.ndarray], bins: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Heading bins of every agent at t and at t+1, one row per step pair.
+
+    Each log is a (T, n_agents) array of action headings. The logs are binned
+    together, once, and pairs are formed within a log only.
+    """
+    arrays = []
+    for log in action_logs:
+        arr = np.asarray(log, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValueError(f"action log must be 2-D (steps, agents), got shape {arr.shape}")
+        if arr.shape[0] >= 2:
+            arrays.append(arr)
+    if not arrays:
+        raise ValueError("no step pairs: need at least one trajectory of length >= 2")
+    headings = np.concatenate(arrays)
+    binned = np.clip(
+        np.floor((headings + math.pi) / (2.0 * math.pi / bins)).astype(np.int64), 0, bins - 1
+    )
+    # a row pairs with the next unless it ends its log
+    last = np.cumsum([a.shape[0] for a in arrays]) - 1
+    now = np.delete(np.arange(len(binned) - 1), last[:-1])
+    return binned[now], binned[now + 1]
+
+
+def _joint_counts(now: np.ndarray, nxt: np.ndarray, i: int, j: int, bins: int) -> ActionHistogram:
+    """Joint table of agent i's bin at t against agent j's at t+1."""
+    cells = np.bincount(now[:, i] * bins + nxt[:, j], minlength=bins * bins)
+    return ActionHistogram(bins=bins, joint_counts=cells.reshape(bins, bins))
+
+
 def build_action_histogram(
     action_logs: Sequence[np.ndarray], i: int, j: int, bins: int
 ) -> ActionHistogram:
@@ -58,23 +91,7 @@ def build_action_histogram(
     """
     if i == j:
         raise ValueError("agent indices must differ")
-    counts = np.zeros((bins, bins), dtype=np.int64)
-    total = 0
-    for log in action_logs:
-        arr = np.asarray(log, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"action log must be 2-D (steps, agents), got shape {arr.shape}")
-        if arr.shape[0] < 2:
-            continue
-        a = np.floor((arr[:-1, i] + math.pi) / (2.0 * math.pi / bins)).astype(np.int64)
-        b = np.floor((arr[1:, j] + math.pi) / (2.0 * math.pi / bins)).astype(np.int64)
-        a = np.clip(a, 0, bins - 1)
-        b = np.clip(b, 0, bins - 1)
-        np.add.at(counts, (a, b), 1)
-        total += arr.shape[0] - 1
-    if total == 0:
-        raise ValueError("no step pairs: need at least one trajectory of length >= 2")
-    return ActionHistogram(bins=bins, joint_counts=counts)
+    return _joint_counts(*_step_pair_bins(action_logs, bins), i, j, bins)
 
 
 def mutual_information_bits(hist: ActionHistogram) -> float:
@@ -143,11 +160,14 @@ def ic_report(
 ) -> IcReport:
     """MI and high-influence fraction for every ordered agent pair."""
     report = IcReport(bins=bins)
+    if n_agents < 2:
+        return report
+    now, nxt = _step_pair_bins(action_logs, bins)
     for i in range(n_agents):
         for j in range(n_agents):
             if i == j:
                 continue
-            hist = build_action_histogram(action_logs, i, j, bins)
+            hist = _joint_counts(now, nxt, i, j, bins)
             report.pairs[(i, j)] = {
                 "mi_bits": mutual_information_bits(hist),
                 "high_influence_fraction": _high_influence_share(hist),

@@ -2,8 +2,9 @@
 
 Layout: one `# schema=...` comment line, then the header
 `episode,step,agent,x,y,heading,action,reward,captured,ratio`, then one row
-per agent per step ordered by (episode, step, agent). The evader logs as
-agent "e" (which sorts before "p0".."p{n-1}"), reward 0. Rows record the
+per agent per step ordered by (episode, step, agent); the reader accepts the
+rows in any order. The evader logs as agent "e" (which sorts before
+"p0".."p{n-1}"), reward 0. Rows record the
 post-move state of the step, so the final row set of a captured episode
 carries the capturing geometry. Floats use 9 significant digits.
 """
@@ -11,9 +12,10 @@ carries the capturing geometry. Floats use 9 significant digits.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -104,108 +106,211 @@ class TrajectoryWriter:
         self.close()
 
 
-def _parse_row(line: str, lineno: int) -> tuple:
+# Row layout for np.loadtxt. Agent ids and capture flags stay bytes, so only
+# the exact strings "e", "p<k>", "0" and "1" pass the checks. An agent id is
+# one 8-byte word, compared and sorted as an integer; one that fills all 8
+# bytes may have been cut short and is rejected.
+_AGENT_WIDTH = 8
+_ROW_DTYPE = np.dtype(
+    [
+        ("episode", np.int64),
+        ("step", np.int64),
+        ("agent", f"S{_AGENT_WIDTH}"),
+        ("x", np.float64),
+        ("y", np.float64),
+        ("heading", np.float64),
+        ("action", np.float64),
+        ("reward", np.float64),
+        ("captured", "S2"),
+        ("ratio", np.float64),
+    ]
+)
+_FLOAT_FIELDS = ("x", "y", "heading", "action", "reward", "ratio")
+
+
+def _agent_code(agent: str) -> int:
+    """0 for the evader "e", k + 1 for pursuer "p<k>", -1 for anything else."""
+    if agent == "e":
+        return 0
+    digits = agent[1:]
+    if (
+        agent[:1] == "p"
+        and len(agent) < _AGENT_WIDTH
+        and digits.isascii()
+        and digits.isdigit()
+        and digits == str(int(digits))
+    ):
+        return int(digits) + 1
+    return -1
+
+
+def _check_row(line: str, where: str) -> None:
+    """Raise TrajectoryParseError, prefixed by `where`, if a body line is malformed."""
     parts = line.split(",")
     if len(parts) != 10:
-        raise TrajectoryParseError(f"line {lineno}: expected 10 fields, got {len(parts)}")
+        raise TrajectoryParseError(f"{where}: expected 10 fields, got {len(parts)}")
     try:
-        episode = int(parts[0])
-        step = int(parts[1])
-        agent = parts[2]
-        x, y, heading, action, reward = (float(v) for v in parts[3:8])
-        captured = {"0": False, "1": True}[parts[8]]
-        ratio = float(parts[9])
-    except (ValueError, KeyError) as exc:
-        raise TrajectoryParseError(f"line {lineno}: {exc}") from exc
-    if agent != "e" and not (agent.startswith("p") and agent[1:].isdigit()):
-        raise TrajectoryParseError(f"line {lineno}: bad agent id {agent!r}")
-    for v in (x, y, heading, action, reward, ratio):
-        if not math.isfinite(v):
-            raise TrajectoryParseError(f"line {lineno}: non-finite value")
-    return episode, step, agent, x, y, heading, action, reward, captured, ratio
+        int(parts[0])
+        int(parts[1])
+        values = [float(parts[k]) for k in (3, 4, 5, 6, 7, 9)]
+    except ValueError as exc:
+        raise TrajectoryParseError(f"{where}: {exc}") from exc
+    if _agent_code(parts[2]) < 0:
+        raise TrajectoryParseError(f"{where}: bad agent id {parts[2]!r}")
+    if parts[8] not in ("0", "1"):
+        raise TrajectoryParseError(f"{where}: captured must be 0 or 1, got {parts[8]!r}")
+    if not all(map(math.isfinite, values)):
+        raise TrajectoryParseError(f"{where}: non-finite value")
+
+
+def _raise_first_bad_line(path: Path, body_start: int, fallback: str) -> NoReturn:
+    """Check the body row by row and raise the error of the first bad line."""
+    lines = path.read_text().splitlines()
+    for lineno, line in enumerate(lines[body_start:], body_start + 1):
+        if line:
+            _check_row(line, f"{path}: line {lineno}")
+    raise TrajectoryParseError(f"{path}: {fallback}")
+
+
+def _body_line_numbers(path: Path, body_start: int) -> np.ndarray:
+    """The file line number of each row; np.loadtxt skips blank lines."""
+    lines = path.read_text().splitlines()
+    return np.array([k for k, line in enumerate(lines[body_start:], body_start + 1) if line])
+
+
+def _read_header(fh, path: Path) -> int:
+    """Check the optional schema line and the header; return the lines they take."""
+    line = fh.readline()
+    if not line:
+        raise TrajectoryParseError(f"{path}: line 0: empty file")
+    lines = 1
+    if line.startswith("#"):
+        declared = line.lstrip("#").strip()
+        if declared != f"schema={TRAJECTORY_SCHEMA}":
+            raise SchemaVersionError(f"{path}: unknown trajectory schema {declared!r}")
+        line = fh.readline()
+        lines = 2
+    if line.rstrip("\n") != TRAJECTORY_HEADER:
+        raise TrajectoryParseError(f"{path}: line {lines}: missing header {TRAJECTORY_HEADER!r}")
+    return lines
+
+
+def _agent_codes(agents: np.ndarray) -> np.ndarray:
+    """`_agent_code` of every row's id, decoding each distinct id once."""
+    words, inverse = np.unique(agents.view(np.uint64), return_inverse=True)
+    ids = words.view(agents.dtype).tolist()
+    lut = np.array([_agent_code(a.decode("ascii", "replace")) for a in ids], dtype=np.int64)
+    return lut[inverse]
 
 
 def read_trajectories(path: str | Path) -> list[EpisodeTrace]:
-    """Parse a trajectory CSV into per-episode traces.
+    """Parse a trajectory CSV into per-episode traces, ordered by episode.
 
-    Raises TrajectoryParseError with a line number on malformed rows and
+    Rows may come in any order and blank lines are skipped. Every step of
+    every episode must hold one row for the evader and one for each of the
+    file's n pursuers, and an episode's steps must run 1..T. Errors name the
+    file and, where one line is at fault, its line number:
+    TrajectoryParseError on malformed, duplicated or missing rows,
     SchemaVersionError on an unknown schema declaration.
     """
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise TrajectoryParseError("line 0: empty file")
-    body_start = 0
-    if lines[0].startswith("#"):
-        declared = lines[0].lstrip("#").strip()
-        if declared != f"schema={TRAJECTORY_SCHEMA}":
-            raise SchemaVersionError(f"unknown trajectory schema {declared!r}")
-        body_start = 1
-    if body_start >= len(lines) or lines[body_start] != TRAJECTORY_HEADER:
-        raise TrajectoryParseError(f"line {body_start + 1}: missing header {TRAJECTORY_HEADER!r}")
+    path = Path(path)
+    with open(path) as fh:
+        body_start = _read_header(fh, path)
+        try:
+            with warnings.catch_warnings():
+                # a body of blank lines is an empty log, not a problem
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            _raise_first_bad_line(path, body_start, str(exc))
+    if rows.size == 0:
+        return []
 
-    episodes: dict[int, dict[int, dict[str, tuple]]] = {}
-    for offset, line in enumerate(lines[body_start + 1 :]):
-        if not line:
-            continue
-        lineno = body_start + 2 + offset
-        episode, step, agent, x, y, heading, action, reward, captured, ratio = _parse_row(
-            line, lineno
-        )
-        episodes.setdefault(episode, {}).setdefault(step, {})[agent] = (
-            x, y, heading, action, reward, captured, ratio, lineno,
+    codes = _agent_codes(rows["agent"])
+    bad = (codes < 0) | ((rows["captured"] != b"0") & (rows["captured"] != b"1"))
+    for name in _FLOAT_FIELDS:
+        bad |= ~np.isfinite(rows[name])
+    if bad.any():
+        _raise_first_bad_line(path, body_start, "malformed row")
+    n = int(codes.max())
+    if n == 0:
+        raise TrajectoryParseError(f"{path}: no pursuer rows")
+
+    order = np.lexsort((codes, rows["step"], rows["episode"]))
+    rows, codes = rows[order], codes[order]
+    episode, step = rows["episode"], rows["step"]
+
+    def fail(at: np.ndarray, message: str) -> NoReturn:
+        # `at`: sorted-row indices of the rows at fault; name the first in the file
+        line = _body_line_numbers(path, body_start)[order[at]].min()
+        raise TrajectoryParseError(f"{path}: line {line}: {message}")
+
+    same_step = (episode[1:] == episode[:-1]) & (step[1:] == step[:-1])
+    duplicate = np.flatnonzero(same_step & (codes[1:] == codes[:-1])) + 1
+    if duplicate.size:
+        k = duplicate[np.argmin(order[duplicate])]
+        agent = f"p{codes[k] - 1}" if codes[k] else "e"
+        fail(duplicate, f"episode {episode[k]} step {step[k]}: second row for agent {agent}")
+    starts = np.flatnonzero(np.r_[True, ~same_step])
+    sizes = np.diff(np.r_[starts, rows.size])
+    if (sizes != n + 1).any():
+        g = int(np.argmax(sizes != n + 1))
+        k = starts[g]
+        fail(
+            np.arange(k, k + sizes[g]),
+            f"episode {episode[k]} step {step[k]}: expected evader + {n} pursuer rows, "
+            f"found {sizes[g]} rows",
         )
 
-    traces = []
-    for episode in sorted(episodes):
-        steps = episodes[episode]
-        ordered = sorted(steps)
-        first = steps[ordered[0]]
-        if "e" not in first:
-            raise TrajectoryParseError(
-                f"episode {episode} step {ordered[0]}: missing evader row"
-            )
-        n = len(first) - 1
-        t_count = len(ordered)
-        actions = np.zeros((t_count, n))
-        pursuer_xy = np.zeros((t_count, n, 2))
-        evader_xy = np.zeros((t_count, 2))
-        evader_action = np.zeros(t_count)
-        rewards = np.zeros(t_count)
-        captured_flag = False
-        ratio_value = first["e"][6]
-        for t, step in enumerate(ordered):
-            rows = steps[step]
-            if "e" not in rows or len(rows) != n + 1:
-                raise TrajectoryParseError(
-                    f"episode {episode} step {step}: expected evader + {n} pursuer rows"
-                )
-            ex, ey, eh, ea, _, ecap, _, _ = rows["e"]
-            evader_xy[t] = (ex, ey)
-            evader_action[t] = ea
-            captured_flag = captured_flag or ecap
-            for i in range(n):
-                key = f"p{i}"
-                if key not in rows:
-                    raise TrajectoryParseError(
-                        f"episode {episode} step {step}: missing row for {key}"
-                    )
-                px, py, _, pa, pr, _, _, _ = rows[key]
-                pursuer_xy[t, i] = (px, py)
-                actions[t, i] = pa
-                rewards[t] = pr
-        traces.append(
-            EpisodeTrace(
-                episode=episode,
-                ratio=ratio_value,
-                captured=captured_flag,
-                actions=actions,
-                pursuer_xy=pursuer_xy,
-                evader_xy=evader_xy,
-                evader_action=evader_action,
-                rewards=rewards,
-            )
+    m = n + 1
+    groups = rows.size // m
+    group_episode, group_step = episode[::m], step[::m]
+    first = np.flatnonzero(np.r_[True, group_episode[1:] != group_episode[:-1]])
+    lengths = np.diff(np.r_[first, groups])
+    expected = np.arange(groups) - np.repeat(first, lengths) + 1
+    if (group_step != expected).any():
+        g = int(np.argmax(group_step != expected))
+        fail(
+            np.arange(g * m, g * m + m),
+            f"episode {group_episode[g]}: expected step {expected[g]}, found step {group_step[g]}",
         )
-    return traces
+    return _episode_traces(rows, n, first)
+
+
+def _episode_traces(rows: np.ndarray, n: int, first: np.ndarray) -> list[EpisodeTrace]:
+    """Traces from checked rows in (episode, step, agent) order; `first` holds
+    the index of each episode's first step."""
+    m = n + 1
+    steps = rows.size // m
+    action = rows["action"].reshape(steps, m)
+    xy = np.stack((rows["x"], rows["y"]), axis=-1).reshape(steps, m, 2)
+    actions = np.ascontiguousarray(action[:, 1:])
+    evader_action = np.ascontiguousarray(action[:, 0])
+    pursuer_xy = np.ascontiguousarray(xy[:, 1:])
+    evader_xy = np.ascontiguousarray(xy[:, 0])
+    rewards = np.ascontiguousarray(rows["reward"][n::m])  # p{n-1}'s, shared by all
+    evader = rows[::m]
+    captured = np.logical_or.reduceat(evader["captured"] == b"1", first)
+    bounds = np.r_[first, steps].tolist()
+    return [
+        EpisodeTrace(
+            episode=ep,
+            ratio=ratio,
+            captured=caught,
+            actions=actions[a:b],
+            pursuer_xy=pursuer_xy[a:b],
+            evader_xy=evader_xy[a:b],
+            evader_action=evader_action[a:b],
+            rewards=rewards[a:b],
+        )
+        for ep, ratio, caught, a, b in zip(
+            evader["episode"][first].tolist(),
+            evader["ratio"][first].tolist(),
+            captured.tolist(),
+            bounds[:-1],
+            bounds[1:],
+        )
+    ]
 
 
 def read_many(paths: Iterable[str | Path]) -> list[EpisodeTrace]:

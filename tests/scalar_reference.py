@@ -1,5 +1,7 @@
 """Scalar reference model of the environment, the evader and the scripted
 strategies: one episode at a time, per-pose dataclasses and `math` calls.
+It also keeps the row-by-row trajectory reader and the one-pair,
+one-log-at-a-time action histogram.
 
 The package computes all of these on arrays with a leading episode axis.
 This module keeps the one-episode-at-a-time formulation that the array code
@@ -24,7 +26,12 @@ from torus_pursuit.environment import (
     WorldState,
     make_state,
 )
-from torus_pursuit.errors import EpisodeDoneError, SingularityError
+from torus_pursuit.errors import (
+    EpisodeDoneError,
+    SchemaVersionError,
+    SingularityError,
+    TrajectoryParseError,
+)
 from torus_pursuit.evader import PolarContact
 from torus_pursuit.evaluation import ratio_label, write_success_table
 from torus_pursuit.geometry import (
@@ -35,8 +42,9 @@ from torus_pursuit.geometry import (
     replicate,
     wrap,
 )
+from torus_pursuit.metrics import ActionHistogram
 from torus_pursuit.pursuit import BALANCE_TIE_BAND, check_pincer_grid
-from torus_pursuit.trajectory import TRAJECTORY_HEADER, TRAJECTORY_SCHEMA
+from torus_pursuit.trajectory import TRAJECTORY_HEADER, TRAJECTORY_SCHEMA, EpisodeTrace
 
 
 @dataclass(frozen=True)
@@ -269,3 +277,130 @@ def run_eval(config, ratios, episodes, out_dir, team=None, strategy=None, write_
         rows.append((ratio, episodes, captures, captures / episodes))
     write_success_table(out / "success.csv", rows)
     return results
+
+
+def _parse_row(line: str, lineno: int) -> tuple:
+    parts = line.split(",")
+    if len(parts) != 10:
+        raise TrajectoryParseError(f"line {lineno}: expected 10 fields, got {len(parts)}")
+    try:
+        episode = int(parts[0])
+        step = int(parts[1])
+        agent = parts[2]
+        x, y, heading, action, reward = (float(v) for v in parts[3:8])
+        captured = {"0": False, "1": True}[parts[8]]
+        ratio = float(parts[9])
+    except (ValueError, KeyError) as exc:
+        raise TrajectoryParseError(f"line {lineno}: {exc}") from exc
+    if agent != "e" and not (agent.startswith("p") and agent[1:].isdigit()):
+        raise TrajectoryParseError(f"line {lineno}: bad agent id {agent!r}")
+    for v in (x, y, heading, action, reward, ratio):
+        if not math.isfinite(v):
+            raise TrajectoryParseError(f"line {lineno}: non-finite value")
+    return episode, step, agent, x, y, heading, action, reward, captured, ratio
+
+
+def read_trajectories(path: str | Path) -> list[EpisodeTrace]:
+    """Row-by-row trajectory reader: every row parsed in Python into nested
+    dicts keyed by episode, step and agent."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise TrajectoryParseError("line 0: empty file")
+    body_start = 0
+    if lines[0].startswith("#"):
+        declared = lines[0].lstrip("#").strip()
+        if declared != f"schema={TRAJECTORY_SCHEMA}":
+            raise SchemaVersionError(f"unknown trajectory schema {declared!r}")
+        body_start = 1
+    if body_start >= len(lines) or lines[body_start] != TRAJECTORY_HEADER:
+        raise TrajectoryParseError(f"line {body_start + 1}: missing header {TRAJECTORY_HEADER!r}")
+
+    episodes: dict[int, dict[int, dict[str, tuple]]] = {}
+    for offset, line in enumerate(lines[body_start + 1 :]):
+        if not line:
+            continue
+        lineno = body_start + 2 + offset
+        episode, step, agent, x, y, heading, action, reward, captured, ratio = _parse_row(
+            line, lineno
+        )
+        episodes.setdefault(episode, {}).setdefault(step, {})[agent] = (
+            x, y, heading, action, reward, captured, ratio, lineno,
+        )
+
+    traces = []
+    for episode in sorted(episodes):
+        steps = episodes[episode]
+        ordered = sorted(steps)
+        first = steps[ordered[0]]
+        if "e" not in first:
+            raise TrajectoryParseError(
+                f"episode {episode} step {ordered[0]}: missing evader row"
+            )
+        n = len(first) - 1
+        t_count = len(ordered)
+        actions = np.zeros((t_count, n))
+        pursuer_xy = np.zeros((t_count, n, 2))
+        evader_xy = np.zeros((t_count, 2))
+        evader_action = np.zeros(t_count)
+        rewards = np.zeros(t_count)
+        captured_flag = False
+        ratio_value = first["e"][6]
+        for t, step in enumerate(ordered):
+            rows = steps[step]
+            if "e" not in rows or len(rows) != n + 1:
+                raise TrajectoryParseError(
+                    f"episode {episode} step {step}: expected evader + {n} pursuer rows"
+                )
+            ex, ey, eh, ea, _, ecap, _, _ = rows["e"]
+            evader_xy[t] = (ex, ey)
+            evader_action[t] = ea
+            captured_flag = captured_flag or ecap
+            for i in range(n):
+                key = f"p{i}"
+                if key not in rows:
+                    raise TrajectoryParseError(
+                        f"episode {episode} step {step}: missing row for {key}"
+                    )
+                px, py, _, pa, pr, _, _, _ = rows[key]
+                pursuer_xy[t, i] = (px, py)
+                actions[t, i] = pa
+                rewards[t] = pr
+        traces.append(
+            EpisodeTrace(
+                episode=episode,
+                ratio=ratio_value,
+                captured=captured_flag,
+                actions=actions,
+                pursuer_xy=pursuer_xy,
+                evader_xy=evader_xy,
+                evader_action=evader_action,
+                rewards=rewards,
+            )
+        )
+    return traces
+
+
+def build_action_histogram(
+    action_logs: Sequence[np.ndarray], i: int, j: int, bins: int
+) -> ActionHistogram:
+    """Joint counts of (bin of a_i at t, bin of a_j at t+1), binned and added
+    one log at a time with `np.add.at`."""
+    if i == j:
+        raise ValueError("agent indices must differ")
+    counts = np.zeros((bins, bins), dtype=np.int64)
+    total = 0
+    for log in action_logs:
+        arr = np.asarray(log, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValueError(f"action log must be 2-D (steps, agents), got shape {arr.shape}")
+        if arr.shape[0] < 2:
+            continue
+        a = np.floor((arr[:-1, i] + math.pi) / (2.0 * math.pi / bins)).astype(np.int64)
+        b = np.floor((arr[1:, j] + math.pi) / (2.0 * math.pi / bins)).astype(np.int64)
+        a = np.clip(a, 0, bins - 1)
+        b = np.clip(b, 0, bins - 1)
+        np.add.at(counts, (a, b), 1)
+        total += arr.shape[0] - 1
+    if total == 0:
+        raise ValueError("no step pairs: need at least one trajectory of length >= 2")
+    return ActionHistogram(bins=bins, joint_counts=counts)

@@ -8,6 +8,7 @@ import pytest
 
 from torus_pursuit.analysis import analyze_logs, capture_bearings, group_by_ratio
 from torus_pursuit.config import config_from_dict
+from torus_pursuit.errors import AnalysisInputError
 from torus_pursuit.evaluation import run_eval
 from torus_pursuit.trajectory import EpisodeTrace, TrajectoryWriter, read_trajectories
 
@@ -105,6 +106,20 @@ class TestAnalyzeLogs:
                 int(r[4]) for r in angle_rows if r[0] == ratio_str and r[1] == agent
             )
             assert binned == int(captures)
+
+    @pytest.mark.parametrize("counts", [(3, 5), (5, 3)])
+    def test_mixed_pursuer_counts_at_one_ratio_rejected(self, tmp_path, counts):
+        # either file order used to fail inside numpy with an unrelated message
+        paths = []
+        for k, n in enumerate(counts):
+            path = tmp_path / f"log{k}.csv"
+            poses = np.tile(np.linspace(0.1, 0.9, 3 * (n + 1)).reshape(n + 1, 3), (4, 1, 1))
+            with TrajectoryWriter(path) as w:
+                w.write_episode(0, 0.9, poses, np.full(4, -0.1), False)
+            paths.append(path)
+        with pytest.raises(AnalysisInputError, match=r"ratio 0\.9: .*pursuer counts \[3, 5\]"):
+            analyze_logs(paths, out_dir=tmp_path / "x")
+        assert not (tmp_path / "x").exists()
 
     def test_empty_logs_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"

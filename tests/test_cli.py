@@ -346,11 +346,41 @@ class TestAnalyzeCommand:
         assert (analyze_out / "capture_angles.csv").exists()
         assert (analyze_out / "capture_angle_stats.csv").exists()
 
-    def test_analyze_rejects_malformed_log(self, tmp_path):
+    def test_analyze_rejects_malformed_log(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("# schema=pursuit-trajectory-v1\nwrong,header\n")
-        with pytest.raises(Exception):
-            main(["analyze", "--out", str(tmp_path / "r"), str(bad)])
+        assert main(["analyze", "--out", str(tmp_path / "r"), str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 2: missing header")
+
+    def test_analyze_names_the_bad_log_and_line(self, tmp_path, capsys):
+        cfg_path, out_dir = write_config(tmp_path, strategy="greedy")
+        assert main(["eval", "--config", str(cfg_path), "--ratios", "1.2,0.9",
+                     "--episodes", "2"]) == 0
+        good, bad = sorted(out_dir.glob("trajectories_ratio_*.csv"))
+        lines = bad.read_text().splitlines()
+        fields = lines[6].split(",")
+        fields[8] = "2"  # the captured flag
+        lines[6] = ",".join(fields)
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "r"),
+                     str(good), str(bad)])
+        assert code == 2
+        want = f"error: {bad}: line 7: captured must be 0 or 1, got '2'\n"
+        assert capsys.readouterr().err == want
+
+    def test_analyze_rejects_mixed_pursuer_counts(self, tmp_path, capsys):
+        logs = []
+        for n in (2, 3):
+            cfg = config_from_dict({"env": {"n": n, "episode_length": 20},
+                                    "run": {"seed": 1, "strategy": "greedy"}})
+            run_eval(cfg, ratios=[0.9], episodes=2, out_dir=tmp_path / f"n{n}")
+            logs.append(str(tmp_path / f"n{n}" / "trajectories_ratio_0_9.csv"))
+        code = main(["analyze", "--out", str(tmp_path / "r"), *logs])
+        assert code == 2
+        assert "error: ratio 0.9: episodes have different pursuer counts [2, 3]" in (
+            capsys.readouterr().err
+        )
 
 
 class TestSelfcheckCommands:

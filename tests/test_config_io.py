@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -296,3 +297,58 @@ class TestTrajectoryCsv:
         path.write_text("\n".join(dropped) + "\n")
         with pytest.raises(TrajectoryParseError):
             read_trajectories(path)
+
+    def test_duplicate_row_rejected(self, tmp_path):
+        # a second row for (episode 0, step 1, p0) used to overwrite the first
+        path = tmp_path / "log.csv"
+        self.write_episode(path, episodes=1, steps=3, n=2)
+        lines = path.read_text().splitlines()
+        lines.insert(6, lines[3].replace(",0.2,", ",0.3,"))
+        path.write_text("\n".join(lines) + "\n")
+        want = r"log\.csv: line 7: episode 0 step 1: second row for agent p0"
+        with pytest.raises(TrajectoryParseError, match=want):
+            read_trajectories(path)
+
+    def test_missing_step_rejected(self, tmp_path):
+        # an episode without its step 2 used to read as a two-step episode
+        path = tmp_path / "log.csv"
+        self.write_episode(path, episodes=2, steps=3, n=2)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(l for l in lines if not l.startswith("1,2,")) + "\n")
+        want = r"log\.csv: line 15: episode 1: expected step 2, found step 3"
+        with pytest.raises(TrajectoryParseError, match=want):
+            read_trajectories(path)
+
+    def test_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "log.csv"
+        self.write_episode(path, episodes=3, steps=4, n=2)
+        want = read_trajectories(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + lines[:1:-1] + [""]) + "\n")
+        got = read_trajectories(path)
+        assert [t.episode for t in got] == [0, 1, 2]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.actions, b.actions)
+            assert np.array_equal(a.pursuer_xy, b.pursuer_xy)
+            assert a.captured == b.captured
+
+    def test_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "named.csv"
+        self.write_episode(path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace(",p0,", ",q0,")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryParseError) as info:
+            read_trajectories(path)
+        assert str(info.value) == f"{path}: line 4: bad agent id 'q0'"
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_empty_body_yields_no_episodes(self, tmp_path, body):
+        path = tmp_path / "log.csv"
+        with TrajectoryWriter(path):
+            pass
+        with open(path, "a") as fh:
+            fh.write(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_trajectories(path) == []

@@ -4,9 +4,9 @@ Layout: one `# schema=...` comment line, then the header
 `episode,step,agent,x,y,heading,action,reward,captured,ratio`, then one row
 per agent per step ordered by (episode, step, agent); the reader accepts the
 rows in any order. The evader logs as agent "e" (which sorts before
-"p0".."p{n-1}"), reward 0. Rows record the
-post-move state of the step, so the final row set of a captured episode
-carries the capturing geometry. Floats use 9 significant digits.
+"p0".."p{n-1}"), reward 0. Rows record the post-move state of the step, so
+the final row set of a captured episode carries the capturing geometry.
+Floats use 9 significant digits.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ def read_trajectories(path: str | Path) -> list[EpisodeTrace]:
         fail(
             np.arange(k, k + sizes[g]),
             f"episode {episode[k]} step {step[k]}: expected evader + {n} pursuer rows, "
-            f"found {sizes[g]} rows",
+            f"found {sizes[g]}",
         )
 
     m = n + 1

@@ -23,7 +23,15 @@ Both strategies act on a `WorldState` of E episodes and return headings
 (E, n). Pincer enumerates its joint grids in blocks of episodes holding at
 most PINCER_BLOCK_CELLS cells (one n=5 grid, or 81 episodes at n=3), so its
 memory never grows with E; the grids of a block are allocated once and
-reused, and a block with fewer episodes uses their leading rows.
+reused, and a block with fewer episodes uses their leading rows. A grid is
+laid out as (replica of the last pursuer, joint index of the others) and
+built in two stages: the others' sums on their own small grid, then one
+broadcast add of the last pursuer, in the summation order of a plain
+enumeration, so every cell rounds alike. The tie band is tested on
+q = A^2 + B^2 against the largest q whose square root lies in it, and cells
+outside the band get a huge distance key, so the grid needs no square root
+and no mask; equal distances go to the lexicographically smallest index
+tuple, as in a plain enumeration.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ BALANCE_TIE_BAND = 0.5
 
 # Largest joint replica grid pincer_selection enumerates: (2k+1)^(2n) cells,
 # each held in three float64 grids that are kept for the next call. 9^7 (n=7,
-# k=1) takes about 0.25 s a call and keeps 115 MB; n=8 would need 1 GB.
+# k=1) takes about 0.09 s a call and keeps 115 MB; n=8 would need 1 GB.
 MAX_PINCER_CELLS = 9**7
 
 # Most joint-grid cells one block of episodes enumerates at once: one n=5,
@@ -116,10 +124,10 @@ def check_pincer_grid(n: int, k: int) -> None:
 
 
 @functools.lru_cache(maxsize=4)
-def _replica_offsets(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer offsets in `replicate` order, as float x and y columns."""
+def _replica_offsets(k: int) -> np.ndarray:
+    """Integer offsets in `replicate` order, as float rows x and y, (2, m)."""
     grid = np.array([(di, dj) for di in range(-k, k + 1) for dj in range(-k, k + 1)], float)
-    return grid[:, 0].copy(), grid[:, 1].copy()
+    return np.ascontiguousarray(grid.T)
 
 
 def pincer_selection(
@@ -131,7 +139,8 @@ def pincer_selection(
     Selections within balance_tie_band * (total threat weight) of the maximal
     objective tie; ties prefer the smallest total replica-evader distance and
     then the lexicographically smallest replica index tuple. Grids larger
-    than MAX_PINCER_CELLS raise ValueError before anything is allocated.
+    than MAX_PINCER_CELLS and a negative or NaN band raise ValueError before
+    anything is allocated.
 
     Episodes are enumerated in blocks whose joint grids hold at most
     PINCER_BLOCK_CELLS cells (one episode per block when a single grid is
@@ -139,74 +148,129 @@ def pincer_selection(
     """
     e_count, n = state.episodes, state.n
     check_pincer_grid(n, k)
+    if not balance_tie_band >= 0.0:
+        raise ValueError(f"balance tie band must be >= 0, got {balance_tie_band}")
     m = (2 * k + 1) ** 2
-    block = max(1, PINCER_BLOCK_CELLS // m**n)
+    rest = m ** (n - 1)  # joint selections of the first n-1 pursuers
+    block = max(1, PINCER_BLOCK_CELLS // (m * rest))
 
     # threat weights at the true wrapped pursuer-to-evader distances
     if state.contacts.chase_singular:
         raise SingularityError("pursuer co-located with evader")
     weight = 1.0 / state.chase_distances
-    total_weight = np.zeros(e_count)
-    for i in range(n):
-        total_weight += weight[:, i]
+    total_weight = weight[:, 0]  # the sum's leading 0 + w0 is w0: weights are positive
+    for i in range(1, n):
+        total_weight = total_weight + weight[:, i]
 
-    pursuers, evader = state.pursuers, state.evader
-    ox, oy = _replica_offsets(k)
-    rel_x = (pursuers[..., 0, None] + ox) - evader[:, None, 0, None]
-    rel_y = (pursuers[..., 1, None] + oy) - evader[:, None, 1, None]
-    img_r = np.hypot(rel_x, rel_y)
-    if not img_r.all():
+    # per pursuer and replica, (3, E, n, m): weight * (cos, sin) of the
+    # evader-to-replica bearing, and the replica distance
+    parts = np.empty((3, e_count, n, m))
+    replicas = state.pursuers.transpose(2, 0, 1)[..., None] + _replica_offsets(k)[:, None, None]
+    np.subtract(replicas, state.evader.T[:, :, None, None], out=parts[:2])
+    np.hypot(parts[0], parts[1], out=parts[2])
+    if not parts[2].all():
         raise SingularityError("replica co-located with evader")
-    # weight * (cos, sin) of the evader-to-replica bearing, (E, n, m)
-    wa = weight[..., None] * rel_x / img_r
-    wb = weight[..., None] * rel_y / img_r
+    parts[:2] *= weight[..., None]
+    parts[:2] /= parts[2]
 
-    picks = np.empty(e_count, dtype=np.intp)
+    indices = np.empty((e_count, n), dtype=np.intp)
+    head_digits = _place_values(m, n - 1)
     objective_value = np.empty(e_count)
     total_distance = np.empty(e_count)
-    full = _pincer_grids((block,) + (m,) * n)
+    # width of each episode's tie band, in objective units
+    band = [balance_tie_band * w for w in total_weight.tolist()]
+    full = _pincer_grids((block, m, rest))
+    head_store = full[2].reshape(-1)
     for start in range(0, e_count, block):
         rows = slice(start, min(start + block, e_count))
         size = rows.stop - rows.start
-        a_tot, b_tot, d_tot, far = (g[:size] for g in full)
-        # Broadcast each pursuer's m-vector along its own axis of the joint grid.
-        for grid, parts in ((a_tot, wa), (b_tot, wb), (d_tot, img_r)):
-            grid.fill(0.0)
-            for i in range(n):
-                shape = [size] + [1] * n
-                shape[1 + i] = m
-                grid += parts[rows, i].reshape(shape)
+        part = parts[:, rows]
+        grid = full[:, :size]
+        # a_tot holds A and then q, b_tot B and then the distances, d_tot
+        # the first pursuers' sums and then the distance key
+        a_tot, b_tot, d_tot = grid
+        ab = grid[:2]
+        # Cell (l, j) adds pursuer n-1's replica l to selection j of the
+        # others, in pursuer order (p0 + p1) + ..., so every cell rounds as in
+        # a plain enumeration. (That one starts from 0 + p0, which can only
+        # turn a -0.0 sum into +0.0; squaring and the positive distances never
+        # show it.) The sums over the first n-1 pursuers are built on their
+        # own small grid at the front of the third grid, one pursuer per
+        # broadcast.
+        if n == 1:
+            head = head_store[: 3 * size].reshape(3, size, 1)
+            head.fill(0.0)
+        else:
+            head = part[:, :, 0]
+            for i in range(1, n - 1):
+                out = head_store[: 3 * size * rest].reshape(3, size, -1, m) if i == n - 2 else None
+                head = np.add(head[..., :, None], part[:, :, i, None, :], out=out).reshape(3, size, -1)
+        head = head[:, :, None]
+        last = part[:, :, n - 1, :, None]
+        np.add(head[:2], last[:2], out=ab)
 
-        # objective = -sqrt(a_tot**2 + b_tot**2), computed in a_tot
-        np.multiply(a_tot, a_tot, out=a_tot)
-        np.multiply(b_tot, b_tot, out=b_tot)
+        # q = a_tot**2 + b_tot**2 in a_tot; the objective is -sqrt(q)
+        np.multiply(ab, ab, out=ab)
         a_tot += b_tot
-        np.sqrt(a_tot, out=a_tot)
-        np.negative(a_tot, out=a_tot)
-        objective = a_tot.reshape(size, -1)
-        dists = d_tot.reshape(size, -1)
-        floor = objective.max(axis=1) - balance_tie_band * total_weight[rows]
-        # outside the band the distance tie-break never looks
-        np.less(objective, floor[:, None], out=far.reshape(size, -1))
-        np.copyto(dists, np.inf, where=far.reshape(size, -1))
-        pick = np.argmin(dists, axis=1)  # argmin keeps the first (lexicographic) minimum
-        cells = np.arange(size)
-        picks[rows] = pick
-        objective_value[rows] = objective[cells, pick]
-        total_distance[rows] = dists[cells, pick]
-    indices = np.stack(np.unravel_index(picks, (m,) * n), axis=-1)
+        np.add(head[2], last[2], out=b_tot)
+        # A cell is in the band when -sqrt(q) >= max objective - band, that
+        # is sqrt(q) <= sqrt(min q) + band (negation rounds alike), which
+        # holds exactly when q <= limit.
+        q_min = np.minimum.reduce(a_tot, axis=(1, 2)).tolist()
+        limit = [_sqrt_preimage_max(math.sqrt(q) + w) for q, w in zip(q_min, band[rows])]
+        # distance key: in-band cells keep exactly their distance
+        np.greater(a_tot, np.array(limit)[:, None, None], out=d_tot)
+        d_tot *= _FAR
+        d_tot += b_tot
+        # argmin's first hit in each row l has the smallest j; among the rows
+        # that reach the minimum, the smallest (j, l) is the lexicographic one
+        first = d_tot.argmin(axis=2)
+        row_min = np.minimum.reduce(d_tot, axis=2)
+        best = np.minimum.reduce(row_min, axis=1, keepdims=True)
+        first = np.where(row_min == best, first, rest)
+        l = first.argmin(axis=1)
+        j = np.minimum.reduce(first, axis=1)
+        indices[rows, :-1] = j[:, None] // head_digits % m
+        indices[rows, -1] = l
+        objective_value[rows] = -np.sqrt(a_tot[np.arange(size), l, j])
+        total_distance[rows] = best[:, 0]
     return ReplicaSelection(indices, objective_value, total_distance)
 
 
+# Added to the distance of every cell outside the tie band: larger than any
+# sum of replica distances, so argmin never picks such a cell.
+_FAR = 1e300
+
+
+def _sqrt_preimage_max(w: float) -> float:
+    """Largest double q with sqrt(q) <= w; q <= it exactly when sqrt(q) <= w.
+
+    sqrt is correctly rounded, hence monotone, so this q is found by stepping
+    from w * w one double at a time.
+    """
+    q = w * w
+    while math.sqrt(q) > w:
+        q = math.nextafter(q, -math.inf)
+    while q < math.inf and math.sqrt(up := math.nextafter(q, math.inf)) <= w:
+        q = up
+    return q
+
+
+@functools.lru_cache(maxsize=4)
+def _place_values(m: int, n: int) -> np.ndarray:
+    """m^(n-1), ..., m, 1: the weights of the digits of a joint grid index."""
+    return m ** np.arange(n - 1, -1, -1)
+
+
 @functools.lru_cache(maxsize=2)
-def _pincer_grids(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Three float grids and one mask, reused by every call at one grid shape.
+def _pincer_grids(shape: tuple[int, ...]) -> np.ndarray:
+    """Three float grids of `shape`, stacked, reused by every call at one shape.
 
     Fresh full-grid temporaries on every call made glibc trim and refault
     the heap; reusing the grids keeps each call's pages resident. Calls on
     fewer episodes than a block use the leading rows of the grids.
     """
-    return np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    return np.empty((3,) + shape)
 
 
 def pincer_headings(

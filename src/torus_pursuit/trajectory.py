@@ -77,23 +77,31 @@ class TrajectoryWriter:
         evader after each step, rewards (T,) the shared pursuer reward;
         `captured` marks the last of these steps as the capturing one.
         """
-        # f-strings with the shared spec: one str.format template per row took
-        # 40% longer on 60 episodes of 100 steps at n=3
-        f = _FLOAT_FORMAT
-        r = f"{ratio:{f}}"
-        names = [f"p{i}" for i in range(poses.shape[1] - 1)]
+        # One %-template per step, holding the rows of the evader and each
+        # pursuer with the fixed fields filled in; "%.9g" writes the same
+        # bytes as f"{x:.9g}", and a heading is formatted once for both of
+        # its columns. On 100-step episodes at n=3 this took 3-14% less time
+        # than one f-string per row (a str.format template per row took 40%
+        # more than those).
+        g = "%" + _FLOAT_FORMAT
+        step_rows = {}
+        for cap in "01":
+            tail = f",{cap},{g % ratio}\n"
+            step_rows[cap] = f"{episode},%d,e,{g},{g},%s,%s,0{tail}" + "".join(
+                f"{episode},%d,p{i},{g},{g},%s,%s,%s{tail}" for i in range(poses.shape[1] - 1)
+            )
         last = len(rewards) - 1
         lines = []
         for t, (agents, reward) in enumerate(zip(poses.tolist(), rewards.tolist())):
-            head = f"{episode},{first_step + t},"
-            tail = f",{'1' if captured and t == last else '0'},{r}\n"
+            step = first_step + t
+            reward = g % reward
             x, y, h = agents.pop()
-            h = f"{h:{f}}"
-            lines.append(f"{head}e,{x:{f}},{y:{f}},{h},{h},0{tail}")
-            reward = f"{reward:{f}}"
-            for name, (px, py, a) in zip(names, agents):
-                a = f"{a:{f}}"
-                lines.append(f"{head}{name},{px:{f}},{py:{f}},{a},{a},{reward}{tail}")
+            h = g % h
+            fields = [step, x, y, h, h]
+            for px, py, a in agents:
+                a = g % a
+                fields += (step, px, py, a, a, reward)
+            lines.append(step_rows["1" if captured and t == last else "0"] % tuple(fields))
         self._fh.write("".join(lines))
 
     def close(self) -> None:

@@ -169,10 +169,11 @@ def greedy_heading(pursuer: Pose, evader_position: Point2) -> float:
     return d.bearing()
 
 
-def pincer_selection(
+def pincer_grids(
     state: ScalarState, k: int = 1, balance_tie_band: float = BALANCE_TIE_BAND
-) -> tuple[tuple[int, ...], float, float]:
-    """(replica indices, objective, total distance) of one episode."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Objective, total distance and the tie-band mask of every joint replica
+    selection of one episode, raveled in lexicographic order of the indices."""
     n = len(state.pursuers)
     check_pincer_grid(n, k)
     m = (2 * k + 1) ** 2
@@ -202,10 +203,19 @@ def pincer_selection(
     a_tot, b_tot, d_tot = grids
     objective = (-np.sqrt(a_tot * a_tot + b_tot * b_tot)).ravel()
     near = objective >= objective.max() - balance_tie_band * total_weight
+    return objective, d_tot.ravel(), near
+
+
+def pincer_selection(
+    state: ScalarState, k: int = 1, balance_tie_band: float = BALANCE_TIE_BAND
+) -> tuple[tuple[int, ...], float, float]:
+    """(replica indices, objective, total distance) of one episode."""
+    objective, dist, near = pincer_grids(state, k, balance_tie_band)
     candidates = np.flatnonzero(near)
-    pick = candidates[int(np.argmin(d_tot.ravel()[candidates]))]
-    indices = tuple(int(ix) for ix in np.unravel_index(pick, (m,) * n))
-    return indices, float(objective[pick]), float(d_tot.ravel()[pick])
+    pick = candidates[int(np.argmin(dist[candidates]))]
+    m = (2 * k + 1) ** 2
+    indices = tuple(int(ix) for ix in np.unravel_index(pick, (m,) * len(state.pursuers)))
+    return indices, float(objective[pick]), float(dist[pick])
 
 
 def pincer_headings(state: ScalarState, k: int = 1) -> list[float]:

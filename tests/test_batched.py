@@ -8,7 +8,9 @@ including the inputs where rounding decides: displacement ties at exactly
 sequential sweep.
 """
 
+import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from torus_pursuit.evader import evade_heading
 from torus_pursuit.evaluation import LOCKSTEP_AGENT_STEPS, lockstep_batch, run_eval
 from torus_pursuit.geometry import displacement
 from torus_pursuit.pursuit import greedy_heading, pincer_headings, pincer_selection
-from torus_pursuit.trajectory import TrajectoryWriter
+from torus_pursuit.trajectory import TRAJECTORY_HEADER, TRAJECTORY_SCHEMA, TrajectoryWriter
 
 
 def bits(values) -> list[int]:
@@ -56,9 +58,9 @@ angle = st.one_of(
 
 
 @st.composite
-def batches(draw, max_n=4, max_e=4):
+def batches(draw, max_n=4, max_e=4, min_n=1):
     """(pursuer xy (E, n, 2), evader xy (E, 2)) as nested lists."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     e = draw(st.integers(1, max_e))
     point = st.tuples(coordinate, coordinate)
     pursuers = draw(st.lists(st.lists(point, min_size=n, max_size=n), min_size=e, max_size=e))
@@ -139,9 +141,7 @@ def test_step_matches_reference(batch, data, seed):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@settings(max_examples=60, deadline=None)
-@given(batches(max_n=3, max_e=3))
-def test_pincer_matches_reference(batch):
+def check_pincer_against_reference(batch):
     state = make_state(*batch)
     if singular(state):
         with pytest.raises(SingularityError):
@@ -159,6 +159,40 @@ def test_pincer_matches_reference(batch):
     assert bits(sel.total_distance) == bits([dist for _, _, dist in expected])
     assert bits(pincer_headings(state)) == bits(
         [ref.pincer_headings(s) for s in scalar_episodes(state)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches(max_n=3, max_e=3))
+def test_pincer_matches_reference(batch):
+    check_pincer_against_reference(batch)
+
+
+# One n=5 grid fills a block, so E > 1 also crosses block boundaries.
+@settings(max_examples=12, deadline=None)
+@given(batches(min_n=4, max_n=5, max_e=3))
+def test_pincer_matches_reference_at_four_and_five_pursuers(batch):
+    check_pincer_against_reference(batch)
+
+
+@pytest.mark.parametrize("pursuers, evader, smallest", [
+    ([(0.0, 0.0625), (0.0, 0.625)], (0.5, 0.625), (5, 7)),
+    ([(0.5, 0.1875), (0.0, 0.0625), (0.5, 0.8125)], (0.0, 0.3125), (1, 4, 4)),
+    ([(0.375, 0.25), (0.75, 0.5), (0.25, 0.75), (0.125, 0.25), (0.125, 0.25)], (0.375, 0.75),
+     (4, 4, 4, 5, 5)),
+])
+def test_pincer_exact_tie_takes_lexicographic_first(pursuers, evader, smallest):
+    # Dyadic coordinates give in-band selections with exactly the same total
+    # distance. In each case another tied selection has a smaller replica
+    # for the last pursuer, so it comes first when that index is the slowest.
+    state = make_state([pursuers] * 3, [evader] * 3)
+    _, dist, near = ref.pincer_grids(ref.to_scalar(state))
+    at_min = np.flatnonzero(near & (dist == dist[near].min()))
+    tied = list(zip(*np.unravel_index(at_min, (9,) * len(pursuers))))
+    assert len(tied) >= 2 and tied[0] == smallest
+    assert min(tied, key=lambda t: (t[-1], t[:-1])) != smallest
+    sel = pincer_selection(state)
+    assert sel.replica_index_per_pursuer.tolist() == [list(smallest)] * 3
+    assert bits(sel.total_distance) == bits([dist[at_min[0]]] * 3)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -189,15 +223,18 @@ def test_capture_exactly_at_radius():
 
 
 def test_pincer_blocks_match_one_episode_calls(monkeypatch):
-    # two n=3 episodes per block: 5 episodes take three blocks, the last partial
-    monkeypatch.setattr(pursuit_module, "PINCER_BLOCK_CELLS", 2 * 9**3)
-    state = reset(EnvConfig(n=3), np.random.default_rng(5), 5)
-    sel = pincer_selection(state)
-    for j in range(5):
-        one = pincer_selection(state.select([j]))
-        assert sel.replica_index_per_pursuer[j].tolist() == one.replica_index_per_pursuer[0].tolist()
-        assert bits(sel.objective_value[j]) == bits(one.objective_value)
-        assert bits(sel.total_distance[j]) == bits(one.total_distance)
+    # two episodes per block: 5 episodes take three blocks, the last partial;
+    # n=1 has no earlier pursuers and n=2 one
+    for n in (1, 2, 3):
+        monkeypatch.setattr(pursuit_module, "PINCER_BLOCK_CELLS", 2 * 9**n)
+        state = reset(EnvConfig(n=n), np.random.default_rng(5), 5)
+        sel = pincer_selection(state)
+        for j in range(5):
+            one = pincer_selection(state.select([j]))
+            assert (sel.replica_index_per_pursuer[j].tolist()
+                    == one.replica_index_per_pursuer[0].tolist())
+            assert bits(sel.objective_value[j]) == bits(one.objective_value)
+            assert bits(sel.total_distance[j]) == bits(one.total_distance)
 
 
 def test_lockstep_batch_is_bounded():
@@ -207,6 +244,46 @@ def test_lockstep_batch_is_bounded():
     assert lockstep_batch(EnvConfig(episode_length=10**7), "greedy", 50) == 1
     for strategy in ("random", "cd_ddpg", "cd_ddpg_partial"):
         assert lockstep_batch(cfg, strategy, 100) == 1
+
+
+# Floats of every magnitude from 1e-300 to 1e300, both signs, and zeros.
+wide_float = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e300, math.pi]),
+    st.builds(
+        lambda mantissa, exponent, sign: sign * mantissa * 10.0**exponent,
+        st.floats(1.0, 10.0, exclude_max=True),
+        st.integers(-300, 299),
+        st.sampled_from([1.0, -1.0]),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_write_episode_matches_reference_rows(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 4), label="n")
+    steps = data.draw(st.integers(1, 4), label="steps")
+    poses = data.draw(st.lists(
+        st.lists(st.tuples(wide_float, wide_float, wide_float), min_size=n + 1, max_size=n + 1),
+        min_size=steps, max_size=steps), label="poses")
+    rewards = data.draw(st.lists(wide_float, min_size=steps, max_size=steps), label="rewards")
+    ratio = data.draw(wide_float, label="ratio")
+    episode = data.draw(st.integers(0, 10**6), label="episode")
+    first_step = data.draw(st.integers(1, 10**5), label="first_step")
+    captured = data.draw(st.booleans(), label="captured")
+
+    path = tmp_path_factory.mktemp("writer") / "log.csv"
+    with TrajectoryWriter(path) as w:
+        w.write_episode(episode, ratio, np.array(poses), np.array(rewards), captured, first_step)
+    want = io.StringIO()
+    want.write(f"# schema={TRAJECTORY_SCHEMA}\n{TRAJECTORY_HEADER}\n")
+    for t, (agents, reward) in enumerate(zip(poses, rewards)):
+        # plain (x, y) records: Point2 would refuse coordinates outside [0, 1)
+        pose = [ref.Pose(SimpleNamespace(x=x, y=y), h) for x, y, h in agents]
+        state = ref.ScalarState(tuple(pose[:-1]), pose[-1], first_step + t)
+        last = captured and t == steps - 1
+        ref.write_step(want, episode, state, ratio, ref.ScalarOutcome(reward, last, last))
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 # -- run_eval against the sequential sweep ---------------------------------

@@ -5,79 +5,61 @@ analytic evader, scripted pursuit strategies (greedy chase, replica max-min
 encirclement), decentralized actor-critic learners with velocity/behavior
 curricula, and information-theoretic coordination metrics. The `torus-pursuit`
 CLI drives config-based experiments.
+
+The names below load their module on first access (PEP 562), so importing
+the package, or the CLI for one subcommand, loads no module it does not use.
 """
 
-from .config import ExperimentConfig, load_config
-from .curriculum import (
-    BehaviorPhase,
-    SessionPlan,
-    SessionSpec,
-    VelocitySchedule,
-    behavior_for_epoch,
-    velocity_at_epoch,
-)
-from .ddpg import OuNoise, ReplayBuffer, TeamLearner
-from .environment import (
-    EnvConfig,
-    StepOutcome,
-    WorldState,
-    is_captured,
-    make_state,
-    observe_full,
-    observe_partial,
-    reset,
-    step,
-)
-from .evader import PolarContact, evade_cost, evade_heading
-from .geometry import Displacement2, Point2, displacement, distance, replicate, wrap
-from .metrics import (
-    capture_angle_histogram,
-    capture_success_rate,
-    discretize_heading,
-    high_influence_fraction,
-    instantaneous_coordination,
-)
-from .pursuit import ReplicaSelection, greedy_heading, pincer_headings, pincer_objective
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BehaviorPhase",
-    "Displacement2",
-    "EnvConfig",
-    "ExperimentConfig",
-    "OuNoise",
-    "PolarContact",
-    "Point2",
-    "ReplayBuffer",
-    "ReplicaSelection",
-    "SessionPlan",
-    "SessionSpec",
-    "StepOutcome",
-    "TeamLearner",
-    "VelocitySchedule",
-    "WorldState",
-    "behavior_for_epoch",
-    "capture_angle_histogram",
-    "capture_success_rate",
-    "discretize_heading",
-    "displacement",
-    "distance",
-    "evade_cost",
-    "evade_heading",
-    "greedy_heading",
-    "high_influence_fraction",
-    "instantaneous_coordination",
-    "is_captured",
-    "load_config",
-    "make_state",
-    "observe_full",
-    "observe_partial",
-    "pincer_headings",
-    "pincer_objective",
-    "replicate",
-    "reset",
-    "step",
-    "velocity_at_epoch",
-    "wrap",
-]
+_EXPORTS = {
+    "config": ("ExperimentConfig", "load_config"),
+    "curriculum": (
+        "BehaviorPhase",
+        "SessionPlan",
+        "SessionSpec",
+        "VelocitySchedule",
+        "behavior_for_epoch",
+        "velocity_at_epoch",
+    ),
+    "ddpg": ("OuNoise", "ReplayBuffer", "TeamLearner"),
+    "environment": (
+        "EnvConfig",
+        "StepOutcome",
+        "WorldState",
+        "is_captured",
+        "make_state",
+        "observe_full",
+        "observe_partial",
+        "reset",
+        "step",
+    ),
+    "evader": ("PolarContact", "evade_cost", "evade_heading"),
+    "geometry": ("Displacement2", "Point2", "displacement", "distance", "replicate", "wrap"),
+    "metrics": (
+        "capture_angle_histogram",
+        "capture_success_rate",
+        "discretize_heading",
+        "high_influence_fraction",
+        "instantaneous_coordination",
+    ),
+    "pursuit": ("ReplicaSelection", "greedy_heading", "pincer_headings", "pincer_objective"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

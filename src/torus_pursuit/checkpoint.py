@@ -272,7 +272,9 @@ def load_checkpoint(
 ) -> tuple[TeamLearner, int, int, int, dict[str, Any]]:
     """Returns (team, session, epoch, global_epoch, rng_states).
 
-    Raises CheckpointIntegrityError, naming the field and the agent, when an
+    The checkpoint's config digest must be `config`'s, or its legacy digest
+    (written while `env` held an unread `seed` field at 0); else
+    DigestMismatchError. Raises CheckpointIntegrityError, naming the field and the agent, when an
     agent's entry lacks a field, disagrees with agent 0 on a hyperparameter,
     an Adam step count or the ring bookkeeping, or holds an array of the
     wrong shape.
@@ -282,7 +284,7 @@ def load_checkpoint(
     version = doc.get("schema_version")
     if version not in READABLE_SCHEMA_VERSIONS:
         raise SchemaVersionError(f"unknown checkpoint schema version {version!r}")
-    if doc["config_digest"] != config.digest():
+    if doc["config_digest"] not in (config.digest(), config.legacy_digest()):
         raise DigestMismatchError(
             "checkpoint was produced by a different config "
             f"(digest {doc['config_digest'][:12]}... != {config.digest()[:12]}...)"

@@ -6,6 +6,10 @@ Subcommands:
   analyze      compute coordination reports from trajectory logs
   selfcheck    run the built-in verification battery
   evader-check run the two canonical evader decision cases
+
+Each cmd_* function imports the modules only its subcommand runs (training,
+checkpoints, evaluation, analysis, the selfcheck battery), so a call loads,
+and without cached bytecode compiles, only what it needs.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import analyze_logs
-from .checkpoint import load_checkpoint
 from .config import (
     ExperimentConfig,
     check_ratio,
@@ -36,9 +38,6 @@ from .errors import (
     TrajectoryParseError,
 )
 from .evader import PolarContact, heading_from_contacts
-from .evaluation import check_ratio_labels, run_eval
-from .selfcheck import angular_difference, run_selfcheck
-from .training import run_training
 
 
 def _parse_ratios(text: str) -> list[float]:
@@ -59,6 +58,8 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .training import run_training
+
     config = _load(args)
     out = run_training(config, out_dir=config.run.out_dir, resume=args.resume)
     save_config(config, Path(out) / "config.json")
@@ -67,6 +68,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import check_ratio_labels, run_eval
+
     config = _load(args)
     ratios = _parse_ratios(args.ratios) if args.ratios else [config.env.velocity_ratio]
     for ratio in ratios:
@@ -82,6 +85,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if config.run.strategy in ("cd_ddpg", "cd_ddpg_partial"):
         if not args.checkpoint:
             raise ConfigError("run.strategy: learned strategies need --checkpoint")
+        from .checkpoint import load_checkpoint
+
         team, *_ = load_checkpoint(args.checkpoint, config)
         expected = observation_dim(config.env.n, config.run.strategy == "cd_ddpg_partial")
         if team.obs_dim != expected:
@@ -102,6 +107,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis import analyze_logs
+
     config = _load(args)
     doc = analyze_logs(
         args.logs,
@@ -119,6 +126,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(_args: argparse.Namespace) -> int:
+    from .selfcheck import run_selfcheck
+
     ok, checks = run_selfcheck()
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
@@ -127,6 +136,8 @@ def cmd_selfcheck(_args: argparse.Namespace) -> int:
 
 
 def cmd_evader_check(_args: argparse.Namespace) -> int:
+    from .selfcheck import angular_difference
+
     rng = np.random.default_rng(0)
     cases = [
         ("bearings {0, pi/2, pi}", (0.0, math.pi / 2, math.pi), -math.pi / 2),

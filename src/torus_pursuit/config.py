@@ -126,13 +126,23 @@ class ExperimentConfig:
         metrics section are operational and may differ between the training
         run and later resume/eval invocations, so they are excluded.
         """
+        return _digest(self.to_dict())
+
+    def legacy_digest(self) -> str:
+        """The digest as computed while `env` held a `seed` field, which
+        nothing read, at its default 0; checkpoints written then carry it."""
         doc = self.to_dict()
-        blob = json.dumps(
-            {k: doc[k] for k in ("schema_version", "env", "curriculum", "ddpg")},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        doc["env"]["seed"] = 0
+        return _digest(doc)
+
+
+def _digest(doc: dict) -> str:
+    blob = json.dumps(
+        {k: doc[k] for k in ("schema_version", "env", "curriculum", "ddpg")},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def check_ratio(env: EnvConfig, ratio: float, path: str) -> None:
@@ -162,7 +172,7 @@ def _typed(section: dict, key: str, kinds, path: str, default):
 
 def _parse_env(section: dict) -> EnvConfig:
     _check_keys(section, {"n", "evader_speed", "velocity_ratio", "capture_radius",
-                          "episode_length", "seed"}, "env")
+                          "episode_length"}, "env")
     d = EnvConfig()
     try:
         return EnvConfig(
@@ -171,7 +181,6 @@ def _parse_env(section: dict) -> EnvConfig:
             velocity_ratio=_typed(section, "velocity_ratio", float, "env", d.velocity_ratio),
             capture_radius=_typed(section, "capture_radius", float, "env", d.capture_radius),
             episode_length=_typed(section, "episode_length", int, "env", d.episode_length),
-            seed=_typed(section, "seed", int, "env", d.seed),
         )
     except ValueError as exc:
         raise ConfigError(f"env: {exc}") from exc

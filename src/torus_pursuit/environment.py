@@ -231,7 +231,6 @@ class EnvConfig:
     velocity_ratio: float = 1.0
     capture_radius: float = 0.05
     episode_length: int = 500
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 1:

@@ -25,15 +25,17 @@ from __future__ import annotations
 import functools
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .ddpg import TeamLearner
 from .environment import EnvConfig, WorldState, observe_full, observe_partial, reset, step
 from .pursuit import greedy_heading, pincer_headings
 from .trajectory import TrajectoryWriter
+
+if TYPE_CHECKING:
+    from .ddpg import TeamLearner
 
 SUCCESS_SCHEMA = "pursuit-success-v1"
 SUCCESS_HEADER = "ratio,episodes,captures,success_rate"

@@ -1,12 +1,18 @@
 """Trajectory logs: the per-step CSV schema and its reader.
 
-Layout: one `# schema=...` comment line, then the header
-`episode,step,agent,x,y,heading,action,reward,captured,ratio`, then one row
+Layout (`pursuit-trajectory-v2`): one `# schema=...` comment line, then the
+header `episode,step,agent,x,y,heading,reward,captured,ratio`, then one row
 per agent per step ordered by (episode, step, agent); the reader accepts the
 rows in any order. The evader logs as agent "e" (which sorts before
 "p0".."p{n-1}"), reward 0. Rows record the post-move state of the step, so
-the final row set of a captured episode carries the capturing geometry.
-Floats use 9 significant digits.
+the final row set of a captured episode carries the capturing geometry, and
+`heading` is the heading the agent moved along, which `analyze` reads as its
+action. Floats use 9 significant digits.
+
+The reader also takes `pursuit-trajectory-v1` logs, whose header carries an
+`action` column after `heading` that always holds the same value; a v1 log
+reads to the traces it read to before v2 existed. The schema line, or
+without one the header, picks the version of each file.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ import numpy as np
 
 from .errors import SchemaVersionError, TrajectoryParseError
 
-TRAJECTORY_SCHEMA = "pursuit-trajectory-v1"
-TRAJECTORY_HEADER = "episode,step,agent,x,y,heading,action,reward,captured,ratio"
+TRAJECTORY_SCHEMA = "pursuit-trajectory-v2"
+TRAJECTORY_HEADER = "episode,step,agent,x,y,heading,reward,captured,ratio"
 
 
-# Format of every float field (x, y, heading, action, reward, ratio).
+# Format of every float field (x, y, heading, reward, ratio).
 _FLOAT_FORMAT = ".9g"
 
 
@@ -79,28 +85,25 @@ class TrajectoryWriter:
         """
         # One %-template per step, holding the rows of the evader and each
         # pursuer with the fixed fields filled in; "%.9g" writes the same
-        # bytes as f"{x:.9g}", and a heading is formatted once for both of
-        # its columns. On 100-step episodes at n=3 this took 3-14% less time
-        # than one f-string per row (a str.format template per row took 40%
-        # more than those).
+        # bytes as f"{x:.9g}", and the shared reward is formatted once per
+        # step. On 100-step episodes at n=3 a per-step template took 3-14%
+        # less time than one f-string per row (a str.format template per row
+        # took 40% more than those).
         g = "%" + _FLOAT_FORMAT
         step_rows = {}
         for cap in "01":
             tail = f",{cap},{g % ratio}\n"
-            step_rows[cap] = f"{episode},%d,e,{g},{g},%s,%s,0{tail}" + "".join(
-                f"{episode},%d,p{i},{g},{g},%s,%s,%s{tail}" for i in range(poses.shape[1] - 1)
+            step_rows[cap] = f"{episode},%d,e,{g},{g},{g},0{tail}" + "".join(
+                f"{episode},%d,p{i},{g},{g},{g},%s{tail}" for i in range(poses.shape[1] - 1)
             )
         last = len(rewards) - 1
         lines = []
         for t, (agents, reward) in enumerate(zip(poses.tolist(), rewards.tolist())):
             step = first_step + t
             reward = g % reward
-            x, y, h = agents.pop()
-            h = g % h
-            fields = [step, x, y, h, h]
-            for px, py, a in agents:
-                a = g % a
-                fields += (step, px, py, a, a, reward)
+            fields = [step, *agents.pop()]
+            for pose in agents:
+                fields += (step, *pose, reward)
             lines.append(step_rows["1" if captured and t == last else "0"] % tuple(fields))
         self._fh.write("".join(lines))
 
@@ -114,26 +117,47 @@ class TrajectoryWriter:
         self.close()
 
 
-# Row layout for np.loadtxt. Agent ids and capture flags stay bytes, so only
-# the exact strings "e", "p<k>", "0" and "1" pass the checks. An agent id is
-# one 8-byte word, compared and sorted as an integer; one that fills all 8
-# bytes may have been cut short and is rejected.
+# Row layouts for np.loadtxt, one per schema version. Agent ids and capture
+# flags stay bytes, so only the exact strings "e", "p<k>", "0" and "1" pass
+# the checks. An agent id is one 8-byte word, compared and sorted as an
+# integer; one that fills all 8 bytes may have been cut short and is
+# rejected.
 _AGENT_WIDTH = 8
-_ROW_DTYPE = np.dtype(
-    [
-        ("episode", np.int64),
-        ("step", np.int64),
-        ("agent", f"S{_AGENT_WIDTH}"),
-        ("x", np.float64),
-        ("y", np.float64),
-        ("heading", np.float64),
-        ("action", np.float64),
-        ("reward", np.float64),
-        ("captured", "S2"),
-        ("ratio", np.float64),
-    ]
+_FIELD_TYPES = {
+    "episode": np.int64,
+    "step": np.int64,
+    "agent": f"S{_AGENT_WIDTH}",
+    "captured": "S2",
+}
+
+
+@dataclass(frozen=True)
+class _Layout:
+    schema: str
+    header: str
+    action: str  # the column the agents' action headings are read from
+
+    @property
+    def names(self) -> list[str]:
+        return self.header.split(",")
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.dtype([(name, _FIELD_TYPES.get(name, np.float64)) for name in self.names])
+
+    @property
+    def floats(self) -> list[str]:
+        return [name for name in self.names if name not in _FIELD_TYPES]
+
+
+_LAYOUTS = (
+    _Layout(TRAJECTORY_SCHEMA, TRAJECTORY_HEADER, action="heading"),
+    _Layout(
+        "pursuit-trajectory-v1",
+        "episode,step,agent,x,y,heading,action,reward,captured,ratio",
+        action="action",
+    ),
 )
-_FLOAT_FIELDS = ("x", "y", "heading", "action", "reward", "ratio")
 
 
 def _agent_code(agent: str) -> int:
@@ -152,31 +176,37 @@ def _agent_code(agent: str) -> int:
     return -1
 
 
-def _check_row(line: str, where: str) -> None:
+def _agent_name(code: int) -> str:
+    return f"p{code - 1}" if code else "e"
+
+
+def _check_row(line: str, where: str, layout: _Layout) -> None:
     """Raise TrajectoryParseError, prefixed by `where`, if a body line is malformed."""
     parts = line.split(",")
-    if len(parts) != 10:
-        raise TrajectoryParseError(f"{where}: expected 10 fields, got {len(parts)}")
+    names = layout.names
+    if len(parts) != len(names):
+        raise TrajectoryParseError(f"{where}: expected {len(names)} fields, got {len(parts)}")
+    row = dict(zip(names, parts))
     try:
-        int(parts[0])
-        int(parts[1])
-        values = [float(parts[k]) for k in (3, 4, 5, 6, 7, 9)]
+        int(row["episode"])
+        int(row["step"])
+        values = [float(row[name]) for name in layout.floats]
     except ValueError as exc:
         raise TrajectoryParseError(f"{where}: {exc}") from exc
-    if _agent_code(parts[2]) < 0:
-        raise TrajectoryParseError(f"{where}: bad agent id {parts[2]!r}")
-    if parts[8] not in ("0", "1"):
-        raise TrajectoryParseError(f"{where}: captured must be 0 or 1, got {parts[8]!r}")
+    if _agent_code(row["agent"]) < 0:
+        raise TrajectoryParseError(f"{where}: bad agent id {row['agent']!r}")
+    if row["captured"] not in ("0", "1"):
+        raise TrajectoryParseError(f"{where}: captured must be 0 or 1, got {row['captured']!r}")
     if not all(map(math.isfinite, values)):
         raise TrajectoryParseError(f"{where}: non-finite value")
 
 
-def _raise_first_bad_line(path: Path, body_start: int, fallback: str) -> NoReturn:
+def _raise_first_bad_line(path: Path, body_start: int, layout: _Layout, fallback: str) -> NoReturn:
     """Check the body row by row and raise the error of the first bad line."""
     lines = path.read_text().splitlines()
     for lineno, line in enumerate(lines[body_start:], body_start + 1):
         if line:
-            _check_row(line, f"{path}: line {lineno}")
+            _check_row(line, f"{path}: line {lineno}", layout)
     raise TrajectoryParseError(f"{path}: {fallback}")
 
 
@@ -186,21 +216,26 @@ def _body_line_numbers(path: Path, body_start: int) -> np.ndarray:
     return np.array([k for k, line in enumerate(lines[body_start:], body_start + 1) if line])
 
 
-def _read_header(fh, path: Path) -> int:
-    """Check the optional schema line and the header; return the lines they take."""
+def _read_header(fh, path: Path) -> tuple[int, _Layout]:
+    """Check the optional schema line and the header; return the lines they
+    take and the row layout they declare."""
     line = fh.readline()
     if not line:
         raise TrajectoryParseError(f"{path}: line 0: empty file")
     lines = 1
+    candidates = _LAYOUTS
     if line.startswith("#"):
         declared = line.lstrip("#").strip()
-        if declared != f"schema={TRAJECTORY_SCHEMA}":
+        candidates = [lay for lay in _LAYOUTS if declared == f"schema={lay.schema}"]
+        if not candidates:
             raise SchemaVersionError(f"{path}: unknown trajectory schema {declared!r}")
         line = fh.readline()
         lines = 2
-    if line.rstrip("\n") != TRAJECTORY_HEADER:
-        raise TrajectoryParseError(f"{path}: line {lines}: missing header {TRAJECTORY_HEADER!r}")
-    return lines
+    header = line.rstrip("\n")
+    for layout in candidates:
+        if header == layout.header:
+            return lines, layout
+    raise TrajectoryParseError(f"{path}: line {lines}: missing header {candidates[0].header!r}")
 
 
 def _agent_codes(agents: np.ndarray) -> np.ndarray:
@@ -216,30 +251,32 @@ def read_trajectories(path: str | Path) -> list[EpisodeTrace]:
 
     Rows may come in any order and blank lines are skipped. Every step of
     every episode must hold one row for the evader and one for each of the
-    file's n pursuers, and an episode's steps must run 1..T. Errors name the
-    file and, where one line is at fault, its line number:
-    TrajectoryParseError on malformed, duplicated or missing rows,
-    SchemaVersionError on an unknown schema declaration.
+    file's n pursuers, and an episode's steps must run 1..T. All rows of a
+    step carry one capture flag, all pursuer rows of a step one reward, and
+    all rows of an episode one ratio; only an episode's last step may be
+    flagged captured. Errors name the file and, where one line is at fault,
+    its line number: TrajectoryParseError on malformed, duplicated, missing
+    or disagreeing rows, SchemaVersionError on an unknown schema declaration.
     """
     path = Path(path)
     with open(path) as fh:
-        body_start = _read_header(fh, path)
+        body_start, layout = _read_header(fh, path)
         try:
             with warnings.catch_warnings():
                 # a body of blank lines is an empty log, not a problem
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
+                rows = np.loadtxt(fh, dtype=layout.dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError as exc:
-            _raise_first_bad_line(path, body_start, str(exc))
+            _raise_first_bad_line(path, body_start, layout, str(exc))
     if rows.size == 0:
         return []
 
     codes = _agent_codes(rows["agent"])
     bad = (codes < 0) | ((rows["captured"] != b"0") & (rows["captured"] != b"1"))
-    for name in _FLOAT_FIELDS:
+    for name in layout.floats:
         bad |= ~np.isfinite(rows[name])
     if bad.any():
-        _raise_first_bad_line(path, body_start, "malformed row")
+        _raise_first_bad_line(path, body_start, layout, "malformed row")
     n = int(codes.max())
     if n == 0:
         raise TrajectoryParseError(f"{path}: no pursuer rows")
@@ -257,8 +294,10 @@ def read_trajectories(path: str | Path) -> list[EpisodeTrace]:
     duplicate = np.flatnonzero(same_step & (codes[1:] == codes[:-1])) + 1
     if duplicate.size:
         k = duplicate[np.argmin(order[duplicate])]
-        agent = f"p{codes[k] - 1}" if codes[k] else "e"
-        fail(duplicate, f"episode {episode[k]} step {step[k]}: second row for agent {agent}")
+        fail(
+            duplicate,
+            f"episode {episode[k]} step {step[k]}: second row for agent {_agent_name(codes[k])}",
+        )
     starts = np.flatnonzero(np.r_[True, ~same_step])
     sizes = np.diff(np.r_[starts, rows.size])
     if (sizes != n + 1).any():
@@ -282,24 +321,50 @@ def read_trajectories(path: str | Path) -> list[EpisodeTrace]:
             np.arange(g * m, g * m + m),
             f"episode {group_episode[g]}: expected step {expected[g]}, found step {group_step[g]}",
         )
-    return _episode_traces(rows, n, first)
+
+    # One value per step or per episode; the first sorted row at fault is named.
+    captured = rows["captured"] == b"1"
+    reward, ratio = rows["reward"], rows["ratio"]
+    for at, message in (
+        (captured != np.repeat(captured[::m], m), "captured flag of {} differs from the evader's"),
+        ((reward != np.repeat(reward[1::m], m)) & (codes > 0), "reward of {} differs from p0's"),
+        (ratio != np.repeat(ratio[first * m], lengths * m),
+         "ratio of {} differs from the episode's first row"),
+    ):
+        if at.any():
+            k = int(np.argmax(at))
+            fail(np.array([k]), f"episode {episode[k]} step {step[k]}: "
+                 + message.format(_agent_name(codes[k])))
+    early = captured[::m].copy()
+    early[np.r_[first[1:], groups] - 1] = False  # each episode's last step may be captured
+    if early.any():
+        g = int(np.argmax(early)) + 1
+        fail(
+            np.arange(g * m, g * m + m),
+            f"episode {group_episode[g]}: step {group_step[g]} follows the capture at step "
+            f"{group_step[g] - 1}",
+        )
+    return _episode_traces(rows, n, first, layout.action)
 
 
-def _episode_traces(rows: np.ndarray, n: int, first: np.ndarray) -> list[EpisodeTrace]:
+def _episode_traces(
+    rows: np.ndarray, n: int, first: np.ndarray, action_field: str
+) -> list[EpisodeTrace]:
     """Traces from checked rows in (episode, step, agent) order; `first` holds
-    the index of each episode's first step."""
+    the index of each episode's first step, and `action_field` names the
+    column the action headings come from."""
     m = n + 1
     steps = rows.size // m
-    action = rows["action"].reshape(steps, m)
+    action = rows[action_field].reshape(steps, m)
     xy = np.stack((rows["x"], rows["y"]), axis=-1).reshape(steps, m, 2)
     actions = np.ascontiguousarray(action[:, 1:])
     evader_action = np.ascontiguousarray(action[:, 0])
     pursuer_xy = np.ascontiguousarray(xy[:, 1:])
     evader_xy = np.ascontiguousarray(xy[:, 0])
-    rewards = np.ascontiguousarray(rows["reward"][n::m])  # p{n-1}'s, shared by all
+    rewards = np.ascontiguousarray(rows["reward"][n::m])  # shared by all pursuers
     evader = rows[::m]
-    captured = np.logical_or.reduceat(evader["captured"] == b"1", first)
     bounds = np.r_[first, steps].tolist()
+    captured = evader["captured"][np.r_[first[1:], steps] - 1] == b"1"  # only a last step can be
     return [
         EpisodeTrace(
             episode=ep,

@@ -44,7 +44,21 @@ from torus_pursuit.geometry import (
 )
 from torus_pursuit.metrics import ActionHistogram
 from torus_pursuit.pursuit import BALANCE_TIE_BAND, check_pincer_grid
-from torus_pursuit.trajectory import TRAJECTORY_HEADER, TRAJECTORY_SCHEMA, EpisodeTrace
+from torus_pursuit.trajectory import TRAJECTORY_HEADER, EpisodeTrace
+
+# The trajectory header of each schema version.
+HEADERS = {
+    1: "episode,step,agent,x,y,heading,action,reward,captured,ratio",
+    2: TRAJECTORY_HEADER,
+}
+
+# A log written by the v1 writer, committed so that reading v1 stays tested:
+# `run_eval(config_from_dict(V1_LOG_CONFIG), [V1_LOG_RATIO], V1_LOG_EPISODES,
+# out, version=1)` writes the same bytes.
+V1_LOG = Path(__file__).parent / "data" / "trajectories_v1_greedy_n3.csv"
+V1_LOG_CONFIG = {"env": {"n": 3, "episode_length": 30}, "run": {"seed": 7, "strategy": "greedy"}}
+V1_LOG_RATIO = 1.1
+V1_LOG_EPISODES = 4
 
 
 @dataclass(frozen=True)
@@ -232,16 +246,28 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def write_step(fh, episode, state: ScalarState, ratio: float, outcome: ScalarOutcome) -> None:
-    """The post-move rows of one step: the evader, then each pursuer."""
+def write_step(
+    fh, episode, state: ScalarState, ratio: float, outcome: ScalarOutcome, version: int = 2
+) -> None:
+    """The post-move rows of one step: the evader, then each pursuer. Version
+    1 rows repeat each heading in an `action` column."""
     cap = "1" if outcome.captured else "0"
     e = state.evader
     fh.write(f"{episode},{state.step},e,{_fmt(e.position.x)},{_fmt(e.position.y)},"
-             f"{_fmt(e.heading)},{_fmt(e.heading)},0,{cap},{_fmt(ratio)}\n")
+             f"{_heading(e.heading, version)},0,{cap},{_fmt(ratio)}\n")
     for i, p in enumerate(state.pursuers):
         fh.write(f"{episode},{state.step},p{i},{_fmt(p.position.x)},{_fmt(p.position.y)},"
-                 f"{_fmt(p.heading)},{_fmt(p.heading)},{_fmt(outcome.reward)},{cap},"
+                 f"{_heading(p.heading, version)},{_fmt(outcome.reward)},{cap},"
                  f"{_fmt(ratio)}\n")
+
+
+def _heading(value: float, version: int) -> str:
+    return _fmt(value) if version == 2 else f"{_fmt(value)},{_fmt(value)}"
+
+
+def log_preamble(version: int = 2) -> str:
+    """The schema line and the header of a trajectory log of `version`."""
+    return f"# schema=pursuit-trajectory-v{version}\n{HEADERS[version]}\n"
 
 
 def make_policy(strategy, team, policy_rng, pincer_k=1):
@@ -255,8 +281,10 @@ def make_policy(strategy, team, policy_rng, pincer_k=1):
     return lambda s: team.act(np.array([observe(s, i) for i in range(len(s.pursuers))]))
 
 
-def run_eval(config, ratios, episodes, out_dir, team=None, strategy=None, write_logs=True):
-    """Sequential sweep: every episode rolled to its end before the next spawns."""
+def run_eval(config, ratios, episodes, out_dir, team=None, strategy=None, write_logs=True,
+             version=2):
+    """Sequential sweep: every episode rolled to its end before the next spawns;
+    the logs are written in trajectory schema `version`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     strategy = strategy if strategy is not None else config.run.strategy
@@ -270,14 +298,14 @@ def run_eval(config, ratios, episodes, out_dir, team=None, strategy=None, write_
         fh = (open(out / f"trajectories_ratio_{ratio_label(ratio)}.csv", "w", newline="")
               if write_logs else None)
         if fh is not None:
-            fh.write(f"# schema={TRAJECTORY_SCHEMA}\n{TRAJECTORY_HEADER}\n")
+            fh.write(log_preamble(version))
         captures = 0
         for ep in range(episodes):
             state = reset(env_cfg, env_rng)
             while True:
                 state, outcome = step(state, policy(state), env_cfg, env_rng)
                 if fh is not None:
-                    write_step(fh, ep, state, ratio, outcome)
+                    write_step(fh, ep, state, ratio, outcome, version)
                 if outcome.done:
                     captures += int(outcome.captured)
                     break
@@ -289,17 +317,21 @@ def run_eval(config, ratios, episodes, out_dir, team=None, strategy=None, write_
     return results
 
 
-def _parse_row(line: str, lineno: int) -> tuple:
+def _parse_row(line: str, lineno: int, names: list[str]) -> tuple:
     parts = line.split(",")
-    if len(parts) != 10:
-        raise TrajectoryParseError(f"line {lineno}: expected 10 fields, got {len(parts)}")
+    if len(parts) != len(names):
+        raise TrajectoryParseError(
+            f"line {lineno}: expected {len(names)} fields, got {len(parts)}"
+        )
+    row = dict(zip(names, parts))
     try:
-        episode = int(parts[0])
-        step = int(parts[1])
-        agent = parts[2]
-        x, y, heading, action, reward = (float(v) for v in parts[3:8])
-        captured = {"0": False, "1": True}[parts[8]]
-        ratio = float(parts[9])
+        episode = int(row["episode"])
+        step = int(row["step"])
+        agent = row["agent"]
+        x, y, heading, reward = (float(row[k]) for k in ("x", "y", "heading", "reward"))
+        action = float(row["action"]) if "action" in row else heading
+        captured = {"0": False, "1": True}[row["captured"]]
+        ratio = float(row["ratio"])
     except (ValueError, KeyError) as exc:
         raise TrajectoryParseError(f"line {lineno}: {exc}") from exc
     if agent != "e" and not (agent.startswith("p") and agent[1:].isdigit()):
@@ -312,18 +344,23 @@ def _parse_row(line: str, lineno: int) -> tuple:
 
 def read_trajectories(path: str | Path) -> list[EpisodeTrace]:
     """Row-by-row trajectory reader: every row parsed in Python into nested
-    dicts keyed by episode, step and agent."""
+    dicts keyed by episode, step and agent. Reads schema versions 1 and 2; a
+    version 2 row's action is its heading."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise TrajectoryParseError("line 0: empty file")
     body_start = 0
+    headers = list(HEADERS.values())
     if lines[0].startswith("#"):
         declared = lines[0].lstrip("#").strip()
-        if declared != f"schema={TRAJECTORY_SCHEMA}":
+        versions = [v for v in HEADERS if declared == f"schema=pursuit-trajectory-v{v}"]
+        if not versions:
             raise SchemaVersionError(f"unknown trajectory schema {declared!r}")
+        headers = [HEADERS[versions[0]]]
         body_start = 1
-    if body_start >= len(lines) or lines[body_start] != TRAJECTORY_HEADER:
-        raise TrajectoryParseError(f"line {body_start + 1}: missing header {TRAJECTORY_HEADER!r}")
+    if body_start >= len(lines) or lines[body_start] not in headers:
+        raise TrajectoryParseError(f"line {body_start + 1}: missing header {headers[0]!r}")
+    names = lines[body_start].split(",")
 
     episodes: dict[int, dict[int, dict[str, tuple]]] = {}
     for offset, line in enumerate(lines[body_start + 1 :]):
@@ -331,7 +368,7 @@ def read_trajectories(path: str | Path) -> list[EpisodeTrace]:
             continue
         lineno = body_start + 2 + offset
         episode, step, agent, x, y, heading, action, reward, captured, ratio = _parse_row(
-            line, lineno
+            line, lineno, names
         )
         episodes.setdefault(episode, {}).setdefault(step, {})[agent] = (
             x, y, heading, action, reward, captured, ratio, lineno,

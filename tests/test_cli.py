@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from torus_pursuit.checkpoint import load_checkpoint
 from torus_pursuit.cli import main
 from torus_pursuit.config import config_from_dict, load_config, save_config
@@ -19,7 +23,7 @@ from torus_pursuit.training import run_training
 def tiny_config_dict(out_dir, seed=0, epochs=12, strategy="cd_ddpg"):
     return {
         "env": {"n": 2, "episode_length": 40, "evader_speed": 0.05,
-                "capture_radius": 0.05, "seed": 0},
+                "capture_radius": 0.05},
         "curriculum": {
             "warmup_epochs": 4,
             "sessions": [
@@ -359,7 +363,7 @@ class TestAnalyzeCommand:
         good, bad = sorted(out_dir.glob("trajectories_ratio_*.csv"))
         lines = bad.read_text().splitlines()
         fields = lines[6].split(",")
-        fields[8] = "2"  # the captured flag
+        fields[7] = "2"  # the captured flag
         lines[6] = ",".join(fields)
         bad.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
@@ -368,6 +372,20 @@ class TestAnalyzeCommand:
         assert code == 2
         want = f"error: {bad}: line 7: captured must be 0 or 1, got '2'\n"
         assert capsys.readouterr().err == want
+
+    def test_v1_log_analyzes_like_its_v2_rerun(self, tmp_path):
+        cfg = config_from_dict(ref.V1_LOG_CONFIG)
+        run_eval(cfg, [ref.V1_LOG_RATIO], ref.V1_LOG_EPISODES, tmp_path / "eval")
+        v2 = tmp_path / "eval" / "trajectories_ratio_1_1.csv"
+        # the v2 log drops the action column, a tenth of each row or more
+        assert v2.stat().st_size < 0.9 * ref.V1_LOG.stat().st_size
+        for name, log in (("v1", ref.V1_LOG), ("v2", v2)):
+            assert main(["analyze", "--out", str(tmp_path / name), str(log)]) == 0
+        for report in ("ic_report.json", "success.csv", "capture_angles.csv",
+                       "capture_angle_stats.csv"):
+            assert (tmp_path / "v1" / report).read_bytes() == (
+                tmp_path / "v2" / report
+            ).read_bytes(), report
 
     def test_analyze_rejects_mixed_pursuer_counts(self, tmp_path, capsys):
         logs = []
@@ -410,3 +428,22 @@ class TestConfigPersistence:
         save_config(cfg, tmp_path / "cfg.json")
         reparsed = config_from_dict(json.loads((tmp_path / "cfg.json").read_text()))
         assert reparsed == cfg
+
+
+def test_cli_import_loads_no_subcommand_module(tmp_path):
+    # a fresh interpreter: pytest's own sys.modules already holds them all
+    code = f"""
+import sys
+import torus_pursuit, torus_pursuit.cli
+heavy = ["nn", "ddpg", "checkpoint", "training", "analysis", "selfcheck", "evaluation"]
+print([m for m in heavy if "torus_pursuit." + m in sys.modules])
+torus_pursuit.cli.main(["eval", "--strategy", "greedy", "--episodes", "1", "--ratios", "1.2",
+                        "--out", {str(tmp_path)!r}])
+print([m for m in heavy[:5] if "torus_pursuit." + m in sys.modules])
+print([name for name in torus_pursuit.__all__ if getattr(torus_pursuit, name, None) is None])
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    # nothing heavy on import, no learner for a scripted eval, every name resolves
+    assert [line for line in out.splitlines() if line.startswith("[")] == ["[]"] * 3

@@ -28,6 +28,8 @@ from torus_pursuit.trajectory import (
     read_trajectories,
 )
 
+V1_HEADER = "episode,step,agent,x,y,heading,action,reward,captured,ratio"
+
 
 class TestConfigDefaults:
     def test_reference_hyperparameters(self):
@@ -108,6 +110,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"run\.k_att: unknown key"):
             config_from_dict({"run": {"k_att": 1.5}})
 
+    def test_removed_env_seed_is_unknown(self):
+        # nothing read it; run.seed seeds every stream
+        with pytest.raises(ConfigError, match=r"env\.seed: unknown key"):
+            config_from_dict({"env": {"seed": 0}})
+        assert "seed" not in ExperimentConfig().to_dict()["env"]
+
     def test_pincer_grid_bound(self):
         # (2k+1)^(2n) cells: 9^7 at n=7, k=1 is the largest enumerable grid
         config_from_dict({"env": {"n": 7}, "run": {"strategy": "pincer"}})
@@ -187,6 +195,35 @@ class TestCheckpointRoundTrip:
         with pytest.raises(DigestMismatchError):
             load_checkpoint(path, other)
 
+    def test_current_and_legacy_digests_load_and_no_other(self, tmp_path):
+        # checkpoints written while env held `seed` (always 0 unless set)
+        # carry the digest of that blob; they must still load
+        cfg = ExperimentConfig()
+        assert cfg.legacy_digest() == (
+            "8baea11ee1a07c0f45aecea66a8ed4ef7c982ff9481c4a04290afc674d51439a"
+        )
+        assert cfg.digest() != cfg.legacy_digest()
+        learner = self.make_learner()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, cfg, learner, 0, 0, 0, {"env": None})
+        doc = json.loads(path.read_text())
+        assert doc["config_digest"] == cfg.digest()
+        other = config_from_dict({"env": {"n": 2}})
+        for digest, ok in (
+            (cfg.digest(), True),
+            (cfg.legacy_digest(), True),
+            (other.digest(), False),
+            (other.legacy_digest(), False),
+        ):
+            doc["config_digest"] = digest
+            path.write_text(json.dumps(doc))
+            if ok:
+                got, *_ = load_checkpoint(path, cfg)
+                assert np.array_equal(got.actor.flat, learner.actor.flat)
+            else:
+                with pytest.raises(DigestMismatchError):
+                    load_checkpoint(path, cfg)
+
     def test_unknown_schema_rejected(self, tmp_path):
         cfg = ExperimentConfig()
         path = tmp_path / "ckpt.json"
@@ -223,7 +260,7 @@ class TestTrajectoryCsv:
         path = tmp_path / "log.csv"
         self.write_episode(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "# schema=pursuit-trajectory-v1"
+        assert lines[0] == "# schema=pursuit-trajectory-v2"
         assert lines[1] == TRAJECTORY_HEADER
         assert lines[2].split(",")[2] == "e"  # evader row leads each step
 
@@ -247,8 +284,8 @@ class TestTrajectoryCsv:
                             np.array([-0.1]), False)
         rows = path.read_text().splitlines()[2:]
         assert rows == [
-            "0,1,e,0.142857143,0.5,0.1,0.1,0,0,0.333333333",
-            "0,1,p0,0.25,0.5,3.14159265,3.14159265,-0.1,0,0.333333333",
+            "0,1,e,0.142857143,0.5,0.1,0,0,0.333333333",
+            "0,1,p0,0.25,0.5,3.14159265,-0.1,0,0.333333333",
         ]
 
     def test_run_of_steps(self, tmp_path):
@@ -258,17 +295,17 @@ class TestTrajectoryCsv:
         with TrajectoryWriter(path) as w:
             w.write_episode(4, 0.9, poses, np.array([-0.1, 50.0]), True, first_step=7)
         assert path.read_text().splitlines()[2:] == [
-            "4,7,e,0.75,0.5,-0.5,-0.5,0,0,0.9",
-            "4,7,p0,0.25,0.5,0.5,0.5,-0.1,0,0.9",
-            "4,8,e,0.75,0.5,-0.5,-0.5,0,1,0.9",
-            "4,8,p0,0.25,0.5,0.5,0.5,50,1,0.9",
+            "4,7,e,0.75,0.5,-0.5,0,0,0.9",
+            "4,7,p0,0.25,0.5,0.5,-0.1,0,0.9",
+            "4,8,e,0.75,0.5,-0.5,0,1,0.9",
+            "4,8,p0,0.25,0.5,0.5,50,1,0.9",
         ]
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "log.csv"
         self.write_episode(path)
         lines = path.read_text().splitlines()
-        lines[4] = "0,2,e,bad,0.5,0.1,0.1,0,0,0.9"
+        lines[4] = "0,2,e,bad,0.5,0.1,0,0,0.9"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TrajectoryParseError, match="line 5"):
             read_trajectories(path)
@@ -278,13 +315,13 @@ class TestTrajectoryCsv:
         self.write_episode(path)
         with open(path, "a") as fh:
             fh.write("1,2,3\n")
-        with pytest.raises(TrajectoryParseError, match="expected 10 fields"):
+        with pytest.raises(TrajectoryParseError, match="expected 9 fields"):
             read_trajectories(path)
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
         self.write_episode(path)
-        text = path.read_text().replace("trajectory-v1", "trajectory-v9")
+        text = path.read_text().replace("trajectory-v2", "trajectory-v9")
         path.write_text(text)
         with pytest.raises(SchemaVersionError):
             read_trajectories(path)
@@ -341,6 +378,98 @@ class TestTrajectoryCsv:
         with pytest.raises(TrajectoryParseError) as info:
             read_trajectories(path)
         assert str(info.value) == f"{path}: line 4: bad agent id 'q0'"
+
+    def write_log(self, path, version, edit=None):
+        """Two captured 3-step episodes at n=2 in trajectory schema `version`,
+        after `edit(lines, column)` changed the body; `column(name)` is a
+        field's index and lines[k] is file line k + 1."""
+        self.write_episode(path, episodes=2, steps=3, n=2)
+        lines = path.read_text().splitlines()
+        if version == 1:  # the heading repeated in an action column
+            lines[:2] = ["# schema=pursuit-trajectory-v1", V1_HEADER]
+            lines[2:] = [",".join(f[:6] + f[5:]) for f in (l.split(",") for l in lines[2:])]
+        names = lines[1].split(",")
+        if edit is not None:
+            edit(lines, names.index)
+        path.write_text("\n".join(lines) + "\n")
+
+    @staticmethod
+    def set_field(lines, k, column, value):
+        fields = lines[k].split(",")
+        fields[column] = value
+        lines[k] = ",".join(fields)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_versions_read_alike(self, tmp_path, version):
+        self.write_log(tmp_path / "v2.csv", 2)
+        self.write_log(tmp_path / "log.csv", version)
+        for a, b in zip(read_trajectories(tmp_path / "log.csv"),
+                        read_trajectories(tmp_path / "v2.csv"), strict=True):
+            assert (a.episode, a.ratio, a.captured) == (b.episode, b.ratio, b.captured)
+            for name in ("actions", "pursuer_xy", "evader_xy", "evader_action", "rewards"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("schema,header", [
+        ("pursuit-trajectory-v2", V1_HEADER), ("pursuit-trajectory-v1", TRAJECTORY_HEADER),
+    ])
+    def test_header_of_the_other_version_rejected(self, tmp_path, schema, header):
+        path = tmp_path / "log.csv"
+        path.write_text(f"# schema={schema}\n{header}\n")
+        with pytest.raises(TrajectoryParseError, match="line 2: missing header"):
+            read_trajectories(path)
+
+    @pytest.mark.parametrize("header", [V1_HEADER, TRAJECTORY_HEADER])
+    def test_header_alone_selects_the_version(self, tmp_path, header):
+        path = tmp_path / "log.csv"
+        self.write_log(path, 1 if header == V1_HEADER else 2)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[1:]) + "\n")
+        assert [t.steps for t in read_trajectories(path)] == [3, 3]
+
+    # Rows that used to read silently, each resolved by one row's value.
+    # Lines 3-11 hold episode 0 (steps 1-3, rows e, p0, p1), lines 12-20 episode 1.
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_step_disagreeing_on_capture_rejected(self, tmp_path, version):
+        path = tmp_path / "log.csv"
+        self.write_log(path, version, lambda lines, col: self.set_field(
+            lines, 6, col("captured"), "1"))
+        want = r"log\.csv: line 7: episode 0 step 2: captured flag of p0 differs from the evader's"
+        with pytest.raises(TrajectoryParseError, match=want):
+            read_trajectories(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_ratio_change_within_episode_rejected(self, tmp_path, version):
+        path = tmp_path / "log.csv"
+        self.write_log(path, version, lambda lines, col: self.set_field(
+            lines, 18, col("ratio"), "0.8"))
+        want = r"log\.csv: line 19: episode 1 step 3: ratio of p0 differs from the episode's"
+        with pytest.raises(TrajectoryParseError, match=want):
+            read_trajectories(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pursuer_rewards_disagreeing_rejected(self, tmp_path, version):
+        path = tmp_path / "log.csv"
+        self.write_log(path, version, lambda lines, col: self.set_field(
+            lines, 7, col("reward"), "50"))
+        want = r"log\.csv: line 8: episode 0 step 2: reward of p1 differs from p0's"
+        with pytest.raises(TrajectoryParseError, match=want):
+            read_trajectories(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_steps_after_capture_rejected(self, tmp_path, version):
+        def go_on(lines, col):
+            # episode 0's captured step 3, repeated as step 4 and not captured
+            for k in (8, 9, 10):
+                lines.append(lines[k])
+                self.set_field(lines, -1, col("step"), "4")
+                self.set_field(lines, -1, col("captured"), "0")
+
+        path = tmp_path / "log.csv"
+        self.write_log(path, version, go_on)
+        want = r"log\.csv: line 21: episode 0: step 4 follows the capture at step 3"
+        with pytest.raises(TrajectoryParseError, match=want):
+            read_trajectories(path)
 
     @pytest.mark.parametrize("body", ["", "\n\n"])
     def test_empty_body_yields_no_episodes(self, tmp_path, body):

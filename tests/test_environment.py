@@ -31,7 +31,7 @@ def torus_distance(a, b):
 
 
 CFG = EnvConfig(n=3, evader_speed=0.05, velocity_ratio=1.0, capture_radius=0.05,
-                episode_length=500, seed=0)
+                episode_length=500)
 
 
 class TestReset:

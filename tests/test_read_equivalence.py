@@ -4,8 +4,10 @@ for bit.
 
 Logs come from `TrajectoryWriter` (9 significant digits) and from rows
 formatted with `repr` (17 significant digits, where the float parser's
-rounding shows), with -0.0, rows in any order and blank lines. The estimator
-is compared on ragged episode lengths, length-1 episodes included.
+rounding shows), with -0.0, rows in any order and blank lines, in trajectory
+schemas v2 and v1 (whose rows repeat each heading in an `action` column).
+The estimator is compared on ragged episode lengths, length-1 episodes
+included.
 """
 
 import math
@@ -22,12 +24,9 @@ from torus_pursuit.metrics import (
     ic_report,
     mutual_information_bits,
 )
-from torus_pursuit.trajectory import (
-    TRAJECTORY_HEADER,
-    TRAJECTORY_SCHEMA,
-    TrajectoryWriter,
-    read_trajectories,
-)
+from torus_pursuit.config import config_from_dict
+from torus_pursuit.evaluation import run_eval
+from torus_pursuit.trajectory import TrajectoryWriter, read_trajectories
 
 
 def bits(values) -> list[int]:
@@ -69,19 +68,24 @@ def episodes(draw):
     return n, ratio, eps
 
 
-def repr_rows(ratio, eps) -> list[str]:
-    """The writer's rows, with every float at full `repr` precision."""
+def repr_rows(ratio, eps, version) -> list[str]:
+    """The writer's rows in trajectory schema `version`, with every float at
+    full `repr` precision."""
     rows = []
     for ep, poses, rewards, captured in eps:
         for t, (agents, reward) in enumerate(zip(poses.tolist(), rewards.tolist())):
             cap = "1" if captured and t == len(rewards) - 1 else "0"
-            x, y, h = agents[-1]
-            rows.append(f"{ep},{t + 1},e,{x!r},{y!r},{h!r},{h!r},0,{cap},{ratio!r}")
-            for i, (px, py, a) in enumerate(agents[:-1]):
-                rows.append(
-                    f"{ep},{t + 1},p{i},{px!r},{py!r},{a!r},{a!r},{reward!r},{cap},{ratio!r}"
-                )
+            for i, (x, y, h) in enumerate(agents[-1:] + agents[:-1]):
+                agent, r = ("e", "0") if i == 0 else (f"p{i - 1}", repr(reward))
+                h = f"{h!r},{h!r}" if version == 1 else repr(h)
+                rows.append(f"{ep},{t + 1},{agent},{x!r},{y!r},{h},{r},{cap},{ratio!r}")
     return rows
+
+
+def as_v1(row: str) -> str:
+    """A v2 row as the v1 writer wrote it: the heading repeated as the action."""
+    fields = row.split(",")
+    return ",".join(fields[:6] + fields[5:])
 
 
 def scrambled(rows: list[str], data) -> list[str]:
@@ -93,8 +97,8 @@ def scrambled(rows: list[str], data) -> list[str]:
     return rows
 
 
-def write_body(path, rows: list[str]) -> None:
-    path.write_text("\n".join([f"# schema={TRAJECTORY_SCHEMA}", TRAJECTORY_HEADER, *rows]) + "\n")
+def write_body(path, rows: list[str], version: int) -> None:
+    path.write_text(ref.log_preamble(version) + "\n".join(rows) + "\n")
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,10 +112,12 @@ def test_reader_matches_row_by_row_reader_on_writer_output(tmp_path_factory, log
     want = ref.read_trajectories(path)
     assert_same_traces(read_trajectories(path), want)
 
-    lines = path.read_text().splitlines()
-    write_body(path, scrambled(lines[2:], data))
-    assert_same_traces(read_trajectories(path), want)
-    assert_same_traces(ref.read_trajectories(path), want)
+    rows = path.read_text().splitlines()[2:]
+    # the same episodes, in any order, and in the v1 writer's form too
+    for version, body in ((2, rows), (1, [as_v1(row) for row in rows])):
+        write_body(path, scrambled(body, data), version)
+        assert_same_traces(read_trajectories(path), want)
+        assert_same_traces(ref.read_trajectories(path), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,14 +125,29 @@ def test_reader_matches_row_by_row_reader_on_writer_output(tmp_path_factory, log
 def test_reader_matches_row_by_row_reader_on_17_digit_floats(tmp_path_factory, log, data):
     n, ratio, eps = log
     path = tmp_path_factory.mktemp("log") / "log.csv"
-    write_body(path, scrambled(repr_rows(ratio, eps), data))
-    got = read_trajectories(path)
-    assert_same_traces(got, ref.read_trajectories(path))
-    # repr round-trips, so the traces hold the written values exactly
-    for trace, (ep, poses, rewards, captured) in zip(got, sorted(eps, key=lambda e: e[0])):
-        assert trace.episode == ep
-        assert bits(trace.actions) == bits(poses[:, :-1, 2])
-        assert bits(trace.evader_xy) == bits(poses[:, -1, :2])
+    for version in (2, 1):
+        write_body(path, scrambled(repr_rows(ratio, eps, version), data), version)
+        got = read_trajectories(path)
+        assert_same_traces(got, ref.read_trajectories(path))
+        # repr round-trips, so the traces hold the written values exactly
+        for trace, (ep, poses, rewards, captured) in zip(got, sorted(eps, key=lambda e: e[0])):
+            assert trace.episode == ep
+            assert bits(trace.actions) == bits(poses[:, :-1, 2])
+            assert bits(trace.evader_xy) == bits(poses[:, -1, :2])
+
+
+def test_committed_v1_log_reads_like_its_v2_rerun(tmp_path):
+    cfg = config_from_dict(ref.V1_LOG_CONFIG)
+    # the committed bytes are what the v1 writer wrote for this config
+    ref.run_eval(cfg, [ref.V1_LOG_RATIO], ref.V1_LOG_EPISODES, tmp_path / "v1", version=1)
+    assert (tmp_path / "v1" / "trajectories_ratio_1_1.csv").read_bytes() == ref.V1_LOG.read_bytes()
+    run_eval(cfg, [ref.V1_LOG_RATIO], ref.V1_LOG_EPISODES, tmp_path / "v2")
+    v2 = tmp_path / "v2" / "trajectories_ratio_1_1.csv"
+    assert v2.read_text().startswith("# schema=pursuit-trajectory-v2\n")
+    want = read_trajectories(v2)
+    assert [t.captured for t in want] == [True, True, False, True]
+    assert_same_traces(read_trajectories(ref.V1_LOG), want)
+    assert_same_traces(ref.read_trajectories(ref.V1_LOG), want)
 
 
 heading = st.one_of(

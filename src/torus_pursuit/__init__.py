@@ -1,6 +1,6 @@
 """Pursuit-evasion workbench on the unit torus.
 
-Library surface: toroidal geometry, the pursuit-evasion Markov game with its
+Library surface: the pursuit-evasion Markov game on the torus with its
 analytic evader, scripted pursuit strategies (greedy chase, replica max-min
 encirclement), decentralized actor-critic learners with velocity/behavior
 curricula, and information-theoretic coordination metrics. The `torus-pursuit`
@@ -36,12 +36,10 @@ _EXPORTS = {
         "reset",
         "step",
     ),
-    "evader": ("PolarContact", "evade_cost", "evade_heading"),
-    "geometry": ("Displacement2", "Point2", "displacement", "distance", "replicate", "wrap"),
+    "evader": ("evade_heading",),
     "metrics": (
         "capture_angle_histogram",
         "capture_success_rate",
-        "discretize_heading",
         "high_influence_fraction",
         "instantaneous_coordination",
     ),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AnalysisInputError
 from .evaluation import write_success_table
-from .geometry import displacement, wrap
+from .geometry import bearings, offsets, wrap_coords
 from .metrics import (
     CaptureAngleHistogram,
     capture_angle_histogram,
@@ -46,15 +46,14 @@ def group_by_ratio(traces: Sequence[EpisodeTrace]) -> dict[float, list[EpisodeTr
     return dict(sorted(groups.items()))
 
 
-def capture_bearings(trace: EpisodeTrace) -> list[float]:
-    """Evader-to-pursuer bearings at the capture step, in [0, 2*pi)."""
-    t = trace.steps - 1
-    e = wrap(float(trace.evader_xy[t, 0]), float(trace.evader_xy[t, 1]))
-    angles = []
-    for i in range(trace.n_pursuers):
-        p = wrap(float(trace.pursuer_xy[t, i, 0]), float(trace.pursuer_xy[t, i, 1]))
-        angles.append(displacement(e, p).bearing() % (2.0 * math.pi))
-    return angles
+def capture_bearings(traces: Sequence[EpisodeTrace]) -> np.ndarray:
+    """Evader-to-pursuer bearings at the last step of each trace, in
+    [0, 2*pi): (len(traces), n) for traces of n pursuers each."""
+    if not traces:
+        return np.zeros((0, 0))
+    evader = wrap_coords(np.array([t.evader_xy[-1] for t in traces]))
+    pursuers = wrap_coords(np.array([t.pursuer_xy[-1] for t in traces]))
+    return bearings(offsets(evader[:, None], pursuers)) % (2.0 * math.pi)
 
 
 def analyze_logs(
@@ -116,9 +115,8 @@ def analyze_logs(
             }
         )
 
-        captured_eps = [e for e in eps if e.captured]
         hist = capture_angle_histogram(
-            [capture_bearings(e) for e in captured_eps], angle_bins
+            capture_bearings([e for e in eps if e.captured]), angle_bins
         )
         angle_rows.extend(_angle_rows(ratio, hist))
         angle_stat_rows.extend(_angle_stat_rows(ratio, hist))

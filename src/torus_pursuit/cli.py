@@ -15,11 +15,8 @@ and without cached bytecode compiles, only what it needs.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .config import (
     ExperimentConfig,
@@ -37,7 +34,6 @@ from .errors import (
     SchemaVersionError,
     TrajectoryParseError,
 )
-from .evader import PolarContact, heading_from_contacts
 
 
 def _parse_ratios(text: str) -> list[float]:
@@ -136,18 +132,10 @@ def cmd_selfcheck(_args: argparse.Namespace) -> int:
 
 
 def cmd_evader_check(_args: argparse.Namespace) -> int:
-    from .selfcheck import angular_difference
+    from .selfcheck import evader_cases
 
-    rng = np.random.default_rng(0)
-    cases = [
-        ("bearings {0, pi/2, pi}", (0.0, math.pi / 2, math.pi), -math.pi / 2),
-        ("bearings {0, pi/2, -pi/2}", (0.0, math.pi / 2, -math.pi / 2), math.pi),
-    ]
     ok = True
-    for label, bearings, want in cases:
-        contacts = [PolarContact(1.0, b) for b in bearings]
-        got = heading_from_contacts(contacts, rng)
-        passed = angular_difference(got, want) < 1e-9
+    for label, got, want, passed in evader_cases():
         ok = ok and passed
         print(f"{'PASS' if passed else 'FAIL'} {label}: heading {got:.9f} (want {want:.9f})")
     return 0 if ok else 1

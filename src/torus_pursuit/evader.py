@@ -11,9 +11,8 @@ weighting lets nearby pursuers bend the escape bisector harder than far ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add, truediv
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,78 +27,49 @@ if TYPE_CHECKING:
 DEGENERACY_THRESHOLD = 1e-9
 
 
-@dataclass(frozen=True)
-class PolarContact:
-    """One pursuer seen from the evader: distance r and bearing theta_rel."""
-
-    r: float
-    theta_rel: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise ValueError(f"contact distance must be finite and >= 0, got {self.r!r}")
-        if self.r == 0.0:
-            raise SingularityError("contact at zero distance (capture must be checked first)")
-        object.__setattr__(self, "theta_rel", normalize_angle(self.theta_rel))
-
-
-def evade_cost(theta_e: float, contacts: Sequence[PolarContact]) -> float:
-    """Escape potential at heading theta_e; lower is better for the evader."""
-    if not contacts:
-        raise ValueError("at least one contact is required")
-    return sum((1.0 / c.r) * math.cos(theta_e - c.theta_rel) for c in contacts)
-
-
-def field_coefficients(contacts: Sequence[PolarContact]) -> tuple[float, float]:
-    """Coefficients (A, B) of the potential written as A*cos + B*sin."""
-    if not contacts:
-        raise ValueError("at least one contact is required")
-    a = sum(math.cos(c.theta_rel) / c.r for c in contacts)
-    b = sum(math.sin(c.theta_rel) / c.r for c in contacts)
-    return a, b
-
-
-def field_heading(a: list[float], b: list[float], rng: np.random.Generator) -> list[float]:
-    """Global minimizers atan2(-B, -A) for paired lists of A and B.
-
-    Fields whose resultant is below DEGENERACY_THRESHOLD draw a uniform
-    heading from `rng`, one draw per such field in list order.
-    """
-    theta = atan2_bearings([-v for v in b], [-v for v in a])
-    for e, magnitude in enumerate(map(math.hypot, a, b)):
-        if magnitude < DEGENERACY_THRESHOLD:
-            # Perfectly balanced surround: any deterministic pick would be
-            # exploitable, so break the symmetry randomly.
-            theta[e] = normalize_angle(rng.uniform(-math.pi, math.pi))
-    return theta
-
-
-def heading_from_contacts(contacts: Sequence[PolarContact], rng: np.random.Generator) -> float:
-    """Global minimizer of the escape potential for the given contacts."""
-    a, b = field_coefficients(contacts)
-    return field_heading([a], [b], rng)[0]
-
-
 def evade_heading(state: WorldState, rng: np.random.Generator) -> np.ndarray:
     """Escape headings (E,) in [-pi, pi), one per episode of `state`.
 
     Contacts use the minimal wrapped offsets from the evader to its
-    pursuers; A and B sum them in pursuer order, as `field_coefficients` does.
-    The few values per episode are worked on as Python floats.
+    pursuers.
     """
     contacts = state.contacts
     if contacts.contact_singular:
         raise SingularityError("pursuer co-located with evader")
     half = len(contacts.distances) // 2
-    r = contacts.distances[half:]
-    theta = contacts.bearings[half:]
+    return contact_headings(contacts.distances[half:], contacts.bearings[half:], state.n, rng)
+
+
+def contact_headings(
+    r: list[float], theta: list[float], n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Global minimizers atan2(-B, -A) of the escape potential, one per
+    episode, from the evader-to-pursuer distances `r` (all > 0) and bearings
+    `theta`, flat lists in (episode, pursuer) order with n pursuers each.
+
+    A and B sum each episode's contacts in pursuer order. Fields whose
+    resultant is below DEGENERACY_THRESHOLD draw a uniform heading from
+    `rng`, one draw per such episode in episode order. The few values per
+    episode are worked on as Python floats.
+    """
+    if n < 1 or len(r) != len(theta) or len(r) % n:
+        raise ValueError(
+            f"need n >= 1 and as many distances as bearings, a multiple of n; got n={n}, "
+            f"{len(r)} distances and {len(theta)} bearings"
+        )
     # cos of each bearing over its distance, then sin, in (episode, pursuer) order
-    w = list(map(truediv, [*map(math.cos, theta), *map(math.sin, theta)], r * 2))
+    w = list(map(truediv, [*map(math.cos, theta), *map(math.sin, theta)], [*r, *r]))
     # running sums over each episode's pursuers, taken left to right: A of
     # every episode, then B
-    n = state.n
     sums = w[::n]
     for i in range(1, n):
         sums = list(map(add, sums, w[i::n]))
     episodes = len(sums) // 2
-    return np.array(field_heading(sums[:episodes], sums[episodes:], rng))
+    a, b = sums[:episodes], sums[episodes:]
+    heading = atan2_bearings([-v for v in b], [-v for v in a])
+    for e, magnitude in enumerate(map(math.hypot, a, b)):
+        if magnitude < DEGENERACY_THRESHOLD:
+            # Perfectly balanced surround: any deterministic pick would be
+            # exploitable, so break the symmetry randomly.
+            heading[e] = normalize_angle(rng.uniform(-math.pi, math.pi))
+    return np.array(heading)

@@ -18,16 +18,6 @@ from typing import Sequence
 import numpy as np
 
 
-def discretize_heading(theta: float, bins: int) -> int:
-    """Uniform bin over [-pi, pi); the right edge clamps into the last bin."""
-    if bins < 2:
-        raise ValueError(f"need at least 2 bins, got {bins}")
-    if not math.isfinite(theta):
-        raise ValueError(f"non-finite heading {theta!r}")
-    idx = int(math.floor((theta + math.pi) / (2.0 * math.pi / bins)))
-    return min(max(idx, 0), bins - 1)
-
-
 @dataclass
 class ActionHistogram:
     """Joint counts of (bin of a_i at t, bin of a_j at t+1)."""
@@ -53,9 +43,13 @@ def _step_pair_bins(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Heading bins of every agent at t and at t+1, one row per step pair.
 
-    Each log is a (T, n_agents) array of action headings. The logs are binned
-    together, once, and pairs are formed within a log only.
+    Each log is a (T, n_agents) array of finite action headings. The logs are
+    binned together, once, into `bins` >= 2 uniform bins over [-pi, pi) (the
+    right edge clamps into the last bin), and pairs are formed within a log
+    only.
     """
+    if bins < 2:
+        raise ValueError(f"need at least 2 bins, got {bins}")
     arrays = []
     for log in action_logs:
         arr = np.asarray(log, dtype=np.float64)
@@ -66,6 +60,8 @@ def _step_pair_bins(
     if not arrays:
         raise ValueError("no step pairs: need at least one trajectory of length >= 2")
     headings = np.concatenate(arrays)
+    if not np.isfinite(headings).all():
+        raise ValueError("non-finite heading in an action log")
     binned = np.clip(
         np.floor((headings + math.pi) / (2.0 * math.pi / bins)).astype(np.int64), 0, bins - 1
     )

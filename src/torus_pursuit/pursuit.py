@@ -125,7 +125,8 @@ def check_pincer_grid(n: int, k: int) -> None:
 
 @functools.lru_cache(maxsize=4)
 def _replica_offsets(k: int) -> np.ndarray:
-    """Integer offsets in `replicate` order, as float rows x and y, (2, m)."""
+    """Integer offsets (di, dj) over [-k, k]^2 in row-major order, as float rows
+    x and y, (2, m); the center (0, 0) sits at index (2k+1)*k + k."""
     grid = np.array([(di, dj) for di in range(-k, k + 1) for dj in range(-k, k + 1)], float)
     return np.ascontiguousarray(grid.T)
 

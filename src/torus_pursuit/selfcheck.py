@@ -1,23 +1,24 @@
 """Built-in verification battery, runnable from the CLI without pytest.
 
-Covers the evader's closed-form minimizer (including the two canonical
-three-pursuer cases), gradient correctness of the network backward passes,
-the velocity schedule arithmetic, the encirclement inner-minimum identity
-against a dense grid, and the mutual-information estimator oracles. Includes
-a negative control: the gradient checker must flag a deliberately corrupted
-backward pass.
+Covers the evader's closed-form minimizer through the functions that step
+the evader (including the two canonical three-pursuer cases), gradient
+correctness of the network backward passes, the velocity schedule
+arithmetic, the encirclement inner-minimum identity against a dense grid,
+and the mutual-information estimator oracles. Includes a negative control:
+the gradient checker must flag a deliberately corrupted backward pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .curriculum import VelocitySchedule, velocity_at_epoch
-from .evader import PolarContact, evade_cost, heading_from_contacts
+from .environment import WorldState, make_state
+from .evader import contact_headings, evade_heading
 from .geometry import normalize_angle
 from .metrics import ActionHistogram, mutual_information_bits
 from .nn import backward, forward, mlp_init
@@ -35,16 +36,43 @@ def angular_difference(a: float, b: float) -> float:
     return abs(normalize_angle(a - b))
 
 
+# The two canonical three-pursuer cases: a label, the evader-to-pursuer
+# bearings, and the escape heading they must give.
+EVADER_CASES = (
+    ("bearings {0, pi/2, pi}", (0.0, math.pi / 2, math.pi), -math.pi / 2),
+    ("bearings {0, pi/2, -pi/2}", (0.0, math.pi / 2, -math.pi / 2), math.pi),
+)
+
+
+def surround(bearing_sets: Sequence[Sequence[float]]) -> WorldState:
+    """One episode per set of bearings: its pursuers sit 0.25 from an evader
+    at (0.5, 0.5), at those evader-to-pursuer bearings. Every coordinate and
+    offset of the canonical cases is then an exact dyadic."""
+    pursuers = [[(0.5 + 0.25 * math.cos(b), 0.5 + 0.25 * math.sin(b)) for b in bearings]
+                for bearings in bearing_sets]
+    return make_state(pursuers, [(0.5, 0.5)] * len(pursuers))
+
+
+def evader_cases() -> list[tuple[str, float, float, bool]]:
+    """(label, heading, wanted heading, passed) of each canonical case, with
+    the headings that `evade_heading` steps the evader along."""
+    state = surround([bearings for _, bearings, _ in EVADER_CASES])
+    headings = evade_heading(state, np.random.default_rng(0)).tolist()
+    return [
+        (label, got, want, angular_difference(got, want) < 1e-9)
+        for (label, _, want), got in zip(EVADER_CASES, headings)
+    ]
+
+
 def check_evader_cases() -> CheckResult:
-    rng = np.random.default_rng(0)
-    case1 = [PolarContact(1.0, t) for t in (0.0, math.pi / 2, math.pi)]
-    case2 = [PolarContact(1.0, t) for t in (0.0, math.pi / 2, -math.pi / 2)]
-    h1 = heading_from_contacts(case1, rng)
-    h2 = heading_from_contacts(case2, rng)
-    ok1 = angular_difference(h1, -math.pi / 2) < 1e-9
-    ok2 = angular_difference(h2, math.pi) < 1e-9
+    (_, h1, _, ok1), (_, h2, _, ok2) = evader_cases()
     detail = f"case1 -> {h1:.6f} (want -pi/2), case2 -> {h2:.6f} (want +-pi)"
     return CheckResult("evader-unit-cases", ok1 and ok2, detail)
+
+
+def _potential(rs: np.ndarray, bs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Escape potential sum_i cos(theta - b_i) / r_i at each heading theta."""
+    return ((1.0 / rs)[:, None] * np.cos(thetas[None, :] - bs[:, None])).sum(axis=0)
 
 
 def check_evader_optimality(n_sets: int = 200, grid: int = 10_000) -> CheckResult:
@@ -53,16 +81,10 @@ def check_evader_optimality(n_sets: int = 200, grid: int = 10_000) -> CheckResul
     worst = 0.0
     for _ in range(n_sets):
         k = int(rng.integers(1, 6))
-        contacts = [
-            PolarContact(float(rng.uniform(0.2, 0.7)), float(rng.uniform(-math.pi, math.pi)))
-            for _ in range(k)
-        ]
-        h = heading_from_contacts(contacts, rng)
-        got = evade_cost(h, contacts)
-        rs = np.array([c.r for c in contacts])
-        bs = np.array([c.theta_rel for c in contacts])
-        grid_min = float(((1.0 / rs)[:, None] * np.cos(thetas - bs[:, None])).sum(axis=0).min())
-        worst = max(worst, got - grid_min)
+        contacts = [(rng.uniform(0.2, 0.7), rng.uniform(-math.pi, math.pi)) for _ in range(k)]
+        rs, bs = np.array(contacts).T
+        h = contact_headings(rs.tolist(), bs.tolist(), k, rng)
+        worst = max(worst, float(_potential(rs, bs, h)[0] - _potential(rs, bs, thetas).min()))
     return CheckResult(
         "evader-closed-form-optimality", worst <= 1e-9, f"max excess over grid min {worst:.2e}"
     )
@@ -78,8 +100,7 @@ def check_pincer_inner_minimum(n_states: int = 200, grid: int = 32_768) -> Check
         bs = rng.uniform(-math.pi, math.pi, size=k)
         replicas = [(r * math.cos(b), r * math.sin(b)) for r, b in zip(rs, bs)]
         closed = pincer_objective(replicas, (0.0, 0.0))
-        u = ((1.0 / rs)[:, None] * np.cos(thetas[None, :] - bs[:, None])).sum(axis=0)
-        worst = max(worst, abs(closed - float(u.min())))
+        worst = max(worst, abs(closed - float(_potential(rs, bs, thetas).min())))
     return CheckResult(
         "pincer-inner-minimum", worst <= 1e-6, f"max |closed - grid| = {worst:.2e}"
     )

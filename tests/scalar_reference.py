@@ -1,12 +1,12 @@
-"""Scalar reference model of the environment, the evader and the scripted
-strategies: one episode at a time, per-pose dataclasses and `math` calls.
-It also keeps the row-by-row trajectory reader and the one-pair,
-one-log-at-a-time action histogram.
+"""Scalar reference model of the torus geometry, the environment, the evader
+and the scripted strategies: one episode at a time, per-pose dataclasses and
+`math` calls. It also keeps the row-by-row trajectory reader and the
+one-pair, one-log-at-a-time action histogram.
 
 The package computes all of these on arrays with a leading episode axis.
 This module keeps the one-episode-at-a-time formulation that the array code
 must reproduce bit for bit, together with a sequential `run_eval`, so that
-tests can compare the two on any input.
+tests can compare the two on any input. Nothing in the package imports it.
 """
 
 from __future__ import annotations
@@ -32,16 +32,8 @@ from torus_pursuit.errors import (
     SingularityError,
     TrajectoryParseError,
 )
-from torus_pursuit.evader import PolarContact
 from torus_pursuit.evaluation import ratio_label, write_success_table
-from torus_pursuit.geometry import (
-    Point2,
-    displacement,
-    distance,
-    normalize_angle,
-    replicate,
-    wrap,
-)
+from torus_pursuit.geometry import normalize_angle
 from torus_pursuit.metrics import ActionHistogram
 from torus_pursuit.pursuit import BALANCE_TIE_BAND, check_pincer_grid
 from torus_pursuit.trajectory import TRAJECTORY_HEADER, EpisodeTrace
@@ -59,6 +51,97 @@ V1_LOG = Path(__file__).parent / "data" / "trajectories_v1_greedy_n3.csv"
 V1_LOG_CONFIG = {"env": {"n": 3, "episode_length": 30}, "run": {"seed": 7, "strategy": "greedy"}}
 V1_LOG_RATIO = 1.1
 V1_LOG_EPISODES = 4
+
+
+# -- geometry --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Point2:
+    """A point on the unit torus; both coordinates in [0, 1)."""
+
+    x: float
+    y: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"non-finite point ({self.x!r}, {self.y!r})")
+        if not (0.0 <= self.x < 1.0 and 0.0 <= self.y < 1.0):
+            raise ValueError(
+                f"point ({self.x!r}, {self.y!r}) outside [0,1)^2; use wrap()"
+            )
+
+
+@dataclass(frozen=True)
+class Displacement2:
+    """Minimal wrapped offset between torus points; components in [-0.5, 0.5)."""
+
+    dx: float
+    dy: float
+
+    def __post_init__(self) -> None:
+        if not (-0.5 <= self.dx < 0.5 and -0.5 <= self.dy < 0.5):
+            raise ValueError(f"displacement ({self.dx!r}, {self.dy!r}) outside [-0.5, 0.5)^2")
+
+    def norm(self) -> float:
+        return math.hypot(self.dx, self.dy)
+
+    def bearing(self) -> float:
+        """Angle of the offset, normalized to [-pi, pi)."""
+        return normalize_angle(math.atan2(self.dy, self.dx))
+
+
+def _wrap1(v: float) -> float:
+    w = v % 1.0
+    # v % 1.0 can round up to exactly 1.0 for tiny negative v
+    return 0.0 if w >= 1.0 else w
+
+
+def wrap(x: float, y: float) -> Point2:
+    """Map raw planar coordinates onto the torus by modular reduction."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"cannot wrap non-finite coordinates ({x!r}, {y!r})")
+    return Point2(_wrap1(x), _wrap1(y))
+
+
+def _delta1(a: float, b: float) -> float:
+    d = (b - a) % 1.0
+    return d - 1.0 if d >= 0.5 else d
+
+
+def displacement(a: Point2, b: Point2) -> Displacement2:
+    """Minimal wrapped offset from a to b; wrap(a + offset) == b."""
+    return Displacement2(_delta1(a.x, b.x), _delta1(a.y, b.y))
+
+
+def distance(a: Point2, b: Point2) -> float:
+    """Torus L2 distance: the Euclidean norm of the minimal displacement."""
+    return displacement(a, b).norm()
+
+
+def replicate(p: Point2, k: int) -> list[tuple[float, float]]:
+    """Translate p by every integer offset in [-k, k]^2 (planar points).
+
+    Offsets are enumerated row-major ((-k,-k), (-k,-k+1), ..., (k,k)), so the
+    center replica sits at index (2k+1)*k + k and equals p exactly.
+    """
+    if k < 0:
+        raise ValueError(f"replication radius must be >= 0, got {k}")
+    return [(p.x + di, p.y + dj) for di in range(-k, k + 1) for dj in range(-k, k + 1)]
+
+
+def capture_bearings(trace: EpisodeTrace) -> list[float]:
+    """Evader-to-pursuer bearings at the last step of one trace, in [0, 2*pi)."""
+    t = trace.steps - 1
+    e = wrap(float(trace.evader_xy[t, 0]), float(trace.evader_xy[t, 1]))
+    angles = []
+    for i in range(trace.n_pursuers):
+        p = wrap(float(trace.pursuer_xy[t, i, 0]), float(trace.pursuer_xy[t, i, 1]))
+        angles.append(displacement(e, p).bearing() % (2.0 * math.pi))
+    return angles
+
+
+# -- environment -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -122,21 +205,38 @@ def is_captured(state: ScalarState, config: EnvConfig) -> bool:
     return any(distance(p.position, e) <= config.capture_radius for p in state.pursuers)
 
 
-def evade_heading(
-    evader_position: Point2, pursuer_positions: Sequence[Point2], rng: np.random.Generator
+def evade_cost(theta_e: float, r: Sequence[float], bearings: Sequence[float]) -> float:
+    """Escape potential at heading theta_e of contacts at distances r and
+    bearings `bearings`; lower is better for the evader."""
+    if len(r) == 0:
+        raise ValueError("at least one contact is required")
+    return sum((1.0 / ri) * math.cos(theta_e - bi) for ri, bi in zip(r, bearings))
+
+
+def contact_heading(
+    r: Sequence[float], bearings: Sequence[float], rng: np.random.Generator
 ) -> float:
+    """Minimizer of `evade_cost` over headings for one episode's contacts."""
     a = b = 0.0  # summed left to right, whatever `sum` does on this Python
-    for q in pursuer_positions:
-        d = displacement(evader_position, q)
-        r = d.norm()
-        if r == 0.0:
-            raise SingularityError("pursuer co-located with evader")
-        contact = PolarContact(r, d.bearing())
-        a += math.cos(contact.theta_rel) / contact.r
-        b += math.sin(contact.theta_rel) / contact.r
+    for ri, bi in zip(r, bearings):
+        a += math.cos(bi) / ri
+        b += math.sin(bi) / ri
     if math.hypot(a, b) < evader_module.DEGENERACY_THRESHOLD:
         return normalize_angle(rng.uniform(-math.pi, math.pi))
     return normalize_angle(math.atan2(-b, -a))
+
+
+def evade_heading(
+    evader_position: Point2, pursuer_positions: Sequence[Point2], rng: np.random.Generator
+) -> float:
+    r, bearings = [], []
+    for q in pursuer_positions:
+        d = displacement(evader_position, q)
+        if d.norm() == 0.0:
+            raise SingularityError("pursuer co-located with evader")
+        r.append(d.norm())
+        bearings.append(d.bearing())
+    return contact_heading(r, bearings, rng)
 
 
 def _advance(position: Point2, heading: float, speed: float) -> Point2:

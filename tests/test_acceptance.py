@@ -14,13 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scalar_reference import evade_cost
 from torus_pursuit.config import config_from_dict
 from torus_pursuit.curriculum import VelocitySchedule, velocity_at_epoch
 from torus_pursuit.ddpg import TeamLearner
 from torus_pursuit.environment import observation_dim
-from torus_pursuit.evader import PolarContact, evade_cost, heading_from_contacts
+from torus_pursuit.evader import contact_headings
 from torus_pursuit.evaluation import run_eval
-from torus_pursuit.geometry import normalize_angle, replicate
+from torus_pursuit.geometry import normalize_angle
 from torus_pursuit.metrics import (
     ActionHistogram,
     high_influence_fraction,
@@ -44,10 +45,10 @@ def angular_difference(a, b):
 def test_criterion_01_evader_unit_tests():
     start = time.time()
     rng = np.random.default_rng(0)
-    case1 = [PolarContact(1.0, t) for t in (0.0, math.pi / 2, math.pi)]
-    case2 = [PolarContact(1.0, t) for t in (0.0, math.pi / 2, -math.pi / 2)]
-    h1 = heading_from_contacts(case1, rng)
-    h2 = heading_from_contacts(case2, rng)
+    case1 = [1.0] * 3, [0.0, math.pi / 2, math.pi]
+    case2 = [1.0] * 3, [0.0, math.pi / 2, -math.pi / 2]
+    h1 = contact_headings(*case1, 3, rng)[0]
+    h2 = contact_headings(*case2, 3, rng)[0]
     assert angular_difference(h1, -math.pi / 2) < 1e-9
     assert angular_difference(h2, math.pi) < 1e-9
     elapsed = time.time() - start
@@ -64,9 +65,8 @@ def test_criterion_02_evader_closed_form_optimality():
         k = int(rng.integers(1, 6))
         rs = rng.uniform(0.05, 0.7, size=k)
         bs = rng.uniform(-math.pi, math.pi, size=k)
-        contacts = [PolarContact(float(r), float(b)) for r, b in zip(rs, bs)]
-        heading = heading_from_contacts(contacts, rng)
-        cost = evade_cost(heading, contacts)
+        heading = contact_headings(rs.tolist(), bs.tolist(), k, rng)[0]
+        cost = evade_cost(heading, rs.tolist(), bs.tolist())
         # independent direct-summation oracle over the dense heading grid
         grid_min = float(
             ((1.0 / rs)[:, None] * np.cos(grid[None, :] - bs[:, None])).sum(axis=0).min()

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scalar_reference as ref
 from torus_pursuit.analysis import analyze_logs, capture_bearings, group_by_ratio
 from torus_pursuit.config import config_from_dict
 from torus_pursuit.errors import AnalysisInputError
@@ -34,14 +37,62 @@ def make_trace(captured=True, ratio=1.0, pursuer_end=None, evader_end=(0.5, 0.5)
 class TestCaptureBearings:
     def test_known_geometry(self):
         trace = make_trace(pursuer_end=[(0.6, 0.5), (0.5, 0.4)])
-        bearings = capture_bearings(trace)
+        bearings = capture_bearings([trace])[0]
         assert bearings[0] == pytest.approx(0.0)               # due east
         assert bearings[1] == pytest.approx(3 * math.pi / 2)    # due south in [0, 2pi)
 
     def test_wrapped_geometry(self):
         trace = make_trace(pursuer_end=[(0.97, 0.5), (0.5, 0.6)], evader_end=(0.02, 0.5))
-        bearings = capture_bearings(trace)
+        bearings = capture_bearings([trace])[0]
         assert bearings[0] == pytest.approx(math.pi, abs=1e-9)  # west across the seam
+
+    def test_no_traces(self):
+        assert capture_bearings([]).size == 0
+
+
+def bits(values) -> list[int]:
+    """IEEE bit patterns, so that -0.0 != 0.0 and rounding shows."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).ravel().tolist()
+
+
+# Read-back coordinates where rounding decides: exactly 1.0 (a logged 0.9999999999
+# rounds to it), tiny negatives, and dyadics that make offsets of exactly +-0.5.
+coordinate = st.one_of(
+    st.sampled_from([0.0, 1.0, -0.0, -1e-17, -5e-324, 0.25, 0.5, 0.75, 0.125, 0.875]),
+    st.floats(-1e-9, 1.0),
+)
+
+
+@st.composite
+def final_steps(draw):
+    """Traces of one pursuer count whose last steps are drawn from `coordinate`."""
+    n = draw(st.integers(1, 4))
+    traces = []
+    for episode in range(draw(st.integers(1, 4))):
+        steps = draw(st.integers(1, 3))
+        xy = draw(st.lists(coordinate, min_size=steps * (n + 1) * 2,
+                           max_size=steps * (n + 1) * 2))
+        xy = np.array(xy).reshape(steps, n + 1, 2)
+        traces.append(EpisodeTrace(
+            episode=episode, ratio=1.0, captured=True, actions=np.zeros((steps, n)),
+            pursuer_xy=xy[:, :n], evader_xy=xy[:, n], evader_action=np.zeros(steps),
+            rewards=np.zeros(steps),
+        ))
+    return traces
+
+
+@settings(max_examples=300, deadline=None)
+@given(final_steps())
+def test_capture_bearings_match_scalar_reference(traces):
+    before = [(bits(t.pursuer_xy), bits(t.evader_xy)) for t in traces]
+    got = capture_bearings(traces)
+    want = [ref.capture_bearings(t) for t in traces]
+    assert got.shape == (len(traces), traces[0].n_pursuers)
+    assert bits(got) == bits(want)
+    # the analysis bins them after one more reduction, also on both sides
+    assert bits(got % (2.0 * math.pi)) == bits(np.asarray(want) % (2.0 * math.pi))
+    # wrap_coords works in place, so the traces must keep their coordinates
+    assert [(bits(t.pursuer_xy), bits(t.evader_xy)) for t in traces] == before
 
 
 class TestGrouping:

@@ -36,7 +36,6 @@ from torus_pursuit.environment import (
 from torus_pursuit.errors import EpisodeDoneError, SingularityError
 from torus_pursuit.evader import evade_heading
 from torus_pursuit.evaluation import LOCKSTEP_AGENT_STEPS, lockstep_batch, run_eval
-from torus_pursuit.geometry import displacement
 from torus_pursuit.pursuit import greedy_heading, pincer_headings, pincer_selection
 from torus_pursuit.trajectory import TRAJECTORY_HEADER, TRAJECTORY_SCHEMA, TrajectoryWriter
 
@@ -77,8 +76,8 @@ def singular(state, chase=True) -> bool:
     a tiny offset can wrap to zero without the positions being equal."""
     for s in scalar_episodes(state):
         for p in s.pursuers:
-            d = (displacement(p.position, s.evader.position) if chase
-                 else displacement(s.evader.position, p.position))
+            d = (ref.displacement(p.position, s.evader.position) if chase
+                 else ref.displacement(s.evader.position, p.position))
             if d.dx == 0.0 and d.dy == 0.0:
                 return True
     return False

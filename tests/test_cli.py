@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from torus_pursuit import evader as evader_module
+from torus_pursuit import selfcheck as selfcheck_module
 from torus_pursuit.checkpoint import load_checkpoint
 from torus_pursuit.cli import main
 from torus_pursuit.config import config_from_dict, load_config, save_config
@@ -413,6 +415,26 @@ class TestSelfcheckCommands:
         assert main(["evader-check"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
+
+    def test_broken_evader_fails_both_commands(self, monkeypatch, capsys):
+        # negative control: flip the sign of B (mirror every bearing) in the
+        # function that `evade_heading`, and so stepping, calls
+        original = evader_module.contact_headings
+
+        def mirrored(r, theta, n, rng):
+            return original(r, [-t for t in theta], n, rng)
+
+        monkeypatch.setattr(evader_module, "contact_headings", mirrored)
+        assert main(["evader-check"]) == 1
+        assert "FAIL bearings {0, pi/2, pi}" in capsys.readouterr().out
+        assert main(["selfcheck"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL evader-unit-cases" in out
+        assert "selfcheck: FAILURES PRESENT" in out
+        # the optimality check calls the same function by its own import
+        monkeypatch.setattr(selfcheck_module, "contact_headings", mirrored)
+        assert main(["selfcheck"]) == 1
+        assert "FAIL evader-closed-form-optimality" in capsys.readouterr().out
 
 
 class TestConfigPersistence:

@@ -10,8 +10,8 @@ from torus_pursuit.metrics import (
     build_action_histogram,
     capture_angle_histogram,
     capture_success_rate,
-    discretize_heading,
     high_influence_fraction,
+    ic_report,
     instantaneous_coordination,
     mutual_information_bits,
     pointwise_information_bits,
@@ -23,29 +23,54 @@ def bin_center(idx, bins=16):
     return -math.pi + (idx + 0.5) * width
 
 
+def bins_of(thetas, bins):
+    """Bin of each heading, as `build_action_histogram` bins it: the log steps
+    agent 0 through the headings, so row r of the joint table counts those in
+    bin r."""
+    log = np.zeros((len(thetas) + 1, 2))
+    log[:-1, 0] = thetas
+    hist = build_action_histogram([log], 0, 1, bins)
+    return np.repeat(np.arange(bins), hist.row_marginal).tolist()
+
+
 class TestDiscretize:
     def test_edges_and_midpoint(self):
-        assert discretize_heading(-math.pi, 16) == 0
-        assert discretize_heading(0.0, 16) == 8
-        assert discretize_heading(math.pi - 1e-9, 16) == 15
+        assert bins_of([-math.pi], 16) == [0]
+        assert bins_of([0.0], 16) == [8]
+        assert bins_of([math.pi - 1e-9], 16) == [15]
 
     def test_right_edge_clamps(self):
-        assert discretize_heading(math.pi, 16) == 15
+        assert bins_of([math.pi], 16) == [15]
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            discretize_heading(0.0, 1)
+            bins_of([0.0], 1)
         with pytest.raises(ValueError):
-            discretize_heading(float("nan"), 16)
+            bins_of([float("nan")], 16)
+
+    @pytest.mark.parametrize("bins", [1, 0, -4])
+    def test_fewer_than_two_bins_rejected(self, bins):
+        logs = [np.zeros((5, 3))]
+        with pytest.raises(ValueError, match=f"need at least 2 bins, got {bins}"):
+            build_action_histogram(logs, 0, 1, bins)
+        with pytest.raises(ValueError, match="need at least 2 bins"):
+            ic_report(logs, 3, bins)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_heading_rejected(self, bad):
+        logs = [np.zeros((5, 3)), np.zeros((4, 3))]
+        logs[1][2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite heading"):
+            build_action_histogram(logs, 0, 2, 16)
+        with pytest.raises(ValueError, match="non-finite heading"):
+            ic_report(logs, 3, 16)
 
     def test_uniform_partition(self):
         # probe mid-interval points so float rounding at bin edges cannot bite
         for b in (2, 8, 16, 36):
-            counts = np.zeros(b)
             step = 2 * math.pi / (b * 100)
-            for i in range(b * 100):
-                counts[discretize_heading(-math.pi + (i + 0.5) * step, b)] += 1
-            assert counts.min() == counts.max() == 100
+            probes = [-math.pi + (i + 0.5) * step for i in range(b * 100)]
+            assert np.bincount(bins_of(probes, b), minlength=b).tolist() == [100] * b
 
 
 class TestMutualInformation:

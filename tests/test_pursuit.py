@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from scalar_reference import Point2, distance, replicate, wrap
 from torus_pursuit.environment import make_state
 from torus_pursuit.errors import SingularityError
-from torus_pursuit.geometry import Point2, distance, normalize_angle, replicate, wrap
+from torus_pursuit.geometry import normalize_angle
 from torus_pursuit.pursuit import (
     MAX_PINCER_CELLS,
     greedy_heading,

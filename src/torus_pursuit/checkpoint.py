@@ -5,28 +5,43 @@ config digest, every agent's online/target networks and optimizer moments,
 each agent's replay buffer contents, the curriculum position, and the states
 of all random streams.
 
-Schema version 2 writes two files. The JSON manifest at the given path holds
+Schema version 3 writes two files. The JSON manifest at the given path holds
 every scalar (schema version, config digest, curriculum position, random
 stream states, hyperparameters, noise state, Adam step counters, buffer
 bookkeeping). The arrays go to an uncompressed ``.npz`` sidecar with the
 manifest's stem (``checkpoint_epoch5.json`` -> ``checkpoint_epoch5.npz``) as
-flat float64 entries, and the manifest refers to each array by
+flat float64 entries (the int64 break slots below aside), and the manifest refers to each array by
 ``{"key", "offset", "shape"}``: its row-major values start at ``offset`` in
 entry ``key``. All network and Adam arrays of agent i share entry
 ``agents.i``, since reading one zip member costs far more than its bytes;
 that entry is row i of the team's (n, S) state array, written as it lies in
 memory, and each reference's offset is where its view starts in the row.
-Each replay-buffer field of agent i's filled ring slice is its own entry
-(``agents.i.buffer.obs`` is ``obs[i, :size]`` ...). The sidecar's bytes are
-a pure function of the state (zip entries carry a fixed timestamp), so equal
-states give equal files.
+Agent i's filled ring slices ``obs[i, :size]`` and ``actions[i, :size]``
+are entries ``agents.i.buffer.obs`` and ``agents.i.buffer.actions``.
+
+Each replay fact is written once. Slot j's ``next_obs`` row is, bit for bit,
+slot ``(j + 1) % size``'s ``obs`` row except at episode ends and at the write
+head, so ``next_obs`` is no entry of its own: its ``{"breaks", "rows"}``
+manifest entry refers to the int64 entry ``agents.i.buffer.next_obs.breaks``,
+the strictly increasing slots whose row differs (compared as raw bytes, so a
+NaN payload or -0.0 counts as a difference), and to the float64 entry
+``agents.i.buffer.next_obs.rows``, those slots' rows. Loading rebuilds the
+field as ``obs`` shifted up one row and patches in the stored rows. The
+team's rewards and terminal flags, and the break slots, are alike for every
+agent: when agent i's slice equals agent 0's bit for bit, agent i's
+reference points at agent 0's entry instead of a copy. The sidecar's bytes
+are a pure function of the state (zip entries carry a fixed timestamp), so
+equal states give equal files.
 
 The manifest records the sidecar's file name, byte size and SHA-256; loading
 refuses a sidecar that is missing, truncated or altered with
 ``CheckpointIntegrityError``. A team updates in lockstep, so loading also
 requires every agent's hyperparameters, Adam step counts and ring
-bookkeeping to agree. Schema version 1 files, one JSON document whose
-arrays are inline ``{"shape", "data"}`` lists of decimal floats, still load.
+bookkeeping to agree, and refuses break slots that are not int64, not
+strictly increasing or outside the ring. Schema version 2 files, which hold
+every ring field of every agent as its own entry, and schema version 1
+files, one JSON document whose arrays are inline ``{"shape", "data"}`` lists
+of decimal floats, still load.
 """
 
 from __future__ import annotations
@@ -43,8 +58,8 @@ from .config import ExperimentConfig
 from .ddpg import TeamLearner
 from .errors import CheckpointIntegrityError, DigestMismatchError, SchemaVersionError
 
-CHECKPOINT_SCHEMA_VERSION = 2
-READABLE_SCHEMA_VERSIONS = (1, 2)
+CHECKPOINT_SCHEMA_VERSION = 3
+READABLE_SCHEMA_VERSIONS = (1, 2, 3)
 _HASH_CHUNK = 1 << 20
 
 
@@ -57,21 +72,35 @@ def _row_refs(key: str, row: np.ndarray, views: list[np.ndarray]) -> list[dict]:
     return [_array_ref(key, (v.ctypes.data - row.ctypes.data) // row.itemsize, v) for v in views]
 
 
-def _array_load(doc: dict, arrays: Mapping[str, np.ndarray], where: str) -> np.ndarray:
-    """Resolves one array doc: inline decimals (schema 1) or a sidecar slice."""
+def _array_load(doc: dict, arrays: Mapping[str, np.ndarray], where: str,
+                dtype: type = np.float64, whole: bool = False) -> np.ndarray:
+    """Resolves one array doc: inline decimals (schema 1) or a sidecar slice.
+
+    The values must be of ``dtype``; with ``whole``, a reference must cover
+    its entry exactly, as every ring field's does.
+    """
     shape = doc["shape"]
     if "data" in doc:
-        return np.array(doc["data"], dtype=np.float64).reshape(shape)
-    entry = arrays.get(doc["key"])
-    start, count = doc["offset"], math.prod(shape)
-    if entry is None or not 0 <= start <= entry.size - count:
+        values = np.array(doc["data"], dtype=np.float64).reshape(shape)
+    else:
+        key, entry = doc["key"], arrays.get(doc["key"])
+        start, count = doc["offset"], math.prod(shape)
+        if entry is None or not 0 <= start <= entry.size - count:
+            raise CheckpointIntegrityError(
+                f"{where}: values {start}..{start + count} are not in sidecar entry {key!r}")
+        if whole and (start, count) != (0, entry.size):
+            raise CheckpointIntegrityError(
+                f"{where}: refers to values {start}..{start + count} of sidecar entry {key!r}, "
+                f"which holds {entry.size}")
+        values = entry[start : start + count].reshape(shape)
+    if values.dtype != dtype:
         raise CheckpointIntegrityError(
-            f"{where}: values {start}..{start + count} are not in sidecar entry {doc['key']!r}")
-    return entry[start : start + count].reshape(shape)
+            f"{where}: values are {values.dtype}, want {np.dtype(dtype)}")
+    return values
 
 
 def _fill(views: list[np.ndarray], docs: list[dict], arrays: Mapping[str, np.ndarray],
-          where: str) -> None:
+          where: str, whole: bool = False) -> None:
     """Copies each referenced array into the team's view of the same shape."""
     if len(docs) != len(views):
         raise CheckpointIntegrityError(f"{where}: {len(docs)} arrays, want {len(views)}")
@@ -79,7 +108,7 @@ def _fill(views: list[np.ndarray], docs: list[dict], arrays: Mapping[str, np.nda
         if list(doc["shape"]) != list(view.shape):
             raise CheckpointIntegrityError(
                 f"{where}[{k}]: shape {doc['shape']}, want {list(view.shape)}")
-        view[...] = _array_load(doc, arrays, f"{where}[{k}]")
+        view[...] = _array_load(doc, arrays, f"{where}[{k}]", whole=whole)
 
 
 _NETWORKS = ("actor", "critic", "actor_target", "critic_target")
@@ -87,6 +116,52 @@ _OPTIMIZERS = {"adam_actor": "actor", "adam_critic": "critic"}
 _HYPERPARAMETERS = ("obs_dim", "gamma", "tau", "lr_actor", "lr_critic", "clip_norm",
                     "theta_ou", "sigma_ou")
 _BUFFER_FIELDS = ("obs", "actions", "rewards", "next_obs", "terminals")
+_TEAM_WIDE = ("rewards", "terminals", "next_obs.breaks")  # alike for every agent of a team
+
+
+def _ring_ref(arrays: dict[str, np.ndarray], i: int, name: str, values: np.ndarray) -> dict:
+    """Writes agent i's ring values as entry ``agents.i.buffer.<name>``; a team-wide
+    field refers instead to agent 0's entry when that holds the same bits."""
+    flat = values.ravel()  # a view of a filled slice, which is contiguous
+    own, first = f"agents.{i}.buffer.{name}", f"agents.0.buffer.{name}"
+    shared = arrays.get(first) if name in _TEAM_WIDE else None
+    # memoryviews of the 64-bit words compare bit for bit, in C and without a temporary
+    if (i > 0 and shared is not None and shared.dtype == flat.dtype
+            and memoryview(shared.view(np.uint64)) == memoryview(flat.view(np.uint64))):
+        return _array_ref(first, 0, values)
+    arrays[own] = flat
+    return _array_ref(own, 0, values)
+
+
+def _next_obs_breaks(obs: np.ndarray, next_obs: np.ndarray) -> np.ndarray:
+    """The slots j whose next_obs row is not, bit for bit, obs row (j + 1) % size."""
+    # each row viewed as one raw-byte item, so a NaN payload or -0.0 counts as a difference
+    row = f"V{obs.shape[1] * obs.itemsize}"
+    now, then = obs.view(row)[:, 0], next_obs.view(row)[:, 0]
+    differs = np.empty(len(now), dtype=bool)
+    differs[:-1] = then[:-1] != now[1:]
+    differs[-1:] = then[-1:] != now[:1]
+    return np.flatnonzero(differs).astype(np.int64, copy=False)
+
+
+def _next_obs_load(next_obs: np.ndarray, obs: np.ndarray, breaks_ref: dict, rows_ref: dict,
+                   arrays: Mapping[str, np.ndarray], where: str) -> None:
+    """Fills ``next_obs`` with the loaded ``obs`` shifted up one row, then patches
+    in the rows stored at the break slots."""
+    breaks = _array_load(breaks_ref, arrays, f"{where}.breaks", dtype=np.int64, whole=True)
+    rows = _array_load(rows_ref, arrays, f"{where}.rows", whole=True)
+    size = len(obs)
+    if breaks.ndim != 1 or (breaks.size and not (
+            0 <= breaks[0] and breaks[-1] < size and np.all(breaks[1:] > breaks[:-1]))):
+        raise CheckpointIntegrityError(
+            f"{where}.breaks: slots must be strictly increasing in [0, {size})")
+    if rows.shape != (breaks.size, next_obs.shape[1]):
+        raise CheckpointIntegrityError(
+            f"{where}.rows: shape {list(rows.shape)}, want {[breaks.size, next_obs.shape[1]]} "
+            "(one row per break slot)")
+    next_obs[:-1] = obs[1:]
+    next_obs[-1:] = obs[:1]
+    next_obs[breaks] = rows
 
 
 def _agent_doc(team: TeamLearner, i: int, arrays: dict[str, np.ndarray]) -> dict:
@@ -122,10 +197,12 @@ def _agent_doc(team: TeamLearner, i: int, arrays: dict[str, np.ndarray]) -> dict
     doc["noise_state"] = noise.state.tolist()
     doc["buffer"] = {"capacity": buf.capacity, "obs_dim": buf.obs_dim,
                      "next": buf._next, "size": buf._size}
-    for name in _BUFFER_FIELDS:
-        entry, filled = f"{key}.buffer.{name}", getattr(buf, f"_{name}")[i, : buf._size]
-        arrays[entry] = filled.ravel()  # a view: the slice is contiguous
-        doc["buffer"][name] = _array_ref(entry, 0, filled)
+    ring = {name: getattr(buf, f"_{name}")[i, : buf._size] for name in _BUFFER_FIELDS}
+    breaks = _next_obs_breaks(ring["obs"], ring["next_obs"])
+    ring["next_obs.breaks"], ring["next_obs.rows"] = breaks, ring.pop("next_obs")[breaks]
+    refs = {name: _ring_ref(arrays, i, name, values) for name, values in ring.items()}
+    refs["next_obs"] = {"breaks": refs.pop("next_obs.breaks"), "rows": refs.pop("next_obs.rows")}
+    doc["buffer"].update(refs)
     return doc
 
 
@@ -191,10 +268,14 @@ def _team_load(docs: list[dict], arrays: Mapping[str, np.ndarray]) -> TeamLearne
                         + _field(doc, i, f"{name}.{moment}_biases"))
                 _fill(weights + biases, refs, arrays, f"agent {i} {name}.{moment}")
         team.noise[i].state[...] = _field(doc, i, "noise_state")
-        for name in _BUFFER_FIELDS:
+        for name in _BUFFER_FIELDS:  # obs before next_obs, which may be rebuilt from it
             filled = getattr(team.buffer, f"_{name}")[i, : ring["size"]]
-            refs = [_field(doc, i, f"buffer.{name}")]
-            _fill([filled], refs, arrays, f"agent {i} buffer.{name}")
+            ref, where = _field(doc, i, f"buffer.{name}"), f"agent {i} buffer.{name}"
+            if isinstance(ref, dict) and "breaks" in ref:
+                _next_obs_load(filled, team.buffer._obs[i, : ring["size"]], ref["breaks"],
+                               _field(doc, i, f"buffer.{name}.rows"), arrays, where)
+            else:
+                _fill([filled], [ref], arrays, where, whole=True)
     return team
 
 

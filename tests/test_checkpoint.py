@@ -1,5 +1,6 @@
-"""Checkpoint layout: save/load identity, byte stability, schema 1, integrity."""
+"""Checkpoint layout: save/load identity, byte stability, schemas 1 and 2, integrity."""
 
+import hashlib
 import json
 import math
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torus_pursuit.checkpoint import load_checkpoint, save_checkpoint, sidecar_path
-from torus_pursuit.config import ExperimentConfig, config_from_dict
+from torus_pursuit.config import ExperimentConfig, config_from_dict, load_config
 from torus_pursuit.ddpg import TeamLearner, heading_to_vector
 from torus_pursuit.errors import CheckpointIntegrityError
 from torus_pursuit.training import run_training
@@ -21,10 +22,23 @@ OPTIMIZERS = ("adam_actor", "adam_critic")
 MOMENTS = ("m", "v")
 BUFFER_FIELDS = ("_obs", "_actions", "_rewards", "_next_obs", "_terminals")
 SCALARS = ("n", "obs_dim", "gamma", "tau", "lr_actor", "lr_critic", "clip_norm")
+# a quiet NaN whose payload differs from np.nan's
+NAN_PAYLOAD = np.array(0x7FF8_0000_0000_0001, dtype=np.uint64).view(np.float64)
+
+# A schema 2 checkpoint written at global epoch 4 by `train --config tiny_config.json`
+# before schema 3, committed so that reading schema 2 stays tested.
+V2_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v2" / "checkpoint_epoch4.json"
+V2_CONFIG = V2_CHECKPOINT.parent / "tiny_config.json"
 
 
-def make_team(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed):
-    """A team whose every array holds distinct values, its rings pushed `fill` times."""
+def make_team(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed,
+              chained=False):
+    """A team whose every array holds distinct values, its rings pushed `fill` times.
+
+    Unchained pushes draw every row afresh. Chained ones fill the rings as
+    training does: each push's obs is the previous push's next_obs, except
+    after a terminal push, which ends the episode; the reward is the team's.
+    """
     rng = np.random.default_rng(seed)
     team = TeamLearner(agents, obs_dim, rng, actor_hidden=actor_hidden,
                        critic_hidden=critic_hidden, buffer_capacity=capacity)
@@ -39,15 +53,37 @@ def make_team(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed
         state.step = int(rng.integers(0, 10_000))
     for noise in team.noise:
         noise.state = rng.standard_normal(2)
+    next_obs = rng.standard_normal((agents, obs_dim))
     for _ in range(fill):
+        obs, next_obs = (next_obs if chained else rng.standard_normal((agents, obs_dim)),
+                         rng.standard_normal((agents, obs_dim)))
+        terminal = bool(rng.integers(0, 4 if chained else 2) == 0)
         team.buffer.push(
-            rng.standard_normal((agents, obs_dim)),
+            obs,
             np.array([heading_to_vector(t) for t in rng.uniform(-math.pi, math.pi, agents)]),
-            rng.normal(size=agents),
-            rng.standard_normal((agents, obs_dim)),
-            bool(rng.integers(0, 2)),
+            np.full(agents, rng.normal()) if chained else rng.normal(size=agents),
+            next_obs,
+            terminal,
         )
+        if terminal:
+            next_obs = rng.standard_normal((agents, obs_dim))
     return team
+
+
+def twist(team, kind):
+    """Makes slot 0's next_obs rows equal slot 1's obs rows but for one -0.0
+    against +0.0, or one NaN payload against another; the last agent's first
+    reward differs from the other agents' in the same way."""
+    buf = team.buffer
+    if kind is None or len(buf) == 0:
+        return
+    after = 1 % len(buf)
+    same, other = (0.0, -0.0) if kind == "negative_zero" else (np.nan, NAN_PAYLOAD)
+    buf._obs[:, after, 0] = same
+    buf._next_obs[:, 0] = buf._obs[:, after]
+    buf._next_obs[:, 0, 0] = other
+    buf._rewards[:, 0] = same
+    buf._rewards[-1, 0] = other
 
 
 def team_arrays(team):
@@ -65,7 +101,8 @@ def team_arrays(team):
     return out
 
 
-def assert_same_team(want, got):
+def assert_same_team(want, got, bits=True):
+    """Equal teams; with `bits`, every float is compared as its uint64 bits."""
     for name in SCALARS:
         assert getattr(got, name) == getattr(want, name), name
     for opt in OPTIMIZERS:
@@ -82,24 +119,39 @@ def assert_same_team(want, got):
     for name, a in want_arrays.items():
         assert got_arrays[name].dtype == np.float64, name
         assert got_arrays[name].flags.writeable, name
-        assert np.array_equal(got_arrays[name], a), name
+        if bits:
+            assert np.array_equal(got_arrays[name].view(np.uint64), a.view(np.uint64)), name
+        else:
+            assert np.array_equal(got_arrays[name], a, equal_nan=True), name
+
+
+def ref_values(arrays, ref: dict) -> np.ndarray:
+    """The array a `{"key", "offset", "shape"}` reference refers to in sidecar `arrays`."""
+    n = math.prod(ref["shape"])
+    return arrays[ref["key"]][ref["offset"] : ref["offset"] + n].reshape(ref["shape"])
 
 
 def inline_as_schema_1(manifest: Path, out: Path) -> None:
-    """Rewrites a schema 2 checkpoint as one schema 1 JSON document at `out`."""
+    """Rewrites a schema 2 or 3 checkpoint as one schema 1 JSON document at `out`."""
     doc = json.loads(manifest.read_text())
     with np.load(manifest.parent / doc.pop("sidecar")["file"]) as arrays:
         def inline(node):
             if isinstance(node, dict) and set(node) == {"key", "offset", "shape"}:
-                n = math.prod(node["shape"])
-                flat = arrays[node["key"]][node["offset"] : node["offset"] + n]
-                return {"shape": node["shape"], "data": flat.tolist()}
+                return {"shape": node["shape"], "data": ref_values(arrays, node).ravel().tolist()}
             if isinstance(node, dict):
                 return {k: inline(v) for k, v in node.items()}
             if isinstance(node, list):
                 return [inline(v) for v in node]
             return node
 
+        for agent in doc["agents"]:
+            ring = agent["buffer"]
+            if "breaks" in ring["next_obs"]:  # schema 3: obs rolled up a row, patched at breaks
+                breaks, rows = (ref_values(arrays, ring["next_obs"][k]) for k in ("breaks", "rows"))
+                next_obs = np.roll(ref_values(arrays, ring["obs"]), -1, axis=0)
+                next_obs[breaks] = rows
+                ring["next_obs"] = {"shape": list(next_obs.shape),
+                                    "data": next_obs.ravel().tolist()}
         doc = inline(doc)
     doc["schema_version"] = 1
     out.write_text(json.dumps(doc))
@@ -119,17 +171,33 @@ layer_sizes = st.lists(st.integers(1, 6), max_size=2).map(tuple)
     critic_hidden=layer_sizes,
     capacity=st.integers(1, 16),
     seed=st.integers(0, 2**32 - 1),
+    chained=st.booleans(),
+    kind=st.sampled_from([None, "negative_zero", "nan_payload"]),
 )
 # a wrapped ring (size == capacity, next == 2), an exactly full one, an empty one
 @example(agents=3, fill=12, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
-         capacity=5, seed=0)
+         capacity=5, seed=0, chained=False, kind=None)
 @example(agents=2, fill=5, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
-         capacity=5, seed=0)
+         capacity=5, seed=0, chained=False, kind=None)
 @example(agents=1, fill=0, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
-         capacity=5, seed=0)
-def test_save_load_identity(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed):
+         capacity=5, seed=0, chained=False, kind=None)
+# chained: a wrapped ring, capacity 1, an empty ring, and slot 0's next_obs
+# differing from slot 1's obs only by -0.0 against +0.0 or by a NaN payload
+@example(agents=3, fill=23, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
+         capacity=16, seed=2, chained=True, kind=None)
+@example(agents=2, fill=4, obs_dim=2, actor_hidden=(), critic_hidden=(3,),
+         capacity=1, seed=0, chained=True, kind=None)
+@example(agents=2, fill=0, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
+         capacity=5, seed=0, chained=True, kind=None)
+@example(agents=2, fill=9, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
+         capacity=16, seed=0, chained=True, kind="negative_zero")
+@example(agents=2, fill=9, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
+         capacity=16, seed=0, chained=True, kind="nan_payload")
+def test_save_load_identity(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed,
+                            chained, kind):
     cfg = ExperimentConfig()
-    team = make_team(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed)
+    team = make_team(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed, chained)
+    twist(team, kind)
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp, "a", "ckpt.json"), Path(tmp, "b", "ckpt.json")
         save_checkpoint(a, cfg, team, 1, 2, 3, RNG_STATES)
@@ -138,13 +206,30 @@ def test_save_load_identity(agents, fill, obs_dim, actor_hidden, critic_hidden, 
         assert a.read_bytes() == b.read_bytes()
         assert sidecar_path(a).read_bytes() == sidecar_path(b).read_bytes()
 
+        doc = json.loads(a.read_text())
+        size = len(team.buffer)
+        with np.load(sidecar_path(a)) as arrays:
+            breaks_of = [ref_values(arrays, agent["buffer"]["next_obs"]["breaks"])
+                         for agent in doc["agents"]]
+        for i, (agent, breaks) in enumerate(zip(doc["agents"], breaks_of)):
+            assert breaks.dtype == np.int64
+            if kind is not None and size:
+                assert breaks[0] == 0  # the twisted slot is stored, not rebuilt
+            if chained:
+                episode_ends = int(team.buffer._terminals[i, :size].sum())
+                assert len(breaks) <= episode_ends + 1 + (kind is not None)
+                for name in ("terminals", "next_obs") + (("rewards",) if kind is None else ()):
+                    ref = agent["buffer"][name]
+                    key = (ref["breaks"] if name == "next_obs" else ref)["key"]
+                    assert key.startswith("agents.0."), (i, name)
+
         loaded, session, epoch, global_epoch, states = load_checkpoint(a, cfg)
         inline_as_schema_1(a, Path(tmp, "v1.json"))
         from_v1, *_ = load_checkpoint(Path(tmp, "v1.json"), cfg)
 
     assert (session, epoch, global_epoch, states) == (1, 2, 3, RNG_STATES)
     assert_same_team(team, loaded)
-    assert_same_team(team, from_v1)
+    assert_same_team(team, from_v1, bits=kind != "nan_payload")  # JSON drops NaN payloads
     obs = np.random.default_rng(seed).standard_normal((agents, obs_dim))
     assert loaded.act(obs) == team.act(obs) == from_v1.act(obs)
 
@@ -166,7 +251,7 @@ class TestSidecarIntegrity:
     def test_manifest_records_sidecar(self, saved):
         _, path, sidecar = saved
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["sidecar"]["file"] == sidecar.name
         assert doc["sidecar"]["bytes"] == sidecar.stat().st_size
         assert doc["agents"][0]["actor"]["weights"][0] == {
@@ -175,6 +260,12 @@ class TestSidecarIntegrity:
             "key": "agents.0", "offset": 8 * 4 + 2 * 8, "shape": [8]}
         assert doc["agents"][0]["buffer"]["obs"] == {
             "key": "agents.0.buffer.obs", "offset": 0, "shape": [7, 4]}
+        # every row of this unchained fill is a break
+        assert doc["agents"][0]["buffer"]["next_obs"] == {
+            "breaks": {"key": "agents.0.buffer.next_obs.breaks", "offset": 0, "shape": [7]},
+            "rows": {"key": "agents.0.buffer.next_obs.rows", "offset": 0, "shape": [7, 4]}}
+        with np.load(sidecar) as arrays:
+            assert "agents.0.buffer.next_obs" not in arrays.files
 
     def test_missing_sidecar_rejected(self, saved):
         cfg, path, sidecar = saved
@@ -260,5 +351,111 @@ def test_schema_1_checkpoint_resumes_bit_for_bit(tmp_path):
     resumed = run_training(cfg, out_dir=tmp_path / "resumed", resume=tmp_path / "v1.json")
     rows = (resumed / "training_curve.csv").read_text().splitlines()
     assert rows[2:] == (full / "training_curve.csv").read_text().splitlines()[2 + 5:]
+    for name in ("checkpoint.json", "checkpoint.npz"):
+        assert (resumed / name).read_bytes() == (full / name).read_bytes()
+
+
+def rewrite_sidecar(path: Path, edit) -> None:
+    """Applies `edit(arrays)` to the sidecar entries of the checkpoint at `path`
+    and rewrites the sidecar, recording its new size and SHA-256."""
+    doc, sidecar = json.loads(path.read_text()), sidecar_path(path)
+    with np.load(sidecar) as z:
+        arrays = {key: z[key] for key in z.files}
+    edit(arrays)
+    with open(sidecar, "wb") as fh:
+        np.savez(fh, **arrays)
+    doc["sidecar"]["bytes"] = sidecar.stat().st_size
+    doc["sidecar"]["sha256"] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+    path.write_text(json.dumps(doc))
+
+
+class TestMalformedRing:
+    """A schema 3 ring field that cannot be decoded is refused, naming the agent and field."""
+
+    BREAKS = "agents.0.buffer.next_obs.breaks"
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        cfg, path = ExperimentConfig(), tmp_path / "ckpt.json"
+        team = make_team(2, 30, 4, (8,), (8,), 16, 1, chained=True)
+        save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
+        with np.load(sidecar_path(path)) as arrays:
+            assert 2 <= len(arrays[self.BREAKS]) < 16  # a wrapped ring with a few breaks
+        return cfg, path
+
+    @pytest.mark.parametrize("slot", [-1, 16])
+    def test_break_outside_ring(self, saved, slot):
+        cfg, path = saved
+        rewrite_sidecar(path, lambda arrays: arrays[self.BREAKS].__setitem__(
+            0 if slot < 0 else -1, slot))
+        with pytest.raises(CheckpointIntegrityError,
+                           match=r"agent 0 buffer\.next_obs\.breaks: .*\[0, 16\)"):
+            load_checkpoint(path, cfg)
+
+    def test_breaks_not_increasing(self, saved):
+        cfg, path = saved
+        rewrite_sidecar(path, lambda arrays: arrays[self.BREAKS].__setitem__(
+            1, arrays[self.BREAKS][0]))
+        with pytest.raises(CheckpointIntegrityError,
+                           match=r"agent 0 buffer\.next_obs\.breaks: .*strictly increasing"):
+            load_checkpoint(path, cfg)
+
+    def test_break_not_an_integer(self, saved):
+        cfg, path = saved
+
+        def edit(arrays):
+            arrays[self.BREAKS] = arrays[self.BREAKS] + 0.5
+
+        rewrite_sidecar(path, edit)
+        with pytest.raises(CheckpointIntegrityError,
+                           match=r"agent 0 buffer\.next_obs\.breaks: values are float64, "
+                                 "want int64"):
+            load_checkpoint(path, cfg)
+
+    def test_row_count_differs_from_breaks(self, saved):
+        cfg, path = saved
+        rows = "agents.0.buffer.next_obs.rows"
+
+        def edit(arrays):
+            arrays[rows] = arrays[rows][:-4]  # one row of 4 observations fewer
+
+        rewrite_sidecar(path, edit)
+        doc = json.loads(path.read_text())
+        for agent in doc["agents"]:  # the manifest agrees with the shortened entry
+            agent["buffer"]["next_obs"]["rows"]["shape"][0] -= 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError,
+                           match=r"agent 0 buffer\.next_obs\.rows: shape .*one row per break"):
+            load_checkpoint(path, cfg)
+
+    def test_shared_reference_of_wrong_length(self, saved):
+        cfg, path = saved
+        doc = json.loads(path.read_text())
+        assert doc["agents"][1]["buffer"]["rewards"]["key"] == "agents.0.buffer.rewards"
+        doc["agents"][1]["buffer"]["rewards"]["key"] = "agents.0.buffer.actions"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError,
+                           match=r"agent 1 buffer\.rewards\[0\]: .*'agents\.0\.buffer\.actions', "
+                                 "which holds 32"):
+            load_checkpoint(path, cfg)
+
+
+def test_schema_2_fixture_loads_and_resumes_bit_for_bit(tmp_path):
+    cfg = load_config(V2_CONFIG)
+    full = run_training(cfg, out_dir=tmp_path / "full")
+    snapshot = full / V2_CHECKPOINT.name
+    assert json.loads(V2_CHECKPOINT.read_text())["schema_version"] == 2
+    assert json.loads(snapshot.read_text())["schema_version"] == 3
+    assert sidecar_path(snapshot).stat().st_size < sidecar_path(V2_CHECKPOINT).stat().st_size
+
+    from_v2, *v2_rest = load_checkpoint(V2_CHECKPOINT, cfg)
+    from_v3, *v3_rest = load_checkpoint(snapshot, cfg)
+    assert len(from_v2.buffer) == from_v2.buffer.capacity  # the fixture's ring has wrapped
+    assert v2_rest == v3_rest
+    assert_same_team(from_v3, from_v2)
+
+    resumed = run_training(cfg, out_dir=tmp_path / "resumed", resume=V2_CHECKPOINT)
+    rows = (resumed / "training_curve.csv").read_text().splitlines()
+    assert rows[2:] == (full / "training_curve.csv").read_text().splitlines()[2 + 4:]
     for name in ("checkpoint.json", "checkpoint.npz"):
         assert (resumed / name).read_bytes() == (full / name).read_bytes()

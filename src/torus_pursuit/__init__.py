@@ -24,7 +24,7 @@ _EXPORTS = {
         "behavior_for_epoch",
         "velocity_at_epoch",
     ),
-    "ddpg": ("OuNoise", "ReplayBuffer", "TeamLearner"),
+    "ddpg": ("ReplayBuffer", "TeamLearner"),
     "environment": (
         "EnvConfig",
         "StepOutcome",

@@ -61,6 +61,7 @@ from .errors import CheckpointIntegrityError, DigestMismatchError, SchemaVersion
 CHECKPOINT_SCHEMA_VERSION = 3
 READABLE_SCHEMA_VERSIONS = (1, 2, 3)
 _HASH_CHUNK = 1 << 20
+_TOP_LEVEL = ("config_digest", "session", "epoch", "global_epoch", "agents", "rng_states")
 
 
 def _array_ref(key: str, offset: int, a: np.ndarray) -> dict:
@@ -72,6 +73,16 @@ def _row_refs(key: str, row: np.ndarray, views: list[np.ndarray]) -> list[dict]:
     return [_array_ref(key, (v.ctypes.data - row.ctypes.data) // row.itemsize, v) for v in views]
 
 
+def _shape(doc: Any, where: str, dims: int | None = None) -> list[int]:
+    """A reference's shape: a list of sizes, ``dims`` of them if given."""
+    shape = doc.get("shape") if isinstance(doc, dict) else None
+    if (not isinstance(shape, list) or (dims is not None and len(shape) != dims)
+            or not all(type(d) is int and d >= 0 for d in shape)):
+        want = "sizes" if dims is None else f"{dims} sizes"
+        raise CheckpointIntegrityError(f"{where}: shape {shape!r} is not a list of {want}")
+    return shape
+
+
 def _array_load(doc: dict, arrays: Mapping[str, np.ndarray], where: str,
                 dtype: type = np.float64, whole: bool = False) -> np.ndarray:
     """Resolves one array doc: inline decimals (schema 1) or a sidecar slice.
@@ -79,12 +90,19 @@ def _array_load(doc: dict, arrays: Mapping[str, np.ndarray], where: str,
     The values must be of ``dtype``; with ``whole``, a reference must cover
     its entry exactly, as every ring field's does.
     """
-    shape = doc["shape"]
+    shape = _shape(doc, where)
     if "data" in doc:
-        values = np.array(doc["data"], dtype=np.float64).reshape(shape)
+        try:
+            values = np.array(doc["data"], dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointIntegrityError(f"{where}: inline values do not fit: {exc}") from exc
     else:
-        key, entry = doc["key"], arrays.get(doc["key"])
-        start, count = doc["offset"], math.prod(shape)
+        key, start, count = doc.get("key"), doc.get("offset"), math.prod(shape)
+        if not isinstance(key, str) or type(start) is not int:
+            raise CheckpointIntegrityError(
+                f"{where}: a reference needs a string 'key' and an integer 'offset', "
+                f"got {key!r} and {start!r}")
+        entry = arrays.get(key)
         if entry is None or not 0 <= start <= entry.size - count:
             raise CheckpointIntegrityError(
                 f"{where}: values {start}..{start + count} are not in sidecar entry {key!r}")
@@ -105,13 +123,15 @@ def _fill(views: list[np.ndarray], docs: list[dict], arrays: Mapping[str, np.nda
     if len(docs) != len(views):
         raise CheckpointIntegrityError(f"{where}: {len(docs)} arrays, want {len(views)}")
     for k, (view, doc) in enumerate(zip(views, docs)):
-        if list(doc["shape"]) != list(view.shape):
+        if _shape(doc, f"{where}[{k}]") != list(view.shape):
             raise CheckpointIntegrityError(
                 f"{where}[{k}]: shape {doc['shape']}, want {list(view.shape)}")
         view[...] = _array_load(doc, arrays, f"{where}[{k}]", whole=whole)
 
 
 _NETWORKS = ("actor", "critic", "actor_target", "critic_target")
+# the activations every network runs (see nn), written for each network
+_ACTIVATIONS = {"hidden_activation": "relu", "output_activation": "identity"}
 _OPTIMIZERS = {"adam_actor": "actor", "adam_critic": "critic"}
 _HYPERPARAMETERS = ("obs_dim", "gamma", "tau", "lr_actor", "lr_critic", "clip_norm",
                     "theta_ou", "sigma_ou")
@@ -166,7 +186,7 @@ def _next_obs_load(next_obs: np.ndarray, obs: np.ndarray, breaks_ref: dict, rows
 
 def _agent_doc(team: TeamLearner, i: int, arrays: dict[str, np.ndarray]) -> dict:
     """Agent i's manifest entry; its state row and filled ring slices go to ``arrays``."""
-    key, row, noise, buf = f"agents.{i}", team.state[i], team.noise[i], team.buffer
+    key, row, buf = f"agents.{i}", team.state[i], team.buffer
     arrays[key] = row
     doc: dict[str, Any] = {
         "obs_dim": team.obs_dim,
@@ -175,17 +195,14 @@ def _agent_doc(team: TeamLearner, i: int, arrays: dict[str, np.ndarray]) -> dict
         "lr_actor": team.lr_actor,
         "lr_critic": team.lr_critic,
         "clip_norm": team.clip_norm,
-        "theta_ou": noise.theta,
-        "sigma_ou": noise.sigma,
+        "theta_ou": team.theta_ou,
+        "sigma_ou": team.sigma_ou,
     }
     for name in _NETWORKS:
-        net = getattr(team, name).row(i)
-        doc[name] = {
-            "weights": _row_refs(key, row, net.weights),
-            "biases": _row_refs(key, row, net.biases),
-            "hidden_activation": net.hidden_activation,
-            "output_activation": net.output_activation,
-        }
+        net = getattr(team, name)
+        weights, biases = net.layers(net.flat[i])
+        doc[name] = {"weights": _row_refs(key, row, weights),
+                     "biases": _row_refs(key, row, biases), **_ACTIVATIONS}
     for name, net_name in _OPTIMIZERS.items():
         state, net = getattr(team, name), getattr(team, net_name)
         doc[name] = {}
@@ -194,7 +211,7 @@ def _agent_doc(team: TeamLearner, i: int, arrays: dict[str, np.ndarray]) -> dict
             doc[name][f"{moment}_weights"] = _row_refs(key, row, weights)
             doc[name][f"{moment}_biases"] = _row_refs(key, row, biases)
         doc[name]["step"] = state.step
-    doc["noise_state"] = noise.state.tolist()
+    doc["noise_state"] = team.noise[i].tolist()
     doc["buffer"] = {"capacity": buf.capacity, "obs_dim": buf.obs_dim,
                      "next": buf._next, "size": buf._size}
     ring = {name: getattr(buf, f"_{name}")[i, : buf._size] for name in _BUFFER_FIELDS}
@@ -215,8 +232,9 @@ def _field(doc: dict, i: int, path: str) -> Any:
     return node
 
 
-def _agreed(docs: list[dict], path: str) -> Any:
-    """The value at ``path``, which every agent of a team must hold alike."""
+def _agreed(docs: list[dict], path: str, kind: type = float) -> Any:
+    """The value at ``path``, which every agent of a team must hold alike: an
+    int, or with ``kind`` float any JSON number."""
     first = _field(docs[0], 0, path)
     for i, doc in enumerate(docs[1:], start=1):
         value = _field(doc, i, path)
@@ -224,6 +242,9 @@ def _agreed(docs: list[dict], path: str) -> Any:
             raise CheckpointIntegrityError(
                 f"agent {i} has {path} {value!r} but agent 0 has {first!r}; "
                 "a team's agents update in lockstep")
+    if type(first) not in ((int,) if kind is int else (int, float)):
+        raise CheckpointIntegrityError(
+            f"agent 0 has {path} {first!r}, want {'an integer' if kind is int else 'a number'}")
     return first
 
 
@@ -231,15 +252,17 @@ def _team_load(docs: list[dict], arrays: Mapping[str, np.ndarray]) -> TeamLearne
     """Builds the team from the per-agent entries, which must agree on every scalar."""
     if not docs:
         raise CheckpointIntegrityError("checkpoint holds no agents")
-    hyper = {name: _agreed(docs, name) for name in _HYPERPARAMETERS}
-    ring = {name: _agreed(docs, f"buffer.{name}")
+    hyper = {name: _agreed(docs, name, int if name == "obs_dim" else float)
+             for name in _HYPERPARAMETERS}
+    ring = {name: _agreed(docs, f"buffer.{name}", int)
             for name in ("capacity", "obs_dim", "next", "size")}
     if not (ring["obs_dim"] == hyper["obs_dim"] and 0 <= ring["next"] < ring["capacity"]
             and 0 <= ring["size"] <= ring["capacity"]):
         raise CheckpointIntegrityError(
             f"replay bookkeeping {ring} does not fit observations of {hyper['obs_dim']} inputs")
     hidden = {  # agent 0's layer sizes; every agent's arrays are checked against them
-        net: tuple(_field(ref, 0, "shape")[0] for ref in _field(docs[0], 0, f"{net}.weights")[:-1])
+        net: tuple(_shape(ref, f"agent 0 {net}.weights", dims=2)[0]
+                   for ref in _field(docs[0], 0, f"{net}.weights")[:-1])
         for net in _OPTIMIZERS.values()
     }
     team = TeamLearner(
@@ -248,18 +271,19 @@ def _team_load(docs: list[dict], arrays: Mapping[str, np.ndarray]) -> TeamLearne
         lr_critic=hyper["lr_critic"], clip_norm=hyper["clip_norm"],
         buffer_capacity=ring["capacity"], theta_ou=hyper["theta_ou"], sigma_ou=hyper["sigma_ou"],
     )
-    for name in _NETWORKS:
-        net = getattr(team, name)
-        net.hidden_activation = _agreed(docs, f"{name}.hidden_activation")
-        net.output_activation = _agreed(docs, f"{name}.output_activation")
     for name in _OPTIMIZERS:
-        getattr(team, name).step = _agreed(docs, f"{name}.step")
+        getattr(team, name).step = _agreed(docs, f"{name}.step", int)
     team.buffer._next, team.buffer._size = ring["next"], ring["size"]
     for i, doc in enumerate(docs):
         for name in _NETWORKS:
-            net = getattr(team, name).row(i)
+            for path, want in _ACTIVATIONS.items():
+                if (got := _field(doc, i, f"{name}.{path}")) != want:
+                    raise CheckpointIntegrityError(
+                        f"agent {i} has {name}.{path} {got!r}; the networks run only {want!r}")
+            net = getattr(team, name)
+            weights, biases = net.layers(net.flat[i])
             refs = _field(doc, i, f"{name}.weights") + _field(doc, i, f"{name}.biases")
-            _fill(net.weights + net.biases, refs, arrays, f"agent {i} {name}")
+            _fill(weights + biases, refs, arrays, f"agent {i} {name}")
         for name, net_name in _OPTIMIZERS.items():
             net, state = getattr(team, net_name), getattr(team, name)
             for moment in ("m", "v"):
@@ -267,7 +291,12 @@ def _team_load(docs: list[dict], arrays: Mapping[str, np.ndarray]) -> TeamLearne
                 refs = (_field(doc, i, f"{name}.{moment}_weights")
                         + _field(doc, i, f"{name}.{moment}_biases"))
                 _fill(weights + biases, refs, arrays, f"agent {i} {name}.{moment}")
-        team.noise[i].state[...] = _field(doc, i, "noise_state")
+        noise = _field(doc, i, "noise_state")
+        if not (isinstance(noise, list) and len(noise) == team.noise.shape[1]
+                and all(type(x) in (int, float) for x in noise)):
+            raise CheckpointIntegrityError(
+                f"agent {i} has noise_state {noise!r}, want {team.noise.shape[1]} numbers")
+        team.noise[i] = noise
         for name in _BUFFER_FIELDS:  # obs before next_obs, which may be rebuilt from it
             filled = getattr(team.buffer, f"_{name}")[i, : ring["size"]]
             ref, where = _field(doc, i, f"buffer.{name}"), f"agent {i} buffer.{name}"
@@ -355,16 +384,21 @@ def load_checkpoint(
 
     The checkpoint's config digest must be `config`'s, or its legacy digest
     (written while `env` held an unread `seed` field at 0); else
-    DigestMismatchError. Raises CheckpointIntegrityError, naming the field and the agent, when an
-    agent's entry lacks a field, disagrees with agent 0 on a hyperparameter,
-    an Adam step count or the ring bookkeeping, or holds an array of the
-    wrong shape.
+    DigestMismatchError. Raises CheckpointIntegrityError, naming the field
+    and the agent, when the manifest or an agent's entry lacks a field, an
+    agent disagrees with agent 0 on a hyperparameter, an Adam step count or
+    the ring bookkeeping, a count or an offset is not an integer, a
+    network's activation is not ReLU hidden and identity output, or an array
+    reference is malformed or of the wrong shape.
     """
     manifest = Path(path)
     doc = json.loads(manifest.read_text())
     version = doc.get("schema_version")
     if version not in READABLE_SCHEMA_VERSIONS:
         raise SchemaVersionError(f"unknown checkpoint schema version {version!r}")
+    for name in _TOP_LEVEL + (("sidecar",) if version > 1 else ()):
+        if name not in doc:
+            raise CheckpointIntegrityError(f"checkpoint {manifest} has no {name!r}")
     if doc["config_digest"] not in (config.digest(), config.legacy_digest()):
         raise DigestMismatchError(
             "checkpoint was produced by a different config "

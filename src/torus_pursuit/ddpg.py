@@ -3,7 +3,8 @@
 Each agent owns an actor (observation -> raw 2-vector, normalized to a unit
 heading vector), a critic (observation + action vector -> value), target
 copies of both, an adaptive-moment optimizer per network, an
-Ornstein-Uhlenbeck exploration process, and a FIFO replay ring. Actions are
+Ornstein-Uhlenbeck exploration process, and a FIFO replay ring. Every
+network has ReLU hidden layers and an identity output. Actions are
 parametrized as unit 2-vectors (cos, sin of the heading) so neither the actor
 head nor the critic input sees the wrap discontinuity at +-pi.
 
@@ -15,14 +16,16 @@ unit-normalization head.
 One ``TeamLearner`` holds all n agents, with an agent axis in front of every
 array. Its state is one (n, S) array: row i is agent i's
 ``actor | critic | actor_target | critic_target | adam_actor.m |
-adam_actor.v | adam_critic.m | adam_critic.v``, each laid out like
+adam_actor.v | adam_critic.m | adam_critic.v``, each laid out like a row of
 ``MlpParams.flat``, which is also the checkpoint sidecar's entry for agent i.
-Each update runs the n agents' networks as one stacked matmul chain on
-(n, B, .) batches (see ``nn``), sampled from each agent's own ring with its
-own random stream. Learning stays decentralized: no agent reads another's
-parameters, gradients, norms or transitions, and each agent's numbers equal
-those of a lone agent (the n=1 team) bit for bit. The agents update in
-lockstep, so they share the Adam step counts and the ring bookkeeping.
+The exploration noise is one (n, 2) array, row i agent i's process. Each
+update and each act runs the n agents' networks as one stacked matmul chain
+(see ``nn``, whose only layout is the agent stack) on (n, B, .) batches,
+sampled from each agent's own ring with its own random stream. Learning
+stays decentralized: no agent reads another's parameters, gradients, norms,
+noise or transitions, and each agent's numbers equal those of a lone agent
+(the n=1 team) bit for bit. The agents update in lockstep, so they share the
+Adam step counts and the ring bookkeeping.
 """
 
 from __future__ import annotations
@@ -51,10 +54,6 @@ from .nn import (
 ACTION_DIM = 2
 UNIT_NORM_TOLERANCE = 1e-9
 RAW_NORM_FLOOR = 1e-12
-
-
-def heading_to_vector(theta: float) -> np.ndarray:
-    return np.array([math.cos(theta), math.sin(theta)], dtype=np.float64)
 
 
 def vector_to_heading(v: np.ndarray) -> float:
@@ -173,24 +172,6 @@ class ReplayBuffer:
         )
 
 
-class OuNoise:
-    """Ornstein-Uhlenbeck process: x <- x + theta*(0 - x) + sigma*g."""
-
-    def __init__(self, theta: float = 0.15, sigma: float = 0.2, dim: int = ACTION_DIM):
-        self.theta = theta
-        self.sigma = sigma
-        self.state = np.zeros(dim)
-
-    def reset(self) -> None:
-        self.state = np.zeros_like(self.state)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        self.state = self.state + self.theta * (0.0 - self.state) + self.sigma * rng.standard_normal(
-            self.state.shape[0]
-        )
-        return self.state.copy()
-
-
 def _parameter_count(sizes: tuple[int, ...]) -> int:
     return sum(o * i + o for i, o in zip(sizes, sizes[1:]))
 
@@ -243,6 +224,8 @@ class TeamLearner:
         self.lr_actor = lr_actor
         self.lr_critic = lr_critic
         self.clip_norm = clip_norm
+        self.theta_ou = theta_ou
+        self.sigma_ou = sigma_ou
         actor_sizes = (obs_dim, *actor_hidden, ACTION_DIM)
         critic_sizes = (obs_dim + ACTION_DIM, *critic_hidden, 1)
         if min(actor_sizes) < 1 or min(critic_sizes) < 1:
@@ -260,11 +243,11 @@ class TeamLearner:
         self.adam_critic = AdamState(vec[6], vec[7])
         if rng is not None:
             for i in range(n):
-                self.actor.flat[i] = mlp_init(actor_sizes, rng).flat
-                self.critic.flat[i] = mlp_init(critic_sizes, rng).flat
+                self.actor.flat[i] = mlp_init(actor_sizes, rng)
+                self.critic.flat[i] = mlp_init(critic_sizes, rng)
             self.actor_target.flat[...] = self.actor.flat
             self.critic_target.flat[...] = self.critic.flat
-        self.noise = [OuNoise(theta_ou, sigma_ou) for _ in range(n)]
+        self.noise = np.zeros((n, ACTION_DIM))
         self.buffer = ReplayBuffer(buffer_capacity, obs_dim, n)
         self._act = Workspace(actor_sizes, 1, n)
         self._update: _Scratch | None = None
@@ -289,6 +272,8 @@ class TeamLearner:
 
     def act(self, obs: np.ndarray) -> list[float]:
         """Deterministic policy heading of each agent for its observation row."""
+        # agent by agent: the norm of one 2-vector and the row-wise norm of an
+        # (n, 2) array can differ in the last bit
         return [vector_to_heading(normalize_action(u)) for u in self._raw_actions(obs)]
 
     def act_explore(self, obs: np.ndarray, rngs: Sequence[np.random.Generator]) -> list[float]:
@@ -299,14 +284,21 @@ class TeamLearner:
         regardless of how large the network's raw outputs happen to be.
         Agent i's noise draws from ``rngs[i]``.
         """
-        return [
-            vector_to_heading(normalize_action(normalize_action(u) + noise.sample(rng)))
-            for u, noise, rng in zip(self._raw_actions(obs), self.noise, rngs, strict=True)
-        ]
+        raw = self._raw_actions(obs)
+        self._advance_noise(rngs)
+        return [vector_to_heading(normalize_action(normalize_action(u) + x))
+                for u, x in zip(raw, self.noise)]
+
+    def _advance_noise(self, rngs: Sequence[np.random.Generator]) -> None:
+        """One Ornstein-Uhlenbeck step per agent: x <- x + theta*(0 - x) + sigma*g."""
+        if len(rngs) != self.n:
+            raise ValueError(f"{len(rngs)} random streams for {self.n} agents")
+        g = np.array([rng.standard_normal(ACTION_DIM) for rng in rngs])
+        x = self.noise
+        self.noise = x + self.theta_ou * (0.0 - x) + self.sigma_ou * g
 
     def reset_noise(self) -> None:
-        for noise in self.noise:
-            noise.reset()
+        self.noise = np.zeros_like(self.noise)
 
     # -- learning -------------------------------------------------------
 

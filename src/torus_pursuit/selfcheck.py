@@ -2,7 +2,8 @@
 
 Covers the evader's closed-form minimizer through the functions that step
 the evader (including the two canonical three-pursuer cases), gradient
-correctness of the network backward passes, the velocity schedule
+correctness of the network backward pass on a two-agent stack and a batch
+of rows (the layout every learner update runs), the velocity schedule
 arithmetic, the encirclement inner-minimum identity against a dense grid,
 and the mutual-information estimator oracles. Includes a negative control:
 the gradient checker must flag a deliberately corrupted backward pass.
@@ -21,7 +22,7 @@ from .environment import WorldState, make_state
 from .evader import contact_headings, evade_heading
 from .geometry import normalize_angle
 from .metrics import ActionHistogram, mutual_information_bits
-from .nn import backward, forward, mlp_init
+from .nn import MlpParams, backward, forward, mlp_init
 from .pursuit import pincer_objective
 
 
@@ -119,7 +120,7 @@ def directional_gradient_check(
     for _ in range(probes):
         v = rng.standard_normal(point.shape)
         v /= np.linalg.norm(v)
-        analytic = float(np.dot(gradient, v))
+        analytic = float(np.vdot(gradient, v))
         numeric = (scalar_fn(point + h * v) - scalar_fn(point - h * v)) / (2 * h)
         scale = max(abs(analytic), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic - numeric) / scale)
@@ -127,15 +128,17 @@ def directional_gradient_check(
 
 
 def check_network_gradients(perturb: bool = False) -> CheckResult:
-    """Backward-vs-finite-difference agreement on a small representative net.
+    """Backward-vs-finite-difference agreement on a small representative
+    two-agent stack, run on a (2, rows, in) batch as every update runs it.
 
     With perturb=True the analytic gradient is deliberately corrupted; the
     check then PASSES only if the mismatch is detected (negative control).
     """
     rng = np.random.default_rng(3)
-    params = mlp_init([5, 16, 16, 2], rng)
-    x = rng.standard_normal(5)
-    gy = rng.standard_normal(2)
+    sizes = (5, 16, 16, 2)
+    params = MlpParams(np.stack([mlp_init(sizes, rng) for _ in range(2)]), sizes)
+    x = rng.standard_normal((2, 4, sizes[0]))
+    gy = rng.standard_normal((2, 4, sizes[-1]))
     _, cache = forward(params, x)
     grads, _ = backward(params, cache, gy)
     if perturb:
@@ -146,7 +149,7 @@ def check_network_gradients(perturb: bool = False) -> CheckResult:
     def loss(flat: np.ndarray) -> float:
         params.flat[...] = flat
         y, _ = forward(params, x)
-        return float(np.dot(y, gy))
+        return float(np.vdot(y, gy))
 
     worst = directional_gradient_check(loss, grads, point, rng)
     if perturb:

@@ -128,7 +128,7 @@ def run_episode(
         next_obs = observe(state)[0]
         reward = float(outcome.rewards[0])
         captured = bool(outcome.captured[0])
-        # the unit vectors of the headings just taken, as heading_to_vector gives them
+        # the unit vectors (cos, sin) of the headings just taken
         actions = state.units[0, :-1]
         team.buffer.push(obs, actions, np.full(n, reward), next_obs, captured)
         obs = next_obs

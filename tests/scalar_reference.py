@@ -1,7 +1,8 @@
 """Scalar reference model of the torus geometry, the environment, the evader
 and the scripted strategies: one episode at a time, per-pose dataclasses and
-`math` calls. It also keeps the row-by-row trajectory reader and the
-one-pair, one-log-at-a-time action histogram.
+`math` calls. It also keeps the row-by-row trajectory reader, the
+one-pair, one-log-at-a-time action histogram, and the scalar heading to
+action vector map.
 
 The package computes all of these on arrays with a leading episode axis.
 This module keeps the one-episode-at-a-time formulation that the array code
@@ -89,6 +90,11 @@ class Displacement2:
     def bearing(self) -> float:
         """Angle of the offset, normalized to [-pi, pi)."""
         return normalize_angle(math.atan2(self.dy, self.dx))
+
+
+def heading_to_vector(theta: float) -> np.ndarray:
+    """The unit action vector (cos, sin) of a heading."""
+    return np.array([math.cos(theta), math.sin(theta)], dtype=np.float64)
 
 
 def _wrap1(v: float) -> float:

@@ -154,42 +154,42 @@ def test_criterion_05_gradient_checks_at_project_shapes():
     n = 3
     obs_dim = observation_dim(n, partial=False)
     team = TeamLearner(1, obs_dim, rng, buffer_capacity=1)
-    actor, critic = team.actor.row(0), team.critic.row(0)
-    batch = rng.standard_normal((4, obs_dim))
+    actor, critic = team.actor, team.critic  # one agent's stacks, as the learner runs them
+    batch = rng.standard_normal((1, 4, obs_dim))
     results = {}
 
     # critic backward at the project shape (obs+2 -> 128^3 -> 1)
-    actions = rng.standard_normal((4, 2))
-    actions /= np.linalg.norm(actions, axis=1, keepdims=True)
-    x = np.hstack([batch, actions])
+    actions = rng.standard_normal((1, 4, 2))
+    actions /= np.linalg.norm(actions, axis=-1, keepdims=True)
+    x = np.concatenate([batch, actions], axis=-1)
 
     def critic_loss():
         y, _ = forward(critic, x)
         return float(np.mean(y))
 
     _, cache = forward(critic, x)
-    grads, _ = backward(critic, cache, np.full((4, 1), 0.25))
-    flat = grads
+    grads, _ = backward(critic, cache, np.full((1, 4, 1), 0.25))
+    flat = grads[0]
     arrays = critic.weights + critic.biases
     results["critic"] = _directional_probe(arrays, flat, critic_loss, rng)
 
     # actor backward through the unit-normalization head and the full chain
     def chain_objective():
         raw, _ = forward(actor, batch)
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        norms = np.linalg.norm(raw, axis=-1, keepdims=True)
         a = raw / norms
-        q, _ = forward(critic, np.hstack([batch, a]))
+        q, _ = forward(critic, np.concatenate([batch, a], axis=-1))
         return float(np.mean(q))
 
     raw, actor_cache = forward(actor, batch)
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     a = raw / norms
-    _, critic_cache = forward(critic, np.hstack([batch, a]))
-    _, g_in = backward(critic, critic_cache, np.full((4, 1), 0.25))
-    g_a = g_in[:, obs_dim:]
-    g_u = (g_a - np.sum(g_a * a, axis=1, keepdims=True) * a) / norms
+    _, critic_cache = forward(critic, np.concatenate([batch, a], axis=-1))
+    _, g_in = backward(critic, critic_cache, np.full((1, 4, 1), 0.25))
+    g_a = g_in[..., obs_dim:]
+    g_u = (g_a - np.sum(g_a * a, axis=-1, keepdims=True) * a) / norms
     grads, _ = backward(actor, actor_cache, g_u)
-    flat = grads
+    flat = grads[0]
     arrays = actor.weights + actor.biases
     results["actor_chain"] = _directional_probe(arrays, flat, chain_objective, rng)
 

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scalar_reference import heading_to_vector
 from torus_pursuit.checkpoint import load_checkpoint, save_checkpoint, sidecar_path
 from torus_pursuit.config import ExperimentConfig, config_from_dict, load_config
-from torus_pursuit.ddpg import TeamLearner, heading_to_vector
+from torus_pursuit.ddpg import TeamLearner
 from torus_pursuit.errors import CheckpointIntegrityError
 from torus_pursuit.training import run_training
 
@@ -21,7 +22,8 @@ NETWORKS = ("actor", "critic", "actor_target", "critic_target")
 OPTIMIZERS = ("adam_actor", "adam_critic")
 MOMENTS = ("m", "v")
 BUFFER_FIELDS = ("_obs", "_actions", "_rewards", "_next_obs", "_terminals")
-SCALARS = ("n", "obs_dim", "gamma", "tau", "lr_actor", "lr_critic", "clip_norm")
+SCALARS = ("n", "obs_dim", "gamma", "tau", "lr_actor", "lr_critic", "clip_norm", "theta_ou",
+           "sigma_ou")
 # a quiet NaN whose payload differs from np.nan's
 NAN_PAYLOAD = np.array(0x7FF8_0000_0000_0001, dtype=np.uint64).view(np.float64)
 
@@ -51,8 +53,7 @@ def make_team(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed
             moment = getattr(state, name)
             moment[:] = rng.standard_normal(moment.shape)
         state.step = int(rng.integers(0, 10_000))
-    for noise in team.noise:
-        noise.state = rng.standard_normal(2)
+    team.noise[...] = rng.standard_normal((agents, 2))
     next_obs = rng.standard_normal((agents, obs_dim))
     for _ in range(fill):
         obs, next_obs = (next_obs if chained else rng.standard_normal((agents, obs_dim)),
@@ -88,7 +89,7 @@ def twist(team, kind):
 
 def team_arrays(team):
     """Every array of a team's state, by name."""
-    out = {f"noise{i}": noise.state for i, noise in enumerate(team.noise)}
+    out = {"noise": team.noise}
     for net in NETWORKS:
         params = getattr(team, net)
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -107,11 +108,6 @@ def assert_same_team(want, got, bits=True):
         assert getattr(got, name) == getattr(want, name), name
     for opt in OPTIMIZERS:
         assert getattr(got, opt).step == getattr(want, opt).step
-    for net in NETWORKS:
-        assert getattr(got, net).hidden_activation == getattr(want, net).hidden_activation
-        assert getattr(got, net).output_activation == getattr(want, net).output_activation
-    for noise, want_noise in zip(got.noise, want.noise, strict=True):
-        assert (noise.theta, noise.sigma) == (want_noise.theta, want_noise.sigma)
     b, gb = want.buffer, got.buffer
     assert (gb.capacity, gb.obs_dim, gb._next, gb._size) == (b.capacity, b.obs_dim, b._next, b._size)
     want_arrays, got_arrays = team_arrays(want), team_arrays(got)
@@ -329,6 +325,55 @@ class TestTeamAgreement:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointIntegrityError, match=r"agent 1 critic\[0\]: shape"):
             load_checkpoint(path, cfg)
+
+
+class TestMalformedManifest:
+    """A manifest field that cannot be read is refused, naming the agent and the
+    field, instead of escaping as a raw exception."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        cfg, path = ExperimentConfig(), tmp_path / "ckpt.json"
+        save_checkpoint(path, cfg, make_team(2, 7, 4, (8,), (8,), 16, 1), 0, 5, 5, RNG_STATES)
+        return cfg, path, json.loads(path.read_text())
+
+    @staticmethod
+    def refused(saved, match):
+        cfg, path, doc = saved
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match=match):
+            load_checkpoint(path, cfg)
+
+    def test_reference_without_key(self, saved):
+        del saved[2]["agents"][1]["actor"]["weights"][0]["key"]
+        self.refused(saved, r"agent 1 actor\[0\]: a reference needs a string 'key'")
+
+    def test_fractional_offset(self, saved):
+        saved[2]["agents"][1]["critic"]["weights"][0]["offset"] = 1.5
+        self.refused(saved, r"agent 1 critic\[0\]: .*integer 'offset', got .* and 1\.5")
+
+    def test_noise_state_of_three_values(self, saved):
+        saved[2]["agents"][1]["noise_state"] = [0.1, 0.2, 0.3]
+        self.refused(saved, r"agent 1 has noise_state \[0\.1, 0\.2, 0\.3\], want 2 numbers")
+
+    def test_missing_rng_states(self, saved):
+        del saved[2]["rng_states"]
+        self.refused(saved, r"ckpt\.json has no 'rng_states'")
+
+    def test_string_buffer_size(self, saved):
+        for agent in saved[2]["agents"]:
+            agent["buffer"]["size"] = "7"
+        self.refused(saved, r"agent 0 has buffer\.size '7', want an integer")
+
+    def test_weight_shape_without_sizes(self, saved):
+        saved[2]["agents"][0]["actor"]["weights"][0]["shape"] = []
+        self.refused(saved, r"agent 0 actor\.weights: shape \[\] is not a list of 2 sizes")
+
+    def test_unknown_activation(self, saved):
+        for agent in saved[2]["agents"]:
+            agent["actor_target"]["hidden_activation"] = "tanh"
+        self.refused(saved, r"agent 0 has actor_target\.hidden_activation 'tanh'; "
+                            "the networks run only 'relu'")
 
 
 def tiny_training_config(out_dir):

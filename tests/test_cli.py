@@ -12,6 +12,7 @@ import pytest
 
 import scalar_reference as ref
 from torus_pursuit import evader as evader_module
+from torus_pursuit import nn as nn_module
 from torus_pursuit import selfcheck as selfcheck_module
 from torus_pursuit.checkpoint import load_checkpoint
 from torus_pursuit.cli import main
@@ -435,6 +436,36 @@ class TestSelfcheckCommands:
         monkeypatch.setattr(selfcheck_module, "contact_headings", mirrored)
         assert main(["selfcheck"]) == 1
         assert "FAIL evader-closed-form-optimality" in capsys.readouterr().out
+
+
+    def test_broken_stacked_bias_gradient_fails_selfcheck(self, monkeypatch, capsys):
+        # negative control: flip the sign of the batched bias-gradient
+        # reduction in `backward`, the sum over a batch's rows that every
+        # learner update runs
+        flipped = []
+
+        class FlippedAdd:
+            @staticmethod
+            def reduce(a, axis, out=None):
+                out = np.add.reduce(a, axis=axis, out=out)
+                if axis == -2:
+                    flipped.append(out.shape)
+                    np.negative(out, out=out)
+                return out
+
+        class FlippedNumpy:
+            add = FlippedAdd
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(nn_module, "np", FlippedNumpy())
+        assert main(["selfcheck"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL network-gradients" in out
+        assert "PASS gradient-check-negative-control" in out
+        assert "selfcheck: FAILURES PRESENT" in out
+        assert flipped  # the stacked reduction ran
 
 
 class TestConfigPersistence:

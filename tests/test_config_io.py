@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scalar_reference import heading_to_vector
 from torus_pursuit.checkpoint import load_checkpoint, save_checkpoint
 from torus_pursuit.config import (
     ExperimentConfig,
@@ -15,7 +16,7 @@ from torus_pursuit.config import (
     load_config,
     save_config,
 )
-from torus_pursuit.ddpg import TeamLearner, heading_to_vector
+from torus_pursuit.ddpg import TeamLearner
 from torus_pursuit.errors import (
     ConfigError,
     DigestMismatchError,

@@ -6,17 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scalar_reference import heading_to_vector
 from torus_pursuit.ddpg import (
-    OuNoise,
     ReplayBuffer,
     TeamLearner,
     TransitionBatch,
-    heading_to_vector,
     normalize_action,
     vector_to_heading,
 )
 from torus_pursuit.errors import BufferNotReadyError
-from torus_pursuit.nn import forward
+from torus_pursuit.nn import backward, forward
 
 
 def make_learner(obs_dim=4, hidden=(8, 8), critic_hidden=(8, 8), seed=0, n=1, **kw):
@@ -106,20 +105,38 @@ class TestExploration:
         assert learner.act_explore(obs, [rng]) == learner.act(obs)
 
     def test_noise_long_run_mean_near_zero(self):
-        noise = OuNoise(theta=0.15, sigma=0.2)
-        rng = np.random.default_rng(11)
-        samples = np.array([noise.sample(rng) for _ in range(100_000)])
+        team = make_learner(n=2, theta_ou=0.15, sigma_ou=0.2)
+        rngs = [np.random.default_rng(11), np.random.default_rng(12)]
+        samples = np.empty((100_000, 2, 2))
+        for sample in samples:
+            team._advance_noise(rngs)
+            sample[...] = team.noise
         # stationary variance sigma^2/(theta*(2-theta)); mean-of-AR1 standard error
         var_x = 0.2**2 / (0.15 * (2 - 0.15))
         rho = 1 - 0.15
         se = math.sqrt(var_x * (1 + rho) / (1 - rho) / len(samples))
         assert np.all(np.abs(samples.mean(axis=0)) < 3 * se)
 
+    def test_noise_rows_follow_each_agents_recursion(self):
+        # row i is x <- x + theta*(0 - x) + sigma*g with g drawn from rngs[i]
+        team = make_learner(n=3, theta_ou=0.3, sigma_ou=0.7)
+        rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+        refs = [np.random.default_rng(s) for s in (1, 2, 3)]
+        want = np.zeros((3, 2))
+        for _ in range(20):
+            team._advance_noise(rngs)
+            want = np.array([x + 0.3 * (0.0 - x) + 0.7 * rng.standard_normal(2)
+                             for x, rng in zip(want, refs)])
+            assert np.array_equal(team.noise, want)
+        with pytest.raises(ValueError, match="2 random streams for 3 agents"):
+            team._advance_noise(rngs[:2])
+
     def test_noise_reset(self):
-        noise = OuNoise()
-        noise.sample(np.random.default_rng(0))
-        noise.reset()
-        assert np.array_equal(noise.state, np.zeros(2))
+        team = make_learner(n=2)
+        team.act_explore(np.zeros((2, 4)), [np.random.default_rng(0)] * 2)
+        assert not np.array_equal(team.noise, np.zeros((2, 2)))
+        team.reset_noise()
+        assert np.array_equal(team.noise, np.zeros((2, 2)))
 
     def test_same_seed_same_action_sequence(self):
         learner = make_learner()
@@ -205,7 +222,7 @@ class TestCriticUpdate:
         )
         # with all-terminal transitions the target is exactly r; loss should be
         # mean (Q - r)^2 computed before any update
-        q, _ = forward(learner.critic.row(0), np.hstack([batch.obs[0], batch.actions[0]]))
+        q, _ = forward(learner.critic, np.concatenate([batch.obs, batch.actions], axis=-1))
         expected = float(np.mean((q.ravel() - batch.rewards[0]) ** 2))
         assert learner.critic_update(batch)[0] == pytest.approx(expected, abs=1e-12)
 
@@ -232,14 +249,14 @@ class TestCriticUpdate:
             next_obs=np.array([[0.05, 0.3]]),
             terminals=np.zeros(1),
         )
-        raw_next, _ = forward(learner.actor_target.row(0), batch.next_obs[0, 0])
+        raw_next, _ = forward(learner.actor_target, batch.next_obs)
         a_next = raw_next / np.linalg.norm(raw_next)
-        q_next, _ = forward(learner.critic_target.row(0),
-                            np.concatenate([batch.next_obs[0, 0], a_next]))
-        y = 0.7 + 0.9 * float(q_next[0])
-        x = np.concatenate([batch.obs[0, 0], batch.actions[0, 0]])
-        q, _ = forward(learner.critic.row(0), x)
-        expected = (float(q[0]) - y) ** 2
+        q_next, _ = forward(learner.critic_target,
+                            np.concatenate([batch.next_obs, a_next], axis=-1))
+        y = 0.7 + 0.9 * q_next.item()
+        x = np.concatenate([batch.obs, batch.actions], axis=-1)
+        q, _ = forward(learner.critic, x)
+        expected = (q.item() - y) ** 2
         assert learner.critic_update(batch)[0] == pytest.approx(expected, abs=1e-10)
 
 
@@ -254,9 +271,9 @@ class TestActorUpdate:
             next_obs=rng.standard_normal((6, 4)),
             terminals=np.zeros(6),
         )
-        raw, _ = forward(learner.actor.row(0), batch.obs[0])
-        a = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        q, _ = forward(learner.critic.row(0), np.hstack([batch.obs[0], a]))
+        raw, _ = forward(learner.actor, batch.obs)
+        a = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+        q, _ = forward(learner.critic, np.concatenate([batch.obs, a], axis=-1))
         assert learner.actor_update(batch)[0] == pytest.approx(float(np.mean(q)), abs=1e-12)
 
     def test_constant_critic_gives_zero_gradient(self):
@@ -282,28 +299,26 @@ class TestActorUpdate:
     def test_full_chain_matches_finite_differences(self):
         # directional probes of mean_b Q(s, normalize(actor(s))) wrt actor params
         learner = make_learner(obs_dim=3, hidden=(5,), critic_hidden=(6,))
-        actor, critic = learner.actor.row(0), learner.critic.row(0)
+        actor, critic = learner.actor, learner.critic
         rng = np.random.default_rng(41)
-        obs = rng.standard_normal((5, 3))
+        obs = rng.standard_normal((1, 5, 3))
 
         def objective():
             raw, _ = forward(actor, obs)
-            a = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-            q, _ = forward(critic, np.hstack([obs, a]))
+            a = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+            q, _ = forward(critic, np.concatenate([obs, a], axis=-1))
             return float(np.mean(q))
 
-        from torus_pursuit.nn import backward
-
         raw, actor_cache = forward(actor, obs)
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        norms = np.linalg.norm(raw, axis=-1, keepdims=True)
         a = raw / norms
-        q, critic_cache = forward(critic, np.hstack([obs, a]))
-        _, g_in = backward(critic, critic_cache, np.full((5, 1), 1.0 / 5))
-        g_a = g_in[:, 3:]
-        g_u = (g_a - np.sum(g_a * a, axis=1, keepdims=True) * a) / norms
+        q, critic_cache = forward(critic, np.concatenate([obs, a], axis=-1))
+        _, g_in = backward(critic, critic_cache, np.full((1, 5, 1), 1.0 / 5))
+        g_a = g_in[..., 3:]
+        g_u = (g_a - np.sum(g_a * a, axis=-1, keepdims=True) * a) / norms
         grads, _ = backward(actor, actor_cache, g_u)
 
-        flat = grads
+        flat = grads[0]
         arrays = actor.weights + actor.biases
         worst = 0.0
         h = 1e-6
@@ -385,12 +400,14 @@ class TestDecentralization:
         team = make_learner(n=3)
         per_agent = []
         for i in range(3):
-            arrays = [a for net in NETWORKS for a in (getattr(team, net).row(i).weights
-                                                       + getattr(team, net).row(i).biases)]
+            arrays = []
+            for net in NETWORKS:
+                weights, biases = getattr(team, net).layers(getattr(team, net).flat[i])
+                arrays += weights + biases
             arrays += [state.m[i] for state in (team.adam_actor, team.adam_critic)]
             arrays += [state.v[i] for state in (team.adam_actor, team.adam_critic)]
             arrays += [getattr(team.buffer, name)[i] for name in RINGS]
-            per_agent.append(arrays + [team.noise[i].state])
+            per_agent.append(arrays + [team.noise[i]])
         for i in range(3):
             for j in range(i + 1, 3):
                 for a in per_agent[i]:
@@ -517,7 +534,8 @@ class TestScratch:
         assert held < 11_000_000, f"team scratch holds {held} bytes"
 
     def test_shared_scratch_leaks_nothing_between_agents(self):
-        # a team of n equals n lone agents (n=1 teams) bit for bit
+        # a team of n equals n lone agents (n=1 teams) bit for bit: updates,
+        # greedy and exploring headings, and the noise rows through a reset
         for n, (hidden, critic_hidden, rows) in [(2, ((12, 12), (12, 12, 12), 16)),
                                                  (3, ((48, 48), (48, 48, 48), 96)),
                                                  (5, ((12, 12), (12, 12, 12), 16))]:
@@ -537,12 +555,21 @@ class TestScratch:
                            for _ in range(2)]
                 losses, mean_qs = update(team, *batches)
                 headings = team.act(obs)
+                if step == 2:
+                    team.reset_noise()
+                explored = team.act_explore(obs, [np.random.default_rng(s) for s in seeds])
                 for i, agent in enumerate(lone):
                     alone = agent.buffer.sample(rows, [np.random.default_rng(seeds[i])])
                     assert np.array_equal(alone.obs, batches[0].obs[i : i + 1])
                     loss, mean_q = update(agent, *(agent_slice(b, i) for b in batches))
                     assert (loss[0], mean_q[0]) == (losses[i], mean_qs[i])
                     assert agent.act(obs[i : i + 1]) == headings[i : i + 1]
+                    if step == 2:
+                        agent.reset_noise()
+                    rng = [np.random.default_rng(seeds[i])]
+                    assert agent.act_explore(obs[i : i + 1], rng) == explored[i : i + 1]
+                    assert np.array_equal(agent.noise[0].view(np.uint64),
+                                          team.noise[i].view(np.uint64))
             for i, agent in enumerate(lone):
                 # networks, targets and Adam moments
                 assert np.array_equal(team.state[i], agent.state[0])

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from scalar_reference import heading_to_vector
 from torus_pursuit import training
 from torus_pursuit.config import config_from_dict
 from torus_pursuit.curriculum import BehaviorPhase
-from torus_pursuit.ddpg import heading_to_vector
 from torus_pursuit.training import make_streams, make_team, run_episode
 
 

@@ -34,8 +34,15 @@ are a pure function of the state (zip entries carry a fixed timestamp), so
 equal states give equal files.
 
 The manifest records the sidecar's file name, byte size and SHA-256; loading
-refuses a sidecar that is missing, truncated or altered with
-``CheckpointIntegrityError``. A team updates in lockstep, so loading also
+refuses a sidecar that is missing, truncated or altered, and a sidecar entry
+that is not an object of those three fields or whose file is not a bare name
+in the manifest's own directory, with ``CheckpointIntegrityError``. The
+sidecar need not share the manifest's stem: when a training plan ends on a
+snapshot epoch, the snapshot ``checkpoint_epoch{N}.json`` is a copy of the
+final ``checkpoint.json`` manifest and names ``checkpoint.npz`` as its
+sidecar, so deleting ``checkpoint.npz`` breaks that snapshot too. The final
+checkpoint never refers to a snapshot's sidecar, so deleting snapshots leaves
+it whole. A team updates in lockstep, so loading also
 requires every agent's hyperparameters, Adam step counts and ring
 bookkeeping to agree, and refuses break slots that are not int64, not
 strictly increasing or outside the ring. Schema version 2 files, which hold
@@ -363,8 +370,24 @@ def save_checkpoint(
     tmp.replace(target)
 
 
-def _verified_sidecar(manifest: Path, doc: dict) -> Path:
-    """The manifest's sidecar, after checking its size and SHA-256."""
+_SIDECAR_FIELDS = {"file": str, "bytes": int, "sha256": str}
+
+
+def _verified_sidecar(manifest: Path, doc: Any) -> Path:
+    """The manifest's sidecar, a file in the manifest's own directory, after
+    checking its size and SHA-256."""
+    if not isinstance(doc, dict):
+        raise CheckpointIntegrityError(
+            f"checkpoint {manifest}: sidecar is {type(doc).__name__}, want an object")
+    for name, kind in _SIDECAR_FIELDS.items():
+        if type(doc.get(name)) is not kind:
+            raise CheckpointIntegrityError(
+                f"checkpoint {manifest}: sidecar.{name} is {doc.get(name)!r}, "
+                f"want {'an integer' if kind is int else 'a string'}")
+    if Path(doc["file"]).name != doc["file"]:
+        raise CheckpointIntegrityError(
+            f"checkpoint {manifest}: sidecar.file {doc['file']!r} is not a file name in "
+            "the manifest's directory")
     sidecar = manifest.parent / doc["file"]
     where = f"checkpoint {manifest}: sidecar {sidecar}"
     if not sidecar.is_file():
@@ -388,8 +411,11 @@ def load_checkpoint(
     and the agent, when the manifest or an agent's entry lacks a field, an
     agent disagrees with agent 0 on a hyperparameter, an Adam step count or
     the ring bookkeeping, a count or an offset is not an integer, a
-    network's activation is not ReLU hidden and identity output, or an array
-    reference is malformed or of the wrong shape.
+    network's activation is not ReLU hidden and identity output, an array
+    reference is malformed or of the wrong shape, or the sidecar entry is
+    malformed or names a file outside the manifest's directory. The arrays
+    are read from the file the manifest's ``sidecar.file`` names, which is
+    ``checkpoint.npz`` for a plan's final-epoch snapshot.
     """
     manifest = Path(path)
     doc = json.loads(manifest.read_text())

@@ -179,7 +179,7 @@ def pincer_selection(
     objective_value = np.empty(e_count)
     total_distance = np.empty(e_count)
     # width of each episode's tie band, in objective units
-    band = [balance_tie_band * w for w in total_weight.tolist()]
+    band = balance_tie_band * total_weight
     full = _pincer_grids((block, m, rest))
     head_store = full[2].reshape(-1)
     for start in range(0, e_count, block):
@@ -217,21 +217,25 @@ def pincer_selection(
         # A cell is in the band when -sqrt(q) >= max objective - band, that
         # is sqrt(q) <= sqrt(min q) + band (negation rounds alike), which
         # holds exactly when q <= limit.
-        q_min = np.minimum.reduce(a_tot, axis=(1, 2)).tolist()
-        limit = [_sqrt_preimage_max(math.sqrt(q) + w) for q, w in zip(q_min, band[rows])]
+        q_min = np.minimum.reduce(a_tot, axis=(1, 2))
+        limit = _sqrt_preimage_max(np.sqrt(q_min) + band[rows])
         # distance key: in-band cells keep exactly their distance
-        np.greater(a_tot, np.array(limit)[:, None, None], out=d_tot)
+        np.greater(a_tot, limit[:, None, None], out=d_tot)
         d_tot *= _FAR
         d_tot += b_tot
-        # argmin's first hit in each row l has the smallest j; among the rows
-        # that reach the minimum, the smallest (j, l) is the lexicographic one
-        first = d_tot.argmin(axis=2)
-        row_min = np.minimum.reduce(d_tot, axis=2)
-        best = np.minimum.reduce(row_min, axis=1, keepdims=True)
-        first = np.where(row_min == best, first, rest)
-        l = first.argmin(axis=1)
-        j = np.minimum.reduce(first, axis=1)
-        indices[rows, :-1] = j[:, None] // head_digits % m
+        if n == 1:  # row l holds the one cell (0, l): its first minimum is lexicographic
+            l, j = d_tot[:, :, 0].argmin(axis=1), 0
+            best = d_tot[np.arange(size), l]
+        else:
+            # argmin's first hit in each row l has the smallest j; among the rows
+            # that reach the minimum, the smallest (j, l) is the lexicographic one
+            first = d_tot.argmin(axis=2)
+            row_min = np.minimum.reduce(d_tot, axis=2)
+            best = np.minimum.reduce(row_min, axis=1, keepdims=True)
+            first = np.where(row_min == best, first, rest)
+            l = first.argmin(axis=1)
+            j = np.minimum.reduce(first, axis=1)
+            indices[rows, :-1] = j[:, None] // head_digits % m
         indices[rows, -1] = l
         objective_value[rows] = -np.sqrt(a_tot[np.arange(size), l, j])
         total_distance[rows] = best[:, 0]
@@ -243,17 +247,23 @@ def pincer_selection(
 _FAR = 1e300
 
 
-def _sqrt_preimage_max(w: float) -> float:
-    """Largest double q with sqrt(q) <= w; q <= it exactly when sqrt(q) <= w.
+def _sqrt_preimage_max(w: np.ndarray) -> np.ndarray:
+    """Elementwise the largest double q with sqrt(q) <= w; q <= it exactly
+    when sqrt(q) <= w.
 
-    sqrt is correctly rounded, hence monotone, so this q is found by stepping
-    from w * w one double at a time.
+    sqrt is correctly rounded, hence monotone, and the answer is fl(w * w)
+    or a neighbour of it: one double down where the square rounded up past
+    the preimage (subnormal squares) or overflowed, one up where the
+    preimage reaches past it. ``w`` must be non-negative.
     """
+    # Non-negative doubles are ordered as their bit patterns, so a step is +-1
+    # on the int64 view. A w above sqrt(max double) squares to inf (numpy
+    # warns of the overflow, as for the grid's own squares), whose step up is
+    # a NaN pattern that compares false.
     q = w * w
-    while math.sqrt(q) > w:
-        q = math.nextafter(q, -math.inf)
-    while q < math.inf and math.sqrt(up := math.nextafter(q, math.inf)) <= w:
-        q = up
+    bits = q.view(np.int64)
+    bits -= np.sqrt(q) > w
+    bits += np.sqrt((bits + 1).view(np.float64)) <= w
     return q
 
 

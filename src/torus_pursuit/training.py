@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, sidecar_path
 from .config import ExperimentConfig
 from .curriculum import (
     BehaviorPhase,
@@ -31,7 +31,7 @@ from .curriculum import (
 )
 from .ddpg import TeamLearner
 from .environment import observation_dim, observe_full, observe_partial, reset, step
-from .errors import ConfigError, SchemaVersionError
+from .errors import CheckpointIntegrityError, ConfigError, SchemaVersionError
 
 CURVE_SCHEMA = "pursuit-training-curve-v1"
 CURVE_HEADER = "global_epoch,session,epoch,ratio,phase,return,captured,steps"
@@ -51,12 +51,27 @@ class TrainingStreams:
             "sample": [g.bit_generator.state for g in self.sample],
         }
 
-    def restore(self, states: dict[str, Any]) -> None:
-        self.env.bit_generator.state = states["env"]
-        for g, s in zip(self.explore, states["explore"]):
-            g.bit_generator.state = s
-        for g, s in zip(self.sample, states["sample"]):
-            g.bit_generator.state = s
+    def restore(self, states: Any) -> None:
+        """Sets every stream to its stored state. Raises CheckpointIntegrityError
+        unless ``states`` holds one ``explore`` and one ``sample`` state per
+        agent, and every state is one its generator accepts."""
+        if not isinstance(states, dict):
+            raise CheckpointIntegrityError(f"rng_states: {type(states).__name__}, want an object")
+        streams = [("env", self.env, states.get("env"))]
+        for name in ("explore", "sample"):
+            stored, generators = states.get(name), getattr(self, name)
+            if not isinstance(stored, list) or len(stored) != len(generators):
+                got = f"{len(stored)} stream states" if isinstance(stored, list) else "no list"
+                raise CheckpointIntegrityError(
+                    f"rng_states.{name}: {got}, want {len(generators)} (one per agent)")
+            streams += [(f"{name}[{i}]", g, s) for i, (g, s) in enumerate(zip(generators, stored))]
+        for where, g, s in streams:
+            try:
+                g.bit_generator.state = s
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise CheckpointIntegrityError(
+                    f"rng_states.{where}: not a {type(g.bit_generator).__name__} state "
+                    f"({type(exc).__name__}: {exc})") from exc
 
 
 def make_streams(master_seed: int, n: int) -> TrainingStreams:
@@ -179,9 +194,13 @@ def run_training(
     """Execute the session plan; returns the output directory.
 
     Writes training_curve.csv, periodic checkpoint_epoch{N}.json snapshots,
-    and a final checkpoint.json (each with its .npz sidecar). A resume into a
-    directory that already holds a curve keeps its rows before the
-    checkpoint's global epoch and continues after them.
+    and a final checkpoint.json (each with its .npz sidecar). When the plan's
+    last epoch is a snapshot epoch, that snapshot is written once: its
+    manifest equals checkpoint.json and names checkpoint.npz as its sidecar,
+    so no checkpoint_epoch{N}.npz is written (a stale one is removed), and
+    deleting checkpoint.npz breaks that snapshot. A resume into a directory
+    that already holds a curve keeps its rows before the checkpoint's global
+    epoch and continues after them.
     """
     if config.run.strategy not in ("cd_ddpg", "cd_ddpg_partial"):
         raise ConfigError(
@@ -199,6 +218,7 @@ def run_training(
         team = make_team(config, streams.init)
         session_idx, epoch_idx, global_epoch = 0, 0, 0
 
+    final_snapshot: Path | None = None
     curve_path = out / "training_curve.csv"
     earlier_rows = _curve_rows_before(curve_path, global_epoch) if resume is not None else ""
     with open(curve_path, "w", newline="") as curve:
@@ -223,26 +243,23 @@ def run_training(
                     nxt_session, nxt_epoch = session_idx, epoch_idx
                     if nxt_epoch >= session.epochs:
                         nxt_session, nxt_epoch = session_idx + 1, 0
-                    # a resume from this snapshot keeps the rows before it
-                    curve.flush()
-                    save_checkpoint(
-                        out / f"checkpoint_epoch{global_epoch}.json",
-                        config,
-                        team,
-                        nxt_session,
-                        nxt_epoch,
-                        global_epoch,
-                        streams.states(),
-                    )
+                    snapshot = out / f"checkpoint_epoch{global_epoch}.json"
+                    if nxt_session == len(plan.sessions):
+                        final_snapshot = snapshot  # the plan's last epoch: written below
+                    else:
+                        # a resume from this snapshot keeps the rows before it
+                        curve.flush()
+                        save_checkpoint(snapshot, config, team, nxt_session, nxt_epoch,
+                                        global_epoch, streams.states())
             session_idx += 1
             epoch_idx = 0
-    save_checkpoint(
-        out / "checkpoint.json",
-        config,
-        team,
-        session_idx,
-        0,
-        global_epoch,
-        streams.states(),
-    )
+    final = out / "checkpoint.json"
+    save_checkpoint(final, config, team, session_idx, 0, global_epoch, streams.states())
+    if final_snapshot is not None:
+        # Same session, epochs and streams, so the final manifest, naming
+        # checkpoint.npz as its sidecar, is the snapshot's whole content.
+        tmp = final_snapshot.with_suffix(final_snapshot.suffix + ".tmp")
+        tmp.write_bytes(final.read_bytes())
+        tmp.replace(final_snapshot)
+        sidecar_path(final_snapshot).unlink(missing_ok=True)  # an earlier run's own sidecar
     return out

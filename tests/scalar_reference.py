@@ -338,6 +338,17 @@ def pincer_selection(
     return indices, float(objective[pick]), float(dist[pick])
 
 
+def sqrt_preimage_max(w: float) -> float:
+    """Largest double q with sqrt(q) <= w, for w >= 0, found by stepping from
+    w * w one double at a time; sqrt is correctly rounded, hence monotone."""
+    q = w * w
+    while math.sqrt(q) > w:
+        q = math.nextafter(q, -math.inf)
+    while q < math.inf and math.sqrt(up := math.nextafter(q, math.inf)) <= w:
+        q = up
+    return q
+
+
 def pincer_headings(state: ScalarState, k: int = 1) -> list[float]:
     indices, _, _ = pincer_selection(state, k)
     evader = state.evader.position

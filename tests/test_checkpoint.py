@@ -286,6 +286,45 @@ class TestSidecarIntegrity:
             load_checkpoint(path, cfg)
         assert path.name in str(err.value) and sidecar.name in str(err.value)
 
+    @staticmethod
+    def refused(cfg, path, edit, match):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match=match):
+            load_checkpoint(path, cfg)
+
+    def test_sidecar_entry_not_an_object(self, saved):
+        cfg, path, sidecar = saved
+        self.refused(cfg, path, lambda doc: doc.__setitem__("sidecar", sidecar.name),
+                     r"sidecar is str, want an object")
+
+    @pytest.mark.parametrize("field", ["file", "bytes", "sha256"])
+    def test_sidecar_field_missing(self, saved, field):
+        cfg, path, _ = saved
+        self.refused(cfg, path, lambda doc: doc["sidecar"].pop(field),
+                     rf"sidecar\.{field} is None, want an? (integer|string)")
+
+    @pytest.mark.parametrize("field, value, want", [
+        ("file", 5, "a string"), ("bytes", "1234", "an integer"), ("bytes", True, "an integer"),
+        ("sha256", 0, "a string"),
+    ])
+    def test_sidecar_field_of_wrong_type(self, saved, field, value, want):
+        cfg, path, _ = saved
+        self.refused(cfg, path, lambda doc: doc["sidecar"].__setitem__(field, value),
+                     rf"sidecar\.{field} is {value!r}, want {want}")
+
+    @pytest.mark.parametrize("where", ["absolute", "parent"])
+    def test_sidecar_outside_manifest_directory(self, saved, where):
+        # both name the real sidecar, which a plain join would read
+        cfg, path, sidecar = saved
+        moved = path.parent / "sub" / path.name
+        moved.parent.mkdir()
+        path.replace(moved)
+        name = str(sidecar.resolve()) if where == "absolute" else f"../{sidecar.name}"
+        self.refused(cfg, moved, lambda doc: doc["sidecar"].__setitem__("file", name),
+                     r"sidecar\.file .* is not a file name in the manifest's directory")
+
 
 class TestTeamAgreement:
     """A team updates in lockstep, so a manifest whose agents disagree is refused."""
@@ -504,3 +543,80 @@ def test_schema_2_fixture_loads_and_resumes_bit_for_bit(tmp_path):
     assert rows[2:] == (full / "training_curve.csv").read_text().splitlines()[2 + 4:]
     for name in ("checkpoint.json", "checkpoint.npz"):
         assert (resumed / name).read_bytes() == (full / name).read_bytes()
+
+
+def snapshot_plan(epochs: list[int], every: int) -> ExperimentConfig:
+    """A tiny plan of sessions of `epochs` with a snapshot every `every` epochs;
+    ([6], 3) is tests/data/final_snapshot_config.json."""
+    return config_from_dict({
+        "env": {"n": 2, "episode_length": 10, "evader_speed": 0.05, "capture_radius": 0.08},
+        "curriculum": {"warmup_epochs": 2, "sessions": [
+            {"v0": v0, "v_target": v0 - 0.2, "v_decay": e, "epochs": e,
+             "use_scripted_warmup": True}
+            for e, v0 in zip(epochs, (1.2, 1.0))]},
+        "ddpg": {"batch_size": 8, "buffer_capacity": 16,
+                 "actor_hidden": [4], "critic_hidden": [4]},
+        "run": {"seed": 3, "strategy": "cd_ddpg", "checkpoint_every": every},
+    })
+
+
+def file_names(out: Path) -> list[str]:
+    return sorted(p.name for p in out.iterdir())
+
+
+@pytest.mark.parametrize("epochs", [[6], [4, 5]])
+def test_final_epoch_snapshot_shares_checkpoint_npz(tmp_path, epochs):
+    cfg, last = snapshot_plan(epochs, 3), sum(epochs)
+    out = run_training(cfg, out_dir=tmp_path)
+    snapshot = out / f"checkpoint_epoch{last}.json"
+    mid_run = [f"checkpoint_epoch{g}.{ext}" for g in range(3, last, 3) for ext in ("json", "npz")]
+    assert file_names(out) == sorted(
+        ["training_curve.csv", "checkpoint.json", "checkpoint.npz", snapshot.name, *mid_run])
+    assert json.loads(snapshot.read_text())["sidecar"]["file"] == "checkpoint.npz"
+    assert snapshot.read_bytes() == (out / "checkpoint.json").read_bytes()
+
+    team, *position = load_checkpoint(snapshot, cfg)
+    final_team, *final_position = load_checkpoint(out / "checkpoint.json", cfg)
+    assert position == final_position  # session, epoch, global epoch and stream states
+    assert_same_team(final_team, team)
+
+
+@pytest.mark.parametrize("epochs, start", [([6], 3), ([6], 6), ([4, 5], 3), ([4, 5], 6),
+                                           ([4, 5], 9)])
+def test_resume_from_any_snapshot_ends_on_uninterrupted_bytes(tmp_path, epochs, start):
+    cfg, last = snapshot_plan(epochs, 3), sum(epochs)
+    full = run_training(cfg, out_dir=tmp_path / "full")
+    resumed = run_training(cfg, out_dir=tmp_path / "resumed",
+                           resume=full / f"checkpoint_epoch{start}.json")
+    rows = (resumed / "training_curve.csv").read_text().splitlines()
+    assert rows[2:] == (full / "training_curve.csv").read_text().splitlines()[2 + start:]
+    # a resume that trains the last epoch writes its snapshot again
+    names = ["checkpoint.json", "checkpoint.npz"]
+    if start < last:
+        names.append(f"checkpoint_epoch{last}.json")
+    for name in names:
+        assert (resumed / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_other_plan_lengths_keep_their_snapshots(tmp_path):
+    # checkpoint_every is outside the config digest, so both runs write the same bytes
+    own = run_training(snapshot_plan([6], 4), out_dir=tmp_path / "every4")
+    shared = run_training(snapshot_plan([6], 2), out_dir=tmp_path / "every2")
+    names = ["checkpoint.json", "checkpoint.npz", "checkpoint_epoch4.json",
+             "checkpoint_epoch4.npz", "training_curve.csv"]
+    assert file_names(own) == names
+    assert json.loads((own / "checkpoint_epoch4.json").read_text())["sidecar"]["file"] == \
+        "checkpoint_epoch4.npz"
+    for name in names:
+        assert (own / name).read_bytes() == (shared / name).read_bytes(), name
+
+
+def test_stale_final_epoch_sidecar_removed(tmp_path):
+    cfg = snapshot_plan([6], 3)
+    run_training(cfg, out_dir=tmp_path / "earlier")
+    stale = tmp_path / "out" / "checkpoint_epoch6.npz"
+    stale.parent.mkdir()
+    stale.write_bytes((tmp_path / "earlier" / "checkpoint.npz").read_bytes())
+    run_training(cfg, out_dir=stale.parent)
+    assert not stale.exists()
+    load_checkpoint(stale.with_suffix(".json"), cfg)

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,8 @@ from torus_pursuit.ddpg import TeamLearner
 from torus_pursuit.evaluation import run_eval
 from torus_pursuit.trajectory import read_trajectories
 from torus_pursuit.training import run_training
+
+DATA = Path(__file__).parent / "data"
 
 
 def tiny_config_dict(out_dir, seed=0, epochs=12, strategy="cd_ddpg"):
@@ -194,6 +198,27 @@ class TestCheckpointErrors:
         other_path.write_text(json.dumps(other))
         assert main(self.command(name, other_path, ckpt, tmp_path)) == 2
         assert "different config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stream, edit, message", [
+        ("explore", lambda states: states.pop(), r"explore: 1 stream states, want 2"),
+        ("sample", lambda states: states.pop(), r"sample: 1 stream states, want 2"),
+        ("explore", lambda states: states[1]["state"].pop("inc"),
+         r"explore\[1\]: not a PCG64 state \(KeyError: 'inc'\)"),
+    ], ids=["explore count", "sample count", "explore state"])
+    def test_resume_refuses_stream_states_unlike_team(self, stream, edit, message, tmp_path,
+                                                      capsys):
+        # the committed schema 2 snapshot of a two-agent run, edited
+        fixture = DATA / "checkpoint_v2"
+        for name in ("checkpoint_epoch4.json", "checkpoint_epoch4.npz"):
+            shutil.copy(fixture / name, tmp_path / name)
+        ckpt = tmp_path / "checkpoint_epoch4.json"
+        doc = json.loads(ckpt.read_text())
+        edit(doc["rng_states"][stream])
+        ckpt.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(fixture / "tiny_config.json"),
+                     "--out", str(tmp_path / "resumed"), "--resume", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rng_states.") and re.search(message, err)
 
 
 class TestEvalCommand:

@@ -2,16 +2,20 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from scalar_reference import Point2, distance, replicate, wrap
+from scalar_reference import Point2, distance, replicate, sqrt_preimage_max, wrap
 from torus_pursuit.environment import make_state
 from torus_pursuit.errors import SingularityError
 from torus_pursuit.geometry import normalize_angle
 from torus_pursuit.pursuit import (
     MAX_PINCER_CELLS,
+    _sqrt_preimage_max,
     greedy_heading,
     pincer_headings,
     pincer_objective,
@@ -194,3 +198,24 @@ class TestPincerSelection:
             pincer_selection(world(xy, (0.5, 0.7)), k=1)
         with pytest.raises(ValueError, match=r"n=5 pursuers at k=2 has 9765625 cells"):
             pincer_selection(world(xy[:5], (0.5, 0.7)), k=2)
+
+
+# w = an odd 27-bit integer times a power of two: the exact square has 54
+# significant bits ending in 1, so w * w rounds a tie (or underflows)
+TIES = st.builds(math.ldexp, st.integers(2**25, 2**26 - 1).map(lambda k: 2 * k + 1),
+                 st.integers(-1130, 990))
+SQUARE_BOUNDARIES = [
+    0.0, 5e-324, 1.5e-323, 2.2250738585072014e-308,  # subnormal squares and w
+    1.4916681462400413e-154, 1.4916681462400415e-154,  # w * w near the smallest normal
+    1.3407807929942596e154, 1.3407807929942597e154,  # w * w near overflow
+    sys.float_info.max, math.inf,
+]
+
+
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False) | TIES, min_size=1, max_size=16))
+@example(SQUARE_BOUNDARIES)
+def test_band_limit_matches_scalar_loop(ws):
+    with np.errstate(over="ignore", invalid="ignore"):  # squares past the largest double
+        got = _sqrt_preimage_max(np.array(ws))
+    want = np.array([sqrt_preimage_max(w) for w in ws])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()

@@ -7,6 +7,7 @@ from scalar_reference import heading_to_vector
 from torus_pursuit import training
 from torus_pursuit.config import config_from_dict
 from torus_pursuit.curriculum import BehaviorPhase
+from torus_pursuit.errors import CheckpointIntegrityError
 from torus_pursuit.training import make_streams, make_team, run_episode
 
 
@@ -51,3 +52,13 @@ def test_nan_actor_stops_learned_episode_before_stepping(monkeypatch):
     monkeypatch.setattr(training, "step", lambda *a: pytest.fail("stepped with a NaN heading"))
     with pytest.raises(FloatingPointError, match=r"heading at global epoch 4, step 1, agent 1"):
         run_episode(cfg, team, streams, 1.2, BehaviorPhase.LEARNED, 4)
+
+
+def test_restore_refuses_malformed_stream_states():
+    streams = make_streams(0, 2)
+    with pytest.raises(CheckpointIntegrityError, match=r"rng_states: list, want an object"):
+        streams.restore([])
+    states = {**streams.states(), "env": None}
+    with pytest.raises(CheckpointIntegrityError,
+                       match=r"rng_states\.env: not a PCG64 state \(TypeError"):
+        streams.restore(states)

@@ -365,8 +365,26 @@ def save_checkpoint(
         "rng_states": rng_states,
         "sidecar": sidecar_doc,
     }
+    _write_manifest(target, json.dumps(doc))
+
+
+def alias_checkpoint(final: str | Path, snapshot: str | Path) -> None:
+    """Writes the manifest at ``final`` again at ``snapshot``, naming the same
+    sidecar, and removes the sidecar of ``snapshot``'s own stem that an
+    earlier run may have left there.
+
+    A training plan that ends on a snapshot epoch gives its final checkpoint
+    and that snapshot the same content, so the snapshot borrows the final
+    checkpoint's sidecar instead of writing a second copy of it.
+    """
+    snapshot = Path(snapshot)
+    _write_manifest(snapshot, Path(final).read_text())
+    sidecar_path(snapshot).unlink(missing_ok=True)
+
+
+def _write_manifest(target: Path, text: str) -> None:
     tmp = target.with_suffix(target.suffix + ".tmp")
-    tmp.write_text(json.dumps(doc))
+    tmp.write_text(text)
     tmp.replace(target)
 
 

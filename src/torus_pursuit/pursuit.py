@@ -223,19 +223,15 @@ def pincer_selection(
         np.greater(a_tot, limit[:, None, None], out=d_tot)
         d_tot *= _FAR
         d_tot += b_tot
-        if n == 1:  # row l holds the one cell (0, l): its first minimum is lexicographic
-            l, j = d_tot[:, :, 0].argmin(axis=1), 0
-            best = d_tot[np.arange(size), l]
-        else:
-            # argmin's first hit in each row l has the smallest j; among the rows
-            # that reach the minimum, the smallest (j, l) is the lexicographic one
-            first = d_tot.argmin(axis=2)
-            row_min = np.minimum.reduce(d_tot, axis=2)
-            best = np.minimum.reduce(row_min, axis=1, keepdims=True)
-            first = np.where(row_min == best, first, rest)
-            l = first.argmin(axis=1)
-            j = np.minimum.reduce(first, axis=1)
-            indices[rows, :-1] = j[:, None] // head_digits % m
+        # argmin's first hit in each row l has the smallest j; among the rows
+        # that reach the minimum, the smallest (j, l) is the lexicographic one
+        first = d_tot.argmin(axis=2)
+        row_min = np.minimum.reduce(d_tot, axis=2)
+        best = np.minimum.reduce(row_min, axis=1, keepdims=True)
+        first = np.where(row_min == best, first, rest)
+        l = first.argmin(axis=1)
+        j = np.minimum.reduce(first, axis=1)
+        indices[rows, :-1] = j[:, None] // head_digits % m
         indices[rows, -1] = l
         objective_value[rows] = -np.sqrt(a_tot[np.arange(size), l, j])
         total_distance[rows] = best[:, 0]

@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint, sidecar_path
+from .checkpoint import alias_checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
 from .curriculum import (
     BehaviorPhase,
@@ -213,7 +213,10 @@ def run_training(
 
     if resume is not None:
         team, session_idx, epoch_idx, global_epoch, rng_states = load_checkpoint(resume, config)
-        streams.restore(rng_states)
+        try:
+            streams.restore(rng_states)
+        except CheckpointIntegrityError as exc:
+            raise CheckpointIntegrityError(f"checkpoint {resume}: {exc}") from exc
     else:
         team = make_team(config, streams.init)
         session_idx, epoch_idx, global_epoch = 0, 0, 0
@@ -256,10 +259,6 @@ def run_training(
     final = out / "checkpoint.json"
     save_checkpoint(final, config, team, session_idx, 0, global_epoch, streams.states())
     if final_snapshot is not None:
-        # Same session, epochs and streams, so the final manifest, naming
-        # checkpoint.npz as its sidecar, is the snapshot's whole content.
-        tmp = final_snapshot.with_suffix(final_snapshot.suffix + ".tmp")
-        tmp.write_bytes(final.read_bytes())
-        tmp.replace(final_snapshot)
-        sidecar_path(final_snapshot).unlink(missing_ok=True)  # an earlier run's own sidecar
+        # same session, epochs and streams: the final checkpoint is the snapshot
+        alias_checkpoint(final, final_snapshot)
     return out

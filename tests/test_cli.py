@@ -218,7 +218,7 @@ class TestCheckpointErrors:
         assert main(["train", "--config", str(fixture / "tiny_config.json"),
                      "--out", str(tmp_path / "resumed"), "--resume", str(ckpt)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: rng_states.") and re.search(message, err)
+        assert err.startswith(f"error: checkpoint {ckpt}: rng_states.") and re.search(message, err)
 
 
 class TestEvalCommand:

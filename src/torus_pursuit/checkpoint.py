@@ -40,7 +40,8 @@ in the manifest's own directory, with ``CheckpointIntegrityError``. The
 sidecar need not share the manifest's stem: when a training plan ends on a
 snapshot epoch, the snapshot ``checkpoint_epoch{N}.json`` is a copy of the
 final ``checkpoint.json`` manifest and names ``checkpoint.npz`` as its
-sidecar, so deleting ``checkpoint.npz`` breaks that snapshot too. The final
+sidecar, so deleting ``checkpoint.npz``, or a later run writing another
+one into the same directory, breaks that snapshot too. The final
 checkpoint never refers to a snapshot's sidecar, so deleting snapshots leaves
 it whole. A team updates in lockstep, so loading also
 requires every agent's hyperparameters, Adam step counts and ring

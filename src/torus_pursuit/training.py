@@ -198,9 +198,9 @@ def run_training(
     last epoch is a snapshot epoch, that snapshot is written once: its
     manifest equals checkpoint.json and names checkpoint.npz as its sidecar,
     so no checkpoint_epoch{N}.npz is written (a stale one is removed), and
-    deleting checkpoint.npz breaks that snapshot. A resume into a directory
-    that already holds a curve keeps its rows before the checkpoint's global
-    epoch and continues after them.
+    deleting or overwriting checkpoint.npz breaks that snapshot. A resume
+    into a directory that already holds a curve keeps its rows before the
+    checkpoint's global epoch and continues after them.
     """
     if config.run.strategy not in ("cd_ddpg", "cd_ddpg_partial"):
         raise ConfigError(

@@ -196,16 +196,7 @@ def _agent_doc(team: TeamLearner, i: int, arrays: dict[str, np.ndarray]) -> dict
     """Agent i's manifest entry; its state row and filled ring slices go to ``arrays``."""
     key, row, buf = f"agents.{i}", team.state[i], team.buffer
     arrays[key] = row
-    doc: dict[str, Any] = {
-        "obs_dim": team.obs_dim,
-        "gamma": team.gamma,
-        "tau": team.tau,
-        "lr_actor": team.lr_actor,
-        "lr_critic": team.lr_critic,
-        "clip_norm": team.clip_norm,
-        "theta_ou": team.theta_ou,
-        "sigma_ou": team.sigma_ou,
-    }
+    doc: dict[str, Any] = {name: getattr(team, name) for name in _HYPERPARAMETERS}
     for name in _NETWORKS:
         net = getattr(team, name)
         weights, biases = net.layers(net.flat[i])
@@ -273,12 +264,8 @@ def _team_load(docs: list[dict], arrays: Mapping[str, np.ndarray]) -> TeamLearne
                    for ref in _field(docs[0], 0, f"{net}.weights")[:-1])
         for net in _OPTIMIZERS.values()
     }
-    team = TeamLearner(
-        len(docs), hyper["obs_dim"], actor_hidden=hidden["actor"], critic_hidden=hidden["critic"],
-        gamma=hyper["gamma"], tau=hyper["tau"], lr_actor=hyper["lr_actor"],
-        lr_critic=hyper["lr_critic"], clip_norm=hyper["clip_norm"],
-        buffer_capacity=ring["capacity"], theta_ou=hyper["theta_ou"], sigma_ou=hyper["sigma_ou"],
-    )
+    team = TeamLearner(len(docs), actor_hidden=hidden["actor"], critic_hidden=hidden["critic"],
+                       buffer_capacity=ring["capacity"], **hyper)
     for name in _OPTIMIZERS:
         getattr(team, name).step = _agreed(docs, f"{name}.step", int)
     team.buffer._next, team.buffer._size = ring["next"], ring["size"]

@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import (
+    TRAINABLE_STRATEGIES,
     ExperimentConfig,
     check_ratio,
     load_config,
@@ -78,7 +79,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"--episodes: must be >= 1, got {args.episodes}")
     episodes = args.episodes if args.episodes is not None else config.metrics.eval_episodes
     team = None
-    if config.run.strategy in ("cd_ddpg", "cd_ddpg_partial"):
+    if config.run.strategy in TRAINABLE_STRATEGIES:
         if not args.checkpoint:
             raise ConfigError("run.strategy: learned strategies need --checkpoint")
         from .checkpoint import load_checkpoint

@@ -1,18 +1,24 @@
-"""Experiment configuration: JSON schema, validation, defaults, and digests.
+"""Experiment configuration: schema, validation, defaults, and digests.
 
+The dataclasses are the schema: `EnvConfig`, the curriculum's `SessionPlan`
+and `SessionSpec`, and the sections below. One parser reads their fields,
+annotations and defaults, so a field is declared once, in its dataclass.
 Defaults mirror the reference hyperparameters: actor/critic learning rates
 1e-4/1e-3, gradient clip 0.5, Polyak tau 0.001, buffer 500000, batch 512,
 discount 0.99, warm-up 1000 epochs, 500-step episodes. Unknown keys
-anywhere in the file are rejected, and every error message carries the
-offending field path.
+anywhere in the file are rejected, fields without a default are required,
+and every error message carries the offending field path.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .curriculum import SessionPlan, SessionSpec, chained_plan
 from .environment import EnvConfig
@@ -40,11 +46,18 @@ class DdpgConfig:
     critic_hidden: tuple[int, ...] = (128, 128, 128)
 
     def __post_init__(self) -> None:
-        for name in ("lr_actor", "lr_critic", "tau", "clip_norm"):
+        for name in ("lr_actor", "lr_critic", "clip_norm"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"ddpg.{name}: must be > 0")
+        if not 0.0 < self.tau <= 1.0:
+            raise ConfigError("ddpg.tau: must be in (0, 1]")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("ddpg.gamma: must be in [0, 1]")
+        # |1 - theta| <= 1 keeps the noise recursion x <- x + theta*(0 - x) + sigma*g bounded
+        if not 0.0 <= self.theta_ou <= 2.0:
+            raise ConfigError("ddpg.theta_ou: must be in [0, 2]")
+        if not 0.0 <= self.sigma_ou < math.inf:
+            raise ConfigError("ddpg.sigma_ou: must be finite and >= 0")
         if self.batch_size < 1 or self.buffer_capacity < self.batch_size:
             raise ConfigError("ddpg.buffer_capacity: must be >= batch_size >= 1")
         if not self.actor_hidden or not self.critic_hidden:
@@ -75,6 +88,8 @@ class RunConfig:
     checkpoint_every: int = 100
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("run.seed: must be >= 0")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"run.strategy: unknown strategy {self.strategy!r}")
         if self.pincer_k < 1:
@@ -104,20 +119,7 @@ class ExperimentConfig:
                 raise ConfigError(f"run.pincer_k: {exc}") from exc
 
     def to_dict(self) -> dict:
-        doc = {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            "env": asdict(self.env),
-            "curriculum": {
-                "warmup_epochs": self.curriculum.warmup_epochs,
-                "sessions": [asdict(s) for s in self.curriculum.sessions],
-            },
-            "ddpg": asdict(self.ddpg),
-            "metrics": asdict(self.metrics),
-            "run": asdict(self.run),
-        }
-        doc["ddpg"]["actor_hidden"] = list(self.ddpg.actor_hidden)
-        doc["ddpg"]["critic_hidden"] = list(self.ddpg.critic_hidden)
-        return doc
+        return {"schema_version": CONFIG_SCHEMA_VERSION, **asdict(self)}
 
     def digest(self) -> str:
         """Hash of the sections that determine training behavior.
@@ -153,145 +155,78 @@ def check_ratio(env: EnvConfig, ratio: float, path: str) -> None:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _check_keys(section: dict, allowed: set[str], path: str) -> None:
+_JSON_KINDS = {int: int, float: (int, float), bool: bool, str: str}
+# a field's annotation, evaluated once per dataclass rather than on every load
+_field_kinds = functools.cache(get_type_hints)
+
+
+def _value(value, kind, path: str):
+    """`value` as the field annotation `kind` reads it; ConfigError at `path` otherwise."""
+    if kind == tuple[int, ...]:
+        if not isinstance(value, list) or not all(type(v) is int and v > 0 for v in value):
+            raise ConfigError(f"{path}: expected a list of positive integers")
+        return tuple(value)
+    if not isinstance(value, _JSON_KINDS[kind]) or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
+    return float(value) if kind is float else value
+
+
+def _parse(cls, section, path: str, **given):
+    """An instance of dataclass `cls` from the JSON object `section` at `path`.
+
+    Keys must name fields, fields without a default are required, and each
+    value is checked against its field's annotation; `given` supplies fields
+    parsed elsewhere. A ValueError from the dataclass gains the path.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    known = {f.name: f for f in fields(cls)}
     for key in section:
-        if key not in allowed:
+        if key not in known:
             raise ConfigError(f"{path}.{key}: unknown key")
-
-
-def _typed(section: dict, key: str, kinds, path: str, default):
-    if key not in section:
-        return default
-    value = section[key]
-    if kinds is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kinds) or isinstance(value, bool) and kinds is not bool:
-        raise ConfigError(f"{path}.{key}: expected {kinds}, got {type(value).__name__}")
-    return value
-
-
-def _parse_env(section: dict) -> EnvConfig:
-    _check_keys(section, {"n", "evader_speed", "velocity_ratio", "capture_radius",
-                          "episode_length"}, "env")
-    d = EnvConfig()
+    kinds = _field_kinds(cls)
+    values = dict(given)
+    for name, f in known.items():
+        if name in given:
+            continue
+        if name in section:
+            values[name] = _value(section[name], kinds[name], f"{path}.{name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}.{name}: required")
     try:
-        return EnvConfig(
-            n=_typed(section, "n", int, "env", d.n),
-            evader_speed=_typed(section, "evader_speed", float, "env", d.evader_speed),
-            velocity_ratio=_typed(section, "velocity_ratio", float, "env", d.velocity_ratio),
-            capture_radius=_typed(section, "capture_radius", float, "env", d.capture_radius),
-            episode_length=_typed(section, "episode_length", int, "env", d.episode_length),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"env: {exc}") from exc
-
-
-def _parse_session(entry: dict, idx: int) -> SessionSpec:
-    path = f"curriculum.sessions[{idx}]"
-    _check_keys(entry, {"v0", "v_target", "v_decay", "epochs", "use_scripted_warmup"}, path)
-    for key in ("v0", "v_target", "v_decay", "epochs"):
-        if key not in entry:
-            raise ConfigError(f"{path}.{key}: required")
-    try:
-        return SessionSpec(
-            v0=_typed(entry, "v0", float, path, None),
-            v_target=_typed(entry, "v_target", float, path, None),
-            v_decay=_typed(entry, "v_decay", int, path, None),
-            epochs=_typed(entry, "epochs", int, path, None),
-            use_scripted_warmup=_typed(entry, "use_scripted_warmup", bool, path, False),
-        )
+        return cls(**values)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_curriculum(section: dict) -> SessionPlan:
-    _check_keys(section, {"warmup_epochs", "sessions"}, "curriculum")
-    default = chained_plan()
-    warmup = _typed(section, "warmup_epochs", int, "curriculum", default.warmup_epochs)
-    if "sessions" not in section:
-        sessions = default.sessions
-    else:
+def _parse_curriculum(section) -> SessionPlan:
+    """The plan at `curriculum`; without a `sessions` list it keeps the default plan's."""
+    sessions = chained_plan().sessions
+    if isinstance(section, dict) and "sessions" in section:
         raw = section["sessions"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("curriculum.sessions: expected a nonempty list")
-        sessions = tuple(_parse_session(s, i) for i, s in enumerate(raw))
-    try:
-        return SessionPlan(sessions, warmup)
-    except ValueError as exc:
-        raise ConfigError(f"curriculum: {exc}") from exc
-
-
-def _parse_ddpg(section: dict) -> DdpgConfig:
-    allowed = {"lr_actor", "lr_critic", "gamma", "tau", "buffer_capacity", "batch_size",
-               "clip_norm", "theta_ou", "sigma_ou", "actor_hidden", "critic_hidden"}
-    _check_keys(section, allowed, "ddpg")
-    d = DdpgConfig()
-    hidden = {}
-    for key, default in (("actor_hidden", d.actor_hidden), ("critic_hidden", d.critic_hidden)):
-        if key in section:
-            raw = section[key]
-            if not isinstance(raw, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in raw
-            ):
-                raise ConfigError(f"ddpg.{key}: expected a list of positive integers")
-            hidden[key] = tuple(raw)
-        else:
-            hidden[key] = default
-    return DdpgConfig(
-        lr_actor=_typed(section, "lr_actor", float, "ddpg", d.lr_actor),
-        lr_critic=_typed(section, "lr_critic", float, "ddpg", d.lr_critic),
-        gamma=_typed(section, "gamma", float, "ddpg", d.gamma),
-        tau=_typed(section, "tau", float, "ddpg", d.tau),
-        buffer_capacity=_typed(section, "buffer_capacity", int, "ddpg", d.buffer_capacity),
-        batch_size=_typed(section, "batch_size", int, "ddpg", d.batch_size),
-        clip_norm=_typed(section, "clip_norm", float, "ddpg", d.clip_norm),
-        theta_ou=_typed(section, "theta_ou", float, "ddpg", d.theta_ou),
-        sigma_ou=_typed(section, "sigma_ou", float, "ddpg", d.sigma_ou),
-        actor_hidden=hidden["actor_hidden"],
-        critic_hidden=hidden["critic_hidden"],
-    )
-
-
-def _parse_metrics(section: dict) -> MetricsConfig:
-    _check_keys(section, {"heading_bins", "angle_bins", "eval_episodes"}, "metrics")
-    d = MetricsConfig()
-    return MetricsConfig(
-        heading_bins=_typed(section, "heading_bins", int, "metrics", d.heading_bins),
-        angle_bins=_typed(section, "angle_bins", int, "metrics", d.angle_bins),
-        eval_episodes=_typed(section, "eval_episodes", int, "metrics", d.eval_episodes),
-    )
-
-
-def _parse_run(section: dict) -> RunConfig:
-    _check_keys(section, {"seed", "out_dir", "strategy", "pincer_k",
-                          "checkpoint_every"}, "run")
-    d = RunConfig()
-    return RunConfig(
-        seed=_typed(section, "seed", int, "run", d.seed),
-        out_dir=_typed(section, "out_dir", str, "run", d.out_dir),
-        strategy=_typed(section, "strategy", str, "run", d.strategy),
-        pincer_k=_typed(section, "pincer_k", int, "run", d.pincer_k),
-        checkpoint_every=_typed(section, "checkpoint_every", int, "run", d.checkpoint_every),
-    )
+        sessions = tuple(_parse(SessionSpec, s, f"curriculum.sessions[{i}]")
+                         for i, s in enumerate(raw))
+    return _parse(SessionPlan, section, "curriculum", sessions=sessions)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected a JSON object")
-    _check_keys(doc, {"schema_version", "env", "curriculum", "ddpg", "metrics", "run"}, "config")
+    kinds = _field_kinds(ExperimentConfig)
+    for key in doc:
+        if key != "schema_version" and key not in kinds:
+            raise ConfigError(f"config.{key}: unknown key")
     version = doc.get("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"schema_version: expected {CONFIG_SCHEMA_VERSION}, got {version}")
-    for name in ("env", "curriculum", "ddpg", "metrics", "run"):
-        if name in doc and not isinstance(doc[name], dict):
-            raise ConfigError(f"{name}: expected a JSON object")
-    return ExperimentConfig(
-        env=_parse_env(doc.get("env", {})),
-        curriculum=_parse_curriculum(doc.get("curriculum", {})),
-        ddpg=_parse_ddpg(doc.get("ddpg", {})),
-        metrics=_parse_metrics(doc.get("metrics", {})),
-        run=_parse_run(doc.get("run", {})),
-    )
+    return ExperimentConfig(**{
+        name: _parse_curriculum(doc[name]) if name == "curriculum" else _parse(kind, doc[name], name)
+        for name, kind in kinds.items() if name in doc
+    })
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

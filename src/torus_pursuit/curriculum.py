@@ -60,6 +60,8 @@ class SessionSpec:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        # refuses a ratio <= 0 and a v_decay < 1 before training builds the schedule
+        VelocitySchedule(self.v0, self.v_target, self.v_decay)
 
     @property
     def schedule(self) -> VelocitySchedule:

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import TRAINABLE_STRATEGIES, ExperimentConfig
 from .environment import EnvConfig, WorldState, observe_full, observe_partial, reset, step
 from .pursuit import greedy_heading, pincer_headings
 from .trajectory import TrajectoryWriter
@@ -64,7 +64,7 @@ def make_policy(
         return lambda s: pincer_headings(s, pincer_k)
     if strategy == "random":
         return lambda s: policy_rng.uniform(-np.pi, np.pi, size=s.pursuer_headings.shape)
-    if strategy in ("cd_ddpg", "cd_ddpg_partial"):
+    if strategy in TRAINABLE_STRATEGIES:
         if team is None:
             raise ValueError(f"strategy {strategy!r} requires a trained team")
         observe = observe_partial if strategy == "cd_ddpg_partial" else observe_full

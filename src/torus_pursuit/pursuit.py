@@ -141,7 +141,8 @@ def pincer_selection(
     objective tie; ties prefer the smallest total replica-evader distance and
     then the lexicographically smallest replica index tuple. Grids larger
     than MAX_PINCER_CELLS and a negative or NaN band raise ValueError before
-    anything is allocated.
+    anything is allocated. A pursuer on the evader, or so close that its
+    threat weight overflows, raises SingularityError.
 
     Episodes are enumerated in blocks whose joint grids hold at most
     PINCER_BLOCK_CELLS cells (one episode per block when a single grid is
@@ -173,6 +174,9 @@ def pincer_selection(
         raise SingularityError("replica co-located with evader")
     parts[:2] *= weight[..., None]
     parts[:2] /= parts[2]
+    # a subnormal distance overflows its weight 1/r, and inf * 0 is NaN
+    if not np.isfinite(parts[:2]).all():
+        raise SingularityError("pursuer too close to evader: threat weight overflows")
 
     indices = np.empty((e_count, n), dtype=np.intp)
     head_digits = _place_values(m, n - 1)

@@ -15,14 +15,14 @@ byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .checkpoint import alias_checkpoint, load_checkpoint, save_checkpoint
-from .config import ExperimentConfig
+from .config import TRAINABLE_STRATEGIES, ExperimentConfig
 from .curriculum import (
     BehaviorPhase,
     behavior_for_epoch,
@@ -86,22 +86,10 @@ def make_streams(master_seed: int, n: int) -> TrainingStreams:
 
 def make_team(config: ExperimentConfig, init_rng: np.random.Generator) -> TeamLearner:
     partial = config.run.strategy == "cd_ddpg_partial"
-    d = config.ddpg
-    return TeamLearner(
-        n=config.env.n,
-        obs_dim=observation_dim(config.env.n, partial),
-        rng=init_rng,
-        actor_hidden=d.actor_hidden,
-        critic_hidden=d.critic_hidden,
-        gamma=d.gamma,
-        tau=d.tau,
-        lr_actor=d.lr_actor,
-        lr_critic=d.lr_critic,
-        clip_norm=d.clip_norm,
-        buffer_capacity=d.buffer_capacity,
-        theta_ou=d.theta_ou,
-        sigma_ou=d.sigma_ou,
-    )
+    hyper = asdict(config.ddpg)
+    del hyper["batch_size"]  # each update draws its batch; the team does not hold it
+    return TeamLearner(n=config.env.n, obs_dim=observation_dim(config.env.n, partial),
+                       rng=init_rng, **hyper)
 
 
 def run_episode(
@@ -202,7 +190,7 @@ def run_training(
     into a directory that already holds a curve keeps its rows before the
     checkpoint's global epoch and continues after them.
     """
-    if config.run.strategy not in ("cd_ddpg", "cd_ddpg_partial"):
+    if config.run.strategy not in TRAINABLE_STRATEGIES:
         raise ConfigError(
             f"run.strategy: cannot train analytic strategy {config.run.strategy!r}"
         )

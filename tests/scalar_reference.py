@@ -311,6 +311,8 @@ def pincer_grids(
         img_r = np.hypot(rel[:, 0], rel[:, 1])
         wa.append(weight * rel[:, 0] / img_r)
         wb.append(weight * rel[:, 1] / img_r)
+        if not (np.isfinite(wa[-1]).all() and np.isfinite(wb[-1]).all()):
+            raise SingularityError("pursuer too close to evader: threat weight overflows")
         rr.append(img_r)
     grids = []
     for parts in (wa, wb, rr):

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
@@ -166,9 +166,11 @@ def test_pincer_matches_reference(batch):
     check_pincer_against_reference(batch)
 
 
-# One n=5 grid fills a block, so E > 1 also crosses block boundaries.
+# One n=5 grid fills a block, so E > 1 also crosses block boundaries. The
+# example's subnormal distance overflows the threat weight 1/r.
 @settings(max_examples=12, deadline=None)
 @given(batches(min_n=4, max_n=5, max_e=3))
+@example(([[(0.0, 0.0)] * 4], [(0.0, 5e-324)]))
 def test_pincer_matches_reference_at_four_and_five_pursuers(batch):
     check_pincer_against_reference(batch)
 

@@ -146,6 +146,13 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path)]) == 2
         assert "env" in capsys.readouterr().err
 
+    def test_negative_seed_override_refused(self, tmp_path, capsys):
+        # --seed goes through with_overrides; it used to fail in SeedSequence
+        # with a bare ValueError
+        assert main(["train", "--config", str(DATA / "final_snapshot_config.json"),
+                     "--seed", "-1", "--out", str(tmp_path / "bad-seed")]) == 2
+        assert "error: run.seed: must be >= 0" in capsys.readouterr().err
+
     def test_resume_digest_mismatch(self, tmp_path):
         cfg_path, out_dir = write_config(tmp_path)
         main(["train", "--config", str(cfg_path)])

@@ -2,8 +2,11 @@
 
 import json
 import math
+import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from torus_pursuit.config import (
     load_config,
     save_config,
 )
+from torus_pursuit.curriculum import SessionSpec
 from torus_pursuit.ddpg import TeamLearner
 from torus_pursuit.errors import (
     ConfigError,
@@ -30,6 +34,69 @@ from torus_pursuit.trajectory import (
 )
 
 V1_HEADER = "episode,step,agent,x,y,heading,action,reward,captured,ratio"
+DATA = Path(__file__).parent / "data"
+
+# a session entry's required fields; session fields are checked inside a
+# one-session plan built from these values
+SESSION = {"v0": 1.0, "v_target": 0.8, "v_decay": 10, "epochs": 10}
+SESSION_PATH = "curriculum.sessions[0]"
+
+
+def schema_fields():
+    """(path, field, annotation, default) of every config field, read from the dataclasses."""
+    defaults = ExperimentConfig()
+    found = []
+    for section in fields(ExperimentConfig):
+        value = getattr(defaults, section.name)
+        kinds = get_type_hints(type(value))
+        found += [(section.name, f.name, kinds[f.name], getattr(value, f.name))
+                  for f in fields(value) if f.name != "sessions"]
+    kinds = get_type_hints(SessionSpec)
+    found += [(SESSION_PATH, f.name, kinds[f.name], SESSION.get(f.name, f.default))
+              for f in fields(SessionSpec)]
+    return found
+
+
+def field_doc(path, name, value):
+    """A config document that sets one field to `value`."""
+    if path == SESSION_PATH:
+        return {"curriculum": {"sessions": [{**SESSION, name: value}]}}
+    return {path: {name: value}}
+
+
+def field_value(config, path, name):
+    section = config.curriculum.sessions[0] if path == SESSION_PATH else getattr(config, path)
+    return getattr(section, name)
+
+
+# values of each annotation's wrong JSON type (or, for layer lists, a wrong entry)
+WRONG_VALUES = {
+    int: [1.5, True, "1", None],
+    float: [True, "0.5", None, [0.5]],
+    bool: [1, "true", None],
+    str: [1, None, ["x"]],
+    tuple[int, ...]: ["8", 8, [8.0], [True], [0], [{}]],
+}
+# a valid value other than the default, where the generic rule below gives none
+NON_DEFAULT = {("run", "strategy"): "greedy"}
+
+
+def non_default(path, name, kind, default):
+    if (path, name) in NON_DEFAULT:
+        return NON_DEFAULT[path, name]
+    if kind is bool:
+        return not default
+    if kind is int:
+        return default + 1
+    if kind is float:
+        return default / 2
+    if kind is str:
+        return default + "-other"
+    return (*default, 7)
+
+
+SCHEMA_FIELDS = schema_fields()
+FIELD_IDS = [f"{path}.{name}" for path, name, _, _ in SCHEMA_FIELDS]
 
 
 class TestConfigDefaults:
@@ -126,6 +193,63 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"run\.pincer_k: .*n=4 .*k=3"):
             config_from_dict({"env": {"n": 4}, "run": {"strategy": "pincer", "pincer_k": 3}})
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"ddpg": {"tau": 2.0}}, r"ddpg\.tau: must be in \(0, 1\]"),
+        ({"ddpg": {"theta_ou": math.nan}}, r"ddpg\.theta_ou: must be in \[0, 2\]"),
+        ({"ddpg": {"theta_ou": math.inf}}, r"ddpg\.theta_ou: must be in \[0, 2\]"),
+        ({"ddpg": {"sigma_ou": math.nan}}, r"ddpg\.sigma_ou: must be finite and >= 0"),
+        ({"ddpg": {"sigma_ou": math.inf}}, r"ddpg\.sigma_ou: must be finite and >= 0"),
+        ({"run": {"seed": -1}}, r"run\.seed: must be >= 0"),
+    ], ids=["tau 2", "theta_ou nan", "theta_ou inf", "sigma_ou nan", "sigma_ou inf", "seed -1"])
+    def test_values_that_crash_later_refused_at_load(self, doc, message):
+        # each used to load and fail only once training ran
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(doc)
+
+    def test_session_v_decay_below_one_refused_at_load(self):
+        # it used to load and fail as a bare ValueError when training began
+        with pytest.raises(ConfigError, match=r"curriculum\.sessions\[0\]: v_decay must be >= 1"):
+            config_from_dict({"curriculum": {"sessions": [{**SESSION, "v_decay": 0}]}})
+
+    def test_bounds_are_inclusive_where_documented(self):
+        cfg = config_from_dict({"ddpg": {"tau": 1, "theta_ou": 2, "sigma_ou": 0}})
+        assert (cfg.ddpg.tau, cfg.ddpg.theta_ou, cfg.ddpg.sigma_ou) == (1.0, 2.0, 0.0)
+        # a JSON int reads as the float it names, so it digests as that float
+        as_floats = config_from_dict({"ddpg": {"tau": 1.0, "theta_ou": 2.0, "sigma_ou": 0.0}})
+        assert cfg.digest() == as_floats.digest()
+        assert config_from_dict({"ddpg": {"theta_ou": 0.0}}).ddpg.theta_ou == 0.0
+
+    @pytest.mark.parametrize("path,name,kind,default", SCHEMA_FIELDS, ids=FIELD_IDS)
+    def test_field_of_wrong_type_refused(self, path, name, kind, default):
+        for value in WRONG_VALUES[kind]:
+            with pytest.raises(ConfigError, match=re.escape(f"{path}.{name}: expected")):
+                config_from_dict(field_doc(path, name, value))
+
+    @pytest.mark.parametrize("path,name,kind,default", SCHEMA_FIELDS, ids=FIELD_IDS)
+    def test_field_round_trips_through_file(self, tmp_path, path, name, kind, default):
+        value = non_default(path, name, kind, default)
+        assert value != default
+        cfg = config_from_dict(json.loads(json.dumps(field_doc(path, name, value))))
+        assert field_value(cfg, path, name) == value
+        save_config(cfg, tmp_path / "config.json")
+        loaded = load_config(tmp_path / "config.json")
+        assert loaded == cfg
+        assert field_value(loaded, path, name) == value
+
+    def test_session_field_without_default_required(self):
+        for name in SESSION:
+            entry = {k: v for k, v in SESSION.items() if k != name}
+            with pytest.raises(ConfigError, match=re.escape(f"{SESSION_PATH}.{name}: required")):
+                config_from_dict({"curriculum": {"sessions": [entry]}})
+
+    @pytest.mark.parametrize("doc,path", [
+        ({"env": 3}, "env"), ({"curriculum": []}, "curriculum"),
+        ({"curriculum": {"sessions": [5]}}, SESSION_PATH),
+    ])
+    def test_section_not_an_object_refused(self, doc, path):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: expected a JSON object")):
+            config_from_dict(doc)
+
     def test_round_trip_file(self, tmp_path):
         cfg = config_from_dict(
             {"env": {"n": 2, "episode_length": 100},
@@ -202,6 +326,12 @@ class TestCheckpointRoundTrip:
         cfg = ExperimentConfig()
         assert cfg.legacy_digest() == (
             "8baea11ee1a07c0f45aecea66a8ed4ef7c982ff9481c4a04290afc674d51439a"
+        )
+        assert cfg.digest() == (
+            "fe7cb3cf53d3504f3f0040ac5be75be45904fcfaae7fba39bbf9c637528663e2"
+        )
+        assert load_config(DATA / "final_snapshot_config.json").digest() == (
+            "2a3d391842d94adb5b29245c2aa810fed4913a702ee98d763983da5427b5c8b9"
         )
         assert cfg.digest() != cfg.legacy_digest()
         learner = self.make_learner()

@@ -172,6 +172,16 @@ class TestAnalyzeLogs:
             analyze_logs(paths, out_dir=tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "name", ["ic_report.json", "success.csv", "capture_angles.csv", "capture_angle_stats.csv"]
+    )
+    def test_committed_reports_reproduced_byte_for_byte(self, tmp_path, name):
+        # the committed reports are `torus-pursuit analyze` over the committed
+        # v1 log at the default bins (heading 16, angle 36)
+        analyze_logs([ref.V1_LOG], out_dir=tmp_path)
+        want = ref.V1_LOG.parent / "analyze_v1_greedy_n3" / name
+        assert (tmp_path / name).read_bytes() == want.read_bytes()
+
     def test_empty_logs_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"
         with TrajectoryWriter(empty):

@@ -87,31 +87,16 @@ def analyze_logs(
         success_rows.append((ratio, len(eps), sum(e.captured for e in eps), success))
 
         logs = [e.actions for e in eps if e.steps >= 2]
-        report = ic_report(logs, n_agents, heading_bins) if logs else None
-        pair_docs = []
-        if report is not None:
-            for (i, j), vals in sorted(report.pairs.items()):
-                pair_docs.append(
-                    {
-                        "i": i,
-                        "j": j,
-                        "mi_bits": vals["mi_bits"],
-                        "high_influence_fraction": vals["high_influence_fraction"],
-                        "n_pairs": int(vals["n_pairs"]),
-                    }
-                )
+        pairs = ic_report(logs, n_agents, heading_bins) if logs else {}
+        pair_docs = [{"i": i, "j": j, **vals} for (i, j), vals in pairs.items()]
         per_ratio.append(
             {
                 "ratio": ratio,
                 "episodes": len(eps),
                 "success_rate": success,
                 "pairs": pair_docs,
-                "mean_mi_bits": report.mean_mi_bits if report is not None else 0.0,
-                "mean_high_influence_fraction": (
-                    float(np.mean([p["high_influence_fraction"] for p in pair_docs]))
-                    if pair_docs
-                    else 0.0
-                ),
+                "mean_mi_bits": _pair_mean(pair_docs, "mi_bits"),
+                "mean_high_influence_fraction": _pair_mean(pair_docs, "high_influence_fraction"),
             }
         )
 
@@ -141,6 +126,10 @@ def analyze_logs(
         for row in angle_stat_rows:
             fh.write(",".join(row) + "\n")
     return doc
+
+
+def _pair_mean(pair_docs: list[dict], key: str) -> float:
+    return float(np.mean([p[key] for p in pair_docs])) if pair_docs else 0.0
 
 
 def _angle_rows(ratio: float, hist: CaptureAngleHistogram) -> list[tuple[str, ...]]:

@@ -46,9 +46,11 @@ class DdpgConfig:
     critic_hidden: tuple[int, ...] = (128, 128, 128)
 
     def __post_init__(self) -> None:
-        for name in ("lr_actor", "lr_critic", "clip_norm"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"ddpg.{name}: must be > 0")
+        for name in ("lr_actor", "lr_critic"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"ddpg.{name}: must be finite and > 0")
+        if not self.clip_norm > 0.0:
+            raise ConfigError("ddpg.clip_norm: must be > 0")
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError("ddpg.tau: must be in (0, 1]")
         if not 0.0 <= self.gamma <= 1.0:
@@ -168,7 +170,12 @@ def _value(value, kind, path: str):
         return tuple(value)
     if not isinstance(value, _JSON_KINDS[kind]) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: integer beyond the float range") from None
 
 
 def _parse(cls, section, path: str, **given):
@@ -232,7 +239,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     return config_from_dict(doc)
 

@@ -2,40 +2,25 @@
 
 Instantaneous coordination between agents i and j is the mutual information
 (in bits) between i's action heading at step t and j's at step t+1, estimated
-by binning headings into B uniform bins and plugging the pooled joint counts
-into the discrete MI formula. Per-pair pointwise terms give the fraction of
-"high-influence" step pairs (pointwise value strictly above the mean, which
-equals the plug-in MI). Capture-angle histograms summarize where each pursuer
-sits relative to the evader at the moment of capture.
+by binning headings into B uniform bins, counting the step pairs into a plain
+(B, B) int64 joint table, and plugging that table into the discrete MI
+formula. The same table gives the share of "high-influence" step pairs: those
+whose pointwise value log2 p(a, b) / (p(a) p(b)) is strictly above the mean
+pointwise value over all step pairs (the mean equals the plug-in MI). A table
+whose observed pairs all share one pointwise value has none above the mean,
+so its share is exactly 0. `ic_report` gives, per ordered pair, the MI, the
+share and `n_pairs`, the integer count of step pairs in the table.
+Capture-angle histograms summarize where each pursuer sits relative to the
+evader at the moment of capture.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-
-@dataclass
-class ActionHistogram:
-    """Joint counts of (bin of a_i at t, bin of a_j at t+1)."""
-
-    bins: int
-    joint_counts: np.ndarray  # (B, B) integer
-
-    @property
-    def n_pairs(self) -> int:
-        return int(self.joint_counts.sum())
-
-    @property
-    def row_marginal(self) -> np.ndarray:
-        return self.joint_counts.sum(axis=1)
-
-    @property
-    def col_marginal(self) -> np.ndarray:
-        return self.joint_counts.sum(axis=0)
 
 
 def _step_pair_bins(
@@ -71,103 +56,77 @@ def _step_pair_bins(
     return binned[now], binned[now + 1]
 
 
-def _joint_counts(now: np.ndarray, nxt: np.ndarray, i: int, j: int, bins: int) -> ActionHistogram:
-    """Joint table of agent i's bin at t against agent j's at t+1."""
-    cells = np.bincount(now[:, i] * bins + nxt[:, j], minlength=bins * bins)
-    return ActionHistogram(bins=bins, joint_counts=cells.reshape(bins, bins))
-
-
-def build_action_histogram(
-    action_logs: Sequence[np.ndarray], i: int, j: int, bins: int
-) -> ActionHistogram:
-    """Pool (t, t+1) heading pairs across trajectories into joint counts.
-
-    Each log is a (T, n_agents) array of action headings; pairs are formed
-    within a trajectory only.
-    """
+def _joint_counts(now: np.ndarray, nxt: np.ndarray, i: int, j: int, bins: int) -> np.ndarray:
+    """(bins, bins) int64 table of agent i's bin at t against agent j's at t+1."""
     if i == j:
         raise ValueError("agent indices must differ")
-    return _joint_counts(*_step_pair_bins(action_logs, bins), i, j, bins)
+    return np.bincount(now[:, i] * bins + nxt[:, j], minlength=bins * bins).reshape(bins, bins)
 
 
-def mutual_information_bits(hist: ActionHistogram) -> float:
-    """Plug-in MI of the joint table, in bits; 0*log 0 terms contribute 0."""
-    n = hist.n_pairs
-    p_joint = hist.joint_counts / n
-    p_row = hist.row_marginal / n
-    p_col = hist.col_marginal / n
-    nz = hist.joint_counts > 0
-    ratio = p_joint[nz] / np.outer(p_row, p_col)[nz]
-    return float(np.sum(p_joint[nz] * np.log2(ratio)))
+def _observed_cells(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Count, probability p(a, b) and ratio p(a, b) / (p(a) p(b)) of every
+    nonzero cell of a (B, B) joint-count table, in row-major order."""
+    n = counts.sum()
+    nz = counts > 0
+    p_joint = counts[nz] / n
+    outer = np.outer(counts.sum(axis=1) / n, counts.sum(axis=0) / n)
+    return counts[nz], p_joint, p_joint / outer[nz]
 
 
-def pointwise_information_bits(hist: ActionHistogram) -> np.ndarray:
-    """Pointwise MI value of every observed pair (one entry per step pair)."""
-    n = hist.n_pairs
-    p_joint = hist.joint_counts / n
-    outer = np.outer(hist.row_marginal / n, hist.col_marginal / n)
-    rows, cols = np.nonzero(hist.joint_counts)
-    cells = np.array(
-        [math.log2(p_joint[r, c] / outer[r, c]) for r, c in zip(rows, cols)], dtype=np.float64
-    )
-    return np.repeat(cells, hist.joint_counts[rows, cols])
+def mutual_information_bits(counts: np.ndarray) -> float:
+    """Plug-in MI of a (B, B) joint-count table, in bits; 0*log 0 terms
+    contribute 0."""
+    _, p_joint, ratio = _observed_cells(counts)
+    return float(np.sum(p_joint * np.log2(ratio)))
 
 
-def _high_influence_share(hist: ActionHistogram) -> float:
-    pmi = pointwise_information_bits(hist)
-    return float(np.mean(pmi > np.mean(pmi)))
+def high_influence_share(counts: np.ndarray) -> float:
+    """Share of the table's step pairs whose pointwise value is strictly above
+    the mean pointwise value; exactly 0 when every observed cell has the same
+    value, where the rounded mean could otherwise land below them all."""
+    weights, _, ratio = _observed_cells(counts)
+    # math.log2 per cell: np.log2 can differ in the last bit, which can move a
+    # cell across the mean, and the committed reports pin these shares
+    cells = np.array([math.log2(r) for r in ratio.tolist()], dtype=np.float64)
+    if cells.min() == cells.max():
+        return 0.0
+    above = cells > np.mean(np.repeat(cells, weights))
+    return float(weights[above].sum() / weights.sum())
 
 
 def instantaneous_coordination(
     action_logs: Sequence[np.ndarray], i: int, j: int, bins: int = 16
 ) -> float:
     """MI in bits between agent i's action at t and agent j's at t+1."""
-    return mutual_information_bits(build_action_histogram(action_logs, i, j, bins))
+    return mutual_information_bits(_joint_counts(*_step_pair_bins(action_logs, bins), i, j, bins))
 
 
 def high_influence_fraction(
     action_logs: Sequence[np.ndarray], i: int, j: int, bins: int = 16
 ) -> float:
-    """Fraction of step pairs whose pointwise value strictly exceeds the mean.
-
-    The mean of the pointwise values over observed pairs equals the plug-in
-    MI, so a degenerate table (every pair at the same pointwise value) gives
-    exactly 0.
-    """
-    return _high_influence_share(build_action_histogram(action_logs, i, j, bins))
-
-
-@dataclass
-class IcReport:
-    """Per ordered pair: MI, high-influence fraction, and sample count."""
-
-    bins: int
-    pairs: dict[tuple[int, int], dict[str, float]] = field(default_factory=dict)
-
-    @property
-    def mean_mi_bits(self) -> float:
-        if not self.pairs:
-            return 0.0
-        return float(np.mean([v["mi_bits"] for v in self.pairs.values()]))
+    """Share of step pairs (i at t, j at t+1) whose pointwise value is strictly
+    above the mean; see `high_influence_share`."""
+    return high_influence_share(_joint_counts(*_step_pair_bins(action_logs, bins), i, j, bins))
 
 
 def ic_report(
     action_logs: Sequence[np.ndarray], n_agents: int, bins: int = 16
-) -> IcReport:
-    """MI and high-influence fraction for every ordered agent pair."""
-    report = IcReport(bins=bins)
+) -> dict[tuple[int, int], dict[str, float | int]]:
+    """MI, high-influence share and integer step-pair count for every ordered
+    agent pair (i, j), in (i, j) order."""
     if n_agents < 2:
-        return report
+        return {}
     now, nxt = _step_pair_bins(action_logs, bins)
+    report = {}
     for i in range(n_agents):
         for j in range(n_agents):
             if i == j:
                 continue
-            hist = _joint_counts(now, nxt, i, j, bins)
-            report.pairs[(i, j)] = {
-                "mi_bits": mutual_information_bits(hist),
-                "high_influence_fraction": _high_influence_share(hist),
-                "n_pairs": float(hist.n_pairs),
+            counts = _joint_counts(now, nxt, i, j, bins)
+            report[(i, j)] = {
+                "mi_bits": mutual_information_bits(counts),
+                "high_influence_fraction": high_influence_share(counts),
+                "n_pairs": int(counts.sum()),
             }
     return report
 

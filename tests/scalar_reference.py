@@ -35,7 +35,6 @@ from torus_pursuit.errors import (
 )
 from torus_pursuit.evaluation import ratio_label, write_success_table
 from torus_pursuit.geometry import normalize_angle
-from torus_pursuit.metrics import ActionHistogram
 from torus_pursuit.pursuit import BALANCE_TIE_BAND, check_pincer_grid
 from torus_pursuit.trajectory import TRAJECTORY_HEADER, EpisodeTrace
 
@@ -548,9 +547,9 @@ def read_trajectories(path: str | Path) -> list[EpisodeTrace]:
 
 def build_action_histogram(
     action_logs: Sequence[np.ndarray], i: int, j: int, bins: int
-) -> ActionHistogram:
-    """Joint counts of (bin of a_i at t, bin of a_j at t+1), binned and added
-    one log at a time with `np.add.at`."""
+) -> np.ndarray:
+    """(bins, bins) int64 joint counts of (bin of a_i at t, bin of a_j at
+    t+1), binned and added one log at a time with `np.add.at`."""
     if i == j:
         raise ValueError("agent indices must differ")
     counts = np.zeros((bins, bins), dtype=np.int64)
@@ -569,4 +568,4 @@ def build_action_histogram(
         total += arr.shape[0] - 1
     if total == 0:
         raise ValueError("no step pairs: need at least one trajectory of length >= 2")
-    return ActionHistogram(bins=bins, joint_counts=counts)
+    return counts

@@ -153,6 +153,19 @@ class TestTrainCommand:
                      "--seed", "-1", "--out", str(tmp_path / "bad-seed")]) == 2
         assert "error: run.seed: must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("lr_actor", "Infinity", "ddpg.lr_actor: must be finite and > 0"),
+        ("gamma", "1" + "0" * 400, "ddpg.gamma: integer beyond the float range"),
+    ], ids=["lr_actor Infinity", "gamma 1e400 as an integer"])
+    def test_value_refused_at_load_exits_cleanly(self, tmp_path, capsys, key, value, message):
+        # an infinite learning rate would load and fail at the first update
+        text = (DATA / "final_snapshot_config.json").read_text()
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace('"ddpg": {', f'"ddpg": {{"{key}": {value}, ', 1))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_resume_digest_mismatch(self, tmp_path):
         cfg_path, out_dir = write_config(tmp_path)
         main(["train", "--config", str(cfg_path)])

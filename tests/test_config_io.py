@@ -139,6 +139,11 @@ class TestConfigValidation:
             config_from_dict({"run": {"strategy": "teleport"}})
         with pytest.raises(ConfigError, match=r"ddpg\.batch_size"):
             config_from_dict({"ddpg": {"batch_size": "large"}})
+        # a JSON integer beyond the float range cannot become a float field's value
+        for section, name in (("ddpg", "gamma"), ("env", "evader_speed")):
+            message = rf"{section}\.{name}: integer beyond the float range"
+            with pytest.raises(ConfigError, match=message):
+                config_from_dict(json.loads(f'{{"{section}": {{"{name}": 1{"0" * 400}}}}}'))
 
     def test_schema_version_checked(self):
         with pytest.raises(ConfigError, match="schema_version"):
@@ -200,7 +205,10 @@ class TestConfigValidation:
         ({"ddpg": {"sigma_ou": math.nan}}, r"ddpg\.sigma_ou: must be finite and >= 0"),
         ({"ddpg": {"sigma_ou": math.inf}}, r"ddpg\.sigma_ou: must be finite and >= 0"),
         ({"run": {"seed": -1}}, r"run\.seed: must be >= 0"),
-    ], ids=["tau 2", "theta_ou nan", "theta_ou inf", "sigma_ou nan", "sigma_ou inf", "seed -1"])
+        ({"ddpg": {"lr_actor": math.inf}}, r"ddpg\.lr_actor: must be finite and > 0"),
+        ({"ddpg": {"lr_critic": math.inf}}, r"ddpg\.lr_critic: must be finite and > 0"),
+    ], ids=["tau 2", "theta_ou nan", "theta_ou inf", "sigma_ou nan", "sigma_ou inf", "seed -1",
+            "lr_actor inf", "lr_critic inf"])
     def test_values_that_crash_later_refused_at_load(self, doc, message):
         # each used to load and fail only once training ran
         with pytest.raises(ConfigError, match=message):
@@ -265,6 +273,10 @@ class TestConfigValidation:
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(path)
+        # past Python's integer digit limit the parser raises a plain ValueError
+        path.write_text('{"ddpg": {"gamma": 1' + "0" * 5000 + "}}")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
 

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from torus_pursuit.metrics import (
-    ActionHistogram,
-    build_action_histogram,
+    _step_pair_bins,
     capture_angle_histogram,
     capture_success_rate,
     high_influence_fraction,
+    high_influence_share,
     ic_report,
     instantaneous_coordination,
     mutual_information_bits,
-    pointwise_information_bits,
 )
 
 
@@ -24,13 +23,29 @@ def bin_center(idx, bins=16):
 
 
 def bins_of(thetas, bins):
-    """Bin of each heading, as `build_action_histogram` bins it: the log steps
-    agent 0 through the headings, so row r of the joint table counts those in
-    bin r."""
+    """Bin of each heading, as the estimator bins it: the log steps agent 0
+    through the headings, so its bins at t are theirs."""
     log = np.zeros((len(thetas) + 1, 2))
     log[:-1, 0] = thetas
-    hist = build_action_histogram([log], 0, 1, bins)
-    return np.repeat(np.arange(bins), hist.row_marginal).tolist()
+    now, _ = _step_pair_bins([log], bins)
+    return now[:, 0].tolist()
+
+
+def pointwise_bits(joint):
+    """Pointwise value log2 p(a, b) / (p(a) p(b)) of every observed cell, with
+    the cell's count."""
+    n = joint.sum()
+    rows, cols = np.nonzero(joint)
+    p_a = joint.sum(axis=1)[rows] / n
+    p_b = joint.sum(axis=0)[cols] / n
+    return np.log2(joint[rows, cols] / n / (p_a * p_b)), joint[rows, cols]
+
+
+def copy_log(bins, per_bin):
+    """Agent 1 repeats agent 0's previous bin-centre heading; each of the
+    `bins` bins occurs `per_bin` times among the (0 at t, 1 at t+1) pairs."""
+    headings = np.array([bin_center(t % bins, bins) for t in range(bins * per_bin + 1)])
+    return np.stack([headings, np.roll(headings, 1)], axis=1)
 
 
 class TestDiscretize:
@@ -52,7 +67,9 @@ class TestDiscretize:
     def test_fewer_than_two_bins_rejected(self, bins):
         logs = [np.zeros((5, 3))]
         with pytest.raises(ValueError, match=f"need at least 2 bins, got {bins}"):
-            build_action_histogram(logs, 0, 1, bins)
+            instantaneous_coordination(logs, 0, 1, bins)
+        with pytest.raises(ValueError, match="need at least 2 bins"):
+            high_influence_fraction(logs, 0, 1, bins)
         with pytest.raises(ValueError, match="need at least 2 bins"):
             ic_report(logs, 3, bins)
 
@@ -61,7 +78,9 @@ class TestDiscretize:
         logs = [np.zeros((5, 3)), np.zeros((4, 3))]
         logs[1][2, 1] = bad
         with pytest.raises(ValueError, match="non-finite heading"):
-            build_action_histogram(logs, 0, 2, 16)
+            instantaneous_coordination(logs, 0, 2, 16)
+        with pytest.raises(ValueError, match="non-finite heading"):
+            high_influence_fraction(logs, 0, 2, 16)
         with pytest.raises(ValueError, match="non-finite heading"):
             ic_report(logs, 3, 16)
 
@@ -78,12 +97,12 @@ class TestMutualInformation:
         row = np.array([10, 20, 30, 40])
         col = np.array([25, 25, 25, 25])
         joint = np.outer(row, col)  # exactly product form
-        mi = mutual_information_bits(ActionHistogram(4, joint))
+        mi = mutual_information_bits(joint)
         assert mi == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_copy_uniform_marginals(self):
         joint = np.diag(np.full(16, 50, dtype=np.int64))
-        mi = mutual_information_bits(ActionHistogram(16, joint))
+        mi = mutual_information_bits(joint)
         assert mi == pytest.approx(4.0, abs=1e-12)
 
     def test_hand_table_matches_direct_summation(self):
@@ -97,7 +116,7 @@ class TestMutualInformation:
                 pi = joint[i].sum() / n
                 pj = joint[:, j].sum() / n
                 direct += p * math.log2(p / (pi * pj))
-        mi = mutual_information_bits(ActionHistogram(2, joint))
+        mi = mutual_information_bits(joint)
         assert mi == pytest.approx(direct, abs=1e-12)
 
     def test_non_negative_and_bounded(self):
@@ -107,14 +126,14 @@ class TestMutualInformation:
             joint = rng.integers(0, 20, size=(b, b))
             if joint.sum() == 0:
                 continue
-            mi = mutual_information_bits(ActionHistogram(b, joint))
+            mi = mutual_information_bits(joint)
             assert -1e-12 <= mi <= math.log2(b) + 1e-12
 
     def test_symmetric_under_transpose(self):
         rng = np.random.default_rng(5)
         joint = rng.integers(0, 50, size=(8, 8))
-        a = mutual_information_bits(ActionHistogram(8, joint))
-        b = mutual_information_bits(ActionHistogram(8, joint.T))
+        a = mutual_information_bits(joint)
+        b = mutual_information_bits(joint.T)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_plug_in_bias_bound(self):
@@ -124,26 +143,22 @@ class TestMutualInformation:
         b = rng.integers(0, 16, size=n)
         joint = np.zeros((16, 16), dtype=np.int64)
         np.add.at(joint, (a, b), 1)
-        mi = mutual_information_bits(ActionHistogram(16, joint))
+        mi = mutual_information_bits(joint)
         assert mi < 0.05
 
     def test_mean_pointwise_equals_plug_in(self):
         rng = np.random.default_rng(9)
         joint = rng.integers(0, 30, size=(6, 6))
-        hist = ActionHistogram(6, joint)
-        pmi = pointwise_information_bits(hist)
-        assert float(np.mean(pmi)) == pytest.approx(
-            mutual_information_bits(hist), abs=1e-12
+        cells, counts = pointwise_bits(joint)
+        assert float(np.mean(np.repeat(cells, counts))) == pytest.approx(
+            mutual_information_bits(joint), abs=1e-12
         )
 
 
 class TestTrajectoryPooling:
     def test_copycat_trajectories_hit_log2_bins(self):
         # agent 1 copies agent 0's previous action; marginals uniform over 16 bins
-        steps = 16 * 40 + 1
-        headings = np.array([bin_center(t % 16) for t in range(steps)])
-        log = np.stack([headings, np.roll(headings, 1)], axis=1)
-        mi = instantaneous_coordination([log], 0, 1, bins=16)
+        mi = instantaneous_coordination([copy_log(16, 40)], 0, 1, bins=16)
         assert mi == pytest.approx(4.0, abs=0.01)
 
     def test_independent_actions_near_zero(self):
@@ -172,23 +187,30 @@ class TestTrajectoryPooling:
 
 class TestHighInfluence:
     def test_degenerate_copy_gives_zero(self):
-        steps = 16 * 20 + 1
-        headings = np.array([bin_center(t % 16) for t in range(steps)])
-        log = np.stack([headings, np.roll(headings, 1)], axis=1)
-        assert high_influence_fraction([log], 0, 1, bins=16) == 0.0
+        assert high_influence_fraction([copy_log(16, 20)], 0, 1, bins=16) == 0.0
 
     def test_hand_table_fraction(self):
         joint = np.array([[40, 10], [10, 40]], dtype=np.int64)
-        hist = ActionHistogram(2, joint)
-        pmi = pointwise_information_bits(hist)
-        mean = float(np.mean(pmi))
-        expected = float(np.mean(pmi > mean))
+        share = high_influence_share(joint)
         # direct enumeration: the 80 diagonal entries have pmi log2(1.6) > mean
+        mean = mutual_information_bits(joint)
         diag_pmi = math.log2((40 / 100) / (0.5 * 0.5))
         off_pmi = math.log2((10 / 100) / (0.5 * 0.5))
         hand = (80 * (diag_pmi > mean) + 20 * (off_pmi > mean)) / 100
-        assert expected == pytest.approx(hand, abs=1e-12)
-        assert expected == pytest.approx(0.8, abs=1e-12)
+        assert share == pytest.approx(hand, abs=1e-12)
+        assert share == pytest.approx(0.8, abs=1e-12)
+
+    @pytest.mark.parametrize("bins", [3, 6, 11, 12])
+    def test_balanced_copy_gives_exactly_zero(self, bins):
+        # every pair sits at log2(bins) bits, so none is strictly above the
+        # mean, though at these bin counts the rounded mean falls below them
+        for per_bin in (5, 40):
+            log = copy_log(bins, per_bin)
+            assert high_influence_fraction([log], 0, 1, bins=bins) == 0.0
+            pair = ic_report([log], 2, bins)[(0, 1)]
+            assert pair["high_influence_fraction"] == 0.0
+            assert pair["n_pairs"] == bins * per_bin
+            assert pair["mi_bits"] == pytest.approx(math.log2(bins), abs=1e-12)
 
     def test_independent_band(self):
         rng = np.random.default_rng(17)

@@ -19,9 +19,12 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from torus_pursuit.metrics import (
-    _high_influence_share,
-    build_action_histogram,
+    _joint_counts,
+    _step_pair_bins,
+    high_influence_fraction,
+    high_influence_share,
     ic_report,
+    instantaneous_coordination,
     mutual_information_bits,
 )
 from torus_pursuit.config import config_from_dict
@@ -174,12 +177,16 @@ def test_ic_report_matches_per_pair_histograms(n, bins, lengths, data):
             ic_report(logs, n, bins)
         return
     report = ic_report(logs, n, bins)
-    assert sorted(report.pairs) == pairs
+    assert list(report) == pairs
     for i, j in pairs:
         want = ref.build_action_histogram(logs, i, j, bins)
-        got = build_action_histogram(logs, i, j, bins)
-        assert np.array_equal(got.joint_counts, want.joint_counts)
-        vals = report.pairs[(i, j)]
-        assert vals["n_pairs"] == float(want.n_pairs)
-        assert bits(vals["mi_bits"]) == bits(mutual_information_bits(want))
-        assert bits(vals["high_influence_fraction"]) == bits(_high_influence_share(want))
+        got = _joint_counts(*_step_pair_bins(logs, bins), i, j, bins)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        vals = report[(i, j)]
+        assert type(vals["n_pairs"]) is int and vals["n_pairs"] == want.sum()
+        mi, share = mutual_information_bits(want), high_influence_share(want)
+        assert bits(vals["mi_bits"]) == bits(mi)
+        assert bits(vals["high_influence_fraction"]) == bits(share)
+        # the one-pair functions give the report's values too
+        assert bits(instantaneous_coordination(logs, i, j, bins)) == bits(mi)
+        assert bits(high_influence_fraction(logs, i, j, bins)) == bits(share)

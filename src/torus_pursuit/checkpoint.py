@@ -43,10 +43,12 @@ final ``checkpoint.json`` manifest and names ``checkpoint.npz`` as its
 sidecar, so deleting ``checkpoint.npz``, or a later run writing another
 one into the same directory, breaks that snapshot too. The final
 checkpoint never refers to a snapshot's sidecar, so deleting snapshots leaves
-it whole. A team updates in lockstep, so loading also
-requires every agent's hyperparameters, Adam step counts and ring
-bookkeeping to agree, and refuses break slots that are not int64, not
-strictly increasing or outside the ring. Schema version 2 files, which hold
+it whole. Loading fills the team that the config, whose digest it checks,
+describes (``ddpg.make_team``), so the agent count and each agent's
+observation width, hyperparameters and ring capacity must be the config's. A
+team updates in lockstep, so loading also requires every agent's Adam step
+counts and ring bookkeeping to agree, and refuses break slots that are not
+int64, not strictly increasing or outside the ring. Schema version 2 files, which hold
 every ring field of every agent as its own entry, and schema version 1
 files, one JSON document whose arrays are inline ``{"shape", "data"}`` lists
 of decimal floats, still load.
@@ -63,7 +65,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .config import ExperimentConfig
-from .ddpg import TeamLearner
+from .ddpg import TeamLearner, make_team
 from .errors import CheckpointIntegrityError, DigestMismatchError, SchemaVersionError
 
 CHECKPOINT_SCHEMA_VERSION = 3
@@ -81,13 +83,11 @@ def _row_refs(key: str, row: np.ndarray, views: list[np.ndarray]) -> list[dict]:
     return [_array_ref(key, (v.ctypes.data - row.ctypes.data) // row.itemsize, v) for v in views]
 
 
-def _shape(doc: Any, where: str, dims: int | None = None) -> list[int]:
-    """A reference's shape: a list of sizes, ``dims`` of them if given."""
+def _shape(doc: Any, where: str) -> list[int]:
+    """A reference's shape: a list of sizes."""
     shape = doc.get("shape") if isinstance(doc, dict) else None
-    if (not isinstance(shape, list) or (dims is not None and len(shape) != dims)
-            or not all(type(d) is int and d >= 0 for d in shape)):
-        want = "sizes" if dims is None else f"{dims} sizes"
-        raise CheckpointIntegrityError(f"{where}: shape {shape!r} is not a list of {want}")
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise CheckpointIntegrityError(f"{where}: shape {shape!r} is not a list of sizes")
     return shape
 
 
@@ -141,8 +141,7 @@ _NETWORKS = ("actor", "critic", "actor_target", "critic_target")
 # the activations every network runs (see nn), written for each network
 _ACTIVATIONS = {"hidden_activation": "relu", "output_activation": "identity"}
 _OPTIMIZERS = {"adam_actor": "actor", "adam_critic": "critic"}
-_HYPERPARAMETERS = ("obs_dim", "gamma", "tau", "lr_actor", "lr_critic", "clip_norm",
-                    "theta_ou", "sigma_ou")
+_HYPERPARAMETERS = ("gamma", "tau", "lr_actor", "lr_critic", "clip_norm", "theta_ou", "sigma_ou")
 _BUFFER_FIELDS = ("obs", "actions", "rewards", "next_obs", "terminals")
 _TEAM_WIDE = ("rewards", "terminals", "next_obs.breaks")  # alike for every agent of a team
 
@@ -196,7 +195,8 @@ def _agent_doc(team: TeamLearner, i: int, arrays: dict[str, np.ndarray]) -> dict
     """Agent i's manifest entry; its state row and filled ring slices go to ``arrays``."""
     key, row, buf = f"agents.{i}", team.state[i], team.buffer
     arrays[key] = row
-    doc: dict[str, Any] = {name: getattr(team, name) for name in _HYPERPARAMETERS}
+    doc: dict[str, Any] = {"obs_dim": team.obs_dim}
+    doc.update((name, getattr(team.ddpg, name)) for name in _HYPERPARAMETERS)
     for name in _NETWORKS:
         net = getattr(team, name)
         weights, biases = net.layers(net.flat[i])
@@ -231,9 +231,8 @@ def _field(doc: dict, i: int, path: str) -> Any:
     return node
 
 
-def _agreed(docs: list[dict], path: str, kind: type = float) -> Any:
-    """The value at ``path``, which every agent of a team must hold alike: an
-    int, or with ``kind`` float any JSON number."""
+def _agreed(docs: list[dict], path: str) -> int:
+    """The integer at ``path``, which every agent of a team must hold alike."""
     first = _field(docs[0], 0, path)
     for i, doc in enumerate(docs[1:], start=1):
         value = _field(doc, i, path)
@@ -241,33 +240,35 @@ def _agreed(docs: list[dict], path: str, kind: type = float) -> Any:
             raise CheckpointIntegrityError(
                 f"agent {i} has {path} {value!r} but agent 0 has {first!r}; "
                 "a team's agents update in lockstep")
-    if type(first) not in ((int,) if kind is int else (int, float)):
-        raise CheckpointIntegrityError(
-            f"agent 0 has {path} {first!r}, want {'an integer' if kind is int else 'a number'}")
+    if type(first) is not int:
+        raise CheckpointIntegrityError(f"agent 0 has {path} {first!r}, want an integer")
     return first
 
 
-def _team_load(docs: list[dict], arrays: Mapping[str, np.ndarray]) -> TeamLearner:
-    """Builds the team from the per-agent entries, which must agree on every scalar."""
-    if not docs:
-        raise CheckpointIntegrityError("checkpoint holds no agents")
-    hyper = {name: _agreed(docs, name, int if name == "obs_dim" else float)
-             for name in _HYPERPARAMETERS}
-    ring = {name: _agreed(docs, f"buffer.{name}", int)
-            for name in ("capacity", "obs_dim", "next", "size")}
-    if not (ring["obs_dim"] == hyper["obs_dim"] and 0 <= ring["next"] < ring["capacity"]
-            and 0 <= ring["size"] <= ring["capacity"]):
+def _team_load(docs: list[dict], arrays: Mapping[str, np.ndarray],
+               config: ExperimentConfig) -> TeamLearner:
+    """Fills the team ``config`` describes from the per-agent entries, which must
+    hold the config's value of every scalar it fixes and agree on the others."""
+    team = make_team(config)
+    if len(docs) != team.n:
         raise CheckpointIntegrityError(
-            f"replay bookkeeping {ring} does not fit observations of {hyper['obs_dim']} inputs")
-    hidden = {  # agent 0's layer sizes; every agent's arrays are checked against them
-        net: tuple(_shape(ref, f"agent 0 {net}.weights", dims=2)[0]
-                   for ref in _field(docs[0], 0, f"{net}.weights")[:-1])
-        for net in _OPTIMIZERS.values()
-    }
-    team = TeamLearner(len(docs), actor_hidden=hidden["actor"], critic_hidden=hidden["critic"],
-                       buffer_capacity=ring["capacity"], **hyper)
+            f"checkpoint holds {len(docs)} agents, but the config's env.n is {team.n}")
+    strategy = f"run.strategy {config.run.strategy!r}"  # which fixes the observation width
+    fixed = {"obs_dim": (team.obs_dim, strategy), "buffer.obs_dim": (team.obs_dim, strategy),
+             "buffer.capacity": (team.buffer.capacity, "ddpg.buffer_capacity"),
+             **{name: (getattr(team.ddpg, name), f"ddpg.{name}") for name in _HYPERPARAMETERS}}
+    for i, doc in enumerate(docs):
+        for path, (want, source) in fixed.items():
+            if (got := _field(doc, i, path)) != want:
+                raise CheckpointIntegrityError(
+                    f"agent {i} has {path} {got!r}, but the config's {source} gives {want!r}")
+    ring = {name: _agreed(docs, f"buffer.{name}") for name in ("next", "size")}
+    capacity = team.buffer.capacity
+    if not (0 <= ring["next"] < capacity and 0 <= ring["size"] <= capacity):
+        raise CheckpointIntegrityError(
+            f"replay bookkeeping {ring} does not fit a ring of {capacity} transitions")
     for name in _OPTIMIZERS:
-        getattr(team, name).step = _agreed(docs, f"{name}.step", int)
+        getattr(team, name).step = _agreed(docs, f"{name}.step")
     team.buffer._next, team.buffer._size = ring["next"], ring["size"]
     for i, doc in enumerate(docs):
         for name in _NETWORKS:
@@ -414,9 +415,10 @@ def load_checkpoint(
     The checkpoint's config digest must be `config`'s, or its legacy digest
     (written while `env` held an unread `seed` field at 0); else
     DigestMismatchError. Raises CheckpointIntegrityError, naming the field
-    and the agent, when the manifest or an agent's entry lacks a field, an
-    agent disagrees with agent 0 on a hyperparameter, an Adam step count or
-    the ring bookkeeping, a count or an offset is not an integer, a
+    and the agent, when the manifest or an agent's entry lacks a field, the
+    agent count, an observation width, a hyperparameter or a ring capacity
+    is not the config's, an agent disagrees with agent 0 on an Adam step
+    count or the ring bookkeeping, a count or an offset is not an integer, a
     network's activation is not ReLU hidden and identity output, an array
     reference is malformed or of the wrong shape, or the sidecar entry is
     malformed or names a file outside the manifest's directory. The arrays
@@ -440,5 +442,5 @@ def load_checkpoint(
     if version > 1:
         with np.load(_verified_sidecar(manifest, doc["sidecar"]), allow_pickle=False) as z:
             arrays = {key: z[key] for key in z.files}  # each lookup rereads the member
-    team = _team_load(doc["agents"], arrays)
+    team = _team_load(doc["agents"], arrays, config)
     return team, doc["session"], doc["epoch"], doc["global_epoch"], doc["rng_states"]

@@ -26,7 +26,6 @@ from .config import (
     save_config,
     with_overrides,
 )
-from .environment import observation_dim
 from .errors import (
     AnalysisInputError,
     CheckpointIntegrityError,
@@ -85,12 +84,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         from .checkpoint import load_checkpoint
 
         team, *_ = load_checkpoint(args.checkpoint, config)
-        expected = observation_dim(config.env.n, config.run.strategy == "cd_ddpg_partial")
-        if team.obs_dim != expected:
-            raise ConfigError(
-                f"run.strategy: checkpoint observes {team.obs_dim} inputs "
-                f"but {config.run.strategy!r} needs {expected}"
-            )
     results = run_eval(
         config,
         ratios=ratios,

@@ -80,15 +80,14 @@ class SessionPlan:
             raise ValueError("a plan needs at least one session")
         if self.warmup_epochs < 0:
             raise ValueError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
-        for prev, cur in zip(self.sessions[:-1], self.sessions[1:]):
+        for idx, (prev, cur) in enumerate(zip(self.sessions[:-1], self.sessions[1:]), start=1):
             if abs(prev.v_target - cur.v0) > 1e-12:
                 raise ValueError(
                     f"sessions must chain: v_target {prev.v_target} != next v0 {cur.v0}"
                 )
-
-    @property
-    def total_epochs(self) -> int:
-        return sum(s.epochs for s in self.sessions)
+            if cur.use_scripted_warmup:
+                raise ValueError(f"sessions[{idx}].use_scripted_warmup: the scripted warm-up "
+                                 "runs in the first session only")
 
 
 def scripted_action(state: WorldState) -> np.ndarray:

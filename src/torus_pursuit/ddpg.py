@@ -14,7 +14,9 @@ ascends the critic's value of its own actions, chained through the
 unit-normalization head.
 
 One ``TeamLearner`` holds all n agents, with an agent axis in front of every
-array. Its state is one (n, S) array: row i is agent i's
+array. It reads every agent's layer sizes, ring capacity and
+hyperparameters from one config section, ``ddpg``; ``make_team`` builds the
+team a whole config describes. Its state is one (n, S) array: row i is agent i's
 ``actor | critic | actor_target | critic_target | adam_actor.m |
 adam_actor.v | adam_critic.m | adam_critic.v``, each laid out like a row of
 ``MlpParams.flat``, which is also the checkpoint sidecar's entry for agent i.
@@ -33,10 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
+from .environment import strategy_observation
 from .errors import BufferNotReadyError
 from .geometry import normalize_angle
 from .nn import (
@@ -50,6 +53,9 @@ from .nn import (
     mlp_init,
     polyak_update,
 )
+
+if TYPE_CHECKING:
+    from .config import DdpgConfig, ExperimentConfig
 
 ACTION_DIM = 2
 UNIT_NORM_TOLERANCE = 1e-9
@@ -192,42 +198,21 @@ class _Scratch(NamedTuple):
 class TeamLearner:
     """Actor-critic learners for n pursuers, held as stacked arrays.
 
-    With ``rng`` the networks are initialized agent by agent (actor, then
+    Every agent is as the config section ``ddpg`` (kept as ``self.ddpg``)
+    describes. With ``rng`` the networks are initialized agent by agent (actor, then
     critic), and the targets copy them; without it everything starts at zero
     for a loader to fill.
     """
 
-    def __init__(
-        self,
-        n: int,
-        obs_dim: int,
-        rng: np.random.Generator | None = None,
-        actor_hidden: tuple[int, ...] = (128, 128),
-        critic_hidden: tuple[int, ...] = (128, 128, 128),
-        gamma: float = 0.99,
-        tau: float = 0.001,
-        lr_actor: float = 1e-4,
-        lr_critic: float = 1e-3,
-        clip_norm: float = 0.5,
-        buffer_capacity: int = 500_000,
-        theta_ou: float = 0.15,
-        sigma_ou: float = 0.2,
-    ):
+    def __init__(self, n: int, obs_dim: int, ddpg: DdpgConfig,
+                 rng: np.random.Generator | None = None):
         if n < 1:
             raise ValueError(f"a team needs >= 1 agent, got {n}")
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {gamma}")
         self.n = n
         self.obs_dim = obs_dim
-        self.gamma = gamma
-        self.tau = tau
-        self.lr_actor = lr_actor
-        self.lr_critic = lr_critic
-        self.clip_norm = clip_norm
-        self.theta_ou = theta_ou
-        self.sigma_ou = sigma_ou
-        actor_sizes = (obs_dim, *actor_hidden, ACTION_DIM)
-        critic_sizes = (obs_dim + ACTION_DIM, *critic_hidden, 1)
+        self.ddpg = ddpg
+        actor_sizes = (obs_dim, *ddpg.actor_hidden, ACTION_DIM)
+        critic_sizes = (obs_dim + ACTION_DIM, *ddpg.critic_hidden, 1)
         if min(actor_sizes) < 1 or min(critic_sizes) < 1:
             raise ValueError(f"layer sizes must be positive, got {actor_sizes} and {critic_sizes}")
         pa, pc = _parameter_count(actor_sizes), _parameter_count(critic_sizes)
@@ -248,7 +233,7 @@ class TeamLearner:
             self.actor_target.flat[...] = self.actor.flat
             self.critic_target.flat[...] = self.critic.flat
         self.noise = np.zeros((n, ACTION_DIM))
-        self.buffer = ReplayBuffer(buffer_capacity, obs_dim, n)
+        self.buffer = ReplayBuffer(ddpg.buffer_capacity, obs_dim, n)
         self._act = Workspace(actor_sizes, 1, n)
         self._update: _Scratch | None = None
 
@@ -295,7 +280,7 @@ class TeamLearner:
             raise ValueError(f"{len(rngs)} random streams for {self.n} agents")
         g = np.array([rng.standard_normal(ACTION_DIM) for rng in rngs])
         x = self.noise
-        self.noise = x + self.theta_ou * (0.0 - x) + self.sigma_ou * g
+        self.noise = x + self.ddpg.theta_ou * (0.0 - x) + self.ddpg.sigma_ou * g
 
     def reset_noise(self) -> None:
         self.noise = np.zeros_like(self.noise)
@@ -312,7 +297,7 @@ class TeamLearner:
         x[..., : self.obs_dim] = batch.next_obs
         x[..., self.obs_dim :] = a_next
         q_next, _ = forward(self.critic_target, x, scratch.critic)
-        y = batch.rewards + self.gamma * (1.0 - batch.terminals) * q_next[..., 0]
+        y = batch.rewards + self.ddpg.gamma * (1.0 - batch.terminals) * q_next[..., 0]
         x[..., : self.obs_dim] = batch.obs
         x[..., self.obs_dim :] = batch.actions
         q, cache = forward(self.critic, x, scratch.critic)
@@ -320,8 +305,8 @@ class TeamLearner:
         loss = np.mean(diff**2, axis=1)
         gy = (2.0 * diff / b)[..., None]
         grads, _ = backward(self.critic, cache, gy, input_gradient=False)
-        clip_global_norm(self.critic, grads, self.clip_norm, scratch.critic)
-        adam_step(self.critic, grads, self.adam_critic, self.lr_critic, ws=scratch.critic)
+        clip_global_norm(self.critic, grads, self.ddpg.clip_norm, scratch.critic)
+        adam_step(self.critic, grads, self.adam_critic, self.ddpg.lr_critic, ws=scratch.critic)
         return loss
 
     def actor_update(self, batch: TransitionBatch) -> np.ndarray:
@@ -348,12 +333,20 @@ class TeamLearner:
         )[..., None]
         g_u[vanishing] = 0.0
         grads, _ = backward(self.actor, actor_cache, g_u, input_gradient=False)
-        clip_global_norm(self.actor, grads, self.clip_norm, scratch.actor)
+        clip_global_norm(self.actor, grads, self.ddpg.clip_norm, scratch.actor)
         np.negative(grads, out=grads)  # ascent
-        adam_step(self.actor, grads, self.adam_actor, self.lr_actor, ws=scratch.actor)
+        adam_step(self.actor, grads, self.adam_actor, self.ddpg.lr_actor, ws=scratch.actor)
         return mean_q
 
     def soft_update_targets(self) -> None:
-        scratch = self._update
-        polyak_update(self.actor_target, self.actor, self.tau, scratch and scratch.actor)
-        polyak_update(self.critic_target, self.critic, self.tau, scratch and scratch.critic)
+        scratch, tau = self._update, self.ddpg.tau
+        polyak_update(self.actor_target, self.actor, tau, scratch and scratch.actor)
+        polyak_update(self.critic_target, self.critic, tau, scratch and scratch.critic)
+
+
+def make_team(config: ExperimentConfig, rng: np.random.Generator | None = None) -> TeamLearner:
+    """The team ``config`` describes: ``env.n`` agents, each observing what
+    ``run.strategy`` observes, with the networks and hyperparameters of
+    ``config.ddpg``. ``rng`` initializes the networks, as in ``TeamLearner``."""
+    _, obs_dim = strategy_observation(config.run.strategy, config.env.n)
+    return TeamLearner(config.env.n, obs_dim, config.ddpg, rng)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -407,5 +407,10 @@ def observe_full(state: WorldState) -> np.ndarray:
     return np.concatenate((state.units[:, :-1], offsets_seen), axis=-1)
 
 
-def observation_dim(n: int, partial: bool) -> int:
-    return 4 if partial else 4 + 2 * (n - 1)
+def strategy_observation(strategy: str, n: int) -> tuple[Callable[[WorldState], np.ndarray], int]:
+    """What a team of n pursuers playing ``strategy`` observes: the observe
+    function and its width. ``cd_ddpg_partial`` sees ``observe_partial``;
+    every other strategy, ``cd_ddpg`` among them, sees ``observe_full``."""
+    if strategy == "cd_ddpg_partial":
+        return observe_partial, 4
+    return observe_full, 4 + 2 * (n - 1)

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from .config import TRAINABLE_STRATEGIES, ExperimentConfig
-from .environment import EnvConfig, WorldState, observe_full, observe_partial, reset, step
+from .environment import EnvConfig, WorldState, reset, step, strategy_observation
 from .pursuit import greedy_heading, pincer_headings
 from .trajectory import TrajectoryWriter
 
@@ -67,7 +67,7 @@ def make_policy(
     if strategy in TRAINABLE_STRATEGIES:
         if team is None:
             raise ValueError(f"strategy {strategy!r} requires a trained team")
-        observe = observe_partial if strategy == "cd_ddpg_partial" else observe_full
+        observe, _ = strategy_observation(strategy, team.n)
         return lambda s: np.array([team.act(obs) for obs in observe(s)])
     raise ValueError(f"unknown strategy {strategy!r}")
 

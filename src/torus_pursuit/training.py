@@ -15,7 +15,7 @@ byte.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -29,8 +29,8 @@ from .curriculum import (
     scripted_action,
     velocity_at_epoch,
 )
-from .ddpg import TeamLearner
-from .environment import observation_dim, observe_full, observe_partial, reset, step
+from .ddpg import TeamLearner, make_team
+from .environment import reset, step, strategy_observation
 from .errors import CheckpointIntegrityError, ConfigError, SchemaVersionError
 
 CURVE_SCHEMA = "pursuit-training-curve-v1"
@@ -84,14 +84,6 @@ def make_streams(master_seed: int, n: int) -> TrainingStreams:
     )
 
 
-def make_team(config: ExperimentConfig, init_rng: np.random.Generator) -> TeamLearner:
-    partial = config.run.strategy == "cd_ddpg_partial"
-    hyper = asdict(config.ddpg)
-    del hyper["batch_size"]  # each update draws its batch; the team does not hold it
-    return TeamLearner(n=config.env.n, obs_dim=observation_dim(config.env.n, partial),
-                       rng=init_rng, **hyper)
-
-
 def run_episode(
     config: ExperimentConfig,
     team: TeamLearner,
@@ -107,7 +99,7 @@ def run_episode(
     or a learned policy returns a non-finite heading.
     """
     env_cfg = replace(config.env, velocity_ratio=ratio)
-    observe = observe_partial if config.run.strategy == "cd_ddpg_partial" else observe_full
+    observe, _ = strategy_observation(config.run.strategy, env_cfg.n)
     n = env_cfg.n
     batch_size = config.ddpg.batch_size
     state = reset(env_cfg, streams.env)

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from scalar_reference import evade_cost
-from torus_pursuit.config import config_from_dict
+from torus_pursuit.config import DdpgConfig, config_from_dict
 from torus_pursuit.curriculum import VelocitySchedule, velocity_at_epoch
 from torus_pursuit.ddpg import TeamLearner
-from torus_pursuit.environment import observation_dim
+from torus_pursuit.environment import strategy_observation
 from torus_pursuit.evader import contact_headings
 from torus_pursuit.evaluation import run_eval
 from torus_pursuit.geometry import normalize_angle
@@ -151,8 +151,8 @@ def test_criterion_05_gradient_checks_at_project_shapes():
     start = time.time()
     rng = np.random.default_rng(17)
     n = 3
-    obs_dim = observation_dim(n, partial=False)
-    team = TeamLearner(1, obs_dim, rng, buffer_capacity=1)
+    _, obs_dim = strategy_observation("cd_ddpg", n)
+    team = TeamLearner(1, obs_dim, DdpgConfig(buffer_capacity=1, batch_size=1), rng)
     actor, critic = team.actor, team.critic  # one agent's stacks, as the learner runs them
     batch = rng.standard_normal((1, 4, obs_dim))
     results = {}

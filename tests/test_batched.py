@@ -22,12 +22,11 @@ from torus_pursuit import evader as evader_module
 from torus_pursuit import evaluation
 from torus_pursuit import pursuit as pursuit_module
 from torus_pursuit.config import config_from_dict
-from torus_pursuit.ddpg import TeamLearner
+from torus_pursuit.ddpg import make_team
 from torus_pursuit.environment import (
     EnvConfig,
     is_captured,
     make_state,
-    observation_dim,
     observe_full,
     observe_partial,
     reset,
@@ -290,9 +289,10 @@ def test_write_episode_matches_reference_rows(tmp_path_factory, data):
 # -- run_eval against the sequential sweep ---------------------------------
 
 
-def eval_config(n, strategy, episode_length=60, seed=7):
+def eval_config(n, strategy, episode_length=60, seed=7, ddpg=None):
     return config_from_dict({
         "env": {"n": n, "episode_length": episode_length},
+        "ddpg": ddpg or {},
         "run": {"seed": seed, "strategy": strategy},
     })
 
@@ -321,10 +321,9 @@ def test_run_eval_matches_sequential_sweep(tmp_path, strategy, n, ratios, episod
 
 @pytest.mark.parametrize("strategy", ["cd_ddpg", "cd_ddpg_partial"])
 def test_run_eval_learned_team_matches_sequential_sweep(tmp_path, strategy):
-    config = eval_config(3, strategy, 30)
-    team = TeamLearner(3, observation_dim(3, strategy == "cd_ddpg_partial"),
-                       rng=np.random.default_rng(3), actor_hidden=(16, 16),
-                       critic_hidden=(16, 16))
+    config = eval_config(3, strategy, 30,
+                         ddpg={"actor_hidden": [16, 16], "critic_hidden": [16, 16]})
+    team = make_team(config, np.random.default_rng(3))
     run_eval(config, [1.1, 0.9], 4, tmp_path / "batched", team=team)
     ref.run_eval(config, [1.1, 0.9], 4, tmp_path / "sequential", team=team)
     assert_same_files(tmp_path / "batched", tmp_path / "sequential")

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from scalar_reference import heading_to_vector
 from torus_pursuit.checkpoint import load_checkpoint, save_checkpoint, sidecar_path
 from torus_pursuit.config import ExperimentConfig, config_from_dict, load_config
-from torus_pursuit.ddpg import TeamLearner
+from torus_pursuit.ddpg import make_team as make_config_team
 from torus_pursuit.errors import CheckpointIntegrityError
 from torus_pursuit.training import run_training
 
@@ -22,8 +24,7 @@ NETWORKS = ("actor", "critic", "actor_target", "critic_target")
 OPTIMIZERS = ("adam_actor", "adam_critic")
 MOMENTS = ("m", "v")
 BUFFER_FIELDS = ("_obs", "_actions", "_rewards", "_next_obs", "_terminals")
-SCALARS = ("n", "obs_dim", "gamma", "tau", "lr_actor", "lr_critic", "clip_norm", "theta_ou",
-           "sigma_ou")
+SCALARS = ("n", "obs_dim", "ddpg")
 # a quiet NaN whose payload differs from np.nan's
 NAN_PAYLOAD = np.array(0x7FF8_0000_0000_0001, dtype=np.uint64).view(np.float64)
 
@@ -33,17 +34,30 @@ V2_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v2" / "checkpoint_e
 V2_CONFIG = V2_CHECKPOINT.parent / "tiny_config.json"
 
 
-def make_team(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed,
+def team_config(agents, strategy, actor_hidden, critic_hidden, capacity):
+    """The config of a team of `agents` playing `strategy`, with those hidden
+    layers and ring capacity; its batch fits any ring."""
+    return config_from_dict({
+        "env": {"n": agents},
+        "ddpg": {"actor_hidden": list(actor_hidden), "critic_hidden": list(critic_hidden),
+                 "buffer_capacity": capacity, "batch_size": 1},
+        "run": {"strategy": strategy},
+    })
+
+
+def make_team(agents, fill, strategy, actor_hidden, critic_hidden, capacity, seed,
               chained=False):
-    """A team whose every array holds distinct values, its rings pushed `fill` times.
+    """The config of a team and the team it describes, whose every array holds
+    distinct values, its rings pushed `fill` times.
 
     Unchained pushes draw every row afresh. Chained ones fill the rings as
     training does: each push's obs is the previous push's next_obs, except
     after a terminal push, which ends the episode; the reward is the team's.
     """
     rng = np.random.default_rng(seed)
-    team = TeamLearner(agents, obs_dim, rng, actor_hidden=actor_hidden,
-                       critic_hidden=critic_hidden, buffer_capacity=capacity)
+    cfg = team_config(agents, strategy, actor_hidden, critic_hidden, capacity)
+    team = make_config_team(cfg, rng)
+    obs_dim = team.obs_dim
     for net in NETWORKS:
         for b in getattr(team, net).biases:
             b[:] = rng.standard_normal(b.shape)
@@ -68,7 +82,7 @@ def make_team(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed
         )
         if terminal:
             next_obs = rng.standard_normal((agents, obs_dim))
-    return team
+    return cfg, team
 
 
 def twist(team, kind):
@@ -155,14 +169,14 @@ def inline_as_schema_1(manifest: Path, out: Path) -> None:
 
 RNG_STATES = {"env": np.random.default_rng(3).bit_generator.state, "explore": [], "sample": []}
 
-layer_sizes = st.lists(st.integers(1, 6), max_size=2).map(tuple)
+layer_sizes = st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     agents=st.integers(1, 3),
     fill=st.integers(0, 40),
-    obs_dim=st.integers(1, 5),
+    strategy=st.sampled_from(["cd_ddpg", "cd_ddpg_partial"]),
     actor_hidden=layer_sizes,
     critic_hidden=layer_sizes,
     capacity=st.integers(1, 16),
@@ -171,28 +185,28 @@ layer_sizes = st.lists(st.integers(1, 6), max_size=2).map(tuple)
     kind=st.sampled_from([None, "negative_zero", "nan_payload"]),
 )
 # a wrapped ring (size == capacity, next == 2), an exactly full one, an empty one
-@example(agents=3, fill=12, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
+@example(agents=3, fill=12, strategy="cd_ddpg_partial", actor_hidden=(4,), critic_hidden=(4, 3),
          capacity=5, seed=0, chained=False, kind=None)
-@example(agents=2, fill=5, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
+@example(agents=2, fill=5, strategy="cd_ddpg_partial", actor_hidden=(4,), critic_hidden=(4, 3),
          capacity=5, seed=0, chained=False, kind=None)
-@example(agents=1, fill=0, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
+@example(agents=1, fill=0, strategy="cd_ddpg", actor_hidden=(4,), critic_hidden=(4, 3),
          capacity=5, seed=0, chained=False, kind=None)
 # chained: a wrapped ring, capacity 1, an empty ring, and slot 0's next_obs
 # differing from slot 1's obs only by -0.0 against +0.0 or by a NaN payload
-@example(agents=3, fill=23, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
+@example(agents=3, fill=23, strategy="cd_ddpg_partial", actor_hidden=(4,), critic_hidden=(4, 3),
          capacity=16, seed=2, chained=True, kind=None)
-@example(agents=2, fill=4, obs_dim=2, actor_hidden=(), critic_hidden=(3,),
+@example(agents=2, fill=4, strategy="cd_ddpg_partial", actor_hidden=(1,), critic_hidden=(3,),
          capacity=1, seed=0, chained=True, kind=None)
-@example(agents=2, fill=0, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
+@example(agents=2, fill=0, strategy="cd_ddpg_partial", actor_hidden=(4,), critic_hidden=(4, 3),
          capacity=5, seed=0, chained=True, kind=None)
-@example(agents=2, fill=9, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
+@example(agents=2, fill=9, strategy="cd_ddpg_partial", actor_hidden=(4,), critic_hidden=(4, 3),
          capacity=16, seed=0, chained=True, kind="negative_zero")
-@example(agents=2, fill=9, obs_dim=3, actor_hidden=(4,), critic_hidden=(4, 3),
+@example(agents=2, fill=9, strategy="cd_ddpg_partial", actor_hidden=(4,), critic_hidden=(4, 3),
          capacity=16, seed=0, chained=True, kind="nan_payload")
-def test_save_load_identity(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed,
+def test_save_load_identity(agents, fill, strategy, actor_hidden, critic_hidden, capacity, seed,
                             chained, kind):
-    cfg = ExperimentConfig()
-    team = make_team(agents, fill, obs_dim, actor_hidden, critic_hidden, capacity, seed, chained)
+    cfg, team = make_team(agents, fill, strategy, actor_hidden, critic_hidden, capacity, seed,
+                          chained)
     twist(team, kind)
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp, "a", "ckpt.json"), Path(tmp, "b", "ckpt.json")
@@ -226,21 +240,21 @@ def test_save_load_identity(agents, fill, obs_dim, actor_hidden, critic_hidden, 
     assert (session, epoch, global_epoch, states) == (1, 2, 3, RNG_STATES)
     assert_same_team(team, loaded)
     assert_same_team(team, from_v1, bits=kind != "nan_payload")  # JSON drops NaN payloads
-    obs = np.random.default_rng(seed).standard_normal((agents, obs_dim))
+    obs = np.random.default_rng(seed).standard_normal((agents, team.obs_dim))
     assert loaded.act(obs) == team.act(obs) == from_v1.act(obs)
 
 
 def test_wrapped_example_is_a_full_ring():
-    team = make_team(3, 12, 3, (4,), (4, 3), 5, 0)
+    _, team = make_team(3, 12, "cd_ddpg_partial", (4,), (4, 3), 5, 0)
     assert (len(team.buffer), team.buffer._next) == (5, 2)
 
 
 class TestSidecarIntegrity:
     @pytest.fixture
     def saved(self, tmp_path):
-        cfg = ExperimentConfig()
+        cfg, team = make_team(1, 7, "cd_ddpg", (8,), (8,), 16, 1)
         path = tmp_path / "checkpoint_epoch5.json"
-        save_checkpoint(path, cfg, make_team(1, 7, 4, (8,), (8,), 16, 1), 0, 5, 5, RNG_STATES)
+        save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
         assert sidecar_path(path) == tmp_path / "checkpoint_epoch5.npz"
         return cfg, path, sidecar_path(path)
 
@@ -331,9 +345,9 @@ class TestTeamAgreement:
 
     @pytest.fixture
     def saved(self, tmp_path):
-        cfg = ExperimentConfig()
+        cfg, team = make_team(2, 7, "cd_ddpg_partial", (8,), (8,), 16, 1)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, make_team(2, 7, 4, (8,), (8,), 16, 1), 0, 5, 5, RNG_STATES)
+        save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
         return cfg, path, json.loads(path.read_text())
 
     @pytest.mark.parametrize("field, value", [
@@ -350,6 +364,35 @@ class TestTeamAgreement:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointIntegrityError, match=rf"agent 1 has {field} {value}"):
             load_checkpoint(path, cfg)
+
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", 0.5), ("gamma", 2.0), ("tau", 5.0), ("clip_norm", -1.0), ("lr_actor", math.nan),
+    ])
+    def test_every_agent_edited(self, saved, field, value):
+        # the agents agree, but the config describes another team
+        cfg, path, doc = saved
+        for agent in doc["agents"]:
+            agent[field] = value
+        path.write_text(json.dumps(doc))
+        want = getattr(cfg.ddpg, field)
+        with pytest.raises(CheckpointIntegrityError, match=re.escape(
+                f"agent 0 has {field} {value!r}, but the config's ddpg.{field} gives {want!r}")):
+            load_checkpoint(path, cfg)
+
+    def test_fewer_agents_than_the_config(self, saved):
+        cfg, path, doc = saved
+        del doc["agents"][1:]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError,
+                           match=r"checkpoint holds 1 agents, but the config's env\.n is 2"):
+            load_checkpoint(path, cfg)
+
+    def test_strategy_observing_another_width(self, saved):
+        cfg, path, _ = saved
+        full = replace(cfg, run=replace(cfg.run, strategy="cd_ddpg"))
+        with pytest.raises(CheckpointIntegrityError, match=re.escape(
+                "agent 0 has obs_dim 4, but the config's run.strategy 'cd_ddpg' gives 6")):
+            load_checkpoint(path, full)
 
     def test_missing_field_named(self, saved):
         cfg, path, doc = saved
@@ -372,8 +415,9 @@ class TestMalformedManifest:
 
     @pytest.fixture
     def saved(self, tmp_path):
-        cfg, path = ExperimentConfig(), tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, make_team(2, 7, 4, (8,), (8,), 16, 1), 0, 5, 5, RNG_STATES)
+        cfg, team = make_team(2, 7, "cd_ddpg_partial", (8,), (8,), 16, 1)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
         return cfg, path, json.loads(path.read_text())
 
     @staticmethod
@@ -406,7 +450,7 @@ class TestMalformedManifest:
 
     def test_weight_shape_without_sizes(self, saved):
         saved[2]["agents"][0]["actor"]["weights"][0]["shape"] = []
-        self.refused(saved, r"agent 0 actor\.weights: shape \[\] is not a list of 2 sizes")
+        self.refused(saved, r"agent 0 actor\[0\]: shape \[\], want \[8, 4\]")
 
     def test_unknown_activation(self, saved):
         for agent in saved[2]["agents"]:
@@ -460,8 +504,8 @@ class TestMalformedRing:
 
     @pytest.fixture
     def saved(self, tmp_path):
-        cfg, path = ExperimentConfig(), tmp_path / "ckpt.json"
-        team = make_team(2, 30, 4, (8,), (8,), 16, 1, chained=True)
+        path = tmp_path / "ckpt.json"
+        cfg, team = make_team(2, 30, "cd_ddpg_partial", (8,), (8,), 16, 1, chained=True)
         save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
         with np.load(sidecar_path(path)) as arrays:
             assert 2 <= len(arrays[self.BREAKS]) < 16  # a wrapped ring with a few breaks
@@ -552,7 +596,7 @@ def snapshot_plan(epochs: list[int], every: int) -> ExperimentConfig:
         "env": {"n": 2, "episode_length": 10, "evader_speed": 0.05, "capture_radius": 0.08},
         "curriculum": {"warmup_epochs": 2, "sessions": [
             {"v0": v0, "v_target": v0 - 0.2, "v_decay": e, "epochs": e,
-             "use_scripted_warmup": True}
+             "use_scripted_warmup": v0 == 1.2}
             for e, v0 in zip(epochs, (1.2, 1.0))]},
         "ddpg": {"batch_size": 8, "buffer_capacity": 16,
                  "actor_hidden": [4], "critic_hidden": [4]},

@@ -54,6 +54,21 @@ def write_config(tmp_path, name="config.json", **kw):
     return path, out_dir
 
 
+def trained_with_partial_config(tmp_path):
+    """A cd_ddpg run's output directory, and a config that differs from the
+    run's only by playing cd_ddpg_partial, which observes 4 inputs, not 6."""
+    cfg_path, out_dir = write_config(tmp_path, epochs=6)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    partial, _ = write_config(tmp_path, name="partial.json", epochs=6,
+                              strategy="cd_ddpg_partial")
+    return out_dir, partial
+
+
+# the refusal names the agent, the field, both widths and the strategy
+OTHER_WIDTH = re.compile(r"^error: agent 0 has obs_dim 6, but the config's run\.strategy "
+                         r"'cd_ddpg_partial' gives 4$", re.M)
+
+
 class TestTrainCommand:
     def test_train_writes_outputs(self, tmp_path):
         cfg_path, out_dir = write_config(tmp_path)
@@ -119,6 +134,14 @@ class TestTrainCommand:
                      "--resume", str(out_dir / "checkpoint_epoch5.json")]) == 2
         assert "cannot resume into it" in capsys.readouterr().err
         assert (foreign / "training_curve.csv").read_text() == "a,b\n1,2\n"
+
+    def test_resume_with_strategy_of_another_width_refused(self, tmp_path, capsys):
+        # it used to load and fail with a traceback at the first learned step
+        out_dir, partial = trained_with_partial_config(tmp_path)
+        capsys.readouterr()
+        assert main(["train", "--config", str(partial), "--out", str(tmp_path / "resumed"),
+                     "--resume", str(out_dir / "checkpoint_epoch5.json")]) == 2
+        assert OTHER_WIDTH.search(capsys.readouterr().err)
 
     def test_cannot_train_analytic_strategy(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, strategy="greedy")
@@ -262,6 +285,15 @@ class TestEvalCommand:
         cfg_path, _ = write_config(tmp_path)
         assert main(["eval", "--config", str(cfg_path), "--ratios", "1.0"]) == 2
 
+    def test_eval_with_strategy_of_another_width_refused(self, tmp_path, capsys):
+        out_dir, partial = trained_with_partial_config(tmp_path)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(partial),
+                     "--checkpoint", str(out_dir / "checkpoint.json"), "--ratios", "1.1",
+                     "--episodes", "2", "--out", str(tmp_path / "eval")]) == 2
+        assert OTHER_WIDTH.search(capsys.readouterr().err)
+        assert not (tmp_path / "eval").exists()
+
     def test_eval_ratio_beyond_spawn_separation_rejected(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, strategy="greedy")
         assert main(["eval", "--config", str(cfg_path), "--ratios", "1.0,9.0",
@@ -350,11 +382,9 @@ class TestEvalCommand:
 
         class LoneAgents:
             def __init__(self):
-                self.agents = []
+                self.n, self.agents = team.n, []
                 for i in range(team.n):
-                    agent = TeamLearner(1, team.obs_dim,
-                                        actor_hidden=team.actor.layer_sizes[1:-1],
-                                        critic_hidden=team.critic.layer_sizes[1:-1])
+                    agent = TeamLearner(1, team.obs_dim, team.ddpg)
                     agent.state[0] = team.state[i]
                     self.agents.append(agent)
 

@@ -20,7 +20,7 @@ from torus_pursuit.config import (
     save_config,
 )
 from torus_pursuit.curriculum import SessionSpec
-from torus_pursuit.ddpg import TeamLearner
+from torus_pursuit.ddpg import make_team
 from torus_pursuit.errors import (
     ConfigError,
     DigestMismatchError,
@@ -219,6 +219,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"curriculum\.sessions\[0\]: v_decay must be >= 1"):
             config_from_dict({"curriculum": {"sessions": [{**SESSION, "v_decay": 0}]}})
 
+    def test_warmup_on_a_later_session_refused_at_load(self):
+        # only the first session runs the warm-up, so this flag used to load unread
+        first = {"v0": 1.2, "v_target": 1.0, "v_decay": 5, "epochs": 5,
+                 "use_scripted_warmup": True}
+        later = {"v0": 1.0, "v_target": 0.8, "v_decay": 5, "epochs": 5}
+        with pytest.raises(ConfigError, match=r"^curriculum: sessions\[1\]\.use_scripted_warmup: "
+                                              "the scripted warm-up runs in the first session"):
+            config_from_dict({"curriculum": {"sessions": [
+                first, {**later, "use_scripted_warmup": True}]}})
+        plan = config_from_dict({"curriculum": {"sessions": [first, later]}}).curriculum
+        assert [s.use_scripted_warmup for s in plan.sessions] == [True, False]
+
     def test_bounds_are_inclusive_where_documented(self):
         cfg = config_from_dict({"ddpg": {"tau": 1, "theta_ou": 2, "sigma_ou": 0}})
         assert (cfg.ddpg.tau, cfg.ddpg.theta_ou, cfg.ddpg.sigma_ou) == (1.0, 2.0, 0.0)
@@ -287,15 +299,12 @@ class TestConfigValidation:
 
 
 class TestCheckpointRoundTrip:
+    # a lone pursuer, which observes 4 inputs: its heading and its offset to the evader
+    CONFIG = config_from_dict({"env": {"n": 1}, "ddpg": {
+        "actor_hidden": [8], "critic_hidden": [8], "buffer_capacity": 64, "batch_size": 64}})
+
     def make_learner(self, seed=0):
-        learner = TeamLearner(
-            1,
-            obs_dim=4,
-            rng=np.random.default_rng(seed),
-            actor_hidden=(8,),
-            critic_hidden=(8,),
-            buffer_capacity=64,
-        )
+        learner = make_team(self.CONFIG, np.random.default_rng(seed))
         rng = np.random.default_rng(seed + 1)
         for _ in range(10):
             theta = float(rng.uniform(-math.pi, math.pi))
@@ -304,7 +313,7 @@ class TestCheckpointRoundTrip:
         return learner
 
     def test_bit_exact_round_trip(self, tmp_path):
-        cfg = ExperimentConfig()
+        cfg = self.CONFIG
         learner = self.make_learner()
         rng_states = {"env": np.random.default_rng(3).bit_generator.state,
                       "explore": [], "sample": []}
@@ -325,7 +334,7 @@ class TestCheckpointRoundTrip:
         assert learner.act(obs) == got.act(obs)
 
     def test_digest_mismatch_rejected(self, tmp_path):
-        cfg = ExperimentConfig()
+        cfg = self.CONFIG
         other = config_from_dict({"env": {"n": 2}})
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, cfg, self.make_learner(), 0, 0, 0, {"env": None})
@@ -335,16 +344,17 @@ class TestCheckpointRoundTrip:
     def test_current_and_legacy_digests_load_and_no_other(self, tmp_path):
         # checkpoints written while env held `seed` (always 0 unless set)
         # carry the digest of that blob; they must still load
-        cfg = ExperimentConfig()
-        assert cfg.legacy_digest() == (
+        default = ExperimentConfig()
+        assert default.legacy_digest() == (
             "8baea11ee1a07c0f45aecea66a8ed4ef7c982ff9481c4a04290afc674d51439a"
         )
-        assert cfg.digest() == (
+        assert default.digest() == (
             "fe7cb3cf53d3504f3f0040ac5be75be45904fcfaae7fba39bbf9c637528663e2"
         )
         assert load_config(DATA / "final_snapshot_config.json").digest() == (
             "2a3d391842d94adb5b29245c2aa810fed4913a702ee98d763983da5427b5c8b9"
         )
+        cfg = self.CONFIG  # a team this config describes loads under either digest
         assert cfg.digest() != cfg.legacy_digest()
         learner = self.make_learner()
         path = tmp_path / "ckpt.json"
@@ -368,7 +378,7 @@ class TestCheckpointRoundTrip:
                     load_checkpoint(path, cfg)
 
     def test_unknown_schema_rejected(self, tmp_path):
-        cfg = ExperimentConfig()
+        cfg = self.CONFIG
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, cfg, self.make_learner(), 0, 0, 0, {"env": None})
         doc = json.loads(path.read_text())
@@ -378,7 +388,7 @@ class TestCheckpointRoundTrip:
             load_checkpoint(path, cfg)
 
     def test_floats_survive_decimal_round_trip(self, tmp_path):
-        cfg = ExperimentConfig()
+        cfg = self.CONFIG
         learner = self.make_learner()
         learner.actor.weights[0][0, 0, 0] = 0.1 + 0.2  # not exactly representable as text
         path = tmp_path / "ckpt.json"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from scalar_reference import heading_to_vector
+from torus_pursuit.config import DdpgConfig
 from torus_pursuit.ddpg import (
     ReplayBuffer,
     TeamLearner,
@@ -19,15 +20,11 @@ from torus_pursuit.nn import backward, forward
 
 
 def make_learner(obs_dim=4, hidden=(8, 8), critic_hidden=(8, 8), seed=0, n=1, **kw):
-    return TeamLearner(
-        n,
-        obs_dim,
-        np.random.default_rng(seed),
-        actor_hidden=hidden,
-        critic_hidden=critic_hidden,
-        buffer_capacity=kw.pop("buffer_capacity", 1000),
-        **kw,
-    )
+    """A team whose config section holds `kw` over the defaults; the tests
+    draw their own batches, so the section's batch fits any ring."""
+    ddpg = DdpgConfig(actor_hidden=hidden, critic_hidden=critic_hidden,
+                      buffer_capacity=kw.pop("buffer_capacity", 1000), batch_size=1, **kw)
+    return TeamLearner(n, obs_dim, ddpg, np.random.default_rng(seed))
 
 
 def push_random(buf, rng, terminal=False, reward=None):

@@ -8,7 +8,8 @@ from torus_pursuit import training
 from torus_pursuit.config import config_from_dict
 from torus_pursuit.curriculum import BehaviorPhase
 from torus_pursuit.errors import CheckpointIntegrityError
-from torus_pursuit.training import make_streams, make_team, run_episode
+from torus_pursuit.ddpg import make_team
+from torus_pursuit.training import make_streams, run_episode
 
 
 def primed():

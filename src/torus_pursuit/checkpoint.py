@@ -25,9 +25,12 @@ head, so ``next_obs`` is no entry of its own: its ``{"breaks", "rows"}``
 manifest entry refers to the int64 entry ``agents.i.buffer.next_obs.breaks``,
 the strictly increasing slots whose row differs (compared as raw bytes, so a
 NaN payload or -0.0 counts as a difference), and to the float64 entry
-``agents.i.buffer.next_obs.rows``, those slots' rows. Loading rebuilds the
-field as ``obs`` shifted up one row and patches in the stored rows. The
-team's rewards and terminal flags, and the break slots, are alike for every
+``agents.i.buffer.next_obs.rows``, those slots' rows. This is the form the
+ring keeps in memory (``ddpg.ReplayBuffer``): the writer takes the slots of
+the ring's end table whose row differs, and loading fills that table with
+the stored rows, reading each sidecar entry only when it is first needed.
+Schemas 1 and 2 store a dense ``next_obs``, which loading reduces to the same
+break slots and rows. The team's rewards and terminal flags, and the break slots, are alike for every
 agent: when agent i's slice equals agent 0's bit for bit, agent i's
 reference points at agent 0's entry instead of a copy. The sidecar's bytes
 are a pure function of the state (zip entries carry a fixed timestamp), so
@@ -47,8 +50,9 @@ it whole. Loading fills the team that the config, whose digest it checks,
 describes (``ddpg.make_team``), so the agent count and each agent's
 observation width, hyperparameters and ring capacity must be the config's. A
 team updates in lockstep, so loading also requires every agent's Adam step
-counts and ring bookkeeping to agree, and refuses break slots that are not
-int64, not strictly increasing or outside the ring. Schema version 2 files, which hold
+counts and ring bookkeeping to agree, and refuses bookkeeping no ring of the
+capacity can reach (one that has not wrapped writes at its size) and break
+slots that are not int64, not strictly increasing or outside the ring. Schema version 2 files, which hold
 every ring field of every agent as its own entry, and schema version 1
 files, one JSON document whose arrays are inline ``{"shape", "data"}`` lists
 of decimal floats, still load.
@@ -59,19 +63,22 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .ddpg import TeamLearner, make_team
+from .ddpg import TeamLearner, make_team, row_bytes
 from .errors import CheckpointIntegrityError, DigestMismatchError, SchemaVersionError
 
 CHECKPOINT_SCHEMA_VERSION = 3
 READABLE_SCHEMA_VERSIONS = (1, 2, 3)
-_HASH_CHUNK = 1 << 20
+_HASH_CHUNK = 1 << 18
 _TOP_LEVEL = ("config_digest", "session", "epoch", "global_epoch", "agents", "rng_states")
+# a sidecar entry by key, None when the sidecar has no such entry
+_Entries = Callable[[str], "np.ndarray | None"]
 
 
 def _array_ref(key: str, offset: int, a: np.ndarray) -> dict:
@@ -91,7 +98,7 @@ def _shape(doc: Any, where: str) -> list[int]:
     return shape
 
 
-def _array_load(doc: dict, arrays: Mapping[str, np.ndarray], where: str,
+def _array_load(doc: dict, entries: _Entries, where: str,
                 dtype: type = np.float64, whole: bool = False) -> np.ndarray:
     """Resolves one array doc: inline decimals (schema 1) or a sidecar slice.
 
@@ -110,7 +117,7 @@ def _array_load(doc: dict, arrays: Mapping[str, np.ndarray], where: str,
             raise CheckpointIntegrityError(
                 f"{where}: a reference needs a string 'key' and an integer 'offset', "
                 f"got {key!r} and {start!r}")
-        entry = arrays.get(key)
+        entry = entries(key)
         if entry is None or not 0 <= start <= entry.size - count:
             raise CheckpointIntegrityError(
                 f"{where}: values {start}..{start + count} are not in sidecar entry {key!r}")
@@ -125,7 +132,7 @@ def _array_load(doc: dict, arrays: Mapping[str, np.ndarray], where: str,
     return values
 
 
-def _fill(views: list[np.ndarray], docs: list[dict], arrays: Mapping[str, np.ndarray],
+def _fill(views: list[np.ndarray], docs: list[dict], entries: _Entries,
           where: str, whole: bool = False) -> None:
     """Copies each referenced array into the team's view of the same shape."""
     if len(docs) != len(views):
@@ -134,7 +141,7 @@ def _fill(views: list[np.ndarray], docs: list[dict], arrays: Mapping[str, np.nda
         if _shape(doc, f"{where}[{k}]") != list(view.shape):
             raise CheckpointIntegrityError(
                 f"{where}[{k}]: shape {doc['shape']}, want {list(view.shape)}")
-        view[...] = _array_load(doc, arrays, f"{where}[{k}]", whole=whole)
+        view[...] = _array_load(doc, entries, f"{where}[{k}]", whole=whole)
 
 
 _NETWORKS = ("actor", "critic", "actor_target", "critic_target")
@@ -142,7 +149,6 @@ _NETWORKS = ("actor", "critic", "actor_target", "critic_target")
 _ACTIVATIONS = {"hidden_activation": "relu", "output_activation": "identity"}
 _OPTIMIZERS = {"adam_actor": "actor", "adam_critic": "critic"}
 _HYPERPARAMETERS = ("gamma", "tau", "lr_actor", "lr_critic", "clip_norm", "theta_ou", "sigma_ou")
-_BUFFER_FIELDS = ("obs", "actions", "rewards", "next_obs", "terminals")
 _TEAM_WIDE = ("rewards", "terminals", "next_obs.breaks")  # alike for every agent of a team
 
 
@@ -162,33 +168,36 @@ def _ring_ref(arrays: dict[str, np.ndarray], i: int, name: str, values: np.ndarr
 
 def _next_obs_breaks(obs: np.ndarray, next_obs: np.ndarray) -> np.ndarray:
     """The slots j whose next_obs row is not, bit for bit, obs row (j + 1) % size."""
-    # each row viewed as one raw-byte item, so a NaN payload or -0.0 counts as a difference
-    row = f"V{obs.shape[1] * obs.itemsize}"
-    now, then = obs.view(row)[:, 0], next_obs.view(row)[:, 0]
+    now, then = row_bytes(obs), row_bytes(next_obs)
     differs = np.empty(len(now), dtype=bool)
     differs[:-1] = then[:-1] != now[1:]
     differs[-1:] = then[-1:] != now[:1]
     return np.flatnonzero(differs).astype(np.int64, copy=False)
 
 
-def _next_obs_load(next_obs: np.ndarray, obs: np.ndarray, breaks_ref: dict, rows_ref: dict,
-                   arrays: Mapping[str, np.ndarray], where: str) -> None:
-    """Fills ``next_obs`` with the loaded ``obs`` shifted up one row, then patches
-    in the rows stored at the break slots."""
-    breaks = _array_load(breaks_ref, arrays, f"{where}.breaks", dtype=np.int64, whole=True)
-    rows = _array_load(rows_ref, arrays, f"{where}.rows", whole=True)
+def _next_obs_load(doc: dict, i: int, obs: np.ndarray, entries: _Entries,
+                   where: str) -> tuple[np.ndarray, np.ndarray]:
+    """Agent i's next observations as break slots and their rows: as stored
+    (schema 3), or found in the dense field of schemas 1 and 2."""
+    ref = _field(doc, i, "buffer.next_obs")
+    if not (isinstance(ref, dict) and "breaks" in ref):
+        next_obs = np.empty_like(obs)
+        _fill([next_obs], [ref], entries, where, whole=True)
+        breaks = _next_obs_breaks(obs, next_obs)
+        return breaks, next_obs[breaks]
+    breaks = _array_load(ref["breaks"], entries, f"{where}.breaks", dtype=np.int64, whole=True)
+    rows = _array_load(_field(doc, i, "buffer.next_obs.rows"), entries, f"{where}.rows",
+                       whole=True)
     size = len(obs)
     if breaks.ndim != 1 or (breaks.size and not (
             0 <= breaks[0] and breaks[-1] < size and np.all(breaks[1:] > breaks[:-1]))):
         raise CheckpointIntegrityError(
             f"{where}.breaks: slots must be strictly increasing in [0, {size})")
-    if rows.shape != (breaks.size, next_obs.shape[1]):
+    if rows.shape != (breaks.size, obs.shape[1]):
         raise CheckpointIntegrityError(
-            f"{where}.rows: shape {list(rows.shape)}, want {[breaks.size, next_obs.shape[1]]} "
+            f"{where}.rows: shape {list(rows.shape)}, want {[breaks.size, obs.shape[1]]} "
             "(one row per break slot)")
-    next_obs[:-1] = obs[1:]
-    next_obs[-1:] = obs[:1]
-    next_obs[breaks] = rows
+    return breaks, rows
 
 
 def _agent_doc(team: TeamLearner, i: int, arrays: dict[str, np.ndarray]) -> dict:
@@ -213,9 +222,8 @@ def _agent_doc(team: TeamLearner, i: int, arrays: dict[str, np.ndarray]) -> dict
     doc["noise_state"] = team.noise[i].tolist()
     doc["buffer"] = {"capacity": buf.capacity, "obs_dim": buf.obs_dim,
                      "next": buf._next, "size": buf._size}
-    ring = {name: getattr(buf, f"_{name}")[i, : buf._size] for name in _BUFFER_FIELDS}
-    breaks = _next_obs_breaks(ring["obs"], ring["next_obs"])
-    ring["next_obs.breaks"], ring["next_obs.rows"] = breaks, ring.pop("next_obs")[breaks]
+    ring = buf.filled(i)
+    ring["next_obs.breaks"], ring["next_obs.rows"] = buf.next_obs_breaks(i)
     refs = {name: _ring_ref(arrays, i, name, values) for name, values in ring.items()}
     refs["next_obs"] = {"breaks": refs.pop("next_obs.breaks"), "rows": refs.pop("next_obs.rows")}
     doc["buffer"].update(refs)
@@ -245,10 +253,11 @@ def _agreed(docs: list[dict], path: str) -> int:
     return first
 
 
-def _team_load(docs: list[dict], arrays: Mapping[str, np.ndarray],
-               config: ExperimentConfig) -> TeamLearner:
+def _team_load(docs: list[dict], entries: _Entries, config: ExperimentConfig,
+               replay: bool) -> TeamLearner:
     """Fills the team ``config`` describes from the per-agent entries, which must
-    hold the config's value of every scalar it fixes and agree on the others."""
+    hold the config's value of every scalar it fixes and agree on the others;
+    without ``replay`` the rings stay empty and no ring entry is read."""
     team = make_team(config)
     if len(docs) != team.n:
         raise CheckpointIntegrityError(
@@ -264,12 +273,13 @@ def _team_load(docs: list[dict], arrays: Mapping[str, np.ndarray],
                     f"agent {i} has {path} {got!r}, but the config's {source} gives {want!r}")
     ring = {name: _agreed(docs, f"buffer.{name}") for name in ("next", "size")}
     capacity = team.buffer.capacity
-    if not (0 <= ring["next"] < capacity and 0 <= ring["size"] <= capacity):
+    # a ring that has not wrapped yet writes at its size
+    if not (0 <= ring["next"] < capacity and 0 <= ring["size"] <= capacity
+            and (ring["size"] == capacity or ring["next"] == ring["size"])):
         raise CheckpointIntegrityError(
             f"replay bookkeeping {ring} does not fit a ring of {capacity} transitions")
     for name in _OPTIMIZERS:
         getattr(team, name).step = _agreed(docs, f"{name}.step")
-    team.buffer._next, team.buffer._size = ring["next"], ring["size"]
     for i, doc in enumerate(docs):
         for name in _NETWORKS:
             for path, want in _ACTIVATIONS.items():
@@ -279,28 +289,31 @@ def _team_load(docs: list[dict], arrays: Mapping[str, np.ndarray],
             net = getattr(team, name)
             weights, biases = net.layers(net.flat[i])
             refs = _field(doc, i, f"{name}.weights") + _field(doc, i, f"{name}.biases")
-            _fill(weights + biases, refs, arrays, f"agent {i} {name}")
+            _fill(weights + biases, refs, entries, f"agent {i} {name}")
         for name, net_name in _OPTIMIZERS.items():
             net, state = getattr(team, net_name), getattr(team, name)
             for moment in ("m", "v"):
                 weights, biases = net.layers(getattr(state, moment)[i])
                 refs = (_field(doc, i, f"{name}.{moment}_weights")
                         + _field(doc, i, f"{name}.{moment}_biases"))
-                _fill(weights + biases, refs, arrays, f"agent {i} {name}.{moment}")
+                _fill(weights + biases, refs, entries, f"agent {i} {name}.{moment}")
         noise = _field(doc, i, "noise_state")
         if not (isinstance(noise, list) and len(noise) == team.noise.shape[1]
                 and all(type(x) in (int, float) for x in noise)):
             raise CheckpointIntegrityError(
                 f"agent {i} has noise_state {noise!r}, want {team.noise.shape[1]} numbers")
         team.noise[i] = noise
-        for name in _BUFFER_FIELDS:  # obs before next_obs, which may be rebuilt from it
-            filled = getattr(team.buffer, f"_{name}")[i, : ring["size"]]
-            ref, where = _field(doc, i, f"buffer.{name}"), f"agent {i} buffer.{name}"
-            if isinstance(ref, dict) and "breaks" in ref:
-                _next_obs_load(filled, team.buffer._obs[i, : ring["size"]], ref["breaks"],
-                               _field(doc, i, f"buffer.{name}.rows"), arrays, where)
-            else:
-                _fill([filled], [ref], arrays, where, whole=True)
+    if replay:
+        team.buffer._next, team.buffer._size = ring["next"], ring["size"]
+        breaks = []
+        for i, doc in enumerate(docs):
+            filled = team.buffer.filled(i)
+            for name, view in filled.items():
+                _fill([view], [_field(doc, i, f"buffer.{name}")], entries,
+                      f"agent {i} buffer.{name}", whole=True)
+            breaks.append(_next_obs_load(doc, i, filled["obs"], entries,
+                                         f"agent {i} buffer.next_obs"))
+        team.buffer.load_next_obs_breaks(breaks)
     return team
 
 
@@ -310,10 +323,11 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_HASH_CHUNK):
-            h.update(chunk)
+    # one buffer read into again and again, not a new chunk per read
+    h, chunk = hashlib.sha256(), memoryview(bytearray(_HASH_CHUNK))
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(chunk):
+            h.update(chunk[:size])
     return h.hexdigest()
 
 
@@ -408,7 +422,7 @@ def _verified_sidecar(manifest: Path, doc: Any) -> Path:
 
 
 def load_checkpoint(
-    path: str | Path, config: ExperimentConfig
+    path: str | Path, config: ExperimentConfig, replay: bool = True
 ) -> tuple[TeamLearner, int, int, int, dict[str, Any]]:
     """Returns (team, session, epoch, global_epoch, rng_states).
 
@@ -423,7 +437,10 @@ def load_checkpoint(
     reference is malformed or of the wrong shape, or the sidecar entry is
     malformed or names a file outside the manifest's directory. The arrays
     are read from the file the manifest's ``sidecar.file`` names, which is
-    ``checkpoint.npz`` for a plan's final-epoch snapshot.
+    ``checkpoint.npz`` for a plan's final-epoch snapshot. Without ``replay``
+    the team's rings stay empty and no ring entry is read or checked, for a
+    caller that only acts with the networks; the sidecar's size and SHA-256,
+    the ring bookkeeping and the networks are checked as before.
     """
     manifest = Path(path)
     doc = json.loads(manifest.read_text())
@@ -438,9 +455,11 @@ def load_checkpoint(
             "checkpoint was produced by a different config "
             f"(digest {doc['config_digest'][:12]}... != {config.digest()[:12]}...)"
         )
-    arrays: dict[str, np.ndarray] = {}  # schema 1 inlines its arrays
-    if version > 1:
+    if version == 1:  # which inlines its arrays
+        team = _team_load(doc["agents"], {}.get, config, replay)
+    else:
         with np.load(_verified_sidecar(manifest, doc["sidecar"]), allow_pickle=False) as z:
-            arrays = {key: z[key] for key in z.files}  # each lookup rereads the member
-    team = _team_load(doc["agents"], arrays, config)
+            # each lookup rereads the member; consecutive references mostly share one
+            entries = lru_cache(maxsize=1)(lambda key: z[key] if key in z.files else None)
+            team = _team_load(doc["agents"], entries, config, replay)
     return team, doc["session"], doc["epoch"], doc["global_epoch"], doc["rng_states"]

@@ -83,7 +83,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ConfigError("run.strategy: learned strategies need --checkpoint")
         from .checkpoint import load_checkpoint
 
-        team, *_ = load_checkpoint(args.checkpoint, config)
+        team, *_ = load_checkpoint(args.checkpoint, config, replay=False)
     results = run_eval(
         config,
         ratios=ratios,

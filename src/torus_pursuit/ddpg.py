@@ -3,7 +3,9 @@
 Each agent owns an actor (observation -> raw 2-vector, normalized to a unit
 heading vector), a critic (observation + action vector -> value), target
 copies of both, an adaptive-moment optimizer per network, an
-Ornstein-Uhlenbeck exploration process, and a FIFO replay ring. Every
+Ornstein-Uhlenbeck exploration process, and a FIFO replay ring that holds
+each observation once: a slot's next observation is the next slot's, except
+at episode ends and the write head, which keep their own rows. Every
 network has ReLU hidden layers and an identity output. Actions are
 parametrized as unit 2-vectors (cos, sin of the heading) so neither the actor
 head nor the critic input sees the wrap discontinuity at +-pi.
@@ -27,7 +29,7 @@ sampled from each agent's own ring with its own random stream. Learning
 stays decentralized: no agent reads another's parameters, gradients, norms,
 noise or transitions, and each agent's numbers equal those of a lone agent
 (the n=1 team) bit for bit. The agents update in lockstep, so they share the
-Adam step counts and the ring bookkeeping.
+Adam step counts, the ring bookkeeping and the slots of its end table.
 """
 
 from __future__ import annotations
@@ -102,7 +104,12 @@ class ReplayBuffer:
     """One FIFO ring per agent, written in lockstep and sampled uniformly.
 
     The rings are (agents, capacity, .) arrays; agent i's stored
-    transitions are ``_obs[i, :len(self)]`` and so on.
+    transitions are ``_obs[i, :len(self)]`` and so on. A slot's next
+    observation is, bit for bit, the following slot's ``obs`` except at the
+    slots of the end table, the team's episode ends and always the write
+    head, whose successor is not pushed yet: ``_ends`` flags those slots and
+    ``_end_rows`` maps each to its own (agents, obs_dim) rows. A checkpoint
+    stores the table as it is (``next_obs_breaks``, ``load_next_obs_breaks``).
     """
 
     def __init__(self, capacity: int, obs_dim: int, agents: int = 1):
@@ -114,8 +121,9 @@ class ReplayBuffer:
         self._obs = np.zeros((agents, capacity, obs_dim))
         self._actions = np.zeros((agents, capacity, ACTION_DIM))
         self._rewards = np.zeros((agents, capacity))
-        self._next_obs = np.zeros((agents, capacity, obs_dim))
         self._terminals = np.zeros((agents, capacity))
+        self._ends = np.zeros(capacity, dtype=bool)
+        self._end_rows: dict[int, np.ndarray] = {}
         self._next = 0
         self._size = 0
 
@@ -147,12 +155,17 @@ class ReplayBuffer:
             agent = int(np.flatnonzero(~(err <= UNIT_NORM_TOLERANCE))[0])
             raise ValueError(f"agent {agent}: action vector norm {float(norms[agent])!r} "
                              f"is not 1 within {UNIT_NORM_TOLERANCE}")
-        i = self._next
+        i, head = self._next, (self._next - 1) % self.capacity
         self._obs[:, i] = obs
         self._actions[:, i] = action_vectors
         self._rewards[:, i] = rewards
-        self._next_obs[:, i] = next_obs
         self._terminals[:, i] = 1.0 if terminal else 0.0
+        # raw bytes, so a NaN payload or -0.0 keeps the head in the table
+        if self._size and self._end_rows[head].tobytes() == self._obs[:, i].tobytes():
+            del self._end_rows[head]
+            self._ends[head] = False
+        self._end_rows[i] = np.array(next_obs, dtype=np.float64)  # replaces a stale entry
+        self._ends[i] = True
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -173,9 +186,57 @@ class ReplayBuffer:
             obs=self._obs[agent, idx],
             actions=self._actions[agent, idx],
             rewards=self._rewards[agent, idx],
-            next_obs=self._next_obs[agent, idx],
+            next_obs=self._next_rows(idx),
             terminals=self._terminals[agent, idx],
         )
+
+    def _next_rows(self, idx: np.ndarray) -> np.ndarray:
+        """The next observations (agents, k, obs_dim) of agent i's slots ``idx[i]``."""
+        rows = self._obs[np.arange(self.agents)[:, None], (idx + 1) % self.capacity]
+        agent, col = np.nonzero(self._ends[idx])
+        if agent.size:
+            slots = idx[agent, col].tolist()
+            rows[agent, col] = np.stack([self._end_rows[k][i]
+                                         for i, k in zip(agent.tolist(), slots)])
+        return rows
+
+    def filled(self, i: int) -> dict[str, np.ndarray]:
+        """Views of agent i's filled slots of each stored field, by name."""
+        return {name: getattr(self, f"_{name}")[i, : self._size]
+                for name in ("obs", "actions", "rewards", "terminals")}
+
+    def next_obs_breaks(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Agent i's next observations as a checkpoint stores them: the int64
+        slots j < len(self) whose row is not, bit for bit, ``obs`` row
+        (j + 1) % len(self), and those rows."""
+        size = self._size
+        slots = np.flatnonzero(self._ends[:size]).astype(np.int64, copy=False)
+        rows = np.array([self._end_rows[k][i] for k in slots.tolist()]).reshape(-1, self.obs_dim)
+        differs = row_bytes(rows) != row_bytes(self._obs[i, (slots + 1) % size])
+        return slots[differs], rows[differs]
+
+    def load_next_obs_breaks(self, breaks: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Fills the end table from every agent's ``next_obs_breaks`` pair, once
+        the filled slots and the bookkeeping are in place."""
+        self._ends[:] = False
+        self._end_rows = {}
+        if not self._size:
+            return
+        self._ends[(self._next - 1) % self.capacity] = True  # the write head
+        for agent_breaks, _ in breaks:
+            self._ends[agent_breaks] = True
+        slots = np.flatnonzero(self._ends)
+        rows = self._obs[:, (slots + 1) % self._size]
+        for i, (agent_breaks, agent_rows) in enumerate(breaks):
+            rows[i, np.searchsorted(slots, agent_breaks)] = agent_rows
+        self._end_rows = dict(zip(slots.tolist(), rows.swapaxes(0, 1)))
+
+
+def row_bytes(a: np.ndarray) -> np.ndarray:
+    """Each row of a (k, d) array as one raw-byte item, so that comparing two
+    rows counts a NaN payload or -0.0 as a difference."""
+    a = np.ascontiguousarray(a)
+    return a.view(f"V{a.shape[-1] * a.itemsize}")[..., 0]
 
 
 def _parameter_count(sizes: tuple[int, ...]) -> int:

@@ -187,7 +187,6 @@ def run_training(
             f"run.strategy: cannot train analytic strategy {config.run.strategy!r}"
         )
     out = Path(out_dir if out_dir is not None else config.run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     plan = config.curriculum
     streams = make_streams(config.run.seed, config.env.n)
 
@@ -200,6 +199,7 @@ def run_training(
     else:
         team = make_team(config, streams.init)
         session_idx, epoch_idx, global_epoch = 0, 0, 0
+    out.mkdir(parents=True, exist_ok=True)  # after a refused resume, nothing is written
 
     final_snapshot: Path | None = None
     curve_path = out / "training_curve.csv"

@@ -23,7 +23,7 @@ from torus_pursuit.training import run_training
 NETWORKS = ("actor", "critic", "actor_target", "critic_target")
 OPTIMIZERS = ("adam_actor", "adam_critic")
 MOMENTS = ("m", "v")
-BUFFER_FIELDS = ("_obs", "_actions", "_rewards", "_next_obs", "_terminals")
+BUFFER_FIELDS = ("_obs", "_actions", "_rewards", "_terminals")
 SCALARS = ("n", "obs_dim", "ddpg")
 # a quiet NaN whose payload differs from np.nan's
 NAN_PAYLOAD = np.array(0x7FF8_0000_0000_0001, dtype=np.uint64).view(np.float64)
@@ -95,14 +95,21 @@ def twist(team, kind):
     after = 1 % len(buf)
     same, other = (0.0, -0.0) if kind == "negative_zero" else (np.nan, NAN_PAYLOAD)
     buf._obs[:, after, 0] = same
-    buf._next_obs[:, 0] = buf._obs[:, after]
-    buf._next_obs[:, 0, 0] = other
+    rows = buf._obs[:, after].copy()
+    rows[:, 0] = other
+    buf._ends[0], buf._end_rows[0] = True, rows
     buf._rewards[:, 0] = same
     buf._rewards[-1, 0] = other
 
 
+def next_obs(buf):
+    """The (agents, size, obs_dim) next observations of a ring's filled slots."""
+    return buf._next_rows(np.tile(np.arange(len(buf)), (buf.agents, 1)))
+
+
 def team_arrays(team):
-    """Every array of a team's state, by name."""
+    """Every array of a team's state, by name; a ring's next observations as
+    its filled slots sample them."""
     out = {"noise": team.noise}
     for net in NETWORKS:
         params = getattr(team, net)
@@ -113,6 +120,7 @@ def team_arrays(team):
             out[f"{opt}.{name}"] = getattr(getattr(team, opt), name)
     for name in BUFFER_FIELDS:
         out[name] = getattr(team.buffer, name)
+    out["next_obs"] = next_obs(team.buffer)
     return out
 
 
@@ -447,6 +455,12 @@ class TestMalformedManifest:
         for agent in saved[2]["agents"]:
             agent["buffer"]["size"] = "7"
         self.refused(saved, r"agent 0 has buffer\.size '7', want an integer")
+
+    def test_unwrapped_ring_writing_past_its_size(self, saved):
+        # 7 of 16 slots filled, so the next push goes to slot 7
+        for agent in saved[2]["agents"]:
+            agent["buffer"]["next"] = 3
+        self.refused(saved, r"replay bookkeeping \{'next': 3, 'size': 7\} does not fit")
 
     def test_weight_shape_without_sizes(self, saved):
         saved[2]["agents"][0]["actor"]["weights"][0]["shape"] = []

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from torus_pursuit import evaluation as evaluation_module
 from torus_pursuit import evader as evader_module
 from torus_pursuit import nn as nn_module
 from torus_pursuit import selfcheck as selfcheck_module
@@ -201,6 +202,18 @@ class TestTrainCommand:
                 resume=out_dir / "checkpoint.json",
             )
 
+    def test_refused_resume_creates_no_output_directory(self, tmp_path, capsys):
+        cfg_path, out_dir = write_config(tmp_path)
+        main(["train", "--config", str(cfg_path)])
+        other = json.loads(cfg_path.read_text())
+        other["ddpg"]["batch_size"] = 32  # digest-covered change
+        other_path = tmp_path / "other.json"
+        other_path.write_text(json.dumps(other))
+        assert main(["train", "--config", str(other_path), "--out", str(tmp_path / "refused"),
+                     "--resume", str(out_dir / "checkpoint.json")]) == 2
+        assert "different config" in capsys.readouterr().err
+        assert not (tmp_path / "refused").exists()
+
     def test_digest_ignores_operational_run_section(self, tmp_path):
         base = config_from_dict(tiny_config_dict(tmp_path / "a"))
         other = config_from_dict(tiny_config_dict(tmp_path / "b", seed=99))
@@ -368,6 +381,43 @@ class TestEvalCommand:
                      "--out", str(eval_out)])
         assert code == 0
         assert (eval_out / "success.csv").exists()
+
+    def test_eval_reads_no_ring_entry(self, tmp_path, monkeypatch, capsys):
+        # eval acts with the networks only: it leaves the rings empty and
+        # unread, and writes what a team with full rings writes
+        cfg_path, out_dir = write_config(tmp_path)
+        main(["train", "--config", str(cfg_path)])
+        ckpt = out_dir / "checkpoint.json"
+        read, teams = [], []
+        getitem, run = np.lib.npyio.NpzFile.__getitem__, evaluation_module.run_eval
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                            lambda z, key: read.append(key) or getitem(z, key))
+        monkeypatch.setattr(evaluation_module, "run_eval",
+                            lambda *a, team, **kw: teams.append(team) or run(*a, team=team, **kw))
+        lean = tmp_path / "lean"
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--ratios", "1.1,0.9", "--episodes", "3", "--out", str(lean)]) == 0
+        assert len(teams[0].buffer) == 0
+        assert read and not [key for key in read if ".buffer." in key]
+        read.clear()
+        config = load_config(cfg_path)
+        team, *_ = load_checkpoint(ckpt, config)
+        assert len(team.buffer) > 0 and [key for key in read if ".buffer." in key]
+        full = tmp_path / "full"
+        run(config, [1.1, 0.9], 3, full, team=team)
+        names = sorted(p.name for p in lean.iterdir())
+        assert names == sorted(p.name for p in full.iterdir())
+        for name in names:
+            assert (lean / name).read_bytes() == (full / name).read_bytes(), name
+        # the sidecar is still checked whole
+        sidecar = ckpt.with_suffix(".npz")
+        data = bytearray(sidecar.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        sidecar.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--ratios", "1.1", "--episodes", "1", "--out", str(tmp_path / "bad")]) == 2
+        assert "SHA-256" in capsys.readouterr().err
 
     def test_eval_stacked_team_writes_what_lone_agents_write(self, tmp_path):
         # one stacked act per step gives the files n separate agents would

@@ -5,8 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scalar_reference import heading_to_vector
+from torus_pursuit.checkpoint import _next_obs_breaks
 from torus_pursuit.config import DdpgConfig
 from torus_pursuit.ddpg import (
     ReplayBuffer,
@@ -198,12 +201,102 @@ class TestReplayBuffer:
         lone = ReplayBuffer(capacity=8, obs_dim=3)
         batch = team.sample(5, [np.random.default_rng(s) for s in (1, 2, 3)])
         for i, seed in enumerate((1, 2, 3)):
-            for name in ("obs", "actions", "rewards", "next_obs", "terminals"):
-                getattr(lone, f"_{name}")[0] = getattr(team, f"_{name}")[i]
-            lone._next, lone._size = team._next, team._size
+            copy_ring(team, i, lone)
             alone = lone.sample(5, [np.random.default_rng(seed)])
             for name in ("obs", "actions", "rewards", "next_obs", "terminals"):
                 assert np.array_equal(getattr(batch, name)[i], getattr(alone, name)[0]), name
+
+
+    def test_ring_arrays_hold_each_fact_once(self):
+        # obs, actions, rewards and terminal flags per agent-transition, plus
+        # one end-table flag per slot: no dense next_obs ring
+        for n, obs_dim, capacity in [(3, 8, 100), (1, 4, 7)]:
+            buf = make_learner(obs_dim, n=n, buffer_capacity=capacity).buffer
+            arrays = [a for a in vars(buf).values() if isinstance(a, np.ndarray)]
+            assert sum(a.nbytes for a in arrays) == capacity * n * (obs_dim + 4) * 8 + capacity
+
+
+# -0.0 against +0.0 and a NaN payload against np.nan's are the bitwise near misses
+ALPHABET = np.array([0.0, -0.0, 1.0, np.nan,
+                     np.array(0x7FF8_0000_0000_0001, dtype=np.uint64).view(np.float64)])
+
+
+@st.composite
+def push_sequences(draw):
+    """A ring's shape and pushes of (chained, obs, next_obs, terminal): a
+    chained push's obs is the previous push's next_obs, any other one starts
+    an episode, whether or not the previous push was terminal."""
+    agents, obs_dim, capacity = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 6))
+    cells = agents * obs_dim
+    rows = st.lists(st.integers(0, len(ALPHABET) - 1), min_size=cells, max_size=cells).map(
+        lambda ix: ALPHABET[ix].reshape(agents, obs_dim))
+    pushes = draw(st.lists(st.tuples(st.booleans(), rows, rows, st.booleans()), max_size=20))
+    return agents, obs_dim, capacity, pushes
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def rows(*values):
+    return np.array(values, dtype=np.float64).reshape(len(values), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=push_sequences(), seed=st.integers(0, 2**32 - 1))
+# an episode whose last next_obs differs from the next episode's first obs
+# only by -0.0 against +0.0, then only by a NaN payload; a wrapped ring of one slot
+@example(case=(2, 1, 3, [(False, rows(1.0, 1.0), rows(-0.0, 1.0), True),
+                         (False, rows(0.0, 1.0), rows(1.0, 1.0), False)]), seed=0)
+@example(case=(1, 1, 4, [(False, rows(1.0), rows(np.nan), False),
+                         (False, ALPHABET[4:].reshape(1, 1), rows(1.0), False),
+                         (True, rows(0.0), rows(-0.0), False)]), seed=1)
+@example(case=(2, 1, 1, [(False, rows(1.0, 0.0), rows(0.0, 1.0), False),
+                         (True, rows(1.0, 1.0), rows(-0.0, 1.0), True),
+                         (False, rows(0.0, 1.0), rows(1.0, 0.0), False)]), seed=2)
+def test_ring_holds_every_pushed_transition(case, seed):
+    agents, obs_dim, capacity, pushes = case
+    buf = ReplayBuffer(capacity, obs_dim, agents)
+    pushed = []
+    for k, (chained, obs, next_obs, terminal) in enumerate(pushes):
+        if chained and pushed:
+            obs = pushed[-1][3]
+        actions = np.array([heading_to_vector(0.1 * k + i) for i in range(agents)])
+        pushed.append((obs, actions, np.full(agents, float(k)), next_obs,
+                       np.full(agents, float(terminal))))
+        buf.push(obs, actions, pushed[-1][2], next_obs, terminal)
+    size = len(buf)
+    assert size == min(len(pushes), capacity)
+    # filled slot s holds the last transition pushed to it
+    held = [max(t for t in range(len(pushes)) if t % capacity == s) for s in range(size)]
+
+    def gathered(field, slots):
+        return np.array([[pushed[held[s]][field][i] for s in row] for i, row in enumerate(slots)],
+                        dtype=np.float64)
+
+    every = np.tile(np.arange(size), (agents, 1))
+    assert same_bits(buf._next_rows(every).reshape(agents, size, obs_dim),
+                     gathered(3, every).reshape(agents, size, obs_dim))
+    # the checkpoint form: breaks as a full scan of the dense rows finds them,
+    # and a ring filled from them samples the same next rows
+    copy = ReplayBuffer(capacity, obs_dim, agents)
+    for name in ("_obs", "_actions", "_rewards", "_terminals"):
+        getattr(copy, name)[...] = getattr(buf, name)
+    copy._next, copy._size = buf._next, buf._size
+    copy.load_next_obs_breaks([buf.next_obs_breaks(i) for i in range(agents)])
+    for i in range(agents):
+        breaks, rows = buf.next_obs_breaks(i)
+        dense = gathered(3, every)[i].reshape(size, obs_dim)
+        assert np.array_equal(breaks, _next_obs_breaks(buf._obs[i, :size], dense))
+        assert breaks.dtype == np.int64 and same_bits(rows, dense[breaks])
+    assert same_bits(copy._next_rows(every), buf._next_rows(every))
+    if size:
+        batch = buf.sample(size, [np.random.default_rng([seed, i]) for i in range(agents)])
+        idx = np.stack([np.random.default_rng([seed, i]).integers(0, size, size=size)
+                        for i in range(agents)])
+        for field, name in enumerate(("obs", "actions", "rewards", "next_obs", "terminals")):
+            want = gathered(field, idx)
+            assert same_bits(getattr(batch, name), want.reshape(getattr(batch, name).shape)), name
 
 
 class TestCriticUpdate:
@@ -388,13 +481,24 @@ class TestTargets:
 
 
 NETWORKS = ("actor", "critic", "actor_target", "critic_target")
-RINGS = ("_obs", "_actions", "_rewards", "_next_obs", "_terminals")
+RINGS = ("_obs", "_actions", "_rewards", "_terminals")
+
+
+def copy_ring(team, i, lone):
+    """Copies agent i of a team's ring into the ring of a lone agent, the
+    next observations through the checkpoint form."""
+    for name in RINGS:
+        getattr(lone, name)[0] = getattr(team, name)[i]
+    lone._next, lone._size = team._next, team._size
+    lone.load_next_obs_breaks([team.next_obs_breaks(i)])
 
 
 class TestDecentralization:
     def test_learners_share_no_arrays(self):
         rng = np.random.default_rng(53)
         team = make_learner(n=3)
+        for k in range(5):
+            push_random(team.buffer, rng, terminal=k == 2)
         per_agent = []
         for i in range(3):
             arrays = []
@@ -404,6 +508,7 @@ class TestDecentralization:
             arrays += [state.m[i] for state in (team.adam_actor, team.adam_critic)]
             arrays += [state.v[i] for state in (team.adam_actor, team.adam_critic)]
             arrays += [getattr(team.buffer, name)[i] for name in RINGS]
+            arrays += [rows[i] for rows in team.buffer._end_rows.values()]
             per_agent.append(arrays + [team.noise[i]])
         for i in range(3):
             for j in range(i + 1, 3):
@@ -541,9 +646,7 @@ class TestScratch:
             for i in range(n):
                 agent = make_learner(5, hidden, critic_hidden, n=1, tau=0.05, buffer_capacity=128)
                 agent.state[0] = team.state[i]
-                for name in RINGS:
-                    getattr(agent.buffer, name)[0] = getattr(team.buffer, name)[i]
-                agent.buffer._next, agent.buffer._size = team.buffer._next, team.buffer._size
+                copy_ring(team.buffer, i, agent.buffer)
                 lone.append(agent)
             obs = np.linspace(-1.0, 1.0, 5 * n).reshape(n, 5)
             for step in range(4):

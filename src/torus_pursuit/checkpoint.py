@@ -5,34 +5,37 @@ config digest, every agent's online/target networks and optimizer moments,
 each agent's replay buffer contents, the curriculum position, and the states
 of all random streams.
 
-Schema version 3 writes two files. The JSON manifest at the given path holds
+Schema version 4 writes two files. The JSON manifest at the given path holds
 every scalar (schema version, config digest, curriculum position, random
 stream states, hyperparameters, noise state, Adam step counters, buffer
 bookkeeping). The arrays go to an uncompressed ``.npz`` sidecar with the
 manifest's stem (``checkpoint_epoch5.json`` -> ``checkpoint_epoch5.npz``) as
-flat float64 entries (the int64 break slots below aside), and the manifest refers to each array by
-``{"key", "offset", "shape"}``: its row-major values start at ``offset`` in
-entry ``key``. All network and Adam arrays of agent i share entry
-``agents.i``, since reading one zip member costs far more than its bytes;
-that entry is row i of the team's (n, S) state array, written as it lies in
-memory, and each reference's offset is where its view starts in the row.
-Agent i's filled ring slices ``obs[i, :size]`` and ``actions[i, :size]``
-are entries ``agents.i.buffer.obs`` and ``agents.i.buffer.actions``.
+flat float64 entries (the int64 break slots below aside), and the manifest
+refers to each array by ``{"key", "offset", "shape"}``: its row-major values
+start at ``offset`` in entry ``key``. All network and Adam arrays of agent i
+share entry ``agents.i``, since reading one zip member costs far more than
+its bytes; that entry is row i of the team's (n, S) state array, written as
+it lies in memory, and each reference's offset is where its view starts in
+the row. Agent i's filled ring slice ``obs[i, :size]`` is entry
+``agents.i.buffer.obs``.
 
-Each replay fact is written once. Slot j's ``next_obs`` row is, bit for bit,
-slot ``(j + 1) % size``'s ``obs`` row except at episode ends and at the write
-head, so ``next_obs`` is no entry of its own: its ``{"breaks", "rows"}``
-manifest entry refers to the int64 entry ``agents.i.buffer.next_obs.breaks``,
-the strictly increasing slots whose row differs (compared as raw bytes, so a
-NaN payload or -0.0 counts as a difference), and to the float64 entry
-``agents.i.buffer.next_obs.rows``, those slots' rows. This is the form the
-ring keeps in memory (``ddpg.ReplayBuffer``): the writer takes the slots of
-the ring's end table whose row differs, and loading fills that table with
-the stored rows, reading each sidecar entry only when it is first needed.
-Schemas 1 and 2 store a dense ``next_obs``, which loading reduces to the same
-break slots and rows. The team's rewards and terminal flags, and the break slots, are alike for every
-agent: when agent i's slice equals agent 0's bit for bit, agent i's
-reference points at agent 0's entry instead of a copy. The sidecar's bytes
+Each replay fact is written once, as the ring (``ddpg.ReplayBuffer``) holds
+it. The team's rewards and terminal flags are the entries
+``buffer.rewards`` and ``buffer.terminals``, which every agent's reference
+names. A slot's action is no entry: it is the heading columns (the first
+two) of the slot's next observation. Slot j's ``next_obs`` row is, bit for
+bit, slot ``(j + 1) % size``'s ``obs`` row except at episode ends and at the
+write head, so ``next_obs`` is no entry of its own either: its
+``{"breaks", "rows"}`` manifest entry refers to the int64 entry
+``agents.i.buffer.next_obs.breaks``, the strictly increasing slots whose row
+differs (compared as raw bytes, so a NaN payload or -0.0 counts as a
+difference), and to the float64 entry ``agents.i.buffer.next_obs.rows``,
+those slots' rows. The writer takes the slots of the ring's end table whose
+row differs, and loading fills that table with the stored rows. The break
+slots are alike for every agent: when agent i's equal agent 0's bit for
+bit, agent i's reference points at agent 0's entry instead of a copy.
+Loading reads each sidecar entry once, when it is first needed, and a
+reference equal to one already read is not read again. The sidecar's bytes
 are a pure function of the state (zip entries carry a fixed timestamp), so
 equal states give equal files.
 
@@ -52,10 +55,18 @@ observation width, hyperparameters and ring capacity must be the config's. A
 team updates in lockstep, so loading also requires every agent's Adam step
 counts and ring bookkeeping to agree, and refuses bookkeeping no ring of the
 capacity can reach (one that has not wrapped writes at its size) and break
-slots that are not int64, not strictly increasing or outside the ring. Schema version 2 files, which hold
-every ring field of every agent as its own entry, and schema version 1
-files, one JSON document whose arrays are inline ``{"shape", "data"}`` lists
-of decimal floats, still load.
+slots that are not int64, not strictly increasing or outside the ring.
+
+Older schemas still load. Schema version 3 files store each agent's actions
+as entry ``agents.i.buffer.actions`` and the rewards and terminal flags per
+agent, sharing agent 0's entry where they are equal; schema version 2 files
+hold every ring field of every agent as its own entry, with a dense
+``next_obs``, which loading reduces to the same break slots and rows; schema
+version 1 files are one JSON document whose arrays are inline
+``{"shape", "data"}`` lists of decimal floats. Loading them refuses, naming
+the agent, the field and the slot, a stored action that is not bit for bit
+the heading columns of its slot's next observation, and, in every schema,
+an agent's rewards or terminal flags that differ from agent 0's.
 """
 
 from __future__ import annotations
@@ -70,11 +81,11 @@ from typing import Any, Callable
 import numpy as np
 
 from .config import ExperimentConfig
-from .ddpg import TeamLearner, make_team, row_bytes
+from .ddpg import ACTION_DIM, ReplayBuffer, TeamLearner, make_team, row_bytes
 from .errors import CheckpointIntegrityError, DigestMismatchError, SchemaVersionError
 
-CHECKPOINT_SCHEMA_VERSION = 3
-READABLE_SCHEMA_VERSIONS = (1, 2, 3)
+CHECKPOINT_SCHEMA_VERSION = 4
+READABLE_SCHEMA_VERSIONS = (1, 2, 3, 4)
 _HASH_CHUNK = 1 << 18
 _TOP_LEVEL = ("config_digest", "session", "epoch", "global_epoch", "agents", "rng_states")
 # a sidecar entry by key, None when the sidecar has no such entry
@@ -149,18 +160,20 @@ _NETWORKS = ("actor", "critic", "actor_target", "critic_target")
 _ACTIVATIONS = {"hidden_activation": "relu", "output_activation": "identity"}
 _OPTIMIZERS = {"adam_actor": "actor", "adam_critic": "critic"}
 _HYPERPARAMETERS = ("gamma", "tau", "lr_actor", "lr_critic", "clip_norm", "theta_ou", "sigma_ou")
-_TEAM_WIDE = ("rewards", "terminals", "next_obs.breaks")  # alike for every agent of a team
+_TEAM_FIELDS = ("rewards", "terminals")  # one per slot, for the whole team
 
 
-def _ring_ref(arrays: dict[str, np.ndarray], i: int, name: str, values: np.ndarray) -> dict:
-    """Writes agent i's ring values as entry ``agents.i.buffer.<name>``; a team-wide
-    field refers instead to agent 0's entry when that holds the same bits."""
+def _ring_ref(arrays: dict[str, np.ndarray], i: int, name: str, values: np.ndarray,
+              shared: bool = False) -> dict:
+    """Writes agent i's ring values as entry ``agents.i.buffer.<name>``; a
+    ``shared`` field refers instead to agent 0's entry when that holds the
+    same bits."""
     flat = values.ravel()  # a view of a filled slice, which is contiguous
     own, first = f"agents.{i}.buffer.{name}", f"agents.0.buffer.{name}"
-    shared = arrays.get(first) if name in _TEAM_WIDE else None
+    theirs = arrays.get(first) if shared else None
     # memoryviews of the 64-bit words compare bit for bit, in C and without a temporary
-    if (i > 0 and shared is not None and shared.dtype == flat.dtype
-            and memoryview(shared.view(np.uint64)) == memoryview(flat.view(np.uint64))):
+    if (i > 0 and theirs is not None and theirs.dtype == flat.dtype
+            and memoryview(theirs.view(np.uint64)) == memoryview(flat.view(np.uint64))):
         return _array_ref(first, 0, values)
     arrays[own] = flat
     return _array_ref(own, 0, values)
@@ -175,29 +188,85 @@ def _next_obs_breaks(obs: np.ndarray, next_obs: np.ndarray) -> np.ndarray:
     return np.flatnonzero(differs).astype(np.int64, copy=False)
 
 
-def _next_obs_load(doc: dict, i: int, obs: np.ndarray, entries: _Entries,
-                   where: str) -> tuple[np.ndarray, np.ndarray]:
-    """Agent i's next observations as break slots and their rows: as stored
-    (schema 3), or found in the dense field of schemas 1 and 2."""
-    ref = _field(doc, i, "buffer.next_obs")
+def _next_obs_load(ref: Any, obs: np.ndarray, entries: _Entries, where: str,
+                   read: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Next observations as break slots and their rows: as stored (schemas 3
+    and 4), or found in the dense field of schemas 1 and 2. Break slots are
+    read once per reference: ``read`` holds them by the reference's JSON."""
     if not (isinstance(ref, dict) and "breaks" in ref):
         next_obs = np.empty_like(obs)
         _fill([next_obs], [ref], entries, where, whole=True)
         breaks = _next_obs_breaks(obs, next_obs)
         return breaks, next_obs[breaks]
-    breaks = _array_load(ref["breaks"], entries, f"{where}.breaks", dtype=np.int64, whole=True)
-    rows = _array_load(_field(doc, i, "buffer.next_obs.rows"), entries, f"{where}.rows",
-                       whole=True)
-    size = len(obs)
-    if breaks.ndim != 1 or (breaks.size and not (
-            0 <= breaks[0] and breaks[-1] < size and np.all(breaks[1:] > breaks[:-1]))):
-        raise CheckpointIntegrityError(
-            f"{where}.breaks: slots must be strictly increasing in [0, {size})")
+    size, known = len(obs), _as_json(ref["breaks"])
+    if known not in read:
+        breaks = _array_load(ref["breaks"], entries, f"{where}.breaks", dtype=np.int64, whole=True)
+        if breaks.ndim != 1 or (breaks.size and not (
+                0 <= breaks[0] and breaks[-1] < size and np.all(breaks[1:] > breaks[:-1]))):
+            raise CheckpointIntegrityError(
+                f"{where}.breaks: slots must be strictly increasing in [0, {size})")
+        read[known] = breaks
+    breaks = read[known]
+    if "rows" not in ref:
+        raise CheckpointIntegrityError(f"{where} has no 'rows'")
+    rows = _array_load(ref["rows"], entries, f"{where}.rows", whole=True)
     if rows.shape != (breaks.size, obs.shape[1]):
         raise CheckpointIntegrityError(
             f"{where}.rows: shape {list(rows.shape)}, want {[breaks.size, obs.shape[1]]} "
             "(one row per break slot)")
     return breaks, rows
+
+
+def _as_json(ref: Any) -> str:
+    return json.dumps(ref, sort_keys=True)
+
+
+def _same_bits(values: np.ndarray, want: np.ndarray, where: str, what: str) -> None:
+    """Refuses, naming the first slot, values that are not ``want`` bit for bit."""
+    got, wanted = (row_bytes(a.reshape(len(a), math.prod(a.shape[1:]))) for a in (values, want))
+    differs = np.flatnonzero(got != wanted)
+    if differs.size:
+        j = int(differs[0])
+        raise CheckpointIntegrityError(
+            f"{where} slot {j}: {values[j].tolist()!r} differs from {what}, {want[j].tolist()!r}")
+
+
+def _ring_load(buf: ReplayBuffer, docs: list[dict], entries: _Entries,
+               stored_actions: bool) -> None:
+    """Fills the rings, whose bookkeeping is in place, from every agent's entry.
+
+    The team's rewards and terminal flags are agent 0's, and every other
+    agent's must hold the same bits; like the break slots, they are not read
+    again where an agent's reference is agent 0's. Schemas 1-3 also store
+    each slot's action, which must be, bit for bit, the heading columns of
+    the slot's next observation.
+    """
+    ring = buf.filled()
+    for name in _TEAM_FIELDS:
+        first = _field(docs[0], 0, f"buffer.{name}")
+        _fill([ring[name]], [first], entries, f"agent 0 buffer.{name}", whole=True)
+        for i, doc in enumerate(docs[1:], start=1):
+            # as JSON, in which -0.0 and 0.0 differ, as their bits do
+            if _as_json(ref := _field(doc, i, f"buffer.{name}")) != _as_json(first):
+                where, values = f"agent {i} buffer.{name}", np.empty_like(ring[name])
+                _fill([values], [ref], entries, where, whole=True)
+                _same_bits(values, ring[name], where, "agent 0's")
+    breaks, read = [], {}
+    for i, doc in enumerate(docs):
+        obs, where = ring["obs"][i], f"agent {i} buffer"
+        _fill([obs], [_field(doc, i, "buffer.obs")], entries, f"{where}.obs", whole=True)
+        breaks.append(_next_obs_load(_field(doc, i, "buffer.next_obs"), obs, entries,
+                                     f"{where}.next_obs", read))
+        if stored_actions:
+            heads = np.roll(obs[:, :ACTION_DIM], -1, axis=0)
+            agent_breaks, rows = breaks[-1]
+            heads[agent_breaks] = rows[:, :ACTION_DIM]
+            actions = np.empty_like(heads)
+            _fill([actions], [_field(doc, i, "buffer.actions")], entries, f"{where}.actions",
+                  whole=True)
+            _same_bits(actions, heads, f"{where}.actions",
+                       "the next observation's heading columns")
+    buf.load_next_obs_breaks(breaks)
 
 
 def _agent_doc(team: TeamLearner, i: int, arrays: dict[str, np.ndarray]) -> dict:
@@ -222,11 +291,14 @@ def _agent_doc(team: TeamLearner, i: int, arrays: dict[str, np.ndarray]) -> dict
     doc["noise_state"] = team.noise[i].tolist()
     doc["buffer"] = {"capacity": buf.capacity, "obs_dim": buf.obs_dim,
                      "next": buf._next, "size": buf._size}
-    ring = buf.filled(i)
-    ring["next_obs.breaks"], ring["next_obs.rows"] = buf.next_obs_breaks(i)
-    refs = {name: _ring_ref(arrays, i, name, values) for name, values in ring.items()}
-    refs["next_obs"] = {"breaks": refs.pop("next_obs.breaks"), "rows": refs.pop("next_obs.rows")}
-    doc["buffer"].update(refs)
+    ring = buf.filled()
+    doc["buffer"]["obs"] = _ring_ref(arrays, i, "obs", ring["obs"][i])
+    for name in _TEAM_FIELDS:
+        doc["buffer"][name] = _array_ref(f"buffer.{name}", 0, ring[name])
+    breaks, rows = buf.next_obs_breaks(i)
+    doc["buffer"]["next_obs"] = {
+        "breaks": _ring_ref(arrays, i, "next_obs.breaks", breaks, shared=True),
+        "rows": _ring_ref(arrays, i, "next_obs.rows", rows)}
     return doc
 
 
@@ -254,7 +326,7 @@ def _agreed(docs: list[dict], path: str) -> int:
 
 
 def _team_load(docs: list[dict], entries: _Entries, config: ExperimentConfig,
-               replay: bool) -> TeamLearner:
+               replay: bool, version: int) -> TeamLearner:
     """Fills the team ``config`` describes from the per-agent entries, which must
     hold the config's value of every scalar it fixes and agree on the others;
     without ``replay`` the rings stay empty and no ring entry is read."""
@@ -305,15 +377,7 @@ def _team_load(docs: list[dict], entries: _Entries, config: ExperimentConfig,
         team.noise[i] = noise
     if replay:
         team.buffer._next, team.buffer._size = ring["next"], ring["size"]
-        breaks = []
-        for i, doc in enumerate(docs):
-            filled = team.buffer.filled(i)
-            for name, view in filled.items():
-                _fill([view], [_field(doc, i, f"buffer.{name}")], entries,
-                      f"agent {i} buffer.{name}", whole=True)
-            breaks.append(_next_obs_load(doc, i, filled["obs"], entries,
-                                         f"agent {i} buffer.next_obs"))
-        team.buffer.load_next_obs_breaks(breaks)
+        _ring_load(team.buffer, docs, entries, stored_actions=version < 4)
     return team
 
 
@@ -343,7 +407,8 @@ def save_checkpoint(
     """Writes the sidecar, then the manifest, each via a temp file and replace."""
     target = Path(path)
     sidecar = sidecar_path(target)
-    arrays: dict[str, np.ndarray] = {}
+    ring = team.buffer.filled()
+    arrays = {f"buffer.{name}": ring[name] for name in _TEAM_FIELDS}
     agents = [_agent_doc(team, i, arrays) for i in range(team.n)]
     target.parent.mkdir(parents=True, exist_ok=True)
 
@@ -432,7 +497,9 @@ def load_checkpoint(
     and the agent, when the manifest or an agent's entry lacks a field, the
     agent count, an observation width, a hyperparameter or a ring capacity
     is not the config's, an agent disagrees with agent 0 on an Adam step
-    count or the ring bookkeeping, a count or an offset is not an integer, a
+    count, the ring bookkeeping or, slot by slot, the team's rewards and
+    terminal flags, a stored action (schemas 1-3) is not its slot's next
+    observation's heading columns, a count or an offset is not an integer, a
     network's activation is not ReLU hidden and identity output, an array
     reference is malformed or of the wrong shape, or the sidecar entry is
     malformed or names a file outside the manifest's directory. The arrays
@@ -456,10 +523,10 @@ def load_checkpoint(
             f"(digest {doc['config_digest'][:12]}... != {config.digest()[:12]}...)"
         )
     if version == 1:  # which inlines its arrays
-        team = _team_load(doc["agents"], {}.get, config, replay)
+        team = _team_load(doc["agents"], {}.get, config, replay, version)
     else:
         with np.load(_verified_sidecar(manifest, doc["sidecar"]), allow_pickle=False) as z:
-            # each lookup rereads the member; consecutive references mostly share one
+            # each lookup rereads the member; the references to one entry are consecutive
             entries = lru_cache(maxsize=1)(lambda key: z[key] if key in z.files else None)
-            team = _team_load(doc["agents"], entries, config, replay)
+            team = _team_load(doc["agents"], entries, config, replay, version)
     return team, doc["session"], doc["epoch"], doc["global_epoch"], doc["rng_states"]

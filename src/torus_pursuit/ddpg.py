@@ -4,8 +4,10 @@ Each agent owns an actor (observation -> raw 2-vector, normalized to a unit
 heading vector), a critic (observation + action vector -> value), target
 copies of both, an adaptive-moment optimizer per network, an
 Ornstein-Uhlenbeck exploration process, and a FIFO replay ring that holds
-each observation once: a slot's next observation is the next slot's, except
-at episode ends and the write head, which keep their own rows. Every
+each replay fact once: a slot's next observation is the next slot's, except
+at episode ends and the write head, which keep their own rows; a slot's
+action is the heading its next observation starts with; and the team's
+reward and terminal flag, which every pursuer shares, are one per slot. Every
 network has ReLU hidden layers and an identity output. Actions are
 parametrized as unit 2-vectors (cos, sin of the heading) so neither the actor
 head nor the critic input sees the wrap discontinuity at +-pi.
@@ -29,7 +31,8 @@ sampled from each agent's own ring with its own random stream. Learning
 stays decentralized: no agent reads another's parameters, gradients, norms,
 noise or transitions, and each agent's numbers equal those of a lone agent
 (the n=1 team) bit for bit. The agents update in lockstep, so they share the
-Adam step counts, the ring bookkeeping and the slots of its end table.
+Adam step counts, the ring bookkeeping, the slots of its end table and the
+team's rewards and terminal flags.
 """
 
 from __future__ import annotations
@@ -103,71 +106,86 @@ class TransitionBatch:
 class ReplayBuffer:
     """One FIFO ring per agent, written in lockstep and sampled uniformly.
 
-    The rings are (agents, capacity, .) arrays; agent i's stored
-    transitions are ``_obs[i, :len(self)]`` and so on. A slot's next
-    observation is, bit for bit, the following slot's ``obs`` except at the
-    slots of the end table, the team's episode ends and always the write
-    head, whose successor is not pushed yet: ``_ends`` flags those slots and
-    ``_end_rows`` maps each to its own (agents, obs_dim) rows. A checkpoint
-    stores the table as it is (``next_obs_breaks``, ``load_next_obs_breaks``).
+    Agent i's stored observations are ``_obs[i, :len(self)]``; the team's
+    rewards and terminal flags, alike for every agent, are
+    ``_rewards[:len(self)]`` and ``_terminals[:len(self)]``. A slot's
+    action is no array of its own: the pursuer moved along the heading its
+    next observation starts with, so the action is that row's first
+    ``ACTION_DIM`` columns. A slot's next observation is, bit for bit, the
+    following slot's ``obs`` except at the slots of the end table, the
+    team's episode ends and always the write head, whose successor is not
+    pushed yet: ``_end_row`` gives each of those slots its row of
+    ``_end_rows``, an (rows, agents, obs_dim) table whose unused rows are
+    listed in ``_free``, and -1 to every other slot. A checkpoint stores the
+    table as it is (``next_obs_breaks``, ``load_next_obs_breaks``).
     """
 
     def __init__(self, capacity: int, obs_dim: int, agents: int = 1):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if obs_dim < ACTION_DIM:
+            raise ValueError(f"observations of {obs_dim} values hold no {ACTION_DIM} "
+                             "heading columns")
         self.capacity = capacity
         self.obs_dim = obs_dim
         self.agents = agents
         self._obs = np.zeros((agents, capacity, obs_dim))
-        self._actions = np.zeros((agents, capacity, ACTION_DIM))
-        self._rewards = np.zeros((agents, capacity))
-        self._terminals = np.zeros((agents, capacity))
-        self._ends = np.zeros(capacity, dtype=bool)
-        self._end_rows: dict[int, np.ndarray] = {}
+        self._rewards = np.zeros(capacity)
+        self._terminals = np.zeros(capacity)
+        self._end_row = np.full(capacity, -1, dtype=np.int32)
+        self._end_rows = np.empty((0, agents, obs_dim))
+        self._free: list[int] = []
         self._next = 0
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
-    def push(
-        self,
-        obs: np.ndarray,
-        action_vectors: np.ndarray,
-        rewards: Sequence[float],
-        next_obs: np.ndarray,
-        terminal: bool,
-    ) -> None:
-        """Appends one step's (o, a, r, o') row per agent; terminal means capture, not timeout.
+    def push(self, obs: np.ndarray, reward: float, next_obs: np.ndarray, terminal: bool) -> None:
+        """Appends one step: every agent's (o, o') rows and the team's reward;
+        terminal means capture, not timeout. The step's actions are the
+        heading columns of ``next_obs``.
 
-        Raises ValueError, naming the agent, if an action vector is not a
-        unit vector, and if a row's shape does not fit the rings.
+        Raises ValueError, naming the agent, if those columns are not a unit
+        vector, and if a row's shape does not fit the rings.
         """
         n, d = self.agents, self.obs_dim
-        shapes = tuple(np.shape(a) for a in (obs, action_vectors, rewards, next_obs))
-        if shapes != ((n, d), (n, ACTION_DIM), (n,), (n, d)):
+        shapes = (np.shape(obs), np.shape(reward), np.shape(next_obs))
+        if shapes != ((n, d), (), (n, d)):
             raise ValueError(f"step rows of shapes {shapes} do not fit {n} rings of "
-                             f"{d} observations")
-        x, y = np.asarray(action_vectors).T
+                             f"{d} observations and one team reward")
+        x, y = np.asarray(next_obs)[:, :ACTION_DIM].T
         norms = np.hypot(x, y)
         err = np.abs(norms - 1.0)
         if not err.max() <= UNIT_NORM_TOLERANCE:  # a NaN norm fails too
             agent = int(np.flatnonzero(~(err <= UNIT_NORM_TOLERANCE))[0])
-            raise ValueError(f"agent {agent}: action vector norm {float(norms[agent])!r} "
-                             f"is not 1 within {UNIT_NORM_TOLERANCE}")
+            raise ValueError(f"agent {agent}: the next observation's heading columns have "
+                             f"norm {float(norms[agent])!r}, not 1 within {UNIT_NORM_TOLERANCE}")
         i, head = self._next, (self._next - 1) % self.capacity
         self._obs[:, i] = obs
-        self._actions[:, i] = action_vectors
-        self._rewards[:, i] = rewards
-        self._terminals[:, i] = 1.0 if terminal else 0.0
+        self._rewards[i] = reward
+        self._terminals[i] = 1.0 if terminal else 0.0
         # raw bytes, so a NaN payload or -0.0 keeps the head in the table
-        if self._size and self._end_rows[head].tobytes() == self._obs[:, i].tobytes():
-            del self._end_rows[head]
-            self._ends[head] = False
-        self._end_rows[i] = np.array(next_obs, dtype=np.float64)  # replaces a stale entry
-        self._ends[i] = True
+        if self._size and self._end_rows[self._end_row[head]].tobytes() == self._obs[:, i].tobytes():
+            self._free.append(int(self._end_row[head]))
+            self._end_row[head] = -1
+        row = self._table_row(i)  # which may grow the table; a stale row is written over
+        self._end_rows[row] = next_obs
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
+
+    def _table_row(self, slot: int) -> int:
+        """The end-table row of ``slot``; a slot without one takes a free row,
+        and the table doubles, up to one row per slot, when none is free."""
+        if self._end_row[slot] < 0:
+            if not self._free:
+                rows = len(self._end_rows)
+                grown = np.empty((min(max(2 * rows, 4), self.capacity), self.agents, self.obs_dim))
+                grown[:rows] = self._end_rows
+                self._end_rows = grown
+                self._free = list(range(len(grown) - 1, rows - 1, -1))
+            self._end_row[slot] = self._free.pop()
+        return int(self._end_row[slot])
 
     def sample(self, batch_size: int, rngs: Sequence[np.random.Generator]) -> TransitionBatch:
         """Uniform sample with replacement, agent i's rows drawn by ``rngs[i]``.
@@ -181,55 +199,59 @@ class ReplayBuffer:
         if len(rngs) != self.agents:
             raise ValueError(f"{len(rngs)} random streams for {self.agents} agents")
         idx = np.stack([rng.integers(0, self._size, size=batch_size) for rng in rngs])
-        agent = np.arange(self.agents)[:, None]
+        next_obs = self._next_rows(idx)
         return TransitionBatch(
-            obs=self._obs[agent, idx],
-            actions=self._actions[agent, idx],
-            rewards=self._rewards[agent, idx],
-            next_obs=self._next_rows(idx),
-            terminals=self._terminals[agent, idx],
+            obs=self._obs[np.arange(self.agents)[:, None], idx],
+            actions=next_obs[..., :ACTION_DIM],
+            rewards=self._rewards[idx],
+            next_obs=next_obs,
+            terminals=self._terminals[idx],
         )
 
     def _next_rows(self, idx: np.ndarray) -> np.ndarray:
         """The next observations (agents, k, obs_dim) of agent i's slots ``idx[i]``."""
         rows = self._obs[np.arange(self.agents)[:, None], (idx + 1) % self.capacity]
-        agent, col = np.nonzero(self._ends[idx])
-        if agent.size:
-            slots = idx[agent, col].tolist()
-            rows[agent, col] = np.stack([self._end_rows[k][i]
-                                         for i, k in zip(agent.tolist(), slots)])
+        table_rows = self._end_row[idx]
+        at = np.nonzero(table_rows >= 0)
+        rows[at] = self._end_rows[table_rows[at], at[0]]
         return rows
 
-    def filled(self, i: int) -> dict[str, np.ndarray]:
-        """Views of agent i's filled slots of each stored field, by name."""
-        return {name: getattr(self, f"_{name}")[i, : self._size]
-                for name in ("obs", "actions", "rewards", "terminals")}
+    def filled(self) -> dict[str, np.ndarray]:
+        """Views of the filled slots of each stored field, by name: the
+        (agents, size, obs_dim) observations, the team's rewards and terminal
+        flags."""
+        size = self._size
+        return {"obs": self._obs[:, :size], "rewards": self._rewards[:size],
+                "terminals": self._terminals[:size]}
 
     def next_obs_breaks(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Agent i's next observations as a checkpoint stores them: the int64
         slots j < len(self) whose row is not, bit for bit, ``obs`` row
         (j + 1) % len(self), and those rows."""
         size = self._size
-        slots = np.flatnonzero(self._ends[:size]).astype(np.int64, copy=False)
-        rows = np.array([self._end_rows[k][i] for k in slots.tolist()]).reshape(-1, self.obs_dim)
+        slots = np.flatnonzero(self._end_row[:size] >= 0).astype(np.int64, copy=False)
+        rows = self._end_rows[self._end_row[slots], i]
         differs = row_bytes(rows) != row_bytes(self._obs[i, (slots + 1) % size])
         return slots[differs], rows[differs]
 
     def load_next_obs_breaks(self, breaks: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
         """Fills the end table from every agent's ``next_obs_breaks`` pair, once
         the filled slots and the bookkeeping are in place."""
-        self._ends[:] = False
-        self._end_rows = {}
+        self._end_row[:] = -1
+        self._end_rows = np.empty((0, self.agents, self.obs_dim))
+        self._free = []
         if not self._size:
             return
-        self._ends[(self._next - 1) % self.capacity] = True  # the write head
+        ends = np.zeros(self.capacity, dtype=bool)
+        ends[(self._next - 1) % self.capacity] = True  # the write head
         for agent_breaks, _ in breaks:
-            self._ends[agent_breaks] = True
-        slots = np.flatnonzero(self._ends)
+            ends[agent_breaks] = True
+        slots = np.flatnonzero(ends)
         rows = self._obs[:, (slots + 1) % self._size]
         for i, (agent_breaks, agent_rows) in enumerate(breaks):
             rows[i, np.searchsorted(slots, agent_breaks)] = agent_rows
-        self._end_rows = dict(zip(slots.tolist(), rows.swapaxes(0, 1)))
+        self._end_rows = np.ascontiguousarray(rows.swapaxes(0, 1))
+        self._end_row[slots] = np.arange(len(slots))
 
 
 def row_bytes(a: np.ndarray) -> np.ndarray:

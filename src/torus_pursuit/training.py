@@ -100,7 +100,6 @@ def run_episode(
     """
     env_cfg = replace(config.env, velocity_ratio=ratio)
     observe, _ = strategy_observation(config.run.strategy, env_cfg.n)
-    n = env_cfg.n
     batch_size = config.ddpg.batch_size
     state = reset(env_cfg, streams.env)
     team.reset_noise()
@@ -123,9 +122,8 @@ def run_episode(
         next_obs = observe(state)[0]
         reward = float(outcome.rewards[0])
         captured = bool(outcome.captured[0])
-        # the unit vectors (cos, sin) of the headings just taken
-        actions = state.units[0, :-1]
-        team.buffer.push(obs, actions, np.full(n, reward), next_obs, captured)
+        # next_obs starts with the unit vectors (cos, sin) of the headings just taken
+        team.buffer.push(obs, reward, next_obs, captured)
         obs = next_obs
         if len(team.buffer) >= batch_size:
             loss = team.critic_update(team.buffer.sample(batch_size, streams.sample))

@@ -1,4 +1,4 @@
-"""Checkpoint layout: save/load identity, byte stability, schemas 1 and 2, integrity."""
+"""Checkpoint layout: save/load identity, byte stability, schemas 1-3, integrity."""
 
 import hashlib
 import json
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from scalar_reference import heading_to_vector
 from torus_pursuit.checkpoint import load_checkpoint, save_checkpoint, sidecar_path
+from torus_pursuit.cli import main
 from torus_pursuit.config import ExperimentConfig, config_from_dict, load_config
 from torus_pursuit.ddpg import make_team as make_config_team
 from torus_pursuit.errors import CheckpointIntegrityError
@@ -23,15 +24,17 @@ from torus_pursuit.training import run_training
 NETWORKS = ("actor", "critic", "actor_target", "critic_target")
 OPTIMIZERS = ("adam_actor", "adam_critic")
 MOMENTS = ("m", "v")
-BUFFER_FIELDS = ("_obs", "_actions", "_rewards", "_terminals")
+BUFFER_FIELDS = ("_obs", "_rewards", "_terminals")
 SCALARS = ("n", "obs_dim", "ddpg")
 # a quiet NaN whose payload differs from np.nan's
 NAN_PAYLOAD = np.array(0x7FF8_0000_0000_0001, dtype=np.uint64).view(np.float64)
 
-# A schema 2 checkpoint written at global epoch 4 by `train --config tiny_config.json`
-# before schema 3, committed so that reading schema 2 stays tested.
+# Schema 2 and schema 3 checkpoints written at global epoch 4 by
+# `train --config tiny_config.json` before the next schema, committed so that
+# reading them stays tested.
 V2_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v2" / "checkpoint_epoch4.json"
 V2_CONFIG = V2_CHECKPOINT.parent / "tiny_config.json"
+V3_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v3" / "checkpoint_epoch4.json"
 
 
 def team_config(agents, strategy, actor_hidden, critic_hidden, capacity):
@@ -52,7 +55,8 @@ def make_team(agents, fill, strategy, actor_hidden, critic_hidden, capacity, see
 
     Unchained pushes draw every row afresh. Chained ones fill the rings as
     training does: each push's obs is the previous push's next_obs, except
-    after a terminal push, which ends the episode; the reward is the team's.
+    after a terminal push, which ends the episode. Every next_obs row starts
+    with a unit heading vector, the action taken.
     """
     rng = np.random.default_rng(seed)
     cfg = team_config(agents, strategy, actor_hidden, critic_hidden, capacity)
@@ -72,14 +76,9 @@ def make_team(agents, fill, strategy, actor_hidden, critic_hidden, capacity, see
     for _ in range(fill):
         obs, next_obs = (next_obs if chained else rng.standard_normal((agents, obs_dim)),
                          rng.standard_normal((agents, obs_dim)))
+        next_obs[:, :2] = [heading_to_vector(t) for t in rng.uniform(-math.pi, math.pi, agents)]
         terminal = bool(rng.integers(0, 4 if chained else 2) == 0)
-        team.buffer.push(
-            obs,
-            np.array([heading_to_vector(t) for t in rng.uniform(-math.pi, math.pi, agents)]),
-            np.full(agents, rng.normal()) if chained else rng.normal(size=agents),
-            next_obs,
-            terminal,
-        )
+        team.buffer.push(obs, rng.normal(), next_obs, terminal)
         if terminal:
             next_obs = rng.standard_normal((agents, obs_dim))
     return cfg, team
@@ -87,8 +86,8 @@ def make_team(agents, fill, strategy, actor_hidden, critic_hidden, capacity, see
 
 def twist(team, kind):
     """Makes slot 0's next_obs rows equal slot 1's obs rows but for one -0.0
-    against +0.0, or one NaN payload against another; the last agent's first
-    reward differs from the other agents' in the same way."""
+    against +0.0, or one NaN payload against another; the team's first
+    reward is the odd one of the two."""
     buf = team.buffer
     if kind is None or len(buf) == 0:
         return
@@ -97,9 +96,9 @@ def twist(team, kind):
     buf._obs[:, after, 0] = same
     rows = buf._obs[:, after].copy()
     rows[:, 0] = other
-    buf._ends[0], buf._end_rows[0] = True, rows
-    buf._rewards[:, 0] = same
-    buf._rewards[-1, 0] = other
+    row = buf._table_row(0)
+    buf._end_rows[row] = rows
+    buf._rewards[0] = other
 
 
 def next_obs(buf):
@@ -150,7 +149,8 @@ def ref_values(arrays, ref: dict) -> np.ndarray:
 
 
 def inline_as_schema_1(manifest: Path, out: Path) -> None:
-    """Rewrites a schema 2 or 3 checkpoint as one schema 1 JSON document at `out`."""
+    """Rewrites a schema 2, 3 or 4 checkpoint as one schema 1 JSON document at
+    `out`, with the actions and the per-agent rewards schema 1 stores."""
     doc = json.loads(manifest.read_text())
     with np.load(manifest.parent / doc.pop("sidecar")["file"]) as arrays:
         def inline(node):
@@ -164,12 +164,15 @@ def inline_as_schema_1(manifest: Path, out: Path) -> None:
 
         for agent in doc["agents"]:
             ring = agent["buffer"]
-            if "breaks" in ring["next_obs"]:  # schema 3: obs rolled up a row, patched at breaks
+            if "breaks" in ring["next_obs"]:  # schemas 3, 4: obs rolled up a row, patched at breaks
                 breaks, rows = (ref_values(arrays, ring["next_obs"][k]) for k in ("breaks", "rows"))
                 next_obs = np.roll(ref_values(arrays, ring["obs"]), -1, axis=0)
                 next_obs[breaks] = rows
                 ring["next_obs"] = {"shape": list(next_obs.shape),
                                     "data": next_obs.ravel().tolist()}
+                # schema 4: each slot's action is its next_obs heading columns
+                ring.setdefault("actions", {"shape": [len(next_obs), 2],
+                                            "data": next_obs[:, :2].ravel().tolist()})
         doc = inline(doc)
     doc["schema_version"] = 1
     out.write_text(json.dumps(doc))
@@ -233,13 +236,15 @@ def test_save_load_identity(agents, fill, strategy, actor_hidden, critic_hidden,
             assert breaks.dtype == np.int64
             if kind is not None and size:
                 assert breaks[0] == 0  # the twisted slot is stored, not rebuilt
+            # one team entry each, and no actions: they are next_obs's heading columns
+            for name in ("rewards", "terminals"):
+                assert agent["buffer"][name] == {"key": f"buffer.{name}", "offset": 0,
+                                                 "shape": [size]}, (i, name)
+            assert "actions" not in agent["buffer"]
             if chained:
-                episode_ends = int(team.buffer._terminals[i, :size].sum())
+                episode_ends = int(team.buffer._terminals[:size].sum())
                 assert len(breaks) <= episode_ends + 1 + (kind is not None)
-                for name in ("terminals", "next_obs") + (("rewards",) if kind is None else ()):
-                    ref = agent["buffer"][name]
-                    key = (ref["breaks"] if name == "next_obs" else ref)["key"]
-                    assert key.startswith("agents.0."), (i, name)
+                assert agent["buffer"]["next_obs"]["breaks"]["key"].startswith("agents.0."), i
 
         loaded, session, epoch, global_epoch, states = load_checkpoint(a, cfg)
         inline_as_schema_1(a, Path(tmp, "v1.json"))
@@ -269,7 +274,7 @@ class TestSidecarIntegrity:
     def test_manifest_records_sidecar(self, saved):
         _, path, sidecar = saved
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert doc["sidecar"]["file"] == sidecar.name
         assert doc["sidecar"]["bytes"] == sidecar.stat().st_size
         assert doc["agents"][0]["actor"]["weights"][0] == {
@@ -282,8 +287,13 @@ class TestSidecarIntegrity:
         assert doc["agents"][0]["buffer"]["next_obs"] == {
             "breaks": {"key": "agents.0.buffer.next_obs.breaks", "offset": 0, "shape": [7]},
             "rows": {"key": "agents.0.buffer.next_obs.rows", "offset": 0, "shape": [7, 4]}}
+        assert doc["agents"][0]["buffer"]["rewards"] == {
+            "key": "buffer.rewards", "offset": 0, "shape": [7]}
+        assert "actions" not in doc["agents"][0]["buffer"]
         with np.load(sidecar) as arrays:
-            assert "agents.0.buffer.next_obs" not in arrays.files
+            assert sorted(arrays.files) == [
+                "agents.0", "agents.0.buffer.next_obs.breaks", "agents.0.buffer.next_obs.rows",
+                "agents.0.buffer.obs", "buffer.rewards", "buffer.terminals"]
 
     def test_missing_sidecar_rejected(self, saved):
         cfg, path, sidecar = saved
@@ -512,7 +522,7 @@ def rewrite_sidecar(path: Path, edit) -> None:
 
 
 class TestMalformedRing:
-    """A schema 3 ring field that cannot be decoded is refused, naming the agent and field."""
+    """A ring field that cannot be decoded is refused, naming the agent and field."""
 
     BREAKS = "agents.0.buffer.next_obs.breaks"
 
@@ -573,34 +583,156 @@ class TestMalformedRing:
     def test_shared_reference_of_wrong_length(self, saved):
         cfg, path = saved
         doc = json.loads(path.read_text())
-        assert doc["agents"][1]["buffer"]["rewards"]["key"] == "agents.0.buffer.rewards"
-        doc["agents"][1]["buffer"]["rewards"]["key"] = "agents.0.buffer.actions"
+        assert doc["agents"][1]["buffer"]["rewards"]["key"] == "buffer.rewards"
+        doc["agents"][1]["buffer"]["rewards"]["key"] = "agents.0.buffer.obs"
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointIntegrityError,
-                           match=r"agent 1 buffer\.rewards\[0\]: .*'agents\.0\.buffer\.actions', "
-                                 "which holds 32"):
+                           match=r"agent 1 buffer\.rewards\[0\]: .*'agents\.0\.buffer\.obs', "
+                                 "which holds 64"):
             load_checkpoint(path, cfg)
 
 
-def test_schema_2_fixture_loads_and_resumes_bit_for_bit(tmp_path):
+def resumes_fixture_bit_for_bit(tmp_path, fixture, version):
+    """The committed snapshot `fixture` of schema `version` holds the state the
+    current writer stores at the same epoch, and resuming from it ends on the
+    uninterrupted run's bytes."""
     cfg = load_config(V2_CONFIG)
     full = run_training(cfg, out_dir=tmp_path / "full")
-    snapshot = full / V2_CHECKPOINT.name
-    assert json.loads(V2_CHECKPOINT.read_text())["schema_version"] == 2
-    assert json.loads(snapshot.read_text())["schema_version"] == 3
-    assert sidecar_path(snapshot).stat().st_size < sidecar_path(V2_CHECKPOINT).stat().st_size
+    snapshot = full / fixture.name
+    assert json.loads(fixture.read_text())["schema_version"] == version
+    assert json.loads(snapshot.read_text())["schema_version"] == 4
+    assert sidecar_path(snapshot).stat().st_size < sidecar_path(fixture).stat().st_size
 
-    from_v2, *v2_rest = load_checkpoint(V2_CHECKPOINT, cfg)
-    from_v3, *v3_rest = load_checkpoint(snapshot, cfg)
-    assert len(from_v2.buffer) == from_v2.buffer.capacity  # the fixture's ring has wrapped
-    assert v2_rest == v3_rest
-    assert_same_team(from_v3, from_v2)
+    from_fixture, *fixture_rest = load_checkpoint(fixture, cfg)
+    from_now, *now_rest = load_checkpoint(snapshot, cfg)
+    assert len(from_fixture.buffer) == from_fixture.buffer.capacity  # the fixture's ring has wrapped
+    assert fixture_rest == now_rest
+    assert_same_team(from_now, from_fixture)
 
-    resumed = run_training(cfg, out_dir=tmp_path / "resumed", resume=V2_CHECKPOINT)
+    resumed = run_training(cfg, out_dir=tmp_path / "resumed", resume=fixture)
     rows = (resumed / "training_curve.csv").read_text().splitlines()
     assert rows[2:] == (full / "training_curve.csv").read_text().splitlines()[2 + 4:]
     for name in ("checkpoint.json", "checkpoint.npz"):
         assert (resumed / name).read_bytes() == (full / name).read_bytes()
+
+
+def test_schema_2_fixture_loads_and_resumes_bit_for_bit(tmp_path):
+    resumes_fixture_bit_for_bit(tmp_path, V2_CHECKPOINT, 2)
+
+
+def test_schema_3_fixture_loads_and_resumes_bit_for_bit(tmp_path):
+    resumes_fixture_bit_for_bit(tmp_path, V3_CHECKPOINT, 3)
+
+
+def copied(fixture: Path, out: Path) -> Path:
+    """A copy of a committed snapshot and its sidecar in `out`."""
+    for src in (fixture, sidecar_path(fixture)):
+        (out / src.name).write_bytes(src.read_bytes())
+    return out / fixture.name
+
+
+def edit_ring(path: Path, version: int, agent: int, name: str, slot: int, value: float) -> None:
+    """Sets `name`[slot] (the slot's first value) of `agent`'s ring in the
+    checkpoint at `path`: in the inline data of schema 1, in the agent's own
+    sidecar entry otherwise. A schema 3 or 4 agent that refers to agent 0's
+    rewards gets its own entry first."""
+    doc = json.loads(path.read_text())
+    ref = doc["agents"][agent]["buffer"][name]
+    if version == 1:
+        ref["data"][slot * math.prod(ref["shape"][1:])] = value
+        path.write_text(json.dumps(doc))
+        return
+    own = f"agents.{agent}.buffer.{name}"
+    shared = ref["key"] != own
+    ref["key"] = own
+    path.write_text(json.dumps(doc))
+
+    def edit(arrays):
+        if shared:
+            arrays[own] = arrays[f"agents.0.buffer.{name}" if version == 3 else f"buffer.{name}"]
+        values = arrays[own].copy()
+        values[slot * math.prod(ref["shape"][1:])] = value
+        arrays[own] = values
+
+    rewrite_sidecar(path, edit)
+
+
+def as_schema(version: int, tmp_path: Path) -> Path:
+    """A snapshot of `tiny_config.json` at global epoch 4 in schema `version`."""
+    if version == 1:
+        inline_as_schema_1(V3_CHECKPOINT, tmp_path / "v1.json")
+        return tmp_path / "v1.json"
+    if version == 4:
+        run_training(load_config(V2_CONFIG), out_dir=tmp_path / "run")
+        return tmp_path / "run" / V3_CHECKPOINT.name
+    return copied(V2_CHECKPOINT if version == 2 else V3_CHECKPOINT, tmp_path)
+
+
+class TestStoredFactsDisagree:
+    """A stored action is the heading its slot's next observation starts with,
+    and the team shares one reward and one terminal flag: a file whose facts
+    disagree is refused, naming the agent, the field and the slot."""
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("value", [0.5, -0.0])
+    def test_edited_action_refused(self, tmp_path, version, value):
+        path = as_schema(version, tmp_path)
+        edit_ring(path, version, 1, "actions", 5, value)
+        with pytest.raises(CheckpointIntegrityError, match=re.escape(
+                f"agent 1 buffer.actions slot 5: [{value!r}, ")
+                + r".* differs from the next observation's heading columns, \["):
+            load_checkpoint(path, load_config(V2_CONFIG))
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["rewards", "terminals"])
+    def test_edited_team_field_refused(self, tmp_path, version, name):
+        path = as_schema(version, tmp_path)
+        edit_ring(path, version, 1, name, 3, -0.0)  # the stored value is -0.1, 0.0 or 1.0
+        with pytest.raises(CheckpointIntegrityError, match=re.escape(
+                f"agent 1 buffer.{name} slot 3: -0.0 differs from agent 0's, ")):
+            load_checkpoint(path, load_config(V2_CONFIG))
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["actions", "rewards"])
+    def test_cli_resume_from_edited_file_exits_2(self, tmp_path, capsys, version, name):
+        path = as_schema(version, tmp_path)
+        edit_ring(path, version, 1, name, 2, 0.25)
+        assert main(["train", "--config", str(V2_CONFIG), "--out", str(tmp_path / "resumed"),
+                     "--resume", str(path)]) == 2
+        value = "[0.25, " if name == "actions" else "0.25 "
+        assert capsys.readouterr().err.startswith(f"error: agent 1 buffer.{name} slot 2: {value}")
+        assert not (tmp_path / "resumed").exists()
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_unedited_file_loads(self, tmp_path, version):
+        team, *_ = load_checkpoint(as_schema(version, tmp_path), load_config(V2_CONFIG))
+        with np.load(sidecar_path(V3_CHECKPOINT)) as arrays:
+            assert np.array_equal(team.buffer._obs[1].ravel(), arrays["agents.1.buffer.obs"])
+
+    def test_schema_3_without_actions_refused(self, tmp_path):
+        path = as_schema(3, tmp_path)
+        doc = json.loads(path.read_text())
+        del doc["agents"][0]["buffer"]["actions"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match="agent 0 has no 'buffer.actions'"):
+            load_checkpoint(path, load_config(V2_CONFIG))
+
+
+@pytest.mark.parametrize("version", [2, 3, 4])
+def test_load_reads_each_sidecar_entry_once(tmp_path, monkeypatch, version):
+    path = as_schema(version, tmp_path)
+    reads = []
+    get = np.lib.npyio.NpzFile.__getitem__
+
+    def counted(z, key):
+        reads.append(key)
+        return get(z, key)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counted)
+    load_checkpoint(path, load_config(V2_CONFIG))
+    with np.load(sidecar_path(path)) as arrays:
+        names = arrays.files
+    assert sorted(reads) == sorted(names)
 
 
 def snapshot_plan(epochs: list[int], every: int) -> ExperimentConfig:

@@ -308,8 +308,10 @@ class TestCheckpointRoundTrip:
         rng = np.random.default_rng(seed + 1)
         for _ in range(10):
             theta = float(rng.uniform(-math.pi, math.pi))
-            learner.buffer.push(rng.standard_normal((1, 4)), heading_to_vector(theta)[None],
-                                [float(rng.normal())], rng.standard_normal((1, 4)), False)
+            obs, reward, next_obs = (rng.standard_normal((1, 4)), float(rng.normal()),
+                                     rng.standard_normal((1, 4)))
+            next_obs[0, :2] = heading_to_vector(theta)  # the heading just taken
+            learner.buffer.push(obs, reward, next_obs, False)
         return learner
 
     def test_bit_exact_round_trip(self, tmp_path):

@@ -31,15 +31,13 @@ def make_learner(obs_dim=4, hidden=(8, 8), critic_hidden=(8, 8), seed=0, n=1, **
 
 
 def push_random(buf, rng, terminal=False, reward=None):
-    """One step of random unit actions, observations and rewards for every agent."""
-    thetas = rng.uniform(-math.pi, math.pi, size=buf.agents)
-    buf.push(
-        rng.standard_normal((buf.agents, buf.obs_dim)),
-        np.array([heading_to_vector(t) for t in thetas]),
-        rng.normal(size=buf.agents) if reward is None else np.full(buf.agents, reward),
-        rng.standard_normal((buf.agents, buf.obs_dim)),
-        terminal,
-    )
+    """One step of random observations and team reward; each agent's next
+    observation starts with a random unit heading vector, its action."""
+    next_obs = rng.standard_normal((buf.agents, buf.obs_dim))
+    next_obs[:, :2] = [heading_to_vector(t)
+                       for t in rng.uniform(-math.pi, math.pi, size=buf.agents)]
+    buf.push(rng.standard_normal((buf.agents, buf.obs_dim)),
+             rng.normal() if reward is None else reward, next_obs, terminal)
 
 
 def lone_batch(obs, actions, rewards, next_obs, terminals):
@@ -67,15 +65,23 @@ class TestActionHead:
         assert learner.act(obs) == learner.act(obs)
 
     def test_transition_rejects_non_unit_action(self):
+        # the action is the heading columns of the next observation
         buf = ReplayBuffer(capacity=4, obs_dim=4, agents=2)
-        actions = np.array([[1.0, 0.0], [0.5, 0.0]])
-        with pytest.raises(ValueError, match="agent 1: action vector norm 0.5"):
-            buf.push(np.zeros((2, 4)), actions, [0.0, 0.0], np.zeros((2, 4)), False)
+        next_obs = np.zeros((2, 4))
+        next_obs[:, :2] = [[1.0, 0.0], [0.5, 0.0]]
+        with pytest.raises(ValueError, match="agent 1: the next observation's heading columns "
+                                             "have norm 0.5"):
+            buf.push(np.zeros((2, 4)), 0.0, next_obs, False)
         with pytest.raises(ValueError, match="agent 0"):
-            buf.push(np.zeros((2, 4)), actions * np.nan, [0.0, 0.0], np.zeros((2, 4)), False)
+            buf.push(np.zeros((2, 4)), 0.0, next_obs * np.nan, False)
+        next_obs[1, 0] = 1.0
         with pytest.raises(ValueError, match="do not fit"):
-            buf.push(np.zeros(4), actions[:1], [0.0], np.zeros(4), False)
+            buf.push(np.zeros(4), 0.0, next_obs[0], False)
+        with pytest.raises(ValueError, match="do not fit"):  # one reward for the team
+            buf.push(np.zeros((2, 4)), [0.0, 0.0], next_obs, False)
         assert len(buf) == 0
+        with pytest.raises(ValueError, match="no 2 heading columns"):
+            ReplayBuffer(capacity=4, obs_dim=1)
 
     def test_normalization_jacobian_matches_finite_differences(self):
         # derivative of u -> u/||u|| away from vanishing norms
@@ -152,16 +158,16 @@ class TestExploration:
 
 
 def push_reward(buf, r):
-    buf.push(np.array([[float(r)]]), np.array([[1.0, 0.0]]), [float(r)], np.array([[0.0]]), False)
+    buf.push(np.array([[float(r), 0.0]]), float(r), np.array([[1.0, 0.0]]), False)
 
 
 class TestReplayBuffer:
     def test_fifo_eviction(self):
-        buf = ReplayBuffer(capacity=3, obs_dim=1)
+        buf = ReplayBuffer(capacity=3, obs_dim=2)
         for r in range(4):
             push_reward(buf, r)
         assert len(buf) == 3
-        stored = sorted(buf._rewards[0, :3].tolist())
+        stored = sorted(buf._rewards[:3].tolist())
         assert stored == [1.0, 2.0, 3.0]  # reward 0 (oldest) evicted
 
     def test_sample_deterministic_per_seed(self):
@@ -181,7 +187,7 @@ class TestReplayBuffer:
             buf.sample(2, [np.random.default_rng(0)])
 
     def test_sampling_uniformity(self):
-        buf = ReplayBuffer(capacity=10, obs_dim=1)
+        buf = ReplayBuffer(capacity=10, obs_dim=2)
         for r in range(10):
             push_reward(buf, r)
         sample_rng = np.random.default_rng(19)
@@ -208,28 +214,44 @@ class TestReplayBuffer:
 
 
     def test_ring_arrays_hold_each_fact_once(self):
-        # obs, actions, rewards and terminal flags per agent-transition, plus
-        # one end-table flag per slot: no dense next_obs ring
+        # obs per agent-transition; the team's reward and terminal flag and
+        # one int32 end-table row number per slot; an empty end table: no
+        # dense next_obs ring, no action ring, no per-agent reward copies
         for n, obs_dim, capacity in [(3, 8, 100), (1, 4, 7)]:
             buf = make_learner(obs_dim, n=n, buffer_capacity=capacity).buffer
             arrays = [a for a in vars(buf).values() if isinstance(a, np.ndarray)]
-            assert sum(a.nbytes for a in arrays) == capacity * n * (obs_dim + 4) * 8 + capacity
+            assert sum(a.nbytes for a in arrays) == capacity * (n * obs_dim * 8 + 8 + 8 + 4)
+
+    def test_action_is_the_next_observations_heading(self):
+        rng = np.random.default_rng(5)
+        buf = ReplayBuffer(capacity=6, obs_dim=4, agents=2)
+        for k in range(9):
+            push_random(buf, rng, terminal=k % 4 == 0)
+        batch = buf.sample(6, [np.random.default_rng(s) for s in (1, 2)])
+        assert np.array_equal(batch.actions, batch.next_obs[..., :2])
+        assert np.allclose(np.hypot(*np.moveaxis(batch.actions, -1, 0)), 1.0)
 
 
 # -0.0 against +0.0 and a NaN payload against np.nan's are the bitwise near misses
 ALPHABET = np.array([0.0, -0.0, 1.0, np.nan,
                      np.array(0x7FF8_0000_0000_0001, dtype=np.uint64).view(np.float64)])
+# unit heading columns, among them the near misses of a signed zero
+HEADINGS = np.array([[1.0, 0.0], [1.0, -0.0], [0.0, 1.0], [-0.0, 1.0], [-1.0, 0.0], [0.6, 0.8]])
 
 
 @st.composite
 def push_sequences(draw):
     """A ring's shape and pushes of (chained, obs, next_obs, terminal): a
     chained push's obs is the previous push's next_obs, any other one starts
-    an episode, whether or not the previous push was terminal."""
-    agents, obs_dim, capacity = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 6))
-    cells = agents * obs_dim
-    rows = st.lists(st.integers(0, len(ALPHABET) - 1), min_size=cells, max_size=cells).map(
-        lambda ix: ALPHABET[ix].reshape(agents, obs_dim))
+    an episode, whether or not the previous push was terminal. Every row
+    starts with unit heading columns."""
+    agents, obs_dim, capacity = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 6))
+    cells = agents * (obs_dim - 2)
+    rows = st.tuples(
+        st.lists(st.integers(0, len(HEADINGS) - 1), min_size=agents, max_size=agents),
+        st.lists(st.integers(0, len(ALPHABET) - 1), min_size=cells, max_size=cells),
+    ).map(lambda ix: np.concatenate(
+        (HEADINGS[ix[0]], ALPHABET[ix[1]].reshape(agents, obs_dim - 2)), axis=1))
     pushes = draw(st.lists(st.tuples(st.booleans(), rows, rows, st.booleans()), max_size=20))
     return agents, obs_dim, capacity, pushes
 
@@ -238,22 +260,27 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def rows(*values):
-    return np.array(values, dtype=np.float64).reshape(len(values), 1)
+def rows(*agent_rows):
+    return np.array(agent_rows, dtype=np.float64)
+
+
+NAN_PAYLOAD = ALPHABET[4]
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=push_sequences(), seed=st.integers(0, 2**32 - 1))
 # an episode whose last next_obs differs from the next episode's first obs
-# only by -0.0 against +0.0, then only by a NaN payload; a wrapped ring of one slot
-@example(case=(2, 1, 3, [(False, rows(1.0, 1.0), rows(-0.0, 1.0), True),
-                         (False, rows(0.0, 1.0), rows(1.0, 1.0), False)]), seed=0)
-@example(case=(1, 1, 4, [(False, rows(1.0), rows(np.nan), False),
-                         (False, ALPHABET[4:].reshape(1, 1), rows(1.0), False),
-                         (True, rows(0.0), rows(-0.0), False)]), seed=1)
-@example(case=(2, 1, 1, [(False, rows(1.0, 0.0), rows(0.0, 1.0), False),
-                         (True, rows(1.0, 1.0), rows(-0.0, 1.0), True),
-                         (False, rows(0.0, 1.0), rows(1.0, 0.0), False)]), seed=2)
+# only by -0.0 against +0.0 (in a heading column, then in another one), then
+# only by a NaN payload; a wrapped ring of one slot
+@example(case=(2, 3, 3, [(False, rows([1, 0, 1], [1, 0, 1]), rows([1, 0, -0.0], [-0.0, 1, 1]), True),
+                         (False, rows([1, 0, 0.0], [0.0, 1, 1]), rows([1, 0, 1], [1, 0, 1]), False)]),
+         seed=0)
+@example(case=(1, 3, 4, [(False, rows([1, 0, 1]), rows([1, 0, np.nan]), False),
+                         (False, rows([1, 0, NAN_PAYLOAD]), rows([0, 1, 1]), False),
+                         (True, rows([0, 1, 0.0]), rows([0, 1, -0.0]), False)]), seed=1)
+@example(case=(2, 2, 1, [(False, rows([1, 0], [0, 1]), rows([0, 1], [1, 0]), False),
+                         (True, rows([1, 0], [1, 0]), rows([-0.0, 1], [1, 0]), True),
+                         (False, rows([0.0, 1], [1, 0]), rows([1, 0], [0, 1]), False)]), seed=2)
 def test_ring_holds_every_pushed_transition(case, seed):
     agents, obs_dim, capacity, pushes = case
     buf = ReplayBuffer(capacity, obs_dim, agents)
@@ -261,10 +288,11 @@ def test_ring_holds_every_pushed_transition(case, seed):
     for k, (chained, obs, next_obs, terminal) in enumerate(pushes):
         if chained and pushed:
             obs = pushed[-1][3]
-        actions = np.array([heading_to_vector(0.1 * k + i) for i in range(agents)])
-        pushed.append((obs, actions, np.full(agents, float(k)), next_obs,
+        # the team's reward and flag, seen by every agent; the action is the
+        # heading the next observation starts with
+        pushed.append((obs, next_obs[:, :2], np.full(agents, float(k)), next_obs,
                        np.full(agents, float(terminal))))
-        buf.push(obs, actions, pushed[-1][2], next_obs, terminal)
+        buf.push(obs, float(k), next_obs, terminal)
     size = len(buf)
     assert size == min(len(pushes), capacity)
     # filled slot s holds the last transition pushed to it
@@ -280,7 +308,7 @@ def test_ring_holds_every_pushed_transition(case, seed):
     # the checkpoint form: breaks as a full scan of the dense rows finds them,
     # and a ring filled from them samples the same next rows
     copy = ReplayBuffer(capacity, obs_dim, agents)
-    for name in ("_obs", "_actions", "_rewards", "_terminals"):
+    for name in ("_obs", "_rewards", "_terminals"):
         getattr(copy, name)[...] = getattr(buf, name)
     copy._next, copy._size = buf._next, buf._size
     copy.load_next_obs_breaks([buf.next_obs_breaks(i) for i in range(agents)])
@@ -481,14 +509,14 @@ class TestTargets:
 
 
 NETWORKS = ("actor", "critic", "actor_target", "critic_target")
-RINGS = ("_obs", "_actions", "_rewards", "_terminals")
 
 
 def copy_ring(team, i, lone):
-    """Copies agent i of a team's ring into the ring of a lone agent, the
-    next observations through the checkpoint form."""
-    for name in RINGS:
-        getattr(lone, name)[0] = getattr(team, name)[i]
+    """Copies agent i of a team's ring and the team's rewards and terminal
+    flags into the ring of a lone agent, the next observations through the
+    checkpoint form."""
+    lone._obs[0] = team._obs[i]
+    lone._rewards[...], lone._terminals[...] = team._rewards, team._terminals
     lone._next, lone._size = team._next, team._size
     lone.load_next_obs_breaks([team.next_obs_breaks(i)])
 
@@ -507,8 +535,8 @@ class TestDecentralization:
                 arrays += weights + biases
             arrays += [state.m[i] for state in (team.adam_actor, team.adam_critic)]
             arrays += [state.v[i] for state in (team.adam_actor, team.adam_critic)]
-            arrays += [getattr(team.buffer, name)[i] for name in RINGS]
-            arrays += [rows[i] for rows in team.buffer._end_rows.values()]
+            # the rewards and terminal flags are the team's, not an agent's
+            arrays += [team.buffer._obs[i], team.buffer._end_rows[:, i]]
             per_agent.append(arrays + [team.noise[i]])
         for i in range(3):
             for j in range(i + 1, 3):
@@ -567,7 +595,9 @@ class TestBanditConvergence:
 
         for _ in range(1024):
             theta = float(rng.uniform(-math.pi, math.pi))
-            learner.buffer.push(obs, heading_to_vector(theta)[None], [reward(theta)], obs, True)
+            # the action is the heading the next observation starts with
+            next_obs = np.concatenate((heading_to_vector(theta), obs[0, 2:]))[None]
+            learner.buffer.push(obs, reward(theta), next_obs, True)
         before = reward(learner.act(obs)[0])
         for _ in range(2000):
             batch = learner.buffer.sample(64, [rng])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_pursuit.environment import (
     MAX_EXPECTED_SPAWN_DRAWS,
@@ -256,6 +258,35 @@ class TestCapture:
     def test_wrapped_capture(self):
         cfg = EnvConfig(n=1, capture_radius=0.05)
         assert is_captured(world([(0.99, 0.5)], (0.02, 0.5)), cfg)[0]
+
+
+# headings a pursuer may choose, signed zeros and the wrap among them
+CHOSEN = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2, 3 * math.pi]),
+                   st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), episodes=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       chosen=st.lists(st.lists(CHOSEN, min_size=5, max_size=5), max_size=3))
+def test_observation_rows_start_with_the_heading_units(n, episodes, seed, chosen):
+    # a replay slot's action is its next observation's first two columns, so
+    # they must be the unit vector the pursuer just moved along, bit for bit:
+    # on a fresh spawn (units computed when asked for) and after each step
+    # (units computed by the step)
+    cfg = EnvConfig(n=n, evader_speed=0.05, velocity_ratio=1.0, capture_radius=0.001,
+                    episode_length=500)
+    rng = np.random.default_rng(seed)
+    state = reset(cfg, rng, episodes)
+    states = [state]
+    for headings in chosen:
+        state, outcome = step(state, np.tile(headings[:n], (episodes, 1)), cfg, rng)
+        states.append(state)
+        if outcome.captured.any():
+            break
+    for state in states:
+        units = state.units[:, :n].view(np.uint64)
+        for observe in (observe_full, observe_partial):
+            assert np.array_equal(observe(state)[..., :2].view(np.uint64), units)
 
 
 class TestObservations:

@@ -23,9 +23,9 @@ def primed():
     team = make_team(cfg, streams.init)
     rng = np.random.default_rng(1)
     for _ in range(4):
-        team.buffer.push(rng.standard_normal((2, team.obs_dim)),
-                         np.tile(heading_to_vector(0.5), (2, 1)), [-0.1, -0.1],
-                         rng.standard_normal((2, team.obs_dim)), False)
+        next_obs = rng.standard_normal((2, team.obs_dim))
+        next_obs[:, :2] = heading_to_vector(0.5)  # the heading just taken
+        team.buffer.push(rng.standard_normal((2, team.obs_dim)), -0.1, next_obs, False)
     return cfg, streams, team
 
 

@@ -1,72 +1,53 @@
 """Checkpoint serialization: a JSON manifest plus an exact float64 .npz sidecar.
 
-A checkpoint captures everything training needs to resume bit-for-bit: the
-config digest, every agent's online/target networks and optimizer moments,
-each agent's replay buffer contents, the curriculum position, and the states
-of all random streams.
-
-Schema version 4 writes two files. The JSON manifest at the given path holds
-every scalar (schema version, config digest, curriculum position, random
-stream states, hyperparameters, noise state, Adam step counters, buffer
-bookkeeping). The arrays go to an uncompressed ``.npz`` sidecar with the
+A checkpoint holds everything training needs to resume bit for bit. Schema
+version 5 stores only what the config does not fix: loading checks the
+config digest first and fills the team the config describes
+(``ddpg.make_team``), which fixes the agent count, every array's shape, the
+hyperparameters and the ring capacity. The JSON manifest holds the schema
+version, the digest, the position (``session``, ``epoch``,
+``global_epoch``), ``rng_states``, the (n, 2) exploration ``noise``, the Adam
+step counts ``adam_steps`` and the ring bookkeeping ``buffer`` (``next``,
+``size``). The arrays go to an uncompressed ``.npz`` sidecar of the
 manifest's stem (``checkpoint_epoch5.json`` -> ``checkpoint_epoch5.npz``) as
-flat float64 entries (the int64 break slots below aside), and the manifest
-refers to each array by ``{"key", "offset", "shape"}``: its row-major values
-start at ``offset`` in entry ``key``. All network and Adam arrays of agent i
-share entry ``agents.i``, since reading one zip member costs far more than
-its bytes; that entry is row i of the team's (n, S) state array, written as
-it lies in memory, and each reference's offset is where its view starts in
-the row. Agent i's filled ring slice ``obs[i, :size]`` is entry
-``agents.i.buffer.obs``.
+flat row-major entries of fixed names:
 
-Each replay fact is written once, as the ring (``ddpg.ReplayBuffer``) holds
-it. The team's rewards and terminal flags are the entries
-``buffer.rewards`` and ``buffer.terminals``, which every agent's reference
-names. A slot's action is no entry: it is the heading columns (the first
-two) of the slot's next observation. Slot j's ``next_obs`` row is, bit for
-bit, slot ``(j + 1) % size``'s ``obs`` row except at episode ends and at the
-write head, so ``next_obs`` is no entry of its own either: its
-``{"breaks", "rows"}`` manifest entry refers to the int64 entry
-``agents.i.buffer.next_obs.breaks``, the strictly increasing slots whose row
-differs (compared as raw bytes, so a NaN payload or -0.0 counts as a
-difference), and to the float64 entry ``agents.i.buffer.next_obs.rows``,
-those slots' rows. The writer takes the slots of the ring's end table whose
-row differs, and loading fills that table with the stored rows. The break
-slots are alike for every agent: when agent i's equal agent 0's bit for
-bit, agent i's reference points at agent 0's entry instead of a copy.
-Loading reads each sidecar entry once, when it is first needed, and a
-reference equal to one already read is not read again. The sidecar's bytes
-are a pure function of the state (zip entries carry a fixed timestamp), so
-equal states give equal files.
+- ``agents.i``: row i of the team's (n, S) state array, so all of agent i's
+  network and Adam arrays in one entry (reading a zip member costs far more
+  than its bytes);
+- ``agents.i.buffer.obs``: agent i's filled ring slice ``obs[i, :size]``;
+- ``buffer.rewards`` and ``buffer.terminals``: the team's, one per slot;
+- ``buffer.ends``: the int64 slots of the ring's end table, increasing;
+- ``buffer.end_rows``: those slots' next observations, (k, n, obs_dim).
 
-The manifest records the sidecar's file name, byte size and SHA-256; loading
-refuses a sidecar that is missing, truncated or altered, and a sidecar entry
-that is not an object of those three fields or whose file is not a bare name
-in the manifest's own directory, with ``CheckpointIntegrityError``. The
-sidecar need not share the manifest's stem: when a training plan ends on a
-snapshot epoch, the snapshot ``checkpoint_epoch{N}.json`` is a copy of the
-final ``checkpoint.json`` manifest and names ``checkpoint.npz`` as its
-sidecar, so deleting ``checkpoint.npz``, or a later run writing another
-one into the same directory, breaks that snapshot too. The final
-checkpoint never refers to a snapshot's sidecar, so deleting snapshots leaves
-it whole. Loading fills the team that the config, whose digest it checks,
-describes (``ddpg.make_team``), so the agent count and each agent's
-observation width, hyperparameters and ring capacity must be the config's. A
-team updates in lockstep, so loading also requires every agent's Adam step
-counts and ring bookkeeping to agree, and refuses bookkeeping no ring of the
-capacity can reach (one that has not wrapped writes at its size) and break
-slots that are not int64, not strictly increasing or outside the ring.
+Each replay fact is stored once, as the ring (``ddpg.ReplayBuffer``) holds
+it: a slot's action is the heading columns of its next observation, which
+is, bit for bit, the next slot's ``obs`` row except at the end table's
+slots. Loading reads each entry once, one agent's at a time. Equal states
+give equal sidecar bytes (zip entries carry a fixed timestamp).
 
-Older schemas still load. Schema version 3 files store each agent's actions
-as entry ``agents.i.buffer.actions`` and the rewards and terminal flags per
-agent, sharing agent 0's entry where they are equal; schema version 2 files
-hold every ring field of every agent as its own entry, with a dense
-``next_obs``, which loading reduces to the same break slots and rows; schema
-version 1 files are one JSON document whose arrays are inline
-``{"shape", "data"}`` lists of decimal floats. Loading them refuses, naming
-the agent, the field and the slot, a stored action that is not bit for bit
-the heading columns of its slot's next observation, and, in every schema,
-an agent's rewards or terminal flags that differ from agent 0's.
+The manifest records the sidecar's file name (a bare name in its own
+directory), byte size and SHA-256. A plan that ends on a snapshot epoch
+writes that snapshot as a copy of the final ``checkpoint.json``, naming
+``checkpoint.npz``, so deleting or rewriting that file breaks both. Loading
+raises ``CheckpointIntegrityError`` on a sidecar that is missing or differs,
+a manifest that is not a JSON object or lacks a field, a position the
+config's plan never writes, an entry of another size or dtype than the
+config gives, malformed noise or step counts, bookkeeping no ring of the
+capacity reaches (an unwrapped ring writes at its size), and end slots not
+strictly increasing inside the ring.
+
+Schemas 1-4 are read-only. Their manifests hold an ``agents`` list that
+repeats each agent's width, hyperparameters, activations, capacity,
+bookkeeping, noise and step counts, which must be the config's and agree
+across agents, and refers to each array as ``{"key", "offset", "shape"}``,
+the values from ``offset`` on in entry ``key``. Schema 4 stores each agent's
+next observations as break slots and their rows, sharing agent 0's slots;
+schema 3 also each agent's actions, rewards and terminal flags; schema 2 a
+dense ``next_obs``; schema 1 is one JSON document with every array inline as
+decimals. Loading them refuses, naming the agent, the field and the slot, an
+action that is not its next observation's heading columns, and rewards or
+terminal flags that differ from agent 0's.
 """
 
 from __future__ import annotations
@@ -81,24 +62,21 @@ from typing import Any, Callable
 import numpy as np
 
 from .config import ExperimentConfig
-from .ddpg import ACTION_DIM, ReplayBuffer, TeamLearner, make_team, row_bytes
+from .ddpg import ACTION_DIM, ReplayBuffer, TeamLearner, make_team
 from .errors import CheckpointIntegrityError, DigestMismatchError, SchemaVersionError
 
-CHECKPOINT_SCHEMA_VERSION = 4
-READABLE_SCHEMA_VERSIONS = (1, 2, 3, 4)
+CHECKPOINT_SCHEMA_VERSION = 5
+READABLE_SCHEMA_VERSIONS = (1, 2, 3, 4, 5)
 _HASH_CHUNK = 1 << 18
-_TOP_LEVEL = ("config_digest", "session", "epoch", "global_epoch", "agents", "rng_states")
+_POSITION = ("session", "epoch", "global_epoch")
+_TOP_LEVEL = ("config_digest", *_POSITION, "rng_states")
 # a sidecar entry by key, None when the sidecar has no such entry
 _Entries = Callable[[str], "np.ndarray | None"]
 
 
-def _array_ref(key: str, offset: int, a: np.ndarray) -> dict:
-    return {"key": key, "offset": offset, "shape": list(a.shape)}
-
-
-def _row_refs(key: str, row: np.ndarray, views: list[np.ndarray]) -> list[dict]:
-    """References to views of a state row, which is sidecar entry ``key``."""
-    return [_array_ref(key, (v.ctypes.data - row.ctypes.data) // row.itemsize, v) for v in views]
+def _rows_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which rows of two float64 arrays differ bit for bit (so -0.0 or a NaN payload counts)."""
+    return (a.view(np.uint64) != b.view(np.uint64)).reshape(len(a), math.prod(a.shape[1:])).any(1)
 
 
 def _shape(doc: Any, where: str) -> list[int]:
@@ -143,6 +121,17 @@ def _array_load(doc: dict, entries: _Entries, where: str,
     return values
 
 
+def _entry(entries: _Entries, key: str, shape: list[int] | None, where: str,
+           dtype: type = np.float64) -> np.ndarray:
+    """Sidecar entry ``key``, read once, which must hold exactly the values of
+    ``shape``; without one, it holds a list of any length."""
+    entry = entries(key)
+    if shape is None:
+        shape = [0 if entry is None else entry.size]
+    return _array_load({"key": key, "offset": 0, "shape": shape}, lambda _: entry, where, dtype,
+                       whole=True)
+
+
 def _fill(views: list[np.ndarray], docs: list[dict], entries: _Entries,
           where: str, whole: bool = False) -> None:
     """Copies each referenced array into the team's view of the same shape."""
@@ -156,36 +145,24 @@ def _fill(views: list[np.ndarray], docs: list[dict], entries: _Entries,
 
 
 _NETWORKS = ("actor", "critic", "actor_target", "critic_target")
-# the activations every network runs (see nn), written for each network
+# the activations every network runs (see nn), which schemas 1-4 name for each network
 _ACTIVATIONS = {"hidden_activation": "relu", "output_activation": "identity"}
 _OPTIMIZERS = {"adam_actor": "actor", "adam_critic": "critic"}
 _HYPERPARAMETERS = ("gamma", "tau", "lr_actor", "lr_critic", "clip_norm", "theta_ou", "sigma_ou")
 _TEAM_FIELDS = ("rewards", "terminals")  # one per slot, for the whole team
 
 
-def _ring_ref(arrays: dict[str, np.ndarray], i: int, name: str, values: np.ndarray,
-              shared: bool = False) -> dict:
-    """Writes agent i's ring values as entry ``agents.i.buffer.<name>``; a
-    ``shared`` field refers instead to agent 0's entry when that holds the
-    same bits."""
-    flat = values.ravel()  # a view of a filled slice, which is contiguous
-    own, first = f"agents.{i}.buffer.{name}", f"agents.0.buffer.{name}"
-    theirs = arrays.get(first) if shared else None
-    # memoryviews of the 64-bit words compare bit for bit, in C and without a temporary
-    if (i > 0 and theirs is not None and theirs.dtype == flat.dtype
-            and memoryview(theirs.view(np.uint64)) == memoryview(flat.view(np.uint64))):
-        return _array_ref(first, 0, values)
-    arrays[own] = flat
-    return _array_ref(own, 0, values)
-
-
 def _next_obs_breaks(obs: np.ndarray, next_obs: np.ndarray) -> np.ndarray:
     """The slots j whose next_obs row is not, bit for bit, obs row (j + 1) % size."""
-    now, then = row_bytes(obs), row_bytes(next_obs)
-    differs = np.empty(len(now), dtype=bool)
-    differs[:-1] = then[:-1] != now[1:]
-    differs[-1:] = then[-1:] != now[:1]
-    return np.flatnonzero(differs).astype(np.int64, copy=False)
+    return np.flatnonzero(_rows_differ(next_obs, np.roll(obs, -1, axis=0))).astype(np.int64)
+
+
+def _slots(slots: np.ndarray, size: int, where: str) -> np.ndarray:
+    """``slots``, which must be strictly increasing slots of a ring of ``size``."""
+    if slots.ndim != 1 or (slots.size and not (
+            0 <= slots[0] and slots[-1] < size and np.all(slots[1:] > slots[:-1]))):
+        raise CheckpointIntegrityError(f"{where}: slots must be strictly increasing in [0, {size})")
+    return slots
 
 
 def _next_obs_load(ref: Any, obs: np.ndarray, entries: _Entries, where: str,
@@ -198,14 +175,10 @@ def _next_obs_load(ref: Any, obs: np.ndarray, entries: _Entries, where: str,
         _fill([next_obs], [ref], entries, where, whole=True)
         breaks = _next_obs_breaks(obs, next_obs)
         return breaks, next_obs[breaks]
-    size, known = len(obs), _as_json(ref["breaks"])
+    known = _as_json(ref["breaks"])
     if known not in read:
-        breaks = _array_load(ref["breaks"], entries, f"{where}.breaks", dtype=np.int64, whole=True)
-        if breaks.ndim != 1 or (breaks.size and not (
-                0 <= breaks[0] and breaks[-1] < size and np.all(breaks[1:] > breaks[:-1]))):
-            raise CheckpointIntegrityError(
-                f"{where}.breaks: slots must be strictly increasing in [0, {size})")
-        read[known] = breaks
+        read[known] = _slots(_array_load(ref["breaks"], entries, f"{where}.breaks",
+                                         dtype=np.int64, whole=True), len(obs), f"{where}.breaks")
     breaks = read[known]
     if "rows" not in ref:
         raise CheckpointIntegrityError(f"{where} has no 'rows'")
@@ -223,8 +196,7 @@ def _as_json(ref: Any) -> str:
 
 def _same_bits(values: np.ndarray, want: np.ndarray, where: str, what: str) -> None:
     """Refuses, naming the first slot, values that are not ``want`` bit for bit."""
-    got, wanted = (row_bytes(a.reshape(len(a), math.prod(a.shape[1:]))) for a in (values, want))
-    differs = np.flatnonzero(got != wanted)
+    differs = np.flatnonzero(_rows_differ(values, want))
     if differs.size:
         j = int(differs[0])
         raise CheckpointIntegrityError(
@@ -233,14 +205,10 @@ def _same_bits(values: np.ndarray, want: np.ndarray, where: str, what: str) -> N
 
 def _ring_load(buf: ReplayBuffer, docs: list[dict], entries: _Entries,
                stored_actions: bool) -> None:
-    """Fills the rings, whose bookkeeping is in place, from every agent's entry.
-
-    The team's rewards and terminal flags are agent 0's, and every other
-    agent's must hold the same bits; like the break slots, they are not read
-    again where an agent's reference is agent 0's. Schemas 1-3 also store
-    each slot's action, which must be, bit for bit, the heading columns of
-    the slot's next observation.
-    """
+    """Fills the rings, whose bookkeeping is in place, from every agent's
+    entries (schemas 1-4), checking the facts stored more than once: each
+    agent's rewards and terminal flags against agent 0's, and the actions of
+    schemas 1-3 against the next observations' heading columns."""
     ring = buf.filled()
     for name in _TEAM_FIELDS:
         first = _field(docs[0], 0, f"buffer.{name}")
@@ -269,39 +237,6 @@ def _ring_load(buf: ReplayBuffer, docs: list[dict], entries: _Entries,
     buf.load_next_obs_breaks(breaks)
 
 
-def _agent_doc(team: TeamLearner, i: int, arrays: dict[str, np.ndarray]) -> dict:
-    """Agent i's manifest entry; its state row and filled ring slices go to ``arrays``."""
-    key, row, buf = f"agents.{i}", team.state[i], team.buffer
-    arrays[key] = row
-    doc: dict[str, Any] = {"obs_dim": team.obs_dim}
-    doc.update((name, getattr(team.ddpg, name)) for name in _HYPERPARAMETERS)
-    for name in _NETWORKS:
-        net = getattr(team, name)
-        weights, biases = net.layers(net.flat[i])
-        doc[name] = {"weights": _row_refs(key, row, weights),
-                     "biases": _row_refs(key, row, biases), **_ACTIVATIONS}
-    for name, net_name in _OPTIMIZERS.items():
-        state, net = getattr(team, name), getattr(team, net_name)
-        doc[name] = {}
-        for moment in ("m", "v"):
-            weights, biases = net.layers(getattr(state, moment)[i])
-            doc[name][f"{moment}_weights"] = _row_refs(key, row, weights)
-            doc[name][f"{moment}_biases"] = _row_refs(key, row, biases)
-        doc[name]["step"] = state.step
-    doc["noise_state"] = team.noise[i].tolist()
-    doc["buffer"] = {"capacity": buf.capacity, "obs_dim": buf.obs_dim,
-                     "next": buf._next, "size": buf._size}
-    ring = buf.filled()
-    doc["buffer"]["obs"] = _ring_ref(arrays, i, "obs", ring["obs"][i])
-    for name in _TEAM_FIELDS:
-        doc["buffer"][name] = _array_ref(f"buffer.{name}", 0, ring[name])
-    breaks, rows = buf.next_obs_breaks(i)
-    doc["buffer"]["next_obs"] = {
-        "breaks": _ring_ref(arrays, i, "next_obs.breaks", breaks, shared=True),
-        "rows": _ring_ref(arrays, i, "next_obs.rows", rows)}
-    return doc
-
-
 def _field(doc: dict, i: int, path: str) -> Any:
     node: Any = doc
     for part in path.split("."):
@@ -320,8 +255,8 @@ def _agreed(docs: list[dict], path: str) -> int:
             raise CheckpointIntegrityError(
                 f"agent {i} has {path} {value!r} but agent 0 has {first!r}; "
                 "a team's agents update in lockstep")
-    if type(first) is not int:
-        raise CheckpointIntegrityError(f"agent 0 has {path} {first!r}, want an integer")
+    if type(first) is not int or first < 0:
+        raise CheckpointIntegrityError(f"agent 0 has {path} {first!r}, want an integer >= 0")
     return first
 
 
@@ -343,13 +278,8 @@ def _team_load(docs: list[dict], entries: _Entries, config: ExperimentConfig,
             if (got := _field(doc, i, path)) != want:
                 raise CheckpointIntegrityError(
                     f"agent {i} has {path} {got!r}, but the config's {source} gives {want!r}")
-    ring = {name: _agreed(docs, f"buffer.{name}") for name in ("next", "size")}
-    capacity = team.buffer.capacity
-    # a ring that has not wrapped yet writes at its size
-    if not (0 <= ring["next"] < capacity and 0 <= ring["size"] <= capacity
-            and (ring["size"] == capacity or ring["next"] == ring["size"])):
-        raise CheckpointIntegrityError(
-            f"replay bookkeeping {ring} does not fit a ring of {capacity} transitions")
+    ring = _bookkeeping({name: _agreed(docs, f"buffer.{name}") for name in ("next", "size")},
+                        team.buffer.capacity)
     for name in _OPTIMIZERS:
         getattr(team, name).step = _agreed(docs, f"{name}.step")
     for i, doc in enumerate(docs):
@@ -369,15 +299,71 @@ def _team_load(docs: list[dict], entries: _Entries, config: ExperimentConfig,
                 refs = (_field(doc, i, f"{name}.{moment}_weights")
                         + _field(doc, i, f"{name}.{moment}_biases"))
                 _fill(weights + biases, refs, entries, f"agent {i} {name}.{moment}")
-        noise = _field(doc, i, "noise_state")
-        if not (isinstance(noise, list) and len(noise) == team.noise.shape[1]
-                and all(type(x) in (int, float) for x in noise)):
+        if not _numbers(noise := _field(doc, i, "noise_state"), ACTION_DIM):
             raise CheckpointIntegrityError(
-                f"agent {i} has noise_state {noise!r}, want {team.noise.shape[1]} numbers")
+                f"agent {i} has noise_state {noise!r}, want {ACTION_DIM} numbers")
         team.noise[i] = noise
     if replay:
         team.buffer._next, team.buffer._size = ring["next"], ring["size"]
         _ring_load(team.buffer, docs, entries, stored_actions=version < 4)
+    return team
+
+
+def _bookkeeping(ring: dict[str, int], capacity: int) -> dict[str, int]:
+    """The ring's ``next`` and ``size``, which a ring of ``capacity`` must reach."""
+    # a ring that has not wrapped yet writes at its size
+    if not (0 <= ring["next"] < capacity and 0 <= ring["size"] <= capacity
+            and (ring["size"] == capacity or ring["next"] == ring["size"])):
+        raise CheckpointIntegrityError(
+            f"replay bookkeeping {ring} does not fit a ring of {capacity} transitions")
+    return ring
+
+
+def _numbers(values: Any, *shape: int) -> bool:
+    """Whether ``values`` is a number, or nested lists of numbers of ``shape``."""
+    if not shape:
+        return type(values) in (int, float)
+    return (isinstance(values, list) and len(values) == shape[0]
+            and all(_numbers(v, *shape[1:]) for v in values))
+
+
+def _integers(doc: dict, name: str, keys: list[str]) -> dict[str, int]:
+    """The object ``doc[name]``, which must map exactly ``keys`` to integers >= 0."""
+    value = doc[name]
+    if not (isinstance(value, dict) and sorted(value) == keys
+            and all(type(v) is int and v >= 0 for v in value.values())):
+        raise CheckpointIntegrityError(f"{name} {value!r}: want an integer >= 0 for each of {keys}")
+    return value
+
+
+def _team_read(doc: dict, entries: _Entries, config: ExperimentConfig,
+               replay: bool) -> TeamLearner:
+    """Fills the team ``config`` describes from a schema 5 manifest and the
+    sidecar entries of fixed names; without ``replay`` the rings stay empty
+    and no ring entry is read."""
+    team = make_team(config)
+    (n, width), d, buf = team.state.shape, team.obs_dim, team.buffer
+    if not _numbers(noise := doc["noise"], n, ACTION_DIM):
+        raise CheckpointIntegrityError(f"noise {noise!r}: want {n} rows of {ACTION_DIM} numbers")
+    team.noise[...] = noise
+    for name, step in _integers(doc, "adam_steps", sorted(_OPTIMIZERS)).items():
+        getattr(team, name).step = step
+    ring = _bookkeeping(_integers(doc, "buffer", ["next", "size"]), buf.capacity)
+    for i in range(n):
+        team.state[i] = _entry(entries, f"agents.{i}", [width], f"agent {i} state, as "
+                               f"run.strategy {config.run.strategy!r} observes {d} values")
+    if not replay:
+        return team
+    buf._next, buf._size = ring["next"], ring["size"]
+    filled, size = buf.filled(), buf._size
+    ring_entries = {f"buffer.{name}": filled[name] for name in _TEAM_FIELDS}
+    ring_entries.update((f"agents.{i}.buffer.obs", filled["obs"][i]) for i in range(n))
+    for key, view in ring_entries.items():
+        view[...] = _entry(entries, key, list(view.shape), key)
+    ends = _slots(_entry(entries, "buffer.ends", None, "buffer.ends", np.int64), size,
+                  "buffer.ends")
+    rows = _entry(entries, "buffer.end_rows", [len(ends), n, d], "buffer.end_rows")
+    buf.load_next_obs_breaks([(ends, rows[:, i]) for i in range(n)])
     return team
 
 
@@ -407,9 +393,14 @@ def save_checkpoint(
     """Writes the sidecar, then the manifest, each via a temp file and replace."""
     target = Path(path)
     sidecar = sidecar_path(target)
-    ring = team.buffer.filled()
+    buf = team.buffer
+    ring = buf.filled()
     arrays = {f"buffer.{name}": ring[name] for name in _TEAM_FIELDS}
-    agents = [_agent_doc(team, i, arrays) for i in range(team.n)]
+    for i in range(team.n):
+        arrays[f"agents.{i}"] = team.state[i]
+        arrays[f"agents.{i}.buffer.obs"] = ring["obs"][i].ravel()  # a filled slice: contiguous
+    ends, end_rows = buf.end_table()
+    arrays["buffer.ends"], arrays["buffer.end_rows"] = ends, end_rows.ravel()
     target.parent.mkdir(parents=True, exist_ok=True)
 
     # np.savez appends ".npz" to a str path that lacks it, so hand it a file.
@@ -429,7 +420,9 @@ def save_checkpoint(
         "session": session,
         "epoch": epoch,
         "global_epoch": global_epoch,
-        "agents": agents,
+        "noise": team.noise.tolist(),
+        "adam_steps": {name: getattr(team, name).step for name in _OPTIMIZERS},
+        "buffer": {"next": buf._next, "size": buf._size},
         "rng_states": rng_states,
         "sidecar": sidecar_doc,
     }
@@ -494,39 +487,46 @@ def load_checkpoint(
     The checkpoint's config digest must be `config`'s, or its legacy digest
     (written while `env` held an unread `seed` field at 0); else
     DigestMismatchError. Raises CheckpointIntegrityError, naming the field
-    and the agent, when the manifest or an agent's entry lacks a field, the
-    agent count, an observation width, a hyperparameter or a ring capacity
-    is not the config's, an agent disagrees with agent 0 on an Adam step
-    count, the ring bookkeeping or, slot by slot, the team's rewards and
-    terminal flags, a stored action (schemas 1-3) is not its slot's next
-    observation's heading columns, a count or an offset is not an integer, a
-    network's activation is not ReLU hidden and identity output, an array
-    reference is malformed or of the wrong shape, or the sidecar entry is
-    malformed or names a file outside the manifest's directory. The arrays
-    are read from the file the manifest's ``sidecar.file`` names, which is
-    ``checkpoint.npz`` for a plan's final-epoch snapshot. Without ``replay``
-    the team's rings stay empty and no ring entry is read or checked, for a
-    caller that only acts with the networks; the sidecar's size and SHA-256,
-    the ring bookkeeping and the networks are checked as before.
+    (and the agent, in schemas 1-4), on anything the module docstring lists
+    as refused. The arrays are read from the file the manifest's
+    ``sidecar.file`` names. Without ``replay`` the rings stay empty and no
+    ring entry is read or checked, for a caller that only acts with the
+    networks.
     """
     manifest = Path(path)
-    doc = json.loads(manifest.read_text())
+    try:
+        doc = json.loads(manifest.read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise CheckpointIntegrityError(f"checkpoint {manifest} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointIntegrityError(
+            f"checkpoint {manifest} is a JSON {type(doc).__name__}, want an object")
     version = doc.get("schema_version")
-    if version not in READABLE_SCHEMA_VERSIONS:
+    if type(version) is not int or version not in READABLE_SCHEMA_VERSIONS:
         raise SchemaVersionError(f"unknown checkpoint schema version {version!r}")
-    for name in _TOP_LEVEL + (("sidecar",) if version > 1 else ()):
+    team_state = ("noise", "adam_steps", "buffer") if version == 5 else ("agents",)
+    for name in _TOP_LEVEL + team_state + (("sidecar",) if version > 1 else ()):
         if name not in doc:
             raise CheckpointIntegrityError(f"checkpoint {manifest} has no {name!r}")
     if doc["config_digest"] not in (config.digest(), config.legacy_digest()):
         raise DigestMismatchError(
             "checkpoint was produced by a different config "
-            f"(digest {doc['config_digest'][:12]}... != {config.digest()[:12]}...)"
+            f"(digest {str(doc['config_digest'])[:12]}... != {config.digest()[:12]}...)"
         )
+    if not config.curriculum.holds_position(**(position := {k: doc[k] for k in _POSITION})):
+        raise CheckpointIntegrityError(
+            f"checkpoint {manifest}: {position} is no position in the config's plan of "
+            f"sessions of {[s.epochs for s in config.curriculum.sessions]} epochs")
     if version == 1:  # which inlines its arrays
         team = _team_load(doc["agents"], {}.get, config, replay, version)
     else:
         with np.load(_verified_sidecar(manifest, doc["sidecar"]), allow_pickle=False) as z:
-            # each lookup rereads the member; the references to one entry are consecutive
-            entries = lru_cache(maxsize=1)(lambda key: z[key] if key in z.files else None)
-            team = _team_load(doc["agents"], entries, config, replay, version)
+            # each lookup rereads the member, and one state or ring entry is
+            # read at a time; schemas 2-4 read an entry's references in a row
+            def entries(key: str) -> np.ndarray | None:
+                return z[key] if key in z.files else None
+
+            team = (_team_read(doc, entries, config, replay) if version == 5 else
+                    _team_load(doc["agents"], lru_cache(maxsize=1)(entries), config, replay,
+                               version))
     return team, doc["session"], doc["epoch"], doc["global_epoch"], doc["rng_states"]

@@ -89,6 +89,16 @@ class SessionPlan:
                 raise ValueError(f"sessions[{idx}].use_scripted_warmup: the scripted warm-up "
                                  "runs in the first session only")
 
+    def holds_position(self, session: object, epoch: object, global_epoch: object) -> bool:
+        """Whether integers ``session`` and ``epoch`` name the next epoch to
+        train (epoch 0 of session ``len(sessions)`` at the plan's end), with
+        ``global_epoch`` epochs before it."""
+        epochs = [s.epochs for s in self.sessions]
+        return (all(type(v) is int for v in (session, epoch, global_epoch))
+                and 0 <= session <= len(epochs)
+                and 0 <= epoch < (epochs[session] if session < len(epochs) else 1)
+                and global_epoch == sum(epochs[:session]) + epoch)
+
 
 def scripted_action(state: WorldState) -> np.ndarray:
     """Supervisory warm-up policy: every pursuer runs straight at the evader

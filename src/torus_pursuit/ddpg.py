@@ -117,7 +117,7 @@ class ReplayBuffer:
     pushed yet: ``_end_row`` gives each of those slots its row of
     ``_end_rows``, an (rows, agents, obs_dim) table whose unused rows are
     listed in ``_free``, and -1 to every other slot. A checkpoint stores the
-    table as it is (``next_obs_breaks``, ``load_next_obs_breaks``).
+    table as it is (``end_table``, ``load_next_obs_breaks``).
     """
 
     def __init__(self, capacity: int, obs_dim: int, agents: int = 1):
@@ -224,19 +224,16 @@ class ReplayBuffer:
         return {"obs": self._obs[:, :size], "rewards": self._rewards[:size],
                 "terminals": self._terminals[:size]}
 
-    def next_obs_breaks(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Agent i's next observations as a checkpoint stores them: the int64
-        slots j < len(self) whose row is not, bit for bit, ``obs`` row
-        (j + 1) % len(self), and those rows."""
-        size = self._size
-        slots = np.flatnonzero(self._end_row[:size] >= 0).astype(np.int64, copy=False)
-        rows = self._end_rows[self._end_row[slots], i]
-        differs = row_bytes(rows) != row_bytes(self._obs[i, (slots + 1) % size])
-        return slots[differs], rows[differs]
+    def end_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The end table as a checkpoint stores it: its int64 slots, in
+        increasing order, and their (slots, agents, obs_dim) rows."""
+        slots = np.flatnonzero(self._end_row[: self._size] >= 0).astype(np.int64, copy=False)
+        return slots, self._end_rows[self._end_row[slots]]
 
     def load_next_obs_breaks(self, breaks: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Fills the end table from every agent's ``next_obs_breaks`` pair, once
-        the filled slots and the bookkeeping are in place."""
+        """Fills the end table, once the filled slots and the bookkeeping are in
+        place, with every agent's increasing slots (and the write head) and
+        their next observations; any other slot's is the next slot's obs."""
         self._end_row[:] = -1
         self._end_rows = np.empty((0, self.agents, self.obs_dim))
         self._free = []
@@ -252,13 +249,6 @@ class ReplayBuffer:
             rows[i, np.searchsorted(slots, agent_breaks)] = agent_rows
         self._end_rows = np.ascontiguousarray(rows.swapaxes(0, 1))
         self._end_row[slots] = np.arange(len(slots))
-
-
-def row_bytes(a: np.ndarray) -> np.ndarray:
-    """Each row of a (k, d) array as one raw-byte item, so that comparing two
-    rows counts a NaN payload or -0.0 as a difference."""
-    a = np.ascontiguousarray(a)
-    return a.view(f"V{a.shape[-1] * a.itemsize}")[..., 0]
 
 
 def _parameter_count(sizes: tuple[int, ...]) -> int:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -47,6 +48,7 @@ STEP_PENALTY = -0.1
 # with probability (1 - pi s^2)^n for spawn separation s < 0.5, so it redraws
 # (1 - pi s^2)^-n times on average; n=8 at s=0.48 would need about 29k.
 MAX_EXPECTED_SPAWN_DRAWS = 1000.0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class WorldState:
@@ -270,8 +272,10 @@ class EnvConfig:
 
     @property
     def expected_spawn_draws(self) -> float:
-        """Mean number of draws `reset` makes: (1 - pi s^2)^-n."""
-        return (1.0 - math.pi * self.spawn_separation**2) ** -self.n
+        """Mean number of draws `reset` makes: (1 - pi s^2)^-n, computed in
+        log space, so a count beyond the float range is inf, not an error."""
+        log_draws = -self.n * math.log1p(-math.pi * self.spawn_separation**2)
+        return math.exp(log_draws) if log_draws < _LOG_FLOAT_MAX else math.inf
 
 
 class StepOutcome(NamedTuple):

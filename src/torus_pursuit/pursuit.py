@@ -156,14 +156,8 @@ def pincer_selection(
     rest = m ** (n - 1)  # joint selections of the first n-1 pursuers
     block = max(1, PINCER_BLOCK_CELLS // (m * rest))
 
-    # threat weights at the true wrapped pursuer-to-evader distances
     if state.contacts.chase_singular:
         raise SingularityError("pursuer co-located with evader")
-    weight = 1.0 / state.chase_distances
-    total_weight = weight[:, 0]  # the sum's leading 0 + w0 is w0: weights are positive
-    for i in range(1, n):
-        total_weight = total_weight + weight[:, i]
-
     # per pursuer and replica, (3, E, n, m): weight * (cos, sin) of the
     # evader-to-replica bearing, and the replica distance
     parts = np.empty((3, e_count, n, m))
@@ -172,11 +166,20 @@ def pincer_selection(
     np.hypot(parts[0], parts[1], out=parts[2])
     if not parts[2].all():
         raise SingularityError("replica co-located with evader")
-    parts[:2] *= weight[..., None]
-    parts[:2] /= parts[2]
-    # a subnormal distance overflows its weight 1/r, and inf * 0 is NaN
+    # threat weights at the true wrapped pursuer-to-evader distances, checked
+    # before use: a subnormal distance overflows its weight 1/r, and a weight
+    # near the float maximum can still overflow its products
+    with np.errstate(over="ignore"):
+        weight = 1.0 / state.chase_distances
+        if np.isinf(weight).any():
+            raise SingularityError("pursuer too close to evader: threat weight overflows")
+        parts[:2] *= weight[..., None]
+        parts[:2] /= parts[2]
     if not np.isfinite(parts[:2]).all():
         raise SingularityError("pursuer too close to evader: threat weight overflows")
+    total_weight = weight[:, 0]  # the sum's leading 0 + w0 is w0: weights are positive
+    for i in range(1, n):
+        total_weight = total_weight + weight[:, i]
 
     indices = np.empty((e_count, n), dtype=np.intp)
     head_digits = _place_values(m, n - 1)

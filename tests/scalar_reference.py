@@ -304,12 +304,18 @@ def pincer_grids(
         true_r = distance(p.position, evader)
         if true_r == 0.0:
             raise SingularityError("pursuer co-located with evader")
-        weight = 1.0 / true_r
+        weight = 1.0 / true_r  # a Python float: inf, not an error, for a subnormal r
+        if math.isinf(weight):
+            raise SingularityError("pursuer too close to evader: threat weight overflows")
         total_weight += weight
         rel = np.asarray(replicate(p.position, k)) - ev
         img_r = np.hypot(rel[:, 0], rel[:, 1])
-        wa.append(weight * rel[:, 0] / img_r)
-        wb.append(weight * rel[:, 1] / img_r)
+        if not img_r.all():
+            raise SingularityError("replica co-located with evader")
+        # a weight near the float maximum can still overflow its products
+        with np.errstate(over="ignore"):
+            wa.append(weight * rel[:, 0] / img_r)
+            wb.append(weight * rel[:, 1] / img_r)
         if not (np.isfinite(wa[-1]).all() and np.isfinite(wb[-1]).all()):
             raise SingularityError("pursuer too close to evader: threat weight overflows")
         rr.append(img_r)

@@ -1,4 +1,4 @@
-"""Checkpoint layout: save/load identity, byte stability, schemas 1-3, integrity."""
+"""Checkpoint layout: save/load identity, byte stability, schemas 1-5, integrity."""
 
 import hashlib
 import json
@@ -24,17 +24,19 @@ from torus_pursuit.training import run_training
 NETWORKS = ("actor", "critic", "actor_target", "critic_target")
 OPTIMIZERS = ("adam_actor", "adam_critic")
 MOMENTS = ("m", "v")
+HYPERPARAMETERS = ("gamma", "tau", "lr_actor", "lr_critic", "clip_norm", "theta_ou", "sigma_ou")
 BUFFER_FIELDS = ("_obs", "_rewards", "_terminals")
 SCALARS = ("n", "obs_dim", "ddpg")
 # a quiet NaN whose payload differs from np.nan's
 NAN_PAYLOAD = np.array(0x7FF8_0000_0000_0001, dtype=np.uint64).view(np.float64)
 
-# Schema 2 and schema 3 checkpoints written at global epoch 4 by
+# Schema 2, 3 and 4 checkpoints written at global epoch 4 by
 # `train --config tiny_config.json` before the next schema, committed so that
 # reading them stays tested.
 V2_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v2" / "checkpoint_epoch4.json"
 V2_CONFIG = V2_CHECKPOINT.parent / "tiny_config.json"
 V3_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v3" / "checkpoint_epoch4.json"
+V4_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v4" / "checkpoint_epoch4.json"
 
 
 def team_config(agents, strategy, actor_hidden, critic_hidden, capacity):
@@ -142,40 +144,43 @@ def assert_same_team(want, got, bits=True):
             assert np.array_equal(got_arrays[name], a, equal_nan=True), name
 
 
-def ref_values(arrays, ref: dict) -> np.ndarray:
-    """The array a `{"key", "offset", "shape"}` reference refers to in sidecar `arrays`."""
-    n = math.prod(ref["shape"])
-    return arrays[ref["key"]][ref["offset"] : ref["offset"] + n].reshape(ref["shape"])
+def inline(a: np.ndarray) -> dict:
+    return {"shape": list(a.shape), "data": a.ravel().tolist()}
 
 
-def inline_as_schema_1(manifest: Path, out: Path) -> None:
-    """Rewrites a schema 2, 3 or 4 checkpoint as one schema 1 JSON document at
-    `out`, with the actions and the per-agent rewards schema 1 stores."""
-    doc = json.loads(manifest.read_text())
-    with np.load(manifest.parent / doc.pop("sidecar")["file"]) as arrays:
-        def inline(node):
-            if isinstance(node, dict) and set(node) == {"key", "offset", "shape"}:
-                return {"shape": node["shape"], "data": ref_values(arrays, node).ravel().tolist()}
-            if isinstance(node, dict):
-                return {k: inline(v) for k, v in node.items()}
-            if isinstance(node, list):
-                return [inline(v) for v in node]
-            return node
-
-        for agent in doc["agents"]:
-            ring = agent["buffer"]
-            if "breaks" in ring["next_obs"]:  # schemas 3, 4: obs rolled up a row, patched at breaks
-                breaks, rows = (ref_values(arrays, ring["next_obs"][k]) for k in ("breaks", "rows"))
-                next_obs = np.roll(ref_values(arrays, ring["obs"]), -1, axis=0)
-                next_obs[breaks] = rows
-                ring["next_obs"] = {"shape": list(next_obs.shape),
-                                    "data": next_obs.ravel().tolist()}
-                # schema 4: each slot's action is its next_obs heading columns
-                ring.setdefault("actions", {"shape": [len(next_obs), 2],
-                                            "data": next_obs[:, :2].ravel().tolist()})
-        doc = inline(doc)
-    doc["schema_version"] = 1
-    out.write_text(json.dumps(doc))
+def inline_as_schema_1(manifest: Path, cfg: ExperimentConfig, out: Path) -> None:
+    """Rewrites the checkpoint at `manifest` as the schema 1 JSON document at
+    `out` that holds the same state: every array inline as decimals, and for
+    each agent the scalars, rewards, terminal flags and actions schema 1
+    stores."""
+    team, session, epoch, global_epoch, rng_states = load_checkpoint(manifest, cfg)
+    buf, ring = team.buffer, team.buffer.filled()
+    agents = []
+    for i in range(team.n):
+        agent = {"obs_dim": team.obs_dim, **{h: getattr(team.ddpg, h) for h in HYPERPARAMETERS}}
+        for name in NETWORKS:
+            weights, biases = getattr(team, name).layers(getattr(team, name).flat[i])
+            agent[name] = {"weights": [inline(w) for w in weights],
+                           "biases": [inline(b) for b in biases],
+                           "hidden_activation": "relu", "output_activation": "identity"}
+        for name, net in zip(OPTIMIZERS, ("actor", "critic")):
+            state = getattr(team, name)
+            agent[name] = {"step": state.step}
+            for moment in MOMENTS:
+                weights, biases = getattr(team, net).layers(getattr(state, moment)[i])
+                agent[name][f"{moment}_weights"] = [inline(w) for w in weights]
+                agent[name][f"{moment}_biases"] = [inline(b) for b in biases]
+        agent["noise_state"] = team.noise[i].tolist()
+        rows = next_obs(buf)[i]
+        agent["buffer"] = {
+            "capacity": buf.capacity, "obs_dim": buf.obs_dim, "next": buf._next,
+            "size": len(buf), "obs": inline(ring["obs"][i]), "rewards": inline(ring["rewards"]),
+            "terminals": inline(ring["terminals"]), "next_obs": inline(rows),
+            "actions": inline(rows[:, :2])}  # the heading columns of next_obs
+        agents.append(agent)
+    out.write_text(json.dumps({
+        "schema_version": 1, "config_digest": cfg.digest(), "session": session, "epoch": epoch,
+        "global_epoch": global_epoch, "agents": agents, "rng_states": rng_states}))
 
 
 RNG_STATES = {"env": np.random.default_rng(3).bit_generator.state, "explore": [], "sample": []}
@@ -219,38 +224,47 @@ def test_save_load_identity(agents, fill, strategy, actor_hidden, critic_hidden,
     cfg, team = make_team(agents, fill, strategy, actor_hidden, critic_hidden, capacity, seed,
                           chained)
     twist(team, kind)
+    position = (1, 2, cfg.curriculum.sessions[0].epochs + 2)  # epoch 2 of the second session
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp, "a", "ckpt.json"), Path(tmp, "b", "ckpt.json")
-        save_checkpoint(a, cfg, team, 1, 2, 3, RNG_STATES)
-        save_checkpoint(b, cfg, team, 1, 2, 3, RNG_STATES)
+        save_checkpoint(a, cfg, team, *position, RNG_STATES)
+        save_checkpoint(b, cfg, team, *position, RNG_STATES)
         assert sorted(p.name for p in a.parent.iterdir()) == ["ckpt.json", "ckpt.npz"]
         assert a.read_bytes() == b.read_bytes()
         assert sidecar_path(a).read_bytes() == sidecar_path(b).read_bytes()
 
-        doc = json.loads(a.read_text())
-        size = len(team.buffer)
+        # the manifest holds only what the config does not fix
+        doc, buf, size = json.loads(a.read_text()), team.buffer, len(team.buffer)
+        assert list(doc) == ["schema_version", "config_digest", "session", "epoch",
+                             "global_epoch", "noise", "adam_steps", "buffer", "rng_states",
+                             "sidecar"]
+        assert doc["noise"] == team.noise.tolist()
+        assert doc["adam_steps"] == {name: getattr(team, name).step for name in OPTIMIZERS}
+        assert doc["buffer"] == {"next": buf._next, "size": size}
         with np.load(sidecar_path(a)) as arrays:
-            breaks_of = [ref_values(arrays, agent["buffer"]["next_obs"]["breaks"])
-                         for agent in doc["agents"]]
-        for i, (agent, breaks) in enumerate(zip(doc["agents"], breaks_of)):
-            assert breaks.dtype == np.int64
-            if kind is not None and size:
-                assert breaks[0] == 0  # the twisted slot is stored, not rebuilt
-            # one team entry each, and no actions: they are next_obs's heading columns
-            for name in ("rewards", "terminals"):
-                assert agent["buffer"][name] == {"key": f"buffer.{name}", "offset": 0,
-                                                 "shape": [size]}, (i, name)
-            assert "actions" not in agent["buffer"]
-            if chained:
-                episode_ends = int(team.buffer._terminals[:size].sum())
-                assert len(breaks) <= episode_ends + 1 + (kind is not None)
-                assert agent["buffer"]["next_obs"]["breaks"]["key"].startswith("agents.0."), i
+            entries = {key: arrays[key] for key in arrays.files}
+        own = [f"agents.{i}{field}" for i in range(agents) for field in ("", ".buffer.obs")]
+        assert sorted(entries) == sorted(own + ["buffer.end_rows", "buffer.ends",
+                                                "buffer.rewards", "buffer.terminals"])
+        # the state rows and rings as they lie in memory, and no actions: they
+        # are next_obs's heading columns
+        for i in range(agents):
+            assert entries[f"agents.{i}"].tobytes() == team.state[i].tobytes()
+            assert entries[f"agents.{i}.buffer.obs"].tobytes() == buf._obs[i, :size].tobytes()
+        ends = entries["buffer.ends"]
+        assert ends.dtype == np.int64
+        assert entries["buffer.end_rows"].size == len(ends) * agents * team.obs_dim
+        if kind is not None and size:
+            assert ends[0] == 0  # the twisted slot is stored, not rebuilt
+        if chained:
+            episode_ends = int(buf._terminals[:size].sum())
+            assert len(ends) <= episode_ends + 1 + (kind is not None)
 
-        loaded, session, epoch, global_epoch, states = load_checkpoint(a, cfg)
-        inline_as_schema_1(a, Path(tmp, "v1.json"))
+        loaded, *got_position, states = load_checkpoint(a, cfg)
+        inline_as_schema_1(a, cfg, Path(tmp, "v1.json"))
         from_v1, *_ = load_checkpoint(Path(tmp, "v1.json"), cfg)
 
-    assert (session, epoch, global_epoch, states) == (1, 2, 3, RNG_STATES)
+    assert (*got_position, states) == (*position, RNG_STATES)
     assert_same_team(team, loaded)
     assert_same_team(team, from_v1, bits=kind != "nan_payload")  # JSON drops NaN payloads
     obs = np.random.default_rng(seed).standard_normal((agents, team.obs_dim))
@@ -274,26 +288,19 @@ class TestSidecarIntegrity:
     def test_manifest_records_sidecar(self, saved):
         _, path, sidecar = saved
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 4
+        assert doc["schema_version"] == 5
         assert doc["sidecar"]["file"] == sidecar.name
         assert doc["sidecar"]["bytes"] == sidecar.stat().st_size
-        assert doc["agents"][0]["actor"]["weights"][0] == {
-            "key": "agents.0", "offset": 0, "shape": [8, 4]}
-        assert doc["agents"][0]["actor"]["biases"][0] == {
-            "key": "agents.0", "offset": 8 * 4 + 2 * 8, "shape": [8]}
-        assert doc["agents"][0]["buffer"]["obs"] == {
-            "key": "agents.0.buffer.obs", "offset": 0, "shape": [7, 4]}
-        # every row of this unchained fill is a break
-        assert doc["agents"][0]["buffer"]["next_obs"] == {
-            "breaks": {"key": "agents.0.buffer.next_obs.breaks", "offset": 0, "shape": [7]},
-            "rows": {"key": "agents.0.buffer.next_obs.rows", "offset": 0, "shape": [7, 4]}}
-        assert doc["agents"][0]["buffer"]["rewards"] == {
-            "key": "buffer.rewards", "offset": 0, "shape": [7]}
-        assert "actions" not in doc["agents"][0]["buffer"]
+        assert doc["buffer"] == {"next": 7, "size": 7}
+        assert "agents" not in doc
         with np.load(sidecar) as arrays:
             assert sorted(arrays.files) == [
-                "agents.0", "agents.0.buffer.next_obs.breaks", "agents.0.buffer.next_obs.rows",
-                "agents.0.buffer.obs", "buffer.rewards", "buffer.terminals"]
+                "agents.0", "agents.0.buffer.obs", "buffer.end_rows", "buffer.ends",
+                "buffer.rewards", "buffer.terminals"]
+            # a lone pursuer observes 4 values; every slot of this unchained fill is an end
+            assert arrays["agents.0.buffer.obs"].shape == (7 * 4,)
+            assert arrays["buffer.ends"].tolist() == list(range(7))
+            assert arrays["buffer.end_rows"].shape == (7 * 4,)
 
     def test_missing_sidecar_rejected(self, saved):
         cfg, path, sidecar = saved
@@ -358,15 +365,21 @@ class TestSidecarIntegrity:
                      r"sidecar\.file .* is not a file name in the manifest's directory")
 
 
+@pytest.fixture
+def v4_copy(tmp_path):
+    """The tiny config and a copy of the committed schema 4 snapshot, whose
+    manifest spells out every agent, to edit."""
+    path = copied(V4_CHECKPOINT, tmp_path)
+    return load_config(V2_CONFIG), path, json.loads(path.read_text())
+
+
 class TestTeamAgreement:
-    """A team updates in lockstep, so a manifest whose agents disagree is refused."""
+    """A team updates in lockstep, so a schema 1-4 manifest whose agents
+    disagree is refused."""
 
     @pytest.fixture
-    def saved(self, tmp_path):
-        cfg, team = make_team(2, 7, "cd_ddpg_partial", (8,), (8,), 16, 1)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
-        return cfg, path, json.loads(path.read_text())
+    def saved(self, v4_copy):
+        return v4_copy
 
     @pytest.mark.parametrize("field, value", [
         ("buffer.size", 6), ("buffer.next", 3), ("buffer.capacity", 17),
@@ -407,10 +420,10 @@ class TestTeamAgreement:
 
     def test_strategy_observing_another_width(self, saved):
         cfg, path, _ = saved
-        full = replace(cfg, run=replace(cfg.run, strategy="cd_ddpg"))
+        partial = replace(cfg, run=replace(cfg.run, strategy="cd_ddpg_partial"))
         with pytest.raises(CheckpointIntegrityError, match=re.escape(
-                "agent 0 has obs_dim 4, but the config's run.strategy 'cd_ddpg' gives 6")):
-            load_checkpoint(path, full)
+                "agent 0 has obs_dim 6, but the config's run.strategy 'cd_ddpg_partial' gives 4")):
+            load_checkpoint(path, partial)
 
     def test_missing_field_named(self, saved):
         cfg, path, doc = saved
@@ -428,15 +441,12 @@ class TestTeamAgreement:
 
 
 class TestMalformedManifest:
-    """A manifest field that cannot be read is refused, naming the agent and the
-    field, instead of escaping as a raw exception."""
+    """A schema 1-4 manifest field that cannot be read is refused, naming the
+    agent and the field, instead of escaping as a raw exception."""
 
     @pytest.fixture
-    def saved(self, tmp_path):
-        cfg, team = make_team(2, 7, "cd_ddpg_partial", (8,), (8,), 16, 1)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
-        return cfg, path, json.loads(path.read_text())
+    def saved(self, v4_copy):
+        return v4_copy
 
     @staticmethod
     def refused(saved, match):
@@ -459,28 +469,100 @@ class TestMalformedManifest:
 
     def test_missing_rng_states(self, saved):
         del saved[2]["rng_states"]
-        self.refused(saved, r"ckpt\.json has no 'rng_states'")
+        self.refused(saved, r"checkpoint_epoch4\.json has no 'rng_states'")
 
     def test_string_buffer_size(self, saved):
         for agent in saved[2]["agents"]:
             agent["buffer"]["size"] = "7"
-        self.refused(saved, r"agent 0 has buffer\.size '7', want an integer")
+        self.refused(saved, r"agent 0 has buffer\.size '7', want an integer >= 0")
+
+    def test_negative_adam_step(self, saved):
+        # it used to load and fail the first update with a traceback
+        for agent in saved[2]["agents"]:
+            agent["adam_actor"]["step"] = -1
+        self.refused(saved, r"agent 0 has adam_actor\.step -1, want an integer >= 0")
 
     def test_unwrapped_ring_writing_past_its_size(self, saved):
         # 7 of 16 slots filled, so the next push goes to slot 7
         for agent in saved[2]["agents"]:
-            agent["buffer"]["next"] = 3
+            agent["buffer"]["size"], agent["buffer"]["next"] = 7, 3
         self.refused(saved, r"replay bookkeeping \{'next': 3, 'size': 7\} does not fit")
 
     def test_weight_shape_without_sizes(self, saved):
         saved[2]["agents"][0]["actor"]["weights"][0]["shape"] = []
-        self.refused(saved, r"agent 0 actor\[0\]: shape \[\], want \[8, 4\]")
+        self.refused(saved, r"agent 0 actor\[0\]: shape \[\], want \[4, 6\]")
 
     def test_unknown_activation(self, saved):
         for agent in saved[2]["agents"]:
             agent["actor_target"]["hidden_activation"] = "tanh"
         self.refused(saved, r"agent 0 has actor_target\.hidden_activation 'tanh'; "
                             "the networks run only 'relu'")
+
+
+class TestSchema5Manifest:
+    """Schema 5 stores per team only the noise, the Adam step counts and the
+    ring bookkeeping; a value of the wrong shape or type is refused, naming
+    the field."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        cfg, team = make_team(2, 7, "cd_ddpg_partial", (8,), (8,), 16, 1)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
+        return cfg, path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("noise", [[0.1, 0.2]], r"noise \[\[0\.1, 0\.2\]\]: want 2 rows of 2 numbers"),
+        ("noise", [[0.1, 0.2], [0.1, 0.2, 0.3]], r"noise .*: want 2 rows of 2 numbers"),
+        ("noise", [[0.1, "0.2"], [0.1, 0.2]], r"noise .*: want 2 rows of 2 numbers"),
+        ("noise", [[0.1, True], [0.1, 0.2]], r"noise .*: want 2 rows of 2 numbers"),
+        ("noise", [0.1, 0.2], r"noise .*: want 2 rows of 2 numbers"),
+        ("adam_steps", {"adam_actor": 3}, re.escape(
+            "adam_steps {'adam_actor': 3}: want an integer >= 0 for each of "
+            "['adam_actor', 'adam_critic']")),
+        ("adam_steps", {"adam_actor": 3, "adam_critic": 2.5}, r"adam_steps .*: want an integer"),
+        ("adam_steps", {"adam_actor": 3, "adam_critic": True}, r"adam_steps .*: want an integer"),
+        ("adam_steps", 3, r"adam_steps 3: want an integer"),
+        # a negative count used to load and fail the first update with a traceback
+        ("adam_steps", {"adam_actor": -1, "adam_critic": 0},
+         r"adam_steps .*: want an integer >= 0"),
+        ("buffer", {"next": "7", "size": 7}, re.escape(
+            "buffer {'next': '7', 'size': 7}: want an integer >= 0 for each of ['next', 'size']")),
+        ("buffer", {"next": 7}, r"buffer .*: want an integer >= 0 for each of"),
+        ("buffer", [7, 7], r"buffer \[7, 7\]: want an integer >= 0 for each of"),
+        # 7 of 16 slots filled, so the next push goes to slot 7
+        ("buffer", {"next": 3, "size": 7},
+         r"replay bookkeeping \{'next': 3, 'size': 7\} does not fit a ring of 16"),
+        ("buffer", {"next": 0, "size": 17}, r"replay bookkeeping .* does not fit a ring of 16"),
+        ("buffer", {"next": -1, "size": 16}, r"buffer .*: want an integer >= 0"),
+    ], ids=["noise one row", "noise three values", "noise string", "noise bool", "noise flat",
+            "steps missing", "steps fractional", "steps bool", "steps not an object",
+            "steps negative",
+            "buffer string", "buffer missing size", "buffer list", "unwrapped past its size",
+            "beyond capacity", "negative next"])
+    def test_malformed_team_field(self, saved, field, value, match):
+        cfg, path, doc = saved
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match=match):
+            load_checkpoint(path, cfg)
+
+    @pytest.mark.parametrize("field", ["noise", "adam_steps", "buffer"])
+    def test_missing_field_named(self, saved, field):
+        cfg, path, doc = saved
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointIntegrityError, match=rf"ckpt\.json has no '{field}'"):
+            load_checkpoint(path, cfg)
+
+    def test_strategy_observing_another_width(self, saved):
+        # the state row of an agent observing 4 values is too short for one observing 6
+        cfg, path, _ = saved
+        full = replace(cfg, run=replace(cfg.run, strategy="cd_ddpg"))
+        with pytest.raises(CheckpointIntegrityError, match=re.escape(
+                "agent 0 state, as run.strategy 'cd_ddpg' observes 6 values: values 0..")
+                + r"\d+ are not in sidecar entry 'agents\.0'"):
+            load_checkpoint(path, full)
 
 
 def tiny_training_config(out_dir):
@@ -499,7 +581,7 @@ def tiny_training_config(out_dir):
 def test_schema_1_checkpoint_resumes_bit_for_bit(tmp_path):
     cfg = tiny_training_config(tmp_path / "full")
     full = run_training(cfg, out_dir=tmp_path / "full")
-    inline_as_schema_1(full / "checkpoint_epoch5.json", tmp_path / "v1.json")
+    inline_as_schema_1(full / "checkpoint_epoch5.json", cfg, tmp_path / "v1.json")
     resumed = run_training(cfg, out_dir=tmp_path / "resumed", resume=tmp_path / "v1.json")
     rows = (resumed / "training_curve.csv").read_text().splitlines()
     assert rows[2:] == (full / "training_curve.csv").read_text().splitlines()[2 + 5:]
@@ -522,15 +604,14 @@ def rewrite_sidecar(path: Path, edit) -> None:
 
 
 class TestMalformedRing:
-    """A ring field that cannot be decoded is refused, naming the agent and field."""
+    """A schema 1-4 ring field that cannot be decoded is refused, naming the
+    agent and the field."""
 
     BREAKS = "agents.0.buffer.next_obs.breaks"
 
     @pytest.fixture
-    def saved(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        cfg, team = make_team(2, 30, "cd_ddpg_partial", (8,), (8,), 16, 1, chained=True)
-        save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
+    def saved(self, v4_copy):
+        cfg, path, _ = v4_copy
         with np.load(sidecar_path(path)) as arrays:
             assert 2 <= len(arrays[self.BREAKS]) < 16  # a wrapped ring with a few breaks
         return cfg, path
@@ -569,7 +650,7 @@ class TestMalformedRing:
         rows = "agents.0.buffer.next_obs.rows"
 
         def edit(arrays):
-            arrays[rows] = arrays[rows][:-4]  # one row of 4 observations fewer
+            arrays[rows] = arrays[rows][:-6]  # one row of 6 observations fewer
 
         rewrite_sidecar(path, edit)
         doc = json.loads(path.read_text())
@@ -588,7 +669,64 @@ class TestMalformedRing:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointIntegrityError,
                            match=r"agent 1 buffer\.rewards\[0\]: .*'agents\.0\.buffer\.obs', "
-                                 "which holds 64"):
+                                 "which holds 96"):
+            load_checkpoint(path, cfg)
+
+
+def shorten(key, values=1):
+    """A sidecar edit that drops the last `values` values of entry `key`."""
+    return lambda arrays: arrays.__setitem__(key, arrays[key][:-values])
+
+
+def set_value(key, index, value):
+    """A sidecar edit that sets entry `key`'s value at `index`."""
+    def edit(arrays):
+        arrays[key] = arrays[key].copy()
+        arrays[key][index] = value
+    return edit
+
+
+class TestSchema5Ring:
+    """A schema 5 ring entry that does not hold what the config and the
+    bookkeeping give is refused, naming the entry."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        cfg, team = make_team(2, 30, "cd_ddpg_partial", (8,), (8,), 16, 1, chained=True)
+        save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
+        with np.load(sidecar_path(path)) as arrays:
+            assert 2 <= len(arrays["buffer.ends"]) < 16  # a wrapped ring with a few ends
+        return cfg, path
+
+    @pytest.mark.parametrize("edit, match", [
+        (set_value("buffer.ends", 0, -1), r"buffer\.ends: slots must be strictly increasing in "
+                                          r"\[0, 16\)"),
+        (set_value("buffer.ends", -1, 16), r"buffer\.ends: .*\[0, 16\)"),
+        (set_value("buffer.ends", 1, 0), r"buffer\.ends: .*strictly increasing"),
+        (lambda arrays: arrays.__setitem__("buffer.ends", arrays["buffer.ends"] + 0.5),
+         r"buffer\.ends: values are float64, want int64"),
+        (lambda arrays: arrays.pop("buffer.ends"),
+         r"buffer\.ends: values 0\.\.0 are not in sidecar entry 'buffer\.ends'"),
+        # one row of 2 agents' 4 observations fewer
+        (shorten("buffer.end_rows", 8), r"buffer\.end_rows: values 0\.\.\d+ are not in sidecar "
+                                        r"entry 'buffer\.end_rows'"),
+        (shorten("buffer.ends"), r"buffer\.end_rows: refers to values 0\.\.\d+ of sidecar entry "
+                                 r"'buffer\.end_rows', which holds \d+"),
+        (shorten("agents.1.buffer.obs"), r"agents\.1\.buffer\.obs: values 0\.\.64 are not in "
+                                         r"sidecar entry 'agents\.1\.buffer\.obs'"),
+        (shorten("buffer.terminals"), r"buffer\.terminals: values 0\.\.16 are not in"),
+        (lambda arrays: arrays.__setitem__("buffer.rewards", np.zeros(16, dtype=np.float32)),
+         r"buffer\.rewards: values are float32, want float64"),
+        (shorten("agents.1"), r"agent 1 state, .*: values 0\.\.\d+ are not in sidecar entry "
+                              r"'agents\.1'"),
+    ], ids=["end before the ring", "end past the ring", "ends not increasing", "fractional ends",
+            "no ends", "end rows short", "end rows beyond the ends", "obs short",
+            "terminals short", "float32 rewards", "state row short"])
+    def test_malformed_entry(self, saved, edit, match):
+        cfg, path = saved
+        rewrite_sidecar(path, edit)
+        with pytest.raises(CheckpointIntegrityError, match=match):
             load_checkpoint(path, cfg)
 
 
@@ -600,7 +738,7 @@ def resumes_fixture_bit_for_bit(tmp_path, fixture, version):
     full = run_training(cfg, out_dir=tmp_path / "full")
     snapshot = full / fixture.name
     assert json.loads(fixture.read_text())["schema_version"] == version
-    assert json.loads(snapshot.read_text())["schema_version"] == 4
+    assert json.loads(snapshot.read_text())["schema_version"] == 5
     assert sidecar_path(snapshot).stat().st_size < sidecar_path(fixture).stat().st_size
 
     from_fixture, *fixture_rest = load_checkpoint(fixture, cfg)
@@ -622,6 +760,10 @@ def test_schema_2_fixture_loads_and_resumes_bit_for_bit(tmp_path):
 
 def test_schema_3_fixture_loads_and_resumes_bit_for_bit(tmp_path):
     resumes_fixture_bit_for_bit(tmp_path, V3_CHECKPOINT, 3)
+
+
+def test_schema_4_fixture_loads_and_resumes_bit_for_bit(tmp_path):
+    resumes_fixture_bit_for_bit(tmp_path, V4_CHECKPOINT, 4)
 
 
 def copied(fixture: Path, out: Path) -> Path:
@@ -660,12 +802,12 @@ def edit_ring(path: Path, version: int, agent: int, name: str, slot: int, value:
 def as_schema(version: int, tmp_path: Path) -> Path:
     """A snapshot of `tiny_config.json` at global epoch 4 in schema `version`."""
     if version == 1:
-        inline_as_schema_1(V3_CHECKPOINT, tmp_path / "v1.json")
+        inline_as_schema_1(V3_CHECKPOINT, load_config(V2_CONFIG), tmp_path / "v1.json")
         return tmp_path / "v1.json"
-    if version == 4:
+    if version == 5:
         run_training(load_config(V2_CONFIG), out_dir=tmp_path / "run")
         return tmp_path / "run" / V3_CHECKPOINT.name
-    return copied(V2_CHECKPOINT if version == 2 else V3_CHECKPOINT, tmp_path)
+    return copied({2: V2_CHECKPOINT, 3: V3_CHECKPOINT, 4: V4_CHECKPOINT}[version], tmp_path)
 
 
 class TestStoredFactsDisagree:
@@ -703,7 +845,7 @@ class TestStoredFactsDisagree:
         assert capsys.readouterr().err.startswith(f"error: agent 1 buffer.{name} slot 2: {value}")
         assert not (tmp_path / "resumed").exists()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_unedited_file_loads(self, tmp_path, version):
         team, *_ = load_checkpoint(as_schema(version, tmp_path), load_config(V2_CONFIG))
         with np.load(sidecar_path(V3_CHECKPOINT)) as arrays:
@@ -718,7 +860,7 @@ class TestStoredFactsDisagree:
             load_checkpoint(path, load_config(V2_CONFIG))
 
 
-@pytest.mark.parametrize("version", [2, 3, 4])
+@pytest.mark.parametrize("version", [2, 3, 4, 5])
 def test_load_reads_each_sidecar_entry_once(tmp_path, monkeypatch, version):
     path = as_schema(version, tmp_path)
     reads = []
@@ -733,6 +875,36 @@ def test_load_reads_each_sidecar_entry_once(tmp_path, monkeypatch, version):
     with np.load(sidecar_path(path)) as arrays:
         names = arrays.files
     assert sorted(reads) == sorted(names)
+
+
+@pytest.mark.parametrize("version", [4, 5])
+@pytest.mark.parametrize("edit, match", [
+    (lambda doc: "[1, 2]", r"is a JSON list, want an object"),
+    (lambda doc: json.dumps(doc)[:-1], r"is not JSON: "),
+    (lambda doc: json.dumps({**doc, "session": "0"}), re.escape(
+        "{'session': '0', 'epoch': 4, 'global_epoch': 4} is no position in the config's plan "
+        "of sessions of [6] epochs")),
+    (lambda doc: json.dumps({**doc, "session": -1}), r"'session': -1, .* is no position"),
+    (lambda doc: json.dumps({**doc, "epoch": 2.5}), r"'epoch': 2\.5, .* is no position"),
+    (lambda doc: json.dumps({**doc, "epoch": True}), r"'epoch': True, .* is no position"),
+    # the plan's one session has 6 epochs, and its end is session 1, epoch 0
+    (lambda doc: json.dumps({**doc, "epoch": 6}), r"'epoch': 6, .* is no position"),
+    (lambda doc: json.dumps({**doc, "session": 1}), r"'session': 1, 'epoch': 4, .* no position"),
+    (lambda doc: json.dumps({**doc, "session": 2, "epoch": 0}), r"'session': 2, .* no position"),
+    (lambda doc: json.dumps({**doc, "global_epoch": 5}), r"'global_epoch': 5\} is no position"),
+], ids=["list", "not JSON", "string session", "negative session", "fractional epoch",
+        "bool epoch", "epoch past its session", "epoch past the plan's end",
+        "session past the plan's end", "global epoch of another position"])
+def test_cli_resume_refuses_malformed_top_level(tmp_path, capsys, version, edit, match):
+    # each used to end in a traceback, and a fractional epoch in curve rows
+    path = as_schema(version, tmp_path)
+    path.write_text(edit(json.loads(path.read_text())))
+    capsys.readouterr()
+    assert main(["train", "--config", str(V2_CONFIG), "--out", str(tmp_path / "resumed"),
+                 "--resume", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {path}") and re.search(match, err)
+    assert not (tmp_path / "resumed").exists()
 
 
 def snapshot_plan(epochs: list[int], every: int) -> ExperimentConfig:

@@ -65,9 +65,10 @@ def trained_with_partial_config(tmp_path):
     return out_dir, partial
 
 
-# the refusal names the agent, the field, both widths and the strategy
-OTHER_WIDTH = re.compile(r"^error: agent 0 has obs_dim 6, but the config's run\.strategy "
-                         r"'cd_ddpg_partial' gives 4$", re.M)
+# the refusal names the agent, the strategy, its width and both state sizes
+OTHER_WIDTH = re.compile(r"^error: agent 0 state, as run\.strategy 'cd_ddpg_partial' observes "
+                         r"4 values: refers to values 0\.\.\d+ of sidecar entry 'agents\.0', "
+                         r"which holds \d+$", re.M)
 
 
 class TestTrainCommand:
@@ -151,8 +152,8 @@ class TestTrainCommand:
     def test_partial_observability_training(self, tmp_path):
         cfg_path, out_dir = write_config(tmp_path, strategy="cd_ddpg_partial", epochs=6)
         assert main(["train", "--config", str(cfg_path)]) == 0
-        ckpt = json.loads((out_dir / "checkpoint.json").read_text())
-        assert ckpt["agents"][0]["obs_dim"] == 4  # own heading + evader offset only
+        team, *_ = load_checkpoint(out_dir / "checkpoint.json", load_config(cfg_path))
+        assert team.obs_dim == 4  # own heading + evader offset only
         eval_out = tmp_path / "eval_partial"
         assert main(["eval", "--config", str(cfg_path),
                      "--checkpoint", str(out_dir / "checkpoint.json"),

@@ -179,6 +179,13 @@ class TestConfigValidation:
                  ]}}
             )
 
+    def test_pursuer_count_beyond_the_float_range_of_draws_rejected(self):
+        # (1 - pi s^2)^-n overflows a float at n = 100,000, which used to
+        # escape config loading as an OverflowError
+        with pytest.raises(ConfigError, match=r"^env: a spawn of n=100000 pursuers .* needs inf "
+                                              "expected draws, more than 1000; lower n"):
+            config_from_dict({"env": {"n": 100_000}})
+
     def test_removed_k_att_is_unknown(self):
         with pytest.raises(ConfigError, match=r"run\.k_att: unknown key"):
             config_from_dict({"run": {"k_att": 1.5}})
@@ -320,9 +327,11 @@ class TestCheckpointRoundTrip:
         rng_states = {"env": np.random.default_rng(3).bit_generator.state,
                       "explore": [], "sample": []}
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, learner, 2, 5, 105, rng_states)
-        got, session, epoch, global_epoch, states = load_checkpoint(path, cfg)
-        assert (session, epoch, global_epoch) == (2, 5, 105)
+        # epoch 5 of session 2 of the default plan
+        global_epoch = sum(s.epochs for s in cfg.curriculum.sessions[:2]) + 5
+        save_checkpoint(path, cfg, learner, 2, 5, global_epoch, rng_states)
+        got, *position, states = load_checkpoint(path, cfg)
+        assert position == [2, 5, global_epoch]
         assert states == rng_states
         for a, b in zip(learner.actor.weights, got.actor.weights):
             assert np.array_equal(a, b)

@@ -305,18 +305,20 @@ def test_ring_holds_every_pushed_transition(case, seed):
     every = np.tile(np.arange(size), (agents, 1))
     assert same_bits(buf._next_rows(every).reshape(agents, size, obs_dim),
                      gathered(3, every).reshape(agents, size, obs_dim))
-    # the checkpoint form: breaks as a full scan of the dense rows finds them,
-    # and a ring filled from them samples the same next rows
+    # the checkpoint form: the end table holds the write head and every slot
+    # where a full scan of any agent's dense rows finds a break, with those
+    # slots' rows, and a ring filled from it samples the same next rows
     copy = ReplayBuffer(capacity, obs_dim, agents)
     for name in ("_obs", "_rewards", "_terminals"):
         getattr(copy, name)[...] = getattr(buf, name)
     copy._next, copy._size = buf._next, buf._size
-    copy.load_next_obs_breaks([buf.next_obs_breaks(i) for i in range(agents)])
-    for i in range(agents):
-        breaks, rows = buf.next_obs_breaks(i)
-        dense = gathered(3, every)[i].reshape(size, obs_dim)
-        assert np.array_equal(breaks, _next_obs_breaks(buf._obs[i, :size], dense))
-        assert breaks.dtype == np.int64 and same_bits(rows, dense[breaks])
+    slots, table_rows = buf.end_table()
+    copy.load_next_obs_breaks([(slots, table_rows[:, i]) for i in range(agents)])
+    dense = gathered(3, every).reshape(agents, size, obs_dim)
+    breaks = {int(j) for i in range(agents) for j in _next_obs_breaks(buf._obs[i, :size], dense[i])}
+    head = {(buf._next - 1) % capacity} if size else set()
+    assert slots.dtype == np.int64 and slots.tolist() == sorted(breaks | head)
+    assert same_bits(table_rows, dense[:, slots].swapaxes(0, 1))
     assert same_bits(copy._next_rows(every), buf._next_rows(every))
     if size:
         batch = buf.sample(size, [np.random.default_rng([seed, i]) for i in range(agents)])
@@ -518,7 +520,8 @@ def copy_ring(team, i, lone):
     lone._obs[0] = team._obs[i]
     lone._rewards[...], lone._terminals[...] = team._rewards, team._terminals
     lone._next, lone._size = team._next, team._size
-    lone.load_next_obs_breaks([team.next_obs_breaks(i)])
+    slots, table_rows = team.end_table()
+    lone.load_next_obs_breaks([(slots, table_rows[:, i])])
 
 
 class TestDecentralization:

@@ -35,16 +35,17 @@ a manifest that is not a JSON object or lacks a field, a position the
 config's plan never writes, an entry of another size or dtype than the
 config gives, malformed noise or step counts, bookkeeping no ring of the
 capacity reaches (an unwrapped ring writes at its size), and end slots not
-strictly increasing inside the ring.
+strictly increasing inside the ring or without its write head.
 
-Schemas 1-4 are read-only. Their manifests hold an ``agents`` list that
-repeats each agent's width, hyperparameters, activations, capacity,
-bookkeeping, noise and step counts, which must be the config's and agree
-across agents, and refers to each array as ``{"key", "offset", "shape"}``,
-the values from ``offset`` on in entry ``key``. Schema 4 stores each agent's
-next observations as break slots and their rows, sharing agent 0's slots;
-schema 3 also each agent's actions, rewards and terminal flags; schema 2 a
-dense ``next_obs``; schema 1 is one JSON document with every array inline as
+Schemas 1-4 are read-only: an adapter turns them into schema 5's team
+fields and entries for the one reader. Their ``agents`` list repeats each
+agent's width, hyperparameters, activations, capacity, bookkeeping, noise
+and step counts, which must be the config's and agree across agents, and
+refers to each array as ``{"key", "offset", "shape"}``, the values from
+``offset`` on in entry ``key``. Schema 4 stores each agent's next
+observations as break slots and their rows, sharing agent 0's slots; schema
+3 also each agent's actions, rewards and terminal flags; schema 2 a dense
+``next_obs``; schema 1 is one JSON document with every array inline as
 decimals. Loading them refuses, naming the agent, the field and the slot, an
 action that is not its next observation's heading columns, and rewards or
 terminal flags that differ from agent 0's.
@@ -55,14 +56,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .ddpg import ACTION_DIM, ReplayBuffer, TeamLearner, make_team
+from .ddpg import ACTION_DIM, TeamLearner, make_team
 from .errors import CheckpointIntegrityError, DigestMismatchError, SchemaVersionError
 
 CHECKPOINT_SCHEMA_VERSION = 5
@@ -132,22 +133,26 @@ def _entry(entries: _Entries, key: str, shape: list[int] | None, where: str,
                        whole=True)
 
 
-def _fill(views: list[np.ndarray], docs: list[dict], entries: _Entries,
-          where: str, whole: bool = False) -> None:
-    """Copies each referenced array into the team's view of the same shape."""
-    if len(docs) != len(views):
-        raise CheckpointIntegrityError(f"{where}: {len(docs)} arrays, want {len(views)}")
-    for k, (view, doc) in enumerate(zip(views, docs)):
-        if _shape(doc, f"{where}[{k}]") != list(view.shape):
+def _arrays(docs: list, shapes: list, entries: _Entries, where: str,
+            whole: bool = False) -> list[np.ndarray]:
+    """The arrays the references ``docs`` give, which must have ``shapes``."""
+    if len(docs) != len(shapes):
+        raise CheckpointIntegrityError(f"{where}: {len(docs)} arrays, want {len(shapes)}")
+    for k, (shape, doc) in enumerate(zip(shapes, docs)):
+        if _shape(doc, f"{where}[{k}]") != list(shape):
             raise CheckpointIntegrityError(
-                f"{where}[{k}]: shape {doc['shape']}, want {list(view.shape)}")
-        view[...] = _array_load(doc, entries, f"{where}[{k}]", whole=whole)
+                f"{where}[{k}]: shape {doc['shape']}, want {list(shape)}")
+    return [_array_load(doc, entries, f"{where}[{k}]", whole=whole) for k, doc in enumerate(docs)]
 
 
 _NETWORKS = ("actor", "critic", "actor_target", "critic_target")
 # the activations every network runs (see nn), which schemas 1-4 name for each network
 _ACTIVATIONS = {"hidden_activation": "relu", "output_activation": "identity"}
 _OPTIMIZERS = {"adam_actor": "actor", "adam_critic": "critic"}
+# an agent's state row (ddpg.TeamLearner.state) part by part: name, layout, schema 1-4 lists
+_STATE_PARTS = [(name, name, f"{name}.weights", f"{name}.biases") for name in _NETWORKS] + [
+    (f"{name}.{moment}", net, f"{name}.{moment}_weights", f"{name}.{moment}_biases")
+    for name, net in _OPTIMIZERS.items() for moment in ("m", "v")]
 _HYPERPARAMETERS = ("gamma", "tau", "lr_actor", "lr_critic", "clip_norm", "theta_ou", "sigma_ou")
 _TEAM_FIELDS = ("rewards", "terminals")  # one per slot, for the whole team
 
@@ -165,21 +170,16 @@ def _slots(slots: np.ndarray, size: int, where: str) -> np.ndarray:
     return slots
 
 
-def _next_obs_load(ref: Any, obs: np.ndarray, entries: _Entries, where: str,
-                   read: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _next_obs_load(ref: Any, obs: np.ndarray, entries: _Entries,
+                   where: str) -> tuple[np.ndarray, np.ndarray]:
     """Next observations as break slots and their rows: as stored (schemas 3
-    and 4), or found in the dense field of schemas 1 and 2. Break slots are
-    read once per reference: ``read`` holds them by the reference's JSON."""
+    and 4), or found in the dense field of schemas 1 and 2."""
     if not (isinstance(ref, dict) and "breaks" in ref):
-        next_obs = np.empty_like(obs)
-        _fill([next_obs], [ref], entries, where, whole=True)
+        (next_obs,) = _arrays([ref], [obs.shape], entries, where, whole=True)
         breaks = _next_obs_breaks(obs, next_obs)
         return breaks, next_obs[breaks]
-    known = _as_json(ref["breaks"])
-    if known not in read:
-        read[known] = _slots(_array_load(ref["breaks"], entries, f"{where}.breaks",
-                                         dtype=np.int64, whole=True), len(obs), f"{where}.breaks")
-    breaks = read[known]
+    breaks = _slots(_array_load(ref["breaks"], entries, f"{where}.breaks", dtype=np.int64,
+                                whole=True), len(obs), f"{where}.breaks")
     if "rows" not in ref:
         raise CheckpointIntegrityError(f"{where} has no 'rows'")
     rows = _array_load(ref["rows"], entries, f"{where}.rows", whole=True)
@@ -188,10 +188,6 @@ def _next_obs_load(ref: Any, obs: np.ndarray, entries: _Entries, where: str,
             f"{where}.rows: shape {list(rows.shape)}, want {[breaks.size, obs.shape[1]]} "
             "(one row per break slot)")
     return breaks, rows
-
-
-def _as_json(ref: Any) -> str:
-    return json.dumps(ref, sort_keys=True)
 
 
 def _same_bits(values: np.ndarray, want: np.ndarray, where: str, what: str) -> None:
@@ -203,38 +199,41 @@ def _same_bits(values: np.ndarray, want: np.ndarray, where: str, what: str) -> N
             f"{where} slot {j}: {values[j].tolist()!r} differs from {what}, {want[j].tolist()!r}")
 
 
-def _ring_load(buf: ReplayBuffer, docs: list[dict], entries: _Entries,
-               stored_actions: bool) -> None:
-    """Fills the rings, whose bookkeeping is in place, from every agent's
-    entries (schemas 1-4), checking the facts stored more than once: each
+def _ring_entries(docs: list[dict], entries: _Entries, obs_dim: int, head: int, size: int,
+                  stored_actions: bool) -> dict[str, np.ndarray]:
+    """Schema 5's ring entries from every agent's (schemas 1-4), checking each
     agent's rewards and terminal flags against agent 0's, and the actions of
-    schemas 1-3 against the next observations' heading columns."""
-    ring = buf.filled()
+    schemas 1-3 against the next observations' heading columns. The end table
+    holds the write ``head`` and every agent's break slots."""
+    def whole(ref: Any, shape: list[int], where: str) -> np.ndarray:
+        return _arrays([ref], [shape], entries, where, whole=True)[0]
+
+    out = {}
     for name in _TEAM_FIELDS:
         first = _field(docs[0], 0, f"buffer.{name}")
-        _fill([ring[name]], [first], entries, f"agent 0 buffer.{name}", whole=True)
+        out[f"buffer.{name}"] = whole(first, [size], f"agent 0 buffer.{name}")
         for i, doc in enumerate(docs[1:], start=1):
-            # as JSON, in which -0.0 and 0.0 differ, as their bits do
-            if _as_json(ref := _field(doc, i, f"buffer.{name}")) != _as_json(first):
-                where, values = f"agent {i} buffer.{name}", np.empty_like(ring[name])
-                _fill([values], [ref], entries, where, whole=True)
-                _same_bits(values, ring[name], where, "agent 0's")
-    breaks, read = [], {}
+            where = f"agent {i} buffer.{name}"
+            values = whole(_field(doc, i, f"buffer.{name}"), [size], where)
+            _same_bits(values, out[f"buffer.{name}"], where, "agent 0's")
+    obs, breaks = [], []
     for i, doc in enumerate(docs):
-        obs, where = ring["obs"][i], f"agent {i} buffer"
-        _fill([obs], [_field(doc, i, "buffer.obs")], entries, f"{where}.obs", whole=True)
-        breaks.append(_next_obs_load(_field(doc, i, "buffer.next_obs"), obs, entries,
-                                     f"{where}.next_obs", read))
+        where = f"agent {i} buffer"
+        obs.append(whole(_field(doc, i, "buffer.obs"), [size, obs_dim], f"{where}.obs"))
+        breaks.append(_next_obs_load(_field(doc, i, "buffer.next_obs"), obs[i], entries,
+                                     f"{where}.next_obs"))
         if stored_actions:
-            heads = np.roll(obs[:, :ACTION_DIM], -1, axis=0)
-            agent_breaks, rows = breaks[-1]
-            heads[agent_breaks] = rows[:, :ACTION_DIM]
-            actions = np.empty_like(heads)
-            _fill([actions], [_field(doc, i, "buffer.actions")], entries, f"{where}.actions",
-                  whole=True)
-            _same_bits(actions, heads, f"{where}.actions",
-                       "the next observation's heading columns")
-    buf.load_next_obs_breaks(breaks)
+            heads = np.roll(obs[i][:, :ACTION_DIM], -1, axis=0)
+            heads[breaks[i][0]] = breaks[i][1][:, :ACTION_DIM]
+            actions = whole(_field(doc, i, "buffer.actions"), heads.shape, f"{where}.actions")
+            _same_bits(actions, heads, f"{where}.actions", "the next observation's heading columns")
+    slots = np.unique(np.concatenate([np.array([head][:size], dtype=np.int64),
+                                      *(agent_breaks for agent_breaks, _ in breaks)]))
+    end_rows = np.stack([agent_obs[(slots + 1) % size] for agent_obs in obs], axis=1)
+    for i, (agent_breaks, rows) in enumerate(breaks):
+        end_rows[np.searchsorted(slots, agent_breaks), i] = rows
+    out.update((f"agents.{i}.buffer.obs", agent_obs.ravel()) for i, agent_obs in enumerate(obs))
+    return {**out, "buffer.ends": slots, "buffer.end_rows": end_rows.ravel()}
 
 
 def _field(doc: dict, i: int, path: str) -> Any:
@@ -250,8 +249,7 @@ def _agreed(docs: list[dict], path: str) -> int:
     """The integer at ``path``, which every agent of a team must hold alike."""
     first = _field(docs[0], 0, path)
     for i, doc in enumerate(docs[1:], start=1):
-        value = _field(doc, i, path)
-        if value != first:
+        if (value := _field(doc, i, path)) != first:
             raise CheckpointIntegrityError(
                 f"agent {i} has {path} {value!r} but agent 0 has {first!r}; "
                 "a team's agents update in lockstep")
@@ -260,63 +258,56 @@ def _agreed(docs: list[dict], path: str) -> int:
     return first
 
 
-def _team_load(docs: list[dict], entries: _Entries, config: ExperimentConfig,
-               replay: bool, version: int) -> TeamLearner:
-    """Fills the team ``config`` describes from the per-agent entries, which must
-    hold the config's value of every scalar it fixes and agree on the others;
-    without ``replay`` the rings stay empty and no ring entry is read."""
-    team = make_team(config)
+def _as_schema_5(manifest: Path, doc: dict, entries: _Entries, team: TeamLearner,
+                 config: ExperimentConfig) -> tuple[dict, _Entries]:
+    """A schema 1-4 manifest as schema 5 stores its team: the fields
+    ``noise``, ``adam_steps`` and ``buffer``, and the entries by schema 5's
+    names, every ring entry decoded when the first is asked for. Each agent
+    must hold the config's value of every scalar it fixes and agree on the rest."""
+    docs = doc["agents"]
+    if not isinstance(docs, list):
+        raise CheckpointIntegrityError(
+            f"checkpoint {manifest}: agents is {type(docs).__name__}, want a list")
     if len(docs) != team.n:
         raise CheckpointIntegrityError(
             f"checkpoint holds {len(docs)} agents, but the config's env.n is {team.n}")
     strategy = f"run.strategy {config.run.strategy!r}"  # which fixes the observation width
-    fixed = {"obs_dim": (team.obs_dim, strategy), "buffer.obs_dim": (team.obs_dim, strategy),
-             "buffer.capacity": (team.buffer.capacity, "ddpg.buffer_capacity"),
-             **{name: (getattr(team.ddpg, name), f"ddpg.{name}") for name in _HYPERPARAMETERS}}
-    for i, doc in enumerate(docs):
-        for path, (want, source) in fixed.items():
-            if (got := _field(doc, i, path)) != want:
-                raise CheckpointIntegrityError(
-                    f"agent {i} has {path} {got!r}, but the config's {source} gives {want!r}")
-    ring = _bookkeeping({name: _agreed(docs, f"buffer.{name}") for name in ("next", "size")},
-                        team.buffer.capacity)
-    for name in _OPTIMIZERS:
-        getattr(team, name).step = _agreed(docs, f"{name}.step")
-    for i, doc in enumerate(docs):
-        for name in _NETWORKS:
-            for path, want in _ACTIVATIONS.items():
-                if (got := _field(doc, i, f"{name}.{path}")) != want:
-                    raise CheckpointIntegrityError(
-                        f"agent {i} has {name}.{path} {got!r}; the networks run only {want!r}")
-            net = getattr(team, name)
-            weights, biases = net.layers(net.flat[i])
-            refs = _field(doc, i, f"{name}.weights") + _field(doc, i, f"{name}.biases")
-            _fill(weights + biases, refs, entries, f"agent {i} {name}")
-        for name, net_name in _OPTIMIZERS.items():
-            net, state = getattr(team, net_name), getattr(team, name)
-            for moment in ("m", "v"):
-                weights, biases = net.layers(getattr(state, moment)[i])
-                refs = (_field(doc, i, f"{name}.{moment}_weights")
-                        + _field(doc, i, f"{name}.{moment}_biases"))
-                _fill(weights + biases, refs, entries, f"agent {i} {name}.{moment}")
-        if not _numbers(noise := _field(doc, i, "noise_state"), ACTION_DIM):
+    fixed = [("obs_dim", team.obs_dim, strategy), ("buffer.obs_dim", team.obs_dim, strategy),
+             ("buffer.capacity", team.buffer.capacity, "ddpg.buffer_capacity"),
+             *((name, getattr(team.ddpg, name), f"ddpg.{name}") for name in _HYPERPARAMETERS)]
+    refusals = {path: (want, f", but the config's {source} gives {want!r}")
+                for path, want, source in fixed}
+    refusals.update((f"{name}.{path}", (want, f"; the networks run only {want!r}"))
+                    for name in _NETWORKS for path, want in _ACTIVATIONS.items())
+    ring = {name: _agreed(docs, f"buffer.{name}") for name in ("next", "size")}
+    steps = {name: _agreed(docs, f"{name}.step") for name in _OPTIMIZERS}
+    rows, noise = {}, []
+    for i, agent in enumerate(docs):
+        for path, (want, refusal) in refusals.items():
+            if (got := _field(agent, i, path)) != want:
+                raise CheckpointIntegrityError(f"agent {i} has {path} {got!r}{refusal}")
+        if not _numbers(state := _field(agent, i, "noise_state"), ACTION_DIM):
             raise CheckpointIntegrityError(
-                f"agent {i} has noise_state {noise!r}, want {ACTION_DIM} numbers")
-        team.noise[i] = noise
-    if replay:
-        team.buffer._next, team.buffer._size = ring["next"], ring["size"]
-        _ring_load(team.buffer, docs, entries, stored_actions=version < 4)
-    return team
-
-
-def _bookkeeping(ring: dict[str, int], capacity: int) -> dict[str, int]:
-    """The ring's ``next`` and ``size``, which a ring of ``capacity`` must reach."""
-    # a ring that has not wrapped yet writes at its size
-    if not (0 <= ring["next"] < capacity and 0 <= ring["size"] <= capacity
-            and (ring["size"] == capacity or ring["next"] == ring["size"])):
-        raise CheckpointIntegrityError(
-            f"replay bookkeeping {ring} does not fit a ring of {capacity} transitions")
-    return ring
+                f"agent {i} has noise_state {state!r}, want {ACTION_DIM} numbers")
+        noise.append(state)
+        arrays = []  # agent i's state row, part by part
+        for part, net_name, *paths in _STATE_PARTS:
+            refs = []
+            for path in paths:
+                if not isinstance(listed := _field(agent, i, path), list):
+                    raise CheckpointIntegrityError(f"checkpoint {manifest}: agent {i} has {path} "
+                                                   f"{listed!r}, want a list of arrays")
+                refs += listed
+            net = getattr(team, net_name)
+            arrays += _arrays(refs, [a.shape[1:] for a in net.weights + net.biases], entries,
+                              f"agent {i} {part}")
+        rows[f"agents.{i}"] = np.concatenate([a.ravel() for a in arrays])
+    # the reader asks for ring entries only with the replay, after it checks the bookkeeping
+    decoded = cache(lambda: _ring_entries(
+        docs, entries, team.obs_dim, (ring["next"] - 1) % team.buffer.capacity, ring["size"],
+        stored_actions=doc["schema_version"] < 4))
+    return ({"noise": noise, "adam_steps": steps, "buffer": ring},
+            lambda key: rows.pop(key) if key in rows else decoded().pop(key, None))
 
 
 def _numbers(values: Any, *shape: int) -> bool:
@@ -336,24 +327,27 @@ def _integers(doc: dict, name: str, keys: list[str]) -> dict[str, int]:
     return value
 
 
-def _team_read(doc: dict, entries: _Entries, config: ExperimentConfig,
-               replay: bool) -> TeamLearner:
-    """Fills the team ``config`` describes from a schema 5 manifest and the
-    sidecar entries of fixed names; without ``replay`` the rings stay empty
-    and no ring entry is read."""
-    team = make_team(config)
+def _team_read(team: TeamLearner, doc: dict, entries: _Entries, config: ExperimentConfig,
+               replay: bool) -> None:
+    """Fills ``team``, as ``config`` makes it, from a schema 5 manifest's team
+    fields and the entries of fixed names (schemas 1-4 through ``_as_schema_5``);
+    without ``replay`` the rings stay empty and no ring entry is read."""
     (n, width), d, buf = team.state.shape, team.obs_dim, team.buffer
     if not _numbers(noise := doc["noise"], n, ACTION_DIM):
         raise CheckpointIntegrityError(f"noise {noise!r}: want {n} rows of {ACTION_DIM} numbers")
     team.noise[...] = noise
     for name, step in _integers(doc, "adam_steps", sorted(_OPTIMIZERS)).items():
         getattr(team, name).step = step
-    ring = _bookkeeping(_integers(doc, "buffer", ["next", "size"]), buf.capacity)
+    ring = _integers(doc, "buffer", ["next", "size"])
+    # a ring that has not wrapped yet writes at its size
+    if not (ring["next"] < buf.capacity and ring["size"] in (buf.capacity, ring["next"])):
+        raise CheckpointIntegrityError(
+            f"replay bookkeeping {ring} does not fit a ring of {buf.capacity} transitions")
     for i in range(n):
         team.state[i] = _entry(entries, f"agents.{i}", [width], f"agent {i} state, as "
                                f"run.strategy {config.run.strategy!r} observes {d} values")
     if not replay:
-        return team
+        return
     buf._next, buf._size = ring["next"], ring["size"]
     filled, size = buf.filled(), buf._size
     ring_entries = {f"buffer.{name}": filled[name] for name in _TEAM_FIELDS}
@@ -362,9 +356,10 @@ def _team_read(doc: dict, entries: _Entries, config: ExperimentConfig,
         view[...] = _entry(entries, key, list(view.shape), key)
     ends = _slots(_entry(entries, "buffer.ends", None, "buffer.ends", np.int64), size,
                   "buffer.ends")
-    rows = _entry(entries, "buffer.end_rows", [len(ends), n, d], "buffer.end_rows")
-    buf.load_next_obs_breaks([(ends, rows[:, i]) for i in range(n)])
-    return team
+    if size and (head := (buf._next - 1) % buf.capacity) not in ends:
+        raise CheckpointIntegrityError(f"buffer.ends: lacks the write head, slot {head}")
+    buf.load_end_table(ends, _entry(entries, "buffer.end_rows", [len(ends), n, d],
+                                    "buffer.end_rows"))
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -517,16 +512,17 @@ def load_checkpoint(
         raise CheckpointIntegrityError(
             f"checkpoint {manifest}: {position} is no position in the config's plan of "
             f"sessions of {[s.epochs for s in config.curriculum.sessions]} epochs")
+    team = make_team(config)
     if version == 1:  # which inlines its arrays
-        team = _team_load(doc["agents"], {}.get, config, replay, version)
+        _team_read(team, *_as_schema_5(manifest, doc, {}.get, team, config), config, replay)
     else:
         with np.load(_verified_sidecar(manifest, doc["sidecar"]), allow_pickle=False) as z:
             # each lookup rereads the member, and one state or ring entry is
-            # read at a time; schemas 2-4 read an entry's references in a row
+            # read at a time; schemas 2-4 keep each entry they read
             def entries(key: str) -> np.ndarray | None:
                 return z[key] if key in z.files else None
 
-            team = (_team_read(doc, entries, config, replay) if version == 5 else
-                    _team_load(doc["agents"], lru_cache(maxsize=1)(entries), config, replay,
-                               version))
+            fields = ((doc, entries) if version == 5 else
+                      _as_schema_5(manifest, doc, cache(entries), team, config))
+            _team_read(team, *fields, config, replay)
     return team, doc["session"], doc["epoch"], doc["global_epoch"], doc["rng_states"]

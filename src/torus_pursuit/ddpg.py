@@ -117,7 +117,7 @@ class ReplayBuffer:
     pushed yet: ``_end_row`` gives each of those slots its row of
     ``_end_rows``, an (rows, agents, obs_dim) table whose unused rows are
     listed in ``_free``, and -1 to every other slot. A checkpoint stores the
-    table as it is (``end_table``, ``load_next_obs_breaks``).
+    table as it is: ``end_table`` gives it and ``load_end_table`` takes it back.
     """
 
     def __init__(self, capacity: int, obs_dim: int, agents: int = 1):
@@ -230,25 +230,14 @@ class ReplayBuffer:
         slots = np.flatnonzero(self._end_row[: self._size] >= 0).astype(np.int64, copy=False)
         return slots, self._end_rows[self._end_row[slots]]
 
-    def load_next_obs_breaks(self, breaks: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
+    def load_end_table(self, slots: np.ndarray, rows: np.ndarray) -> None:
         """Fills the end table, once the filled slots and the bookkeeping are in
-        place, with every agent's increasing slots (and the write head) and
-        their next observations; any other slot's is the next slot's obs."""
+        place, from what ``end_table`` gives: slots that include the write head
+        of a filled ring, and their rows."""
         self._end_row[:] = -1
-        self._end_rows = np.empty((0, self.agents, self.obs_dim))
-        self._free = []
-        if not self._size:
-            return
-        ends = np.zeros(self.capacity, dtype=bool)
-        ends[(self._next - 1) % self.capacity] = True  # the write head
-        for agent_breaks, _ in breaks:
-            ends[agent_breaks] = True
-        slots = np.flatnonzero(ends)
-        rows = self._obs[:, (slots + 1) % self._size]
-        for i, (agent_breaks, agent_rows) in enumerate(breaks):
-            rows[i, np.searchsorted(slots, agent_breaks)] = agent_rows
-        self._end_rows = np.ascontiguousarray(rows.swapaxes(0, 1))
         self._end_row[slots] = np.arange(len(slots))
+        self._end_rows = np.array(rows, dtype=np.float64)
+        self._free = []
 
 
 def _parameter_count(sizes: tuple[int, ...]) -> int:

@@ -217,15 +217,19 @@ def pincer_selection(
         last = part[:, :, n - 1, :, None]
         np.add(head[:2], last[:2], out=ab)
 
-        # q = a_tot**2 + b_tot**2 in a_tot; the objective is -sqrt(q)
-        np.multiply(ab, ab, out=ab)
-        a_tot += b_tot
-        np.add(head[2], last[2], out=b_tot)
-        # A cell is in the band when -sqrt(q) >= max objective - band, that
-        # is sqrt(q) <= sqrt(min q) + band (negation rounds alike), which
-        # holds exactly when q <= limit.
-        q_min = np.minimum.reduce(a_tot, axis=(1, 2))
-        limit = _sqrt_preimage_max(np.sqrt(q_min) + band[rows])
+        # q = a_tot**2 + b_tot**2 in a_tot; the objective is -sqrt(q). A
+        # square that overflows is inf, outside any finite band limit.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(ab, ab, out=ab)
+            a_tot += b_tot
+            np.add(head[2], last[2], out=b_tot)
+            # A cell is in the band when -sqrt(q) >= max objective - band, that
+            # is sqrt(q) <= sqrt(min q) + band (negation rounds alike), which
+            # holds exactly when q <= limit.
+            q_min = np.minimum.reduce(a_tot, axis=(1, 2))
+            limit = _sqrt_preimage_max(np.sqrt(q_min) + band[rows])
+        if not np.isfinite(limit).all():
+            raise SingularityError("pursuer too close to evader: threat weight overflows")
         # distance key: in-band cells keep exactly their distance
         np.greater(a_tot, limit[:, None, None], out=d_tot)
         d_tot *= _FAR
@@ -260,9 +264,8 @@ def _sqrt_preimage_max(w: np.ndarray) -> np.ndarray:
     preimage reaches past it. ``w`` must be non-negative.
     """
     # Non-negative doubles are ordered as their bit patterns, so a step is +-1
-    # on the int64 view. A w above sqrt(max double) squares to inf (numpy
-    # warns of the overflow, as for the grid's own squares), whose step up is
-    # a NaN pattern that compares false.
+    # on the int64 view. A w above sqrt(max double) squares to inf, whose step
+    # up is a NaN pattern that compares false.
     q = w * w
     bits = q.view(np.int64)
     bits -= np.sqrt(q) > w

@@ -328,8 +328,12 @@ def pincer_grids(
             grid += part.reshape(shape)
         grids.append(grid)
     a_tot, b_tot, d_tot = grids
-    objective = (-np.sqrt(a_tot * a_tot + b_tot * b_tot)).ravel()
-    near = objective >= objective.max() - balance_tie_band * total_weight
+    with np.errstate(over="ignore"):  # a square that overflows is inf, outside the band
+        objective = (-np.sqrt(a_tot * a_tot + b_tot * b_tot)).ravel()
+    low = objective.max() - balance_tie_band * total_weight
+    if not math.isfinite(low):
+        raise SingularityError("pursuer too close to evader: threat weight overflows")
+    near = objective >= low
     return objective, d_tot.ravel(), near
 
 

@@ -159,8 +159,12 @@ def check_pincer_against_reference(batch):
         [ref.pincer_headings(s) for s in scalar_episodes(state)])
 
 
+# The example's pursuer, 1.7e-277 from the evader, has a finite threat
+# weight whose squared sums overflow: both raise, and nothing warns.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(batches(max_n=3, max_e=3))
+@example(([[(0.0, 0.0)]], [(0.0, 1.7405393277055227e-277)]))
 def test_pincer_matches_reference(batch):
     check_pincer_against_reference(batch)
 

@@ -6,6 +6,7 @@ import math
 import re
 import tempfile
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from torus_pursuit.checkpoint import load_checkpoint, save_checkpoint, sidecar_p
 from torus_pursuit.cli import main
 from torus_pursuit.config import ExperimentConfig, config_from_dict, load_config
 from torus_pursuit.ddpg import make_team as make_config_team
-from torus_pursuit.errors import CheckpointIntegrityError
+from torus_pursuit.errors import CheckpointIntegrityError, DigestMismatchError, SchemaVersionError
 from torus_pursuit.training import run_training
 
 NETWORKS = ("actor", "critic", "actor_target", "critic_target")
@@ -686,6 +687,17 @@ def set_value(key, index, value):
     return edit
 
 
+def drop_end(slot):
+    """A sidecar edit that drops end slot `slot` and its rows from the end table."""
+    def edit(arrays):
+        ends = arrays["buffer.ends"]
+        assert slot in ends
+        kept = ends != slot
+        arrays["buffer.ends"] = ends[kept]
+        arrays["buffer.end_rows"] = arrays["buffer.end_rows"].reshape(len(ends), -1)[kept].ravel()
+    return edit
+
+
 class TestSchema5Ring:
     """A schema 5 ring entry that does not hold what the config and the
     bookkeeping give is refused, naming the entry."""
@@ -720,9 +732,12 @@ class TestSchema5Ring:
          r"buffer\.rewards: values are float32, want float64"),
         (shorten("agents.1"), r"agent 1 state, .*: values 0\.\.\d+ are not in sidecar entry "
                               r"'agents\.1'"),
+        # 30 pushes into 16 slots write next at slot 14; the next push reads
+        # the row of the write head, slot 13
+        (drop_end(13), r"buffer\.ends: lacks the write head, slot 13$"),
     ], ids=["end before the ring", "end past the ring", "ends not increasing", "fractional ends",
             "no ends", "end rows short", "end rows beyond the ends", "obs short",
-            "terminals short", "float32 rewards", "state row short"])
+            "terminals short", "float32 rewards", "state row short", "no write head"])
     def test_malformed_entry(self, saved, edit, match):
         cfg, path = saved
         rewrite_sidecar(path, edit)
@@ -905,6 +920,76 @@ def test_cli_resume_refuses_malformed_top_level(tmp_path, capsys, version, edit,
     err = capsys.readouterr().err
     assert err.startswith(f"error: checkpoint {path}") and re.search(match, err)
     assert not (tmp_path / "resumed").exists()
+
+
+@pytest.mark.parametrize("node, value", [
+    (["agents"], None), (["agents"], 0), (["agents", 1, "critic", "weights"], None),
+    (["agents", 0, "actor_target", "biases"], {}), (["agents", 1, "adam_actor", "m_weights"], "x"),
+    (["agents", 1, "adam_critic", "v_biases"], 0.5),
+])
+def test_cli_resume_refuses_schema_4_field_that_is_no_list(tmp_path, capsys, node, value):
+    # each used to end in a TypeError traceback
+    path = copied(V4_CHECKPOINT, tmp_path)
+    doc = json.loads(path.read_text())
+    reduce(lambda parent, key: parent[key], node[:-1], doc)[node[-1]] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["train", "--config", str(V2_CONFIG), "--out", str(tmp_path / "resumed"),
+                 "--resume", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {path}: ")
+    if len(node) == 1:
+        assert f"agents is {type(value).__name__}, want a list" in err
+    else:
+        agent, field = node[1], ".".join(node[2:])
+        assert f"agent {agent} has {field} {value!r}, want a list of arrays" in err
+    assert not (tmp_path / "resumed").exists()
+
+
+# One JSON node of a manifest replaced by each of these, at any depth
+MANIFEST_VALUES = [None, True, -1, 0, 2**63, -2**63, 10**30, math.nan, math.inf, -math.inf, -0.0,
+                   0.5, "x", [], {}, [1], [[]], [10**9], [2, 3]]
+
+
+def json_nodes(doc, node=()):
+    """The path of every node under `doc`: scalars, lists and objects."""
+    children = (doc.items() if isinstance(doc, dict) else
+                enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in children:
+        yield (*node, key)
+        yield from json_nodes(child, (*node, key))
+
+
+@pytest.fixture(scope="module")
+def editable_snapshots(tmp_path_factory):
+    """Per schema 2-5, a snapshot of `tiny_config.json` at global epoch 4 and
+    every node of its manifest but the sidecar record and the version."""
+    snapshots = {}
+    for version in (2, 3, 4, 5):
+        path = as_schema(version, tmp_path_factory.mktemp(f"schema{version}"))
+        nodes = json_nodes(json.loads(path.read_text()))
+        snapshots[version] = path, [n for n in nodes if n[0] not in ("sidecar", "schema_version")]
+    return load_config(V2_CONFIG), snapshots
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_manifest_with_one_node_replaced_loads_or_is_refused(editable_snapshots, data):
+    # shapes are checked against the entries before anything is allocated,
+    # so an edited size asks for no memory
+    cfg, snapshots = editable_snapshots
+    path, nodes = snapshots[data.draw(st.sampled_from(sorted(snapshots)), label="schema")]
+    node = data.draw(st.sampled_from(nodes), label="node")
+    edited = json.loads(path.read_text())
+    reduce(lambda parent, key: parent[key], node[:-1], edited)[node[-1]] = data.draw(
+        st.sampled_from(MANIFEST_VALUES), label="value")
+    # beside the original, so the sidecar it names is found
+    target = path.with_name("edited.json")
+    target.write_text(json.dumps(edited))
+    try:
+        load_checkpoint(target, cfg)
+    except (CheckpointIntegrityError, DigestMismatchError, SchemaVersionError):
+        pass
 
 
 def snapshot_plan(epochs: list[int], every: int) -> ExperimentConfig:

@@ -313,7 +313,7 @@ def test_ring_holds_every_pushed_transition(case, seed):
         getattr(copy, name)[...] = getattr(buf, name)
     copy._next, copy._size = buf._next, buf._size
     slots, table_rows = buf.end_table()
-    copy.load_next_obs_breaks([(slots, table_rows[:, i]) for i in range(agents)])
+    copy.load_end_table(slots, table_rows)
     dense = gathered(3, every).reshape(agents, size, obs_dim)
     breaks = {int(j) for i in range(agents) for j in _next_obs_breaks(buf._obs[i, :size], dense[i])}
     head = {(buf._next - 1) % capacity} if size else set()
@@ -521,7 +521,7 @@ def copy_ring(team, i, lone):
     lone._rewards[...], lone._terminals[...] = team._rewards, team._terminals
     lone._next, lone._size = team._next, team._size
     slots, table_rows = team.end_table()
-    lone.load_next_obs_breaks([(slots, table_rows[:, i])])
+    lone.load_end_table(slots, table_rows[:, i : i + 1])
 
 
 class TestDecentralization:

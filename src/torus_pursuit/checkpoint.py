@@ -33,7 +33,8 @@ writes that snapshot as a copy of the final ``checkpoint.json``, naming
 raises ``CheckpointIntegrityError`` on a sidecar that is missing or differs,
 a manifest that is not a JSON object or lacks a field, a position the
 config's plan never writes, an entry of another size or dtype than the
-config gives, malformed noise or step counts, bookkeeping no ring of the
+config gives, a network or Adam value that is not finite, a negative Adam
+second moment, malformed noise or step counts, bookkeeping no ring of the
 capacity reaches (an unwrapped ring writes at its size), and end slots not
 strictly increasing inside the ring or without its write head.
 
@@ -327,6 +328,22 @@ def _integers(doc: dict, name: str, keys: list[str]) -> dict[str, int]:
     return value
 
 
+def _check_trainable(team: TeamLearner) -> None:
+    """Refuses, naming the agent and the part, a network or Adam value that is
+    not finite and a negative Adam second moment: a state no update can use."""
+    parts = {name: getattr(team, name).flat for name in _NETWORKS}
+    parts.update((f"{name}.{moment}", getattr(getattr(team, name), moment))
+                 for name in _OPTIMIZERS for moment in ("m", "v"))
+    for i in range(team.n):
+        for part, values in parts.items():
+            second = part.endswith(".v")
+            bad = np.flatnonzero(~np.isfinite(values[i]) | (values[i] < 0 if second else False))
+            if bad.size:
+                raise CheckpointIntegrityError(
+                    f"agent {i} {part}: value {bad[0]} is {float(values[i, bad[0]])!r}, "
+                    f"want a finite number{' >= 0' if second else ''}")
+
+
 def _team_read(team: TeamLearner, doc: dict, entries: _Entries, config: ExperimentConfig,
                replay: bool) -> None:
     """Fills ``team``, as ``config`` makes it, from a schema 5 manifest's team
@@ -346,6 +363,7 @@ def _team_read(team: TeamLearner, doc: dict, entries: _Entries, config: Experime
     for i in range(n):
         team.state[i] = _entry(entries, f"agents.{i}", [width], f"agent {i} state, as "
                                f"run.strategy {config.run.strategy!r} observes {d} values")
+    _check_trainable(team)
     if not replay:
         return
     buf._next, buf._size = ring["next"], ring["size"]

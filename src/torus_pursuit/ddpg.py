@@ -32,12 +32,13 @@ stays decentralized: no agent reads another's parameters, gradients, norms,
 noise or transitions, and each agent's numbers equal those of a lone agent
 (the n=1 team) bit for bit. The agents update in lockstep, so they share the
 Adam step counts, the ring bookkeeping, the slots of its end table and the
-team's rewards and terminal flags.
+team's rewards and terminal flags. Acting maps the (n, 2) raw outputs to
+headings through one row-wise head, ``_unit_rows`` with each row's norm
+rounded as that row's own 1-D norm, and ``geometry.atan2_bearings``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -46,7 +47,7 @@ import numpy as np
 
 from .environment import strategy_observation
 from .errors import BufferNotReadyError
-from .geometry import normalize_angle
+from .geometry import atan2_bearings
 from .nn import (
     AdamState,
     MlpParams,
@@ -67,28 +68,28 @@ UNIT_NORM_TOLERANCE = 1e-9
 RAW_NORM_FLOOR = 1e-12
 
 
-def vector_to_heading(v: np.ndarray) -> float:
-    return normalize_angle(math.atan2(float(v[1]), float(v[0])))
+def _unit_rows(u: np.ndarray, dot: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise u / ||u||, with a fixed east-pointing fallback for vanishing
+    norms; returns (unit rows, norms, fallback mask).
 
-
-def normalize_action(u: np.ndarray) -> np.ndarray:
-    """u / ||u||, with a fixed east-pointing fallback for vanishing norms."""
-    n = float(np.linalg.norm(u))
-    if n < RAW_NORM_FLOOR:
-        return np.array([1.0, 0.0])
-    return u / n
-
-
-def _unit_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise ``normalize_action``; returns (unit rows, norms, fallback mask).
-
-    Only a norm below RAW_NORM_FLOOR takes the east fallback, so a NaN row
-    stays NaN and surfaces in the value it feeds.
+    Only a norm below RAW_NORM_FLOOR takes the fallback, so a NaN row stays
+    NaN and surfaces in the value it feeds. The updates take
+    ``np.linalg.norm(u, axis=-1)``. Acting takes, with ``dot``, the root of
+    each row's BLAS dot with itself (matmul routes a (1, 2) by (2, 1)
+    product to ``ddot``), which rounds as the 1-D norm of the row alone does;
+    the two norms differ in the last bit for some rows.
     """
-    norms = np.linalg.norm(u, axis=-1)
+    norms = (np.sqrt(np.matmul(u[..., None, :], u[..., :, None])[..., 0, 0]) if dot
+             else np.linalg.norm(u, axis=-1))
     vanishing = norms < RAW_NORM_FLOOR
     unit = u / np.where(vanishing, 1.0, norms)[..., None]
     return np.where(vanishing[..., None], [1.0, 0.0], unit), norms, vanishing
+
+
+def _headings(u: np.ndarray) -> list[float]:
+    """The heading of each unit row of u (n, 2), in [-pi, pi)."""
+    x, y = u.T.tolist()
+    return atan2_bearings(y, x)
 
 
 @dataclass
@@ -319,9 +320,7 @@ class TeamLearner:
 
     def act(self, obs: np.ndarray) -> list[float]:
         """Deterministic policy heading of each agent for its observation row."""
-        # agent by agent: the norm of one 2-vector and the row-wise norm of an
-        # (n, 2) array can differ in the last bit
-        return [vector_to_heading(normalize_action(u)) for u in self._raw_actions(obs)]
+        return _headings(_unit_rows(self._raw_actions(obs), dot=True)[0])
 
     def act_explore(self, obs: np.ndarray, rngs: Sequence[np.random.Generator]) -> list[float]:
         """Policy headings with each agent's Ornstein-Uhlenbeck noise added to its action.
@@ -333,8 +332,8 @@ class TeamLearner:
         """
         raw = self._raw_actions(obs)
         self._advance_noise(rngs)
-        return [vector_to_heading(normalize_action(normalize_action(u) + x))
-                for u, x in zip(raw, self.noise)]
+        u = _unit_rows(raw, dot=True)[0] + self.noise
+        return _headings(_unit_rows(u, dot=True)[0])
 
     def _advance_noise(self, rngs: Sequence[np.random.Generator]) -> None:
         """One Ornstein-Uhlenbeck step per agent: x <- x + theta*(0 - x) + sigma*g."""

@@ -237,6 +237,8 @@ class EnvConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.n >= 2**63:  # beyond any array index, and the float range may end first
+            raise ValueError("n must be below 2^63")
         if not self.evader_speed > 0.0:
             raise ValueError(f"evader_speed must be > 0, got {self.evader_speed}")
         if not self.velocity_ratio > 0.0:

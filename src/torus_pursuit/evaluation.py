@@ -4,20 +4,20 @@ Each sweep point runs a fixed number of episodes with exploration disabled
 (learned policies act deterministically; analytic strategies are pure) and
 logs full trajectories plus the capture-success rate per ratio.
 
-The greedy and pincer strategies roll a ratio's episodes in lockstep
-batches on one array state: every batch draws its spawns first, in episode
-order, then steps all its unfinished episodes at once, dropping each as it
-ends. A batch buffers at most LOCKSTEP_AGENT_STEPS agent rows and writes
-each episode's rows in one piece once it is done, in (episode, step, agent)
-order. The files equal those of rolling the episodes one after another: if
-an evader draws from the environment stream during a batch (a degenerate
-surround), the stream is rewound to before the batch and the batch replayed
-one episode at a time. The random and learned strategies roll batches of
-one episode, since per-step draws from one shared stream and stacked
-forward passes would not reproduce the one-at-a-time results. A batch of
-one is never replayed, so an episode longer than the buffer is written in
-runs of steps as it goes, and memory stays bounded whatever the episode
-length.
+Every strategy but random rolls a ratio's episodes in lockstep batches on
+one array state: every batch draws its spawns first, in episode order, then
+steps all its unfinished episodes at once, dropping each as it ends. A
+learned team still runs one forward pass per episode and step, so each
+episode's rows go through the matmul kernel they would take alone. A batch
+buffers at most LOCKSTEP_AGENT_STEPS agent rows and writes each episode's
+rows in one piece once it is done, in (episode, step, agent) order. The
+files equal those of rolling the episodes one after another: if an evader
+draws from the environment stream during a batch (a degenerate surround),
+the stream is rewound to before the batch and the batch replayed one
+episode at a time. The random strategy rolls batches of one episode, since
+its per-step draws come from one shared stream. A batch of one is never
+replayed, so an episode longer than the buffer is written in runs of steps
+as it goes, and memory stays bounded whatever the episode length.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ if TYPE_CHECKING:
 SUCCESS_SCHEMA = "pursuit-success-v1"
 SUCCESS_HEADER = "ratio,episodes,captures,success_rate"
 
-# Strategies whose episodes may share a lockstep batch.
-LOCKSTEP_STRATEGIES = ("greedy", "pincer")
 # Most agent rows (episodes x steps x (n + 1)) one rollout buffers.
 LOCKSTEP_AGENT_STEPS = 1 << 18
 
@@ -56,7 +54,7 @@ def make_policy(
 ) -> HeadingPolicy:
     """Joint heading policy for one team strategy: headings (E, n) per state.
 
-    A learned team acts with one stacked forward pass per step.
+    A learned team acts with one stacked forward pass per episode and step.
     """
     if strategy == "greedy":
         return greedy_heading
@@ -157,7 +155,7 @@ def check_ratio_labels(ratios: Sequence[float]) -> None:
 
 def lockstep_batch(env_cfg: EnvConfig, strategy: str, episodes: int) -> int:
     """Episodes per lockstep batch for one ratio's sweep."""
-    if strategy not in LOCKSTEP_STRATEGIES:
+    if strategy == "random":  # whose per-step draws share one stream
         return 1
     rows = env_cfg.episode_length * (env_cfg.n + 1)
     return max(1, min(episodes, LOCKSTEP_AGENT_STEPS // rows))

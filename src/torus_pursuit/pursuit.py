@@ -112,15 +112,21 @@ def pincer_objective(
 
 
 def check_pincer_grid(n: int, k: int) -> None:
-    """Raise ValueError unless the (2k+1)^(2n) joint grid fits MAX_PINCER_CELLS."""
+    """Raise ValueError unless the (2k+1)^(2n) joint grid fits MAX_PINCER_CELLS.
+
+    Since 3^16 > 9^7, no grid fits from n = 8 on, so the count is built only
+    below that; the message names it in digits only while it fits in 64 bits.
+    """
     if k < 1:
         raise ValueError(f"replication radius must be >= 1, got {k}")
-    cells = (2 * k + 1) ** (2 * n)
-    if cells > MAX_PINCER_CELLS:
-        raise ValueError(
-            f"pincer grid for n={n} pursuers at k={k} has {cells} cells, "
-            f"more than the {MAX_PINCER_CELLS} (n=7, k=1) that can be enumerated"
-        )
+    side = 2 * k + 1
+    if n < 8 and side ** (2 * n) <= MAX_PINCER_CELLS:
+        return
+    count = side ** (2 * n) if 2 * n * side.bit_length() <= 64 else f"{side}^{2 * n}"
+    raise ValueError(
+        f"pincer grid for n={n} pursuers at k={k} has {count} cells, "
+        f"more than the 9^7 = {MAX_PINCER_CELLS} (n=7, k=1) that can be enumerated"
+    )
 
 
 @functools.lru_cache(maxsize=4)

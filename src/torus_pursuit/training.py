@@ -14,7 +14,6 @@ byte.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -110,14 +109,12 @@ def run_episode(
         if phase is BehaviorPhase.SCRIPTED:
             headings = scripted_action(state)[0]
         else:
-            chosen = team.act_explore(obs, streams.explore)
-            for i, heading in enumerate(chosen):
-                if not math.isfinite(heading):
-                    raise FloatingPointError(
-                        f"non-finite heading at global epoch {global_epoch}, step {steps + 1}, "
-                        f"agent {i}: {heading!r}"
-                    )
-            headings = np.array(chosen)
+            headings = np.array(team.act_explore(obs, streams.explore))
+            if (bad := np.flatnonzero(~np.isfinite(headings))).size:
+                raise FloatingPointError(
+                    f"non-finite heading at global epoch {global_epoch}, step {steps + 1}, "
+                    f"agent {bad[0]}: {float(headings[bad[0]])!r}"
+                )
         state, outcome = step(state, headings[None], env_cfg, streams.env)
         next_obs = observe(state)[0]
         reward = float(outcome.rewards[0])

@@ -1,8 +1,8 @@
 """Scalar reference model of the torus geometry, the environment, the evader
 and the scripted strategies: one episode at a time, per-pose dataclasses and
 `math` calls. It also keeps the row-by-row trajectory reader, the
-one-pair, one-log-at-a-time action histogram, and the scalar heading to
-action vector map.
+one-pair, one-log-at-a-time action histogram, the scalar heading to
+action vector map, and the agent-by-agent acting head.
 
 The package computes all of these on arrays with a leading episode axis.
 This module keeps the one-episode-at-a-time formulation that the array code
@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from torus_pursuit import evader as evader_module
+from torus_pursuit.ddpg import RAW_NORM_FLOOR
 from torus_pursuit.environment import (
     CAPTURE_REWARD,
     STEP_PENALTY,
@@ -94,6 +95,31 @@ class Displacement2:
 def heading_to_vector(theta: float) -> np.ndarray:
     """The unit action vector (cos, sin) of a heading."""
     return np.array([math.cos(theta), math.sin(theta)], dtype=np.float64)
+
+
+def normalize_action(u: np.ndarray) -> np.ndarray:
+    """u / ||u|| for one raw 2-vector, by the 1-D norm, with a fixed
+    east-pointing fallback for vanishing norms."""
+    n = float(np.linalg.norm(u))
+    if n < RAW_NORM_FLOOR:
+        return np.array([1.0, 0.0])
+    return u / n
+
+
+def vector_to_heading(v: np.ndarray) -> float:
+    return normalize_angle(math.atan2(float(v[1]), float(v[0])))
+
+
+def act(raw: np.ndarray) -> list[float]:
+    """The headings of a team's raw actor outputs (n, 2), agent by agent."""
+    return [vector_to_heading(normalize_action(u)) for u in raw]
+
+
+def act_explore(raw: np.ndarray, noise: np.ndarray) -> list[float]:
+    """The headings of raw outputs (n, 2) whose unit vectors take the noise
+    rows (n, 2), agent by agent."""
+    return [vector_to_heading(normalize_action(normalize_action(u) + x))
+            for u, x in zip(raw, noise)]
 
 
 def _wrap1(v: float) -> float:

@@ -246,8 +246,10 @@ def test_lockstep_batch_is_bounded():
     assert lockstep_batch(cfg, "greedy", 10**9) == LOCKSTEP_AGENT_STEPS // (500 * 4)
     assert lockstep_batch(cfg, "pincer", 7) == 7
     assert lockstep_batch(EnvConfig(episode_length=10**7), "greedy", 50) == 1
-    for strategy in ("random", "cd_ddpg", "cd_ddpg_partial"):
-        assert lockstep_batch(cfg, strategy, 100) == 1
+    # learned teams roll in lockstep too; random's per-step draws share one stream
+    for strategy in ("cd_ddpg", "cd_ddpg_partial"):
+        assert lockstep_batch(cfg, strategy, 10**9) == LOCKSTEP_AGENT_STEPS // (500 * 4)
+    assert lockstep_batch(cfg, "random", 100) == 1
 
 
 # Floats of every magnitude from 1e-300 to 1e300, both signs, and zeros.
@@ -293,9 +295,9 @@ def test_write_episode_matches_reference_rows(tmp_path_factory, data):
 # -- run_eval against the sequential sweep ---------------------------------
 
 
-def eval_config(n, strategy, episode_length=60, seed=7, ddpg=None):
+def eval_config(n, strategy, episode_length=60, seed=7, ddpg=None, **env):
     return config_from_dict({
-        "env": {"n": n, "episode_length": episode_length},
+        "env": {"n": n, "episode_length": episode_length, **env},
         "ddpg": ddpg or {},
         "run": {"seed": seed, "strategy": strategy},
     })
@@ -323,14 +325,36 @@ def test_run_eval_matches_sequential_sweep(tmp_path, strategy, n, ratios, episod
     assert_same_files(tmp_path / "batched", tmp_path / "sequential")
 
 
-@pytest.mark.parametrize("strategy", ["cd_ddpg", "cd_ddpg_partial"])
-def test_run_eval_learned_team_matches_sequential_sweep(tmp_path, strategy):
-    config = eval_config(3, strategy, 30,
-                         ddpg={"actor_hidden": [16, 16], "critic_hidden": [16, 16]})
+@pytest.mark.parametrize("strategy, case", [
+    pytest.param("cd_ddpg", None, id="cd_ddpg"),
+    pytest.param("cd_ddpg_partial", None, id="cd_ddpg_partial"),
+    # at ratio 1.5 half the batch's episodes are captured, the rest time out
+    pytest.param("cd_ddpg_partial", "captures and time-outs",
+                 id="cd_ddpg_partial-captures-and-time-outs"),
+    pytest.param("cd_ddpg", "replayed", id="cd_ddpg-replayed"),
+])
+def test_run_eval_learned_team_matches_sequential_sweep(tmp_path, monkeypatch, strategy, case):
+    hidden = {"actor_hidden": [16, 16], "critic_hidden": [16, 16]}
+    config, ratios, episodes = eval_config(3, strategy, 30, ddpg=hidden), [1.1, 0.9], 4
+    if case == "captures and time-outs":
+        config, ratios, episodes = (eval_config(3, strategy, 60, ddpg=hidden, capture_radius=0.1),
+                                    [1.5, 1.0], 8)
+    spawned = []
+    if case == "replayed":
+        # every evader step draws from the environment stream, so each
+        # lockstep batch is replayed one episode at a time
+        monkeypatch.setattr(evader_module, "DEGENERACY_THRESHOLD", 1e9)
+        monkeypatch.setattr(evaluation, "reset", lambda cfg, rng, episodes=1: (
+            spawned.append(episodes) or reset(cfg, rng, episodes)))
     team = make_team(config, np.random.default_rng(3))
-    run_eval(config, [1.1, 0.9], 4, tmp_path / "batched", team=team)
-    ref.run_eval(config, [1.1, 0.9], 4, tmp_path / "sequential", team=team)
+    got = run_eval(config, ratios, episodes, tmp_path / "batched", team=team)
+    ref.run_eval(config, ratios, episodes, tmp_path / "sequential", team=team)
     assert_same_files(tmp_path / "batched", tmp_path / "sequential")
+    if case == "captures and time-outs":
+        assert lockstep_batch(config.env, strategy, episodes) == episodes
+        assert got == {1.5: 0.5, 1.0: 0.0}
+    if case == "replayed":
+        assert spawned == ([episodes] + [1] * episodes) * len(ratios)
 
 
 @pytest.mark.parametrize("strategy, length", [("greedy", 30), ("random", 28)])

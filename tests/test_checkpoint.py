@@ -73,6 +73,7 @@ def make_team(agents, fill, strategy, actor_hidden, critic_hidden, capacity, see
         for name in MOMENTS:
             moment = getattr(state, name)
             moment[:] = rng.standard_normal(moment.shape)
+        np.abs(state.v, out=state.v)  # a second moment below 0 is refused at load
         state.step = int(rng.integers(0, 10_000))
     team.noise[...] = rng.standard_normal((agents, 2))
     next_obs = rng.standard_normal((agents, obs_dim))
@@ -743,6 +744,45 @@ class TestSchema5Ring:
         rewrite_sidecar(path, edit)
         with pytest.raises(CheckpointIntegrityError, match=match):
             load_checkpoint(path, cfg)
+
+
+class TestStateThatCannotTrain:
+    """A network or Adam value that is not finite, and an Adam second moment
+    below 0, are refused at load, naming the agent and the part: the first
+    update or act would turn them into NaN."""
+
+    @staticmethod
+    def saved(tmp_path, part, value):
+        cfg, team = make_team(2, 30, "cd_ddpg_partial", (8,), (8,), 16, 1, chained=True)
+        owner, _, moment = part.partition(".")
+        values = getattr(getattr(team, owner), moment or "flat")
+        values[1, 3] = value
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
+        return cfg, path, team
+
+    @pytest.mark.parametrize("part, value, match", [
+        ("actor", math.nan, r"^agent 1 actor: value 3 is nan, want a finite number$"),
+        ("critic_target", math.inf, r"^agent 1 critic_target: value 3 is inf, want a finite "
+                                    r"number$"),
+        ("adam_actor.m", -math.inf, r"^agent 1 adam_actor\.m: value 3 is -inf, want a finite "
+                                    r"number$"),
+        ("adam_critic.v", -5e-324, r"^agent 1 adam_critic\.v: value 3 is -5e-324, want a "
+                                   r"finite number >= 0$"),
+        ("adam_actor.v", math.inf, r"^agent 1 adam_actor\.v: value 3 is inf, want a finite "
+                                   r"number >= 0$"),
+    ], ids=["nan actor", "inf target critic", "-inf first moment", "negative second moment",
+            "inf second moment"])
+    @pytest.mark.parametrize("replay", [True, False], ids=["replay", "no replay"])
+    def test_refused(self, tmp_path, part, value, match, replay):
+        cfg, path, _ = self.saved(tmp_path, part, value)
+        with pytest.raises(CheckpointIntegrityError, match=match):
+            load_checkpoint(path, cfg, replay=replay)
+
+    def test_negative_zero_second_moment_loads(self, tmp_path):
+        cfg, path, team = self.saved(tmp_path, "adam_critic.v", -0.0)
+        loaded, *_ = load_checkpoint(path, cfg)
+        assert loaded.state.tobytes() == team.state.tobytes()
 
 
 def resumes_fixture_bit_for_bit(tmp_path, fixture, version):

@@ -256,6 +256,24 @@ class TestCheckpointErrors:
         assert main(self.command(name, other_path, ckpt, tmp_path)) == 2
         assert "different config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["train", "eval"])
+    def test_state_that_cannot_train_refused(self, name, tmp_path, capsys):
+        # the committed schema 4 snapshot whose agent 1 actor second moments
+        # point at its weights, partly negative: a resume used to fail at the
+        # first learned step with a FloatingPointError traceback
+        fixture = DATA / "checkpoint_v4"
+        for file in ("checkpoint_epoch4.json", "checkpoint_epoch4.npz"):
+            shutil.copy(fixture / file, tmp_path / file)
+        ckpt = tmp_path / "checkpoint_epoch4.json"
+        doc = json.loads(ckpt.read_text())
+        doc["agents"][1]["adam_actor"]["v_weights"][1]["offset"] = 0
+        ckpt.write_text(json.dumps(doc))
+        config = DATA / "checkpoint_v2" / "tiny_config.json"
+        assert main(self.command(name, config, ckpt, tmp_path)) == 2
+        assert re.fullmatch(r"error: agent 1 adam_actor\.v: value \d+ is -[0-9.e-]+, "
+                            r"want a finite number >= 0\n", capsys.readouterr().err)
+        assert not (tmp_path / "again").exists() and not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("stream, edit, message", [
         ("explore", lambda states: states.pop(), r"explore: 1 stream states, want 2"),
         ("sample", lambda states: states.pop(), r"sample: 1 stream states, want 2"),

@@ -10,10 +10,13 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalar_reference import heading_to_vector
 from torus_pursuit.checkpoint import load_checkpoint, save_checkpoint
 from torus_pursuit.config import (
+    STRATEGIES,
     ExperimentConfig,
     config_from_dict,
     load_config,
@@ -97,6 +100,39 @@ def non_default(path, name, kind, default):
 
 SCHEMA_FIELDS = schema_fields()
 FIELD_IDS = [f"{path}.{name}" for path, name, _, _ in SCHEMA_FIELDS]
+
+
+# One field replaced by each of these: integers at and beyond int64 and the
+# float range, special floats, and every other JSON type
+FUZZ_VALUES = [2**63 - 1, 2**63, -2**63, 2**64, 10**400, -10**400, 10**30, 1e308, math.nan,
+               math.inf, -math.inf, 5e-324, -0.0, 0, True, False, "x", "", None, [], {}, [2**63],
+               [10**400]]
+
+
+@st.composite
+def one_field_replaced(draw):
+    """The default config written out in full, playing a drawn strategy, with
+    one field of a section or of one of its sessions replaced."""
+    doc = json.loads(json.dumps(ExperimentConfig().to_dict()))
+    doc["run"]["strategy"] = draw(st.sampled_from(STRATEGIES), label="strategy")
+    path, name = draw(st.sampled_from(
+        [(path, name) for path, name, _, _ in SCHEMA_FIELDS] + [("curriculum", "sessions")]),
+        label="field")
+    section = doc[path] if path != SESSION_PATH else draw(
+        st.sampled_from(doc["curriculum"]["sessions"]), label="session")
+    section[name] = draw(st.sampled_from(FUZZ_VALUES), label="value")
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_field_replaced())
+def test_config_with_one_field_replaced_loads_or_is_refused(doc):
+    # parsing only: a config that loads is never trained, so nothing large is
+    # allocated whatever the field asks for
+    try:
+        config_from_dict(doc)
+    except ConfigError:
+        pass
 
 
 class TestConfigDefaults:
@@ -186,6 +222,12 @@ class TestConfigValidation:
                                               "expected draws, more than 1000; lower n"):
             config_from_dict({"env": {"n": 100_000}})
 
+    @pytest.mark.parametrize("n", [2**63, 10**400], ids=["2^63", "10^400"])
+    def test_pursuer_count_beyond_int64_rejected(self, n):
+        # 10^400 used to end in an OverflowError at the spawn-draw bound
+        with pytest.raises(ConfigError, match=r"^env: n must be below 2\^63$"):
+            config_from_dict({"env": {"n": n}})
+
     def test_removed_k_att_is_unknown(self):
         with pytest.raises(ConfigError, match=r"run\.k_att: unknown key"):
             config_from_dict({"run": {"k_att": 1.5}})
@@ -204,6 +246,15 @@ class TestConfigValidation:
             config_from_dict({"env": {"n": 8}, "run": {"strategy": "pincer"}})
         with pytest.raises(ConfigError, match=r"run\.pincer_k: .*n=4 .*k=3"):
             config_from_dict({"env": {"n": 4}, "run": {"strategy": "pincer", "pincer_k": 3}})
+
+    def test_pincer_grid_of_a_huge_team_is_bounded_without_building_it(self):
+        # 3^8000000 has 3.8 million digits: building it took seconds, and
+        # printing it hit Python's limit on integer string conversion
+        with pytest.raises(ConfigError, match=r"^run\.pincer_k: pincer grid for n=4000000 "
+                                              r"pursuers at k=1 has 3\^8000000 cells, more "
+                                              r"than the 9\^7 = 4782969 \(n=7, k=1\)"):
+            config_from_dict({"env": {"n": 4_000_000, "capture_radius": 1e-7,
+                                      "evader_speed": 1e-7}, "run": {"strategy": "pincer"}})
 
     @pytest.mark.parametrize("doc,message", [
         ({"ddpg": {"tau": 2.0}}, r"ddpg\.tau: must be in \(0, 1\]"),

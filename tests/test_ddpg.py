@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scalar_reference as ref
 from scalar_reference import heading_to_vector
 from torus_pursuit.checkpoint import _next_obs_breaks
 from torus_pursuit.config import DdpgConfig
@@ -15,8 +16,6 @@ from torus_pursuit.ddpg import (
     ReplayBuffer,
     TeamLearner,
     TransitionBatch,
-    normalize_action,
-    vector_to_heading,
 )
 from torus_pursuit.errors import BufferNotReadyError
 from torus_pursuit.nn import backward, forward
@@ -46,18 +45,65 @@ def lone_batch(obs, actions, rewards, next_obs, terminals):
                              for a in (obs, actions, rewards, next_obs, terminals)))
 
 
+def head(rows, noise=None, seed=0, **kw):
+    """The headings a team of ``kw`` acts with, (act, act_explore), when its
+    actors' raw outputs are ``rows`` (n, 2) and its noise starts from
+    ``noise``; and the noise rows act_explore used."""
+    team = make_learner(n=len(rows), **kw)
+    team._raw_actions = lambda obs: np.array(rows, dtype=np.float64)
+    if noise is not None:
+        team.noise = np.array(noise, dtype=np.float64)
+    obs = np.zeros((len(rows), 4))
+    acted = team.act(obs)
+    explored = team.act_explore(obs, [np.random.default_rng(seed + i) for i in range(len(rows))])
+    return acted, explored, team.noise
+
+
+# raw outputs where the rounding of a row's norm decides, or no norm exists
+head_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-13, -7e-13,
+                     1e-12, 1e300, -1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    # full mantissas, on which the 1-D and the row-wise norm round apart
+    st.integers(0, 2**32).map(lambda seed: float(np.random.default_rng(seed).normal())),
+)
+
+
 class TestActionHead:
     def test_heading_extraction(self):
-        assert vector_to_heading(np.array([0.0, 1.0])) == pytest.approx(math.pi / 2)
+        acted, _, _ = head([[0.0, 1.0], [-1.0, 0.0]])
+        assert acted[0] == pytest.approx(math.pi / 2)
+        assert acted[1] == -math.pi  # +pi maps to -pi
 
     def test_normalization_invariance(self):
-        a = vector_to_heading(normalize_action(np.array([-3.0, 0.0])))
-        b = vector_to_heading(normalize_action(np.array([-0.5, 0.0])))
-        assert a == b == pytest.approx(-math.pi)  # normalized heading convention
+        acted, _, _ = head([[-3.0, 0.0], [-0.5, 0.0], [3.0, 4.0], [0.003, 0.004]])
+        assert acted[0] == acted[1] == pytest.approx(-math.pi)  # normalized heading convention
+        assert acted[2] == acted[3]
 
     def test_vanishing_norm_fallback(self):
-        v = normalize_action(np.array([1e-15, -1e-15]))
-        assert np.array_equal(v, np.array([1.0, 0.0]))
+        acted, _, _ = head([[1e-15, -1e-15], [0.0, -0.0]])
+        assert acted == [0.0, 0.0]  # east
+        # a noisy action that cancels its unit vector falls back too
+        _, explored, used = head([[0.0, 2.0]], noise=[[0.0, -1.0]], theta_ou=0.0, sigma_ou=0.0)
+        assert used.tolist() == [[0.0, -1.0]] and explored == [0.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_head_matches_agent_by_agent_reference(self, data):
+        # every row rounds as the 1-D norm of that row alone, whatever the
+        # team size: the row-wise np.linalg.norm would differ in the last bit
+        n = data.draw(st.integers(1, 8), label="n")
+        rows = data.draw(st.lists(st.tuples(head_value, head_value), min_size=n, max_size=n),
+                         label="rows")
+        noise = data.draw(st.lists(st.tuples(head_value, head_value), min_size=n, max_size=n),
+                          label="noise")
+        raw = np.array(rows, dtype=np.float64)
+        with np.errstate(all="ignore"):  # overflowing and NaN rows are drawn on purpose
+            acted, explored, used = head(rows, noise)
+            want = ref.act(raw), ref.act_explore(raw, used)
+        assert same_bits(np.array(acted), np.array(want[0]))
+        assert same_bits(np.array(explored), np.array(want[1]))
 
     def test_act_deterministic(self):
         learner = make_learner()

@@ -259,7 +259,7 @@ def _agreed(docs: list[dict], path: str) -> int:
     return first
 
 
-def _as_schema_5(manifest: Path, doc: dict, entries: _Entries, team: TeamLearner,
+def _as_schema_5(doc: dict, entries: _Entries, team: TeamLearner,
                  config: ExperimentConfig) -> tuple[dict, _Entries]:
     """A schema 1-4 manifest as schema 5 stores its team: the fields
     ``noise``, ``adam_steps`` and ``buffer``, and the entries by schema 5's
@@ -267,8 +267,7 @@ def _as_schema_5(manifest: Path, doc: dict, entries: _Entries, team: TeamLearner
     must hold the config's value of every scalar it fixes and agree on the rest."""
     docs = doc["agents"]
     if not isinstance(docs, list):
-        raise CheckpointIntegrityError(
-            f"checkpoint {manifest}: agents is {type(docs).__name__}, want a list")
+        raise CheckpointIntegrityError(f"agents is {type(docs).__name__}, want a list")
     if len(docs) != team.n:
         raise CheckpointIntegrityError(
             f"checkpoint holds {len(docs)} agents, but the config's env.n is {team.n}")
@@ -296,8 +295,8 @@ def _as_schema_5(manifest: Path, doc: dict, entries: _Entries, team: TeamLearner
             refs = []
             for path in paths:
                 if not isinstance(listed := _field(agent, i, path), list):
-                    raise CheckpointIntegrityError(f"checkpoint {manifest}: agent {i} has {path} "
-                                                   f"{listed!r}, want a list of arrays")
+                    raise CheckpointIntegrityError(
+                        f"agent {i} has {path} {listed!r}, want a list of arrays")
                 refs += listed
             net = getattr(team, net_name)
             arrays += _arrays(refs, [a.shape[1:] for a in net.weights + net.biases], entries,
@@ -469,19 +468,16 @@ def _verified_sidecar(manifest: Path, doc: Any) -> Path:
     """The manifest's sidecar, a file in the manifest's own directory, after
     checking its size and SHA-256."""
     if not isinstance(doc, dict):
-        raise CheckpointIntegrityError(
-            f"checkpoint {manifest}: sidecar is {type(doc).__name__}, want an object")
+        raise CheckpointIntegrityError(f"sidecar is {type(doc).__name__}, want an object")
     for name, kind in _SIDECAR_FIELDS.items():
         if type(doc.get(name)) is not kind:
-            raise CheckpointIntegrityError(
-                f"checkpoint {manifest}: sidecar.{name} is {doc.get(name)!r}, "
-                f"want {'an integer' if kind is int else 'a string'}")
+            raise CheckpointIntegrityError(f"sidecar.{name} is {doc.get(name)!r}, want "
+                                           f"{'an integer' if kind is int else 'a string'}")
     if Path(doc["file"]).name != doc["file"]:
         raise CheckpointIntegrityError(
-            f"checkpoint {manifest}: sidecar.file {doc['file']!r} is not a file name in "
-            "the manifest's directory")
+            f"sidecar.file {doc['file']!r} is not a file name in the manifest's directory")
     sidecar = manifest.parent / doc["file"]
-    where = f"checkpoint {manifest}: sidecar {sidecar}"
+    where = f"sidecar {sidecar}"
     if not sidecar.is_file():
         raise CheckpointIntegrityError(f"{where} is missing")
     size = sidecar.stat().st_size
@@ -499,8 +495,8 @@ def load_checkpoint(
 
     The checkpoint's config digest must be `config`'s, or its legacy digest
     (written while `env` held an unread `seed` field at 0); else
-    DigestMismatchError. Raises CheckpointIntegrityError, naming the field
-    (and the agent, in schemas 1-4), on anything the module docstring lists
+    DigestMismatchError. Raises CheckpointIntegrityError, naming the file and
+    then the field (and the agent), on anything the module docstring lists
     as refused. The arrays are read from the file the manifest's
     ``sidecar.file`` names. Without ``replay`` the rings stay empty and no
     ring entry is read or checked, for a caller that only acts with the
@@ -531,16 +527,19 @@ def load_checkpoint(
             f"checkpoint {manifest}: {position} is no position in the config's plan of "
             f"sessions of {[s.epochs for s in config.curriculum.sessions]} epochs")
     team = make_team(config)
-    if version == 1:  # which inlines its arrays
-        _team_read(team, *_as_schema_5(manifest, doc, {}.get, team, config), config, replay)
-    else:
-        with np.load(_verified_sidecar(manifest, doc["sidecar"]), allow_pickle=False) as z:
-            # each lookup rereads the member, and one state or ring entry is
-            # read at a time; schemas 2-4 keep each entry they read
-            def entries(key: str) -> np.ndarray | None:
-                return z[key] if key in z.files else None
+    try:
+        if version == 1:  # which inlines its arrays
+            _team_read(team, *_as_schema_5(doc, {}.get, team, config), config, replay)
+        else:
+            with np.load(_verified_sidecar(manifest, doc["sidecar"]), allow_pickle=False) as z:
+                # each lookup rereads the member, and one state or ring entry is
+                # read at a time; schemas 2-4 keep each entry they read
+                def entries(key: str) -> np.ndarray | None:
+                    return z[key] if key in z.files else None
 
-            fields = ((doc, entries) if version == 5 else
-                      _as_schema_5(manifest, doc, cache(entries), team, config))
-            _team_read(team, *fields, config, replay)
+                fields = ((doc, entries) if version == 5 else
+                          _as_schema_5(doc, cache(entries), team, config))
+                _team_read(team, *fields, config, replay)
+    except CheckpointIntegrityError as exc:
+        raise CheckpointIntegrityError(f"checkpoint {manifest}: {exc}") from exc
     return team, doc["session"], doc["epoch"], doc["global_epoch"], doc["rng_states"]

@@ -70,7 +70,8 @@ class SessionSpec:
 
 @dataclass(frozen=True)
 class SessionPlan:
-    """Ordered sessions plus the scripted warm-up length W (epochs)."""
+    """Ordered sessions plus the scripted warm-up length W (epochs); training
+    walks their epochs in order, and ``position`` names each global epoch's."""
 
     sessions: tuple[SessionSpec, ...]
     warmup_epochs: int = 1000
@@ -89,15 +90,25 @@ class SessionPlan:
                 raise ValueError(f"sessions[{idx}].use_scripted_warmup: the scripted warm-up "
                                  "runs in the first session only")
 
+    def position(self, global_epoch: int) -> tuple[int, int]:
+        """The (session, epoch) global epoch ``global_epoch`` trains, and
+        (len(sessions), 0) at the plan's end; ValueError outside the plan."""
+        epoch = global_epoch
+        for session, spec in enumerate(self.sessions):
+            if 0 <= epoch < spec.epochs:
+                return session, epoch
+            epoch -= spec.epochs
+        if epoch:
+            raise ValueError(f"global epoch {global_epoch} is outside a plan of "
+                             f"{global_epoch - epoch} epochs")
+        return len(self.sessions), 0
+
     def holds_position(self, session: object, epoch: object, global_epoch: object) -> bool:
-        """Whether integers ``session`` and ``epoch`` name the next epoch to
-        train (epoch 0 of session ``len(sessions)`` at the plan's end), with
-        ``global_epoch`` epochs before it."""
-        epochs = [s.epochs for s in self.sessions]
+        """Whether integers ``session`` and ``epoch`` are the ``position`` of
+        ``global_epoch``, the next epoch to train after that many."""
         return (all(type(v) is int for v in (session, epoch, global_epoch))
-                and 0 <= session <= len(epochs)
-                and 0 <= epoch < (epochs[session] if session < len(epochs) else 1)
-                and global_epoch == sum(epochs[:session]) + epoch)
+                and 0 <= global_epoch <= sum(s.epochs for s in self.sessions)
+                and self.position(global_epoch) == (session, epoch))
 
 
 def scripted_action(state: WorldState) -> np.ndarray:

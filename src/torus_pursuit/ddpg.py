@@ -113,11 +113,11 @@ class ReplayBuffer:
     action is no array of its own: the pursuer moved along the heading its
     next observation starts with, so the action is that row's first
     ``ACTION_DIM`` columns. A slot's next observation is, bit for bit, the
-    following slot's ``obs`` except at the slots of the end table, the
-    team's episode ends and always the write head, whose successor is not
-    pushed yet: ``_end_row`` gives each of those slots its row of
-    ``_end_rows``, an (rows, agents, obs_dim) table whose unused rows are
-    listed in ``_free``, and -1 to every other slot. A checkpoint stores the
+    following slot's ``obs`` except at the slots of the end table: those
+    whose next push began an episode, and always the write head, whose
+    successor is not pushed yet. ``_end_row`` gives each of those slots its
+    row of ``_end_rows``, an (rows, agents, obs_dim) table whose unused rows
+    are listed in ``_free``, and -1 to every other slot. A checkpoint stores the
     table as it is: ``end_table`` gives it and ``load_end_table`` takes it back.
     """
 
@@ -142,19 +142,25 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, obs: np.ndarray, reward: float, next_obs: np.ndarray, terminal: bool) -> None:
-        """Appends one step: every agent's (o, o') rows and the team's reward;
-        terminal means capture, not timeout. The step's actions are the
-        heading columns of ``next_obs``.
+    def push(self, reward: float, next_obs: np.ndarray, terminal: bool,
+             obs: np.ndarray | None = None) -> None:
+        """Appends one step: the team's reward, every agent's o' row, and
+        whether it captured (not timed out). With ``obs``, every agent's o
+        row, the step begins an episode; without, it continues the head's,
+        whose o' rows move into the new slot, and the head leaves the end
+        table. The step's actions are the heading columns of ``next_obs``.
 
         Raises ValueError, naming the agent, if those columns are not a unit
-        vector, and if a row's shape does not fit the rings.
+        vector, if a row's shape does not fit the rings, and if an empty ring
+        is given no ``obs``.
         """
         n, d = self.agents, self.obs_dim
-        shapes = (np.shape(obs), np.shape(reward), np.shape(next_obs))
-        if shapes != ((n, d), (), (n, d)):
+        shapes = (np.shape(reward), np.shape(next_obs), None if obs is None else np.shape(obs))
+        if shapes[:2] != ((), (n, d)) or shapes[2] not in (None, (n, d)):
             raise ValueError(f"step rows of shapes {shapes} do not fit {n} rings of "
                              f"{d} observations and one team reward")
+        if obs is None and not self._size:
+            raise ValueError("an empty ring holds no step to continue; pass the episode's obs")
         x, y = np.asarray(next_obs)[:, :ACTION_DIM].T
         norms = np.hypot(x, y)
         err = np.abs(norms - 1.0)
@@ -162,14 +168,16 @@ class ReplayBuffer:
             agent = int(np.flatnonzero(~(err <= UNIT_NORM_TOLERANCE))[0])
             raise ValueError(f"agent {agent}: the next observation's heading columns have "
                              f"norm {float(norms[agent])!r}, not 1 within {UNIT_NORM_TOLERANCE}")
-        i, head = self._next, (self._next - 1) % self.capacity
-        self._obs[:, i] = obs
-        self._rewards[i] = reward
-        self._terminals[i] = 1.0 if terminal else 0.0
-        # raw bytes, so a NaN payload or -0.0 keeps the head in the table
-        if self._size and self._end_rows[self._end_row[head]].tobytes() == self._obs[:, i].tobytes():
+        i = self._next
+        if obs is None:
+            head = (i - 1) % self.capacity
+            self._obs[:, i] = self._end_rows[self._end_row[head]]
             self._free.append(int(self._end_row[head]))
             self._end_row[head] = -1
+        else:
+            self._obs[:, i] = obs
+        self._rewards[i] = reward
+        self._terminals[i] = 1.0 if terminal else 0.0
         row = self._table_row(i)  # which may grow the table; a stale row is written over
         self._end_rows[row] = next_obs
         self._next = (i + 1) % self.capacity

@@ -65,7 +65,7 @@ class WorldState:
     """
 
     __slots__ = ("positions", "headings", "step", "_units", "_pair_offsets", "_contacts",
-                 "_contact_arrays")
+                 "_chase_arrays")
 
     def __init__(
         self,
@@ -80,7 +80,7 @@ class WorldState:
         self._units = units
         self._pair_offsets: np.ndarray | None = None
         self._contacts: Contacts | None = None
-        self._contact_arrays: np.ndarray | None = None
+        self._chase_arrays: np.ndarray | None = None
 
     @property
     def episodes(self) -> int:
@@ -141,35 +141,25 @@ class WorldState:
             self._contacts = Contacts(r, theta, min(chase), 0.0 in chase, 0.0 in r[half:])
         return self._contacts
 
-    def _contact_array(self, quantity: int, direction: int) -> np.ndarray:
-        """(E, n) view of the contacts: quantity 0 distances, 1 bearings;
-        direction 0 pursuer to evader, 1 evader to pursuer."""
-        if self._contact_arrays is None:
-            c = self.contacts
-            arrays = np.array(c.distances + c.bearings).reshape(2, 2, self.episodes, self.n)
+    def _chase_array(self, quantity: int) -> np.ndarray:
+        """(E, n) read-only view of the pursuer-to-evader contacts: quantity 0
+        distances, 1 bearings."""
+        if self._chase_arrays is None:
+            c, k = self.contacts, self.episodes * self.n
+            arrays = np.array(c.distances[:k] + c.bearings[:k]).reshape(2, -1, self.n)
             arrays.flags.writeable = False
-            self._contact_arrays = arrays
-        return self._contact_arrays[quantity, direction]
+            self._chase_arrays = arrays
+        return self._chase_arrays[quantity]
 
     @property
     def chase_distances(self) -> np.ndarray:
         """(E, n) torus distances from each pursuer to its evader."""
-        return self._contact_array(0, 0)
+        return self._chase_array(0)
 
     @property
     def chase_bearings(self) -> np.ndarray:
         """(E, n) bearings from each pursuer to its evader, in [-pi, pi)."""
-        return self._contact_array(1, 0)
-
-    @property
-    def contact_distances(self) -> np.ndarray:
-        """(E, n) distances from each evader to its pursuers."""
-        return self._contact_array(0, 1)
-
-    @property
-    def contact_bearings(self) -> np.ndarray:
-        """(E, n) bearings from each evader to its pursuers, in [-pi, pi)."""
-        return self._contact_array(1, 1)
+        return self._chase_array(1)
 
     def select(self, keep: np.ndarray) -> "WorldState":
         """The episodes picked by a boolean mask or index array, same step."""

@@ -1,15 +1,17 @@
 """Curriculum-driven decentralized training loop.
 
-One epoch is one episode. Per epoch the velocity ratio comes from the active
-session's schedule and the behavior phase decides whether actions come from
-the scripted chase (warm-up) or each agent's own noisy policy. Transitions
-always land in the per-agent replay buffers, and every agent performs one
-critic update, one actor update, and one target soft-update per environment
-step once its buffer holds a full batch. One ``TeamLearner`` runs all
-agents' updates as stacked arrays; each agent samples its own ring with its
-own stream and explores with its own. Everything is driven by streams
-derived from the master seed, so a (config, seed) pair fixes every output
-byte.
+One epoch is one episode; one loop walks the global epochs, and
+``SessionPlan.position`` names each one's session and epoch. Per epoch the
+velocity ratio comes from the active session's schedule and the behavior
+phase decides whether actions come from the scripted chase (warm-up) or each
+agent's own noisy policy. Transitions always land in the per-agent replay
+buffers, each episode's first step with its first observations, and every
+agent performs one critic update, one actor update, and one target
+soft-update per environment step once its buffer holds a full batch. One
+``TeamLearner`` runs all agents' updates as stacked arrays; each agent
+samples its own ring with its own stream and explores with its own.
+Everything is driven by streams derived from the master seed, so a (config,
+seed) pair fixes every output byte.
 """
 
 from __future__ import annotations
@@ -119,8 +121,8 @@ def run_episode(
         next_obs = observe(state)[0]
         reward = float(outcome.rewards[0])
         captured = bool(outcome.captured[0])
-        # next_obs starts with the unit vectors (cos, sin) of the headings just taken
-        team.buffer.push(obs, reward, next_obs, captured)
+        # next_obs starts with the headings just taken, (cos, sin); step 0 begins an episode
+        team.buffer.push(reward, next_obs, captured, obs if steps == 0 else None)
         obs = next_obs
         if len(team.buffer) >= batch_size:
             loss = team.critic_update(team.buffer.sample(batch_size, streams.sample))
@@ -186,53 +188,41 @@ def run_training(
     streams = make_streams(config.run.seed, config.env.n)
 
     if resume is not None:
-        team, session_idx, epoch_idx, global_epoch, rng_states = load_checkpoint(resume, config)
+        team, _, _, start, rng_states = load_checkpoint(resume, config)
         try:
             streams.restore(rng_states)
         except CheckpointIntegrityError as exc:
             raise CheckpointIntegrityError(f"checkpoint {resume}: {exc}") from exc
     else:
-        team = make_team(config, streams.init)
-        session_idx, epoch_idx, global_epoch = 0, 0, 0
+        team, start = make_team(config, streams.init), 0
     out.mkdir(parents=True, exist_ok=True)  # after a refused resume, nothing is written
 
+    end = sum(session.epochs for session in plan.sessions)
     final_snapshot: Path | None = None
     curve_path = out / "training_curve.csv"
-    earlier_rows = _curve_rows_before(curve_path, global_epoch) if resume is not None else ""
+    earlier_rows = _curve_rows_before(curve_path, start) if resume is not None else ""
     with open(curve_path, "w", newline="") as curve:
         curve.write(f"# schema={CURVE_SCHEMA}\n")
         curve.write(CURVE_HEADER + "\n")
         curve.write(earlier_rows)
-        while session_idx < len(plan.sessions):
-            session = plan.sessions[session_idx]
-            while epoch_idx < session.epochs:
-                ratio = velocity_at_epoch(session.schedule, epoch_idx)
-                phase = behavior_for_epoch(plan, session_idx, epoch_idx)
-                ep_return, captured, steps = run_episode(
-                    config, team, streams, ratio, phase, global_epoch
-                )
-                curve.write(
-                    f"{global_epoch},{session_idx},{epoch_idx},{_fmt(ratio)},"
-                    f"{phase.value},{_fmt(ep_return)},{1 if captured else 0},{steps}\n"
-                )
-                epoch_idx += 1
-                global_epoch += 1
-                if global_epoch % config.run.checkpoint_every == 0:
-                    nxt_session, nxt_epoch = session_idx, epoch_idx
-                    if nxt_epoch >= session.epochs:
-                        nxt_session, nxt_epoch = session_idx + 1, 0
-                    snapshot = out / f"checkpoint_epoch{global_epoch}.json"
-                    if nxt_session == len(plan.sessions):
-                        final_snapshot = snapshot  # the plan's last epoch: written below
-                    else:
-                        # a resume from this snapshot keeps the rows before it
-                        curve.flush()
-                        save_checkpoint(snapshot, config, team, nxt_session, nxt_epoch,
-                                        global_epoch, streams.states())
-            session_idx += 1
-            epoch_idx = 0
+        for g in range(start, end):
+            session, epoch = plan.position(g)
+            ratio = velocity_at_epoch(plan.sessions[session].schedule, epoch)
+            phase = behavior_for_epoch(plan, session, epoch)
+            ep_return, captured, steps = run_episode(config, team, streams, ratio, phase, g)
+            curve.write(f"{g},{session},{epoch},{_fmt(ratio)},{phase.value},{_fmt(ep_return)},"
+                        f"{1 if captured else 0},{steps}\n")
+            if (g + 1) % config.run.checkpoint_every == 0:
+                snapshot = out / f"checkpoint_epoch{g + 1}.json"
+                if g + 1 == end:
+                    final_snapshot = snapshot  # the plan's last epoch: written below
+                else:
+                    # a resume from this snapshot keeps the rows before it
+                    curve.flush()
+                    save_checkpoint(snapshot, config, team, *plan.position(g + 1), g + 1,
+                                    streams.states())
     final = out / "checkpoint.json"
-    save_checkpoint(final, config, team, session_idx, 0, global_epoch, streams.states())
+    save_checkpoint(final, config, team, *plan.position(end), end, streams.states())
     if final_snapshot is not None:
         # same session, epochs and streams: the final checkpoint is the snapshot
         alias_checkpoint(final, final_snapshot)

@@ -31,13 +31,14 @@ SCALARS = ("n", "obs_dim", "ddpg")
 # a quiet NaN whose payload differs from np.nan's
 NAN_PAYLOAD = np.array(0x7FF8_0000_0000_0001, dtype=np.uint64).view(np.float64)
 
-# Schema 2, 3 and 4 checkpoints written at global epoch 4 by
-# `train --config tiny_config.json` before the next schema, committed so that
-# reading them stays tested.
+# Schema 2, 3, 4 and 5 checkpoints written at global epoch 4 by
+# `train --config tiny_config.json` before the next schema or change, committed
+# so that reading them stays tested.
 V2_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v2" / "checkpoint_epoch4.json"
 V2_CONFIG = V2_CHECKPOINT.parent / "tiny_config.json"
 V3_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v3" / "checkpoint_epoch4.json"
 V4_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v4" / "checkpoint_epoch4.json"
+V5_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v5" / "checkpoint_epoch4.json"
 
 
 def team_config(agents, strategy, actor_hidden, critic_hidden, capacity):
@@ -76,13 +77,14 @@ def make_team(agents, fill, strategy, actor_hidden, critic_hidden, capacity, see
         np.abs(state.v, out=state.v)  # a second moment below 0 is refused at load
         state.step = int(rng.integers(0, 10_000))
     team.noise[...] = rng.standard_normal((agents, 2))
-    next_obs = rng.standard_normal((agents, obs_dim))
+    next_obs, begins = rng.standard_normal((agents, obs_dim)), True
     for _ in range(fill):
         obs, next_obs = (next_obs if chained else rng.standard_normal((agents, obs_dim)),
                          rng.standard_normal((agents, obs_dim)))
         next_obs[:, :2] = [heading_to_vector(t) for t in rng.uniform(-math.pi, math.pi, agents)]
         terminal = bool(rng.integers(0, 4 if chained else 2) == 0)
-        team.buffer.push(obs, rng.normal(), next_obs, terminal)
+        team.buffer.push(rng.normal(), next_obs, terminal, obs if begins or not chained else None)
+        begins = terminal
         if terminal:
             next_obs = rng.standard_normal((agents, obs_dim))
     return cfg, team
@@ -776,7 +778,9 @@ class TestStateThatCannotTrain:
     @pytest.mark.parametrize("replay", [True, False], ids=["replay", "no replay"])
     def test_refused(self, tmp_path, part, value, match, replay):
         cfg, path, _ = self.saved(tmp_path, part, value)
-        with pytest.raises(CheckpointIntegrityError, match=match):
+        # the refusal names the file, then the agent and the part
+        with pytest.raises(CheckpointIntegrityError,
+                           match=f"^checkpoint {re.escape(str(path))}: {match[1:]}"):
             load_checkpoint(path, cfg, replay=replay)
 
     def test_negative_zero_second_moment_loads(self, tmp_path):
@@ -801,7 +805,12 @@ def resumes_fixture_bit_for_bit(tmp_path, fixture, version):
     assert len(from_fixture.buffer) == from_fixture.buffer.capacity  # the fixture's ring has wrapped
     assert fixture_rest == now_rest
     assert_same_team(from_now, from_fixture)
+    resume_ends_on_uninterrupted_bytes(tmp_path, cfg, fixture, full)
 
+
+def resume_ends_on_uninterrupted_bytes(tmp_path, cfg, fixture, full):
+    """Resuming `cfg` from the epoch-4 snapshot `fixture` writes the rows and
+    final checkpoint of the uninterrupted run in `full`."""
     resumed = run_training(cfg, out_dir=tmp_path / "resumed", resume=fixture)
     rows = (resumed / "training_curve.csv").read_text().splitlines()
     assert rows[2:] == (full / "training_curve.csv").read_text().splitlines()[2 + 4:]
@@ -819,6 +828,22 @@ def test_schema_3_fixture_loads_and_resumes_bit_for_bit(tmp_path):
 
 def test_schema_4_fixture_loads_and_resumes_bit_for_bit(tmp_path):
     resumes_fixture_bit_for_bit(tmp_path, V4_CHECKPOINT, 4)
+
+
+def test_schema_5_fixture_is_what_the_writer_stores_and_resumes_bit_for_bit(tmp_path):
+    cfg = load_config(V2_CONFIG)
+    full = run_training(cfg, out_dir=tmp_path / "full")
+    snapshot = full / V5_CHECKPOINT.name
+    want, got = (json.loads(p.read_text()) for p in (V5_CHECKPOINT, snapshot))
+    for doc in (want, got):  # the zip writer fixes the sidecar's bytes, not its entries
+        del doc["sidecar"]["bytes"], doc["sidecar"]["sha256"]
+    assert got == want
+    with np.load(sidecar_path(V5_CHECKPOINT)) as fixed, np.load(sidecar_path(snapshot)) as fresh:
+        assert sorted(fresh.files) == sorted(fixed.files)
+        for key in fixed.files:
+            a, b = fixed[key], fresh[key]
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
+    resume_ends_on_uninterrupted_bytes(tmp_path, cfg, V5_CHECKPOINT, full)
 
 
 def copied(fixture: Path, out: Path) -> Path:
@@ -897,7 +922,8 @@ class TestStoredFactsDisagree:
         assert main(["train", "--config", str(V2_CONFIG), "--out", str(tmp_path / "resumed"),
                      "--resume", str(path)]) == 2
         value = "[0.25, " if name == "actions" else "0.25 "
-        assert capsys.readouterr().err.startswith(f"error: agent 1 buffer.{name} slot 2: {value}")
+        assert capsys.readouterr().err.startswith(
+            f"error: checkpoint {path}: agent 1 buffer.{name} slot 2: {value}")
         assert not (tmp_path / "resumed").exists()
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
@@ -986,6 +1012,40 @@ def test_cli_resume_refuses_schema_4_field_that_is_no_list(tmp_path, capsys, nod
     assert not (tmp_path / "resumed").exists()
 
 
+@pytest.mark.parametrize("version, refusal", [
+    (4, "not JSON"), (5, "not JSON"), (4, "missing sidecar"), (5, "missing sidecar"),
+    (4, "null-weights"), (4, "negative second moment"), (5, "negative second moment"),
+    (4, "state row of the wrong width"), (5, "state row of the wrong width")])
+def test_cli_refusal_names_the_checkpoint_once_at_the_front(tmp_path, capsys, version, refusal):
+    # schema 5 refusals from the team reader, and every schema's refusals of
+    # the state rows, used to name no file
+    path = copied({4: V4_CHECKPOINT, 5: V5_CHECKPOINT}[version], tmp_path)
+    config = json.loads(V2_CONFIG.read_text())
+    doc = json.loads(path.read_text())
+    if refusal == "not JSON":
+        path.write_text(path.read_text()[:-1])
+    elif refusal == "missing sidecar":
+        sidecar_path(path).unlink()
+    elif refusal == "null-weights":
+        doc["agents"][1]["critic"]["weights"] = None
+        path.write_text(json.dumps(doc))
+    elif refusal == "negative second moment" and version == 4:
+        # agent 1's actor second moments point at its weights, partly negative
+        doc["agents"][1]["adam_actor"]["v_weights"][1]["offset"] = 0
+        path.write_text(json.dumps(doc))
+    elif refusal == "negative second moment":
+        rewrite_sidecar(path, set_value("agents.1", -1, -1.0))  # adam_critic.v's last value
+    else:  # cd_ddpg_partial observes 4 values, the snapshot's team 6
+        config["run"]["strategy"] = "cd_ddpg_partial"
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "resumed"), "--resume", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {path}") and err.count(str(path)) == 1, err
+    assert not (tmp_path / "resumed").exists()
+
+
 # One JSON node of a manifest replaced by each of these, at any depth
 MANIFEST_VALUES = [None, True, -1, 0, 2**63, -2**63, 10**30, math.nan, math.inf, -math.inf, -0.0,
                    0.5, "x", [], {}, [1], [[]], [10**9], [2, 3]]
@@ -1068,8 +1128,9 @@ def test_final_epoch_snapshot_shares_checkpoint_npz(tmp_path, epochs):
     assert_same_team(final_team, team)
 
 
+# ([3, 3], 3) resumes at a session boundary, ([3, 3], 6) at the plan's end
 @pytest.mark.parametrize("epochs, start", [([6], 3), ([6], 6), ([4, 5], 3), ([4, 5], 6),
-                                           ([4, 5], 9)])
+                                           ([4, 5], 9), ([3, 3], 3), ([3, 3], 6)])
 def test_resume_from_any_snapshot_ends_on_uninterrupted_bytes(tmp_path, epochs, start):
     cfg, last = snapshot_plan(epochs, 3), sum(epochs)
     full = run_training(cfg, out_dir=tmp_path / "full")

@@ -65,10 +65,13 @@ def trained_with_partial_config(tmp_path):
     return out_dir, partial
 
 
-# the refusal names the agent, the strategy, its width and both state sizes
-OTHER_WIDTH = re.compile(r"^error: agent 0 state, as run\.strategy 'cd_ddpg_partial' observes "
-                         r"4 values: refers to values 0\.\.\d+ of sidecar entry 'agents\.0', "
-                         r"which holds \d+$", re.M)
+def other_width(ckpt):
+    """The refusal of checkpoint `ckpt`: it names the file, the agent, the
+    strategy, its width and both state sizes."""
+    return re.compile(f"^error: checkpoint {re.escape(str(ckpt))}: "
+                      r"agent 0 state, as run\.strategy 'cd_ddpg_partial' observes "
+                      r"4 values: refers to values 0\.\.\d+ of sidecar entry 'agents\.0', "
+                      r"which holds \d+$", re.M)
 
 
 class TestTrainCommand:
@@ -141,9 +144,10 @@ class TestTrainCommand:
         # it used to load and fail with a traceback at the first learned step
         out_dir, partial = trained_with_partial_config(tmp_path)
         capsys.readouterr()
+        ckpt = out_dir / "checkpoint_epoch5.json"
         assert main(["train", "--config", str(partial), "--out", str(tmp_path / "resumed"),
-                     "--resume", str(out_dir / "checkpoint_epoch5.json")]) == 2
-        assert OTHER_WIDTH.search(capsys.readouterr().err)
+                     "--resume", str(ckpt)]) == 2
+        assert other_width(ckpt).search(capsys.readouterr().err)
 
     def test_cannot_train_analytic_strategy(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, strategy="greedy")
@@ -270,7 +274,8 @@ class TestCheckpointErrors:
         ckpt.write_text(json.dumps(doc))
         config = DATA / "checkpoint_v2" / "tiny_config.json"
         assert main(self.command(name, config, ckpt, tmp_path)) == 2
-        assert re.fullmatch(r"error: agent 1 adam_actor\.v: value \d+ is -[0-9.e-]+, "
+        assert re.fullmatch(f"error: checkpoint {re.escape(str(ckpt))}: "
+                            r"agent 1 adam_actor\.v: value \d+ is -[0-9.e-]+, "
                             r"want a finite number >= 0\n", capsys.readouterr().err)
         assert not (tmp_path / "again").exists() and not (tmp_path / "eval").exists()
 
@@ -320,10 +325,10 @@ class TestEvalCommand:
     def test_eval_with_strategy_of_another_width_refused(self, tmp_path, capsys):
         out_dir, partial = trained_with_partial_config(tmp_path)
         capsys.readouterr()
-        assert main(["eval", "--config", str(partial),
-                     "--checkpoint", str(out_dir / "checkpoint.json"), "--ratios", "1.1",
-                     "--episodes", "2", "--out", str(tmp_path / "eval")]) == 2
-        assert OTHER_WIDTH.search(capsys.readouterr().err)
+        ckpt = out_dir / "checkpoint.json"
+        assert main(["eval", "--config", str(partial), "--checkpoint", str(ckpt),
+                     "--ratios", "1.1", "--episodes", "2", "--out", str(tmp_path / "eval")]) == 2
+        assert other_width(ckpt).search(capsys.readouterr().err)
         assert not (tmp_path / "eval").exists()
 
     def test_eval_ratio_beyond_spawn_separation_rejected(self, tmp_path, capsys):

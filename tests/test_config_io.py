@@ -369,7 +369,7 @@ class TestCheckpointRoundTrip:
             obs, reward, next_obs = (rng.standard_normal((1, 4)), float(rng.normal()),
                                      rng.standard_normal((1, 4)))
             next_obs[0, :2] = heading_to_vector(theta)  # the heading just taken
-            learner.buffer.push(obs, reward, next_obs, False)
+            learner.buffer.push(reward, next_obs, False, obs=obs)
         return learner
 
     def test_bit_exact_round_trip(self, tmp_path):

@@ -1,9 +1,12 @@
 """Velocity annealing schedule and behavior-phase switching."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from torus_pursuit.curriculum import (
     BehaviorPhase,
@@ -118,6 +121,29 @@ class TestSessionPlan:
             end = velocity_at_epoch(prev.schedule, prev.epochs)
             start = velocity_at_epoch(cur.schedule, 0)
             assert end == pytest.approx(start, abs=1e-12)
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+def test_position_walks_the_plan(lengths):
+    plan = SessionPlan(tuple(SessionSpec(1.0, 1.0, 1, e) for e in lengths), warmup_epochs=0)
+    # brute force: every epoch of every session in order, then the plan's end
+    walk = [(s, e) for s, length in enumerate(lengths) for e in range(length)]
+    walk.append((len(lengths), 0))
+    assert [plan.position(g) for g in range(len(walk))] == walk
+    for g in (-1, len(walk), 10**30):
+        with pytest.raises(ValueError, match=f"global epoch {g} is outside a plan of "
+                                             f"{sum(lengths)} epochs"):
+            plan.position(g)
+    # training's curve rows name the (session, epoch) of global epochs
+    # 0..end-1, and its checkpoints those of 1..end: no other triple is held
+    written = {(s, e, g) for g, (s, e) in enumerate(walk)}
+    triples = product(range(-1, len(lengths) + 2), range(-1, max(lengths) + 2),
+                      range(-1, len(walk) + 1))
+    assert {t for t in triples if plan.holds_position(*t)} == written
+    for s, e, g in written:  # only integers name a position
+        assert not any(plan.holds_position(*t) for t in (
+            (float(s), e, g), (s, float(e), g), (s, e, float(g)), (s, e, str(g))))
+    assert not plan.holds_position(False, False, False)
 
 
 class TestAblationArms:

@@ -35,8 +35,8 @@ def push_random(buf, rng, terminal=False, reward=None):
     next_obs = rng.standard_normal((buf.agents, buf.obs_dim))
     next_obs[:, :2] = [heading_to_vector(t)
                        for t in rng.uniform(-math.pi, math.pi, size=buf.agents)]
-    buf.push(rng.standard_normal((buf.agents, buf.obs_dim)),
-             rng.normal() if reward is None else reward, next_obs, terminal)
+    buf.push(rng.normal() if reward is None else reward, next_obs, terminal,
+             obs=rng.standard_normal((buf.agents, buf.obs_dim)))
 
 
 def lone_batch(obs, actions, rewards, next_obs, terminals):
@@ -117,14 +117,19 @@ class TestActionHead:
         next_obs[:, :2] = [[1.0, 0.0], [0.5, 0.0]]
         with pytest.raises(ValueError, match="agent 1: the next observation's heading columns "
                                              "have norm 0.5"):
-            buf.push(np.zeros((2, 4)), 0.0, next_obs, False)
+            buf.push(0.0, next_obs, False, obs=np.zeros((2, 4)))
         with pytest.raises(ValueError, match="agent 0"):
-            buf.push(np.zeros((2, 4)), 0.0, next_obs * np.nan, False)
+            buf.push(0.0, next_obs * np.nan, False, obs=np.zeros((2, 4)))
         next_obs[1, 0] = 1.0
         with pytest.raises(ValueError, match="do not fit"):
-            buf.push(np.zeros(4), 0.0, next_obs[0], False)
+            buf.push(0.0, next_obs[0], False, obs=np.zeros(4))
+        with pytest.raises(ValueError, match="do not fit"):
+            buf.push(0.0, next_obs, False, obs=np.zeros(4))
         with pytest.raises(ValueError, match="do not fit"):  # one reward for the team
-            buf.push(np.zeros((2, 4)), [0.0, 0.0], next_obs, False)
+            buf.push([0.0, 0.0], next_obs, False, obs=np.zeros((2, 4)))
+        # a step that continues no episode: not an IndexError on the empty table
+        with pytest.raises(ValueError, match="an empty ring holds no step to continue"):
+            buf.push(0.0, next_obs, False)
         assert len(buf) == 0
         with pytest.raises(ValueError, match="no 2 heading columns"):
             ReplayBuffer(capacity=4, obs_dim=1)
@@ -204,7 +209,7 @@ class TestExploration:
 
 
 def push_reward(buf, r):
-    buf.push(np.array([[float(r), 0.0]]), float(r), np.array([[1.0, 0.0]]), False)
+    buf.push(float(r), np.array([[1.0, 0.0]]), False, obs=np.array([[float(r), 0.0]]))
 
 
 class TestReplayBuffer:
@@ -315,9 +320,9 @@ NAN_PAYLOAD = ALPHABET[4]
 
 @settings(max_examples=200, deadline=None)
 @given(case=push_sequences(), seed=st.integers(0, 2**32 - 1))
-# an episode whose last next_obs differs from the next episode's first obs
-# only by -0.0 against +0.0 (in a heading column, then in another one), then
-# only by a NaN payload; a wrapped ring of one slot
+# an episode begun with a first obs that differs from the last next_obs only
+# by -0.0 against +0.0 (in a heading column, then in another one), then only
+# by a NaN payload, then not at all; a wrapped ring of one slot
 @example(case=(2, 3, 3, [(False, rows([1, 0, 1], [1, 0, 1]), rows([1, 0, -0.0], [-0.0, 1, 1]), True),
                          (False, rows([1, 0, 0.0], [0.0, 1, 1]), rows([1, 0, 1], [1, 0, 1]), False)]),
          seed=0)
@@ -327,18 +332,23 @@ NAN_PAYLOAD = ALPHABET[4]
 @example(case=(2, 2, 1, [(False, rows([1, 0], [0, 1]), rows([0, 1], [1, 0]), False),
                          (True, rows([1, 0], [1, 0]), rows([-0.0, 1], [1, 0]), True),
                          (False, rows([0.0, 1], [1, 0]), rows([1, 0], [0, 1]), False)]), seed=2)
+@example(case=(1, 3, 3, [(False, rows([1, 0, 1]), rows([0, 1, NAN_PAYLOAD]), False),
+                         (False, rows([0, 1, NAN_PAYLOAD]), rows([1, 0, -0.0]), True)]), seed=3)
 def test_ring_holds_every_pushed_transition(case, seed):
     agents, obs_dim, capacity, pushes = case
     buf = ReplayBuffer(capacity, obs_dim, agents)
-    pushed = []
+    pushed, began = [], []
     for k, (chained, obs, next_obs, terminal) in enumerate(pushes):
-        if chained and pushed:
+        began.append(not (chained and pushed))
+        if began[-1]:
+            buf.push(float(k), next_obs, terminal, obs=obs)
+        else:  # the step continues from the previous one's next_obs, and passes no obs
             obs = pushed[-1][3]
+            buf.push(float(k), next_obs, terminal)
         # the team's reward and flag, seen by every agent; the action is the
         # heading the next observation starts with
         pushed.append((obs, next_obs[:, :2], np.full(agents, float(k)), next_obs,
                        np.full(agents, float(terminal))))
-        buf.push(obs, float(k), next_obs, terminal)
     size = len(buf)
     assert size == min(len(pushes), capacity)
     # filled slot s holds the last transition pushed to it
@@ -351,9 +361,10 @@ def test_ring_holds_every_pushed_transition(case, seed):
     every = np.tile(np.arange(size), (agents, 1))
     assert same_bits(buf._next_rows(every).reshape(agents, size, obs_dim),
                      gathered(3, every).reshape(agents, size, obs_dim))
-    # the checkpoint form: the end table holds the write head and every slot
-    # where a full scan of any agent's dense rows finds a break, with those
-    # slots' rows, and a ring filled from it samples the same next rows
+    # the checkpoint form: the end table holds exactly the slots whose next
+    # push began an episode and the write head, among them every slot where a
+    # full scan of any agent's dense rows finds a break, with those slots'
+    # rows, and a ring filled from it samples the same next rows
     copy = ReplayBuffer(capacity, obs_dim, agents)
     for name in ("_obs", "_rewards", "_terminals"):
         getattr(copy, name)[...] = getattr(buf, name)
@@ -363,7 +374,9 @@ def test_ring_holds_every_pushed_transition(case, seed):
     dense = gathered(3, every).reshape(agents, size, obs_dim)
     breaks = {int(j) for i in range(agents) for j in _next_obs_breaks(buf._obs[i, :size], dense[i])}
     head = {(buf._next - 1) % capacity} if size else set()
-    assert slots.dtype == np.int64 and slots.tolist() == sorted(breaks | head)
+    ends = {s for s in range(size) if held[s] + 1 < len(pushes) and began[held[s] + 1]}
+    assert slots.dtype == np.int64 and slots.tolist() == sorted(ends | head)
+    assert breaks <= ends | head
     assert same_bits(table_rows, dense[:, slots].swapaxes(0, 1))
     assert same_bits(copy._next_rows(every), buf._next_rows(every))
     if size:
@@ -646,7 +659,7 @@ class TestBanditConvergence:
             theta = float(rng.uniform(-math.pi, math.pi))
             # the action is the heading the next observation starts with
             next_obs = np.concatenate((heading_to_vector(theta), obs[0, 2:]))[None]
-            learner.buffer.push(obs, reward(theta), next_obs, True)
+            learner.buffer.push(reward(theta), next_obs, True, obs=obs)
         before = reward(learner.act(obs)[0])
         for _ in range(2000):
             batch = learner.buffer.sample(64, [rng])

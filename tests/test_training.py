@@ -25,7 +25,7 @@ def primed():
     for _ in range(4):
         next_obs = rng.standard_normal((2, team.obs_dim))
         next_obs[:, :2] = heading_to_vector(0.5)  # the heading just taken
-        team.buffer.push(rng.standard_normal((2, team.obs_dim)), -0.1, next_obs, False)
+        team.buffer.push(-0.1, next_obs, False, obs=rng.standard_normal((2, team.obs_dim)))
     return cfg, streams, team
 
 
@@ -63,3 +63,12 @@ def test_restore_refuses_malformed_stream_states():
     with pytest.raises(CheckpointIntegrityError,
                        match=r"rng_states\.env: not a PCG64 state \(TypeError"):
         streams.restore(states)
+
+
+def test_ring_end_table_is_the_episode_ends_and_head():
+    # each episode hands the ring its first observations once, so exactly
+    # the slots where episodes ended keep their own next observations
+    cfg, streams, team = primed()  # four one-step episodes in slots 0-3
+    _, _, steps = run_episode(cfg, team, streams, 1.2, BehaviorPhase.SCRIPTED, 0)
+    assert 1 < steps <= team.buffer.capacity - 4  # no slot was written over
+    assert team.buffer.end_table()[0].tolist() == [0, 1, 2, 3, 3 + steps]

@@ -13,11 +13,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
-from .environment import WorldState
-from .pursuit import greedy_heading
-
 
 @dataclass(frozen=True)
 class VelocitySchedule:
@@ -111,12 +106,6 @@ class SessionPlan:
                 and self.position(global_epoch) == (session, epoch))
 
 
-def scripted_action(state: WorldState) -> np.ndarray:
-    """Supervisory warm-up policy: every pursuer runs straight at the evader
-    (greedy chase); headings (E, n)."""
-    return greedy_heading(state)
-
-
 def behavior_for_epoch(plan: SessionPlan, session: int, epoch: int) -> BehaviorPhase:
     """Scripted only in the first session's first W epochs, learned otherwise."""
     if session < 0 or session >= len(plan.sessions):
@@ -161,42 +150,3 @@ def chained_plan(
         v = nxt
         first = False
     return SessionPlan(tuple(sessions), warmup_epochs)
-
-
-def ablation_plan(arm: str, epochs: int = 15000, constant_ratio: float = 0.7) -> SessionPlan:
-    """The four curriculum arms used in ablation studies.
-
-    full: velocity anneal 1.2 -> 0.4 plus scripted warm-up.
-    no_behavioral: velocity anneal only (W = 0).
-    no_velocity: scripted warm-up only, ratio fixed at constant_ratio.
-    no_curriculum: plain training at constant_ratio (W = 0).
-    """
-    if arm == "full":
-        return SessionPlan(
-            (SessionSpec(1.2, 0.4, epochs, epochs, use_scripted_warmup=True),),
-            warmup_epochs=1000,
-        )
-    if arm == "no_behavioral":
-        return SessionPlan(
-            (SessionSpec(1.2, 0.4, epochs, epochs, use_scripted_warmup=False),),
-            warmup_epochs=0,
-        )
-    if arm == "no_velocity":
-        return SessionPlan(
-            (
-                SessionSpec(
-                    constant_ratio, constant_ratio, epochs, epochs, use_scripted_warmup=True
-                ),
-            ),
-            warmup_epochs=1000,
-        )
-    if arm == "no_curriculum":
-        return SessionPlan(
-            (
-                SessionSpec(
-                    constant_ratio, constant_ratio, epochs, epochs, use_scripted_warmup=False
-                ),
-            ),
-            warmup_epochs=0,
-        )
-    raise ValueError(f"unknown ablation arm {arm!r}")

@@ -25,16 +25,21 @@ team a whole config describes. Its state is one (n, S) array: row i is agent i's
 adam_actor.v | adam_critic.m | adam_critic.v``, each laid out like a row of
 ``MlpParams.flat``, which is also the checkpoint sidecar's entry for agent i.
 The exploration noise is one (n, 2) array, row i agent i's process. Each
-update and each act runs the n agents' networks as one stacked matmul chain
-(see ``nn``, whose only layout is the agent stack) on (n, B, .) batches,
-sampled from each agent's own ring with its own random stream. Learning
+update runs the n agents' networks as one stacked matmul chain (see ``nn``,
+whose only layout is the agent stack) on (n, B, .) batches, sampled from
+each agent's own ring with its own random stream. Learning
 stays decentralized: no agent reads another's parameters, gradients, norms,
 noise or transitions, and each agent's numbers equal those of a lone agent
 (the n=1 team) bit for bit. The agents update in lockstep, so they share the
 Adam step counts, the ring bookkeeping, the slots of its end table and the
-team's rewards and terminal flags. Acting maps the (n, 2) raw outputs to
-headings through one row-wise head, ``_unit_rows`` with each row's norm
-rounded as that row's own 1-D norm, and ``geometry.atan2_bearings``.
+team's rewards and terminal flags.
+
+Acting takes E episodes' observation rows, (E, n, obs_dim), and gives (E, n)
+headings. Each step is one row-wise forward pass (see ``nn``) for all E
+episodes, so an episode's headings equal, bit for bit, those it gets alone;
+exploring runs the same path for one episode. The (E, n, 2) raw outputs
+become headings through one row-wise head, ``_unit_rows`` with each row's
+norm rounded as that row's own 1-D norm, and ``geometry.bearings``.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import numpy as np
 
 from .environment import strategy_observation
 from .errors import BufferNotReadyError
-from .geometry import atan2_bearings
+from .geometry import bearings
 from .nn import (
     AdamState,
     MlpParams,
@@ -84,12 +89,6 @@ def _unit_rows(u: np.ndarray, dot: bool = False) -> tuple[np.ndarray, np.ndarray
     vanishing = norms < RAW_NORM_FLOOR
     unit = u / np.where(vanishing, 1.0, norms)[..., None]
     return np.where(vanishing[..., None], [1.0, 0.0], unit), norms, vanishing
-
-
-def _headings(u: np.ndarray) -> list[float]:
-    """The heading of each unit row of u (n, 2), in [-pi, pi)."""
-    x, y = u.T.tolist()
-    return atan2_bearings(y, x)
 
 
 @dataclass
@@ -319,19 +318,25 @@ class TeamLearner:
     # -- acting ---------------------------------------------------------
 
     def _raw_actions(self, obs: np.ndarray) -> np.ndarray:
-        """The actors' raw outputs (n, 2) for one observation row per agent, (n, obs_dim)."""
+        """The actors' raw outputs (E, n, 2) for E episodes' observation rows
+        (E, n, obs_dim), each row forwarded row-wise (see ``nn``)."""
         x = np.asarray(obs, dtype=np.float64)
-        if x.shape != (self.n, self.obs_dim):
-            raise ValueError(f"observations of shape {x.shape}, want {(self.n, self.obs_dim)}")
-        raw, _ = forward(self.actor, x[:, None, :], self._act)
-        return raw[:, 0]
+        if x.ndim != 3 or x.shape[1:] != (self.n, self.obs_dim):
+            raise ValueError(f"observations of shape {x.shape}, want "
+                             f"(episodes, {self.n}, {self.obs_dim})")
+        if self._act.rows != len(x):
+            self._act = Workspace(self.actor.layer_sizes, len(x), self.n)
+        raw, _ = forward(self.actor, x.swapaxes(0, 1)[:, :, None], self._act)
+        return raw[:, :, 0].swapaxes(0, 1)
 
-    def act(self, obs: np.ndarray) -> list[float]:
-        """Deterministic policy heading of each agent for its observation row."""
-        return _headings(_unit_rows(self._raw_actions(obs), dot=True)[0])
+    def act(self, obs: np.ndarray) -> np.ndarray:
+        """Deterministic policy headings (E, n) for E episodes' observation
+        rows (E, n, obs_dim); each episode's equal those it gets alone."""
+        return bearings(_unit_rows(self._raw_actions(obs), dot=True)[0])
 
-    def act_explore(self, obs: np.ndarray, rngs: Sequence[np.random.Generator]) -> list[float]:
-        """Policy headings with each agent's Ornstein-Uhlenbeck noise added to its action.
+    def act_explore(self, obs: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Policy headings (1, n) for one episode's rows (1, n, obs_dim), with
+        each agent's Ornstein-Uhlenbeck noise added to its action.
 
         Noise perturbs the unit action vector (the policy output), not the
         raw pre-normalization activations, so its scale is meaningful
@@ -339,9 +344,11 @@ class TeamLearner:
         Agent i's noise draws from ``rngs[i]``.
         """
         raw = self._raw_actions(obs)
+        if len(raw) != 1:
+            raise ValueError(f"the noise explores one episode, not {len(raw)}")
         self._advance_noise(rngs)
         u = _unit_rows(raw, dot=True)[0] + self.noise
-        return _headings(_unit_rows(u, dot=True)[0])
+        return bearings(_unit_rows(u, dot=True)[0])
 
     def _advance_noise(self, rngs: Sequence[np.random.Generator]) -> None:
         """One Ornstein-Uhlenbeck step per agent: x <- x + theta*(0 - x) + sigma*g."""

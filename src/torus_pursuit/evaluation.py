@@ -7,8 +7,8 @@ logs full trajectories plus the capture-success rate per ratio.
 Every strategy but random rolls a ratio's episodes in lockstep batches on
 one array state: every batch draws its spawns first, in episode order, then
 steps all its unfinished episodes at once, dropping each as it ends. A
-learned team still runs one forward pass per episode and step, so each
-episode's rows go through the matmul kernel they would take alone. A batch
+learned team acts for all of them in one forward pass per step, whose
+row-wise matmuls give each episode the bits it would get alone. A batch
 buffers at most LOCKSTEP_AGENT_STEPS agent rows and writes each episode's
 rows in one piece once it is done, in (episode, step, agent) order. The
 files equal those of rolling the episodes one after another: if an evader
@@ -52,10 +52,7 @@ def make_policy(
     policy_rng: np.random.Generator,
     pincer_k: int = 1,
 ) -> HeadingPolicy:
-    """Joint heading policy for one team strategy: headings (E, n) per state.
-
-    A learned team acts with one stacked forward pass per episode and step.
-    """
+    """Joint heading policy for one team strategy: headings (E, n) per state."""
     if strategy == "greedy":
         return greedy_heading
     if strategy == "pincer":
@@ -66,7 +63,7 @@ def make_policy(
         if team is None:
             raise ValueError(f"strategy {strategy!r} requires a trained team")
         observe, _ = strategy_observation(strategy, team.n)
-        return lambda s: np.array([team.act(obs) for obs in observe(s)])
+        return lambda s: team.act(observe(s))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

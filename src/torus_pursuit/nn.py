@@ -7,6 +7,13 @@ networks with ReLU hidden layers and an identity output. A stack runs on
 (n, rows, in) batches. Parameter gradients are summed over batch rows, so a
 mean objective is expressed by scaling the output gradient by 1/B.
 
+``forward`` also takes rows one by one, as (n, rows, 1, in): numpy then hands
+each (1, in) @ (in, out) slice to the kernel that an (n, 1, in) batch of one
+row takes (gemv, or a dot product for one output), where an (n, rows, in)
+batch takes gemm. So a row's outputs equal, bit for bit, those of that row
+forwarded alone, however many rows share the call. Acting uses this form; the updates, and so
+``backward``, use the batch form only.
+
 A stack's parameters are one (n, P) array, ``MlpParams.flat``. Row i is
 agent i's network: every weight matrix [out, in] row-major in layer order,
 then every bias vector in layer order. ``weights[k]`` (n, out, in) and
@@ -218,26 +225,34 @@ def forward(
 ) -> tuple[np.ndarray, Workspace]:
     """Affine + ReLU composition: z = h @ W.T + b, then max(z, 0), with no ReLU on the output.
 
-    Takes (n, rows, in) inputs. Returns the (n, rows, out) output and the
-    cache for backward(), which is the workspace. Both live in the
-    workspace's buffers.
+    Takes (n, rows, in) inputs, or row-wise (n, rows, 1, in) ones, and
+    returns the output in the same form, (n, rows, out) or (n, rows, 1, out),
+    with the cache for backward(), which is the workspace. Both live in the
+    workspace's buffers. The row-wise form multiplies each 1-row slice on
+    its own, so a row's bits do not depend on the rows beside it; backward
+    refuses its cache.
     """
     x = np.asarray(x, dtype=np.float64)
     n, width = params.flat.shape[0], params.layer_sizes[0]
-    if x.ndim != 3 or (x.shape[0], x.shape[2]) != (n, width):
-        raise ValueError(f"input shape {x.shape} is not (agents, rows, in) = ({n}, rows, {width})")
+    row_wise = x.ndim == 4 and x.shape[2] == 1
+    if (x.ndim != 3 and not row_wise) or (x.shape[0], x.shape[-1]) != (n, width):
+        raise ValueError(f"input shape {x.shape} is not (agents, rows, in) or "
+                         f"(agents, rows, 1, in) with {n} agents and in = {width}")
     ws = _workspace(params, ws, x.shape[1])
-    if ws.activations[0].shape[:-1] != x.shape[:-1]:
+    if ws.activations[0].shape[:-1] != x.shape[:2]:
         raise ValueError(f"input shape {x.shape} does not fit a workspace of "
                          f"{ws.agents} agents and {ws.rows} rows")
     ws.inputs = x
     h = x
     for w, b, z in zip(params.weights, params.biases, ws.activations):
-        np.matmul(h, w.swapaxes(-1, -2), out=z)
+        if row_wise:  # each (1, in) @ (in, out) slice runs as a lone row's would
+            np.matmul(h, w.swapaxes(-1, -2)[:, None], out=z[:, :, None])
+        else:
+            np.matmul(h, w.swapaxes(-1, -2), out=z)
         z += b[:, None, :]
         if z is not ws.activations[-1]:
             np.maximum(z, 0.0, out=z)
-        h = z
+        h = z[:, :, None] if row_wise else z
     return h, ws
 
 
@@ -260,6 +275,8 @@ def backward(
     overwritten.
     """
     ws = cache
+    if np.ndim(ws.inputs) != 3:
+        raise ValueError("the cache holds no (agents, rows, in) forward pass to differentiate")
     gy = np.asarray(output_gradient, dtype=np.float64)
     last = len(params.weights) - 1
     if gy.shape != ws.activations[last].shape:

@@ -24,15 +24,11 @@ import numpy as np
 
 from .checkpoint import alias_checkpoint, load_checkpoint, save_checkpoint
 from .config import TRAINABLE_STRATEGIES, ExperimentConfig
-from .curriculum import (
-    BehaviorPhase,
-    behavior_for_epoch,
-    scripted_action,
-    velocity_at_epoch,
-)
+from .curriculum import BehaviorPhase, behavior_for_epoch, velocity_at_epoch
 from .ddpg import TeamLearner, make_team
 from .environment import reset, step, strategy_observation
 from .errors import CheckpointIntegrityError, ConfigError, SchemaVersionError
+from .pursuit import greedy_heading
 
 CURVE_SCHEMA = "pursuit-training-curve-v1"
 CURVE_HEADER = "global_epoch,session,epoch,ratio,phase,return,captured,steps"
@@ -106,23 +102,23 @@ def run_episode(
     team.reset_noise()
     ep_return = 0.0
     steps = 0
-    obs = observe(state)[0]
+    obs = observe(state)
     while True:
         if phase is BehaviorPhase.SCRIPTED:
-            headings = scripted_action(state)[0]
+            headings = greedy_heading(state)
         else:
-            headings = np.array(team.act_explore(obs, streams.explore))
-            if (bad := np.flatnonzero(~np.isfinite(headings))).size:
+            headings = team.act_explore(obs, streams.explore)
+            if (bad := np.flatnonzero(~np.isfinite(headings[0]))).size:
                 raise FloatingPointError(
                     f"non-finite heading at global epoch {global_epoch}, step {steps + 1}, "
-                    f"agent {bad[0]}: {float(headings[bad[0]])!r}"
+                    f"agent {bad[0]}: {float(headings[0, bad[0]])!r}"
                 )
-        state, outcome = step(state, headings[None], env_cfg, streams.env)
-        next_obs = observe(state)[0]
+        state, outcome = step(state, headings, env_cfg, streams.env)
+        next_obs = observe(state)
         reward = float(outcome.rewards[0])
         captured = bool(outcome.captured[0])
         # next_obs starts with the headings just taken, (cos, sin); step 0 begins an episode
-        team.buffer.push(reward, next_obs, captured, obs if steps == 0 else None)
+        team.buffer.push(reward, next_obs[0], captured, obs[0] if steps == 0 else None)
         obs = next_obs
         if len(team.buffer) >= batch_size:
             loss = team.critic_update(team.buffer.sample(batch_size, streams.sample))

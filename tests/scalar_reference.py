@@ -432,7 +432,7 @@ def make_policy(strategy, team, policy_rng, pincer_k=1):
     if strategy == "random":
         return lambda s: list(policy_rng.uniform(-np.pi, np.pi, size=len(s.pursuers)))
     observe = observe_partial if strategy == "cd_ddpg_partial" else observe_full
-    return lambda s: team.act(np.array([observe(s, i) for i in range(len(s.pursuers))]))
+    return lambda s: team.act(np.array([observe(s, i) for i in range(len(s.pursuers))])[None])[0]
 
 
 def run_eval(config, ratios, episodes, out_dir, team=None, strategy=None, write_logs=True,

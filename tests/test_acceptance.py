@@ -8,7 +8,9 @@ networks and batches); the gated quantities do not depend on those sizes.
 import itertools
 import json
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -282,19 +284,29 @@ def read_curve(out_dir):
     ]
 
 
-def test_criterion_08_smoke_training_arms(tmp_path):
+def side_by_side(monkeypatch):
+    """Two spawned worker processes with one BLAS thread each, so two runs
+    share two cores without oversubscribing them; no byte depends on the
+    BLAS thread count."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    return ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"))
+
+
+def test_criterion_08_smoke_training_arms(tmp_path, monkeypatch):
     start = time.time()
+    with side_by_side(monkeypatch) as pool:
+        arms = [pool.submit(run_training, smoke_config(arm, seed=0), out_dir=tmp_path / name)
+                for arm, name in (("no_curriculum", "none"), ("cd", "cd"))]
+        none_out, cd_out = (arm.result(timeout=1800) for arm in arms)
     # No-Curriculum arm: flat-line at exactly -20.0 per epoch, zero captures
-    out = run_training(smoke_config("no_curriculum", seed=0), out_dir=tmp_path / "none")
-    rows = read_curve(out)
+    rows = read_curve(none_out)
     assert len(rows) == 300
     assert all(r["captured"] == 0 for r in rows)
     assert all(abs(r["ret"] + 20.0) < 1e-9 for r in rows)
     assert all(r["steps"] == 200 for r in rows)
 
     # CD arm: positive mean return during scripted warm-up, captures afterwards
-    out = run_training(smoke_config("cd", seed=0), out_dir=tmp_path / "cd")
-    rows = read_curve(out)
+    rows = read_curve(cd_out)
     warm = [r for r in rows if r["phase"] == "scripted"]
     post = [r for r in rows if r["phase"] == "learned"]
     assert warm and post
@@ -311,15 +323,17 @@ def test_criterion_08_smoke_training_arms(tmp_path):
     )
 
 
-def test_criterion_09_training_determinism(tmp_path):
+def test_criterion_09_training_determinism(tmp_path, monkeypatch):
     from torus_pursuit.cli import main
 
     start = time.time()
     cfg = smoke_config("cd", seed=7, epochs=30)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
-    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
-    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
+    with side_by_side(monkeypatch) as pool:
+        runs = [pool.submit(main, ["train", "--config", str(cfg_path), "--out", str(tmp_path / d)])
+                for d in "ab"]
+        assert [run.result(timeout=600) for run in runs] == [0, 0]
     a = (tmp_path / "a" / "training_curve.csv").read_bytes()
     b = (tmp_path / "b" / "training_curve.csv").read_bytes()
     assert a == b

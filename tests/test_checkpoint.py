@@ -271,8 +271,8 @@ def test_save_load_identity(agents, fill, strategy, actor_hidden, critic_hidden,
     assert (*got_position, states) == (*position, RNG_STATES)
     assert_same_team(team, loaded)
     assert_same_team(team, from_v1, bits=kind != "nan_payload")  # JSON drops NaN payloads
-    obs = np.random.default_rng(seed).standard_normal((agents, team.obs_dim))
-    assert loaded.act(obs) == team.act(obs) == from_v1.act(obs)
+    obs = np.random.default_rng(seed).standard_normal((1, agents, team.obs_dim))
+    assert loaded.act(obs).tolist() == team.act(obs).tolist() == from_v1.act(obs).tolist()
 
 
 def test_wrapped_example_is_a_full_ring():

@@ -463,7 +463,8 @@ class TestEvalCommand:
                     self.agents.append(agent)
 
             def act(self, obs):
-                return [agent.act(obs[i : i + 1])[0] for i, agent in enumerate(self.agents)]
+                return np.concatenate([agent.act(obs[:, i : i + 1])
+                                       for i, agent in enumerate(self.agents)], axis=1)
 
         lone = tmp_path / "lone"
         run_eval(config, [1.1, 0.9], 4, lone, team=LoneAgents())

@@ -392,8 +392,8 @@ class TestCheckpointRoundTrip:
         assert len(got.buffer) == len(learner.buffer)
         assert got.adam_critic.step == learner.adam_critic.step
         # identical behavior after reload
-        obs = np.random.default_rng(7).standard_normal((1, 4))
-        assert learner.act(obs) == got.act(obs)
+        obs = np.random.default_rng(7).standard_normal((1, 1, 4))
+        assert learner.act(obs).tolist() == got.act(obs).tolist()
 
     def test_digest_mismatch_rejected(self, tmp_path):
         cfg = self.CONFIG

@@ -1,9 +1,7 @@
 """Velocity annealing schedule and behavior-phase switching."""
 
-import math
 from itertools import product
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,14 +11,10 @@ from torus_pursuit.curriculum import (
     SessionPlan,
     SessionSpec,
     VelocitySchedule,
-    ablation_plan,
     behavior_for_epoch,
     chained_plan,
-    scripted_action,
     velocity_at_epoch,
 )
-from torus_pursuit.environment import make_state
-from torus_pursuit.pursuit import greedy_heading
 
 
 class TestVelocitySchedule:
@@ -30,6 +24,9 @@ class TestVelocitySchedule:
         assert velocity_at_epoch(s, 7_500) == pytest.approx(0.8, abs=1e-12)
         assert velocity_at_epoch(s, 15_000) == pytest.approx(0.4, abs=1e-12)
         assert velocity_at_epoch(s, 22_500) == pytest.approx(0.4, abs=1e-12)
+        # a constant schedule stays at its ratio forever
+        for i in (0, 100, 10_000):
+            assert velocity_at_epoch(VelocitySchedule(0.7, 0.7, 15_000), i) == 0.7
 
     def test_piecewise_linear_monotone_then_constant(self):
         s = VelocitySchedule(1.2, 0.4, 200)
@@ -52,18 +49,6 @@ class TestVelocitySchedule:
             VelocitySchedule(0.0, 0.5, 10)
         with pytest.raises(ValueError):
             VelocitySchedule(1.0, 0.5, 0)
-
-
-class TestScriptedAction:
-    def test_due_north(self):
-        state = make_state([(0.5, 0.2)], (0.5, 0.5))
-        assert scripted_action(state)[0, 0] == pytest.approx(math.pi / 2)
-
-    def test_equals_greedy_on_random_states(self):
-        rng = np.random.default_rng(3)
-        xy = rng.uniform(0, 1, (1000, 4))
-        state = make_state(xy[:, None, :2], xy[:, 2:])
-        assert np.array_equal(scripted_action(state), greedy_heading(state))
 
 
 class TestBehaviorPhase:
@@ -144,28 +129,3 @@ def test_position_walks_the_plan(lengths):
         assert not any(plan.holds_position(*t) for t in (
             (float(s), e, g), (s, float(e), g), (s, e, float(g)), (s, e, str(g))))
     assert not plan.holds_position(False, False, False)
-
-
-class TestAblationArms:
-    def test_four_arms_exist(self):
-        full = ablation_plan("full")
-        assert full.warmup_epochs == 1000 and full.sessions[0].v0 == 1.2
-
-        no_behavioral = ablation_plan("no_behavioral")
-        assert no_behavioral.warmup_epochs == 0
-        assert no_behavioral.sessions[0].v0 == 1.2
-
-        no_velocity = ablation_plan("no_velocity")
-        assert no_velocity.sessions[0].v0 == no_velocity.sessions[0].v_target == 0.7
-        assert no_velocity.warmup_epochs == 1000
-
-        none = ablation_plan("no_curriculum")
-        assert none.sessions[0].v0 == none.sessions[0].v_target == 0.7
-        assert none.warmup_epochs == 0
-        # a constant schedule stays at 0.7 forever
-        for i in (0, 100, 10_000):
-            assert velocity_at_epoch(none.sessions[0].schedule, i) == pytest.approx(0.7)
-
-    def test_unknown_arm(self):
-        with pytest.raises(ValueError):
-            ablation_plan("bogus")

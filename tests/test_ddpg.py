@@ -50,13 +50,13 @@ def head(rows, noise=None, seed=0, **kw):
     actors' raw outputs are ``rows`` (n, 2) and its noise starts from
     ``noise``; and the noise rows act_explore used."""
     team = make_learner(n=len(rows), **kw)
-    team._raw_actions = lambda obs: np.array(rows, dtype=np.float64)
+    team._raw_actions = lambda obs: np.array(rows, dtype=np.float64)[None]
     if noise is not None:
         team.noise = np.array(noise, dtype=np.float64)
-    obs = np.zeros((len(rows), 4))
-    acted = team.act(obs)
+    obs = np.zeros((1, len(rows), 4))
+    acted = team.act(obs)[0].tolist()
     explored = team.act_explore(obs, [np.random.default_rng(seed + i) for i in range(len(rows))])
-    return acted, explored, team.noise
+    return acted, explored[0].tolist(), team.noise
 
 
 # raw outputs where the rounding of a row's norm decides, or no norm exists
@@ -105,10 +105,44 @@ class TestActionHead:
         assert same_bits(np.array(acted), np.array(want[0]))
         assert same_bits(np.array(explored), np.array(want[1]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_batched_act_matches_each_episode_alone(self, data):
+        # one row-wise forward pass over E episodes gives each episode the
+        # raw outputs and headings of its own E=1 call, and of the one-row
+        # (n, 1, obs_dim) batch, whatever E, the widths and the team size
+        n = data.draw(st.integers(1, 8), label="n")
+        episodes = data.draw(st.one_of(st.sampled_from([2, 3, 5, 31, 127, 211, 293]),
+                                       st.integers(1, 300)), label="E")
+        obs_dim = data.draw(st.integers(2, 130), label="obs_dim")
+        hidden = data.draw(st.lists(st.integers(1, 130), min_size=1, max_size=2), label="hidden")
+        values = data.draw(st.lists(head_value, min_size=1, max_size=12), label="values")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        team = make_learner(obs_dim, tuple(hidden), (4,), seed=seed, n=n)
+        obs = np.random.default_rng(seed).choice(values, size=(episodes, n, obs_dim))
+        with np.errstate(all="ignore"):  # overflowing and NaN rows are drawn on purpose
+            raw = team._raw_actions(obs).copy()
+            headings = team.act(obs)
+            for e in range(episodes):
+                assert same_bits(team._raw_actions(obs[e : e + 1])[0], raw[e])
+                assert same_bits(team.act(obs[e : e + 1])[0], headings[e])
+            one_row, _ = forward(team.actor, obs[0][:, None])
+        assert headings.shape == (episodes, n)
+        assert same_bits(one_row[:, 0], raw[0])
+
     def test_act_deterministic(self):
         learner = make_learner()
-        obs = np.array([[0.1, -0.2, 0.3, 0.4]])
-        assert learner.act(obs) == learner.act(obs)
+        obs = np.array([[[0.1, -0.2, 0.3, 0.4]]])
+        assert learner.act(obs).tolist() == learner.act(obs).tolist()
+
+    def test_act_refuses_rows_of_another_shape(self):
+        learner = make_learner()
+        for obs in (np.zeros((1, 4)), np.zeros((1, 2, 4)), np.zeros((3, 1, 5))):
+            with pytest.raises(ValueError, match=r"want \(episodes, 1, 4\)"):
+                learner.act(obs)
+        # one noise process per agent explores one episode
+        with pytest.raises(ValueError, match="explores one episode, not 2"):
+            learner.act_explore(np.zeros((2, 1, 4)), [np.random.default_rng(0)])
 
     def test_transition_rejects_non_unit_action(self):
         # the action is the heading columns of the next observation
@@ -157,9 +191,9 @@ class TestActionHead:
 class TestExploration:
     def test_zero_sigma_matches_act(self):
         learner = make_learner(sigma_ou=0.0)
-        obs = np.array([[0.5, 0.5, -0.5, 0.2]])
+        obs = np.array([[[0.5, 0.5, -0.5, 0.2]]])
         rng = np.random.default_rng(3)
-        assert learner.act_explore(obs, [rng]) == learner.act(obs)
+        assert learner.act_explore(obs, [rng]).tolist() == learner.act(obs).tolist()
 
     def test_noise_long_run_mean_near_zero(self):
         team = make_learner(n=2, theta_ou=0.15, sigma_ou=0.2)
@@ -190,19 +224,19 @@ class TestExploration:
 
     def test_noise_reset(self):
         team = make_learner(n=2)
-        team.act_explore(np.zeros((2, 4)), [np.random.default_rng(0)] * 2)
+        team.act_explore(np.zeros((1, 2, 4)), [np.random.default_rng(0)] * 2)
         assert not np.array_equal(team.noise, np.zeros((2, 2)))
         team.reset_noise()
         assert np.array_equal(team.noise, np.zeros((2, 2)))
 
     def test_same_seed_same_action_sequence(self):
         learner = make_learner()
-        obs = np.array([[0.1, 0.2, 0.3, 0.4]])
+        obs = np.array([[[0.1, 0.2, 0.3, 0.4]]])
 
         def sequence(seed):
             learner.reset_noise()
             rng = np.random.default_rng(seed)
-            return [learner.act_explore(obs, [rng]) for _ in range(20)]
+            return [learner.act_explore(obs, [rng]).tolist() for _ in range(20)]
 
         assert sequence(5) == sequence(5)
         assert sequence(5) != sequence(6)
@@ -605,10 +639,10 @@ class TestDecentralization:
                 for a in per_agent[i]:
                     assert not any(np.shares_memory(a, b) for b in per_agent[j])
         # mutating one agent leaves the others' outputs unchanged
-        obs = rng.standard_normal((3, 4))
-        before = team.act(obs)
+        obs = rng.standard_normal((1, 3, 4))
+        before = team.act(obs)[0].tolist()
         team.actor.weights[0][0][...] = 7.0
-        assert team.act(obs)[1:] == before[1:]
+        assert team.act(obs)[0].tolist()[1:] == before[1:]
 
     def test_off_policy_batches_train_without_error(self):
         # transitions generated by an arbitrary scripted behavior policy
@@ -660,13 +694,13 @@ class TestBanditConvergence:
             # the action is the heading the next observation starts with
             next_obs = np.concatenate((heading_to_vector(theta), obs[0, 2:]))[None]
             learner.buffer.push(reward(theta), next_obs, True, obs=obs)
-        before = reward(learner.act(obs)[0])
+        before = reward(learner.act(obs[None])[0, 0])
         for _ in range(2000):
             batch = learner.buffer.sample(64, [rng])
             learner.critic_update(batch)
             learner.actor_update(batch)
             learner.soft_update_targets()
-        after = reward(learner.act(obs)[0])
+        after = reward(learner.act(obs[None])[0, 0])
         assert after > before
         assert after > 0.9  # ends close to the optimum
 
@@ -746,20 +780,22 @@ class TestScratch:
                 batches = [team.buffer.sample(rows, [np.random.default_rng(s) for s in seeds])
                            for _ in range(2)]
                 losses, mean_qs = update(team, *batches)
-                headings = team.act(obs)
+                headings = team.act(obs[None])[0].tolist()
                 if step == 2:
                     team.reset_noise()
-                explored = team.act_explore(obs, [np.random.default_rng(s) for s in seeds])
+                explored = team.act_explore(obs[None], [np.random.default_rng(s) for s in seeds])
+                explored = explored[0].tolist()
                 for i, agent in enumerate(lone):
                     alone = agent.buffer.sample(rows, [np.random.default_rng(seeds[i])])
                     assert np.array_equal(alone.obs, batches[0].obs[i : i + 1])
                     loss, mean_q = update(agent, *(agent_slice(b, i) for b in batches))
                     assert (loss[0], mean_q[0]) == (losses[i], mean_qs[i])
-                    assert agent.act(obs[i : i + 1]) == headings[i : i + 1]
+                    assert agent.act(obs[None, i : i + 1])[0].tolist() == headings[i : i + 1]
                     if step == 2:
                         agent.reset_noise()
                     rng = [np.random.default_rng(seeds[i])]
-                    assert agent.act_explore(obs[i : i + 1], rng) == explored[i : i + 1]
+                    own = agent.act_explore(obs[None, i : i + 1], rng)[0].tolist()
+                    assert own == explored[i : i + 1]
                     assert np.array_equal(agent.noise[0].view(np.uint64),
                                           team.noise[i].view(np.uint64))
             for i, agent in enumerate(lone):

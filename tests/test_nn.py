@@ -195,9 +195,24 @@ class TestForward:
             single, _ = forward(params, xs[:, r : r + 1])
             assert np.allclose(batch[:, r : r + 1], single, atol=1e-15)
 
+    def test_row_wise_rows_keep_the_bits_of_one_row_alone(self):
+        # (n, rows, 1, in) runs each row through the kernel a 1-row batch takes
+        rng = np.random.default_rng(5)
+        params = stack([5, 33, 2], rng, agents=3)
+        xs = rng.standard_normal((3, 40, 1, 5))
+        rows, cache = forward(params, xs)
+        assert rows.shape == (3, 40, 1, 2)
+        for r in range(40):
+            single, _ = forward(params, xs[:, r])
+            assert np.array_equal(rows[:, r].view(np.uint64), single.view(np.uint64))
+        # the row-wise form feeds no backward pass
+        with pytest.raises(ValueError, match="no .agents, rows, in. forward pass"):
+            backward(params, cache, np.ones((3, 40, 1, 2)))
+
     def test_dimension_mismatch(self):
         params = stack([5, 7, 2], np.random.default_rng(0), agents=2)
-        for x in (np.zeros((2, 1, 4)), np.zeros((3, 1, 5)), np.zeros((2, 5)), np.zeros(5)):
+        for x in (np.zeros((2, 1, 4)), np.zeros((3, 1, 5)), np.zeros((2, 5)), np.zeros(5),
+                  np.zeros((2, 3, 2, 5)), np.zeros((2, 3, 1, 4))):
             with pytest.raises(ValueError, match="not .agents, rows, in."):
                 forward(params, x)
 

@@ -39,6 +39,9 @@ class TestGreedy:
     def test_due_east(self):
         assert angular_close(greedy_one((0.0, 0.0), (0.2, 0.0)), 0.0)
 
+    def test_due_north(self):
+        assert greedy_one((0.5, 0.2), (0.5, 0.5)) == pytest.approx(math.pi / 2)
+
     def test_wraps_left(self):
         assert angular_close(greedy_one((0.05, 0.5), (0.95, 0.5)), math.pi)
 

@@ -397,12 +397,15 @@ def save_checkpoint(
     path: str | Path,
     config: ExperimentConfig,
     team: TeamLearner,
-    session: int,
-    epoch: int,
     global_epoch: int,
     rng_states: dict[str, Any],
 ) -> None:
-    """Writes the sidecar, then the manifest, each via a temp file and replace."""
+    """Writes the sidecar, then the manifest, each via a temp file and replace.
+
+    ``global_epoch`` is the next epoch to train; the manifest's session and
+    epoch are its ``position`` in the config's plan.
+    """
+    session, epoch = config.curriculum.position(global_epoch)
     target = Path(path)
     sidecar = sidecar_path(target)
     buf = team.buffer

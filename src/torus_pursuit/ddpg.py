@@ -256,8 +256,9 @@ class _Scratch(NamedTuple):
     """Buffers one update borrows: actor and critic workspaces, critic input.
 
     Online and target networks share a workspace; each result is consumed
-    before the next forward. The two workspaces share the gradient and
-    input-gradient buffers, since one backward pass runs at a time.
+    before the next forward. ``Workspace.sharing`` lends the two workspaces
+    one gradient and one input-gradient buffer, since one backward pass runs
+    at a time.
     """
 
     actor: Workspace
@@ -309,8 +310,8 @@ class TeamLearner:
 
     def _scratch(self, rows: int) -> _Scratch:
         if self._update is None or self._update.critic_input.shape[1] != rows:
-            actor = Workspace(self.actor.layer_sizes, rows, self.n)
-            critic = Workspace(self.critic.layer_sizes, rows, self.n, shared=actor)
+            actor, critic = Workspace.sharing(
+                (self.actor.layer_sizes, self.critic.layer_sizes), rows, self.n)
             critic_input = np.empty((self.n, rows, self.obs_dim + ACTION_DIM))
             self._update = _Scratch(actor, critic, critic_input)
         return self._update

@@ -78,9 +78,9 @@ def rollout(
     env_cfg: EnvConfig,
     policy: HeadingPolicy,
     env_rng: np.random.Generator,
-    episodes: int = 1,
-    first: int = 0,
-    write: EpisodeWriter | None = None,
+    episodes: int,
+    first: int,
+    write: EpisodeWriter,
 ) -> np.ndarray:
     """Roll `episodes` frozen episodes, numbered from `first`, in lockstep
     from fresh spawns; returns whether each was captured, (E,).
@@ -116,9 +116,8 @@ def rollout(
             active = active[~done]
             state = state.select(~done)
         elif t + 1 == span:  # a batch of one whose episode outlasts its buffer
-            if write is not None:
-                write(first, poses=poses[0], rewards=rewards[0], captured=False,
-                      first_step=written + 1)
+            write(first, poses=poses[0], rewards=rewards[0], captured=False,
+                  first_step=written + 1)
             written += span
     if spawned is not None and env_rng.bit_generator.state != spawned:
         # An evader drew from the stream mid-batch; one-at-a-time rollouts
@@ -126,10 +125,9 @@ def rollout(
         env_rng.bit_generator.state = saved
         return np.concatenate([rollout(env_cfg, policy, env_rng, 1, first + j, write)
                                for j in range(episodes)])
-    if write is not None:
-        for j, t in enumerate((steps - written).tolist()):
-            write(first + j, poses=poses[j, :t], rewards=rewards[j, :t],
-                  captured=bool(captured[j]), first_step=written + 1)
+    for j, t in enumerate((steps - written).tolist()):
+        write(first + j, poses=poses[j, :t], rewards=rewards[j, :t],
+              captured=bool(captured[j]), first_step=written + 1)
     return captured
 
 
@@ -165,7 +163,6 @@ def run_eval(
     out_dir: str | Path,
     team: TeamLearner | None = None,
     strategy: str | None = None,
-    write_logs: bool = True,
 ) -> dict[float, float]:
     """Sweep the given ratios; returns {ratio: success_rate}.
 
@@ -190,21 +187,13 @@ def run_eval(
         policy = make_policy(strategy, team, np.random.default_rng(children[1]),
                              config.run.pincer_k)
         batch = lockstep_batch(env_cfg, strategy, episodes)
-        writer = (
-            TrajectoryWriter(out / f"trajectories_ratio_{ratio_label(ratio)}.csv")
-            if write_logs
-            else None
-        )
-        write = None if writer is None else functools.partial(writer.write_episode, ratio=ratio)
         captures = 0
-        try:
+        with TrajectoryWriter(out / f"trajectories_ratio_{ratio_label(ratio)}.csv") as writer:
+            write = functools.partial(writer.write_episode, ratio=ratio)
             for start in range(0, episodes, batch):
                 rolled = rollout(env_cfg, policy, env_rng, min(batch, episodes - start), start,
                                  write)
                 captures += int(rolled.sum())
-        finally:
-            if writer is not None:
-                writer.close()
         rate = captures / episodes
         results[ratio] = rate
         rows.append((ratio, episodes, captures, rate))

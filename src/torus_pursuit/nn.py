@@ -30,20 +30,22 @@ here (bias sums, per-layer sums of squares) runs along an axis within one
 agent's slice.
 
 The update path allocates nothing large. A ``Workspace`` holds the buffers
-for one layer layout at one agent and row count: one arena with every
-layer's activation, the parameter gradient, and one input-gradient buffer
-that every layer of a backward pass reuses. ``forward`` writes each layer's
+for one layer layout at one agent and row count, all made when it is built:
+one arena with every layer's activation, the parameter gradient, and one
+input-gradient buffer that every layer of a backward pass reuses.
+``Workspace.sharing`` lends networks whose backward passes take turns one
+gradient and one input-gradient buffer. ``forward`` writes each layer's
 ``h @ W.T + b`` into its activation and applies ReLU in place; ``backward``
 overwrites each activation with its ``dz`` (the ReLU derivative is taken
 from the activated value) and writes the weight gradients into views of the
 gradient. Once a backward pass is done the activations are dead, so the two
 parameter-sized temporaries of ``clip_global_norm``, ``adam_step`` and
-``polyak_update`` are views into the same arena. Those three update their
-arrays in place and return the same objects. Every result that lives in a
-workspace is valid until that workspace's next call; without a workspace
-each call builds a private one. The in-place arithmetic keeps each operation
-and its operand order, so the bits equal those of the fresh-array
-expressions in the docstrings.
+``polyak_update`` are views into the same arena, which is sized for the
+larger of the two uses. Those three update their arrays in place and return
+the same objects. Every result that lives in a workspace is valid until that
+workspace's next call; without a workspace each call builds a private one.
+The in-place arithmetic keeps each operation and its operand order, so the
+bits equal those of the fresh-array expressions in the docstrings.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @functools.lru_cache(maxsize=32)
@@ -118,93 +124,51 @@ def mlp_init(layer_sizes: Sequence[int], rng: np.random.Generator) -> np.ndarray
     return flat
 
 
-class _Pool:
-    """The gradient and input-gradient buffers that workspaces sharing it use in turn.
-
-    Each buffer is flat and made on first use, at the largest size any
-    sharing workspace reserved.
-    """
-
-    def __init__(self) -> None:
-        self.sizes = {"gradient": 0, "input_gradient": 0}
-        self.buffers: dict[str, np.ndarray] = {}
-
-    def reserve(self, name: str, size: int) -> None:
-        self.sizes[name] = max(self.sizes[name], size)
-
-    def get(self, name: str) -> np.ndarray:
-        buf = self.buffers.get(name)
-        if buf is None or buf.size < self.sizes[name]:
-            buf = self.buffers[name] = np.empty(self.sizes[name])
-        return buf
-
-
 class Workspace:
-    """Reusable buffers for one layer layout, run by a stack of ``agents``
-    networks on ``rows`` input rows each.
+    """The buffers for one layer layout, run by a stack of ``agents`` networks
+    on ``rows`` input rows each, all made here.
 
-    The gradient and the input-gradient buffer are made on first use, so a
-    workspace that only runs ``forward`` never holds them. A workspace built
-    with ``shared`` uses the gradient and input-gradient buffers of that one
-    (any layout, row and agent count).
+    ``activations`` and the two parameter-sized ``temporaries`` are views of
+    one arena, sized for the larger of the two. ``gradient`` is laid out like
+    ``flat``, with its per-layer ``gradient_weights`` and ``gradient_biases``
+    views, and ``input_gradients`` are per-layer views of one flat buffer. The
+    workspace makes those two flat buffers, or is lent them (see ``sharing``).
     """
 
     def __init__(
         self, layer_sizes: Sequence[int], rows: int, agents: int,
-        shared: Workspace | None = None,
+        gradient_buffer: np.ndarray | None = None,
+        input_gradient_buffer: np.ndarray | None = None,
     ):
-        self.layer_sizes = tuple(layer_sizes)
+        self.layer_sizes = sizes = tuple(layer_sizes)
         self.rows = rows
         self.agents = agents
-        self._vector_shape = (agents, _layout(self.layer_sizes)[1][-1])
-        self._arena = np.empty(agents * rows * sum(self.layer_sizes[1:]))
-        self._view_activations()
         self.inputs: np.ndarray | None = None
-        self._pool = _Pool() if shared is None else shared._pool
-        self._pool.reserve("gradient", math.prod(self._vector_shape))
-        self._pool.reserve("input_gradient", agents * rows * max(self.layer_sizes[:-1]))
-        self._gradient: tuple | None = None
-        self._input_gradients: tuple | None = None
-        self._temporaries: tuple[np.ndarray, np.ndarray] | None = None
+        shape = (agents, _layout(sizes)[1][-1])
+        params, size = math.prod(shape), agents * rows
+        bounds = [0, *accumulate(sizes[1:])]
+        arena = np.empty(max(size * bounds[-1], 2 * params))
+        self.activations = [arena[a * size : b * size].reshape(agents, rows, b - a)
+                            for a, b in zip(bounds, bounds[1:])]
+        self.temporaries = (arena[:params].reshape(shape),
+                            arena[params : 2 * params].reshape(shape))
+        if gradient_buffer is None:
+            gradient_buffer = np.empty(params)
+        self.gradient = gradient_buffer[:params].reshape(shape)
+        self.gradient_weights, self.gradient_biases = _layer_views(sizes, self.gradient)
+        if input_gradient_buffer is None:
+            input_gradient_buffer = np.empty(size * max(sizes[:-1]))
+        self.input_gradients = [input_gradient_buffer[: size * n].reshape(agents, rows, n)
+                                for n in sizes[:-1]]
 
-    def _view_activations(self) -> None:
-        bounds = [0, *accumulate(self.layer_sizes[1:])]
-        size = self.agents * self.rows
-        self.activations = [
-            self._arena[a * size : b * size].reshape(self.agents, self.rows, b - a)
-            for a, b in zip(bounds, bounds[1:])
-        ]
-
-    def gradient(self) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """The parameter gradient laid out like ``flat``, and its weight and bias views."""
-        buf = self._pool.get("gradient")
-        if self._gradient is None or self._gradient[0] is not buf:
-            vec = buf[: math.prod(self._vector_shape)].reshape(self._vector_shape)
-            self._gradient = (buf, vec, *_layer_views(self.layer_sizes, vec))
-        return self._gradient[1:]
-
-    def input_gradients(self) -> list[np.ndarray]:
-        """Per layer, the gradient with respect to that layer's input: views of one buffer."""
-        buf = self._pool.get("input_gradient")
-        if self._input_gradients is None or self._input_gradients[0] is not buf:
-            size = self.agents * self.rows
-            views = [buf[: size * n].reshape(self.agents, self.rows, n)
-                     for n in self.layer_sizes[:-1]]
-            self._input_gradients = (buf, views)
-        return self._input_gradients[1]
-
-    def temporaries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two parameter-sized arrays in the activation arena, which they overwrite."""
-        if self._temporaries is None:
-            size = math.prod(self._vector_shape)
-            if self._arena.size < 2 * size:
-                self._arena = np.empty(2 * size)
-                self._view_activations()
-            self._temporaries = (
-                self._arena[:size].reshape(self._vector_shape),
-                self._arena[size : 2 * size].reshape(self._vector_shape),
-            )
-        return self._temporaries
+    @classmethod
+    def sharing(cls, layouts: Sequence[Sequence[int]], rows: int, agents: int) -> list[Workspace]:
+        """One workspace per layout, all lent one gradient buffer and one
+        input-gradient buffer, each as large as the largest layout needs: for
+        networks whose backward passes never overlap."""
+        gradient = np.empty(max(agents * _layout(tuple(s))[1][-1] for s in layouts))
+        input_gradient = np.empty(max(agents * rows * max(s[:-1]) for s in layouts))
+        return [cls(s, rows, agents, gradient, input_gradient) for s in layouts]
 
 
 def _workspace(params: MlpParams, ws: Workspace | None, rows: int = 1) -> Workspace:
@@ -283,10 +247,7 @@ def backward(
         raise ValueError(
             f"output gradient shape {gy.shape} != output shape {ws.activations[last].shape}"
         )
-    grads = None
-    if parameter_gradient:
-        grads, g_weights, g_biases = ws.gradient()
-    input_gradients = ws.input_gradients()
+    grads = ws.gradient if parameter_gradient else None
     grad = gy
     for i in range(last, -1, -1):
         # dz = grad * f'(z) into the activation: the identity's is grad itself,
@@ -300,10 +261,10 @@ def backward(
             dz *= grad
         if grads is not None:
             h_in = ws.inputs if i == 0 else ws.activations[i - 1]
-            np.matmul(dz.swapaxes(-1, -2), h_in, out=g_weights[i])
-            np.add.reduce(dz, axis=-2, out=g_biases[i])
+            np.matmul(dz.swapaxes(-1, -2), h_in, out=ws.gradient_weights[i])
+            np.add.reduce(dz, axis=-2, out=ws.gradient_biases[i])
         if i > 0 or input_gradient:
-            grad = np.matmul(dz, params.weights[i], out=input_gradients[i])
+            grad = np.matmul(dz, params.weights[i], out=ws.input_gradients[i])
     return grads, grad if input_gradient else None
 
 
@@ -319,7 +280,7 @@ def clip_global_norm(
     if not max_norm > 0.0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
     _check_vector(params, grads)
-    squares = _workspace(params, ws).temporaries()[0]
+    squares = _workspace(params, ws).temporaries[0]
     np.multiply(grads, grads, out=squares)
     bounds = _layout(params.layer_sizes)[1]
     sums = [np.add.reduce(squares[:, a:b], axis=-1) for a, b in zip(bounds, bounds[1:])]
@@ -334,19 +295,18 @@ def adam_step(
     grads: np.ndarray,
     state: AdamState,
     learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     ws: Workspace | None = None,
 ) -> tuple[MlpParams, AdamState]:
     """Bias-corrected adaptive-moment descent step, in place.
 
     m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g**2, then
-    flat -= lr * (m / c1) / (sqrt(v / c2) + eps). Returns (params, state).
-    A stack's agents share the step count.
+    flat -= lr * (m / c1) / (sqrt(v / c2) + eps), with beta1, beta2 and eps
+    the ``ADAM_*`` constants. Returns (params, state). A stack's agents share
+    the step count.
     """
     _check_vector(params, grads)
-    scaled, root = _workspace(params, ws).temporaries()
+    scaled, root = _workspace(params, ws).temporaries
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     t = state.step + 1
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
@@ -377,7 +337,7 @@ def polyak_update(
         raise ValueError(f"tau must be in [0, 1], got {tau}")
     if target.layer_sizes != online.layer_sizes or target.flat.shape != online.flat.shape:
         raise ValueError("target and online networks are not shape-congruent")
-    scaled = _workspace(target, ws).temporaries()[0]
+    scaled = _workspace(target, ws).temporaries[0]
     np.multiply(online.flat, tau, out=scaled)
     target.flat *= 1.0 - tau
     target.flat += scaled

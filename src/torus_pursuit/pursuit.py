@@ -137,18 +137,16 @@ def _replica_offsets(k: int) -> np.ndarray:
     return np.ascontiguousarray(grid.T)
 
 
-def pincer_selection(
-    state: WorldState, k: int = 1, balance_tie_band: float = BALANCE_TIE_BAND
-) -> ReplicaSelection:
+def pincer_selection(state: WorldState, k: int = 1) -> ReplicaSelection:
     """Exhaustive max-min over all (2k+1)^(2n) joint replica selections, per
     episode of `state`.
 
-    Selections within balance_tie_band * (total threat weight) of the maximal
+    Selections within BALANCE_TIE_BAND * (total threat weight) of the maximal
     objective tie; ties prefer the smallest total replica-evader distance and
     then the lexicographically smallest replica index tuple. Grids larger
-    than MAX_PINCER_CELLS and a negative or NaN band raise ValueError before
-    anything is allocated. A pursuer on the evader, or so close that its
-    threat weight overflows, raises SingularityError.
+    than MAX_PINCER_CELLS raise ValueError before anything is allocated. A
+    pursuer on the evader, or so close that its threat weight overflows,
+    raises SingularityError.
 
     Episodes are enumerated in blocks whose joint grids hold at most
     PINCER_BLOCK_CELLS cells (one episode per block when a single grid is
@@ -156,8 +154,6 @@ def pincer_selection(
     """
     e_count, n = state.episodes, state.n
     check_pincer_grid(n, k)
-    if not balance_tie_band >= 0.0:
-        raise ValueError(f"balance tie band must be >= 0, got {balance_tie_band}")
     m = (2 * k + 1) ** 2
     rest = m ** (n - 1)  # joint selections of the first n-1 pursuers
     block = max(1, PINCER_BLOCK_CELLS // (m * rest))
@@ -192,7 +188,7 @@ def pincer_selection(
     objective_value = np.empty(e_count)
     total_distance = np.empty(e_count)
     # width of each episode's tie band, in objective units
-    band = balance_tie_band * total_weight
+    band = BALANCE_TIE_BAND * total_weight
     full = _pincer_grids((block, m, rest))
     head_store = full[2].reshape(-1)
     for start in range(0, e_count, block):
@@ -296,11 +292,9 @@ def _pincer_grids(shape: tuple[int, ...]) -> np.ndarray:
     return np.empty((3,) + shape)
 
 
-def pincer_headings(
-    state: WorldState, k: int = 1, balance_tie_band: float = BALANCE_TIE_BAND
-) -> np.ndarray:
+def pincer_headings(state: WorldState, k: int = 1) -> np.ndarray:
     """Headings (E, n): each pursuer runs from its selected replica toward the evader."""
-    idx = pincer_selection(state, k, balance_tie_band).replica_index_per_pursuer
+    idx = pincer_selection(state, k).replica_index_per_pursuer
     ox, oy = _replica_offsets(k)
     d = np.empty(idx.shape + (2,))
     d[..., 0] = state.evader[:, None, 0] - (state.pursuers[..., 0] + ox[idx])

@@ -171,9 +171,10 @@ def run_training(
     last epoch is a snapshot epoch, that snapshot is written once: its
     manifest equals checkpoint.json and names checkpoint.npz as its sidecar,
     so no checkpoint_epoch{N}.npz is written (a stale one is removed), and
-    deleting or overwriting checkpoint.npz breaks that snapshot. A resume
-    into a directory that already holds a curve keeps its rows before the
-    checkpoint's global epoch and continues after them.
+    deleting or overwriting checkpoint.npz breaks that snapshot; a resume
+    from the plan's end writes both again. A resume into a directory that
+    already holds a curve keeps its rows before the checkpoint's global
+    epoch and continues after them.
     """
     if config.run.strategy not in TRAINABLE_STRATEGIES:
         raise ConfigError(
@@ -194,7 +195,6 @@ def run_training(
     out.mkdir(parents=True, exist_ok=True)  # after a refused resume, nothing is written
 
     end = sum(session.epochs for session in plan.sessions)
-    final_snapshot: Path | None = None
     curve_path = out / "training_curve.csv"
     earlier_rows = _curve_rows_before(curve_path, start) if resume is not None else ""
     with open(curve_path, "w", newline="") as curve:
@@ -208,18 +208,14 @@ def run_training(
             ep_return, captured, steps = run_episode(config, team, streams, ratio, phase, g)
             curve.write(f"{g},{session},{epoch},{_fmt(ratio)},{phase.value},{_fmt(ep_return)},"
                         f"{1 if captured else 0},{steps}\n")
-            if (g + 1) % config.run.checkpoint_every == 0:
-                snapshot = out / f"checkpoint_epoch{g + 1}.json"
-                if g + 1 == end:
-                    final_snapshot = snapshot  # the plan's last epoch: written below
-                else:
-                    # a resume from this snapshot keeps the rows before it
-                    curve.flush()
-                    save_checkpoint(snapshot, config, team, *plan.position(g + 1), g + 1,
-                                    streams.states())
+            if (g + 1) % config.run.checkpoint_every == 0 and g + 1 < end:
+                # a resume from this snapshot keeps the rows before it
+                curve.flush()
+                save_checkpoint(out / f"checkpoint_epoch{g + 1}.json", config, team, g + 1,
+                                streams.states())
     final = out / "checkpoint.json"
-    save_checkpoint(final, config, team, *plan.position(end), end, streams.states())
-    if final_snapshot is not None:
-        # same session, epochs and streams: the final checkpoint is the snapshot
-        alias_checkpoint(final, final_snapshot)
+    save_checkpoint(final, config, team, end, streams.states())
+    if end % config.run.checkpoint_every == 0:
+        # the plan's last epoch is a snapshot epoch: the final checkpoint is that snapshot
+        alias_checkpoint(final, out / f"checkpoint_epoch{end}.json")
     return out

@@ -110,11 +110,11 @@ def test_criterion_04_analytic_sweep_matches_reference_shape(tmp_path):
     cfg = config_from_dict({"run": {"seed": 2024, "strategy": "greedy"}})
     greedy = run_eval(
         cfg, ratios=[1.1, 1.0, 0.9], episodes=100, out_dir=tmp_path / "acc4_greedy",
-        strategy="greedy", write_logs=False,
+        strategy="greedy",
     )
     pincer = run_eval(
         cfg, ratios=[1.0, 0.7], episodes=100, out_dir=tmp_path / "acc4_pincer",
-        strategy="pincer", write_logs=False,
+        strategy="pincer",
     )
     assert greedy[1.1] >= 0.9
     assert greedy[0.9] <= 0.1

@@ -231,8 +231,8 @@ def test_save_load_identity(agents, fill, strategy, actor_hidden, critic_hidden,
     position = (1, 2, cfg.curriculum.sessions[0].epochs + 2)  # epoch 2 of the second session
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp, "a", "ckpt.json"), Path(tmp, "b", "ckpt.json")
-        save_checkpoint(a, cfg, team, *position, RNG_STATES)
-        save_checkpoint(b, cfg, team, *position, RNG_STATES)
+        save_checkpoint(a, cfg, team, position[2], RNG_STATES)
+        save_checkpoint(b, cfg, team, position[2], RNG_STATES)
         assert sorted(p.name for p in a.parent.iterdir()) == ["ckpt.json", "ckpt.npz"]
         assert a.read_bytes() == b.read_bytes()
         assert sidecar_path(a).read_bytes() == sidecar_path(b).read_bytes()
@@ -275,6 +275,22 @@ def test_save_load_identity(agents, fill, strategy, actor_hidden, critic_hidden,
     assert loaded.act(obs).tolist() == team.act(obs).tolist() == from_v1.act(obs).tolist()
 
 
+def test_saving_at_a_global_epoch_stores_its_position_in_the_plan(tmp_path):
+    # every global epoch of a 3-session plan, its end included, is a position
+    # the reader accepts, and the only one the writer can be asked for
+    cfg = config_from_dict({**json.loads(V2_CONFIG.read_text()), "curriculum": {
+        "warmup_epochs": 1, "sessions": [
+            {"v0": 1.2, "v_target": 1.1, "v_decay": 2, "epochs": 2, "use_scripted_warmup": True},
+            {"v0": 1.1, "v_target": 1.0, "v_decay": 1, "epochs": 1},
+            {"v0": 1.0, "v_target": 0.9, "v_decay": 3, "epochs": 3}]}})
+    plan, team = cfg.curriculum, make_config_team(cfg, np.random.default_rng(0))
+    for g in range(sum(s.epochs for s in plan.sessions) + 1):
+        path = tmp_path / f"checkpoint_epoch{g}.json"
+        save_checkpoint(path, cfg, team, g, RNG_STATES)
+        _, session, epoch, global_epoch, _ = load_checkpoint(path, cfg)
+        assert (session, epoch, global_epoch) == (*plan.position(g), g)
+
+
 def test_wrapped_example_is_a_full_ring():
     _, team = make_team(3, 12, "cd_ddpg_partial", (4,), (4, 3), 5, 0)
     assert (len(team.buffer), team.buffer._next) == (5, 2)
@@ -285,7 +301,7 @@ class TestSidecarIntegrity:
     def saved(self, tmp_path):
         cfg, team = make_team(1, 7, "cd_ddpg", (8,), (8,), 16, 1)
         path = tmp_path / "checkpoint_epoch5.json"
-        save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
+        save_checkpoint(path, cfg, team, 5, RNG_STATES)
         assert sidecar_path(path) == tmp_path / "checkpoint_epoch5.npz"
         return cfg, path, sidecar_path(path)
 
@@ -512,7 +528,7 @@ class TestSchema5Manifest:
     def saved(self, tmp_path):
         cfg, team = make_team(2, 7, "cd_ddpg_partial", (8,), (8,), 16, 1)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
+        save_checkpoint(path, cfg, team, 5, RNG_STATES)
         return cfg, path, json.loads(path.read_text())
 
     @pytest.mark.parametrize("field, value, match", [
@@ -709,7 +725,7 @@ class TestSchema5Ring:
     def saved(self, tmp_path):
         path = tmp_path / "ckpt.json"
         cfg, team = make_team(2, 30, "cd_ddpg_partial", (8,), (8,), 16, 1, chained=True)
-        save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
+        save_checkpoint(path, cfg, team, 5, RNG_STATES)
         with np.load(sidecar_path(path)) as arrays:
             assert 2 <= len(arrays["buffer.ends"]) < 16  # a wrapped ring with a few ends
         return cfg, path
@@ -760,7 +776,7 @@ class TestStateThatCannotTrain:
         values = getattr(getattr(team, owner), moment or "flat")
         values[1, 3] = value
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, team, 0, 5, 5, RNG_STATES)
+        save_checkpoint(path, cfg, team, 5, RNG_STATES)
         return cfg, path, team
 
     @pytest.mark.parametrize("part, value, match", [

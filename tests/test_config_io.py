@@ -380,7 +380,7 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "ckpt.json"
         # epoch 5 of session 2 of the default plan
         global_epoch = sum(s.epochs for s in cfg.curriculum.sessions[:2]) + 5
-        save_checkpoint(path, cfg, learner, 2, 5, global_epoch, rng_states)
+        save_checkpoint(path, cfg, learner, global_epoch, rng_states)
         got, *position, states = load_checkpoint(path, cfg)
         assert position == [2, 5, global_epoch]
         assert states == rng_states
@@ -399,7 +399,7 @@ class TestCheckpointRoundTrip:
         cfg = self.CONFIG
         other = config_from_dict({"env": {"n": 2}})
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, self.make_learner(), 0, 0, 0, {"env": None})
+        save_checkpoint(path, cfg, self.make_learner(), 0, {"env": None})
         with pytest.raises(DigestMismatchError):
             load_checkpoint(path, other)
 
@@ -420,7 +420,7 @@ class TestCheckpointRoundTrip:
         assert cfg.digest() != cfg.legacy_digest()
         learner = self.make_learner()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, learner, 0, 0, 0, {"env": None})
+        save_checkpoint(path, cfg, learner, 0, {"env": None})
         doc = json.loads(path.read_text())
         assert doc["config_digest"] == cfg.digest()
         other = config_from_dict({"env": {"n": 2}})
@@ -442,7 +442,7 @@ class TestCheckpointRoundTrip:
     def test_unknown_schema_rejected(self, tmp_path):
         cfg = self.CONFIG
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, self.make_learner(), 0, 0, 0, {"env": None})
+        save_checkpoint(path, cfg, self.make_learner(), 0, {"env": None})
         doc = json.loads(path.read_text())
         doc["schema_version"] = 999
         path.write_text(json.dumps(doc))
@@ -454,7 +454,7 @@ class TestCheckpointRoundTrip:
         learner = self.make_learner()
         learner.actor.weights[0][0, 0, 0] = 0.1 + 0.2  # not exactly representable as text
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, cfg, learner, 0, 0, 0, {"env": None})
+        save_checkpoint(path, cfg, learner, 0, {"env": None})
         loaded, *_ = load_checkpoint(path, cfg)
         assert loaded.actor.weights[0][0, 0, 0] == learner.actor.weights[0][0, 0, 0]
 

@@ -666,9 +666,9 @@ class TestDecentralization:
         results = []
         for learner in (team, other):
             loss = learner.critic_update(batches[0])
-            critic_grad = learner._update.critic.gradient()[0].copy()
+            critic_grad = learner._update.critic.gradient.copy()
             mean_q = learner.actor_update(batches[1])
-            actor_grad = learner._update.actor.gradient()[0].copy()
+            actor_grad = learner._update.actor.gradient.copy()
             results.append((loss, mean_q, critic_grad, actor_grad, learner.state.copy()))
         for kept in (0, 2):
             for got, want in zip(results[1], results[0]):

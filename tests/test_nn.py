@@ -566,17 +566,15 @@ class TestWorkspace:
 
     def test_shared_vectors_and_forward_only(self):
         params = stack([3, 5, 2], np.random.default_rng(79), agents=2)
-        single = Workspace(params.layer_sizes, 1, 2)
-        forward(params, np.ones((2, 1, 3)), single)
-        assert single._pool.buffers == {}  # a forward never makes the gradient buffers
-        # sharing lends the gradient and input-gradient buffers to any layout and count
-        other = stack([6, 4, 1], np.random.default_rng(80), agents=3)
-        batch = Workspace(params.layer_sizes, 4, 2, shared=single)
-        wide = Workspace(other.layer_sizes, 4, 3, shared=single)
+        other = stack([6, 4, 1], np.random.default_rng(80), agents=2)
+        # sharing lends one gradient and one input-gradient buffer to every layout
+        batch, wide = Workspace.sharing((params.layer_sizes, other.layer_sizes), 4, 2)
         _, cache = forward(params, np.ones((2, 4, 3)), batch)
         grads, gx = backward(params, cache, np.ones((2, 4, 2)))
-        _, cache = forward(other, np.ones((3, 4, 6)), wide)
-        other_grads, other_gx = backward(other, cache, np.ones((3, 4, 1)))
+        before = (grads.copy(), gx.copy())
+        _, cache = forward(other, np.ones((2, 4, 6)), wide)
+        assert np.array_equal(grads, before[0]) and np.array_equal(gx, before[1])  # a forward
+        other_grads, other_gx = backward(other, cache, np.ones((2, 4, 1)))
         assert np.shares_memory(grads, other_grads) and np.shares_memory(gx, other_gx)
         assert not np.shares_memory(batch.activations[0], wide.activations[0])
 

@@ -183,12 +183,6 @@ class TestPincerSelection:
         h2 = pincer_headings(state, k=1)
         assert np.array_equal(h1, h2)
 
-    def test_negative_or_nan_band_rejected(self):
-        state = world([(0.1, 0.1), (0.7, 0.3)], (0.5, 0.5))
-        for band in (-0.5, math.nan):
-            with pytest.raises(ValueError, match="tie band"):
-                pincer_selection(state, balance_tie_band=band)
-
     def test_invalid_k(self):
         state = world([(0.1, 0.1)], (0.5, 0.5))
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AnalysisInputError
-from .evaluation import write_success_table
+from .evaluation import SUCCESS_HEADER, SUCCESS_SCHEMA, write_table
 from .geometry import bearings, offsets, wrap_coords
 from .metrics import (
     CaptureAngleHistogram,
@@ -114,17 +114,10 @@ def analyze_logs(
     }
     (out / "ic_report.json").write_text(json.dumps(doc, indent=2) + "\n")
 
-    write_success_table(out / "success.csv", success_rows)
-
-    with open(out / "capture_angles.csv", "w", newline="") as fh:
-        fh.write(f"# schema={ANGLES_SCHEMA}\n{ANGLES_HEADER}\n")
-        for row in angle_rows:
-            fh.write(",".join(row) + "\n")
-
-    with open(out / "capture_angle_stats.csv", "w", newline="") as fh:
-        fh.write(f"# schema={ANGLE_STATS_SCHEMA}\n{ANGLE_STATS_HEADER}\n")
-        for row in angle_stat_rows:
-            fh.write(",".join(row) + "\n")
+    write_table(out / "success.csv", SUCCESS_SCHEMA, SUCCESS_HEADER, success_rows)
+    write_table(out / "capture_angles.csv", ANGLES_SCHEMA, ANGLES_HEADER, angle_rows)
+    write_table(out / "capture_angle_stats.csv", ANGLE_STATS_SCHEMA, ANGLE_STATS_HEADER,
+                angle_stat_rows)
     return doc
 
 
@@ -132,33 +125,18 @@ def _pair_mean(pair_docs: list[dict], key: str) -> float:
     return float(np.mean([p[key] for p in pair_docs])) if pair_docs else 0.0
 
 
-def _angle_rows(ratio: float, hist: CaptureAngleHistogram) -> list[tuple[str, ...]]:
+def _angle_rows(ratio: float, hist: CaptureAngleHistogram) -> list[tuple]:
     rows = []
     width = 2.0 * math.pi / hist.angle_bins
     for agent in range(hist.counts.shape[0]):
         for b in range(hist.angle_bins):
-            rows.append(
-                (
-                    f"{ratio:.9g}",
-                    f"p{agent}",
-                    str(b),
-                    f"{b * width:.9g}",
-                    str(int(hist.counts[agent, b])),
-                )
-            )
+            rows.append((ratio, f"p{agent}", b, b * width, int(hist.counts[agent, b])))
     return rows
 
 
-def _angle_stat_rows(ratio: float, hist: CaptureAngleHistogram) -> list[tuple[str, ...]]:
+def _angle_stat_rows(ratio: float, hist: CaptureAngleHistogram) -> list[tuple]:
     rows = []
     for agent in range(hist.counts.shape[0]):
-        rows.append(
-            (
-                f"{ratio:.9g}",
-                f"p{agent}",
-                str(hist.n_captures),
-                f"{hist.circular_mean[agent]:.9g}",
-                f"{hist.circular_variance[agent]:.9g}",
-            )
-        )
+        rows.append((ratio, f"p{agent}", hist.n_captures, hist.circular_mean[agent],
+                     hist.circular_variance[agent]))
     return rows

@@ -52,20 +52,30 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class WorldState:
-    """Poses of E episodes that share one step counter.
+    """Poses of E episodes that share one step counter, and the geometry
+    between them.
 
     ``positions`` (E, n+1, 2) holds the pursuers in index order and then the
     evader, all in [0, 1)^2; ``headings`` (E, n+1) holds their headings in
     [-pi, pi). The pose properties are views into these two arrays. The
     offsets, distances and bearings between agents are computed once per
-    state, when first asked for, and shared by the capture test, the evader,
-    greedy, pincer and the observations, so a state must not be changed
-    once built. Nothing is checked here, since every state comes from
-    `reset`, `step` or `make_state`.
+    state, when built, and shared by the capture test, the evader, greedy,
+    pincer and the observations, so a state must not be changed once built.
+    Nothing is checked here, since every state comes from `reset`, `step` or
+    `make_state`.
+
+    ``units`` (E, n+1, 2) holds cos and sin of every heading: the unit vector
+    each agent moved along to reach this state. ``pair_offsets`` (E, n+1,
+    n+1, 2): [:, i, j] is the minimal wrapped offset from agent i to agent j;
+    agent n is the evader. ``chase_distances`` and ``chase_bearings`` (E, n,
+    read-only) run from each pursuer to its evader, bearings in [-pi, pi).
+    ``contact_distances`` and ``contact_bearings`` run from each evader to
+    its pursuers, as flat lists in (episode, pursuer) order. ``nearest`` is
+    the smallest pursuer-to-evader distance, inf for no episodes.
     """
 
-    __slots__ = ("positions", "headings", "step", "_units", "_pair_offsets", "_contacts",
-                 "_chase_arrays")
+    __slots__ = ("positions", "headings", "step", "units", "pair_offsets", "chase_distances",
+                 "chase_bearings", "contact_distances", "contact_bearings", "nearest")
 
     def __init__(
         self,
@@ -77,10 +87,20 @@ class WorldState:
         self.positions = positions
         self.headings = headings
         self.step = step
-        self._units = units
-        self._pair_offsets: np.ndarray | None = None
-        self._contacts: Contacts | None = None
-        self._chase_arrays: np.ndarray | None = None
+        if units is None:
+            units = np.stack((np.cos(headings), np.sin(headings)), axis=-1)
+        self.units = units
+        pairs = offsets(positions[:, :, None], positions[:, None])
+        self.pair_offsets = pairs
+        # one polar call: every pursuer-to-evader offset, then every
+        # evader-to-pursuer one, each in (episode, pursuer) order
+        r, theta = polar(np.concatenate((pairs[:, :-1, -1], pairs[:, -1, :-1])))
+        half = len(r) // 2
+        chase = np.array(r[:half] + theta[:half]).reshape(2, -1, positions.shape[1] - 1)
+        chase.flags.writeable = False
+        self.chase_distances, self.chase_bearings = chase
+        self.contact_distances, self.contact_bearings = r[half:], theta[half:]
+        self.nearest = min(r[:half], default=math.inf)
 
     @property
     def episodes(self) -> int:
@@ -109,76 +129,13 @@ class WorldState:
         return self.headings[:, -1]
 
     @property
-    def units(self) -> np.ndarray:
-        """(E, n+1, 2) cos and sin of every heading: the unit vector each
-        agent moved along to reach this state."""
-        if self._units is None:
-            self._units = np.stack((np.cos(self.headings), np.sin(self.headings)), axis=-1)
-        return self._units
-
-    @property
-    def pair_offsets(self) -> np.ndarray:
-        """(E, n+1, n+1, 2): [:, i, j] is the minimal wrapped offset from
-        agent i to agent j; agent n is the evader."""
-        if self._pair_offsets is None:
-            self._pair_offsets = offsets(self.positions[:, :, None], self.positions[:, None])
-        return self._pair_offsets
-
-    @property
     def chase_offsets(self) -> np.ndarray:
         """(E, n, 2) offsets from each pursuer to its evader."""
         return self.pair_offsets[:, :-1, -1]
 
-    @property
-    def contacts(self) -> Contacts:
-        """Distances and bearings between each pursuer and its evader."""
-        if self._contacts is None:
-            pairs = self.pair_offsets
-            d = np.concatenate((pairs[:, :-1, -1], pairs[:, -1, :-1]))
-            r, theta = polar(d)
-            half = len(r) // 2
-            chase = r[:half]
-            self._contacts = Contacts(r, theta, min(chase), 0.0 in chase, 0.0 in r[half:])
-        return self._contacts
-
-    def _chase_array(self, quantity: int) -> np.ndarray:
-        """(E, n) read-only view of the pursuer-to-evader contacts: quantity 0
-        distances, 1 bearings."""
-        if self._chase_arrays is None:
-            c, k = self.contacts, self.episodes * self.n
-            arrays = np.array(c.distances[:k] + c.bearings[:k]).reshape(2, -1, self.n)
-            arrays.flags.writeable = False
-            self._chase_arrays = arrays
-        return self._chase_arrays[quantity]
-
-    @property
-    def chase_distances(self) -> np.ndarray:
-        """(E, n) torus distances from each pursuer to its evader."""
-        return self._chase_array(0)
-
-    @property
-    def chase_bearings(self) -> np.ndarray:
-        """(E, n) bearings from each pursuer to its evader, in [-pi, pi)."""
-        return self._chase_array(1)
-
     def select(self, keep: np.ndarray) -> "WorldState":
         """The episodes picked by a boolean mask or index array, same step."""
-        units = None if self._units is None else self._units[keep]
-        return WorldState(self.positions[keep], self.headings[keep], self.step, units)
-
-
-class Contacts(NamedTuple):
-    """Pursuer-evader geometry of a state. `distances` and `bearings` are flat
-    lists of 2En values: first from each pursuer to its evader, then from
-    each evader to its pursuers, each half in (episode, pursuer) order. Also
-    the smallest pursuer-to-evader distance, and whether some offset in
-    either direction is exactly zero."""
-
-    distances: list[float]
-    bearings: list[float]
-    nearest: float
-    chase_singular: bool
-    contact_singular: bool
+        return WorldState(self.positions[keep], self.headings[keep], self.step, self.units[keep])
 
 
 def make_state(
@@ -302,7 +259,7 @@ def reset(config: EnvConfig, rng: np.random.Generator, episodes: int = 1) -> Wor
         while True:
             draw = rng.uniform(low, high).reshape(1, n + 1, 3)
             spawn = WorldState(draw[..., :2], draw[..., 2])
-            if spawn.contacts.nearest > config.spawn_separation:
+            if spawn.nearest > config.spawn_separation:
                 break
         poses[e] = draw[0]
     return WorldState(poses[..., :2].copy(), poses[..., 2].copy())
@@ -343,7 +300,7 @@ def step(
     """
     if state.step >= config.episode_length:
         raise EpisodeDoneError(f"episode already truncated at step {state.step}")
-    if state.contacts.nearest <= config.capture_radius:
+    if state.nearest <= config.capture_radius:
         raise EpisodeDoneError("episode already ended by capture")
     e, n = state.episodes, state.n
     if np.shape(pursuer_headings) != (e, n):
@@ -369,7 +326,7 @@ def step(
     new_state = WorldState(wrap_coords(moved), headings, state.step + 1, units)
 
     truncating = new_state.step >= config.episode_length
-    if new_state.contacts.nearest > config.capture_radius:
+    if new_state.nearest > config.capture_radius:
         return new_state, _outcome(e, truncating)
     captured = is_captured(new_state, config)
     rewards = np.where(captured, CAPTURE_REWARD, STEP_PENALTY)

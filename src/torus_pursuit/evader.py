@@ -30,14 +30,12 @@ DEGENERACY_THRESHOLD = 1e-9
 def evade_heading(state: WorldState, rng: np.random.Generator) -> np.ndarray:
     """Escape headings (E,) in [-pi, pi), one per episode of `state`.
 
-    Contacts use the minimal wrapped offsets from the evader to its
-    pursuers.
+    The state's contact distances and bearings run along the minimal
+    wrapped offsets from the evader to its pursuers.
     """
-    contacts = state.contacts
-    if contacts.contact_singular:
+    if 0.0 in state.contact_distances:
         raise SingularityError("pursuer co-located with evader")
-    half = len(contacts.distances) // 2
-    return contact_headings(contacts.distances[half:], contacts.bearings[half:], state.n, rng)
+    return contact_headings(state.contact_distances, state.contact_bearings, state.n, rng)
 
 
 def contact_headings(

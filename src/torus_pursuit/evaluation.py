@@ -198,13 +198,15 @@ def run_eval(
         results[ratio] = rate
         rows.append((ratio, episodes, captures, rate))
 
-    write_success_table(out / "success.csv", rows)
+    write_table(out / "success.csv", SUCCESS_SCHEMA, SUCCESS_HEADER, rows)
     return results
 
 
-def write_success_table(path: Path, rows: Iterable[tuple[float, int, int, float]]) -> None:
-    """Writes (ratio, episodes, captures, success_rate) rows as a schema-headed CSV."""
+def write_table(path: Path, schema: str, header: str, rows: Iterable[Sequence]) -> None:
+    """Writes rows as a CSV headed by a `# schema=` line and `header`: floats
+    as .9g, every other value as str."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# schema={SUCCESS_SCHEMA}\n{SUCCESS_HEADER}\n")
-        for ratio, eps, caps, rate in rows:
-            fh.write(f"{ratio:.9g},{eps},{caps},{rate:.9g}\n")
+        fh.write(f"# schema={schema}\n{header}\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row)
+                     + "\n")

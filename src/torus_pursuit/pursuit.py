@@ -81,7 +81,7 @@ class ReplicaSelection:
 
 def greedy_heading(state: WorldState) -> np.ndarray:
     """Bearings (E, n) of the minimal wrapped offsets from each pursuer to its evader."""
-    if state.contacts.chase_singular:
+    if state.nearest == 0.0:
         raise SingularityError("pursuer co-located with evader")
     return state.chase_bearings
 
@@ -158,7 +158,7 @@ def pincer_selection(state: WorldState, k: int = 1) -> ReplicaSelection:
     rest = m ** (n - 1)  # joint selections of the first n-1 pursuers
     block = max(1, PINCER_BLOCK_CELLS // (m * rest))
 
-    if state.contacts.chase_singular:
+    if state.nearest == 0.0:
         raise SingularityError("pursuer co-located with evader")
     # per pursuer and replica, (3, E, n, m): weight * (cos, sin) of the
     # evader-to-replica bearing, and the replica distance

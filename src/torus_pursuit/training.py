@@ -146,17 +146,35 @@ def _curve_rows_before(path: Path, global_epoch: int) -> str:
     """Complete rows of an existing curve whose global_epoch precedes a resume.
 
     Later rows were written by a run that outlived the snapshot being resumed,
-    and the resumed run writes them again.
+    and the resumed run writes them again. A torn final row, which lacks its
+    newline, is dropped; any other row that does not start with an epoch,
+    and a byte that is not UTF-8, refuse the file.
     """
     if not path.exists():
         return ""
-    lines = path.read_text().splitlines(keepends=True)
+    data = path.read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaVersionError(f"{path}: line {line} is not UTF-8; cannot resume into it"
+                                 ) from None
+    # the universal newlines of a text-mode read
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").splitlines(keepends=True)
     if lines[:2] != [f"# schema={CURVE_SCHEMA}\n", CURVE_HEADER + "\n"]:
         raise SchemaVersionError(f"{path}: not a {CURVE_SCHEMA} file; cannot resume into it")
-    return "".join(
-        row for row in lines[2:]
-        if row.endswith("\n") and int(row.split(",", 1)[0]) < global_epoch
-    )
+    rows = []
+    for line, row in enumerate(lines[2:], start=3):
+        if not row.endswith("\n"):
+            continue
+        try:
+            epoch = int(row.split(",", 1)[0])
+        except ValueError:
+            raise SchemaVersionError(f"{path}: line {line} does not start with a global_epoch; "
+                                     "cannot resume into it") from None
+        if epoch < global_epoch:
+            rows.append(row)
+    return "".join(rows)
 
 
 def run_training(

@@ -34,7 +34,7 @@ from torus_pursuit.errors import (
     SingularityError,
     TrajectoryParseError,
 )
-from torus_pursuit.evaluation import ratio_label, write_success_table
+from torus_pursuit.evaluation import SUCCESS_HEADER, SUCCESS_SCHEMA, ratio_label, write_table
 from torus_pursuit.geometry import normalize_angle
 from torus_pursuit.pursuit import BALANCE_TIE_BAND, check_pincer_grid
 from torus_pursuit.trajectory import TRAJECTORY_HEADER, EpisodeTrace
@@ -467,7 +467,7 @@ def run_eval(config, ratios, episodes, out_dir, team=None, strategy=None, write_
             fh.close()
         results[ratio] = captures / episodes
         rows.append((ratio, episodes, captures, captures / episodes))
-    write_success_table(out / "success.csv", rows)
+    write_table(out / "success.csv", SUCCESS_SCHEMA, SUCCESS_HEADER, rows)
     return results
 
 

@@ -140,6 +140,39 @@ class TestTrainCommand:
         assert "cannot resume into it" in capsys.readouterr().err
         assert (foreign / "training_curve.csv").read_text() == "a,b\n1,2\n"
 
+    CURVE_HEAD = (b"# schema=pursuit-training-curve-v1\n"
+                  b"global_epoch,session,epoch,ratio,phase,return,captured,steps\n"
+                  b"0,0,0,1.2,scripted,-1,0,10\n")
+
+    def resume_into_curve(self, tmp_path, curve):
+        fixture = DATA / "checkpoint_v2"
+        out = tmp_path / "resumed"
+        out.mkdir()
+        (out / "training_curve.csv").write_bytes(curve)
+        return main(["train", "--config", str(fixture / "tiny_config.json"), "--out", str(out),
+                     "--resume", str(fixture / "checkpoint_epoch4.json")]), out
+
+    @pytest.mark.parametrize("row, problem", [
+        (b"x0,0,1,1.2,scripted,-1,0,10\n", "does not start with a global_epoch"),
+        (b"1,0,1,1.2,scripted,-1\xff,0,10\n", "is not UTF-8"),
+    ], ids=["no epoch", "not UTF-8"])
+    def test_resume_refuses_malformed_curve(self, row, problem, tmp_path, capsys):
+        # both used to end the resume in a traceback
+        curve = self.CURVE_HEAD + row + b"2,0,2,1.2,scripted,-1,0,10\n"
+        code, out = self.resume_into_curve(tmp_path, curve)
+        assert code == 2
+        path = out / "training_curve.csv"
+        assert capsys.readouterr().err == (f"error: {path}: line 4 {problem}; "
+                                           "cannot resume into it\n")
+        assert path.read_bytes() == curve
+
+    def test_resume_drops_torn_final_curve_row(self, tmp_path):
+        code, out = self.resume_into_curve(tmp_path, self.CURVE_HEAD + b"1,0,1,1.2,scr")
+        assert code == 0
+        rows = (out / "training_curve.csv").read_bytes().splitlines(keepends=True)
+        assert b"".join(rows[:3]) == self.CURVE_HEAD
+        assert [row.split(b",", 1)[0] for row in rows[3:]] == [b"4", b"5"]
+
     def test_resume_with_strategy_of_another_width_refused(self, tmp_path, capsys):
         # it used to load and fail with a traceback at the first learned step
         out_dir, partial = trained_with_partial_config(tmp_path)

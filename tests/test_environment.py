@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torus_pursuit.environment import (
@@ -271,7 +271,7 @@ CHOSEN = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2, 3
 def test_observation_rows_start_with_the_heading_units(n, episodes, seed, chosen):
     # a replay slot's action is its next observation's first two columns, so
     # they must be the unit vector the pursuer just moved along, bit for bit:
-    # on a fresh spawn (units computed when asked for) and after each step
+    # on a fresh spawn (units computed when built) and after each step
     # (units computed by the step)
     cfg = EnvConfig(n=n, evader_speed=0.05, velocity_ratio=1.0, capture_radius=0.001,
                     episode_length=500)
@@ -287,6 +287,36 @@ def test_observation_rows_start_with_the_heading_units(n, episodes, seed, chosen
         units = state.units[:, :n].view(np.uint64)
         for observe in (observe_full, observe_partial):
             assert np.array_equal(observe(state)[..., :2].view(np.uint64), units)
+
+
+def bits(values):
+    return np.array(values, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), episodes=st.integers(1, 4), steps=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1), picks=st.lists(st.integers(0, 99), max_size=6))
+@example(n=2, episodes=3, steps=1, seed=5, picks=[])
+@example(n=3, episodes=2, steps=2, seed=6, picks=[1, 1, 0, 1])
+def test_selected_geometry_equals_the_kept_rows(n, episodes, steps, seed, picks):
+    # a state's geometry is computed per episode, so it does not depend on
+    # the episodes beside it; an empty selection is how a rollout ends
+    cfg = EnvConfig(n=n, evader_speed=0.05, velocity_ratio=1.0, capture_radius=0.001,
+                    episode_length=500)
+    rng = np.random.default_rng(seed)
+    state = reset(cfg, rng, episodes)
+    for _ in range(steps):
+        state, outcome = step(state, rng.uniform(-4.0, 4.0, (episodes, n)), cfg, rng)
+        if outcome.captured.any():
+            break
+    keep = np.array(picks, dtype=np.intp) % episodes
+    kept = state.select(keep)
+    for name in ("units", "pair_offsets", "chase_distances", "chase_bearings"):
+        assert np.array_equal(bits(getattr(kept, name)), bits(getattr(state, name)[keep]))
+    rows = (keep[:, None] * n + np.arange(n)).ravel()
+    for name in ("contact_distances", "contact_bearings"):
+        assert np.array_equal(bits(getattr(kept, name)), bits(getattr(state, name))[rows])
+    assert kept.nearest == (state.chase_distances[keep].min() if keep.size else math.inf)
 
 
 class TestObservations:

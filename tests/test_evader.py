@@ -159,9 +159,9 @@ class TestEvadeHeadingOnTorus:
 
     def test_contacts_from_positions(self):
         state = make_state([(0.7, 0.5)], (0.5, 0.5))
-        contacts = state.contacts  # pursuer to evader, then evader to pursuer
-        assert contacts.distances[1] == pytest.approx(0.2)
-        assert angular_close(contacts.bearings[1], 0.0)
+        # evader to pursuer
+        assert state.contact_distances[0] == pytest.approx(0.2)
+        assert angular_close(state.contact_bearings[0], 0.0)
         # the chase runs the other way round
         assert angular_close(state.chase_bearings[0, 0], math.pi)
 

@@ -112,7 +112,7 @@ def analyze_logs(
         "note": POINTWISE_NOTE,
         "per_ratio": per_ratio,
     }
-    (out / "ic_report.json").write_text(json.dumps(doc, indent=2) + "\n")
+    (out / "ic_report.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
     write_table(out / "success.csv", SUCCESS_SCHEMA, SUCCESS_HEADER, success_rows)
     write_table(out / "capture_angles.csv", ANGLES_SCHEMA, ANGLES_HEADER, angle_rows)

@@ -454,13 +454,13 @@ def alias_checkpoint(final: str | Path, snapshot: str | Path) -> None:
     checkpoint's sidecar instead of writing a second copy of it.
     """
     snapshot = Path(snapshot)
-    _write_manifest(snapshot, Path(final).read_text())
+    _write_manifest(snapshot, Path(final).read_text(encoding="utf-8"))
     sidecar_path(snapshot).unlink(missing_ok=True)
 
 
 def _write_manifest(target: Path, text: str) -> None:
     tmp = target.with_suffix(target.suffix + ".tmp")
-    tmp.write_text(text)
+    tmp.write_text(text, encoding="utf-8")
     tmp.replace(target)
 
 
@@ -507,7 +507,7 @@ def load_checkpoint(
     """
     manifest = Path(path)
     try:
-        doc = json.loads(manifest.read_text())
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
     except ValueError as exc:  # not JSON, or not text
         raise CheckpointIntegrityError(f"checkpoint {manifest} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):

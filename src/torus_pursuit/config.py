@@ -238,14 +238,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     return config_from_dict(doc)
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def with_overrides(config: ExperimentConfig, seed: int | None = None,

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from .nn import (
     clip_global_norm,
     forward,
     mlp_init,
+    parameter_count,
     polyak_update,
 )
 
@@ -248,24 +249,6 @@ class ReplayBuffer:
         self._free = []
 
 
-def _parameter_count(sizes: tuple[int, ...]) -> int:
-    return sum(o * i + o for i, o in zip(sizes, sizes[1:]))
-
-
-class _Scratch(NamedTuple):
-    """Buffers one update borrows: actor and critic workspaces, critic input.
-
-    Online and target networks share a workspace; each result is consumed
-    before the next forward. ``Workspace.sharing`` lends the two workspaces
-    one gradient and one input-gradient buffer, since one backward pass runs
-    at a time.
-    """
-
-    actor: Workspace
-    critic: Workspace
-    critic_input: np.ndarray
-
-
 class TeamLearner:
     """Actor-critic learners for n pursuers, held as stacked arrays.
 
@@ -273,6 +256,15 @@ class TeamLearner:
     describes. With ``rng`` the networks are initialized agent by agent (actor, then
     critic), and the targets copy them; without it everything starts at zero
     for a loader to fill.
+
+    Every buffer an update uses is made here, at ``ddpg.batch_size`` rows: an
+    actor and a critic workspace and the critic input. Online and target
+    networks share a workspace; each result is consumed before the next
+    forward. ``Workspace.sharing`` lends the two workspaces one gradient and
+    one input-gradient buffer, since one backward pass runs at a time. A
+    batch of another size is refused by ``forward`` (ValueError) before
+    anything changes. The acting workspace is made for the episode count E
+    of each call, which shrinks as lockstep episodes end.
     """
 
     def __init__(self, n: int, obs_dim: int, ddpg: DdpgConfig,
@@ -286,7 +278,7 @@ class TeamLearner:
         critic_sizes = (obs_dim + ACTION_DIM, *ddpg.critic_hidden, 1)
         if min(actor_sizes) < 1 or min(critic_sizes) < 1:
             raise ValueError(f"layer sizes must be positive, got {actor_sizes} and {critic_sizes}")
-        pa, pc = _parameter_count(actor_sizes), _parameter_count(critic_sizes)
+        pa, pc = parameter_count(actor_sizes), parameter_count(critic_sizes)
         widths = (pa, pc, pa, pc, pa, pa, pc, pc)
         self.state = np.zeros((n, sum(widths)))
         bounds = [0, *accumulate(widths)]
@@ -306,15 +298,9 @@ class TeamLearner:
         self.noise = np.zeros((n, ACTION_DIM))
         self.buffer = ReplayBuffer(ddpg.buffer_capacity, obs_dim, n)
         self._act = Workspace(actor_sizes, 1, n)
-        self._update: _Scratch | None = None
-
-    def _scratch(self, rows: int) -> _Scratch:
-        if self._update is None or self._update.critic_input.shape[1] != rows:
-            actor, critic = Workspace.sharing(
-                (self.actor.layer_sizes, self.critic.layer_sizes), rows, self.n)
-            critic_input = np.empty((self.n, rows, self.obs_dim + ACTION_DIM))
-            self._update = _Scratch(actor, critic, critic_input)
-        return self._update
+        self._actor_ws, self._critic_ws = Workspace.sharing(
+            (actor_sizes, critic_sizes), ddpg.batch_size, n)
+        self._critic_input = np.empty((n, ddpg.batch_size, obs_dim + ACTION_DIM))
 
     # -- acting ---------------------------------------------------------
 
@@ -367,35 +353,33 @@ class TeamLearner:
     def critic_update(self, batch: TransitionBatch) -> np.ndarray:
         """One value-regression step per agent; returns the pre-update losses (n,)."""
         b = len(batch)
-        scratch = self._scratch(b)
-        x = scratch.critic_input
-        raw_next, _ = forward(self.actor_target, batch.next_obs, scratch.actor)
+        x = self._critic_input
+        raw_next, _ = forward(self.actor_target, batch.next_obs, self._actor_ws)
         a_next, _, _ = _unit_rows(raw_next)
         x[..., : self.obs_dim] = batch.next_obs
         x[..., self.obs_dim :] = a_next
-        q_next, _ = forward(self.critic_target, x, scratch.critic)
+        q_next, _ = forward(self.critic_target, x, self._critic_ws)
         y = batch.rewards + self.ddpg.gamma * (1.0 - batch.terminals) * q_next[..., 0]
         x[..., : self.obs_dim] = batch.obs
         x[..., self.obs_dim :] = batch.actions
-        q, cache = forward(self.critic, x, scratch.critic)
+        q, cache = forward(self.critic, x, self._critic_ws)
         diff = q[..., 0] - y
         loss = np.mean(diff**2, axis=1)
         gy = (2.0 * diff / b)[..., None]
         grads, _ = backward(self.critic, cache, gy, input_gradient=False)
-        clip_global_norm(self.critic, grads, self.ddpg.clip_norm, scratch.critic)
-        adam_step(self.critic, grads, self.adam_critic, self.ddpg.lr_critic, ws=scratch.critic)
+        clip_global_norm(self.critic, grads, self.ddpg.clip_norm, self._critic_ws)
+        adam_step(self.critic, grads, self.adam_critic, self.ddpg.lr_critic, ws=self._critic_ws)
         return loss
 
     def actor_update(self, batch: TransitionBatch) -> np.ndarray:
         """One policy-ascent step per agent; returns the pre-update mean values (n,)."""
         b = len(batch)
-        scratch = self._scratch(b)
-        x = scratch.critic_input
-        raw, actor_cache = forward(self.actor, batch.obs, scratch.actor)
+        x = self._critic_input
+        raw, actor_cache = forward(self.actor, batch.obs, self._actor_ws)
         a, norms, vanishing = _unit_rows(raw)
         x[..., : self.obs_dim] = batch.obs
         x[..., self.obs_dim :] = a
-        q, critic_cache = forward(self.critic, x, scratch.critic)
+        q, critic_cache = forward(self.critic, x, self._critic_ws)
         mean_q = np.mean(q[..., 0], axis=1)
         # Layer 0's whole input gradient, then the action columns: slicing
         # the weights first rounds differently.
@@ -410,15 +394,14 @@ class TeamLearner:
         )[..., None]
         g_u[vanishing] = 0.0
         grads, _ = backward(self.actor, actor_cache, g_u, input_gradient=False)
-        clip_global_norm(self.actor, grads, self.ddpg.clip_norm, scratch.actor)
+        clip_global_norm(self.actor, grads, self.ddpg.clip_norm, self._actor_ws)
         np.negative(grads, out=grads)  # ascent
-        adam_step(self.actor, grads, self.adam_actor, self.ddpg.lr_actor, ws=scratch.actor)
+        adam_step(self.actor, grads, self.adam_actor, self.ddpg.lr_actor, ws=self._actor_ws)
         return mean_q
 
     def soft_update_targets(self) -> None:
-        scratch, tau = self._update, self.ddpg.tau
-        polyak_update(self.actor_target, self.actor, tau, scratch and scratch.actor)
-        polyak_update(self.critic_target, self.critic, tau, scratch and scratch.critic)
+        polyak_update(self.actor_target, self.actor, self.ddpg.tau, self._actor_ws)
+        polyak_update(self.critic_target, self.critic, self.ddpg.tau, self._critic_ws)
 
 
 def make_team(config: ExperimentConfig, rng: np.random.Generator | None = None) -> TeamLearner:

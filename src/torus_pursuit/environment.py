@@ -257,11 +257,12 @@ def reset(config: EnvConfig, rng: np.random.Generator, episodes: int = 1) -> Wor
     poses = np.empty((episodes, n + 1, 3))
     for e in range(episodes):
         while True:
-            draw = rng.uniform(low, high).reshape(1, n + 1, 3)
-            spawn = WorldState(draw[..., :2], draw[..., 2])
-            if spawn.nearest > config.spawn_separation:
+            draw = rng.uniform(low, high).reshape(n + 1, 3)
+            # the pursuer-to-evader distances, rounded as WorldState rounds them
+            dx, dy = offsets(draw[:n, :2], draw[n, :2]).T.tolist()
+            if min(map(math.hypot, dx, dy)) > config.spawn_separation:
                 break
-        poses[e] = draw[0]
+        poses[e] = draw
     return WorldState(poses[..., :2].copy(), poses[..., 2].copy())
 
 

@@ -205,7 +205,7 @@ def run_eval(
 def write_table(path: Path, schema: str, header: str, rows: Iterable[Sequence]) -> None:
     """Writes rows as a CSV headed by a `# schema=` line and `header`: floats
     as .9g, every other value as str."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# schema={schema}\n{header}\n")
         for row in rows:
             fh.write(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row)

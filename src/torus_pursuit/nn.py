@@ -70,6 +70,11 @@ def _layout(sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[
     return shapes, (0, *accumulate(math.prod(s) for s in shapes))
 
 
+def parameter_count(layer_sizes: Sequence[int]) -> int:
+    """P, the length of one network's parameter row."""
+    return _layout(tuple(layer_sizes))[1][-1]
+
+
 def _layer_views(
     sizes: tuple[int, ...], vec: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -117,7 +122,7 @@ def mlp_init(layer_sizes: Sequence[int], rng: np.random.Generator) -> np.ndarray
     sizes = tuple(layer_sizes)
     if len(sizes) < 2 or min(sizes) < 1:
         raise ValueError(f"need >= 2 positive layer sizes, got {list(layer_sizes)}")
-    flat = np.zeros(_layout(sizes)[1][-1])
+    flat = np.zeros(parameter_count(sizes))
     for w, fan_in in zip(_layer_views(sizes, flat)[0], sizes):
         bound = 1.0 / math.sqrt(fan_in)
         w[...] = rng.uniform(-bound, bound, size=w.shape)
@@ -144,7 +149,7 @@ class Workspace:
         self.rows = rows
         self.agents = agents
         self.inputs: np.ndarray | None = None
-        shape = (agents, _layout(sizes)[1][-1])
+        shape = (agents, parameter_count(sizes))
         params, size = math.prod(shape), agents * rows
         bounds = [0, *accumulate(sizes[1:])]
         arena = np.empty(max(size * bounds[-1], 2 * params))
@@ -166,7 +171,7 @@ class Workspace:
         """One workspace per layout, all lent one gradient buffer and one
         input-gradient buffer, each as large as the largest layout needs: for
         networks whose backward passes never overlap."""
-        gradient = np.empty(max(agents * _layout(tuple(s))[1][-1] for s in layouts))
+        gradient = np.empty(max(agents * parameter_count(s) for s in layouts))
         input_gradient = np.empty(max(agents * rows * max(s[:-1]) for s in layouts))
         return [cls(s, rows, agents, gradient, input_gradient) for s in layouts]
 

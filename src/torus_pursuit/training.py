@@ -29,6 +29,7 @@ from .ddpg import TeamLearner, make_team
 from .environment import reset, step, strategy_observation
 from .errors import CheckpointIntegrityError, ConfigError, SchemaVersionError
 from .pursuit import greedy_heading
+from .textfile import read_lines
 
 CURVE_SCHEMA = "pursuit-training-curve-v1"
 CURVE_HEADER = "global_epoch,session,epoch,ratio,phase,return,captured,steps"
@@ -152,15 +153,8 @@ def _curve_rows_before(path: Path, global_epoch: int) -> str:
     """
     if not path.exists():
         return ""
-    data = path.read_bytes()
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise SchemaVersionError(f"{path}: line {line} is not UTF-8; cannot resume into it"
-                                 ) from None
-    # the universal newlines of a text-mode read
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").splitlines(keepends=True)
+    lines = read_lines(path, lambda line: SchemaVersionError(
+        f"{path}: line {line} is not UTF-8; cannot resume into it"))
     if lines[:2] != [f"# schema={CURVE_SCHEMA}\n", CURVE_HEADER + "\n"]:
         raise SchemaVersionError(f"{path}: not a {CURVE_SCHEMA} file; cannot resume into it")
     rows = []
@@ -215,7 +209,7 @@ def run_training(
     end = sum(session.epochs for session in plan.sessions)
     curve_path = out / "training_curve.csv"
     earlier_rows = _curve_rows_before(curve_path, start) if resume is not None else ""
-    with open(curve_path, "w", newline="") as curve:
+    with open(curve_path, "w", encoding="utf-8", newline="") as curve:
         curve.write(f"# schema={CURVE_SCHEMA}\n")
         curve.write(CURVE_HEADER + "\n")
         curve.write(earlier_rows)

@@ -26,6 +26,7 @@ from typing import Iterable, NoReturn
 import numpy as np
 
 from .errors import SchemaVersionError, TrajectoryParseError
+from .textfile import read_lines
 
 TRAJECTORY_SCHEMA = "pursuit-trajectory-v2"
 TRAJECTORY_HEADER = "episode,step,agent,x,y,heading,reward,captured,ratio"
@@ -63,7 +64,7 @@ class TrajectoryWriter:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w", newline="")
+        self._fh = open(self.path, "w", encoding="utf-8", newline="")
         self._fh.write(f"# schema={TRAJECTORY_SCHEMA}\n")
         self._fh.write(TRAJECTORY_HEADER + "\n")
 
@@ -201,10 +202,16 @@ def _check_row(line: str, where: str, layout: _Layout) -> None:
         raise TrajectoryParseError(f"{where}: non-finite value")
 
 
+def _lines(path: Path) -> list[str]:
+    """The file's lines without their newlines, as ``np.loadtxt`` reads them;
+    a byte that is not UTF-8 raises TrajectoryParseError naming its line."""
+    lines = read_lines(path, lambda line: TrajectoryParseError(f"{path}: line {line}: not UTF-8"))
+    return [line.removesuffix("\n") for line in lines]
+
+
 def _raise_first_bad_line(path: Path, body_start: int, layout: _Layout, fallback: str) -> NoReturn:
     """Check the body row by row and raise the error of the first bad line."""
-    lines = path.read_text().splitlines()
-    for lineno, line in enumerate(lines[body_start:], body_start + 1):
+    for lineno, line in enumerate(_lines(path)[body_start:], body_start + 1):
         if line:
             _check_row(line, f"{path}: line {lineno}", layout)
     raise TrajectoryParseError(f"{path}: {fallback}")
@@ -212,7 +219,7 @@ def _raise_first_bad_line(path: Path, body_start: int, layout: _Layout, fallback
 
 def _body_line_numbers(path: Path, body_start: int) -> np.ndarray:
     """The file line number of each row; np.loadtxt skips blank lines."""
-    lines = path.read_text().splitlines()
+    lines = _lines(path)
     return np.array([k for k, line in enumerate(lines[body_start:], body_start + 1) if line])
 
 
@@ -259,14 +266,18 @@ def read_trajectories(path: str | Path) -> list[EpisodeTrace]:
     or disagreeing rows, SchemaVersionError on an unknown schema declaration.
     """
     path = Path(path)
-    with open(path) as fh:
-        body_start, layout = _read_header(fh, path)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            body_start, layout = _read_header(fh, path)
+        except UnicodeDecodeError:  # the text layer decodes ahead of the header
+            _lines(path)  # raises, naming the line
+            raise
         try:
             with warnings.catch_warnings():
                 # a body of blank lines is an empty log, not a problem
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 rows = np.loadtxt(fh, dtype=layout.dtype, delimiter=",", comments=None, ndmin=1)
-        except ValueError as exc:
+        except ValueError as exc:  # a UnicodeDecodeError of the body among them
             _raise_first_bad_line(path, body_start, layout, str(exc))
     if rows.size == 0:
         return []

@@ -166,6 +166,16 @@ class TestTrainCommand:
                                            "cannot resume into it\n")
         assert path.read_bytes() == curve
 
+    def test_resume_keeps_curve_row_ending_in_a_form_feed(self, tmp_path):
+        # line 4 used to split at its form feed, and the resume then refused
+        # line 5 as not starting with a global_epoch
+        kept = self.CURVE_HEAD + b"1,0,1,1.2,scripted,-1,0,10\x0c\n2,0,2,1.2,scripted,-1,0,10\n"
+        code, out = self.resume_into_curve(tmp_path, kept)
+        assert code == 0
+        curve = (out / "training_curve.csv").read_bytes()
+        assert curve.startswith(kept)
+        assert [row.split(b",", 1)[0] for row in curve[len(kept):].splitlines()] == [b"4", b"5"]
+
     def test_resume_drops_torn_final_curve_row(self, tmp_path):
         code, out = self.resume_into_curve(tmp_path, self.CURVE_HEAD + b"1,0,1,1.2,scr")
         assert code == 0

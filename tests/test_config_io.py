@@ -686,6 +686,39 @@ class TestTrajectoryCsv:
         with pytest.raises(TrajectoryParseError, match=want):
             read_trajectories(path)
 
+    @pytest.mark.parametrize("steps, k", [(3, 4), (400, 700)],
+                             ids=["in the header's read-ahead", "past it"])
+    def test_byte_that_is_not_utf8_refused(self, tmp_path, steps, k):
+        # it used to escape as a UnicodeDecodeError; the text layer decodes
+        # the first lines while the header is read, np.loadtxt the rest
+        path = tmp_path / "log.csv"
+        self.write_episode(path, episodes=1, steps=steps, n=1)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[k] = lines[k][:-1] + b"\xff\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(TrajectoryParseError) as info:
+            read_trajectories(path)
+        assert str(info.value) == f"{path}: line {k + 1}: not UTF-8"
+
+    @pytest.mark.parametrize("column, k, edit, message", [
+        (3, 5, lambda lines: TestTrajectoryCsv.set_field(lines, 5, 7, "2"),
+         "captured must be 0 or 1, got '2'"),
+        (8, 6, lambda lines: lines.insert(6, lines[3].replace(",0.2,", ",0.3,")),
+         "episode 0 step 1: second row for agent p0"),
+    ], ids=["malformed row", "duplicate row"])
+    def test_lines_break_at_newlines_only(self, tmp_path, column, k, edit, message):
+        # np.loadtxt reads a form feed after line 4's x or ratio as blank
+        # space; the reader used to break the line there and misname lines
+        path = tmp_path / "log.csv"
+        self.write_episode(path, episodes=1, steps=3, n=1)
+        lines = path.read_text().splitlines()
+        self.set_field(lines, 3, column, lines[3].split(",")[column] + "\x0c")
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryParseError) as info:
+            read_trajectories(path)
+        assert str(info.value) == f"{path}: line {k + 1}: {message}"
+
     @pytest.mark.parametrize("body", ["", "\n\n"])
     def test_empty_body_yields_no_episodes(self, tmp_path, body):
         path = tmp_path / "log.csv"

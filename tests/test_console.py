@@ -28,6 +28,8 @@ COMMAND = [_SCRIPT] if _SCRIPT else [sys.executable, "-m", "torus_pursuit.cli"]
 _SRC = str(Path(torus_pursuit.__file__).resolve().parents[1])
 ENV = dict(os.environ) if _SCRIPT else {
     **os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+# a text file opened without naming its encoding fails the leg
+ENV.update(PYTHONWARNDEFAULTENCODING="1", PYTHONWARNINGS="error::EncodingWarning")
 
 
 def cli(*args, status=0):
@@ -68,6 +70,18 @@ def test_checks_and_analyze_run(tmp_path):
     cli("evader-check")
     cli("selfcheck")
     cli("analyze", "--out", tmp_path / "analyze-v1", DATA / "trajectories_v1_greedy_n3.csv")
+
+
+def test_log_byte_that_is_not_utf8_is_refused(tmp_path):
+    # it used to end analyze in a UnicodeDecodeError traceback
+    cli("eval", "--config", TINY, "--strategy", "greedy", "--seed", "1", "--ratios", "1.2",
+        "--episodes", "3", "--out", tmp_path / "eval")
+    log = tmp_path / "eval" / "trajectories_ratio_1_2.csv"
+    lines = log.read_bytes().splitlines(keepends=True)
+    lines[4] = lines[4][:-1] + b"\xff\n"
+    log.write_bytes(b"".join(lines))
+    err = cli("analyze", "--out", tmp_path / "analyze", log, status=2)
+    assert err == f"error: {log}: line 5: not UTF-8\n"
 
 
 def test_resumes_end_on_the_uninterrupted_bytes(tmp_path):

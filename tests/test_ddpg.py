@@ -22,10 +22,12 @@ from torus_pursuit.nn import backward, forward
 
 
 def make_learner(obs_dim=4, hidden=(8, 8), critic_hidden=(8, 8), seed=0, n=1, **kw):
-    """A team whose config section holds `kw` over the defaults; the tests
-    draw their own batches, so the section's batch fits any ring."""
+    """A team whose config section holds `kw` over the defaults, with a ring
+    of 1000 and a batch of one unless `kw` says otherwise; the team updates
+    on batches of its section's size only."""
     ddpg = DdpgConfig(actor_hidden=hidden, critic_hidden=critic_hidden,
-                      buffer_capacity=kw.pop("buffer_capacity", 1000), batch_size=1, **kw)
+                      buffer_capacity=kw.pop("buffer_capacity", 1000),
+                      batch_size=kw.pop("batch_size", 1), **kw)
     return TeamLearner(n, obs_dim, ddpg, np.random.default_rng(seed))
 
 
@@ -424,7 +426,7 @@ def test_ring_holds_every_pushed_transition(case, seed):
 
 class TestCriticUpdate:
     def test_terminal_masks_bootstrap(self):
-        learner = make_learner(gamma=0.99)
+        learner = make_learner(gamma=0.99, batch_size=4)
         rng = np.random.default_rng(23)
         batch = lone_batch(
             obs=rng.standard_normal((4, 4)),
@@ -440,7 +442,7 @@ class TestCriticUpdate:
         assert learner.critic_update(batch)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_gamma_zero_fixed_point(self):
-        learner = make_learner(gamma=0.0)
+        learner = make_learner(gamma=0.0, batch_size=8)
         rng = np.random.default_rng(29)
         obs = rng.standard_normal((8, 4))
         actions = np.tile([0.0, 1.0], (8, 1))
@@ -475,7 +477,7 @@ class TestCriticUpdate:
 
 class TestActorUpdate:
     def test_returns_pre_update_mean_q(self):
-        learner = make_learner()
+        learner = make_learner(batch_size=6)
         rng = np.random.default_rng(31)
         batch = lone_batch(
             obs=rng.standard_normal((6, 4)),
@@ -490,7 +492,7 @@ class TestActorUpdate:
         assert learner.actor_update(batch)[0] == pytest.approx(float(np.mean(q)), abs=1e-12)
 
     def test_constant_critic_gives_zero_gradient(self):
-        learner = make_learner()
+        learner = make_learner(batch_size=4)
         for w in learner.critic.weights:
             w[...] = 0.0
         for b in learner.critic.biases:
@@ -556,7 +558,8 @@ class TestActorUpdate:
         assert worst < 1e-4
 
     def test_single_ascent_step_does_not_decrease_q(self):
-        learner = make_learner(obs_dim=3, hidden=(6,), critic_hidden=(6,), lr_actor=1e-3)
+        learner = make_learner(obs_dim=3, hidden=(6,), critic_hidden=(6,), lr_actor=1e-3,
+                               batch_size=8)
         rng = np.random.default_rng(43)
         obs = rng.standard_normal((8, 3))
         batch = lone_batch(
@@ -646,7 +649,7 @@ class TestDecentralization:
 
     def test_off_policy_batches_train_without_error(self):
         # transitions generated by an arbitrary scripted behavior policy
-        learner = make_learner(obs_dim=4, buffer_capacity=256)
+        learner = make_learner(obs_dim=4, buffer_capacity=256, batch_size=32)
         rng = np.random.default_rng(59)
         for _ in range(64):
             push_random(learner.buffer, rng)
@@ -657,18 +660,18 @@ class TestDecentralization:
 
     def test_other_agents_parameters_never_reach_an_agent(self):
         rng = np.random.default_rng(61)
-        team = filled_learner(0, 5, (12, 12), (12, 12, 12), 64, n=3)
+        team = filled_learner(0, 5, (12, 12), (12, 12, 12), 64, n=3, batch_size=16)
         batches = (team.buffer.sample(16, [rng] * 3), team.buffer.sample(16, [rng] * 3))
-        other = make_learner(5, (12, 12), (12, 12, 12), n=3)
+        other = make_learner(5, (12, 12), (12, 12, 12), n=3, batch_size=16)
         other.state[...] = team.state
         for net in NETWORKS:  # agent 1's networks only
             getattr(other, net).flat[1] += rng.standard_normal(getattr(other, net).flat.shape[1])
         results = []
         for learner in (team, other):
             loss = learner.critic_update(batches[0])
-            critic_grad = learner._update.critic.gradient.copy()
+            critic_grad = learner._critic_ws.gradient.copy()
             mean_q = learner.actor_update(batches[1])
-            actor_grad = learner._update.actor.gradient.copy()
+            actor_grad = learner._actor_ws.gradient.copy()
             results.append((loss, mean_q, critic_grad, actor_grad, learner.state.copy()))
         for kept in (0, 2):
             for got, want in zip(results[1], results[0]):
@@ -683,7 +686,7 @@ class TestBanditConvergence:
         obs = np.array([[0.3, -0.7, 0.4, 0.1]])
         learner = make_learner(hidden=(32, 32), critic_hidden=(32, 32), seed=3,
                                gamma=0.5, lr_actor=1e-3, lr_critic=1e-3,
-                               buffer_capacity=4096, tau=0.01)
+                               buffer_capacity=4096, batch_size=64, tau=0.01)
         rng = np.random.default_rng(61)
 
         def reward(theta):
@@ -732,7 +735,7 @@ PAPER_SHAPE = dict(obs_dim=8, hidden=(128, 128), critic_hidden=(128, 128, 128))
 class TestScratch:
     def test_update_allocates_nothing_large(self):
         # paper shape: n 3, obs 8, actor 128^2, critic 128^3, batch 512
-        team = filled_learner(0, 8, (128, 128), (128, 128, 128), 1024, n=3)
+        team = filled_learner(0, 8, (128, 128), (128, 128, 128), 1024, n=3, batch_size=512)
         rngs = [np.random.default_rng(k) for k in range(3)]
         batches = (team.buffer.sample(512, rngs), team.buffer.sample(512, rngs))
         for _ in range(2):
@@ -747,9 +750,22 @@ class TestScratch:
         assert peak < 1_000_000, f"transient peak {peak} bytes"
 
     def test_team_scratch_stays_lean_at_paper_shape(self):
-        # every buffer the first update makes and keeps: activations, one
-        # input-gradient buffer, the gradient, the critic input
-        team = filled_learner(0, 8, (128, 128), (128, 128, 128), 1024, n=3)
+        # every update buffer the constructor makes, each counted once: the
+        # actor and critic arenas, the shared gradient and input-gradient
+        # buffers, the critic input
+        team = make_learner(**PAPER_SHAPE, n=3, batch_size=512)
+        owners = {}
+        for ws in (team._actor_ws, team._critic_ws):
+            for view in (ws.activations[0], ws.gradient, ws.input_gradients[0]):
+                owners[id(view.base)] = view.base
+        owners[id(team._critic_input)] = team._critic_input
+        held = sum(a.nbytes for a in owners.values())
+        assert len(owners) == 5
+        assert held < 11_000_000, f"team scratch holds {held} bytes"
+
+    def test_first_update_keeps_nothing_large(self):
+        # the constructor made every update buffer, at the section's batch size
+        team = filled_learner(0, 8, (128, 128), (128, 128, 128), 1024, n=3, batch_size=512)
         rngs = [np.random.default_rng(k) for k in range(3)]
         batches = (team.buffer.sample(512, rngs), team.buffer.sample(512, rngs))
         tracemalloc.start()
@@ -759,7 +775,17 @@ class TestScratch:
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert held < 11_000_000, f"team scratch holds {held} bytes"
+        assert held < 100_000, f"the first update keeps {held} bytes"
+
+    def test_batch_of_another_size_refused_before_any_change(self):
+        team = filled_learner(0, 5, (12, 12), (12, 12, 12), 64, n=2, batch_size=16)
+        before = team.state.copy()
+        batch = team.buffer.sample(8, [np.random.default_rng(k) for k in range(2)])
+        for method in (team.critic_update, team.actor_update):
+            with pytest.raises(ValueError, match="does not fit a workspace of 2 agents and 16 rows"):
+                method(batch)
+        assert np.array_equal(team.state, before)
+        assert (team.adam_actor.step, team.adam_critic.step) == (0, 0)
 
     def test_shared_scratch_leaks_nothing_between_agents(self):
         # a team of n equals n lone agents (n=1 teams) bit for bit: updates,
@@ -767,10 +793,11 @@ class TestScratch:
         for n, (hidden, critic_hidden, rows) in [(2, ((12, 12), (12, 12, 12), 16)),
                                                  (3, ((48, 48), (48, 48, 48), 96)),
                                                  (5, ((12, 12), (12, 12, 12), 16))]:
-            team = filled_learner(n, 5, hidden, critic_hidden, 128, n=n, tau=0.05)
+            team = filled_learner(n, 5, hidden, critic_hidden, 128, n=n, tau=0.05, batch_size=rows)
             lone = []
             for i in range(n):
-                agent = make_learner(5, hidden, critic_hidden, n=1, tau=0.05, buffer_capacity=128)
+                agent = make_learner(5, hidden, critic_hidden, n=1, tau=0.05, buffer_capacity=128,
+                                     batch_size=rows)
                 agent.state[0] = team.state[i]
                 copy_ring(team.buffer, i, agent.buffer)
                 lone.append(agent)

@@ -26,21 +26,17 @@ from .config import (
     save_config,
     with_overrides,
 )
-from .errors import (
-    AnalysisInputError,
-    CheckpointIntegrityError,
-    ConfigError,
-    DigestMismatchError,
-    SchemaVersionError,
-    TrajectoryParseError,
-)
+from .errors import ConfigError, InputError
 
 
 def _parse_ratios(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v]
+        ratios = [float(v) for v in text.split(",") if v]
     except ValueError as exc:
         raise ConfigError(f"--ratios: {exc}") from exc
+    if not ratios:
+        raise ConfigError("--ratios: no ratio given")
+    return ratios
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -67,7 +63,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import check_ratio_labels, run_eval
 
     config = _load(args)
-    ratios = _parse_ratios(args.ratios) if args.ratios else [config.env.velocity_ratio]
+    ratios = [config.env.velocity_ratio] if args.ratios is None else _parse_ratios(args.ratios)
     for ratio in ratios:
         check_ratio(config.env, ratio, "--ratios")
     try:
@@ -180,15 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        DigestMismatchError,
-        SchemaVersionError,
-        CheckpointIntegrityError,
-        TrajectoryParseError,
-        AnalysisInputError,
-        FileNotFoundError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

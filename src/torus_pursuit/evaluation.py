@@ -32,6 +32,7 @@ import numpy as np
 from .config import TRAINABLE_STRATEGIES, ExperimentConfig
 from .environment import EnvConfig, WorldState, reset, step, strategy_observation
 from .pursuit import greedy_heading, pincer_headings
+from .textfile import FLOAT_FORMAT
 from .trajectory import TrajectoryWriter
 
 if TYPE_CHECKING:
@@ -204,9 +205,9 @@ def run_eval(
 
 def write_table(path: Path, schema: str, header: str, rows: Iterable[Sequence]) -> None:
     """Writes rows as a CSV headed by a `# schema=` line and `header`: floats
-    as .9g, every other value as str."""
+    as FLOAT_FORMAT, every other value as str."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# schema={schema}\n{header}\n")
         for row in rows:
-            fh.write(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row)
-                     + "\n")
+            fh.write(",".join(format(v, FLOAT_FORMAT) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")

@@ -1,10 +1,14 @@
-"""Reading the package's UTF-8 text files line by line, as their readers do."""
+"""The package's UTF-8 text files: the float format every table writes, and
+reading the files line by line, as their readers do."""
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
 from typing import Callable
+
+# Format of every float a CSV holds: 9 significant digits.
+FLOAT_FORMAT = ".9g"
 
 
 def read_lines(path: Path, refuse: Callable[[int], Exception]) -> list[str]:

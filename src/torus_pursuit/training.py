@@ -29,7 +29,7 @@ from .ddpg import TeamLearner, make_team
 from .environment import reset, step, strategy_observation
 from .errors import CheckpointIntegrityError, ConfigError, SchemaVersionError
 from .pursuit import greedy_heading
-from .textfile import read_lines
+from .textfile import FLOAT_FORMAT, read_lines
 
 CURVE_SCHEMA = "pursuit-training-curve-v1"
 CURVE_HEADER = "global_epoch,session,epoch,ratio,phase,return,captured,steps"
@@ -139,10 +139,6 @@ def run_episode(
     return ep_return, captured, steps
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def _curve_rows_before(path: Path, global_epoch: int) -> str:
     """Complete rows of an existing curve whose global_epoch precedes a resume.
 
@@ -218,8 +214,8 @@ def run_training(
             ratio = velocity_at_epoch(plan.sessions[session].schedule, epoch)
             phase = behavior_for_epoch(plan, session, epoch)
             ep_return, captured, steps = run_episode(config, team, streams, ratio, phase, g)
-            curve.write(f"{g},{session},{epoch},{_fmt(ratio)},{phase.value},{_fmt(ep_return)},"
-                        f"{1 if captured else 0},{steps}\n")
+            curve.write(f"{g},{session},{epoch},{ratio:{FLOAT_FORMAT}},{phase.value},"
+                        f"{ep_return:{FLOAT_FORMAT}},{1 if captured else 0},{steps}\n")
             if (g + 1) % config.run.checkpoint_every == 0 and g + 1 < end:
                 # a resume from this snapshot keeps the rows before it
                 curve.flush()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from torus_pursuit import errors
 from torus_pursuit import evaluation as evaluation_module
 from torus_pursuit import evader as evader_module
 from torus_pursuit import nn as nn_module
@@ -693,3 +694,16 @@ print([name for name in torus_pursuit.__all__ if getattr(torus_pursuit, name, No
                          check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
     # nothing heavy on import, no learner for a scripted eval, every name resolves
     assert [line for line in out.splitlines() if line.startswith("[")] == ["[]"] * 3
+
+
+def test_every_refusal_is_an_input_error():
+    # the CLI's one handler catches InputError; callers that catch
+    # ValueError keep catching every refusal
+    refusals = (errors.ConfigError, errors.DigestMismatchError, errors.SchemaVersionError,
+                errors.TrajectoryParseError, errors.AnalysisInputError,
+                errors.CheckpointIntegrityError)
+    for kind in refusals:
+        assert issubclass(kind, errors.InputError) and issubclass(kind, ValueError), kind
+    # misuse of the library is not a refused input
+    for kind in (errors.SingularityError, errors.EpisodeDoneError, errors.BufferNotReadyError):
+        assert not issubclass(kind, errors.InputError), kind

@@ -167,3 +167,40 @@ def test_broken_v4_snapshots_are_refused(tmp_path):
         out = tmp_path / f"from-{edit.__name__}"
         refused("train", "--config", TINY, "--out", out, "--resume", manifest)
         assert not out.exists()
+
+
+def test_paths_that_cannot_be_read_or_written_are_refused(tmp_path):
+    # each used to end in an IsADirectoryError, FileExistsError or
+    # NotADirectoryError traceback with exit code 1
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    # a directory where a file is read: refused before --out is made
+    unread = {
+        "log": ("analyze", directory),
+        "config": ("eval", "--config", directory, "--strategy", "greedy"),
+        "resume": ("train", "--config", TINY, "--resume", directory),
+        "checkpoint": ("eval", "--config", TINY, "--strategy", "cd_ddpg",
+                       "--checkpoint", directory),
+    }
+    for name, args in unread.items():
+        out = tmp_path / f"out-{name}"
+        refused(*args, "--out", out)
+        assert not out.exists(), name
+    # an --out that is, or lies under, a file
+    greedy = ("eval", "--config", TINY, "--strategy", "greedy", "--ratios", "1.0",
+              "--episodes", "1")
+    refused(*greedy, "--out", a_file)
+    refused("train", "--config", TINY, "--out", a_file)
+    refused(*greedy, "--out", a_file / "sub")
+
+
+def test_ratios_that_name_no_ratio_are_refused(tmp_path):
+    # "," used to sweep nothing and write a header-only success.csv; "" used
+    # to sweep env.velocity_ratio
+    for name, ratios in (("comma", ","), ("empty", "")):
+        out = tmp_path / name
+        refused("eval", "--config", TINY, "--strategy", "greedy", "--ratios", ratios,
+                "--episodes", "1", "--out", out)
+        assert not out.exists(), name
